@@ -1,0 +1,28 @@
+package main
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// fsType names the filesystem holding dir, for the host note: WAL numbers
+// depend on it.
+func fsType(dir string) string {
+	var st syscall.Statfs_t
+	if err := syscall.Statfs(dir, &st); err != nil {
+		return "unknown fs"
+	}
+	switch uint32(st.Type) {
+	case 0x01021994:
+		return "tmpfs"
+	case 0xEF53:
+		return "ext4"
+	case 0x58465342:
+		return "xfs"
+	case 0x9123683E:
+		return "btrfs"
+	case 0x794C7630:
+		return "overlayfs"
+	}
+	return fmt.Sprintf("fs type 0x%x", uint32(st.Type))
+}
