@@ -91,8 +91,12 @@ func (c *Client) NewReadRequest(op []byte, now time.Time) *message.Request {
 func (c *Client) issue(op []byte, readOnly bool, now, sentAt time.Time) *message.Request {
 	req := &message.Request{Client: c.cfg.ID, ID: c.nextID, Op: op, ReadOnly: readOnly}
 	c.nextID++
-	req.Sig = c.keys.Sign(req.SignedBody())
-	req.Auth = c.authForNodes(req)
+	// One pass over the operation: signature and authenticator both cover it
+	// through its digest.
+	d := req.OpDigest()
+	var buf [message.MaxBodySize]byte
+	req.Sig = c.keys.Sign(req.AppendSignedBody(buf[:0], d))
+	req.Auth = c.keys.AuthenticatorForNodes(c.cfg.Cluster.N, req.AppendBody(buf[:0], d))
 	p := &pending{
 		req:      req,
 		readOnly: readOnly,
@@ -105,17 +109,6 @@ func (c *Client) issue(op []byte, readOnly bool, now, sentAt time.Time) *message
 	}
 	c.pending[req.ID] = p
 	return req
-}
-
-// authForNodes builds the client's MAC authenticator over the request body.
-// Clients index authenticator entries by node id, like nodes do.
-func (c *Client) authForNodes(req *message.Request) crypto.Authenticator {
-	body := req.Body()
-	auth := make(crypto.Authenticator, c.cfg.Cluster.N)
-	for i := 0; i < c.cfg.Cluster.N; i++ {
-		auth[i] = c.keys.MACForNode(types.NodeID(i), body)
-	}
-	return auth
 }
 
 // OnReply processes a REPLY from a node. It returns the completed request

@@ -36,7 +36,7 @@ func TestRequestWellFormed(t *testing.T) {
 		if err := ring.VerifyClientAuthenticatorEntry(2, types.NodeID(i), req.Body(), req.Auth); err != nil {
 			t.Fatalf("node %d MAC: %v", i, err)
 		}
-		if err := ring.VerifyClientSignature(2, req.SignedBody(), req.Sig); err != nil {
+		if err := ring.VerifyClientSignature(2, req.AppendSignedBody(nil, req.OpDigest()), req.Sig); err != nil {
 			t.Fatalf("node %d signature: %v", i, err)
 		}
 	}

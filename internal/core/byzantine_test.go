@@ -156,7 +156,7 @@ func TestEquivocatingClientDoesNotDiverge(t *testing.T) {
 	// (the client is faulty, so it signs both).
 	reqB := &message.Request{Client: 1, ID: reqA.ID, Op: []byte{0, 0, 0, 0, 0, 0, 0, 9}}
 	ring := nc.ks.ClientRing(1)
-	reqB.Sig = ring.Sign(reqB.SignedBody())
+	reqB.Sig = ring.Sign(reqB.AppendSignedBody(nil, reqB.OpDigest()))
 	body := reqB.Body()
 	reqB.Auth = make(crypto.Authenticator, nc.cfg.N)
 	for i := range reqB.Auth {

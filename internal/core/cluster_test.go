@@ -467,3 +467,36 @@ func TestF2EndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestHealAfterDelayRestoresOrdering: SetBehavior(Behavior{}) heals every
+// replica, not only those named in an Instance map. Two silent
+// master-instance replicas — more than f — leave the master instance without
+// a prepare quorum; once both nodes are healed, after a quiet delay, new
+// requests must order and execute everywhere without an instance change.
+func TestHealAfterDelayRestoresOrdering(t *testing.T) {
+	nc := newNodeCluster(t, 1, nil)
+	silent := Behavior{Instance: map[types.InstanceID]pbft.Behavior{
+		types.MasterInstance: {Silent: true},
+	}}
+	nc.nodes[2].SetBehavior(silent)
+	nc.nodes[3].SetBehavior(silent)
+	nc.runFor(100 * time.Millisecond)
+	nc.nodes[2].SetBehavior(Behavior{})
+	nc.nodes[3].SetBehavior(Behavior{})
+
+	for i := 0; i < 5; i++ {
+		nc.sendRequest(1, nil)
+	}
+	nc.runFor(200 * time.Millisecond)
+	if got := len(nc.completed[1]); got != 5 {
+		t.Fatalf("client completed %d of 5 requests after the heal", got)
+	}
+	for i := range nc.nodes {
+		if got := len(nc.executed[types.NodeID(i)]); got != 5 {
+			t.Errorf("node %d executed %d of 5 requests after the heal", i, got)
+		}
+	}
+	if len(nc.icEvents) != 0 {
+		t.Errorf("healed cluster still changed instance: %+v", nc.icEvents)
+	}
+}

@@ -499,12 +499,11 @@ func (n *Node) observeIO(in message.Message, out *Output) {
 // SetBehavior installs Byzantine behaviour (attack experiments only).
 func (n *Node) SetBehavior(b Behavior) {
 	n.behavior = b
-	// Iterate replicas in instance order rather than ranging over the
-	// b.Instance map, so installation order is deterministic.
+	// Every replica gets its entry of b.Instance or, absent one, the zero
+	// (correct) behaviour: installing Behavior{} heals a faulty node. Instance
+	// order, not map order, so installation is deterministic.
 	for i := range n.replicas {
-		if rb, ok := b.Instance[types.InstanceID(i)]; ok {
-			n.replicas[i].SetBehavior(rb)
-		}
+		n.replicas[i].SetBehavior(b.Instance[types.InstanceID(i)])
 	}
 }
 
@@ -531,9 +530,13 @@ func (n *Node) MasterPrimary() types.NodeID {
 }
 
 // NextWake returns the earliest pending timer across the replicas and the
-// monitor, or zero if none.
+// monitor, or zero if none. A silent node fires no timers (tick), so it
+// reports none: a deadline it never serves would keep its driver spinning.
 func (n *Node) NextWake() time.Time {
 	var wake time.Time
+	if n.behavior.Silent {
+		return wake
+	}
 	consider := func(t time.Time) {
 		if t.IsZero() {
 			return
@@ -619,9 +622,9 @@ func (n *Node) OnVerified(v *message.Verified, now time.Time) Output {
 		if !ok {
 			return out // forged Verified; preverify never builds this
 		}
-		out = n.applyClientRequest(req, now)
+		out = n.applyClientRequest(req, v.Digest, now)
 	} else {
-		out = n.applyNodeMessage(v.Msg, v.From, now)
+		out = n.applyNodeMessage(v, now)
 	}
 	n.observeIO(v.Msg, &out)
 	return out
@@ -665,8 +668,9 @@ func (n *Node) OnIngressFailure(f IngressFailure, now time.Time) Output {
 	return out
 }
 
-// applyClientRequest processes a preverified client REQUEST.
-func (n *Node) applyClientRequest(req *message.Request, now time.Time) Output {
+// applyClientRequest processes a preverified client REQUEST whose OpDigest is
+// d.
+func (n *Node) applyClientRequest(req *message.Request, d types.Digest, now time.Time) Output {
 	var out Output
 	if n.behavior.Silent {
 		return out
@@ -708,23 +712,26 @@ func (n *Node) applyClientRequest(req *message.Request, now time.Time) Output {
 	if cs.isExecuted(req.ID) {
 		return out
 	}
-	out.merge(n.propagateOwn(req, now))
-	return out
-}
-
-// propagateOwn runs the Propagation module for a locally verified request.
-func (n *Node) propagateOwn(req *message.Request, now time.Time) Output {
-	var out Output
-	ref := req.Ref()
+	ref := types.RequestRef{Client: req.Client, ID: req.ID, Digest: d}
 	if !n.storeBody(ref, req, now) {
 		return out
 	}
+	return n.propagate(ref, now)
+}
+
+// propagate runs the Propagation module for a stored request: send our own
+// PROPAGATE the first time we learn of it, then dispatch once f+1 copies are
+// in. The MAC body comes from the ref's digest — the preverify stage's one
+// pass over the operation is the last.
+func (n *Node) propagate(ref types.RequestRef, now time.Time) Output {
+	var out Output
 	senders := n.senderSet(ref)
 	if !senders[n.cfg.Node] {
 		senders[n.cfg.Node] = true
 		if !n.behavior.DropPropagate {
 			p := &message.Propagate{Req: *n.bodies[ref], Node: n.cfg.Node}
-			p.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, p.Body())
+			var buf [message.MaxBodySize]byte
+			p.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, p.AppendBody(buf[:0], ref.Digest))
 			out.NodeMsgs = append(out.NodeMsgs, NodeSend{Msg: p})
 		}
 	}
@@ -734,6 +741,9 @@ func (n *Node) propagateOwn(req *message.Request, now time.Time) Output {
 
 // storeBody records a verified request body for its exact ref, bounding the
 // per-client pending-body count. It reports whether the body is available.
+// This is the node's single retention point for decoded request bytes: Op
+// and Sig alias the received frame (message.Decode), so a stored body keeps
+// its frame alive until the request executes.
 func (n *Node) storeBody(ref types.RequestRef, req *message.Request, now time.Time) bool {
 	if _, seen := n.bodies[ref]; seen {
 		return true
@@ -770,32 +780,33 @@ func (n *Node) nicClosed(from types.NodeID, now time.Time) bool {
 
 // applyNodeMessage processes a preverified message from another node:
 // PROPAGATE, the per-instance protocol messages, and INSTANCE-CHANGE.
-func (n *Node) applyNodeMessage(msg message.Message, from types.NodeID, now time.Time) Output {
+func (n *Node) applyNodeMessage(v *message.Verified, now time.Time) Output {
 	var out Output
 	if n.behavior.Silent {
 		return out
 	}
-	if n.nicClosed(from, now) {
+	if n.nicClosed(v.From, now) {
 		return out
 	}
 
-	switch m := msg.(type) {
+	switch m := v.Msg.(type) {
 	case *message.Propagate:
-		return n.applyPropagate(m, from, now)
+		return n.applyPropagate(m, v.Digest, v.From, now)
 
 	case *message.InstanceChange:
 		return n.onInstanceChange(m, now)
 
 	default:
-		return n.applyInstanceMessage(msg, from, now)
+		return n.applyInstanceMessage(v.Msg, v.From, now)
 	}
 }
 
 // applyPropagate processes a preverified PROPAGATE (MAC and the embedded
-// request's client signature both already checked).
-func (n *Node) applyPropagate(p *message.Propagate, from types.NodeID, now time.Time) Output {
+// request's client signature both already checked) whose request has
+// OpDigest d.
+func (n *Node) applyPropagate(p *message.Propagate, d types.Digest, from types.NodeID, now time.Time) Output {
 	var out Output
-	ref := p.Req.Ref()
+	ref := types.RequestRef{Client: p.Req.Client, ID: p.Req.ID, Digest: d}
 	cs := n.client(p.Req.Client, now)
 	if cs.blacklisted {
 		return out
@@ -805,24 +816,11 @@ func (n *Node) applyPropagate(p *message.Propagate, from types.NodeID, now time.
 	if cs.isExecuted(p.Req.ID) {
 		return out
 	}
-	if _, seen := n.bodies[ref]; !seen {
-		if !n.storeBody(ref, &p.Req, now) {
-			return out
-		}
+	if !n.storeBody(ref, &p.Req, now) {
+		return out
 	}
-	senders := n.senderSet(ref)
-	senders[from] = true
-	// Echo our own PROPAGATE the first time we learn of the request.
-	if !senders[n.cfg.Node] {
-		senders[n.cfg.Node] = true
-		if !n.behavior.DropPropagate {
-			echo := &message.Propagate{Req: p.Req, Node: n.cfg.Node}
-			echo.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, echo.Body())
-			out.NodeMsgs = append(out.NodeMsgs, NodeSend{Msg: echo})
-		}
-	}
-	out.merge(n.maybeDispatch(ref, now))
-	return out
+	n.senderSet(ref)[from] = true
+	return n.propagate(ref, now)
 }
 
 func (n *Node) senderSet(ref types.RequestRef) map[types.NodeID]bool {
@@ -976,9 +974,10 @@ func (n *Node) execute(ref types.RequestRef, lane types.InstanceID, now time.Tim
 		return out
 	}
 	body := n.bodies[ref]
-	if body == nil || body.OpDigest() != ref.Digest {
+	if body == nil {
 		// Cannot happen for requests dispatched by this node (dispatch
-		// requires the body); guards against divergent state.
+		// requires the body, stored under the digest it was verified
+		// against); guards against divergent state.
 		return out
 	}
 	cs.markExecuted(ref.ID)
@@ -1019,8 +1018,8 @@ func (n *Node) execute(ref types.RequestRef, lane types.InstanceID, now time.Tim
 // only the App.Execute calls fan out across worker shards, in waves of
 // non-conflicting requests, so goroutine interleaving can never reach the
 // node's state, trace or WAL. Requests already executed, duplicated within
-// the batch, or lacking a digest-matching body are filtered exactly as the
-// serial path filters them.
+// the batch, or lacking a stored body are filtered exactly as the serial path
+// filters them.
 func (n *Node) executeWaves(refs []types.RequestRef, lane types.InstanceID, now time.Time) Output {
 	var out Output
 	type pendingExec struct {
@@ -1034,9 +1033,10 @@ func (n *Node) executeWaves(refs []types.RequestRef, lane types.InstanceID, now 
 			continue
 		}
 		body := n.bodies[ref]
-		if body == nil || body.OpDigest() != ref.Digest {
+		if body == nil {
 			// Cannot happen for requests dispatched by this node (dispatch
-			// requires the body); guards against divergent state.
+			// requires the body, stored under the digest it was verified
+			// against); guards against divergent state.
 			continue
 		}
 		cs.markExecuted(ref.ID)

@@ -71,7 +71,9 @@ func TestMasterPrimaryTracksView(t *testing.T) {
 	if got := n.MasterPrimary(); got != 0 {
 		t.Fatalf("view 0 master primary = %d, want 0", got)
 	}
-	for voter := types.NodeID(0); voter <= 2; voter++ {
+	// Votes from the three peers: a node never receives its own messages,
+	// and its own authenticator entry is not even computed.
+	for _, voter := range []types.NodeID{0, 2, 3} {
 		ic := &message.InstanceChange{CPI: 0, Node: voter}
 		ic.Auth = nc.ks.NodeRing(voter).AuthenticatorForNodes(nc.cfg.N, ic.Body())
 		nc.collect(1, n.OnNodeMessage(ic, voter, nc.now))

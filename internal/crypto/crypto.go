@@ -8,16 +8,23 @@
 // PROPAGATE phase) wrapped in a MAC authenticator (so that a flood of bogus
 // requests is rejected at MAC cost, an order of magnitude cheaper than
 // signature verification).
+//
+// Callers authenticate short preimages (internal/message lets a payload in
+// only through its digest), so this package makes those cheap: each pair's
+// HMAC key is expanded once into its two keyed SHA-256 states (batch.go), a
+// MAC restores them on a pooled Hasher and allocates nothing, and an
+// authenticator is one pass over the peer set.
 package crypto
 
 import (
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash"
 	"sync"
 
 	"rbft/internal/types"
@@ -41,6 +48,52 @@ func Digest(data []byte) types.Digest {
 	return sha256.Sum256(data)
 }
 
+// Hasher is a pooled streaming SHA-256: it digests a payload that arrives in
+// pieces without a concatenation buffer. NewHasher takes one from the pool,
+// Sum returns it.
+type Hasher struct {
+	h     hash.Hash
+	state encoding.BinaryUnmarshaler // h's state setter, for keyed MAC states
+	// buf stages short inputs and hash outputs: bytes handed to a hash.Hash
+	// escape to the heap, staged ones let the caller's buffer stay on its
+	// stack — which is what makes short-preimage MACs allocation-free.
+	buf [128]byte
+}
+
+var hasherPool = sync.Pool{New: func() interface{} {
+	h := sha256.New()
+	return &Hasher{h: h, state: h.(encoding.BinaryUnmarshaler)}
+}}
+
+// NewHasher returns an empty Hasher.
+func NewHasher() *Hasher {
+	s := hasherPool.Get().(*Hasher)
+	s.h.Reset()
+	return s
+}
+
+// Write absorbs p directly; p escapes to the heap, so this is for payloads
+// that already live there.
+func (s *Hasher) Write(p []byte) { s.h.Write(p) }
+
+// WriteLocal absorbs a short p through the staging buffer, so p may live on
+// the caller's stack.
+func (s *Hasher) WriteLocal(p []byte) {
+	for len(p) > 0 {
+		n := copy(s.buf[:], p)
+		s.h.Write(s.buf[:n])
+		p = p[n:]
+	}
+}
+
+// Sum returns the digest of everything written and releases the Hasher.
+func (s *Hasher) Sum() types.Digest {
+	var d types.Digest
+	copy(d[:], s.h.Sum(s.buf[:0]))
+	hasherPool.Put(s)
+	return d
+}
+
 // principal is an internal identity in the MAC key space. Nodes and clients
 // live in disjoint halves.
 type principal int64
@@ -59,8 +112,8 @@ type KeyRing struct {
 	store   *KeyStore
 	secret  []byte
 	fast    bool
-	// cache memoises derived pair keys (see batch.go); verifier goroutines
-	// share the ring, so the cache carries its own lock.
+	// cache memoises keyed MAC states per pair (see batch.go); verifier
+	// goroutines share the ring, so the cache carries its own lock.
 	cache keyCache
 }
 
@@ -181,22 +234,61 @@ func pairKey(secret []byte, a, b principal) []byte {
 	return h.Sum(nil)
 }
 
-func computeMAC(key, data []byte) MAC {
-	h := hmac.New(sha256.New, key)
-	h.Write(data)
+// macKey is one pair's HMAC-SHA256 key expanded into its two keyed SHA-256
+// states (key^ipad and key^opad absorbed), marshaled. Immutable, so
+// concurrent verifiers share it without a lock.
+type macKey struct{ inner, outer []byte }
+
+func newMACKey(key []byte) *macKey {
+	keyed := func(pad byte) []byte {
+		var block [sha256.BlockSize]byte
+		copy(block[:], key) // pair keys are 32 bytes, never longer than a block
+		for i := range block {
+			block[i] ^= pad
+		}
+		h := sha256.New()
+		h.Write(block[:])
+		state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			panic("crypto: sha256 state does not marshal: " + err.Error())
+		}
+		return state
+	}
+	return &macKey{inner: keyed(0x36), outer: keyed(0x5c)}
+}
+
+// mac computes the truncated HMAC-SHA256 of data under k.
+func (s *Hasher) mac(k *macKey, data []byte) MAC {
+	s.restore(k.inner)
+	s.WriteLocal(data)
+	sum := s.h.Sum(s.buf[:0])
+	s.restore(k.outer)
+	s.h.Write(sum)
 	var tag MAC
-	copy(tag[:], h.Sum(nil))
+	copy(tag[:], s.h.Sum(s.buf[:0]))
 	return tag
 }
 
+func (s *Hasher) restore(state []byte) {
+	if err := s.state.UnmarshalBinary(state); err != nil {
+		panic("crypto: sha256 state does not unmarshal: " + err.Error())
+	}
+}
+
 // fastSum is the simulation-only body checksum: FNV-1a over the ring secret
-// and the data. Computed once per message; per-principal tags mix it with
-// the pair identity (see fastMix).
+// and the data (spelled out: through a hash.Hash, data would escape).
+// Computed once per message; per-principal tags mix it with the pair
+// identity (see fastMix).
 func fastSum(key, data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(key)
-	h.Write(data)
-	return h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, b := range key {
+		h = (h ^ uint64(b)) * prime64
+	}
+	for _, b := range data {
+		h = (h ^ uint64(b)) * prime64
+	}
+	return h
 }
 
 // fastMix derives a 16-byte tag from a body checksum and a pair/principal
@@ -223,39 +315,47 @@ func fastTag(key []byte, extra uint64, data []byte) [16]byte {
 	return fastMix(fastSum(key, data), extra)
 }
 
-// pairMAC computes a MAC for the (a, b) principal pair.
-func (r *KeyRing) pairMAC(a, b principal, data []byte) MAC {
-	if r.fast {
-		if a > b {
-			a, b = b, a
-		}
-		return MAC(fastMix(fastSum(r.secret, data), uint64(a)<<20^uint64(b)))
+// fastPairTag is the simulation-only pair tag over a body checksum.
+func fastPairTag(sum uint64, a, b principal) MAC {
+	if a > b {
+		a, b = b, a
 	}
-	return computeMAC(r.pairKeyCached(a, b), data)
+	return MAC(fastMix(sum, uint64(a)<<20^uint64(b)))
+}
+
+// pairMAC computes the MAC this ring shares with peer over data.
+func (r *KeyRing) pairMAC(peer principal, data []byte) MAC {
+	if r.fast {
+		return fastPairTag(fastSum(r.secret, data), r.self, peer)
+	}
+	s := hasherPool.Get().(*Hasher)
+	tag := s.mac(r.macKeyFor(peer), data)
+	hasherPool.Put(s)
+	return tag
 }
 
 // MACForNode authenticates data for a single receiving node.
 func (r *KeyRing) MACForNode(to types.NodeID, data []byte) MAC {
-	return r.pairMAC(r.self, nodePrincipal(to), data)
+	return r.pairMAC(nodePrincipal(to), data)
 }
 
 // MACForClient authenticates data for a single receiving client.
 func (r *KeyRing) MACForClient(to types.ClientID, data []byte) MAC {
-	return r.pairMAC(r.self, clientPrincipal(to), data)
+	return r.pairMAC(clientPrincipal(to), data)
 }
 
 // VerifyNodeMAC checks a tag allegedly produced by node from over data.
 func (r *KeyRing) VerifyNodeMAC(from types.NodeID, data []byte, tag MAC) error {
-	want := r.pairMAC(r.self, nodePrincipal(from), data)
-	if !hmac.Equal(want[:], tag[:]) {
-		return ErrBadMAC
-	}
-	return nil
+	return r.verifyMAC(nodePrincipal(from), data, tag)
 }
 
 // VerifyClientMAC checks a tag allegedly produced by client from over data.
 func (r *KeyRing) VerifyClientMAC(from types.ClientID, data []byte, tag MAC) error {
-	want := r.pairMAC(r.self, clientPrincipal(from), data)
+	return r.verifyMAC(clientPrincipal(from), data, tag)
+}
+
+func (r *KeyRing) verifyMAC(from principal, data []byte, tag MAC) error {
+	want := r.pairMAC(from, data)
 	if !hmac.Equal(want[:], tag[:]) {
 		return ErrBadMAC
 	}
@@ -268,23 +368,28 @@ func (r *KeyRing) VerifyClientMAC(from types.ClientID, data []byte, tag MAC) err
 type Authenticator []MAC
 
 // AuthenticatorForNodes builds a MAC authenticator over data covering the n
-// nodes of the cluster. In fast (simulation) mode the body is checksummed
-// once and mixed per entry.
+// nodes of the cluster: one pooled Hasher (in fast mode, one body checksum)
+// serves every entry. A node's own entry stays zero — nobody verifies it.
 func (r *KeyRing) AuthenticatorForNodes(n int, data []byte) Authenticator {
 	auth := make(Authenticator, n)
+	var s *Hasher
+	var sum uint64
 	if r.fast {
-		sum := fastSum(r.secret, data)
-		for i := 0; i < n; i++ {
-			a, b := r.self, nodePrincipal(types.NodeID(i))
-			if a > b {
-				a, b = b, a
-			}
-			auth[i] = MAC(fastMix(sum, uint64(a)<<20^uint64(b)))
-		}
-		return auth
+		sum = fastSum(r.secret, data)
+	} else {
+		s = hasherPool.Get().(*Hasher)
+		defer hasherPool.Put(s)
 	}
-	for i := 0; i < n; i++ {
-		auth[i] = r.MACForNode(types.NodeID(i), data)
+	for i := range auth {
+		peer := nodePrincipal(types.NodeID(i))
+		if peer == r.self {
+			continue
+		}
+		if r.fast {
+			auth[i] = fastPairTag(sum, r.self, peer)
+		} else {
+			auth[i] = s.mac(r.macKeyFor(peer), data)
+		}
 	}
 	return auth
 }
@@ -292,19 +397,20 @@ func (r *KeyRing) AuthenticatorForNodes(n int, data []byte) Authenticator {
 // VerifyAuthenticatorEntry checks this ring's node entry of an authenticator
 // produced by node from. self must be this ring's node identity.
 func (r *KeyRing) VerifyAuthenticatorEntry(from types.NodeID, self types.NodeID, data []byte, auth Authenticator) error {
-	if int(self) >= len(auth) || self < 0 {
-		return fmt.Errorf("%w: authenticator has %d entries, want entry %d", ErrBadMAC, len(auth), self)
-	}
-	return r.VerifyNodeMAC(from, data, auth[self])
+	return r.verifyEntry(nodePrincipal(from), self, data, auth)
 }
 
 // VerifyClientAuthenticatorEntry checks this ring's entry of an authenticator
 // produced by client from.
 func (r *KeyRing) VerifyClientAuthenticatorEntry(from types.ClientID, self types.NodeID, data []byte, auth Authenticator) error {
+	return r.verifyEntry(clientPrincipal(from), self, data, auth)
+}
+
+func (r *KeyRing) verifyEntry(from principal, self types.NodeID, data []byte, auth Authenticator) error {
 	if int(self) >= len(auth) || self < 0 {
 		return fmt.Errorf("%w: authenticator has %d entries, want entry %d", ErrBadMAC, len(auth), self)
 	}
-	return r.VerifyClientMAC(from, data, auth[self])
+	return r.verifyMAC(from, data, auth[self])
 }
 
 // Sign produces an Ed25519 signature over data (or the simulation-only

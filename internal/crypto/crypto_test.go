@@ -77,10 +77,20 @@ func TestAuthenticator(t *testing.T) {
 	if len(auth) != 4 {
 		t.Fatalf("authenticator has %d entries, want 4", len(auth))
 	}
-	for i := 0; i < 4; i++ {
+	for i := 1; i < 4; i++ {
 		ring := ks.NodeRing(types.NodeID(i))
 		if err := ring.VerifyAuthenticatorEntry(0, types.NodeID(i), data, auth); err != nil {
 			t.Errorf("node %d entry: %v", i, err)
+		}
+	}
+	// Nobody verifies the sender's own entry, so it is not computed.
+	if auth[0] != (MAC{}) {
+		t.Error("sender's own authenticator entry must stay zero")
+	}
+	// A client is no node: its authenticator fills every entry.
+	for i, tag := range ks.ClientRing(1).AuthenticatorForNodes(4, data) {
+		if err := ks.NodeRing(types.NodeID(i)).VerifyClientMAC(1, data, tag); err != nil {
+			t.Errorf("client authenticator entry %d: %v", i, err)
 		}
 	}
 	// A node must not accept another node's entry as its own.

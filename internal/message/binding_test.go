@@ -1,0 +1,300 @@
+package message
+
+import (
+	"bytes"
+	"encoding/hex"
+	"runtime"
+	"strings"
+	"testing"
+
+	"rbft/internal/crypto"
+	"rbft/internal/types"
+)
+
+// Signatures and MACs reach a request's client, id and operation only through
+// OpDigest. These tests pin that the binding is as tight as authenticating
+// the encoded bytes was: a change to any field of a frame is caught by the
+// same check as before, a digest can never outlive the bytes it was computed
+// from, and the decode and verify path stays off the allocator.
+
+// Wire offsets of a REQUEST with op length n (tag, client, id, op, sig, auth).
+const (
+	reqOffTag    = 0
+	reqOffClient = 1
+	reqOffID     = 9
+	reqOffOp     = 21
+)
+
+func reqOffSig(n int) int  { return reqOffOp + n + 4 }
+func reqOffAuth(n int) int { return reqOffSig(n) + crypto.SignatureSize + 4 }
+
+// A PROPAGATE is type, node, inner length, then the request without its
+// authenticator, then the node's authenticator.
+const (
+	propOffNode  = 1
+	propOffInner = 13
+)
+
+// TestFieldTamperingKeepsItsFailKind flips one byte in each field of an
+// encoded REQUEST and PROPAGATE. Every flip must be rejected, and with the
+// same FailKind the full-body MACs produced.
+func TestFieldTamperingKeepsItsFailKind(t *testing.T) {
+	ks := testKeys()
+	op := []byte("transfer 10 from a to b")
+	req := signedRequest(ks, 1, 7, op)
+	reqWire := req.Marshal(nil)
+	propWire := propagateOf(ks, 2, req).Marshal(nil)
+	const self = 0 // newPreverifier verifies for node 0
+
+	cases := []struct {
+		name string
+		wire []byte // reqWire arrives from client 1, propWire from node 2
+		off  int
+		set  byte // 0: flip the low bit instead
+		want FailKind
+	}{
+		{"request/read-only tag", reqWire, reqOffTag, byte(TypeReadRequest), FailBadMAC},
+		{"request/client", reqWire, reqOffClient + 7, 0, FailWrongSender},
+		{"request/id", reqWire, reqOffID + 7, 0, FailBadMAC},
+		{"request/op first byte", reqWire, reqOffOp, 0, FailBadMAC},
+		{"request/op last byte", reqWire, reqOffOp + len(op) - 1, 0, FailBadMAC},
+		{"request/sig", reqWire, reqOffSig(len(op)) + 5, 0, FailBadMAC},
+		{"request/own auth slot", reqWire, reqOffAuth(len(op)) + self*crypto.MACSize, 0, FailBadMAC},
+		{"propagate/sender node", propWire, propOffNode + 7, 0, FailWrongSender},
+		{"propagate/inner tag", propWire, propOffInner + reqOffTag, byte(TypeReadRequest), FailMalformed},
+		{"propagate/client", propWire, propOffInner + reqOffClient + 7, 0, FailBadMAC},
+		{"propagate/id", propWire, propOffInner + reqOffID + 7, 0, FailBadMAC},
+		{"propagate/op", propWire, propOffInner + reqOffOp + 3, 0, FailBadMAC},
+		{"propagate/sig", propWire, propOffInner + reqOffSig(len(op)) + 5, 0, FailBadMAC},
+		{"propagate/own auth slot", propWire, propOffInner + reqOffAuth(len(op)) + self*crypto.MACSize, 0, FailBadMAC},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// A fresh preverifier whose cache already holds the genuine
+			// request's "valid" verdict: tampering must not be served it.
+			pre := newPreverifier(ks, 16)
+			if _, err := pre.PreverifyClientFrame(bytes.Clone(reqWire), 1); err != nil {
+				t.Fatalf("genuine request rejected: %v", err)
+			}
+			frame := bytes.Clone(tc.wire)
+			if tc.set != 0 {
+				frame[tc.off] = tc.set
+			} else {
+				frame[tc.off] ^= 0x01
+			}
+			var err error
+			if strings.HasPrefix(tc.name, "request/") {
+				_, err = pre.PreverifyClientFrame(frame, 1)
+			} else {
+				_, err = pre.PreverifyNodeFrame(frame, 2)
+			}
+			if err == nil {
+				t.Fatal("tampered frame accepted")
+			}
+			if got := FailKindOf(err); got != tc.want {
+				t.Fatalf("tampered frame failed as %s, want %s (%v)", got, tc.want, err)
+			}
+		})
+	}
+
+	// Another node's authenticator slot is not ours to check.
+	frame := bytes.Clone(reqWire)
+	frame[reqOffAuth(len(op))+3*crypto.MACSize] ^= 0x01
+	if _, err := newPreverifier(ks, 16).PreverifyClientFrame(frame, 1); err != nil {
+		t.Fatalf("flip in a foreign authenticator slot rejected: %v", err)
+	}
+}
+
+// TestMutatedOpNeverRidesAStaleDigest: nothing caches a request's digest, so
+// changing Op in place after the request was signed — and after its genuine
+// form was verified and cached — is always caught, whichever check sees it
+// first.
+func TestMutatedOpNeverRidesAStaleDigest(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	req := signedRequest(ks, 1, 9, []byte("genuine"))
+	prop := propagateOf(ks, 1, req) // MAC'd while the op was genuine
+	v, err := pre.PreverifyClient(req, 1)
+	if err != nil {
+		t.Fatalf("genuine request rejected: %v", err)
+	}
+	if v.Digest != req.OpDigest() {
+		t.Fatal("Verified.Digest is not the request's OpDigest")
+	}
+	genuine := v.Digest
+
+	req.Op[0] ^= 0x20 // also changes prop.Req.Op: the slice is shared
+	if req.OpDigest() == genuine {
+		t.Fatal("OpDigest did not follow the mutated op")
+	}
+	if _, err := pre.PreverifyClient(req, 1); FailKindOf(err) != FailBadMAC {
+		t.Fatalf("mutated request: got %v, want bad-mac", err)
+	}
+	if _, err := pre.PreverifyNode(prop, 1); FailKindOf(err) != FailBadMAC {
+		t.Fatalf("mutated op under the old PROPAGATE authenticator: got %v, want bad-mac", err)
+	}
+	// A faulty node re-MACs the mutated request: the MAC passes, the client
+	// signature — over the genuine digest — does not.
+	if _, err := pre.PreverifyNode(propagateOf(ks, 1, req), 1); FailKindOf(err) != FailBadSig {
+		t.Fatalf("mutated op under a fresh PROPAGATE authenticator: got %v, want bad-sig", err)
+	}
+}
+
+// TestDigestDefinitionsPinned: OpDigest and BatchDigest are stored in WAL
+// records and agreed on between nodes, so how they are computed may change
+// but what they are may not. The values are SHA-256 over
+// client‖id‖op and instance‖view‖seq‖count‖refs, computed independently.
+func TestDigestDefinitionsPinned(t *testing.T) {
+	req := &Request{Client: 3, ID: 9, Op: []byte("put k v")}
+	if d := req.OpDigest(); hex.EncodeToString(d[:]) != "05b70ee47a73a70baabb81e1e378e54197e3d4dee2f4a2aa75345e367882f5ce" {
+		t.Errorf("OpDigest changed: %x", d[:])
+	}
+	pp := &PrePrepare{Instance: 1, View: 7, Seq: 42, Batch: sampleRefs(2)}
+	if d := pp.BatchDigest(); hex.EncodeToString(d[:]) != "dc6d3bc04706a109b46ad82b6802aad2dddff17226381091cbea0d8e65abee37" {
+		t.Errorf("BatchDigest changed: %x", d[:])
+	}
+}
+
+// largePropagateFrame is an authenticated 4 kB PROPAGATE from node 1, with
+// the request's signature verdict already in pre's cache.
+func largePropagateFrame(t testing.TB, ks *crypto.KeyStore, pre *Preverifier) []byte {
+	t.Helper()
+	req := signedRequest(ks, 1, 1, bytes.Repeat([]byte{0xab}, 4096))
+	if _, err := pre.PreverifyClient(req, 1); err != nil {
+		t.Fatalf("request rejected: %v", err)
+	}
+	return propagateOf(ks, 1, req).Marshal(nil)
+}
+
+// bytesPerRun is the mean number of bytes f allocates.
+func bytesPerRun(runs int, f func()) uint64 {
+	f() // warm pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestDecodeAliasesFrame: Decode copies no variable-length field.
+func TestDecodeAliasesFrame(t *testing.T) {
+	ks := testKeys()
+	frame := largePropagateFrame(t, ks, newPreverifier(ks, 16))
+	msg, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := msg.(*Propagate)
+	opAt := propOffInner + reqOffOp
+	if &p.Req.Op[0] != &frame[opAt] || &p.Req.Sig[0] != &frame[propOffInner+reqOffSig(4096)] {
+		t.Fatal("decoded Op/Sig do not alias the frame")
+	}
+	if cap(p.Req.Op) != len(p.Req.Op) {
+		t.Fatal("aliased Op must not have capacity into the neighbouring field")
+	}
+	if b := bytesPerRun(200, func() { _, _ = Decode(frame) }); b >= 512 {
+		t.Fatalf("Decode of a 4 kB PROPAGATE allocates %d B, want < 512", b)
+	}
+	rep, err := Decode((&Reply{Client: 1, ID: 2, Result: []byte("value"), Node: 3}).Marshal(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rep.(*Reply).Result; cap(r) != len(r) {
+		t.Fatal("aliased Result must not have capacity into the MAC")
+	}
+}
+
+// TestDecodePreservesEmptyFields: a present-but-empty field decodes to an
+// empty, non-nil slice, and the message re-encodes to the same bytes.
+func TestDecodePreservesEmptyFields(t *testing.T) {
+	for _, m := range []Message{
+		&Request{Client: 1, ID: 2, Op: []byte{}, Sig: []byte{}, Auth: crypto.Authenticator{}},
+		&Propagate{Req: Request{Client: 1, ID: 2, Op: []byte{}, Sig: []byte{}}, Node: 1, Auth: crypto.Authenticator{}},
+		&Reply{Client: 1, ID: 2, Result: []byte{}, Node: 3},
+		&Invalid{Node: 1, Padding: []byte{}},
+	} {
+		got := roundTrip(t, m)
+		if !bytes.Equal(got.Marshal(nil), m.Marshal(nil)) {
+			t.Errorf("%s does not re-encode to the same bytes", m.MsgType())
+		}
+	}
+	msg, err := Decode((&Request{Client: 1, ID: 2}).Marshal(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := msg.(*Request); r.Op == nil || r.Sig == nil {
+		t.Fatalf("empty fields decoded as nil: op=%v sig=%v", r.Op, r.Sig)
+	}
+}
+
+// TestPreverifyAllocationBudget pins the hot path's allocations: a 4 kB
+// PROPAGATE whose signature verdict is cached costs the decoded message, its
+// authenticator and the Verified value — nothing proportional to the op.
+func TestPreverifyAllocationBudget(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	frame := largePropagateFrame(t, ks, pre)
+	verify := func() {
+		if _, err := pre.PreverifyNodeFrame(frame, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, verify); n > 6 {
+		t.Errorf("PreverifyNodeFrame on a cached 4 kB PROPAGATE: %v allocs, want <= 6", n)
+	}
+	if b := bytesPerRun(200, verify); b >= 1024 {
+		t.Errorf("PreverifyNodeFrame on a cached 4 kB PROPAGATE: %d B, want < 1024", b)
+	}
+}
+
+var benchOps = []struct {
+	name string
+	op   []byte
+}{{"8B", make([]byte, 8)}, {"4kB", make([]byte, 4096)}}
+
+// BenchmarkPreverifyClientFrame is the sig-cache miss path: decode, one pass
+// over the op, the MAC check and a full Ed25519 verification.
+func BenchmarkPreverifyClientFrame(b *testing.B) {
+	ks := testKeys()
+	for _, bo := range benchOps {
+		b.Run(bo.name, func(b *testing.B) {
+			frame := signedRequest(ks, 1, 1, bo.op).Marshal(nil)
+			pre := NewPreverifier(ks.NodeRing(0), 0, types.NewConfig(1), nil) // no cache: every call misses
+			b.SetBytes(int64(len(frame)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pre.PreverifyClientFrame(frame, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPreverifyPropagateFrame is the sig-cache hit path every PROPAGATE
+// copy after the first takes: decode, one pass over the op, the MAC check
+// and a cache lookup.
+func BenchmarkPreverifyPropagateFrame(b *testing.B) {
+	ks := testKeys()
+	for _, bo := range benchOps {
+		b.Run(bo.name, func(b *testing.B) {
+			pre := newPreverifier(ks, 16)
+			req := signedRequest(ks, 1, 1, bo.op)
+			if _, err := pre.PreverifyClient(req, 1); err != nil {
+				b.Fatal(err)
+			}
+			frame := propagateOf(ks, 1, req).Marshal(nil)
+			b.SetBytes(int64(len(frame)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pre.PreverifyNodeFrame(frame, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -50,12 +50,16 @@ const refSize = 8 + 8 + types.DigestSize
 // refsSize is the encoded length of a request-reference list.
 func refsSize(refs []types.RequestRef) int { return 4 + len(refs)*refSize }
 
+func appendRef(b []byte, ref types.RequestRef) []byte {
+	b = appendU64(b, uint64(ref.Client))
+	b = appendU64(b, uint64(ref.ID))
+	return appendDigest(b, ref.Digest)
+}
+
 func appendRefs(b []byte, refs []types.RequestRef) []byte {
 	b = appendU32(b, uint32(len(refs)))
 	for i := range refs {
-		b = appendU64(b, uint64(refs[i].Client))
-		b = appendU64(b, uint64(refs[i].ID))
-		b = appendDigest(b, refs[i].Digest)
+		b = appendRef(b, refs[i])
 	}
 	return b
 }
@@ -127,15 +131,12 @@ func (r *reader) bytes() []byte {
 		r.fail(ErrOversized)
 		return nil
 	}
+	// The field aliases the frame (capacity clipped, so an append by a holder
+	// cannot reach the neighbouring bytes): whoever retains a decoded message
+	// retains its frame. Present-but-empty fields decode to an empty (non-nil)
+	// slice so encode/decode round trips preserve shape.
 	p := r.take(int(n))
-	if p == nil && n > 0 {
-		return nil
-	}
-	// Present-but-empty fields decode to an empty (non-nil) slice so
-	// encode/decode round trips preserve shape.
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out
+	return p[:len(p):len(p)]
 }
 
 func (r *reader) digest() types.Digest {
@@ -197,7 +198,10 @@ func (r *reader) done() error {
 	return nil
 }
 
-// Decode parses a full wire encoding back into a Message.
+// Decode parses a full wire encoding back into a Message. Variable-length
+// fields of the result (Op, Sig, Result, Padding) alias data, which the caller
+// must own and leave unmodified while the message is in use — what every
+// transport guarantees for Packet.Data.
 func Decode(data []byte) (Message, error) {
 	r := &reader{b: data}
 	t := Type(r.u8())

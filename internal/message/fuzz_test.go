@@ -76,7 +76,7 @@ func FuzzPreverify(f *testing.F) {
 	ks := crypto.NewKeyStore([]byte("fuzz-preverify"), 4, 4)
 	cl := ks.ClientRing(1)
 	req := &Request{Client: 1, ID: 2, Op: []byte("op")}
-	req.Sig = cl.Sign(req.SignedBody())
+	req.Sig = cl.Sign(req.AppendSignedBody(nil, req.OpDigest()))
 	req.Auth = cl.AuthenticatorForNodes(4, req.Body())
 	f.Add(req.Marshal(nil))
 

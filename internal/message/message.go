@@ -2,10 +2,13 @@
 //
 // Each message type carries its own authentication material (a signature, a
 // single MAC, or a MAC authenticator with one entry per node). Authentication
-// always covers the message body — the encoding of every field except the
-// authentication material itself — which the Body method exposes so senders
+// always covers the message body, which the Body method exposes so senders
 // can authenticate and receivers can verify without re-implementing the
-// codec.
+// codec: the encoding of every field except the authentication material,
+// with a variable-length payload entering only through a digest that binds
+// it (a REQUEST through OpDigest, a PRE-PREPARE through BatchDigest). A
+// signature or MAC thus costs the same whatever the payload size, and the
+// payload is hashed once per received frame (docs/PIPELINE.md has the bytes).
 //
 // Encoding is allocation-disciplined: every message knows its exact encoded
 // length (EncodedSize) and Marshal appends in place, so marshalling into a
@@ -75,8 +78,8 @@ type Message interface {
 	// Marshal appends the full wire encoding (type tag, body,
 	// authentication material) to dst and returns the result.
 	Marshal(dst []byte) []byte
-	// Body returns the authenticated portion of the encoding: type tag and
-	// all fields except the authentication material.
+	// Body returns the bytes the authentication material covers: type tag
+	// and every other field, variable-length payloads by digest.
 	Body() []byte
 	// EncodedSize returns the exact length Marshal will append: the size
 	// hint that lets callers marshal without growing the destination.
@@ -113,55 +116,63 @@ func (m *Request) tag() Type {
 // MsgType implements Message.
 func (m *Request) MsgType() Type { return m.tag() }
 
-// Ref returns the ordering identifier of the request.
-func (m *Request) Ref() types.RequestRef {
-	return types.RequestRef{Client: m.Client, ID: m.ID, Digest: m.OpDigest()}
-}
-
 // OpDigest hashes the request operation together with its origin, binding the
-// digest to the (client, id) pair.
+// digest to the (client, id) pair: SHA-256(client‖id‖op), streamed. Never
+// cached on the Request — a caller that needs it twice keeps the value — so
+// it cannot go stale when Op is mutated.
 func (m *Request) OpDigest() types.Digest {
 	var hdr [16]byte
 	putU64(hdr[0:], uint64(m.Client))
 	putU64(hdr[8:], uint64(m.ID))
-	buf := make([]byte, 0, 16+len(m.Op))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, m.Op...)
-	return crypto.Digest(buf)
+	h := crypto.NewHasher()
+	h.WriteLocal(hdr[:])
+	h.Write(m.Op)
+	return h.Sum()
 }
 
-func (m *Request) signedBodySize() int { return 1 + 8 + 8 + 4 + len(m.Op) }
+// signedBodySize is the length of what a client signs; MaxBodySize that of
+// the largest well-formed REQUEST or PROPAGATE body, for callers that append
+// one into a stack buffer.
+const (
+	signedBodySize = 1 + types.DigestSize
+	MaxBodySize    = 1 + 8 + signedBodySize + crypto.SignatureSize
+)
 
-func (m *Request) appendSignedBody(b []byte) []byte {
+// AppendSignedBody appends what the client signature covers: the wire tag
+// (which carries the read-only flag) and d, the request's OpDigest.
+func (m *Request) AppendSignedBody(b []byte, d types.Digest) []byte {
+	return appendDigest(appendU8(b, uint8(m.tag())), d)
+}
+
+// AppendBody appends what the MAC authenticator covers: the signed body (d is
+// the request's OpDigest) plus the signature, so a tampered signature is
+// caught at MAC cost.
+func (m *Request) AppendBody(b []byte, d types.Digest) []byte {
+	return append(m.AppendSignedBody(b, d), m.Sig...)
+}
+
+// Body implements Message.
+func (m *Request) Body() []byte {
+	return m.AppendBody(make([]byte, 0, MaxBodySize), m.OpDigest())
+}
+
+// wireSize is the length of the request's wire fields (no authenticator).
+func (m *Request) wireSize() int { return 1 + 8 + 8 + 4 + len(m.Op) + 4 + len(m.Sig) }
+
+func (m *Request) appendWire(b []byte) []byte {
 	b = appendU8(b, uint8(m.tag()))
 	b = appendU64(b, uint64(m.Client))
 	b = appendU64(b, uint64(m.ID))
-	return appendBytes(b, m.Op)
-}
-
-// SignedBody returns the portion of the request covered by the client
-// signature (everything except signature and authenticator).
-func (m *Request) SignedBody() []byte {
-	return m.appendSignedBody(make([]byte, 0, m.signedBodySize()))
-}
-
-func (m *Request) bodySize() int { return m.signedBodySize() + 4 + len(m.Sig) }
-
-func (m *Request) appendBody(b []byte) []byte {
-	b = m.appendSignedBody(b)
+	b = appendBytes(b, m.Op)
 	return appendBytes(b, m.Sig)
 }
 
-// Body implements Message. The MAC authenticator covers the signed body plus
-// the signature, so a tampered signature is caught at MAC cost.
-func (m *Request) Body() []byte { return m.appendBody(make([]byte, 0, m.bodySize())) }
-
 // EncodedSize implements Message.
-func (m *Request) EncodedSize() int { return m.bodySize() + authSize(m.Auth) }
+func (m *Request) EncodedSize() int { return m.wireSize() + authSize(m.Auth) }
 
 // Marshal implements Message.
 func (m *Request) Marshal(dst []byte) []byte {
-	return appendAuth(m.appendBody(dst), m.Auth)
+	return appendAuth(m.appendWire(dst), m.Auth)
 }
 
 // Propagate is a node's forwarding of a verified client request to all other
@@ -178,29 +189,28 @@ var _ Message = (*Propagate)(nil)
 // MsgType implements Message.
 func (m *Propagate) MsgType() Type { return TypePropagate }
 
-// innerSize is the length of the embedded request encoding (signed body plus
-// signature, no client authenticator).
-func (m *Propagate) innerSize() int { return m.Req.signedBodySize() + 4 + len(m.Req.Sig) }
-
-func (m *Propagate) bodySize() int { return 1 + 8 + 4 + m.innerSize() }
-
-func (m *Propagate) appendBody(b []byte) []byte {
+// AppendBody appends what the MAC authenticator covers: type, forwarding node
+// and the embedded request's own body (d is its OpDigest).
+func (m *Propagate) AppendBody(b []byte, d types.Digest) []byte {
 	b = appendU8(b, uint8(TypePropagate))
 	b = appendU64(b, uint64(m.Node))
-	b = appendU32(b, uint32(m.innerSize()))
-	b = m.Req.appendSignedBody(b)
-	return appendBytes(b, m.Req.Sig)
+	return m.Req.AppendBody(b, d)
 }
 
 // Body implements Message.
-func (m *Propagate) Body() []byte { return m.appendBody(make([]byte, 0, m.bodySize())) }
+func (m *Propagate) Body() []byte {
+	return m.AppendBody(make([]byte, 0, MaxBodySize), m.Req.OpDigest())
+}
 
 // EncodedSize implements Message.
-func (m *Propagate) EncodedSize() int { return m.bodySize() + authSize(m.Auth) }
+func (m *Propagate) EncodedSize() int { return 1 + 8 + 4 + m.Req.wireSize() + authSize(m.Auth) }
 
 // Marshal implements Message.
 func (m *Propagate) Marshal(dst []byte) []byte {
-	return appendAuth(m.appendBody(dst), m.Auth)
+	b := appendU8(dst, uint8(TypePropagate))
+	b = appendU64(b, uint64(m.Node))
+	b = appendU32(b, uint32(m.Req.wireSize()))
+	return appendAuth(m.Req.appendWire(b), m.Auth)
 }
 
 // PrePrepare is the ordering proposal from an instance's primary. It assigns
@@ -221,36 +231,43 @@ var _ Message = (*PrePrepare)(nil)
 func (m *PrePrepare) MsgType() Type { return TypePrePrepare }
 
 // BatchDigest hashes the batch contents, binding instance, view and sequence
-// number.
+// number (streamed: no concatenation buffer).
 func (m *PrePrepare) BatchDigest() types.Digest {
-	b := make([]byte, 0, 8*3+refsSize(m.Batch))
-	b = appendU64(b, uint64(m.Instance))
+	var buf [refSize]byte
+	b := appendU64(buf[:0], uint64(m.Instance))
 	b = appendU64(b, uint64(m.View))
 	b = appendU64(b, uint64(m.Seq))
-	b = appendRefs(b, m.Batch)
-	return crypto.Digest(b)
+	b = appendU32(b, uint32(len(m.Batch)))
+	h := crypto.NewHasher()
+	h.WriteLocal(b)
+	for i := range m.Batch {
+		h.WriteLocal(appendRef(buf[:0], m.Batch[i]))
+	}
+	return h.Sum()
 }
 
-func (m *PrePrepare) bodySize() int { return 1 + 8*4 + refsSize(m.Batch) }
+// prePrepareBodySize is the fixed body length of PRE-PREPARE.
+const prePrepareBodySize = 1 + 8 + types.DigestSize
 
-func (m *PrePrepare) appendBody(b []byte) []byte {
-	b = appendU8(b, uint8(TypePrePrepare))
+// Body implements Message: type, proposing node and BatchDigest, which binds
+// instance, view, sequence number and every batch reference.
+func (m *PrePrepare) Body() []byte {
+	b := appendU8(make([]byte, 0, prePrepareBodySize), uint8(TypePrePrepare))
+	b = appendU64(b, uint64(m.Node))
+	return appendDigest(b, m.BatchDigest())
+}
+
+// EncodedSize implements Message.
+func (m *PrePrepare) EncodedSize() int { return 1 + 8*4 + refsSize(m.Batch) + authSize(m.Auth) }
+
+// Marshal implements Message.
+func (m *PrePrepare) Marshal(dst []byte) []byte {
+	b := appendU8(dst, uint8(TypePrePrepare))
 	b = appendU64(b, uint64(m.Instance))
 	b = appendU64(b, uint64(m.View))
 	b = appendU64(b, uint64(m.Seq))
 	b = appendU64(b, uint64(m.Node))
-	return appendRefs(b, m.Batch)
-}
-
-// Body implements Message.
-func (m *PrePrepare) Body() []byte { return m.appendBody(make([]byte, 0, m.bodySize())) }
-
-// EncodedSize implements Message.
-func (m *PrePrepare) EncodedSize() int { return m.bodySize() + authSize(m.Auth) }
-
-// Marshal implements Message.
-func (m *PrePrepare) Marshal(dst []byte) []byte {
-	return appendAuth(m.appendBody(dst), m.Auth)
+	return appendAuth(appendRefs(b, m.Batch), m.Auth)
 }
 
 // Prepare is a non-primary replica's echo of a PRE-PREPARE.

@@ -138,25 +138,54 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestBodyExcludesAuth(t *testing.T) {
-	pp := &PrePrepare{Instance: 1, View: 2, Seq: 3, Batch: sampleRefs(2), Node: 0, Auth: sampleAuth(4, 1)}
-	body1 := pp.Body()
-	pp.Auth = sampleAuth(4, 99)
-	body2 := pp.Body()
+	p := &Prepare{Instance: 1, View: 2, Seq: 3, Digest: types.Digest{7}, Node: 0, Auth: sampleAuth(4, 1)}
+	body1 := p.Body()
+	p.Auth = sampleAuth(4, 99)
+	body2 := p.Body()
 	if !bytes.Equal(body1, body2) {
 		t.Fatal("Body() must not depend on the authenticator")
 	}
-	wire := pp.Marshal(nil)
+	wire := p.Marshal(nil)
 	if !bytes.HasPrefix(wire, body2) {
-		t.Fatal("wire encoding must begin with the body")
+		t.Fatal("wire encoding of a fixed-shape message must begin with the body")
+	}
+}
+
+// TestPrePrepareBodyBindsEveryField: the PRE-PREPARE body is type, node and
+// BatchDigest — fixed size whatever the batch — and still moves with every
+// field and not with the authenticator.
+func TestPrePrepareBodyBindsEveryField(t *testing.T) {
+	base := PrePrepare{Instance: 1, View: 2, Seq: 3, Batch: sampleRefs(2), Node: 0, Auth: sampleAuth(4, 1)}
+	body := base.Body()
+	if len(body) != prePrepareBodySize {
+		t.Fatalf("body is %d bytes, want %d", len(body), prePrepareBodySize)
+	}
+	alt := base
+	alt.Auth = sampleAuth(4, 99)
+	if !bytes.Equal(alt.Body(), body) {
+		t.Error("Body() must not depend on the authenticator")
+	}
+	for name, mutate := range map[string]func(*PrePrepare){
+		"instance": func(m *PrePrepare) { m.Instance = 0 },
+		"view":     func(m *PrePrepare) { m.View = 9 },
+		"seq":      func(m *PrePrepare) { m.Seq = 9 },
+		"node":     func(m *PrePrepare) { m.Node = 1 },
+		"batch":    func(m *PrePrepare) { m.Batch = sampleRefs(3) },
+	} {
+		alt := base
+		mutate(&alt)
+		if bytes.Equal(alt.Body(), body) {
+			t.Errorf("body must bind the %s", name)
+		}
 	}
 }
 
 func TestRequestSignedBodyExcludesSigAndAuth(t *testing.T) {
 	r := &Request{Client: 1, ID: 2, Op: []byte("op"), Sig: []byte("sig1"), Auth: sampleAuth(4, 1)}
-	b1 := r.SignedBody()
+	b1 := r.AppendSignedBody(nil, r.OpDigest())
 	r.Sig = []byte("sig2")
 	r.Auth = sampleAuth(4, 2)
-	b2 := r.SignedBody()
+	b2 := r.AppendSignedBody(nil, r.OpDigest())
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("SignedBody must cover only client-chosen fields")
 	}
@@ -177,8 +206,8 @@ func TestOpDigestBindsOrigin(t *testing.T) {
 	if a.OpDigest() == b.OpDigest() || a.OpDigest() == c.OpDigest() {
 		t.Fatal("request digest must bind client and request id")
 	}
-	if a.Ref().Digest != a.OpDigest() {
-		t.Fatal("Ref digest must equal OpDigest")
+	if a.OpDigest() != (&Request{Client: 1, ID: 2, Op: []byte("op")}).OpDigest() {
+		t.Fatal("request digest must be a function of client, id and op alone")
 	}
 }
 

@@ -98,17 +98,23 @@ type Verified struct {
 	// SigCached reports whether the request-signature check was served from
 	// the verification cache (observability only).
 	SigCached bool
+	// Digest is the OpDigest of the request a REQUEST or PROPAGATE carries
+	// (zero otherwise): the value both authentication checks were made
+	// against, so the apply stage never hashes the operation again.
+	Digest types.Digest
 }
 
-// VerifyCache memoises request-signature verification outcomes, keyed by a
-// digest over the signed body and the signature bytes. RBFT propagates every
-// request to f+1 protocol instances and clients retransmit aggressively, so
-// the same signature reaches a node many times; the cache collapses those to
-// one Ed25519 verification plus one hash per copy. Keying by content digest
-// makes the cache tamper-proof: any mutation of the body or signature
-// changes the key, so a tampered message can never be served a stale "valid"
-// verdict. Outcomes (including failures) are deterministic for fixed bytes,
-// so caching them is sound.
+// VerifyCache memoises request-signature verification outcomes, keyed by
+// SHA-256(tag‖OpDigest‖signature): the request's MAC'd body, 97 bytes
+// whatever the operation size. RBFT propagates every request to f+1 protocol
+// instances and clients retransmit aggressively, so the same signature
+// reaches a node many times; the cache collapses those to one Ed25519
+// verification plus one short hash per copy. Keying by content digest makes
+// the cache tamper-proof: OpDigest is recomputed from every frame's own
+// bytes, so any mutation of client, id, operation, read-only flag or
+// signature changes the key and can never be served a stale "valid" verdict.
+// Outcomes (including failures) are deterministic for fixed bytes, so
+// caching them is sound.
 //
 // The cache is concurrency-safe; verifier worker goroutines share one
 // instance per node.
@@ -245,7 +251,8 @@ func (p *Preverifier) PreverifyNodeFrame(raw []byte, from types.NodeID) (*Verifi
 
 // PreverifyClient preverifies a decoded client-NIC message: only REQUESTs
 // arrive there, carrying a MAC authenticator over the signed body and a
-// client signature. MAC first: rejecting garbage at MAC cost is the
+// client signature, both over the operation's digest: one pass over the
+// operation here serves both. MAC first: rejecting garbage at MAC cost is the
 // Aardvark/RBFT flood defence's core economics.
 func (p *Preverifier) PreverifyClient(msg Message, claimed types.ClientID) (*Verified, error) {
 	req, ok := msg.(*Request)
@@ -255,18 +262,22 @@ func (p *Preverifier) PreverifyClient(msg Message, claimed types.ClientID) (*Ver
 	if req.Client != claimed {
 		return nil, failKind(FailWrongSender, fmt.Errorf("request claims client %d, sent by %d", req.Client, claimed))
 	}
-	if err := p.ring.VerifyClientAuthenticatorEntry(req.Client, p.self, req.Body(), req.Auth); err != nil {
+	d := req.OpDigest()
+	var buf [MaxBodySize]byte
+	body := req.AppendBody(buf[:0], d)
+	if err := p.ring.VerifyClientAuthenticatorEntry(req.Client, p.self, body, req.Auth); err != nil {
 		return nil, failKind(FailBadMAC, err)
 	}
-	cached, err := p.requestSigOK(req)
+	cached, err := p.requestSigOK(req.Client, body)
 	if err != nil {
 		return nil, err
 	}
-	return &Verified{Msg: req, FromClient: true, Client: claimed, SigCached: cached}, nil
+	return &Verified{Msg: req, FromClient: true, Client: claimed, SigCached: cached, Digest: d}, nil
 }
 
 // PreverifyNode preverifies a decoded node-NIC message from peer from.
 func (p *Preverifier) PreverifyNode(msg Message, from types.NodeID) (*Verified, error) {
+	var d types.Digest // OpDigest of a propagated request
 	// Every arm must authenticate msg before the Verified value is built.
 	//rbft:dispatch
 	switch m := msg.(type) {
@@ -282,13 +293,17 @@ func (p *Preverifier) PreverifyNode(msg Message, from types.NodeID) (*Verified, 
 		if m.Node != from {
 			return nil, failKind(FailWrongSender, fmt.Errorf("PROPAGATE claims node %d, sent by %d", m.Node, from))
 		}
-		if err := p.ring.VerifyAuthenticatorEntry(from, p.self, m.Body(), m.Auth); err != nil {
+		d = m.Req.OpDigest()
+		var buf [MaxBodySize]byte
+		body := m.AppendBody(buf[:0], d)
+		if err := p.ring.VerifyAuthenticatorEntry(from, p.self, body, m.Auth); err != nil {
 			return nil, failKind(FailBadMAC, err)
 		}
 		// The embedded request's client signature is what the PROPAGATE
 		// phase exists to transfer; verify it here (cached) so the apply
-		// stage can adopt the body without any crypto.
-		if _, err := p.requestSigOK(&m.Req); err != nil {
+		// stage can adopt the request without any crypto. The request's
+		// own body is the PROPAGATE body minus type and node.
+		if _, err := p.requestSigOK(m.Req.Client, body[1+8:]); err != nil {
 			return nil, err
 		}
 	case *InstanceChange:
@@ -333,7 +348,7 @@ func (p *Preverifier) PreverifyNode(msg Message, from types.NodeID) (*Verified, 
 	default:
 		return nil, failKind(FailMalformed, fmt.Errorf("unhandled message type %s", msg.MsgType()))
 	}
-	return &Verified{Msg: msg, From: from}, nil
+	return &Verified{Msg: msg, From: from, Digest: d}, nil
 }
 
 // checkInstanceSender validates the claimed sender and instance id of a
@@ -352,32 +367,23 @@ func (p *Preverifier) checkInstanceSender(msg Message, from types.NodeID) error 
 	return nil
 }
 
-// requestSigOK verifies the client signature of a request through the cache.
-// It reports whether the verdict was served from cache.
-func (p *Preverifier) requestSigOK(req *Request) (cached bool, err error) {
-	body := req.SignedBody()
-	key := sigCacheKey(body, req.Sig)
+// requestSigOK verifies the client signature of a request through the cache,
+// given the request's body (tag‖OpDigest‖signature). It reports whether the
+// verdict was served from cache.
+func (p *Preverifier) requestSigOK(client types.ClientID, body []byte) (cached bool, err error) {
+	key := crypto.Digest(body)
 	if ok, hit := p.cache.lookup(key); hit {
 		if !ok {
 			return true, failKind(FailBadSig, crypto.ErrBadSignature)
 		}
 		return true, nil
 	}
-	verr := p.ring.VerifyClientSignature(req.Client, body, req.Sig)
+	verr := p.ring.VerifyClientSignature(client, body[:signedBodySize], body[signedBodySize:])
 	p.cache.store(key, verr == nil)
 	if verr != nil {
 		return false, failKind(FailBadSig, verr)
 	}
 	return false, nil
-}
-
-// sigCacheKey digests the signed body together with the signature, binding
-// the cache entry to the exact bytes that were verified.
-func sigCacheKey(body, sig []byte) types.Digest {
-	buf := make([]byte, 0, len(body)+len(sig))
-	buf = append(buf, body...)
-	buf = append(buf, sig...)
-	return crypto.Digest(buf)
 }
 
 // InstanceAndSender extracts the instance id and claimed sender of a

@@ -18,7 +18,7 @@ func testKeys() *crypto.KeyStore {
 func signedRequest(ks *crypto.KeyStore, client types.ClientID, id types.RequestID, op []byte) *Request {
 	cl := ks.ClientRing(client)
 	req := &Request{Client: client, ID: id, Op: op}
-	req.Sig = cl.Sign(req.SignedBody())
+	req.Sig = cl.Sign(req.AppendSignedBody(nil, req.OpDigest()))
 	req.Auth = cl.AuthenticatorForNodes(testN, req.Body())
 	return req
 }

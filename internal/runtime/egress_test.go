@@ -281,7 +281,7 @@ func TestApplyLoopSurvivesWedgedPeer(t *testing.T) {
 	go func() {
 		for i := 0; i < n; i++ {
 			req := &message.Request{Client: 1, ID: types.RequestID(i + 1), Op: []byte(fmt.Sprintf("op%d", i))}
-			req.Sig = cl.Sign(req.SignedBody())
+			req.Sig = cl.Sign(req.AppendSignedBody(nil, req.OpDigest()))
 			req.Auth = cl.AuthenticatorForNodes(cluster.N, req.Body())
 			_ = clientEp.Send(NodeName(0), req.Marshal(nil))
 		}

@@ -59,8 +59,10 @@ type Endpoint struct {
 	closed sync.Once
 	done   bool                 // guarded by mu
 	barred map[string]time.Time // guarded by mu; peer -> drop-inbound-until deadline
-	// metrics is set once before the endpoint carries traffic; the counters
-	// themselves are internally atomic.
+	// metrics is set once, before the endpoint sends — but not before peers
+	// can send to it (it is reachable as soon as it exists), so SetMetrics
+	// and every inbound-side read hold mu. The counters themselves are
+	// internally atomic.
 	metrics transport.Metrics
 	mu      sync.Mutex
 }
@@ -71,9 +73,19 @@ var (
 	_ transport.BatchSender = (*Endpoint)(nil)
 )
 
-// SetMetrics installs transport counters. Call before the endpoint carries
-// traffic.
-func (e *Endpoint) SetMetrics(m transport.Metrics) { e.metrics = m }
+// SetMetrics installs transport counters. Call before the endpoint sends.
+func (e *Endpoint) SetMetrics(m transport.Metrics) {
+	e.mu.Lock()
+	e.metrics = m
+	e.mu.Unlock()
+}
+
+// noteDropped counts an inbound frame a drop rule discarded.
+func (e *Endpoint) noteDropped() {
+	e.mu.Lock()
+	e.metrics.Dropped.Inc()
+	e.mu.Unlock()
+}
 
 // ClosePeer implements transport.PeerCloser: inbound frames from peer are
 // discarded until the deadline (RBFT flood defence).
@@ -106,7 +118,7 @@ func (e *Endpoint) Send(to string, data []byte) error {
 		return fmt.Errorf("%w: %q", transport.ErrUnknownPeer, to)
 	}
 	if drop != nil && drop(e.name, to, data) {
-		dst.metrics.Dropped.Inc()
+		dst.noteDropped()
 		return nil // silently dropped (fault injection)
 	}
 	e.metrics.BytesOut.Add(uint64(len(data)))
@@ -124,20 +136,27 @@ func (e *Endpoint) Send(to string, data []byte) error {
 		}
 		delete(dst.barred, e.name)
 	}
-	select {
-	case dst.recv <- transport.Packet{From: e.name, Data: buf}:
-		dst.metrics.BytesIn.Add(uint64(len(buf)))
-	default:
-		// Receiver overloaded: drop, like a saturated NIC.
-		dst.metrics.Dropped.Inc()
-	}
+	dst.enqueueLocked(e.name, buf)
 	return nil
 }
 
-// SendBatch implements transport.BatchSender. The payloads travel as one
-// coalesced batch frame — fault-injection drop rules see the whole frame, as
-// they would on a real wire — and the receiving side splits it back into
-// individual Packets before enqueueing.
+// enqueueLocked hands the receiver buf, a private copy of one payload from
+// peer from, dropping it on overflow. The caller holds e.mu.
+func (e *Endpoint) enqueueLocked(from string, buf []byte) {
+	select {
+	case e.recv <- transport.Packet{From: from, Data: buf}:
+		e.metrics.BytesIn.Add(uint64(len(buf)))
+	default:
+		// Receiver overloaded: drop, like a saturated NIC.
+		e.metrics.Dropped.Inc()
+	}
+}
+
+// SendBatch implements transport.BatchSender. The payloads count as one
+// coalesced batch frame and arrive as individual Packets. The frame itself
+// is only assembled for a fault-injection drop rule to look at — it sees the
+// whole frame, as it would on a real wire; otherwise each payload is copied
+// once, straight into the receiver's Packet.
 func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
@@ -165,9 +184,8 @@ func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", transport.ErrUnknownPeer, to)
 	}
-	frame := transport.AppendBatch(make([]byte, 0, size), payloads)
-	if drop != nil && drop(e.name, to, frame) {
-		dst.metrics.Dropped.Inc()
+	if drop != nil && drop(e.name, to, transport.AppendBatch(make([]byte, 0, size), payloads)) {
+		dst.noteDropped()
 		return nil // silently dropped (fault injection)
 	}
 	e.metrics.BytesOut.Add(uint64(total))
@@ -186,17 +204,10 @@ func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
 		}
 		delete(dst.barred, e.name)
 	}
-	return transport.SplitBatch(frame, func(p []byte) {
-		buf := make([]byte, len(p))
-		copy(buf, p)
-		select {
-		case dst.recv <- transport.Packet{From: e.name, Data: buf}:
-			dst.metrics.BytesIn.Add(uint64(len(buf)))
-		default:
-			// Receiver overloaded: drop, like a saturated NIC.
-			dst.metrics.Dropped.Inc()
-		}
-	})
+	for _, p := range payloads {
+		dst.enqueueLocked(e.name, append([]byte(nil), p...))
+	}
+	return nil
 }
 
 // Close implements transport.Transport.

@@ -20,7 +20,12 @@ import (
 type Packet struct {
 	// From is the sender's claimed endpoint name.
 	From string
-	// Data is the frame payload.
+	// Data is the frame payload. It belongs to the receiver and is immutable:
+	// the transport never touches the bytes again after delivery, and the
+	// receiver must not modify them, because a message decoded from the
+	// payload aliases it (message.Decode copies no variable-length field).
+	// Whoever retains the message retains the payload — and, for a payload
+	// split out of a coalesced batch frame, the frame around it.
 	Data []byte
 }
 

@@ -32,9 +32,11 @@ go test ./internal/core -run '^$' -fuzz '^FuzzMergeSchedule$' -fuzztime 5s
 go test ./internal/exec -run '^$' -fuzz '^FuzzWaveSchedule$' -fuzztime 5s
 go test ./internal/client -run '^$' -fuzz '^FuzzReadQuorum$' -fuzztime 5s
 
-echo "== allocation gate (zero-alloc steady-state encode, docs/EGRESS.md) =="
-go test ./internal/message -run '^TestEncodeZeroAlloc$' -count=1 -v
-go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode)$' -benchtime 100x -benchmem
+echo "== allocation gate (zero-alloc steady-state encode, docs/EGRESS.md; allocation-free MACs and alias decode, docs/PIPELINE.md) =="
+go test ./internal/message -run '^(TestEncodeZeroAlloc|TestDecodeAliasesFrame|TestPreverifyAllocationBudget)$' -count=1 -v
+go test ./internal/crypto -run '^TestMACAllocations$' -count=1 -v
+go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode|BenchmarkPreverifyClientFrame|BenchmarkPreverifyPropagateFrame)$' -benchtime 100x -benchmem
+go test ./internal/crypto -run '^$' -bench '^BenchmarkAuthenticator$' -benchtime 100x -benchmem
 go test ./internal/runtime -run '^$' -bench '^BenchmarkEgress$' -benchtime 100x -benchmem
 
 echo "== span-record gate (tracing-off cost must stay trivial) =="
