@@ -1,0 +1,43 @@
+package core
+
+import (
+	"testing"
+	"time"
+)
+
+// requestPath takes one signed request of client 1 through the four nodes of
+// nc to its f+1 matching replies: REQUEST, the PROPAGATE round, dispatch to
+// both replicas, three-phase ordering on both instances, execution and reply
+// on every node — the core layer's whole share of the request path, crypto
+// and nodeCluster's in-memory queue included.
+func requestPath(nc *nodeCluster, op []byte) {
+	nc.completed[1] = nc.completed[1][:0]
+	nc.sendRequest(1, op)
+	nc.runFor(2 * time.Millisecond) // past the 1 ms batch timeout
+	if len(nc.completed[1]) != 1 {
+		nc.t.Fatalf("request did not complete (%d completions)", len(nc.completed[1]))
+	}
+}
+
+var requestPathOp = []byte{0, 0, 0, 0, 0, 0, 0, 1}
+
+func BenchmarkNodeRequestPath(b *testing.B) {
+	nc := newNodeCluster(b, 1, nil)
+	requestPath(nc, requestPathOp)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		requestPath(nc, requestPathOp)
+	}
+}
+
+// TestNodeRequestPathAllocationBudget puts a ceiling on what one request
+// allocates across the four nodes (scripts/ci.sh's allocation gate).
+func TestNodeRequestPathAllocationBudget(t *testing.T) {
+	nc := newNodeCluster(t, 1, nil)
+	requestPath(nc, requestPathOp)
+	const ceiling = 420
+	if n := testing.AllocsPerRun(200, func() { requestPath(nc, requestPathOp) }); n > ceiling {
+		t.Errorf("one request through four nodes: %v allocs, want <= %d", n, ceiling)
+	}
+}

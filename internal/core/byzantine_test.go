@@ -185,4 +185,5 @@ func TestEquivocatingClientDoesNotDiverge(t *testing.T) {
 				i, nc.apps[i].Total(1), nc.apps[0].Total(1))
 		}
 	}
+	nc.requireQuiescent()
 }

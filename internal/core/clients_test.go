@@ -44,7 +44,7 @@ func testEvictedClientRetransmission(t *testing.T, mode types.OrderingMode) {
 
 	// Retransmit client 1's executed request to node 0 directly.
 	before := nc.apps[0].Total(1)
-	out := nc.nodes[0].OnClientRequest(req, nc.now)
+	out := onClientRequest(nc.nodes[0], req, nc.now)
 	if nc.apps[0].Total(1) != before {
 		t.Fatal("retransmission after eviction re-executed the request")
 	}
@@ -71,6 +71,7 @@ func testEvictedClientRetransmission(t *testing.T, mode types.OrderingMode) {
 			t.Fatalf("node %d execution fingerprint diverged after the retransmission", i)
 		}
 	}
+	nc.requireQuiescent()
 }
 
 func TestEvictedClientRetransmissionMasterOnly(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 // queue under a virtual clock. Used by the node-level tests; the full-fidelity
 // driver with network and CPU cost models lives in internal/sim.
 type nodeCluster struct {
-	t       *testing.T
+	t       testing.TB
 	cfg     types.Config
 	ks      *crypto.KeyStore
 	nodes   []*Node
@@ -47,7 +47,7 @@ type clusterEvent struct {
 	msg        message.Message
 }
 
-func newNodeCluster(t *testing.T, f int, tweak func(*Config)) *nodeCluster {
+func newNodeCluster(t testing.TB, f int, tweak func(*Config)) *nodeCluster {
 	t.Helper()
 	cfg := types.NewConfig(f)
 	nc := &nodeCluster{
@@ -110,8 +110,24 @@ func (nc *nodeCluster) sendRequest(id types.ClientID, op []byte, onlyTo ...types
 func (nc *nodeCluster) collect(from types.NodeID, out Output) {
 	nc.icEvents = append(nc.icEvents, out.InstanceChanges...)
 	nc.records[from] = append(nc.records[from], out.Records...)
+	// ExecWaves always describes Executions: every execution sits in a wave
+	// of the plan, the waves hold exactly the executions, and a node that
+	// cannot share waves reports one per request.
+	inWave := make([]int, len(out.ExecWaves))
 	for _, ex := range out.Executions {
 		nc.executed[from] = append(nc.executed[from], ex.Ref)
+		if ex.Wave < 0 || ex.Wave >= len(inWave) {
+			nc.t.Fatalf("node %d: execution in wave %d of a %d-wave plan", from, ex.Wave, len(inWave))
+		}
+		inWave[ex.Wave]++
+	}
+	for w, size := range out.ExecWaves {
+		if inWave[w] != size {
+			nc.t.Fatalf("node %d: wave %d planned for %d requests, holds %d", from, w, size, inWave[w])
+		}
+		if size != 1 && !nc.nodes[from].sched.Parallel() {
+			nc.t.Fatalf("node %d: wave of %d on a node that cannot share waves", from, size)
+		}
 	}
 	for _, cm := range out.ClientMsgs {
 		nc.queue = append(nc.queue, clusterEvent{fromNode: from, toClient: cm.To, msg: cm.Msg})
@@ -192,6 +208,29 @@ func (nc *nodeCluster) runFor(d time.Duration) {
 	}
 }
 
+// onClientRequest and onNodeMessage feed one decoded message to a node the way
+// every driver does: Preverifier first, then OnVerified or OnIngressFailure.
+func onClientRequest(n *Node, req *message.Request, now time.Time) Output {
+	v, err := n.Preverifier().PreverifyClient(req, req.Client)
+	if err != nil {
+		return n.OnIngressFailure(IngressFailure{
+			FromClient: true, Client: req.Client,
+			Kind: message.FailKindOf(err), Msg: req,
+		}, now)
+	}
+	return n.OnVerified(v, now)
+}
+
+func onNodeMessage(n *Node, msg message.Message, from types.NodeID, now time.Time) Output {
+	v, err := n.Preverifier().PreverifyNode(msg, from)
+	if err != nil {
+		return n.OnIngressFailure(IngressFailure{
+			From: from, Kind: message.FailKindOf(err), Msg: msg,
+		}, now)
+	}
+	return n.OnVerified(v, now)
+}
+
 func (nc *nodeCluster) deliver(ev clusterEvent) {
 	if ev.nodeDst {
 		node := nc.nodes[ev.toNode]
@@ -200,10 +239,10 @@ func (nc *nodeCluster) deliver(ev clusterEvent) {
 			if !ok {
 				nc.t.Fatalf("client sent %T", ev.msg)
 			}
-			nc.collect(ev.toNode, node.OnClientRequest(req, nc.now))
+			nc.collect(ev.toNode, onClientRequest(node, req, nc.now))
 			return
 		}
-		nc.collect(ev.toNode, node.OnNodeMessage(ev.msg, ev.fromNode, nc.now))
+		nc.collect(ev.toNode, onNodeMessage(node, ev.msg, ev.fromNode, nc.now))
 		return
 	}
 	// To a client.
@@ -217,6 +256,27 @@ func (nc *nodeCluster) deliver(ev clusterEvent) {
 	}
 	if done, ok := cl.OnReply(rep, ev.fromNode, nc.now); ok {
 		nc.completed[ev.toClient] = append(nc.completed[ev.toClient], done)
+	}
+}
+
+// requireQuiescent asserts that the single release point did its job on a
+// cluster in which every node has executed every request: no node (nc's own,
+// or the given ones) holds a pending request record, and no client is left
+// with a pending-body count.
+func (nc *nodeCluster) requireQuiescent(nodes ...*Node) {
+	nc.t.Helper()
+	if len(nodes) == 0 {
+		nodes = nc.nodes
+	}
+	for _, n := range nodes {
+		if got := len(n.pending); got != 0 {
+			nc.t.Errorf("node %d still holds pending records under %d request keys", n.ID(), got)
+		}
+		for id := range nc.clients {
+			if cs := n.table.shardOf(id).clients[id]; cs != nil && cs.pendingBodies != 0 {
+				nc.t.Errorf("node %d counts %d pending bodies for client %d", n.ID(), cs.pendingBodies, id)
+			}
+		}
 	}
 }
 
@@ -253,6 +313,7 @@ func TestEndToEndExecution(t *testing.T) {
 	if total := nc.apps[0].Total(1); total != 40 {
 		t.Fatalf("counter total = %d, want 40", total)
 	}
+	nc.requireQuiescent()
 }
 
 func TestRequestToSingleNodeStillExecutes(t *testing.T) {
@@ -268,6 +329,7 @@ func TestRequestToSingleNodeStillExecutes(t *testing.T) {
 	if got := len(nc.completed[1]); got != 1 {
 		t.Fatalf("client completed %d, want 1", got)
 	}
+	nc.requireQuiescent()
 }
 
 func TestInvalidSignatureBlacklistsClient(t *testing.T) {
@@ -334,13 +396,14 @@ func TestRetransmissionGetsCachedReply(t *testing.T) {
 	// Deliver the same request again: nodes must reply from cache without
 	// re-executing.
 	before := nc.apps[0].Total(1)
-	out := nc.nodes[0].OnClientRequest(req, nc.now)
+	out := onClientRequest(nc.nodes[0], req, nc.now)
 	if len(out.ClientMsgs) != 1 {
 		t.Fatalf("retransmission produced %d client messages, want 1 cached reply", len(out.ClientMsgs))
 	}
 	if nc.apps[0].Total(1) != before {
 		t.Fatal("retransmission re-executed the request")
 	}
+	nc.requireQuiescent()
 }
 
 func TestSilentMasterPrimaryTriggersInstanceChange(t *testing.T) {
@@ -393,7 +456,8 @@ func TestSilentMasterPrimaryTriggersInstanceChange(t *testing.T) {
 func TestInstanceChangeNeedsQuorum(t *testing.T) {
 	nc := newNodeCluster(t, 1, nil)
 	// A single node voting must not change the view.
-	out := nc.nodes[0].voteInstanceChange(0, nc.now)
+	var out Output
+	nc.nodes[0].voteInstanceChange(&out, 0, nc.now)
 	nc.collect(0, out)
 	nc.runFor(20 * time.Millisecond)
 	for i, n := range nc.nodes {
@@ -412,7 +476,7 @@ func TestFloodingPeerGetsNICClosed(t *testing.T) {
 	attacker := types.NodeID(3)
 	var closed bool
 	for i := 0; i < 10; i++ {
-		out := nc.nodes[0].OnNodeMessage(&message.Invalid{Node: attacker, Padding: make([]byte, 64)}, attacker, nc.now)
+		out := onNodeMessage(nc.nodes[0], &message.Invalid{Node: attacker, Padding: make([]byte, 64)}, attacker, nc.now)
 		if len(out.NICCloses) > 0 {
 			closed = true
 			if out.NICCloses[0].Peer != attacker {
@@ -425,7 +489,7 @@ func TestFloodingPeerGetsNICClosed(t *testing.T) {
 	}
 	// While closed, even valid-looking traffic from the attacker is dropped
 	// without processing.
-	out := nc.nodes[0].OnNodeMessage(&message.Invalid{Node: attacker}, attacker, nc.now)
+	out := onNodeMessage(nc.nodes[0], &message.Invalid{Node: attacker}, attacker, nc.now)
 	if len(out.NICCloses) != 0 || len(out.NodeMsgs) != 0 {
 		t.Fatal("traffic processed during NIC closure")
 	}
@@ -450,6 +514,7 @@ func TestOpenLoopParallelRequests(t *testing.T) {
 			t.Fatalf("node %d executed different sequence", i)
 		}
 	}
+	nc.requireQuiescent()
 }
 
 func TestF2EndToEnd(t *testing.T) {
@@ -466,6 +531,7 @@ func TestF2EndToEnd(t *testing.T) {
 			t.Fatalf("node %d executed different sequence", i)
 		}
 	}
+	nc.requireQuiescent()
 }
 
 // TestHealAfterDelayRestoresOrdering: SetBehavior(Behavior{}) heals every
@@ -499,4 +565,5 @@ func TestHealAfterDelayRestoresOrdering(t *testing.T) {
 	if len(nc.icEvents) != 0 {
 		t.Errorf("healed cluster still changed instance: %+v", nc.icEvents)
 	}
+	nc.requireQuiescent()
 }

@@ -3,15 +3,24 @@
 // protocol-instance replicas, and the protocol instance change mechanism.
 //
 // Like the pbft package, a Node is a pure state machine driven by a runtime:
-// inputs are client requests, node-to-node messages and timer ticks; outputs
-// are messages to send, executed requests, replies, instance-change events
-// and NIC closures. The discrete-event simulator and the real-time TCP/UDP
-// runtime both drive the same Node code.
+// inputs are preverified messages, preverification failures and timer ticks;
+// outputs are messages to send, executed requests, replies, instance-change
+// events and NIC closures. The discrete-event simulator and the real-time
+// TCP/UDP runtime both drive the same Node code, the one way there is: run
+// Preverifier() on the raw input, hand the result to OnVerified or
+// OnIngressFailure in arrival order, and call Tick when NextWake is due
+// (docs/PIPELINE.md).
+//
+// The files follow the paper's modules: ingress.go (Verification's apply half
+// and the flood defence), propagation.go, dispatch.go (Dispatch & Monitoring),
+// execution.go, instancechange.go; lanes.go is the multi-primary merge,
+// clients.go the client table, durability.go the WAL hooks.
 package core
 
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"time"
 
 	"rbft/internal/app"
@@ -48,11 +57,11 @@ type Config struct {
 	// merge feeds execution; see lanes.go and docs/ORDERING.md).
 	OrderingMode types.OrderingMode
 
-	// ExecWorkers is the worker-shard count of the parallel execution
-	// scheduler (internal/exec, docs/EXECUTION.md). The parallel path
-	// engages only when ExecWorkers >= 2 AND App implements
-	// app.ConflictKeyer; otherwise ordered requests apply serially,
-	// byte-identical to a scheduler-less node. Replay after a crash is
+	// ExecWorkers is the worker-shard count of the execution scheduler
+	// (internal/exec, docs/EXECUTION.md). Every ordered batch goes through
+	// it; requests share a wave only when ExecWorkers >= 2 AND App
+	// implements app.ConflictKeyer, otherwise each is a wave of its own,
+	// applied in order on the node's goroutine. Replay after a crash is
 	// always serial — wave execution is equivalent to the journaled order by
 	// construction, so nothing extra is logged.
 	ExecWorkers int
@@ -76,10 +85,6 @@ type Config struct {
 	// this many in flight (admitted at ingress, not yet applied) are shed
 	// before the crypto stage. 0 disables admission control.
 	IngressBudget int
-
-	// VerifyCacheSize bounds the request-signature verification cache of the
-	// preverify stage (0 means message.DefaultVerifyCacheSize).
-	VerifyCacheSize int
 
 	// FloodThreshold is the number of invalid messages from one peer within
 	// FloodWindow that triggers closing that peer's NIC for NICClosePeriod.
@@ -148,8 +153,8 @@ type ClientSend struct {
 type Execution struct {
 	Ref    types.RequestRef
 	Result []byte
-	// Wave indexes Output.ExecWaves: the parallel-execution wave that
-	// applied this request. Always 0 on the serial path (ExecWaves nil).
+	// Wave indexes Output.ExecWaves: the execution wave that applied this
+	// request.
 	Wave int
 }
 
@@ -167,52 +172,26 @@ type NICClose struct {
 	Until time.Time
 }
 
-// Output aggregates the effects of one node input.
+// Output aggregates the effects of one node input. The entry point that took
+// the input (OnVerified, OnIngressFailure, Tick) owns the one Output of the
+// step; every handler below it appends to that value in call order, so the
+// order within each slice is the order in which the node produced the effect.
 type Output struct {
 	NodeMsgs        []NodeSend
 	ClientMsgs      []ClientSend
 	Executions      []Execution
 	InstanceChanges []ICEvent
 	NICCloses       []NICClose
-	// OrderedByInstance counts refs delivered per instance in this step
-	// (index = instance id); used by harnesses to sample monitoring data.
-	OrderedByInstance []int
 	// Records are durability records the driver must make crash-safe
 	// *before* transmitting NodeMsgs/ClientMsgs (only when Config.Durable).
 	Records []wal.Record
-	// ExecWaves holds the parallel execution plan of this step's
-	// Executions: entry w is the number of requests applied in wave w
-	// (Execution.Wave indexes it). Nil on the serial path. Drivers that
-	// model execution cost (internal/sim) charge each wave as one round of
-	// ceil(size/workers) parallel applies.
+	// ExecWaves is the execution plan of this step's Executions: entry w is
+	// the number of requests applied in wave w (Execution.Wave indexes it).
+	// A node whose scheduler cannot share waves (ExecWorkers < 2, or an app
+	// without conflict keys) reports one wave per request. Drivers that model
+	// execution cost (internal/sim) charge each wave as one round of
+	// ceil(size/workers) applies.
 	ExecWaves []int
-}
-
-func (o *Output) merge(other Output) {
-	o.NodeMsgs = append(o.NodeMsgs, other.NodeMsgs...)
-	o.ClientMsgs = append(o.ClientMsgs, other.ClientMsgs...)
-	if len(other.ExecWaves) > 0 {
-		// Re-base the incoming executions' wave indices onto this output's
-		// wave list so indices stay valid after concatenation.
-		if base := len(o.ExecWaves); base > 0 {
-			for i := range other.Executions {
-				other.Executions[i].Wave += base
-			}
-		}
-		o.ExecWaves = append(o.ExecWaves, other.ExecWaves...)
-	}
-	o.Executions = append(o.Executions, other.Executions...)
-	o.InstanceChanges = append(o.InstanceChanges, other.InstanceChanges...)
-	o.NICCloses = append(o.NICCloses, other.NICCloses...)
-	o.Records = append(o.Records, other.Records...)
-	if other.OrderedByInstance != nil {
-		if o.OrderedByInstance == nil {
-			o.OrderedByInstance = make([]int, len(other.OrderedByInstance))
-		}
-		for i, n := range other.OrderedByInstance {
-			o.OrderedByInstance[i] += n
-		}
-	}
 }
 
 // cachedReply is one reply-cache slot.
@@ -296,11 +275,14 @@ type Node struct {
 	replicas []*pbft.Instance
 	mon      *monitor.Monitor
 
-	// sched is the parallel execution engine (docs/EXECUTION.md). When it
-	// reports Parallel() == false — no ConflictKeyer app or ExecWorkers < 2
-	// — execution takes the per-request serial path, byte-identical to a
-	// scheduler-less node.
-	sched *exec.Scheduler
+	// sched applies every ordered batch (docs/EXECUTION.md): in waves across
+	// worker shards when the app declares conflict keys and ExecWorkers >= 2,
+	// in order on this goroutine otherwise. execBatch and execOps are
+	// execute's working slices, kept here so a batch allocates neither; they
+	// are empty between calls.
+	sched     *exec.Scheduler
+	execBatch []executing
+	execOps   []exec.Op
 
 	// Multi-primary ordering state (nil / zero in master-only mode): the
 	// round-robin merge feeding execution, the pending empty-batch filler
@@ -312,14 +294,9 @@ type Node struct {
 	view types.View
 	cpi  uint64
 
-	// Propagation module state. Bodies are keyed by the full request ref
-	// (digest included): an equivocating client may sign several bodies
-	// under one request id, and execution must pick the same one on every
-	// node — the first master-ordered ref.
-	bodies     map[types.RequestRef]*message.Request
-	byKey      map[types.RequestKey][]types.RequestRef
-	propagates map[types.RequestRef]map[types.NodeID]bool
-	dispatched map[types.RequestRef]bool
+	// pending is the Propagation and Dispatch modules' state: one record per
+	// signed request body from first sight to execution (propagation.go).
+	pending map[types.RequestKey]*pendingRequest
 
 	// Execution module state. The sharded client table (clients.go) holds
 	// per-client reply caches and executed watermarks; reader is the app's
@@ -338,19 +315,17 @@ type Node struct {
 
 	// Observability. tr is node-stamped; the message counters index by
 	// message.Type and stay nil (no-op) until SetRegistry wires them.
-	// spansOn caches obs.WantSpans(tr); dispatchedAt anchors per-instance
-	// order spans (dispatch → delivery) and is only populated when spans
-	// are on. Entries are released with the rest of the propagation state
-	// when the request executes, so a backup lane delivering after the
-	// master has executed skips its order span (its quorum spans still
-	// cover the lane).
-	tr           obs.Tracer
-	spansOn      bool
-	dispatchedAt map[types.RequestRef]time.Time
-	metricsOn    bool
-	msgsIn       [64]*obs.Counter
-	msgsOut      [64]*obs.Counter
-	clientOut    *obs.Counter
+	// spansOn caches obs.WantSpans(tr); with it on, a request's record notes
+	// its dispatch time to anchor the per-instance order spans (dispatch →
+	// delivery). The record is released when the request executes, so a
+	// backup lane delivering after the master has executed skips its order
+	// span (its quorum spans still cover the lane).
+	tr        obs.Tracer
+	spansOn   bool
+	metricsOn bool
+	msgsIn    [64]*obs.Counter
+	msgsOut   [64]*obs.Counter
+	clientOut *obs.Counter
 	// executedByLane counts executions by the ordering lane the executing
 	// order came from (always lane 0 in master-only mode).
 	executedByLane []*obs.Counter
@@ -365,21 +340,17 @@ type Node struct {
 func New(cfg Config, keys *crypto.KeyRing) *Node {
 	c := cfg.withDefaults()
 	n := &Node{
-		cfg:          c,
-		keys:         keys,
-		mon:          monitor.New(c.Monitoring),
-		bodies:       make(map[types.RequestRef]*message.Request),
-		byKey:        make(map[types.RequestKey][]types.RequestRef),
-		propagates:   make(map[types.RequestRef]map[types.NodeID]bool),
-		dispatched:   make(map[types.RequestRef]bool),
-		table:        newClientTable(c.ClientShards, c.MaxClients, c.IngressBudget),
-		icVotes:      make(map[uint64]map[types.NodeID]bool),
-		floodCounts:  make(map[types.NodeID]int),
-		closedUntil:  make(map[types.NodeID]time.Time),
-		tr:           obs.Nop{},
-		dispatchedAt: make(map[types.RequestRef]time.Time),
+		cfg:         c,
+		keys:        keys,
+		mon:         monitor.New(c.Monitoring),
+		pending:     make(map[types.RequestKey]*pendingRequest),
+		table:       newClientTable(c.ClientShards, c.MaxClients, c.IngressBudget),
+		icVotes:     make(map[uint64]map[types.NodeID]bool),
+		floodCounts: make(map[types.NodeID]int),
+		closedUntil: make(map[types.NodeID]time.Time),
+		tr:          obs.Nop{},
 	}
-	n.pre = message.NewPreverifier(keys, c.Node, c.Cluster, message.NewVerifyCache(c.VerifyCacheSize))
+	n.pre = message.NewPreverifier(keys, c.Node, c.Cluster, message.NewVerifyCache(message.DefaultVerifyCacheSize))
 	n.sched = exec.New(c.App, c.ExecWorkers)
 	if re, ok := c.App.(app.ReadExecutor); ok {
 		n.reader = re
@@ -555,12 +526,6 @@ func (n *Node) NextWake() time.Time {
 
 // Tick fires due timers: replica batch timers and the monitoring period.
 func (n *Node) Tick(now time.Time) Output {
-	out := n.tick(now)
-	n.observeIO(nil, &out)
-	return out
-}
-
-func (n *Node) tick(now time.Time) Output {
 	var out Output
 	if n.behavior.Silent {
 		return out
@@ -568,48 +533,22 @@ func (n *Node) tick(now time.Time) Output {
 	for i, r := range n.replicas {
 		w := r.NextWake()
 		if !w.IsZero() && !now.Before(w) {
-			out.merge(n.absorb(types.InstanceID(i), r.Tick(now), now))
+			n.absorb(&out, types.InstanceID(i), r.Tick(now), now)
 		}
 	}
 	if n.multiPrimary() {
-		out.merge(n.tickFiller(now))
+		n.tickFiller(&out, now)
 	}
 	w := n.mon.NextWake()
 	if !w.IsZero() && !now.Before(w) {
 		verdict := n.mon.Tick(now)
 		n.lastSuspect = verdict
 		if verdict.Suspicious {
-			out.merge(n.voteInstanceChange(verdict.Reason, now))
+			n.voteInstanceChange(&out, verdict.Reason, now)
 		}
 	}
+	n.observeIO(nil, &out)
 	return out
-}
-
-// OnClientRequest is the single-caller convenience entry point for a REQUEST
-// received directly from a client: it runs the node's own preverify stage
-// inline and then applies the result. Pipelined drivers call the
-// Preverifier and OnVerified / OnIngressFailure separately instead.
-func (n *Node) OnClientRequest(req *message.Request, now time.Time) Output {
-	v, err := n.pre.PreverifyClient(req, req.Client)
-	if err != nil {
-		return n.OnIngressFailure(IngressFailure{
-			FromClient: true, Client: req.Client,
-			Kind: message.FailKindOf(err), Msg: req,
-		}, now)
-	}
-	return n.OnVerified(v, now)
-}
-
-// OnNodeMessage is the single-caller convenience entry point for a message
-// from another node: preverify inline, then apply.
-func (n *Node) OnNodeMessage(msg message.Message, from types.NodeID, now time.Time) Output {
-	v, err := n.pre.PreverifyNode(msg, from)
-	if err != nil {
-		return n.OnIngressFailure(IngressFailure{
-			From: from, Kind: message.FailKindOf(err), Msg: msg,
-		}, now)
-	}
-	return n.OnVerified(v, now)
 }
 
 // OnVerified is the apply stage: it consumes a preverified message and runs
@@ -617,14 +556,16 @@ func (n *Node) OnNodeMessage(msg message.Message, from types.NodeID, now time.Ti
 // Verified value's authentication material is trusted unconditionally.
 func (n *Node) OnVerified(v *message.Verified, now time.Time) Output {
 	var out Output
-	if v.FromClient {
+	switch {
+	case n.behavior.Silent:
+	case !v.FromClient:
+		n.applyNodeMessage(&out, v, now)
+	default:
 		req, ok := v.Msg.(*message.Request)
 		if !ok {
 			return out // forged Verified; preverify never builds this
 		}
-		out = n.applyClientRequest(req, v.Digest, now)
-	} else {
-		out = n.applyNodeMessage(v, now)
+		n.applyClientRequest(&out, req, v.Digest, now)
 	}
 	n.observeIO(v.Msg, &out)
 	return out
@@ -657,27 +598,22 @@ func (n *Node) OnIngressFailure(f IngressFailure, now time.Time) Output {
 		if f.Kind == message.FailBadSig {
 			n.client(f.Client, now).blacklisted = true
 		}
-		n.observeIO(f.Msg, &out)
-		return out
+	} else {
+		if n.nicClosed(f.From, now) {
+			return out
+		}
+		n.countInvalid(&out, f.From, now)
 	}
-	if n.nicClosed(f.From, now) {
-		return out
-	}
-	out = n.countInvalid(f.From, now)
 	n.observeIO(f.Msg, &out)
 	return out
 }
 
 // applyClientRequest processes a preverified client REQUEST whose OpDigest is
 // d.
-func (n *Node) applyClientRequest(req *message.Request, d types.Digest, now time.Time) Output {
-	var out Output
-	if n.behavior.Silent {
-		return out
-	}
+func (n *Node) applyClientRequest(out *Output, req *message.Request, d types.Digest, now time.Time) {
 	cs := n.client(req.Client, now)
 	if cs.blacklisted {
-		return out
+		return
 	}
 	if n.tr.Enabled() {
 		n.tr.Trace(obs.Event{
@@ -691,78 +627,47 @@ func (n *Node) applyClientRequest(req *message.Request, d types.Digest, now time
 	// app with no read path at all) is simply dropped here.
 	if req.ReadOnly {
 		if n.reader == nil {
-			return out
+			return
 		}
-		result, ok := n.reader.ExecuteRead(req.Op)
-		if !ok {
-			return out
+		if result, ok := n.reader.ExecuteRead(req.Op); ok {
+			out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, req.ID, result))
 		}
-		out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, req.ID, result))
-		return out
+		return
 	}
-	// Retransmission of an executed request: resend the cached reply.
-	if result, ok := n.cachedReply(cs, req.ID); ok {
-		out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, req.ID, result))
-		return out
-	}
-	// Executed but the cached reply has been evicted: drop. Re-propagating
-	// would re-execute on nodes that no longer remember the reply, so the
-	// executed watermark wins over helpfulness (the client library re-issues
-	// under a fresh ID if it truly never saw the reply).
+	// Retransmission of an executed request: resend the cached reply. The
+	// watermark is tested first — the cache is a linear scan, and a new
+	// request must not pay for it. Executed but the cached reply has been
+	// evicted: drop. Re-propagating would re-execute on nodes that no longer
+	// remember the reply, so the executed watermark wins over helpfulness
+	// (the client library re-issues under a fresh ID if it truly never saw
+	// the reply).
 	if cs.isExecuted(req.ID) {
-		return out
+		if result, ok := n.cachedReply(cs, req.ID); ok {
+			out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, req.ID, result))
+		}
+		return
 	}
 	ref := types.RequestRef{Client: req.Client, ID: req.ID, Digest: d}
-	if !n.storeBody(ref, req, now) {
-		return out
+	if r := n.storeBody(cs, ref, req); r != nil {
+		n.propagate(out, r, now)
 	}
-	return n.propagate(ref, now)
 }
 
-// propagate runs the Propagation module for a stored request: send our own
-// PROPAGATE the first time we learn of it, then dispatch once f+1 copies are
-// in. The MAC body comes from the ref's digest — the preverify stage's one
-// pass over the operation is the last.
-func (n *Node) propagate(ref types.RequestRef, now time.Time) Output {
-	var out Output
-	senders := n.senderSet(ref)
-	if !senders[n.cfg.Node] {
-		senders[n.cfg.Node] = true
-		if !n.behavior.DropPropagate {
-			p := &message.Propagate{Req: *n.bodies[ref], Node: n.cfg.Node}
-			var buf [message.MaxBodySize]byte
-			p.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, p.AppendBody(buf[:0], ref.Digest))
-			out.NodeMsgs = append(out.NodeMsgs, NodeSend{Msg: p})
-		}
+// applyNodeMessage processes a preverified message from another node:
+// PROPAGATE, the per-instance protocol messages, and INSTANCE-CHANGE.
+func (n *Node) applyNodeMessage(out *Output, v *message.Verified, now time.Time) {
+	if n.nicClosed(v.From, now) {
+		return
 	}
-	out.merge(n.maybeDispatch(ref, now))
-	return out
+	switch m := v.Msg.(type) {
+	case *message.Propagate:
+		n.applyPropagate(out, m, v.Digest, v.From, now)
+	case *message.InstanceChange:
+		n.onInstanceChange(out, m, now)
+	default:
+		n.applyInstanceMessage(out, v.Msg, v.From, now)
+	}
 }
-
-// storeBody records a verified request body for its exact ref, bounding the
-// per-client pending-body count. It reports whether the body is available.
-// This is the node's single retention point for decoded request bytes: Op
-// and Sig alias the received frame (message.Decode), so a stored body keeps
-// its frame alive until the request executes.
-func (n *Node) storeBody(ref types.RequestRef, req *message.Request, now time.Time) bool {
-	if _, seen := n.bodies[ref]; seen {
-		return true
-	}
-	cs := n.client(ref.Client, now)
-	if cs.pendingBodies >= maxPendingBodiesPerClient {
-		return false
-	}
-	cs.pendingBodies++
-	stored := *req
-	stored.Auth = nil
-	n.bodies[ref] = &stored
-	n.byKey[ref.Key()] = append(n.byKey[ref.Key()], ref)
-	return true
-}
-
-// maxPendingBodiesPerClient bounds the request bodies a single (possibly
-// equivocating) client can keep resident per node.
-const maxPendingBodiesPerClient = 4096
 
 // nicClosed reports whether traffic from a peer is currently dropped due to
 // a flood closure, expiring the closure once its deadline passes.
@@ -778,97 +683,187 @@ func (n *Node) nicClosed(from types.NodeID, now time.Time) bool {
 	return false
 }
 
-// applyNodeMessage processes a preverified message from another node:
-// PROPAGATE, the per-instance protocol messages, and INSTANCE-CHANGE.
-func (n *Node) applyNodeMessage(v *message.Verified, now time.Time) Output {
-	var out Output
-	if n.behavior.Silent {
-		return out
+// countInvalid records an invalid message from a peer and closes its NIC if
+// it exceeds the flood threshold within the window.
+func (n *Node) countInvalid(out *Output, from types.NodeID, now time.Time) {
+	if now.Sub(n.floodStart) > n.cfg.FloodWindow {
+		n.floodStart = now
+		for k := range n.floodCounts {
+			delete(n.floodCounts, k)
+		}
 	}
-	if n.nicClosed(v.From, now) {
-		return out
+	n.floodCounts[from]++
+	if n.floodCounts[from] >= n.cfg.FloodThreshold {
+		until := now.Add(n.cfg.NICClosePeriod)
+		n.closedUntil[from] = until
+		out.NICCloses = append(out.NICCloses, NICClose{Peer: from, Until: until})
+		n.floodCounts[from] = 0
+		if n.tr.Enabled() {
+			n.tr.Trace(obs.Event{At: now, Type: obs.EvNICClose, Peer: from})
+		}
 	}
+}
 
-	switch m := v.Msg.(type) {
-	case *message.Propagate:
-		return n.applyPropagate(m, v.Digest, v.From, now)
+// AdmitIngress is the admission-control gate drivers call for every client
+// frame BEFORE spending crypto on it: false means the client's shard has
+// exhausted its pending budget and the frame should be shed (reject-with-
+// busy). Unlike every other Node method this one is safe for concurrent use
+// with the apply stage — it touches only shard-local admission state — which
+// is what lets the runtime's reader shed floods ahead of the verifier pool.
+func (n *Node) AdmitIngress(c types.ClientID) bool { return n.table.admit(c) }
 
-	case *message.InstanceChange:
-		return n.onInstanceChange(m, now)
+// ReleaseIngress returns an AdmitIngress slot once the admitted frame has
+// left the apply stage. Concurrency-safe like AdmitIngress.
+func (n *Node) ReleaseIngress(c types.ClientID) { n.table.release(c) }
 
-	default:
-		return n.applyInstanceMessage(v.Msg, v.From, now)
+// pendingRequest is everything the node holds for one signed request body
+// between first sight and execution: the body, who has PROPAGATEd it, and
+// whether it went to the replicas. Records live in Node.pending under the
+// request's (client, id) key. An equivocating client may sign several bodies
+// under one id, and execution must pick the same one on every node — the
+// first one ordered — so each body (told apart by its digest) gets its own
+// record, chained through sibling. storeBody is the only place a record is
+// created, release the only place one goes away.
+type pendingRequest struct {
+	ref types.RequestRef
+	// body is the verified request minus its authenticator. Op and Sig alias
+	// the received frame (message.Decode), so the record keeps that frame
+	// alive until the request executes.
+	body message.Request
+	// senders[i] is set once node i's PROPAGATE (or, for this node, the
+	// decision to send one) is in; nsenders counts the set entries.
+	senders  []bool
+	nsenders int
+	// dispatched is set once the request went to the local replicas;
+	// dispatchedAt is when, noted only with spans on.
+	dispatched   bool
+	dispatchedAt time.Time
+	sibling      *pendingRequest
+}
+
+// addSender notes a PROPAGATE from id and reports whether it is news.
+func (r *pendingRequest) addSender(id types.NodeID) bool {
+	if r.senders[id] {
+		return false
 	}
+	r.senders[id] = true
+	r.nsenders++
+	return true
+}
+
+// maxPendingBodiesPerClient bounds the request bodies a single (possibly
+// equivocating) client can keep resident per node.
+const maxPendingBodiesPerClient = 4096
+
+// storeBody returns the record of the verified request body ref, creating it
+// on first sight, or nil when the client already pins its full allowance of
+// bodies. This is the node's single retention point for decoded request
+// bytes, and with release one of the two places pendingBodies moves.
+func (n *Node) storeBody(cs *clientState, ref types.RequestRef, req *message.Request) *pendingRequest {
+	key := ref.Key()
+	head := n.pending[key]
+	for r := head; r != nil; r = r.sibling {
+		if r.ref.Digest == ref.Digest {
+			return r
+		}
+	}
+	if cs.pendingBodies >= maxPendingBodiesPerClient {
+		return nil
+	}
+	cs.pendingBodies++
+	r := &pendingRequest{
+		ref: ref, body: *req, sibling: head,
+		senders: make([]bool, n.cfg.Cluster.N),
+	}
+	r.body.Auth = nil
+	n.pending[key] = r
+	return r
+}
+
+// lookup returns ref's record, or nil if the node holds none (never stored,
+// or released by the execution of ref's key).
+func (n *Node) lookup(ref types.RequestRef) *pendingRequest {
+	r := n.pending[ref.Key()]
+	for r != nil && r.ref.Digest != ref.Digest {
+		r = r.sibling
+	}
+	return r
+}
+
+// release drops every record under key — the executed body and any
+// equivocated siblings: the request is decided on this node.
+func (n *Node) release(cs *clientState, key types.RequestKey) {
+	for r := n.pending[key]; r != nil; r = r.sibling {
+		cs.pendingBodies--
+	}
+	delete(n.pending, key)
 }
 
 // applyPropagate processes a preverified PROPAGATE (MAC and the embedded
 // request's client signature both already checked) whose request has
 // OpDigest d.
-func (n *Node) applyPropagate(p *message.Propagate, d types.Digest, from types.NodeID, now time.Time) Output {
-	var out Output
-	ref := types.RequestRef{Client: p.Req.Client, ID: p.Req.ID, Digest: d}
+func (n *Node) applyPropagate(out *Output, p *message.Propagate, d types.Digest, from types.NodeID, now time.Time) {
 	cs := n.client(p.Req.Client, now)
 	if cs.blacklisted {
-		return out
+		return
 	}
 	// The request already executed here: it is decided, so further
 	// PROPAGATEs for its key must not pin fresh bodies or re-enter dispatch.
 	if cs.isExecuted(p.Req.ID) {
-		return out
+		return
 	}
-	if !n.storeBody(ref, &p.Req, now) {
-		return out
+	ref := types.RequestRef{Client: p.Req.Client, ID: p.Req.ID, Digest: d}
+	if r := n.storeBody(cs, ref, &p.Req); r != nil {
+		r.addSender(from)
+		n.propagate(out, r, now)
 	}
-	n.senderSet(ref)[from] = true
-	return n.propagate(ref, now)
 }
 
-func (n *Node) senderSet(ref types.RequestRef) map[types.NodeID]bool {
-	senders := n.propagates[ref]
-	if senders == nil {
-		senders = make(map[types.NodeID]bool, n.cfg.Cluster.WeakQuorum())
-		n.propagates[ref] = senders
+// propagate runs the Propagation module for a stored request: send our own
+// PROPAGATE the first time we learn of it, then dispatch once f+1 copies are
+// in. The MAC body comes from the ref's digest — the preverify stage's one
+// pass over the operation is the last.
+func (n *Node) propagate(out *Output, r *pendingRequest, now time.Time) {
+	if r.addSender(n.cfg.Node) && !n.behavior.DropPropagate {
+		p := &message.Propagate{Req: r.body, Node: n.cfg.Node}
+		var buf [message.MaxBodySize]byte
+		p.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, p.AppendBody(buf[:0], r.ref.Digest))
+		out.NodeMsgs = append(out.NodeMsgs, NodeSend{Msg: p})
 	}
-	return senders
+	n.maybeDispatch(out, r, now)
 }
 
 // maybeDispatch runs the Dispatch module once f+1 PROPAGATE copies
 // (including our own) have been collected: in master-only mode the request
 // goes to all f+1 local replicas for redundant ordering; in multi-primary
 // mode only to the lane owning the client's partition.
-func (n *Node) maybeDispatch(ref types.RequestRef, now time.Time) Output {
-	var out Output
-	if n.dispatched[ref] {
-		return out
+func (n *Node) maybeDispatch(out *Output, r *pendingRequest, now time.Time) {
+	if r.dispatched || r.nsenders < n.cfg.Cluster.WeakQuorum() {
+		return
 	}
-	if len(n.propagates[ref]) < n.cfg.Cluster.WeakQuorum() {
-		return out
-	}
-	n.dispatched[ref] = true
+	r.dispatched = true
 	if n.spansOn {
-		n.dispatchedAt[ref] = now
+		r.dispatchedAt = now
 	}
+	// A replica's output can deliver, execute and thereby release r, so
+	// nothing below reads the record.
+	ref := r.ref
+	first, last := 0, len(n.replicas)-1
 	if n.multiPrimary() {
 		lane := types.PartitionOf(ref.Client, len(n.replicas))
+		first, last = int(lane), int(lane)
 		n.mon.RequestDispatchedTo(lane, ref, now)
-		if n.tr.Enabled() {
-			n.tr.Trace(obs.Event{
-				At: now, Type: obs.EvRequestDispatched, Client: ref.Client, Req: ref.ID,
-			})
-		}
-		out.merge(n.absorb(lane, n.replicas[lane].AddRequest(ref, now), now))
-		return out
+	} else {
+		n.mon.RequestDispatched(ref, now)
 	}
-	n.mon.RequestDispatched(ref, now)
 	if n.tr.Enabled() {
 		n.tr.Trace(obs.Event{
 			At: now, Type: obs.EvRequestDispatched, Client: ref.Client, Req: ref.ID,
 		})
 	}
-	for i, r := range n.replicas {
-		out.merge(n.absorb(types.InstanceID(i), r.AddRequest(ref, now), now))
+	for i := first; i <= last; i++ {
+		n.absorb(out, types.InstanceID(i), n.replicas[i].AddRequest(ref, now), now)
 	}
-	return out
 }
 
 // applyInstanceMessage routes a preverified protocol message to the right
@@ -876,216 +871,152 @@ func (n *Node) maybeDispatch(ref types.RequestRef, now time.Time) Output {
 // were all checked by the preverify stage; the bounds recheck below only
 // guards against a forged Verified value. A replica-level rejection
 // (semantically invalid message) still feeds flood accounting.
-func (n *Node) applyInstanceMessage(msg message.Message, from types.NodeID, now time.Time) Output {
+func (n *Node) applyInstanceMessage(out *Output, msg message.Message, from types.NodeID, now time.Time) {
 	inst, _, ok := message.InstanceAndSender(msg)
 	if !ok || int(inst) >= len(n.replicas) || inst < 0 {
-		return n.countInvalid(from, now)
+		n.countInvalid(out, from, now)
+		return
 	}
 	res, err := n.replicas[inst].OnMessage(msg, now)
 	if err != nil {
-		return n.countInvalid(from, now)
+		n.countInvalid(out, from, now)
+		return
 	}
-	return n.absorb(inst, res, now)
+	n.absorb(out, inst, res, now)
 }
 
 // absorb converts a replica's output into node output: forwards its
-// messages, feeds deliveries to the monitor, and routes delivered batches to
-// execution — directly for master-instance batches in master-only mode,
-// through the round-robin lane merge in multi-primary mode.
-func (n *Node) absorb(inst types.InstanceID, res pbft.Output, now time.Time) Output {
-	var out Output
+// messages, feeds deliveries to the monitor, and hands the Execution module
+// the batches each delivery releases, in execution order — in master-only
+// mode the master instance's batch itself (the backup lanes order for the
+// monitor alone), in multi-primary mode whatever the round-robin lane merge
+// lets go, each journalled so a restart resumes the merge cursors.
+func (n *Node) absorb(out *Output, inst types.InstanceID, res pbft.Output, now time.Time) {
 	out.Records = append(out.Records, res.Records...)
 	for _, ob := range res.Msgs {
 		out.NodeMsgs = append(out.NodeMsgs, NodeSend{To: ob.To, Msg: ob.Msg})
 	}
-	if len(res.Delivered) > 0 && out.OrderedByInstance == nil {
-		out.OrderedByInstance = make([]int, len(n.replicas))
-	}
 	for _, batch := range res.Delivered {
-		out.OrderedByInstance[inst] += len(batch.Refs)
 		if n.tr.Enabled() {
 			n.tr.Trace(obs.Event{
 				At: now, Type: obs.EvOrdered, Instance: inst,
 				Seq: batch.Seq, View: batch.View, Count: len(batch.Refs),
 			})
 		}
-		// With the parallel scheduler engaged, the batch's executable refs
-		// are collected and handed to the wave scheduler whole; the serial
-		// path below keeps the original per-ref flow byte-for-byte.
-		var execRefs []types.RequestRef
 		for _, ref := range batch.Refs {
 			if n.spansOn {
-				if at, ok := n.dispatchedAt[ref]; ok {
+				if r := n.lookup(ref); r != nil && !r.dispatchedAt.IsZero() {
 					n.tr.Trace(obs.Event{
 						At: now, Type: obs.EvSpan, Stage: obs.StageOrder,
 						Instance: inst, Seq: batch.Seq, View: batch.View,
 						Client: ref.Client, Req: ref.ID,
-						Trace: obs.TraceID(ref.Digest), Dur: now.Sub(at),
+						Trace: obs.TraceID(ref.Digest), Dur: now.Sub(r.dispatchedAt),
 					})
 				}
 			}
 			verdict := n.mon.RequestOrdered(inst, ref, now)
 			if verdict.Suspicious {
 				n.lastSuspect = verdict
-				out.merge(n.voteInstanceChange(verdict.Reason, now))
-			}
-			if !n.multiPrimary() && inst == types.MasterInstance {
-				if n.sched.Parallel() {
-					execRefs = append(execRefs, ref)
-				} else {
-					out.merge(n.execute(ref, inst, now))
-				}
+				n.voteInstanceChange(out, verdict.Reason, now)
 			}
 		}
-		if len(execRefs) > 0 {
-			out.merge(n.executeWaves(execRefs, inst, now))
-		}
+		var own [1]mergedBatch
+		released := own[:0]
 		if n.multiPrimary() {
-			for _, mb := range n.merge.push(inst, batch.Seq, batch.Refs) {
-				n.journal(&out, wal.Record{Kind: wal.KindMerged, Instance: mb.lane, Seq: mb.seq})
-				if n.sched.Parallel() {
-					out.merge(n.executeWaves(mb.refs, mb.lane, now))
-					continue
-				}
-				for _, ref := range mb.refs {
-					out.merge(n.execute(ref, mb.lane, now))
-				}
+			released = n.merge.push(inst, batch.Seq, batch.Refs)
+		} else if inst == types.MasterInstance {
+			released = append(released, mergedBatch{lane: inst, seq: batch.Seq, refs: batch.Refs})
+		}
+		for _, mb := range released {
+			if n.multiPrimary() {
+				n.journal(out, wal.Record{Kind: wal.KindMerged, Instance: mb.lane, Seq: mb.seq})
 			}
+			n.execute(out, mb.lane, mb.refs, now)
 		}
 	}
 	if n.multiPrimary() {
 		n.updateFiller(now)
 	}
-	return out
 }
 
-// execute runs the Execution module for one request in the agreed execution
-// order — the master's order in master-only mode, the lane merge's order in
-// multi-primary mode; lane records which ordering lane released the request.
-// The executed set is keyed by (client, id): if an equivocating client signed
-// several bodies under one id, only the first ordered one executes — and
-// since the execution order is identical everywhere, every correct node
+// executing is one request of the batch execute is working on.
+type executing struct {
+	req *pendingRequest
+	cs  *clientState
+}
+
+// execute runs the Execution module for one batch of requests in the agreed
+// execution order — the master's order in master-only mode, the lane merge's
+// order in multi-primary mode; lane records which ordering lane released the
+// batch. The executed set is keyed by (client, id): if an equivocating client
+// signed several bodies under one id, only the first ordered one executes —
+// and since the execution order is identical everywhere, every correct node
 // picks the same body.
-func (n *Node) execute(ref types.RequestRef, lane types.InstanceID, now time.Time) Output {
-	var out Output
-	key := ref.Key()
-	cs := n.client(ref.Client, now)
-	if cs.isExecuted(ref.ID) {
-		return out
-	}
-	body := n.bodies[ref]
-	if body == nil {
-		// Cannot happen for requests dispatched by this node (dispatch
-		// requires the body, stored under the digest it was verified
-		// against); guards against divergent state.
-		return out
-	}
-	cs.markExecuted(ref.ID)
-	n.journal(&out, wal.Record{
-		Kind: wal.KindExecuted, Client: ref.Client, Req: ref.ID,
-		Digest: ref.Digest, Op: body.Op, Instance: lane,
-	})
-	if n.metricsOn && n.executedByLane != nil {
-		n.executedByLane[lane].Inc()
-	}
-	result := n.cfg.App.Execute(ref.Client, ref.ID, body.Op)
-	if n.tr.Enabled() {
-		n.tr.Trace(obs.Event{
-			At: now, Type: obs.EvExecuted, Client: ref.Client, Req: ref.ID,
-		})
-	}
-	cs.cacheReply(ref.ID, result, n.cfg.ReplyCacheSize)
-	out.Executions = append(out.Executions, Execution{Ref: ref, Result: result})
-	out.ClientMsgs = append(out.ClientMsgs, n.replyTo(ref.Client, ref.ID, result))
-
-	// The request is decided on this node; release propagation state for
-	// this ref and any equivocated siblings under the same key.
-	for _, sibling := range n.byKey[key] {
-		delete(n.bodies, sibling)
-		delete(n.propagates, sibling)
-		delete(n.dispatched, sibling)
-		delete(n.dispatchedAt, sibling)
-		cs.pendingBodies--
-	}
-	delete(n.byKey, key)
-	return out
-}
-
-// executeWaves runs the Execution module for one ordered batch through the
-// parallel scheduler. The per-request effects — executed-set marking,
-// journaling, reply caching, propagation-state release — are identical to
-// n.execute and happen in sequence order on this (single-threaded) node;
-// only the App.Execute calls fan out across worker shards, in waves of
-// non-conflicting requests, so goroutine interleaving can never reach the
-// node's state, trace or WAL. Requests already executed, duplicated within
-// the batch, or lacking a stored body are filtered exactly as the serial path
-// filters them.
-func (n *Node) executeWaves(refs []types.RequestRef, lane types.InstanceID, now time.Time) Output {
-	var out Output
-	type pendingExec struct {
-		ref  types.RequestRef
-		body *message.Request
-	}
-	var batch []pendingExec
+//
+// Everything that touches node state — skip-if-executed, executed-set
+// marking, journaling, reply caching, the record's release — happens in
+// sequence order on this (single-threaded) node; only the App.Execute calls
+// go through the scheduler, which may fan them out across worker shards in
+// waves of non-conflicting requests, so goroutine interleaving can never
+// reach the node's state, trace or WAL. restoreExecution is the replay-side
+// counterpart.
+func (n *Node) execute(out *Output, lane types.InstanceID, refs []types.RequestRef, now time.Time) {
+	batch, ops := n.execBatch[:0], n.execOps[:0]
 	for _, ref := range refs {
 		cs := n.client(ref.Client, now)
 		if cs.isExecuted(ref.ID) {
 			continue
 		}
-		body := n.bodies[ref]
-		if body == nil {
+		r := n.lookup(ref)
+		if r == nil {
 			// Cannot happen for requests dispatched by this node (dispatch
 			// requires the body, stored under the digest it was verified
 			// against); guards against divergent state.
 			continue
 		}
 		cs.markExecuted(ref.ID)
-		n.journal(&out, wal.Record{
+		n.journal(out, wal.Record{
 			Kind: wal.KindExecuted, Client: ref.Client, Req: ref.ID,
-			Digest: ref.Digest, Op: body.Op, Instance: lane,
+			Digest: ref.Digest, Op: r.body.Op, Instance: lane,
 		})
 		if n.metricsOn && n.executedByLane != nil {
 			n.executedByLane[lane].Inc()
 		}
-		batch = append(batch, pendingExec{ref: ref, body: body})
+		// cs stays valid to the end of the batch: r pins it in the table
+		// (a client with pending bodies is never evicted).
+		batch = append(batch, executing{req: r, cs: cs})
+		ops = append(ops, exec.Op{Client: ref.Client, ID: ref.ID, Body: r.body.Op})
 	}
 	if len(batch) == 0 {
-		return out
-	}
-	ops := make([]exec.Op, len(batch))
-	for i, p := range batch {
-		ops[i] = exec.Op{Client: p.ref.Client, ID: p.ref.ID, Body: p.body.Op}
+		return
 	}
 	res := n.sched.ExecuteBatch(ops)
-	out.ExecWaves = res.Waves
+	base := len(out.ExecWaves)
+	out.ExecWaves = append(out.ExecWaves, res.Waves...)
 	if n.metricsOn && n.execWaves != nil {
 		n.execWaves.Add(uint64(len(res.Waves)))
 		n.execConflicts.Add(uint64(res.Conflicts))
 		n.execParallel.Add(uint64(res.Parallel))
 	}
-	for i, p := range batch {
-		ref, result := p.ref, res.Results[i]
+	out.Executions = slices.Grow(out.Executions, len(batch))
+	out.ClientMsgs = slices.Grow(out.ClientMsgs, len(batch))
+	for i, e := range batch {
+		ref, result := e.req.ref, res.Results[i]
 		if n.tr.Enabled() {
 			n.tr.Trace(obs.Event{
 				At: now, Type: obs.EvExecuted, Client: ref.Client, Req: ref.ID,
 			})
 		}
-		cs := n.client(ref.Client, now)
-		cs.cacheReply(ref.ID, result, n.cfg.ReplyCacheSize)
-		out.Executions = append(out.Executions, Execution{Ref: ref, Result: result, Wave: res.Wave[i]})
+		e.cs.cacheReply(ref.ID, result, n.cfg.ReplyCacheSize)
+		out.Executions = append(out.Executions, Execution{Ref: ref, Result: result, Wave: base + res.Wave[i]})
 		out.ClientMsgs = append(out.ClientMsgs, n.replyTo(ref.Client, ref.ID, result))
-
-		key := ref.Key()
-		for _, sibling := range n.byKey[key] {
-			delete(n.bodies, sibling)
-			delete(n.propagates, sibling)
-			delete(n.dispatched, sibling)
-			delete(n.dispatchedAt, sibling)
-			cs.pendingBodies--
-		}
-		delete(n.byKey, key)
+		n.release(e.cs, ref.Key())
 	}
-	return out
+	// Hand the working slices back empty: they must not pin the executed
+	// requests' frames until the next batch overwrites them.
+	clear(batch)
+	clear(ops)
+	n.execBatch, n.execOps = batch[:0], ops[:0]
 }
 
 // replyTo builds an authenticated REPLY.
@@ -1121,38 +1052,3 @@ func (n *Node) client(c types.ClientID, now time.Time) *clientState {
 // ClientCount returns the number of resident client-table entries (tests
 // and the bounded-memory gate).
 func (n *Node) ClientCount() int { return n.table.count() }
-
-// AdmitIngress is the admission-control gate drivers call for every client
-// frame BEFORE spending crypto on it: false means the client's shard has
-// exhausted its pending budget and the frame should be shed (reject-with-
-// busy). Unlike every other Node method this one is safe for concurrent use
-// with the apply stage — it touches only shard-local admission state — which
-// is what lets the runtime's reader shed floods ahead of the verifier pool.
-func (n *Node) AdmitIngress(c types.ClientID) bool { return n.table.admit(c) }
-
-// ReleaseIngress returns an AdmitIngress slot once the admitted frame has
-// left the apply stage. Concurrency-safe like AdmitIngress.
-func (n *Node) ReleaseIngress(c types.ClientID) { n.table.release(c) }
-
-// countInvalid records an invalid message from a peer and closes its NIC if
-// it exceeds the flood threshold within the window.
-func (n *Node) countInvalid(from types.NodeID, now time.Time) Output {
-	var out Output
-	if now.Sub(n.floodStart) > n.cfg.FloodWindow {
-		n.floodStart = now
-		for k := range n.floodCounts {
-			delete(n.floodCounts, k)
-		}
-	}
-	n.floodCounts[from]++
-	if n.floodCounts[from] >= n.cfg.FloodThreshold {
-		until := now.Add(n.cfg.NICClosePeriod)
-		n.closedUntil[from] = until
-		out.NICCloses = append(out.NICCloses, NICClose{Peer: from, Until: until})
-		n.floodCounts[from] = 0
-		if n.tr.Enabled() {
-			n.tr.Trace(obs.Event{At: now, Type: obs.EvNICClose, Peer: from})
-		}
-	}
-	return out
-}

@@ -18,7 +18,7 @@ func TestInstanceChangeDiscardsStaleCPI(t *testing.T) {
 	for voter := types.NodeID(1); voter <= 3; voter++ {
 		ic := &message.InstanceChange{CPI: 0, Node: voter}
 		ic.Auth = nc.ks.NodeRing(voter).AuthenticatorForNodes(nc.cfg.N, ic.Body())
-		nc.collect(0, n.OnNodeMessage(ic, voter, nc.now))
+		nc.collect(0, onNodeMessage(n, ic, voter, nc.now))
 	}
 	if n.CPI() != 1 || n.View() != 1 {
 		t.Fatalf("cpi=%d view=%d after quorum, want 1/1", n.CPI(), n.View())
@@ -27,7 +27,7 @@ func TestInstanceChangeDiscardsStaleCPI(t *testing.T) {
 	for voter := types.NodeID(1); voter <= 3; voter++ {
 		ic := &message.InstanceChange{CPI: 0, Node: voter}
 		ic.Auth = nc.ks.NodeRing(voter).AuthenticatorForNodes(nc.cfg.N, ic.Body())
-		nc.collect(0, n.OnNodeMessage(ic, voter, nc.now))
+		nc.collect(0, onNodeMessage(n, ic, voter, nc.now))
 	}
 	if n.CPI() != 1 || n.View() != 1 {
 		t.Fatalf("stale votes advanced cpi/view to %d/%d", n.CPI(), n.View())
@@ -42,7 +42,7 @@ func TestInstanceChangeEcho(t *testing.T) {
 	n.lastSuspect = monitor.Verdict{Suspicious: true, Reason: monitor.ReasonThroughput}
 	ic := &message.InstanceChange{CPI: 0, Node: 2}
 	ic.Auth = nc.ks.NodeRing(2).AuthenticatorForNodes(nc.cfg.N, ic.Body())
-	out := n.OnNodeMessage(ic, 2, nc.now)
+	out := onNodeMessage(n, ic, 2, nc.now)
 	sent := false
 	for _, m := range out.NodeMsgs {
 		if m.Msg.MsgType() == message.TypeInstanceChange {
@@ -56,7 +56,7 @@ func TestInstanceChangeEcho(t *testing.T) {
 	clean := nc.nodes[1]
 	ic2 := &message.InstanceChange{CPI: 0, Node: 2}
 	ic2.Auth = nc.ks.NodeRing(2).AuthenticatorForNodes(nc.cfg.N, ic2.Body())
-	out2 := clean.OnNodeMessage(ic2, 2, nc.now)
+	out2 := onNodeMessage(clean, ic2, 2, nc.now)
 	for _, m := range out2.NodeMsgs {
 		if m.Msg.MsgType() == message.TypeInstanceChange {
 			t.Fatal("non-suspicious node echoed an instance-change vote")
@@ -76,7 +76,7 @@ func TestMasterPrimaryTracksView(t *testing.T) {
 	for _, voter := range []types.NodeID{0, 2, 3} {
 		ic := &message.InstanceChange{CPI: 0, Node: voter}
 		ic.Auth = nc.ks.NodeRing(voter).AuthenticatorForNodes(nc.cfg.N, ic.Body())
-		nc.collect(1, n.OnNodeMessage(ic, voter, nc.now))
+		nc.collect(1, onNodeMessage(n, ic, voter, nc.now))
 	}
 	if got := n.MasterPrimary(); got != 1 {
 		t.Fatalf("view 1 master primary = %d, want 1", got)
@@ -96,7 +96,7 @@ func TestSpoofedInstanceMessageCounted(t *testing.T) {
 		// Claimed node 2, delivered from node 3.
 		p := &message.Prepare{Instance: 0, View: 0, Seq: 1, Node: 2}
 		p.Auth = nc.ks.NodeRing(3).AuthenticatorForNodes(nc.cfg.N, p.Body())
-		out := n.OnNodeMessage(p, 3, nc.now)
+		out := onNodeMessage(n, p, 3, nc.now)
 		if len(out.NICCloses) > 0 {
 			closed = true
 		}

@@ -109,7 +109,7 @@ func TestDurableRestartRecoversNode(t *testing.T) {
 
 	// A retransmission of an already-executed request must hit the restored
 	// reply cache: one reply, zero executions.
-	out := restored.OnClientRequest(firstReq, nc.now)
+	out := onClientRequest(restored, firstReq, nc.now)
 	if len(out.Executions) != 0 {
 		t.Fatal("restored node re-executed a pre-crash request")
 	}
@@ -135,6 +135,7 @@ func TestDurableRestartRecoversNode(t *testing.T) {
 			t.Fatalf("node %d fingerprint diverged after restart", i)
 		}
 	}
+	nc.requireQuiescent()
 }
 
 // TestRestoreRejectsTamperedExecution checks the digest binding on executed

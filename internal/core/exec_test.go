@@ -102,10 +102,12 @@ func TestExecParallelClusterConverges(t *testing.T) {
 			}
 		}
 	}
+	par.requireQuiescent()
+	ser.requireQuiescent()
 }
 
 // TestExecParallelMultiPrimaryConverges repeats the convergence check with the
-// multi-primary ordering mode, where executeWaves consumes lane-merge batches.
+// multi-primary ordering mode, where execute consumes lane-merge batches.
 func TestExecParallelMultiPrimaryConverges(t *testing.T) {
 	nc, kvs := newKVCluster(t, 1, 4, multiPrimaryTweak)
 	sent := kvWorkload(nc)
@@ -124,6 +126,7 @@ func TestExecParallelMultiPrimaryConverges(t *testing.T) {
 			t.Fatalf("node %d executed a different sequence", i)
 		}
 	}
+	nc.requireQuiescent()
 }
 
 // TestExecRetransmissionNotReExecuted: with the parallel scheduler engaged,
@@ -137,7 +140,7 @@ func TestExecRetransmissionNotReExecuted(t *testing.T) {
 		t.Fatalf("completed %d, want 1", got)
 	}
 	executed := len(nc.executed[0])
-	out := nc.nodes[0].OnClientRequest(req, nc.now)
+	out := onClientRequest(nc.nodes[0], req, nc.now)
 	if len(out.Executions) != 0 {
 		t.Fatal("retransmission re-executed through the scheduler")
 	}
@@ -150,11 +153,12 @@ func TestExecRetransmissionNotReExecuted(t *testing.T) {
 	if v := kvs[0].Snapshot()["a"]; v != "once" {
 		t.Fatalf("state[a] = %q, want %q", v, "once")
 	}
+	nc.requireQuiescent()
 }
 
 // TestExecDurableRestartCounter runs a durable cluster with the scheduler
 // engaged (the Counter's global write key makes every wave serial, but the
-// batch still flows through executeWaves and its journaling), crashes a node,
+// batch still flows through the scheduler and execute's journaling), crashes a node,
 // and checks that a serial WAL replay reproduces the exact order-sensitive
 // fingerprint with no double execution.
 func TestExecDurableRestartCounter(t *testing.T) {
@@ -197,6 +201,8 @@ func TestExecDurableRestartCounter(t *testing.T) {
 	if total := counter.Total(1); total != 60 {
 		t.Fatalf("restored total = %d, want 60 (a request executed twice or not at all)", total)
 	}
+	nc.requireQuiescent()
+	nc.requireQuiescent(restored)
 }
 
 // TestExecDurableRestartKV is the same crash/replay check against the KV
@@ -228,11 +234,13 @@ func TestExecDurableRestartKV(t *testing.T) {
 	if got, want := fmt.Sprint(kv.Snapshot()), fmt.Sprint(kvs[victim].Snapshot()); got != want {
 		t.Fatalf("restored KV state differs from pre-crash state:\n%s\nwant:\n%s", got, want)
 	}
+	nc.requireQuiescent()
+	nc.requireQuiescent(restored)
 }
 
-// TestExecSerialFallbackIdentical: ExecWorkers=0 with a keyed app must leave
-// the node on the serial path — same executions, same output shape (no
-// ExecWaves) — so existing deployments are byte-identical to before.
+// TestExecSerialFallbackIdentical: ExecWorkers=0 with a keyed app must not
+// share waves — every request is applied in order, a wave of its own
+// (nodeCluster.collect checks the plan of every output).
 func TestExecSerialFallbackIdentical(t *testing.T) {
 	nc, _ := newKVCluster(t, 1, 0, nil)
 	if nc.nodes[0].sched.Parallel() {
@@ -243,4 +251,5 @@ func TestExecSerialFallbackIdentical(t *testing.T) {
 	if got := len(nc.completed[1]); got != 1 {
 		t.Fatalf("completed %d, want 1", got)
 	}
+	nc.requireQuiescent()
 }

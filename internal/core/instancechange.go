@@ -12,11 +12,10 @@ import (
 
 // voteInstanceChange broadcasts this node's INSTANCE-CHANGE for the current
 // cpi (at most once per cpi) and evaluates the quorum.
-func (n *Node) voteInstanceChange(reason monitor.Reason, now time.Time) Output {
-	var out Output
+func (n *Node) voteInstanceChange(out *Output, reason monitor.Reason, now time.Time) {
 	votes := n.votesFor(n.cpi)
 	if votes[n.cfg.Node] {
-		return out // already voted this round
+		return // already voted this round
 	}
 	votes[n.cfg.Node] = true
 	ic := &message.InstanceChange{CPI: n.cpi, Node: n.cfg.Node}
@@ -28,17 +27,15 @@ func (n *Node) voteInstanceChange(reason monitor.Reason, now time.Time) Output {
 			CPI: n.cpi, Reason: reason.String(),
 		})
 	}
-	out.merge(n.checkInstanceChangeQuorum(reason, now))
-	return out
+	n.checkInstanceChangeQuorum(out, reason, now)
 }
 
 // onInstanceChange processes a MAC-verified INSTANCE-CHANGE from a peer,
 // per the paper: discard if the cpi is stale; otherwise record it and echo
 // our own vote if our monitor also observed the problem.
-func (n *Node) onInstanceChange(ic *message.InstanceChange, now time.Time) Output {
-	var out Output
+func (n *Node) onInstanceChange(out *Output, ic *message.InstanceChange, now time.Time) {
 	if ic.CPI < n.cpi {
-		return out // intended for a previous instance change
+		return // intended for a previous instance change
 	}
 	votes := n.votesFor(ic.CPI)
 	votes[ic.Node] = true
@@ -47,20 +44,18 @@ func (n *Node) onInstanceChange(ic *message.InstanceChange, now time.Time) Outpu
 	// does so only if it also observes too much difference between the
 	// performance of the replicas."
 	if ic.CPI == n.cpi && n.lastSuspect.Suspicious && !votes[n.cfg.Node] {
-		out.merge(n.voteInstanceChange(n.lastSuspect.Reason, now))
-		return out
+		n.voteInstanceChange(out, n.lastSuspect.Reason, now)
+		return
 	}
-	out.merge(n.checkInstanceChangeQuorum(n.lastSuspect.Reason, now))
-	return out
+	n.checkInstanceChangeQuorum(out, n.lastSuspect.Reason, now)
 }
 
 // checkInstanceChangeQuorum performs the instance change once 2f+1 matching
 // INSTANCE-CHANGE messages for the current cpi have been collected.
-func (n *Node) checkInstanceChangeQuorum(reason monitor.Reason, now time.Time) Output {
-	var out Output
+func (n *Node) checkInstanceChangeQuorum(out *Output, reason monitor.Reason, now time.Time) {
 	votes := n.icVotes[n.cpi]
 	if len(votes) < n.cfg.Cluster.Quorum() {
-		return out
+		return
 	}
 	n.cpi++
 	n.view++
@@ -78,7 +73,7 @@ func (n *Node) checkInstanceChangeQuorum(reason monitor.Reason, now time.Time) O
 	})
 	// Journal before the replicas' view-change records so a replay sees the
 	// node-level transition first, exactly as it happened.
-	n.journal(&out, wal.Record{Kind: wal.KindInstanceChange, CPI: n.cpi, View: n.view})
+	n.journal(out, wal.Record{Kind: wal.KindInstanceChange, CPI: n.cpi, View: n.view})
 	if n.tr.Enabled() {
 		n.tr.Trace(obs.Event{
 			At: now, Type: obs.EvInstanceChangeComplete,
@@ -87,9 +82,8 @@ func (n *Node) checkInstanceChangeQuorum(reason monitor.Reason, now time.Time) O
 	}
 	// Every local replica view-changes at once, rotating all primaries.
 	for i, r := range n.replicas {
-		out.merge(n.absorb(types.InstanceID(i), r.StartViewChange(n.view, now), now))
+		n.absorb(out, types.InstanceID(i), r.StartViewChange(n.view, now), now)
 	}
-	return out
 }
 
 func (n *Node) votesFor(cpi uint64) map[types.NodeID]bool {

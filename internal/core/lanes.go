@@ -24,7 +24,8 @@ import (
 // (pbft.ProposeFiller); the agreed empty batch advances every node's cursor
 // past a sequence that ordered nothing (the skip-empty-lane rule).
 
-// mergedBatch is one lane batch released by the merge, in execution order.
+// mergedBatch is one lane batch released to execution, in execution order:
+// by the merge, or in master-only mode the master's own batch (absorb).
 type mergedBatch struct {
 	lane types.InstanceID
 	seq  types.SeqNum
@@ -176,15 +177,13 @@ func (n *Node) updateFiller(now time.Time) {
 }
 
 // tickFiller fires a due filler deadline.
-func (n *Node) tickFiller(now time.Time) Output {
-	var out Output
+func (n *Node) tickFiller(out *Output, now time.Time) {
 	if n.fillerAt.IsZero() || now.Before(n.fillerAt) {
-		return out
+		return
 	}
 	n.fillerAt = time.Time{}
 	if lane, ok := n.merge.stalled(); ok {
-		out.merge(n.absorb(lane, n.replicas[lane].ProposeFiller(now), now))
+		n.absorb(out, lane, n.replicas[lane].ProposeFiller(now), now)
 	}
 	n.updateFiller(now)
-	return out
 }

@@ -57,6 +57,7 @@ func TestMultiPrimaryEndToEnd(t *testing.T) {
 			}
 		}
 	}
+	nc.requireQuiescent()
 }
 
 // TestMultiPrimaryBackupLaneEquivocationDedup: an equivocating client whose
@@ -108,6 +109,7 @@ func TestMultiPrimaryBackupLaneEquivocationDedup(t *testing.T) {
 			t.Fatalf("executed record attributed to lane %d, want 1", rec.Instance)
 		}
 	}
+	nc.requireQuiescent()
 }
 
 // TestMultiPrimaryBackupLaneReplyCacheEviction: reply-cache bounds and
@@ -288,6 +290,7 @@ func TestMultiPrimaryDurableRestartRecoversCursors(t *testing.T) {
 			t.Fatalf("node %d fingerprint diverged after restart", i)
 		}
 	}
+	nc.requireQuiescent()
 }
 
 // TestMasterOnlyHasNoMergeState: the default mode must not grow any

@@ -44,10 +44,10 @@ type ClusterOptions struct {
 	// (default master-only; see docs/ORDERING.md). Applies to every node:
 	// the mode is a cluster-wide protocol parameter.
 	OrderingMode types.OrderingMode
-	// ExecWorkers sets each node's parallel execution worker count
-	// (core.Config.ExecWorkers, docs/EXECUTION.md). Parallel apply engages
-	// only when >= 2 AND the application implements app.ConflictKeyer;
-	// otherwise nodes keep the serial execution path.
+	// ExecWorkers sets each node's execution worker count
+	// (core.Config.ExecWorkers, docs/EXECUTION.md). Requests apply in
+	// parallel only when >= 2 AND the application implements
+	// app.ConflictKeyer; otherwise each node applies them one by one.
 	ExecWorkers int
 	// Tune adjusts each node's configuration before start.
 	Tune func(c *core.Config)
@@ -63,12 +63,6 @@ type ClusterOptions struct {
 	// Tracer, when set, receives every node's protocol events (e.g. an
 	// obs.FlightRecorder for post-mortem inspection).
 	Tracer obs.Tracer
-	// IngressWorkers sets each node's preverify worker-pool size (0 means
-	// DefaultIngressWorkers()).
-	IngressWorkers int
-	// EgressFlushInterval is each node's egress linger window (see
-	// NodeOptions.EgressFlushInterval; 0 means greedy flushing).
-	EgressFlushInterval time.Duration
 	// DataDir, when set, turns on durability: each node keeps a WAL under
 	// DataDir/node-<i>, persists crash-survivable state before it becomes
 	// externally visible, and recovers from it on (re)start.
@@ -196,11 +190,9 @@ func (lc *LocalCluster) startNode(id types.NodeID, tr transport.Transport) error
 	}
 	lc.wals[id] = w
 	lc.nodes[id] = StartNodeOpts(node, tr, lc.Cluster, NodeOptions{
-		IngressWorkers:      lc.opts.IngressWorkers,
-		WAL:                 w,
-		EgressFlushInterval: lc.opts.EgressFlushInterval,
-		Metrics:             lc.opts.Metrics,
-		Tracer:              lc.opts.Tracer,
+		WAL:     w,
+		Metrics: lc.opts.Metrics,
+		Tracer:  lc.opts.Tracer,
 	})
 	return nil
 }

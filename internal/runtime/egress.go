@@ -69,16 +69,12 @@ type peerQueue struct {
 
 // egress owns the per-peer queues and workers of one node runtime.
 type egress struct {
-	tr   transport.Transport
-	wal  *wal.Log // nil unless durability is on
-	self string   // this node's endpoint name, for metric labels
-	// flushInterval > 0 makes a worker linger that long collecting more
-	// frames before flushing a non-full batch; 0 flushes greedily (coalesce
-	// only what is already queued).
-	flushInterval time.Duration
-	reg           *obs.Registry
-	sp            obs.Tracer // node-stamped span sink; Nop unless spans are on
-	spans         bool
+	tr    transport.Transport
+	wal   *wal.Log // nil unless durability is on
+	self  string   // this node's endpoint name, for metric labels
+	reg   *obs.Registry
+	sp    obs.Tracer // node-stamped span sink; Nop unless spans are on
+	spans bool
 
 	mu     sync.Mutex
 	queues map[string]*peerQueue // guarded by mu; lazily created per peer
@@ -87,16 +83,15 @@ type egress struct {
 	wg   sync.WaitGroup
 }
 
-func newEgress(tr transport.Transport, w *wal.Log, self string, flushInterval time.Duration, reg *obs.Registry, stop chan struct{}) *egress {
+func newEgress(tr transport.Transport, w *wal.Log, self string, reg *obs.Registry, stop chan struct{}) *egress {
 	return &egress{
-		tr:            tr,
-		wal:           w,
-		self:          self,
-		flushInterval: flushInterval,
-		reg:           reg,
-		sp:            obs.Nop{},
-		queues:        make(map[string]*peerQueue),
-		stop:          stop,
+		tr:     tr,
+		wal:    w,
+		self:   self,
+		reg:    reg,
+		sp:     obs.Nop{},
+		queues: make(map[string]*peerQueue),
+		stop:   stop,
 	}
 }
 
@@ -145,10 +140,12 @@ func (e *egress) enqueue(peer string, f *egressFrame) {
 }
 
 // worker drains one peer's queue: it collects whatever is queued (bounded by
-// egressMaxCoalesce, optionally lingering flushInterval), waits for the
-// batch's durability horizon, and flushes it as one coalesced wire frame
-// when the transport can. Send errors are deliberate best-effort: the
-// protocol tolerates loss, and a dead peer must cost nothing but its queue.
+// egressMaxCoalesce) — greedily, so a flush coalesces what queued while the
+// previous one was on the wire, which regulates itself under load and adds no
+// latency when idle — waits for the batch's durability horizon, and flushes
+// it as one coalesced wire frame when the transport can. Send errors are
+// deliberate best-effort: the protocol tolerates loss, and a dead peer must
+// cost nothing but its queue.
 //
 //rbft:egress
 func (e *egress) worker(peer string, q *peerQueue) {
@@ -172,23 +169,6 @@ func (e *egress) worker(peer string, q *peerQueue) {
 			default:
 				break drain
 			}
-		}
-		if e.flushInterval > 0 && len(batch) < egressMaxCoalesce {
-			linger := time.NewTimer(e.flushInterval)
-		lingerLoop:
-			for len(batch) < egressMaxCoalesce {
-				select {
-				case f := <-q.ch:
-					batch = append(batch, f)
-				case <-linger.C:
-					break lingerLoop
-				case <-e.stop:
-					linger.Stop()
-					releaseAll(batch)
-					return
-				}
-			}
-			linger.Stop()
 		}
 		q.depth.Set(int64(len(q.ch)))
 

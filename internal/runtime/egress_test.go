@@ -98,7 +98,7 @@ func TestEgressEnqueueNeverBlocks(t *testing.T) {
 	reg := obs.NewRegistry()
 	stop := make(chan struct{})
 	defer close(stop)
-	eg := newEgress(rt, nil, "node/0", 0, reg, stop)
+	eg := newEgress(rt, nil, "node/0", reg, stop)
 
 	const n = 10 * egressQueueDepth
 	done := make(chan struct{})
@@ -150,7 +150,7 @@ func TestEgressCoalesces(t *testing.T) {
 	reg := obs.NewRegistry()
 	stop := make(chan struct{})
 	defer close(stop)
-	eg := newEgress(rt, nil, "node/0", 0, reg, stop)
+	eg := newEgress(rt, nil, "node/0", reg, stop)
 
 	// The first frame starts a flush that parks on the gate; give the worker
 	// a beat to pick it up, then pile the rest up behind it.
@@ -204,7 +204,7 @@ func TestEgressSharedFrameRefcount(t *testing.T) {
 	reg := obs.NewRegistry()
 	stop := make(chan struct{})
 	defer close(stop)
-	eg := newEgress(rt, nil, "node/0", 0, reg, stop)
+	eg := newEgress(rt, nil, "node/0", reg, stop)
 
 	peers := []string{"node/1", "node/2", "node/3"}
 	msg := &message.Commit{Instance: 0, View: 1, Seq: 9, Node: 0}
@@ -319,7 +319,7 @@ func BenchmarkEgress(b *testing.B) {
 	}
 	stop := make(chan struct{})
 	defer close(stop)
-	eg := newEgress(ep, nil, "node/0", 0, nil, stop)
+	eg := newEgress(ep, nil, "node/0", nil, stop)
 	msg := &message.Prepare{Instance: 0, View: 1, Seq: 2, Node: 0, Auth: make(crypto.Authenticator, 4)}
 	peers := []string{"node/1", "node/2", "node/3"}
 	b.ReportAllocs()

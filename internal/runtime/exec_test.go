@@ -6,6 +6,10 @@ import (
 	"time"
 
 	"rbft/internal/app"
+	"rbft/internal/client"
+	"rbft/internal/core"
+	"rbft/internal/crypto"
+	"rbft/internal/message"
 	"rbft/internal/obs"
 	"rbft/internal/types"
 )
@@ -85,5 +89,44 @@ func TestInstrumentAppPreservesConflictKeyer(t *testing.T) {
 	}
 	if _, ok := InstrumentApp(app.Null{}, rec, 0).(app.ConflictKeyer); ok {
 		t.Fatal("instrumented Null gained a ConflictKeyer it never had")
+	}
+}
+
+// TestInstrumentAppPreservesReadExecutor: wrapping an application for span
+// tracing must not hide its read fast path — otherwise a node started with a
+// span-wanting tracer would drop every READ-REQUEST.
+func TestInstrumentAppPreservesReadExecutor(t *testing.T) {
+	rec := obs.NewFlightRecorder(16)
+	kv := app.NewKV()
+	kv.Execute(1, 1, []byte("PUT a 1"))
+	wrapped := InstrumentApp(kv, rec, 0)
+	re, ok := wrapped.(app.ReadExecutor)
+	if !ok {
+		t.Fatal("instrumented KV lost its ReadExecutor")
+	}
+	if got, ok := re.ExecuteRead([]byte("GET a")); !ok || string(got) != "1" {
+		t.Fatalf("forwarded ExecuteRead = (%q, %v), want (\"1\", true)", got, ok)
+	}
+	if _, ok := InstrumentApp(app.Null{}, rec, 0).(app.ReadExecutor).ExecuteRead([]byte("GET a")); ok {
+		t.Fatal("instrumented Null answered a read it has no path for")
+	}
+
+	// A node built on the wrapped application answers a read-only request.
+	cluster := types.NewConfig(1)
+	ks := crypto.NewKeyStore([]byte("instrument-test"), cluster.N, 2)
+	node := core.New(core.Config{Cluster: cluster, Node: 0, App: wrapped}, ks.NodeRing(0))
+	cl := client.New(client.Config{Cluster: cluster, ID: 1}, ks.ClientRing(1))
+	now := time.Unix(0, 0)
+	req := cl.NewReadRequest([]byte("GET a"), now)
+	v, err := node.Preverifier().PreverifyClient(req, req.Client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := node.OnVerified(v, now)
+	if len(out.ClientMsgs) != 1 {
+		t.Fatalf("read-only request got %d replies, want 1", len(out.ClientMsgs))
+	}
+	if rep := out.ClientMsgs[0].Msg.(*message.Reply); string(rep.Result) != "1" {
+		t.Fatalf("read reply = %q, want %q", rep.Result, "1")
 	}
 }

@@ -13,13 +13,15 @@ import (
 // in hand carry Trace 0 and join the rest of the request's lifecycle on
 // (Client, Req), per the span schema in docs/OBSERVABILITY.md. When the
 // tracer opted out of spans, a is returned unwrapped. The wrapper preserves
-// an app.ConflictKeyer implementation: instrumentation must not silently
-// demote a keyed application to the serial execution path.
+// the optional interfaces core.Node looks for: instrumentation must neither
+// demote a keyed application (app.ConflictKeyer) to one-by-one execution nor
+// cut off its read fast path (app.ReadExecutor).
 func InstrumentApp(a app.Application, t obs.Tracer, node types.NodeID) app.Application {
 	if !obs.WantSpans(t) {
 		return a
 	}
 	ia := &instrumentedApp{app: a, tr: obs.WithNode(t, node)}
+	ia.reader, _ = a.(app.ReadExecutor)
 	if k, ok := a.(app.ConflictKeyer); ok {
 		return &instrumentedKeyedApp{instrumentedApp: ia, keyer: k}
 	}
@@ -27,8 +29,9 @@ func InstrumentApp(a app.Application, t obs.Tracer, node types.NodeID) app.Appli
 }
 
 type instrumentedApp struct {
-	app app.Application
-	tr  obs.Tracer
+	app    app.Application
+	reader app.ReadExecutor // nil when app has no read path
+	tr     obs.Tracer
 }
 
 func (ia *instrumentedApp) Execute(client types.ClientID, id types.RequestID, op []byte) []byte {
@@ -40,6 +43,17 @@ func (ia *instrumentedApp) Execute(client types.ClientID, id types.RequestID, op
 		Client: client, Req: id, Dur: t1.Sub(t0),
 	})
 	return res
+}
+
+// ExecuteRead forwards to the wrapped application's read path. Answering "not
+// a read" for an application without one is what the node does with such an
+// application anyway (it drops the request and the client falls back to
+// ordering), so one wrapper type serves both.
+func (ia *instrumentedApp) ExecuteRead(op []byte) ([]byte, bool) {
+	if ia.reader == nil {
+		return nil, false
+	}
+	return ia.reader.ExecuteRead(op)
 }
 
 // instrumentedKeyedApp forwards the wrapped application's conflict keys so

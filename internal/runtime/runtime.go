@@ -52,12 +52,6 @@ type NodeOptions struct {
 	// with core.Config.Durable, and restored from this log, by the caller.
 	// The caller keeps ownership: close it after Stop returns.
 	WAL *wal.Log
-	// EgressFlushInterval makes egress workers linger that long collecting
-	// more frames before flushing a non-full batch. 0 (the default) flushes
-	// greedily: a flush coalesces whatever queued while the previous flush
-	// was on the wire, so coalescing is self-regulating under load and adds
-	// no latency when idle.
-	EgressFlushInterval time.Duration
 	// Metrics, when set, receives the egress gauges and counters (per-link
 	// queue depth and drops).
 	Metrics *obs.Registry
@@ -162,7 +156,7 @@ func StartNodeOpts(node *core.Node, tr transport.Transport, cluster types.Config
 	} else {
 		nr.sp = obs.Nop{}
 	}
-	nr.eg = newEgress(tr, opts.WAL, NodeName(nr.self), opts.EgressFlushInterval, opts.Metrics, nr.stop)
+	nr.eg = newEgress(tr, opts.WAL, NodeName(nr.self), opts.Metrics, nr.stop)
 	nr.eg.sp, nr.eg.spans = nr.sp, nr.spans
 	nr.wg.Add(1 + workers)
 	for i := 0; i < workers; i++ {
@@ -312,7 +306,10 @@ func (nr *NodeRuntime) applyLoop() {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
-		nr.rearm(timer)
+		nr.mu.Lock()
+		wake := nr.node.NextWake()
+		nr.mu.Unlock()
+		rearm(timer, wake)
 		select {
 		case <-nr.stop:
 			return
@@ -362,11 +359,9 @@ func (nr *NodeRuntime) apply(it *ingressItem) {
 	nr.emit(out)
 }
 
-// rearm points the timer at the node's next wake-up.
-func (nr *NodeRuntime) rearm(timer *time.Timer) {
-	nr.mu.Lock()
-	wake := nr.node.NextWake()
-	nr.mu.Unlock()
+// rearm points an event loop's timer at its state machine's next wake-up
+// (an hour out when there is none).
+func rearm(timer *time.Timer, wake time.Time) {
 	if !timer.Stop() {
 		select {
 		case <-timer.C:
@@ -475,6 +470,12 @@ func (cr *ClientRuntime) Submit(op []byte) {
 	cr.mu.Lock()
 	req := cr.cl.NewRequest(op, time.Now())
 	cr.mu.Unlock()
+	cr.broadcast(req)
+}
+
+// broadcast transmits req to every node. Send errors are best-effort: the
+// client retransmits until f+1 replies match.
+func (cr *ClientRuntime) broadcast(req *message.Request) {
 	data := req.Marshal(nil)
 	for i := 0; i < cr.cluster.N; i++ {
 		_ = cr.tr.Send(NodeName(types.NodeID(i)), data)
@@ -491,10 +492,7 @@ func (cr *ClientRuntime) Invoke(op []byte, timeout time.Duration) (client.Comple
 	cr.mu.Lock()
 	req := cr.cl.NewRequest(op, time.Now())
 	cr.mu.Unlock()
-	data := req.Marshal(nil)
-	for i := 0; i < cr.cluster.N; i++ {
-		_ = cr.tr.Send(NodeName(types.NodeID(i)), data)
-	}
+	cr.broadcast(req)
 	deadline := time.After(timeout)
 	for {
 		select {
@@ -525,7 +523,10 @@ func (cr *ClientRuntime) loop() {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
-		cr.rearm(timer)
+		cr.mu.Lock()
+		wake := cr.cl.NextWake()
+		cr.mu.Unlock()
+		rearm(timer, wake)
 		select {
 		case <-cr.stop:
 			return
@@ -539,34 +540,10 @@ func (cr *ClientRuntime) loop() {
 			resend := cr.cl.Tick(now)
 			cr.mu.Unlock()
 			for _, req := range resend {
-				data := req.Marshal(nil)
-				for i := 0; i < cr.cluster.N; i++ {
-					_ = cr.tr.Send(NodeName(types.NodeID(i)), data)
-				}
+				cr.broadcast(req)
 			}
 		}
 	}
-}
-
-func (cr *ClientRuntime) rearm(timer *time.Timer) {
-	cr.mu.Lock()
-	wake := cr.cl.NextWake()
-	cr.mu.Unlock()
-	if !timer.Stop() {
-		select {
-		case <-timer.C:
-		default:
-		}
-	}
-	if wake.IsZero() {
-		timer.Reset(time.Hour)
-		return
-	}
-	d := time.Until(wake)
-	if d < 0 {
-		d = 0
-	}
-	timer.Reset(d)
 }
 
 func (cr *ClientRuntime) handlePacket(p transport.Packet) {

@@ -25,7 +25,7 @@ const (
 	// safe, but the disk serializes the whole node pipeline.
 	DurabilitySerialFsync
 	// DurabilityGroupCommit batches appended records and fsyncs the batch
-	// once per GroupCommitInterval; every output in the batch is released
+	// once per groupCommitInterval; every output in the batch is released
 	// together when the shared fsync completes, amortising the device
 	// latency across all of them (the internal/wal design).
 	DurabilityGroupCommit
@@ -40,14 +40,9 @@ type Crash struct {
 	Down time.Duration
 }
 
-// groupCommitInterval returns the configured flush interval, defaulting to
-// the internal/wal default.
-func (s *Sim) groupCommitInterval() time.Duration {
-	if s.cfg.GroupCommitInterval > 0 {
-		return s.cfg.GroupCommitInterval
-	}
-	return 2 * time.Millisecond
-}
+// groupCommitInterval is the flush interval of the modelled group-commit
+// WAL, the internal/wal default.
+const groupCommitInterval = 2 * time.Millisecond
 
 // persistThenEmit releases an output's network effects, first persisting its
 // durability records according to the configured mode. This is the simulated
@@ -79,7 +74,7 @@ func (s *Sim) persistThenEmit(sn *simNode, out core.Output) {
 		if !sn.flushArmed {
 			sn.flushArmed = true
 			ep := sn.epoch
-			s.schedule(s.now.Add(s.groupCommitInterval()), func() {
+			s.schedule(s.now.Add(groupCommitInterval), func() {
 				if sn.epoch != ep {
 					return
 				}

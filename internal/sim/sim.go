@@ -69,16 +69,15 @@ type Config struct {
 	// like the runtime's greedy flush policy. Either model is deterministic
 	// for a fixed seed.
 	EgressCoalesce int
-	// ExecWorkers selects the execution charging model. 0 or 1 (the default)
-	// is serial: each executed request is charged execCost on the executing
-	// core. k >= 2 models the parallel wave scheduler of the live node
-	// (internal/exec, docs/EXECUTION.md): when an output carries a wave plan,
-	// each wave of n non-conflicting requests is charged ceil(n/k) execution
-	// quanta — the span of n requests spread over k worker cores. The wave
-	// plan is computed by the real scheduler inside core.Node, so the model
-	// charges exactly the parallelism the application's conflict keys allow.
-	// Outputs without a wave plan (serial path) are charged per request as
-	// before. Either model is deterministic for a fixed seed.
+	// ExecWorkers is each node's execution worker count (core.Config.
+	// ExecWorkers) and the k of the execution charge: every wave of n
+	// requests in an output's plan costs ceil(n/max(k,1)) execution quanta —
+	// the span of n requests spread over k worker cores (internal/exec,
+	// docs/EXECUTION.md). The plan is computed by the real scheduler inside
+	// core.Node, so the model charges exactly the parallelism the
+	// application's conflict keys allow: with k < 2, or an application that
+	// declares no keys, every request is a wave of its own and costs one
+	// quantum. Deterministic for a fixed seed.
 	ExecWorkers int
 
 	// BatchSize and BatchTimeout configure the ordering instances.
@@ -104,9 +103,6 @@ type Config struct {
 	// messages are released only after its records' modelled flush
 	// completes (log before send, exactly as internal/runtime enforces).
 	Durability DurabilityMode
-	// GroupCommitInterval is the flush interval of the modelled group-commit
-	// WAL (default 2ms, matching wal.Options).
-	GroupCommitInterval time.Duration
 	// Crashes schedules deterministic node crash/restart events. A crashed
 	// node loses every non-durable structure — CPU queues, un-fsynced WAL
 	// batches, in-flight verification — and recovers from its durable log
@@ -167,10 +163,11 @@ type Action struct {
 	Do func(s *Sim)
 }
 
-// cpuTask is one unit of work waiting on a node CPU queue. In the pipelined
-// model (VerifyCores >= 1), piped marks a task that already went through the
-// verify stage: v/verr carry the preverification outcome and only the apply
-// cost remains to be charged.
+// cpuTask is one unit of work waiting on a node CPU queue. piped marks a task
+// that already went through preverification — on the verify cores of the
+// pipelined model (VerifyCores >= 1): v/verr carry the outcome and only the
+// apply cost remains to be charged. The serial model preverifies when the
+// task runs.
 type cpuTask struct {
 	msg      message.Message
 	from     types.NodeID
@@ -491,33 +488,24 @@ func (s *Sim) runTask(sn *simNode, task cpuTask) (time.Duration, core.Output) {
 		out := sn.node.Tick(s.now)
 		return s.outputCost(out), out
 	}
-	if task.piped {
-		return s.runApplyTask(sn, task)
-	}
-	first := s.chargeFirstSight(sn, task.msg)
-	cost := s.cfg.Cost.inCost(task.msg, first)
-	var out core.Output
-	if task.isClient {
-		req, ok := task.msg.(*message.Request)
-		if !ok {
-			return cost, out
-		}
-		if s.spans {
-			// The serial model charges preverify and apply as one task:
-			// the ingress span is the queue wait, the preverify span the
-			// verification share of the charged cost.
-			pv := s.cfg.Cost.preverifyCost(task.msg, first)
+	var pv time.Duration
+	if !task.piped {
+		// The serial model charges preverify and apply as one task on the
+		// processing core (preverifyCost + applyCost is inCost): the ingress
+		// span is the queue wait, the preverify span the verification share
+		// of the charged cost.
+		pv = s.cfg.Cost.preverifyCost(task.msg, s.chargeFirstSight(sn, task.msg))
+		if s.spans && task.isClient {
 			s.emitIngressSpans(sn, task, s.now, s.now.Add(pv), pv)
 		}
-		out = sn.node.OnClientRequest(req, s.now)
-	} else {
-		out = sn.node.OnNodeMessage(task.msg, task.from, s.now)
+		task = preverify(sn, task)
 	}
-	return cost + s.outputCost(out), out
+	cost, out := s.runApplyTask(sn, task)
+	return pv + cost, out
 }
 
-// runApplyTask invokes the apply stage for a task that already passed the
-// simulated verify cores; only the apply cost is charged here.
+// runApplyTask invokes the apply stage for a preverified task; only the apply
+// cost is charged here.
 func (s *Sim) runApplyTask(sn *simNode, task cpuTask) (time.Duration, core.Output) {
 	cost := s.cfg.Cost.applyCost(task.msg)
 	var out core.Output
@@ -574,10 +562,9 @@ func (s *Sim) pipeIngress(sn *simNode, task cpuTask) {
 	})
 }
 
-// verifyDone runs the actual (fast-mode) preverification for one message and
-// parks the outcome in the reorder buffer until every earlier arrival has
-// been released, preserving ingress order into the apply queues.
-func (s *Sim) verifyDone(sn *simNode, seq uint64, task cpuTask) {
+// preverify runs the node's actual (fast-mode) preverification of task's
+// message and returns the task carrying the outcome.
+func preverify(sn *simNode, task cpuTask) cpuTask {
 	pre := sn.node.Preverifier()
 	if task.isClient {
 		if req, ok := task.msg.(*message.Request); ok {
@@ -589,7 +576,14 @@ func (s *Sim) verifyDone(sn *simNode, seq uint64, task cpuTask) {
 		task.v, task.verr = pre.PreverifyNode(task.msg, task.from)
 	}
 	task.piped = true
-	sn.reorder[seq] = task
+	return task
+}
+
+// verifyDone preverifies one message and parks the outcome in the reorder
+// buffer until every earlier arrival has been released, preserving ingress
+// order into the apply queues.
+func (s *Sim) verifyDone(sn *simNode, seq uint64, task cpuTask) {
+	sn.reorder[seq] = preverify(sn, task)
 	for {
 		next, ok := sn.reorder[sn.nextApply]
 		if !ok {
@@ -620,25 +614,17 @@ func (s *Sim) emitIngressSpans(sn *simNode, task cpuTask, start, done time.Time,
 }
 
 // emitExecuteSpans emits one execute span per request executed by a
-// completed task, charged at the modelled per-request execution cost.
+// completed task. A request's execute span is its wave's span: the wave's
+// requests spread over the worker cores (execChargeFor).
 func (s *Sim) emitExecuteSpans(sn *simNode, out core.Output) {
-	if !s.spans || len(out.Executions) == 0 {
+	if !s.spans {
 		return
 	}
-	quantum := s.cfg.Cost.execCost(s.cfg.Workload.RequestSize)
-	k := s.cfg.ExecWorkers
-	waved := k >= 2 && len(out.ExecWaves) > 0
 	for _, ex := range out.Executions {
-		// Under the parallel model a request's execute span is its wave's
-		// span: the wave's requests spread over k worker cores.
-		d := quantum
-		if waved && ex.Wave < len(out.ExecWaves) {
-			d = time.Duration((out.ExecWaves[ex.Wave]+k-1)/k) * quantum
-		}
 		sn.trace.Trace(obs.Event{
 			At: s.now, Type: obs.EvSpan, Stage: obs.StageExecute,
 			Client: ex.Ref.Client, Req: ex.Ref.ID,
-			Trace: obs.TraceID(ex.Ref.Digest), Dur: d,
+			Trace: obs.TraceID(ex.Ref.Digest), Dur: s.waveCost(out.ExecWaves[ex.Wave]),
 		})
 	}
 }
@@ -675,27 +661,23 @@ func (s *Sim) outputCost(out core.Output) time.Duration {
 	return cost
 }
 
-// execChargeFor charges an output's executions. With the parallel model on
-// (ExecWorkers >= 2) and a wave plan present, each wave of n requests costs
-// ceil(n/k) execution quanta — its span over k worker cores; the serial model
-// (and any output the node executed serially) charges one quantum per
-// request. Both models charge the same total CPU-seconds of execution work;
-// the parallel model only compresses the critical path, exactly like the
+// execChargeFor charges an output's executions: the sum of its waves' spans.
+// Whatever the worker count, the same total CPU-seconds of execution work are
+// done; more workers only compress the critical path, exactly like the
 // verify-core pipeline.
 func (s *Sim) execChargeFor(out core.Output) time.Duration {
-	if len(out.Executions) == 0 {
-		return 0
+	var cost time.Duration
+	for _, n := range out.ExecWaves {
+		cost += s.waveCost(n)
 	}
-	quantum := s.cfg.Cost.execCost(s.cfg.Workload.RequestSize)
-	k := s.cfg.ExecWorkers
-	if k >= 2 && len(out.ExecWaves) > 0 {
-		var cost time.Duration
-		for _, n := range out.ExecWaves {
-			cost += time.Duration((n+k-1)/k) * quantum
-		}
-		return cost
-	}
-	return time.Duration(len(out.Executions)) * quantum
+	return cost
+}
+
+// waveCost is the span of one wave of n non-conflicting requests over the
+// ExecWorkers worker cores: ceil(n/k) execution quanta.
+func (s *Sim) waveCost(n int) time.Duration {
+	k := max(s.cfg.ExecWorkers, 1)
+	return time.Duration((n+k-1)/k) * s.cfg.Cost.execCost(s.cfg.Workload.RequestSize)
 }
 
 // emitOutputs transmits a node output over the modelled network. Metric

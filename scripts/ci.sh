@@ -20,6 +20,13 @@ go test ./tools/analyzers/...
 echo "== go test ./... =="
 go test ./...
 
+echo "== bench/ module (nested; tier-1 only type-checks it via TestBenchModuleCompiles) =="
+(
+	export GOFLAGS=-mod=mod GOWORK=off GOTOOLCHAIN=local
+	go vet -C bench ./...
+	go test -C bench ./...
+)
+
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/runtime/... ./internal/transport/... ./internal/client/... ./internal/obs/... ./internal/wal/... ./internal/exec/...
 
@@ -32,11 +39,13 @@ go test ./internal/core -run '^$' -fuzz '^FuzzMergeSchedule$' -fuzztime 5s
 go test ./internal/exec -run '^$' -fuzz '^FuzzWaveSchedule$' -fuzztime 5s
 go test ./internal/client -run '^$' -fuzz '^FuzzReadQuorum$' -fuzztime 5s
 
-echo "== allocation gate (zero-alloc steady-state encode, docs/EGRESS.md; allocation-free MACs and alias decode, docs/PIPELINE.md) =="
+echo "== allocation gate (zero-alloc steady-state encode, docs/EGRESS.md; allocation-free MACs and alias decode, docs/PIPELINE.md; one request through four core.Nodes) =="
 go test ./internal/message -run '^(TestEncodeZeroAlloc|TestDecodeAliasesFrame|TestPreverifyAllocationBudget)$' -count=1 -v
 go test ./internal/crypto -run '^TestMACAllocations$' -count=1 -v
+go test ./internal/core -run '^TestNodeRequestPathAllocationBudget$' -count=1 -v
 go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode|BenchmarkPreverifyClientFrame|BenchmarkPreverifyPropagateFrame)$' -benchtime 100x -benchmem
 go test ./internal/crypto -run '^$' -bench '^BenchmarkAuthenticator$' -benchtime 100x -benchmem
+go test ./internal/core -run '^$' -bench '^BenchmarkNodeRequestPath$' -benchtime 100x -benchmem
 go test ./internal/runtime -run '^$' -bench '^BenchmarkEgress$' -benchtime 100x -benchmem
 
 echo "== span-record gate (tracing-off cost must stay trivial) =="
@@ -56,5 +65,10 @@ go run ./cmd/rbft-trace summary TRACE_smoke.jsonl >/dev/null
 go run ./cmd/rbft-trace critical-path -top 3 TRACE_smoke.jsonl >/dev/null
 go run ./cmd/rbft-trace attribute TRACE_smoke.jsonl >/dev/null
 rm -f TRACE_smoke.jsonl
+
+echo "== line gate (ROADMAP item 2: non-test lines of internal/{core,sim,runtime}; all, then non-blank non-comment) =="
+f=$(ls internal/core/*.go internal/sim/*.go internal/runtime/*.go | grep -v _test.go)
+cat $f | wc -l
+cat $f | grep -vE '^\s*(//|$)' | wc -l
 
 echo "CI gate passed."
