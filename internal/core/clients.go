@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"sync"
+	"time"
 
 	"rbft/internal/obs"
 	"rbft/internal/types"
@@ -210,3 +211,88 @@ func (t *clientTable) release(c types.ClientID) {
 	}
 	sh.mu.Unlock()
 }
+
+// cachedReply is one reply-cache slot.
+type cachedReply struct {
+	id     types.RequestID
+	result []byte
+}
+
+// clientState tracks per-client verification, reply and execution state. It
+// lives in one clientTable shard (clients.go); id and lruElem are the
+// shard's bookkeeping handles.
+type clientState struct {
+	id          types.ClientID
+	lruElem     *list.Element
+	blacklisted bool
+	replies     []cachedReply // most recent last
+	// pendingBodies bounds the per-client stored request bodies, limiting
+	// the memory an equivocating client can pin.
+	pendingBodies int
+	// execThrough and execRecent together record which of the client's
+	// request IDs have executed: every ID <= execThrough has, plus the
+	// above-watermark IDs in execRecent (out-of-order executions whose
+	// predecessors are still in flight; drained into the watermark as the
+	// gap closes). Unlike the reply cache this knowledge is never evicted —
+	// the watermark survives table eviction — so a stale retransmission can
+	// be dropped but never re-executed.
+	execThrough types.RequestID
+	execRecent  map[types.RequestID]bool
+}
+
+// markExecuted records that request id executed, advancing the contiguous
+// watermark when possible. Gaps (an out-of-order execution across ordering
+// lanes while an earlier ID is still in flight) park in execRecent and drain
+// as soon as the missing IDs execute; clients issue IDs sequentially, so the
+// set stays bounded by the client's in-flight window.
+func (cs *clientState) markExecuted(id types.RequestID) {
+	if id <= cs.execThrough {
+		return
+	}
+	if id == cs.execThrough+1 {
+		cs.execThrough = id
+		for len(cs.execRecent) > 0 && cs.execRecent[cs.execThrough+1] {
+			delete(cs.execRecent, cs.execThrough+1)
+			cs.execThrough++
+		}
+		return
+	}
+	if cs.execRecent == nil {
+		cs.execRecent = make(map[types.RequestID]bool)
+	}
+	cs.execRecent[id] = true
+}
+
+// isExecuted reports whether request id has executed on this node.
+func (cs *clientState) isExecuted(id types.RequestID) bool {
+	return id <= cs.execThrough || cs.execRecent[id]
+}
+
+// cacheReply appends a reply to the bounded per-client cache, dropping the
+// oldest entry beyond bound. Dropping a cached reply never forgets that the
+// request executed — that lives in the executed watermark — so every
+// eviction path shares this one method and the bound cannot silently
+// diverge from the executed bookkeeping.
+func (cs *clientState) cacheReply(id types.RequestID, result []byte, bound int) {
+	cs.replies = append(cs.replies, cachedReply{id: id, result: result})
+	if len(cs.replies) > bound {
+		cs.replies = cs.replies[1:]
+	}
+}
+
+// client returns c's table entry, creating it (and possibly evicting the
+// LRU quiescent client of c's shard) on first sight. now timestamps the
+// eviction trace event.
+func (n *Node) client(c types.ClientID, now time.Time) *clientState {
+	cs, ev, evicted := n.table.get(c)
+	if evicted && n.tr.Enabled() {
+		n.tr.Trace(obs.Event{
+			At: now, Type: obs.EvClientEvicted, Client: ev.client, Count: ev.size,
+		})
+	}
+	return cs
+}
+
+// ClientCount returns the number of resident client-table entries (tests
+// and the bounded-memory gate).
+func (n *Node) ClientCount() int { return n.table.count() }

@@ -1,0 +1,174 @@
+package core
+
+import (
+	"time"
+
+	"rbft/internal/message"
+	"rbft/internal/obs"
+	"rbft/internal/types"
+)
+
+// OnVerified is the apply stage: it consumes a preverified message and runs
+// the deterministic protocol logic. No crypto happens past this point — the
+// Verified value's authentication material is trusted unconditionally.
+func (n *Node) OnVerified(v *message.Verified, now time.Time) Output {
+	var out Output
+	switch {
+	case n.behavior.Silent:
+	case !v.FromClient:
+		n.applyNodeMessage(&out, v, now)
+	default:
+		req, ok := v.Msg.(*message.Request)
+		if !ok {
+			return out // forged Verified; preverify never builds this
+		}
+		n.applyClientRequest(&out, req, v.Digest, now)
+	}
+	n.observeIO(v.Msg, &out)
+	return out
+}
+
+// IngressFailure describes a frame the preverify stage rejected. Msg is the
+// decoded message when decoding succeeded (metrics only; may be nil).
+type IngressFailure struct {
+	FromClient bool
+	Client     types.ClientID
+	From       types.NodeID
+	Kind       message.FailKind
+	Msg        message.Message
+}
+
+// OnIngressFailure applies the node-state reaction to a preverification
+// failure: flood accounting and NIC closures for node traffic, blacklisting
+// for client signature failures. Keeping these decisions in the apply stage
+// (rather than in the concurrent verifiers) keeps flood state deterministic.
+func (n *Node) OnIngressFailure(f IngressFailure, now time.Time) Output {
+	var out Output
+	if n.behavior.Silent {
+		return out
+	}
+	if f.FromClient {
+		// An invalid signature blacklists the client: it proves the client
+		// is faulty (MACs passed, so nobody else forged the frame). Bad MACs
+		// and malformed frames are dropped without reaction — they carry no
+		// proof of origin.
+		if f.Kind == message.FailBadSig {
+			n.client(f.Client, now).blacklisted = true
+		}
+	} else {
+		if n.nicClosed(f.From, now) {
+			return out
+		}
+		n.countInvalid(&out, f.From, now)
+	}
+	n.observeIO(f.Msg, &out)
+	return out
+}
+
+// applyClientRequest processes a preverified client REQUEST whose OpDigest is
+// d.
+func (n *Node) applyClientRequest(out *Output, req *message.Request, d types.Digest, now time.Time) {
+	cs := n.client(req.Client, now)
+	if cs.blacklisted {
+		return
+	}
+	if n.tr.Enabled() {
+		n.tr.Trace(obs.Event{
+			At: now, Type: obs.EvRequestReceived, Client: req.Client, Req: req.ID,
+		})
+	}
+	// Speculative read-only fast path: answer from local state, no ordering,
+	// no reply-cache or propagation bookkeeping. The client accepts only on
+	// a read quorum (2f+1) of matching replies and re-issues through normal
+	// ordering otherwise, so a request the app cannot serve as a read (or an
+	// app with no read path at all) is simply dropped here.
+	if req.ReadOnly {
+		if n.reader == nil {
+			return
+		}
+		if result, ok := n.reader.ExecuteRead(req.Op); ok {
+			out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, req.ID, result))
+		}
+		return
+	}
+	// Retransmission of an executed request: resend the cached reply. The
+	// watermark is tested first — the cache is a linear scan, and a new
+	// request must not pay for it. Executed but the cached reply has been
+	// evicted: drop. Re-propagating would re-execute on nodes that no longer
+	// remember the reply, so the executed watermark wins over helpfulness
+	// (the client library re-issues under a fresh ID if it truly never saw
+	// the reply).
+	if cs.isExecuted(req.ID) {
+		if result, ok := n.cachedReply(cs, req.ID); ok {
+			out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, req.ID, result))
+		}
+		return
+	}
+	ref := types.RequestRef{Client: req.Client, ID: req.ID, Digest: d}
+	if r := n.storeBody(cs, ref, req); r != nil {
+		n.propagate(out, r, now)
+	}
+}
+
+// applyNodeMessage processes a preverified message from another node:
+// PROPAGATE, the per-instance protocol messages, and INSTANCE-CHANGE.
+func (n *Node) applyNodeMessage(out *Output, v *message.Verified, now time.Time) {
+	if n.nicClosed(v.From, now) {
+		return
+	}
+	switch m := v.Msg.(type) {
+	case *message.Propagate:
+		n.applyPropagate(out, m, v.Digest, v.From, now)
+	case *message.InstanceChange:
+		n.onInstanceChange(out, m, now)
+	default:
+		n.applyInstanceMessage(out, v.Msg, v.From, now)
+	}
+}
+
+// nicClosed reports whether traffic from a peer is currently dropped due to
+// a flood closure, expiring the closure once its deadline passes.
+func (n *Node) nicClosed(from types.NodeID, now time.Time) bool {
+	until, closed := n.closedUntil[from]
+	if !closed {
+		return false
+	}
+	if now.Before(until) {
+		return true
+	}
+	delete(n.closedUntil, from)
+	return false
+}
+
+// countInvalid records an invalid message from a peer and closes its NIC if
+// it exceeds the flood threshold within the window.
+func (n *Node) countInvalid(out *Output, from types.NodeID, now time.Time) {
+	if now.Sub(n.floodStart) > n.cfg.FloodWindow {
+		n.floodStart = now
+		for k := range n.floodCounts {
+			delete(n.floodCounts, k)
+		}
+	}
+	n.floodCounts[from]++
+	if n.floodCounts[from] >= n.cfg.FloodThreshold {
+		until := now.Add(n.cfg.NICClosePeriod)
+		n.closedUntil[from] = until
+		out.NICCloses = append(out.NICCloses, NICClose{Peer: from, Until: until})
+		n.floodCounts[from] = 0
+		if n.tr.Enabled() {
+			n.tr.Trace(obs.Event{At: now, Type: obs.EvNICClose, Peer: from})
+		}
+	}
+}
+
+// AdmitIngress is the admission-control gate drivers call for every client
+// frame BEFORE spending crypto on it: false means the client's shard has
+// exhausted its pending budget and the frame should be shed (reject-with-
+// busy). Unlike every other Node method this one is safe for concurrent use
+// with the apply stage — it touches only shard-local admission state — which
+// is what lets the runtime's reader shed floods ahead of the verifier pool.
+func (n *Node) AdmitIngress(c types.ClientID) bool { return n.table.admit(c) }
+
+// ReleaseIngress returns an AdmitIngress slot once the admitted frame has
+// left the apply stage. Concurrency-safe like AdmitIngress.
+func (n *Node) ReleaseIngress(c types.ClientID) { n.table.release(c) }
