@@ -208,8 +208,8 @@ type Node struct {
 	// sched applies every ordered batch (docs/EXECUTION.md): in waves across
 	// worker shards when the app declares conflict keys and ExecWorkers >= 2,
 	// in order on this goroutine otherwise. execBatch and execOps are
-	// execute's working slices, kept here so a batch allocates neither; they
-	// are empty between calls.
+	// executeBatch's working slices, kept here so a batch allocates neither;
+	// they are empty between calls.
 	sched     *exec.Scheduler
 	execBatch []executing
 	execOps   []exec.Op
@@ -280,7 +280,7 @@ func New(cfg Config, keys *crypto.KeyRing) *Node {
 		closedUntil: make(map[types.NodeID]time.Time),
 		tr:          obs.Nop{},
 	}
-	n.pre = message.NewPreverifier(keys, c.Node, c.Cluster, message.NewVerifyCache(message.DefaultVerifyCacheSize))
+	n.pre = message.NewPreverifier(keys, c.Node, c.Cluster, message.NewVerifyCache(0)) // 0: the default capacity
 	n.sched = exec.New(c.App, c.ExecWorkers)
 	if re, ok := c.App.(app.ReadExecutor); ok {
 		n.reader = re

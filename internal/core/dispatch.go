@@ -108,7 +108,7 @@ func (n *Node) absorb(out *Output, inst types.InstanceID, res pbft.Output, now t
 			if n.multiPrimary() {
 				n.journal(out, wal.Record{Kind: wal.KindMerged, Instance: mb.lane, Seq: mb.seq})
 			}
-			n.execute(out, mb.lane, mb.refs, now)
+			n.executeBatch(out, mb.lane, mb.refs, now)
 		}
 	}
 	if n.multiPrimary() {

@@ -107,7 +107,7 @@ func TestExecParallelClusterConverges(t *testing.T) {
 }
 
 // TestExecParallelMultiPrimaryConverges repeats the convergence check with the
-// multi-primary ordering mode, where execute consumes lane-merge batches.
+// multi-primary ordering mode, where executeBatch consumes lane-merge batches.
 func TestExecParallelMultiPrimaryConverges(t *testing.T) {
 	nc, kvs := newKVCluster(t, 1, 4, multiPrimaryTweak)
 	sent := kvWorkload(nc)
@@ -158,7 +158,7 @@ func TestExecRetransmissionNotReExecuted(t *testing.T) {
 
 // TestExecDurableRestartCounter runs a durable cluster with the scheduler
 // engaged (the Counter's global write key makes every wave serial, but the
-// batch still flows through the scheduler and execute's journaling), crashes a node,
+// batch still flows through the scheduler and executeBatch's journaling), crashes a node,
 // and checks that a serial WAL replay reproduces the exact order-sensitive
 // fingerprint with no double execution.
 func TestExecDurableRestartCounter(t *testing.T) {

@@ -11,19 +11,19 @@ import (
 	"rbft/internal/wal"
 )
 
-// executing is one request of the batch execute is working on.
+// executing is one request of the batch executeBatch is working on.
 type executing struct {
 	req *pendingRequest
 	cs  *clientState
 }
 
-// execute runs the Execution module for one batch of requests in the agreed
-// execution order — the master's order in master-only mode, the lane merge's
-// order in multi-primary mode; lane records which ordering lane released the
-// batch. The executed set is keyed by (client, id): if an equivocating client
-// signed several bodies under one id, only the first ordered one executes —
-// and since the execution order is identical everywhere, every correct node
-// picks the same body.
+// executeBatch runs the Execution module for one batch of requests in the
+// agreed execution order — the master's order in master-only mode, the lane
+// merge's order in multi-primary mode; lane records which ordering lane
+// released the batch. The executed set is keyed by (client, id): if an
+// equivocating client signed several bodies under one id, only the first
+// ordered one executes — and since the execution order is identical
+// everywhere, every correct node picks the same body.
 //
 // Everything that touches node state — skip-if-executed, executed-set
 // marking, journaling, reply caching, the record's release — happens in
@@ -32,7 +32,7 @@ type executing struct {
 // waves of non-conflicting requests, so goroutine interleaving can never
 // reach the node's state, trace or WAL. restoreExecution is the replay-side
 // counterpart.
-func (n *Node) execute(out *Output, lane types.InstanceID, refs []types.RequestRef, now time.Time) {
+func (n *Node) executeBatch(out *Output, lane types.InstanceID, refs []types.RequestRef, now time.Time) {
 	batch, ops := n.execBatch[:0], n.execOps[:0]
 	for _, ref := range refs {
 		cs := n.client(ref.Client, now)

@@ -51,23 +51,19 @@ const maxPendingBodiesPerClient = 4096
 // bodies. This is the node's single retention point for decoded request
 // bytes, and with release one of the two places pendingBodies moves.
 func (n *Node) storeBody(cs *clientState, ref types.RequestRef, req *message.Request) *pendingRequest {
-	key := ref.Key()
-	head := n.pending[key]
-	for r := head; r != nil; r = r.sibling {
-		if r.ref.Digest == ref.Digest {
-			return r
-		}
+	if r := n.lookup(ref); r != nil {
+		return r
 	}
 	if cs.pendingBodies >= maxPendingBodiesPerClient {
 		return nil
 	}
 	cs.pendingBodies++
 	r := &pendingRequest{
-		ref: ref, body: *req, sibling: head,
+		ref: ref, body: *req, sibling: n.pending[ref.Key()],
 		senders: make([]bool, n.cfg.Cluster.N),
 	}
 	r.body.Auth = nil
-	n.pending[key] = r
+	n.pending[ref.Key()] = r
 	return r
 }
 

@@ -163,20 +163,19 @@ type Action struct {
 	Do func(s *Sim)
 }
 
-// cpuTask is one unit of work waiting on a node CPU queue. piped marks a task
+// cpuTask is one unit of work waiting on a node CPU queue. A message task
 // that already went through preverification — on the verify cores of the
-// pipelined model (VerifyCores >= 1): v/verr carry the outcome and only the
-// apply cost remains to be charged. The serial model preverifies when the
-// task runs.
+// pipelined model (VerifyCores >= 1) — carries the outcome in v or verr, and
+// only the apply cost remains to be charged. The serial model queues tasks
+// with neither set and preverifies when the task runs.
 type cpuTask struct {
 	msg      message.Message
 	from     types.NodeID
 	isClient bool
 	isTick   bool
 
-	piped bool
-	v     *message.Verified
-	verr  error
+	v    *message.Verified
+	verr error
 
 	// arrivedAt is when the frame reached the node (ingress-span anchor).
 	arrivedAt time.Time
@@ -488,42 +487,39 @@ func (s *Sim) runTask(sn *simNode, task cpuTask) (time.Duration, core.Output) {
 		out := sn.node.Tick(s.now)
 		return s.outputCost(out), out
 	}
-	var pv time.Duration
-	if !task.piped {
+	cost := s.cfg.Cost.applyCost(task.msg)
+	if task.v == nil && task.verr == nil {
 		// The serial model charges preverify and apply as one task on the
-		// processing core (preverifyCost + applyCost is inCost): the ingress
-		// span is the queue wait, the preverify span the verification share
-		// of the charged cost.
-		pv = s.cfg.Cost.preverifyCost(task.msg, s.chargeFirstSight(sn, task.msg))
+		// processing core: the ingress span is the queue wait, the preverify
+		// span the verification share of the charged cost.
+		first := s.chargeFirstSight(sn, task.msg)
+		cost = s.cfg.Cost.inCost(task.msg, first)
 		if s.spans && task.isClient {
+			pv := s.cfg.Cost.preverifyCost(task.msg, first)
 			s.emitIngressSpans(sn, task, s.now, s.now.Add(pv), pv)
 		}
 		task = preverify(sn, task)
 	}
-	cost, out := s.runApplyTask(sn, task)
-	return pv + cost, out
+	out := s.runApplyTask(sn, task)
+	return cost + s.outputCost(out), out
 }
 
-// runApplyTask invokes the apply stage for a preverified task; only the apply
-// cost is charged here.
-func (s *Sim) runApplyTask(sn *simNode, task cpuTask) (time.Duration, core.Output) {
-	cost := s.cfg.Cost.applyCost(task.msg)
-	var out core.Output
-	if task.verr != nil {
-		f := core.IngressFailure{
-			FromClient: task.isClient,
-			From:       task.from,
-			Kind:       message.FailKindOf(task.verr),
-			Msg:        task.msg,
-		}
-		if req, ok := task.msg.(*message.Request); ok && task.isClient {
-			f.Client = req.Client
-		}
-		out = sn.node.OnIngressFailure(f, s.now)
-	} else {
-		out = sn.node.OnVerified(task.v, s.now)
+// runApplyTask hands a preverified task to the node's apply stage: the one
+// call into the node for messages under both charging models.
+func (s *Sim) runApplyTask(sn *simNode, task cpuTask) core.Output {
+	if task.verr == nil {
+		return sn.node.OnVerified(task.v, s.now)
 	}
-	return cost + s.outputCost(out), out
+	f := core.IngressFailure{
+		FromClient: task.isClient,
+		From:       task.from,
+		Kind:       message.FailKindOf(task.verr),
+		Msg:        task.msg,
+	}
+	if req, ok := task.msg.(*message.Request); ok && task.isClient {
+		f.Client = req.Client
+	}
+	return sn.node.OnIngressFailure(f, s.now)
 }
 
 // ---- pipelined ingress (VerifyCores >= 1) ----
@@ -575,7 +571,6 @@ func preverify(sn *simNode, task cpuTask) cpuTask {
 	} else {
 		task.v, task.verr = pre.PreverifyNode(task.msg, task.from)
 	}
-	task.piped = true
 	return task
 }
 
