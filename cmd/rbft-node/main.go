@@ -21,6 +21,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -80,20 +81,8 @@ func run() error {
 			peerMap[runtime.NodeName(types.NodeID(i))] = strings.TrimSpace(addr)
 		}
 	}
-	for _, pair := range strings.Split(*clients, ",") {
-		if pair == "" {
-			continue
-		}
-		cid, addr, ok := strings.Cut(pair, "=")
-		if !ok {
-			return fmt.Errorf("malformed client pair %q (want id=addr)", pair)
-		}
-		var n int
-		if _, err := fmt.Sscanf(cid, "%d", &n); err != nil {
-			return fmt.Errorf("malformed client id %q", cid)
-		}
-		peerMap["client/"+cid] = strings.TrimSpace(addr)
-		_ = n
+	if err := addClientPeers(peerMap, *clients); err != nil {
+		return err
 	}
 
 	// Observability: a metrics registry plus an in-memory flight recorder,
@@ -235,6 +224,27 @@ func run() error {
 		if err := dumpRecorder(fr, filepath.Join(*dataDir, "flight-recorder.jsonl")); err != nil {
 			log.Printf("flight recorder dump: %v", err)
 		}
+	}
+	return nil
+}
+
+// addClientPeers parses the -clients flag ("id=addr,id=addr") into peers,
+// keyed by the endpoint name REPLYs to that client are addressed to — the
+// canonical name of the parsed id, whatever the flag's spelling of it.
+func addClientPeers(peers map[string]string, spec string) error {
+	for _, pair := range strings.Split(spec, ",") {
+		if strings.TrimSpace(pair) == "" {
+			continue
+		}
+		cid, addr, ok := strings.Cut(pair, "=")
+		if !ok {
+			return fmt.Errorf("malformed client pair %q (want id=addr)", pair)
+		}
+		n, err := strconv.Atoi(strings.TrimSpace(cid))
+		if err != nil || n < 0 {
+			return fmt.Errorf("malformed client id %q (want a non-negative integer)", cid)
+		}
+		peers[runtime.ClientName(types.ClientID(n))] = strings.TrimSpace(addr)
 	}
 	return nil
 }

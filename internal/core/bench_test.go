@@ -36,7 +36,7 @@ func BenchmarkNodeRequestPath(b *testing.B) {
 func TestNodeRequestPathAllocationBudget(t *testing.T) {
 	nc := newNodeCluster(t, 1, nil)
 	requestPath(nc, requestPathOp)
-	const ceiling = 420
+	const ceiling = 395
 	if n := testing.AllocsPerRun(200, func() { requestPath(nc, requestPathOp) }); n > ceiling {
 		t.Errorf("one request through four nodes: %v allocs, want <= %d", n, ceiling)
 	}

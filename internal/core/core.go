@@ -133,11 +133,10 @@ type Behavior struct {
 	Instance map[types.InstanceID]pbft.Behavior
 }
 
-// NodeSend is a message to other nodes. A nil To means every other node.
-type NodeSend struct {
-	To  []types.NodeID
-	Msg message.Message
-}
+// NodeSend is a message to other nodes; a nil To means every other node. It
+// is the replicas' own outbound type, so their messages enter Output.NodeMsgs
+// without being copied field by field.
+type NodeSend = pbft.Outbound
 
 // ClientSend is a message to a client.
 type ClientSend struct {
@@ -420,9 +419,6 @@ func (n *Node) CPI() uint64 { return n.cpi }
 // Monitor exposes the node's monitoring module; harnesses sample
 // per-instance throughput from it.
 func (n *Node) Monitor() *monitor.Monitor { return n.mon }
-
-// Replica returns the local replica of an instance (tests and harnesses).
-func (n *Node) Replica(i types.InstanceID) *pbft.Instance { return n.replicas[i] }
 
 // MasterPrimary returns the node currently hosting the master instance's
 // primary.

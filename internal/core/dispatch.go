@@ -70,9 +70,7 @@ func (n *Node) applyInstanceMessage(out *Output, msg message.Message, from types
 // lets go, each journalled so a restart resumes the merge cursors.
 func (n *Node) absorb(out *Output, inst types.InstanceID, res pbft.Output, now time.Time) {
 	out.Records = append(out.Records, res.Records...)
-	for _, ob := range res.Msgs {
-		out.NodeMsgs = append(out.NodeMsgs, NodeSend{To: ob.To, Msg: ob.Msg})
-	}
+	out.NodeMsgs = append(out.NodeMsgs, res.Msgs...)
 	for _, batch := range res.Delivered {
 		if n.tr.Enabled() {
 			n.tr.Trace(obs.Event{

@@ -88,9 +88,6 @@ func (s *Scheduler) Parallel() bool {
 	return s != nil && s.workers >= 2 && s.keyer != nil
 }
 
-// Workers returns the configured worker-shard count.
-func (s *Scheduler) Workers() int { return s.workers }
-
 // PlanWaves partitions ops into waves of non-conflicting operations with a
 // sequence-order greedy coloring: each operation lands in the first wave
 // after every earlier conflicting operation's wave. Conflicts are

@@ -185,9 +185,6 @@ func (m *Monitor) SetRegistry(reg *obs.Registry) {
 	m.latHist = reg.Histogram("rbft_ordering_latency_seconds", obs.LatencyBuckets)
 }
 
-// Config returns the monitor's effective configuration.
-func (m *Monitor) Config() Config { return m.cfg }
-
 // RequestDispatched records that the node handed the request to its local
 // replicas for ordering.
 func (m *Monitor) RequestDispatched(ref types.RequestRef, now time.Time) {

@@ -91,3 +91,31 @@ func BenchmarkInstanceOrdering(b *testing.B) {
 func BenchmarkInstanceOrderingRecorded(b *testing.B) {
 	benchOrdering(b, obs.NewFlightRecorder(obs.DefaultRecorderSize))
 }
+
+// TestOrderBatchAllocationBudget puts a ceiling on what ordering one batch
+// allocates across four replicas (scripts/ci.sh's allocation gate):
+// AddRequest on each, then PRE-PREPARE, three PREPAREs and four COMMITs to
+// delivery everywhere, real authenticators and testCluster's in-memory queue
+// included. Each step appends to the one Output its entry point owns, so
+// what a step allocates is its messages plus that Output's slices.
+func TestOrderBatchAllocationBudget(t *testing.T) {
+	tc := newTestCluster(t, 1, func(c *Config) { c.BatchSize = 1 })
+	id := types.RequestID(0)
+	orderOne := func() {
+		for n := range tc.replicas {
+			tc.delivered[types.NodeID(n)] = tc.delivered[types.NodeID(n)][:0]
+		}
+		id++
+		tc.addRequest(ref(0, id))
+		for n := range tc.replicas {
+			if got := len(tc.delivered[types.NodeID(n)]); got != 1 {
+				t.Fatalf("node %d delivered %d batches, want 1", n, got)
+			}
+		}
+	}
+	orderOne()
+	const ceiling = 68
+	if n := testing.AllocsPerRun(200, orderOne); n > ceiling {
+		t.Errorf("one batch through four replicas: %v allocs, want <= %d", n, ceiling)
+	}
+}

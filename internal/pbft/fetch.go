@@ -48,14 +48,13 @@ type fetchState struct {
 // noteCheckpointEvidence is called for every received CHECKPOINT; when f+1
 // distinct peers agree on a digest at a sequence beyond our deliveries, we
 // are behind and start (or extend) a fetch.
-func (in *Instance) noteCheckpointEvidence(seq types.SeqNum, now time.Time) Output {
-	var out Output
+func (in *Instance) noteCheckpointEvidence(out *Output, seq types.SeqNum, now time.Time) {
 	if seq <= in.lastDelivered {
-		return out
+		return
 	}
 	votes := in.checkpoints[seq]
 	if votes == nil {
-		return out
+		return
 	}
 	counts := make(map[types.Digest]int, len(votes))
 	behind := false
@@ -67,7 +66,7 @@ func (in *Instance) noteCheckpointEvidence(seq types.SeqNum, now time.Time) Outp
 		}
 	}
 	if !behind {
-		return out
+		return
 	}
 	if in.fetch == nil {
 		in.fetch = &fetchState{
@@ -79,21 +78,19 @@ func (in *Instance) noteCheckpointEvidence(seq types.SeqNum, now time.Time) Outp
 		in.fetch.target = seq
 	}
 	if in.fetch.deadline.IsZero() || !now.Before(in.fetch.deadline) {
-		out.merge(in.sendFetch(now))
+		in.sendFetch(out, now)
 	}
-	return out
 }
 
 // sendFetch broadcasts the request for the current gap and arms the retry.
-func (in *Instance) sendFetch(now time.Time) Output {
-	var out Output
+func (in *Instance) sendFetch(out *Output, now time.Time) {
 	if in.fetch == nil || in.fetch.target <= in.lastDelivered {
 		in.fetch = nil
-		return out
+		return
 	}
 	in.fetch.deadline = now.Add(fetchRetry)
 	if in.behavior.Silent {
-		return out
+		return
 	}
 	f := &message.Fetch{
 		Instance: in.cfg.Instance,
@@ -103,17 +100,15 @@ func (in *Instance) sendFetch(now time.Time) Output {
 	}
 	f.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, f.Body())
 	out.send(nil, f)
-	return out
 }
 
 // onFetch serves retained delivered batches for the requested range.
-func (in *Instance) onFetch(f *message.Fetch) (Output, error) {
-	var out Output
+func (in *Instance) onFetch(out *Output, f *message.Fetch) error {
 	if f.Instance != in.cfg.Instance {
-		return out, fmt.Errorf("pbft: FETCH for instance %d on instance %d", f.Instance, in.cfg.Instance)
+		return fmt.Errorf("pbft: FETCH for instance %d on instance %d", f.Instance, in.cfg.Instance)
 	}
 	if in.behavior.Silent {
-		return out, nil
+		return nil
 	}
 	from := f.FromSeq
 	to := f.ToSeq
@@ -137,18 +132,17 @@ func (in *Instance) onFetch(f *message.Fetch) (Output, error) {
 		resp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, resp.Body())
 		out.send([]types.NodeID{f.Node}, resp)
 	}
-	return out, nil
+	return nil
 }
 
 // onFetchResp tallies responses; f+1 identical batches from distinct peers
 // are adopted as delivered.
-func (in *Instance) onFetchResp(fr *message.FetchResp, now time.Time) (Output, error) {
-	var out Output
+func (in *Instance) onFetchResp(out *Output, fr *message.FetchResp, now time.Time) error {
 	if fr.Instance != in.cfg.Instance {
-		return out, fmt.Errorf("pbft: FETCH-RESP for instance %d on instance %d", fr.Instance, in.cfg.Instance)
+		return fmt.Errorf("pbft: FETCH-RESP for instance %d on instance %d", fr.Instance, in.cfg.Instance)
 	}
 	if in.fetch == nil || fr.Seq <= in.lastDelivered || fr.Seq > in.fetch.target {
-		return out, nil
+		return nil
 	}
 	digest := refsDigest(fr.Batch)
 	votes := in.fetch.votes[fr.Seq]
@@ -157,7 +151,7 @@ func (in *Instance) onFetchResp(fr *message.FetchResp, now time.Time) (Output, e
 		in.fetch.votes[fr.Seq] = votes
 	}
 	if _, dup := votes[fr.Node]; dup {
-		return out, nil
+		return nil
 	}
 	votes[fr.Node] = digest
 	payloads := in.fetch.payloads[fr.Seq]
@@ -176,7 +170,7 @@ func (in *Instance) onFetchResp(fr *message.FetchResp, now time.Time) (Output, e
 		}
 	}
 	if matching < in.cfg.Cluster.WeakQuorum() {
-		return out, nil
+		return nil
 	}
 	// Adopt: mark the entry delivered with the fetched content.
 	e := in.entry(fr.Seq)
@@ -185,17 +179,17 @@ func (in *Instance) onFetchResp(fr *message.FetchResp, now time.Time) (Output, e
 		e.havePP = true
 		e.view = in.view
 		e.batch = payloads[digest]
-		out.merge(in.deliverReady(now))
+		in.deliverReady(out, now)
 	}
-	out.merge(in.fetchProgress(now))
-	return out, nil
+	in.fetchProgress()
+	return nil
 }
 
-// fetchProgress closes or re-arms the fetch after deliveries advanced.
-func (in *Instance) fetchProgress(now time.Time) Output {
-	var out Output
+// fetchProgress forgets the votes deliveries have overtaken and closes the
+// fetch once its target is delivered.
+func (in *Instance) fetchProgress() {
 	if in.fetch == nil {
-		return out
+		return
 	}
 	for seq := range in.fetch.votes {
 		if seq <= in.lastDelivered {
@@ -205,9 +199,7 @@ func (in *Instance) fetchProgress(now time.Time) Output {
 	}
 	if in.fetch.target <= in.lastDelivered {
 		in.fetch = nil
-		return out
 	}
-	return out
 }
 
 // fetchWake exposes the retry deadline to NextWake.
@@ -219,16 +211,14 @@ func (in *Instance) fetchWake() time.Time {
 }
 
 // fetchTick retries an overdue fetch.
-func (in *Instance) fetchTick(now time.Time) Output {
-	var out Output
+func (in *Instance) fetchTick(out *Output, now time.Time) {
 	if in.fetch == nil || now.Before(in.fetch.deadline) {
-		return out
+		return
 	}
-	out.merge(in.fetchProgress(now))
+	in.fetchProgress()
 	if in.fetch != nil {
-		out.merge(in.sendFetch(now))
+		in.sendFetch(out, now)
 	}
-	return out
 }
 
 // retainDelivered records a delivered batch for serving future fetches and

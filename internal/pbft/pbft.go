@@ -4,12 +4,16 @@
 // change.
 //
 // An Instance is a pure state machine: it performs no I/O, spawns no
-// goroutines and never reads the wall clock. Every input handler takes the
-// current time and returns an Output describing the effects (messages to
-// send, batches delivered in sequence order). Drivers — the real-time runtime
-// and the discrete-event simulator — execute those effects. This is what lets
-// the same protocol code run over live TCP and inside the deterministic
-// simulator that regenerates the paper's figures.
+// goroutines and never reads the wall clock. Each of the five entry points
+// (AddRequest, OnMessage, Tick, StartViewChange, ProposeFiller) takes the
+// current time and returns the one Output of the step (messages to send,
+// batches delivered in sequence order, records to persist). It owns that
+// value: every handler below it takes the *Output and appends to it in call
+// order, and validates its input before its first append, so an entry point
+// that returns an error returns a zero Output. Drivers — the real-time
+// runtime and the discrete-event simulator — execute those effects. This is
+// what lets the same protocol code run over live TCP and inside the
+// deterministic simulator that regenerates the paper's figures.
 //
 // Differences from a standalone PBFT deployment, per the RBFT paper:
 //   - an instance never initiates a view change by itself; view changes are
@@ -119,7 +123,8 @@ type Outbound struct {
 	Msg message.Message
 }
 
-// Output aggregates the effects of one input.
+// Output aggregates the effects of one input; the order within each slice is
+// the order in which the replica produced the effect.
 type Output struct {
 	// Msgs are messages to transmit.
 	Msgs []Outbound
@@ -132,12 +137,6 @@ type Output struct {
 
 func (o *Output) send(to []types.NodeID, m message.Message) {
 	o.Msgs = append(o.Msgs, Outbound{To: to, Msg: m})
-}
-
-func (o *Output) merge(other Output) {
-	o.Msgs = append(o.Msgs, other.Msgs...)
-	o.Delivered = append(o.Delivered, other.Delivered...)
-	o.Records = append(o.Records, other.Records...)
 }
 
 // entry tracks the three-phase state of one sequence number.
@@ -324,26 +323,25 @@ func (in *Instance) AddRequest(ref types.RequestRef, now time.Time) Output {
 		}
 		e.waiting--
 		if e.waiting == 0 {
-			out.merge(in.maybePrepare(seq, e, now))
+			in.maybePrepare(&out, seq, e, now)
 		}
 	}
 	delete(in.waiters, ref)
 
 	if in.IsPrimary() && !in.inViewChange {
-		out.merge(in.enqueue(ref, now))
+		in.enqueue(&out, ref, now)
 	}
 	return out
 }
 
 // enqueue adds a ref to the primary's pending batch and cuts a batch when
 // full, otherwise arms the batch timer.
-func (in *Instance) enqueue(ref types.RequestRef, now time.Time) Output {
-	var out Output
+func (in *Instance) enqueue(out *Output, ref types.RequestRef, now time.Time) {
 	if in.inBatch[ref] {
-		return out
+		return
 	}
 	if _, done := in.delivered[ref]; done {
-		return out
+		return
 	}
 	if in.spans && len(in.pending) == 0 {
 		in.pendingSince = now
@@ -351,13 +349,12 @@ func (in *Instance) enqueue(ref types.RequestRef, now time.Time) Output {
 	in.inBatch[ref] = true
 	in.pending = append(in.pending, ref)
 	if len(in.pending) >= in.cfg.BatchSize {
-		out.merge(in.cutBatch(now))
-		return out
+		in.cutBatch(out, now)
+		return
 	}
 	if in.batchDeadline.IsZero() {
 		in.batchDeadline = now.Add(in.cfg.BatchTimeout)
 	}
-	return out
 }
 
 // Tick fires timers: the batch timeout and the release of attack-delayed
@@ -365,7 +362,7 @@ func (in *Instance) enqueue(ref types.RequestRef, now time.Time) Output {
 func (in *Instance) Tick(now time.Time) Output {
 	var out Output
 	if !in.batchDeadline.IsZero() && !now.Before(in.batchDeadline) {
-		out.merge(in.cutBatch(now))
+		in.cutBatch(&out, now)
 	}
 	if len(in.delayed) > 0 {
 		keep := in.delayed[:0]
@@ -374,20 +371,19 @@ func (in *Instance) Tick(now time.Time) Output {
 				keep = append(keep, d)
 				continue
 			}
-			out.merge(in.emitPrePrepare(d.msg, now, d.since))
+			in.emitPrePrepare(&out, d.msg, now, d.since)
 		}
 		in.delayed = keep
 	}
-	out.merge(in.fetchTick(now))
+	in.fetchTick(&out, now)
 	return out
 }
 
 // cutBatch proposes the pending refs as one or more batches.
-func (in *Instance) cutBatch(now time.Time) Output {
-	var out Output
+func (in *Instance) cutBatch(out *Output, now time.Time) {
 	in.batchDeadline = time.Time{}
 	if !in.IsPrimary() || in.inViewChange || len(in.pending) == 0 {
-		return out
+		return
 	}
 	throttle := in.behavior.ProposeInterval
 	rate := in.behavior.ProposeRate
@@ -408,7 +404,7 @@ func (in *Instance) cutBatch(now time.Time) Output {
 		if throttle > 0 && rate == 0 {
 			if next := in.lastPropose.Add(throttle); now.Before(next) {
 				in.batchDeadline = next
-				return out
+				return
 			}
 		}
 		if in.nextSeq > in.stableSeq+in.cfg.WatermarkWindow {
@@ -440,7 +436,7 @@ func (in *Instance) cutBatch(now time.Time) Output {
 					need = time.Microsecond
 				}
 				in.batchDeadline = now.Add(need)
-				return out
+				return
 			}
 			in.tokens -= float64(n)
 		}
@@ -467,22 +463,17 @@ func (in *Instance) cutBatch(now time.Time) Output {
 		if delay > 0 {
 			in.delayed = append(in.delayed, delayedSend{at: now.Add(delay), msg: pp, since: since})
 		} else {
-			out.merge(in.emitPrePrepare(pp, now, since))
+			in.emitPrePrepare(out, pp, now, since)
 		}
 		if throttle > 0 && rate == 0 {
 			// One batch per interval: re-arm for the backlog.
 			if len(in.pending) > 0 {
 				in.batchDeadline = now.Add(throttle)
 			}
-			return out
+			return
 		}
 	}
-	return out
 }
-
-// NextSeq returns the sequence number this replica would assign to its next
-// proposal as primary.
-func (in *Instance) NextSeq() types.SeqNum { return in.nextSeq }
 
 // ProposeFiller proposes an empty batch at the next sequence number. Under
 // multi-primary ordering the node calls this when the execution merge is
@@ -515,7 +506,7 @@ func (in *Instance) ProposeFiller(now time.Time) Output {
 	in.nextSeq++
 	in.stats.Proposed++
 	in.lastPropose = now
-	out.merge(in.emitPrePrepare(pp, now, time.Time{}))
+	in.emitPrePrepare(&out, pp, now, time.Time{})
 	return out
 }
 
@@ -538,10 +529,9 @@ func (in *Instance) prePrepareDelayFor(batch []types.RequestRef) time.Duration {
 // emitPrePrepare broadcasts a PRE-PREPARE and processes it locally. since,
 // when non-zero, anchors the propose span: the wait from the batch head's
 // enqueue (including any throttling or attack delay) to this emission.
-func (in *Instance) emitPrePrepare(pp *message.PrePrepare, now time.Time, since time.Time) Output {
-	var out Output
+func (in *Instance) emitPrePrepare(out *Output, pp *message.PrePrepare, now time.Time, since time.Time) {
 	if !in.behavior.Silent {
-		in.journal(&out, wal.Record{Kind: wal.KindSentPrePrepare, View: pp.View, Seq: pp.Seq, Refs: pp.Batch})
+		in.journal(out, wal.Record{Kind: wal.KindSentPrePrepare, View: pp.View, Seq: pp.Seq, Refs: pp.Batch})
 		pp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, pp.Body())
 		out.send(nil, pp)
 	}
@@ -558,68 +548,69 @@ func (in *Instance) emitPrePrepare(pp *message.PrePrepare, now time.Time, since 
 			Count: len(pp.Batch), Dur: now.Sub(since),
 		})
 	}
-	out.merge(in.acceptPrePrepare(pp, now))
-	return out
+	in.acceptPrePrepare(out, pp, now)
 }
 
 // OnMessage dispatches a verified instance message. The node layer has
 // already verified the MAC authenticator and that msg's Node field matches
 // the authenticated sender.
 func (in *Instance) OnMessage(msg message.Message, now time.Time) (Output, error) {
+	var out Output
+	var err error
 	// Node-level messages (client traffic, request propagation, replies,
 	// instance changes, attack garbage) are consumed by core.Node and can
 	// never reach an instance.
 	//rbft:dispatch ignore=Request,Propagate,Reply,InstanceChange,Invalid
 	switch m := msg.(type) {
 	case *message.PrePrepare:
-		return in.onPrePrepare(m, now)
+		err = in.onPrePrepare(&out, m, now)
 	case *message.Prepare:
-		return in.onPrepare(m, now)
+		err = in.onPrepare(&out, m, now)
 	case *message.Commit:
-		return in.onCommit(m, now)
+		err = in.onCommit(&out, m, now)
 	case *message.Checkpoint:
-		return in.onCheckpoint(m, now)
+		err = in.onCheckpoint(&out, m, now)
 	case *message.ViewChange:
-		return in.onViewChange(m)
+		err = in.onViewChange(&out, m)
 	case *message.NewView:
-		return in.onNewView(m, now)
+		err = in.onNewView(&out, m, now)
 	case *message.Fetch:
-		return in.onFetch(m)
+		err = in.onFetch(&out, m)
 	case *message.FetchResp:
-		return in.onFetchResp(m, now)
+		err = in.onFetchResp(&out, m, now)
 	default:
-		return Output{}, fmt.Errorf("pbft: unexpected message type %s", msg.MsgType())
+		err = fmt.Errorf("pbft: unexpected message type %s", msg.MsgType())
 	}
+	return out, err
 }
 
-func (in *Instance) onPrePrepare(pp *message.PrePrepare, now time.Time) (Output, error) {
-	var out Output
+func (in *Instance) onPrePrepare(out *Output, pp *message.PrePrepare, now time.Time) error {
 	if pp.Instance != in.cfg.Instance {
-		return out, fmt.Errorf("pbft: PRE-PREPARE for instance %d on instance %d", pp.Instance, in.cfg.Instance)
+		return fmt.Errorf("pbft: PRE-PREPARE for instance %d on instance %d", pp.Instance, in.cfg.Instance)
 	}
 	if pp.View != in.view || in.inViewChange {
-		return out, nil // stale or future view; ignore
+		return nil // stale or future view; ignore
 	}
 	if pp.Node != in.Primary() {
-		return out, fmt.Errorf("pbft: PRE-PREPARE from %d, primary is %d", pp.Node, in.Primary())
+		return fmt.Errorf("pbft: PRE-PREPARE from %d, primary is %d", pp.Node, in.Primary())
 	}
 	if !in.inWindow(pp.Seq) {
-		return out, nil
+		return nil
 	}
-	return in.acceptPrePrepare(pp, now), nil
+	in.acceptPrePrepare(out, pp, now)
+	return nil
 }
 
 // acceptPrePrepare records a PRE-PREPARE (already validated, or self-issued)
 // and sends PREPARE once every batch ref is known to the node.
-func (in *Instance) acceptPrePrepare(pp *message.PrePrepare, now time.Time) Output {
-	var out Output
+func (in *Instance) acceptPrePrepare(out *Output, pp *message.PrePrepare, now time.Time) {
 	e := in.entry(pp.Seq)
 	digest := pp.BatchDigest()
 	if e.havePP && e.view == pp.View {
-		return out // duplicate
+		return // duplicate
 	}
 	if e.havePP && e.digest != digest && e.view >= pp.View {
-		return out // conflicting proposal; keep the first
+		return // conflicting proposal; keep the first
 	}
 	e.havePP = true
 	e.view = pp.View
@@ -646,22 +637,20 @@ func (in *Instance) acceptPrePrepare(pp *message.PrePrepare, now time.Time) Outp
 		}
 	}
 	if e.waiting == 0 {
-		out.merge(in.maybePrepare(pp.Seq, e, now))
+		in.maybePrepare(out, pp.Seq, e, now)
 	}
-	return out
 }
 
 // maybePrepare sends this replica's PREPARE (non-primary only) and checks
 // phase progress.
-func (in *Instance) maybePrepare(seq types.SeqNum, e *entry, now time.Time) Output {
-	var out Output
+func (in *Instance) maybePrepare(out *Output, seq types.SeqNum, e *entry, now time.Time) {
 	if !e.havePP || e.waiting > 0 {
-		return out
+		return
 	}
 	if conflicts(in.promisedPrepare, seq, e) {
 		// We already vouched for a different batch at this (view, seq)
 		// before the crash; preparing this one would be equivocation.
-		return out
+		return
 	}
 	if !in.IsPrimary() && !e.sentPrep {
 		e.sentPrep = true
@@ -670,7 +659,7 @@ func (in *Instance) maybePrepare(seq types.SeqNum, e *entry, now time.Time) Outp
 		// progress with f silent faulty replicas.
 		e.prepares[in.cfg.Node] = e.digest
 		if !in.behavior.Silent {
-			in.journal(&out, wal.Record{Kind: wal.KindSentPrepare, View: e.view, Seq: seq, Digest: e.digest})
+			in.journal(out, wal.Record{Kind: wal.KindSentPrepare, View: e.view, Seq: seq, Digest: e.digest})
 			p := &message.Prepare{
 				Instance: in.cfg.Instance,
 				View:     e.view,
@@ -682,36 +671,33 @@ func (in *Instance) maybePrepare(seq types.SeqNum, e *entry, now time.Time) Outp
 			out.send(nil, p)
 		}
 	}
-	out.merge(in.checkPrepared(seq, e, now))
-	return out
+	in.checkPrepared(out, seq, e, now)
 }
 
-func (in *Instance) onPrepare(p *message.Prepare, now time.Time) (Output, error) {
-	var out Output
+func (in *Instance) onPrepare(out *Output, p *message.Prepare, now time.Time) error {
 	if p.Instance != in.cfg.Instance {
-		return out, fmt.Errorf("pbft: PREPARE for instance %d on instance %d", p.Instance, in.cfg.Instance)
+		return fmt.Errorf("pbft: PREPARE for instance %d on instance %d", p.Instance, in.cfg.Instance)
 	}
 	if p.View != in.view || in.inViewChange || !in.inWindow(p.Seq) {
-		return out, nil
+		return nil
 	}
 	if p.Node == in.Primary() {
-		return out, fmt.Errorf("pbft: primary %d must not send PREPARE", p.Node)
+		return fmt.Errorf("pbft: primary %d must not send PREPARE", p.Node)
 	}
 	e := in.entry(p.Seq)
 	if _, dup := e.prepares[p.Node]; dup && p.Node != in.cfg.Node {
-		return out, nil
+		return nil
 	}
 	e.prepares[p.Node] = p.Digest
-	out.merge(in.checkPrepared(p.Seq, e, now))
-	return out, nil
+	in.checkPrepared(out, p.Seq, e, now)
+	return nil
 }
 
 // prepared: PRE-PREPARE plus 2f matching PREPAREs from distinct non-primary
 // replicas (our own counts when we sent it).
-func (in *Instance) checkPrepared(seq types.SeqNum, e *entry, now time.Time) Output {
-	var out Output
+func (in *Instance) checkPrepared(out *Output, seq types.SeqNum, e *entry, now time.Time) {
 	if !e.havePP || e.waiting > 0 || e.sentComm {
-		return out
+		return
 	}
 	matching := 0
 	for _, d := range e.prepares {
@@ -720,12 +706,12 @@ func (in *Instance) checkPrepared(seq types.SeqNum, e *entry, now time.Time) Out
 		}
 	}
 	if matching < in.cfg.Cluster.PrepareQuorum() {
-		return out
+		return
 	}
 	if conflicts(in.promisedCommit, seq, e) {
 		// A COMMIT for a different digest at this (view, seq) is already on
 		// the wire from before the crash; never contradict it.
-		return out
+		return
 	}
 	e.sentComm = true
 	if in.tr.Enabled() {
@@ -743,7 +729,7 @@ func (in *Instance) checkPrepared(seq types.SeqNum, e *entry, now time.Time) Out
 		})
 	}
 	if !in.behavior.Silent {
-		in.journal(&out, wal.Record{Kind: wal.KindSentCommit, View: e.view, Seq: seq, Digest: e.digest})
+		in.journal(out, wal.Record{Kind: wal.KindSentCommit, View: e.view, Seq: seq, Digest: e.digest})
 		c := &message.Commit{
 			Instance: in.cfg.Instance,
 			View:     e.view,
@@ -755,32 +741,29 @@ func (in *Instance) checkPrepared(seq types.SeqNum, e *entry, now time.Time) Out
 		out.send(nil, c)
 	}
 	e.commits[in.cfg.Node] = e.digest
-	out.merge(in.checkCommitted(seq, e, now))
-	return out
+	in.checkCommitted(out, seq, e, now)
 }
 
-func (in *Instance) onCommit(c *message.Commit, now time.Time) (Output, error) {
-	var out Output
+func (in *Instance) onCommit(out *Output, c *message.Commit, now time.Time) error {
 	if c.Instance != in.cfg.Instance {
-		return out, fmt.Errorf("pbft: COMMIT for instance %d on instance %d", c.Instance, in.cfg.Instance)
+		return fmt.Errorf("pbft: COMMIT for instance %d on instance %d", c.Instance, in.cfg.Instance)
 	}
 	if c.View != in.view || in.inViewChange || !in.inWindow(c.Seq) {
-		return out, nil
+		return nil
 	}
 	e := in.entry(c.Seq)
 	if _, dup := e.commits[c.Node]; dup && c.Node != in.cfg.Node {
-		return out, nil
+		return nil
 	}
 	e.commits[c.Node] = c.Digest
-	out.merge(in.checkCommitted(c.Seq, e, now))
-	return out, nil
+	in.checkCommitted(out, c.Seq, e, now)
+	return nil
 }
 
 // committed: 2f+1 matching COMMITs (including our own).
-func (in *Instance) checkCommitted(seq types.SeqNum, e *entry, now time.Time) Output {
-	var out Output
+func (in *Instance) checkCommitted(out *Output, seq types.SeqNum, e *entry, now time.Time) {
 	if !e.havePP || !e.sentComm || e.delivered {
-		return out
+		return
 	}
 	matching := 0
 	for _, d := range e.commits {
@@ -789,7 +772,7 @@ func (in *Instance) checkCommitted(seq types.SeqNum, e *entry, now time.Time) Ou
 		}
 	}
 	if matching < in.cfg.Cluster.Quorum() {
-		return out
+		return
 	}
 	e.delivered = true
 	if in.tr.Enabled() {
@@ -805,14 +788,12 @@ func (in *Instance) checkCommitted(seq types.SeqNum, e *entry, now time.Time) Ou
 			Count: len(e.batch), Dur: now.Sub(e.prepAt),
 		})
 	}
-	out.merge(in.deliverReady(now))
-	return out
+	in.deliverReady(out, now)
 }
 
 // deliverReady delivers committed entries in contiguous sequence order and
 // emits checkpoints at interval boundaries.
-func (in *Instance) deliverReady(now time.Time) Output {
-	var out Output
+func (in *Instance) deliverReady(out *Output, now time.Time) {
 	for {
 		next := in.lastDelivered + 1
 		e := in.entries[next]
@@ -841,10 +822,9 @@ func (in *Instance) deliverReady(now time.Time) Output {
 		in.logDigest = chainDigest(in.logDigest, e.digest)
 
 		if next%in.cfg.CheckpointInterval == 0 {
-			out.merge(in.emitCheckpoint(next, now))
+			in.emitCheckpoint(out, next, now)
 		}
 	}
-	return out
 }
 
 func chainDigest(prev, batch types.Digest) types.Digest {
@@ -854,10 +834,9 @@ func chainDigest(prev, batch types.Digest) types.Digest {
 	return crypto.Digest(buf)
 }
 
-func (in *Instance) emitCheckpoint(seq types.SeqNum, now time.Time) Output {
-	var out Output
+func (in *Instance) emitCheckpoint(out *Output, seq types.SeqNum, now time.Time) {
 	in.checkpointDigests[seq] = in.logDigest
-	in.journal(&out, wal.Record{Kind: wal.KindCheckpoint, Seq: seq, Digest: in.logDigest})
+	in.journal(out, wal.Record{Kind: wal.KindCheckpoint, Seq: seq, Digest: in.logDigest})
 	if !in.behavior.Silent {
 		cp := &message.Checkpoint{
 			Instance: in.cfg.Instance,
@@ -868,22 +847,21 @@ func (in *Instance) emitCheckpoint(seq types.SeqNum, now time.Time) Output {
 		cp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, cp.Body())
 		out.send(nil, cp)
 	}
-	out.merge(in.recordCheckpoint(seq, in.cfg.Node, in.logDigest, now))
-	return out
+	in.recordCheckpoint(out, seq, in.cfg.Node, in.logDigest, now)
 }
 
-func (in *Instance) onCheckpoint(cp *message.Checkpoint, now time.Time) (Output, error) {
+func (in *Instance) onCheckpoint(out *Output, cp *message.Checkpoint, now time.Time) error {
 	if cp.Instance != in.cfg.Instance {
-		return Output{}, fmt.Errorf("pbft: CHECKPOINT for instance %d on instance %d", cp.Instance, in.cfg.Instance)
+		return fmt.Errorf("pbft: CHECKPOINT for instance %d on instance %d", cp.Instance, in.cfg.Instance)
 	}
 	if cp.Seq <= in.stableSeq {
-		return Output{}, nil
+		return nil
 	}
-	return in.recordCheckpoint(cp.Seq, cp.Node, cp.Digest, now), nil
+	in.recordCheckpoint(out, cp.Seq, cp.Node, cp.Digest, now)
+	return nil
 }
 
-func (in *Instance) recordCheckpoint(seq types.SeqNum, node types.NodeID, digest types.Digest, now time.Time) Output {
-	var out Output
+func (in *Instance) recordCheckpoint(out *Output, seq types.SeqNum, node types.NodeID, digest types.Digest, now time.Time) {
 	m := in.checkpoints[seq]
 	if m == nil {
 		m = make(map[types.NodeID]types.Digest, in.cfg.Cluster.Quorum())
@@ -893,11 +871,11 @@ func (in *Instance) recordCheckpoint(seq types.SeqNum, node types.NodeID, digest
 	// Checkpoint evidence may reveal that this replica missed committed
 	// batches entirely; start catch-up if so. This must run even (indeed,
 	// especially) when we have no own digest for the sequence.
-	out.merge(in.noteCheckpointEvidence(seq, now))
+	in.noteCheckpointEvidence(out, seq, now)
 	// Stability requires 2f+1 digests matching our own.
 	own, haveOwn := in.checkpointDigests[seq]
 	if !haveOwn {
-		return out
+		return
 	}
 	matching := 0
 	for _, d := range m {
@@ -906,15 +884,14 @@ func (in *Instance) recordCheckpoint(seq types.SeqNum, node types.NodeID, digest
 		}
 	}
 	if matching >= in.cfg.Cluster.Quorum() && seq > in.stableSeq {
-		in.journal(&out, wal.Record{Kind: wal.KindStable, Seq: seq, Digest: own})
+		in.journal(out, wal.Record{Kind: wal.KindStable, Seq: seq, Digest: own})
 		in.stabilize(seq)
 		// Stabilising widens the watermark window; a primary stalled on the
 		// window can now cut its backlog.
 		if in.IsPrimary() && !in.inViewChange && len(in.pending) > 0 {
-			out.merge(in.cutBatch(now))
+			in.cutBatch(out, now)
 		}
 	}
-	return out
 }
 
 // stabilize garbage-collects state below the new stable checkpoint.

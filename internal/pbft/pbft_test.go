@@ -64,11 +64,7 @@ func (tc *testCluster) collect(from types.NodeID, out Output) {
 	for _, ob := range out.Msgs {
 		targets := ob.To
 		if targets == nil {
-			for n := 0; n < tc.cfg.N; n++ {
-				if types.NodeID(n) != from {
-					targets = append(targets, types.NodeID(n))
-				}
-			}
+			targets = tc.cfg.OtherNodes(from)
 		}
 		for _, to := range targets {
 			if tc.drop != nil && tc.drop(from, to, ob.Msg) {

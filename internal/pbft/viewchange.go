@@ -38,10 +38,9 @@ func (in *Instance) StartViewChange(newView types.View, now time.Time) Output {
 	if !in.behavior.Silent {
 		out.send(nil, vc)
 	}
-	more, err := in.onViewChange(vc)
-	if err == nil {
-		out.merge(more)
-	}
+	// Our own vote for our own instance, signature unchecked: it cannot fail
+	// validation.
+	_ = in.onViewChange(&out, vc)
 	return out
 }
 
@@ -64,17 +63,16 @@ func (in *Instance) preparedProofs() []message.PreparedProof {
 	return proofs
 }
 
-func (in *Instance) onViewChange(vc *message.ViewChange) (Output, error) {
-	var out Output
+func (in *Instance) onViewChange(out *Output, vc *message.ViewChange) error {
 	if vc.Instance != in.cfg.Instance {
-		return out, fmt.Errorf("pbft: VIEW-CHANGE for instance %d on instance %d", vc.Instance, in.cfg.Instance)
+		return fmt.Errorf("pbft: VIEW-CHANGE for instance %d on instance %d", vc.Instance, in.cfg.Instance)
 	}
 	if vc.NewView < in.view {
-		return out, nil // stale
+		return nil // stale
 	}
 	if vc.Node != in.cfg.Node && !in.cfg.SigPreverified {
 		if err := in.keys.VerifyNodeSignature(vc.Node, vc.Body(), vc.Sig); err != nil {
-			return out, fmt.Errorf("pbft: VIEW-CHANGE signature from node %d: %w", vc.Node, err)
+			return fmt.Errorf("pbft: VIEW-CHANGE signature from node %d: %w", vc.Node, err)
 		}
 	}
 	byNode := in.viewChanges[vc.NewView]
@@ -83,20 +81,20 @@ func (in *Instance) onViewChange(vc *message.ViewChange) (Output, error) {
 		in.viewChanges[vc.NewView] = byNode
 	}
 	if _, dup := byNode[vc.Node]; dup {
-		return out, nil
+		return nil
 	}
 	byNode[vc.Node] = vc
 
 	// Only the new primary assembles NEW-VIEW, and only while it is itself in
 	// the view change for that view.
 	if in.cfg.Cluster.PrimaryOf(vc.NewView, in.cfg.Instance) != in.cfg.Node {
-		return out, nil
+		return nil
 	}
 	if in.view != vc.NewView || !in.inViewChange {
-		return out, nil
+		return nil
 	}
 	if len(byNode) < in.cfg.Cluster.Quorum() {
-		return out, nil
+		return nil
 	}
 
 	vcs := make([]message.ViewChange, 0, len(byNode))
@@ -117,8 +115,8 @@ func (in *Instance) onViewChange(vc *message.ViewChange) (Output, error) {
 		nv.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, nv.Body())
 		out.send(nil, nv)
 	}
-	out.merge(in.installNewView(nv))
-	return out, nil
+	in.installNewView(out, nv)
+	return nil
 }
 
 // computeNewViewPrePrepares derives the deterministic set of re-issued
@@ -160,17 +158,16 @@ func (in *Instance) computeNewViewPrePrepares(v types.View, vcs []message.ViewCh
 	return pps
 }
 
-func (in *Instance) onNewView(nv *message.NewView, now time.Time) (Output, error) {
-	var out Output
+func (in *Instance) onNewView(out *Output, nv *message.NewView, now time.Time) error {
 	if nv.Instance != in.cfg.Instance {
-		return out, fmt.Errorf("pbft: NEW-VIEW for instance %d on instance %d", nv.Instance, in.cfg.Instance)
+		return fmt.Errorf("pbft: NEW-VIEW for instance %d on instance %d", nv.Instance, in.cfg.Instance)
 	}
 	if nv.View < in.view || (nv.View == in.view && !in.inViewChange) {
-		return out, nil // stale
+		return nil // stale
 	}
 	wantPrimary := in.cfg.Cluster.PrimaryOf(nv.View, in.cfg.Instance)
 	if nv.Node != wantPrimary {
-		return out, fmt.Errorf("pbft: NEW-VIEW for view %d from %d, want primary %d", nv.View, nv.Node, wantPrimary)
+		return fmt.Errorf("pbft: NEW-VIEW for view %d from %d, want primary %d", nv.View, nv.Node, wantPrimary)
 	}
 
 	// Validate the embedded VIEW-CHANGE quorum.
@@ -178,41 +175,41 @@ func (in *Instance) onNewView(nv *message.NewView, now time.Time) (Output, error
 	for i := range nv.ViewChanges {
 		vc := &nv.ViewChanges[i]
 		if vc.Instance != in.cfg.Instance || vc.NewView != nv.View {
-			return out, fmt.Errorf("pbft: NEW-VIEW embeds mismatched VIEW-CHANGE (instance %d, view %d)", vc.Instance, vc.NewView)
+			return fmt.Errorf("pbft: NEW-VIEW embeds mismatched VIEW-CHANGE (instance %d, view %d)", vc.Instance, vc.NewView)
 		}
 		if !in.cfg.SigPreverified {
 			if err := in.keys.VerifyNodeSignature(vc.Node, vc.Body(), vc.Sig); err != nil {
-				return out, fmt.Errorf("pbft: NEW-VIEW embedded signature from node %d: %w", vc.Node, err)
+				return fmt.Errorf("pbft: NEW-VIEW embedded signature from node %d: %w", vc.Node, err)
 			}
 		}
 		seen[vc.Node] = true
 	}
 	if len(seen) < in.cfg.Cluster.Quorum() {
-		return out, fmt.Errorf("pbft: NEW-VIEW carries %d view changes, need %d", len(seen), in.cfg.Cluster.Quorum())
+		return fmt.Errorf("pbft: NEW-VIEW carries %d view changes, need %d", len(seen), in.cfg.Cluster.Quorum())
 	}
 
 	// The re-issued PRE-PREPAREs must be exactly the deterministic function
 	// of the view changes.
 	want := in.computeNewViewPrePrepares(nv.View, nv.ViewChanges)
 	if len(want) != len(nv.PrePrepares) {
-		return out, fmt.Errorf("pbft: NEW-VIEW re-issues %d proposals, want %d", len(nv.PrePrepares), len(want))
+		return fmt.Errorf("pbft: NEW-VIEW re-issues %d proposals, want %d", len(nv.PrePrepares), len(want))
 	}
 	for i := range want {
 		got := &nv.PrePrepares[i]
 		if got.Seq != want[i].Seq || got.View != nv.View || got.BatchDigest() != want[i].BatchDigest() {
-			return out, fmt.Errorf("pbft: NEW-VIEW proposal %d does not match the view-change certificates", got.Seq)
+			return fmt.Errorf("pbft: NEW-VIEW proposal %d does not match the view-change certificates", got.Seq)
 		}
 	}
 
-	return in.installNewView(nv), nil
+	in.installNewView(out, nv)
+	return nil
 }
 
 // installNewView applies an accepted NEW-VIEW: enter the view, replay the
 // re-issued proposals, and (as primary) re-queue known-but-undelivered
 // requests so nothing in flight is lost.
-func (in *Instance) installNewView(nv *message.NewView) Output {
-	var out Output
-	in.journal(&out, wal.Record{Kind: wal.KindNewView, View: nv.View})
+func (in *Instance) installNewView(out *Output, nv *message.NewView) {
+	in.journal(out, wal.Record{Kind: wal.KindNewView, View: nv.View})
 	in.view = nv.View
 	in.inViewChange = false
 	in.stats.ViewChanges++
@@ -238,7 +235,7 @@ func (in *Instance) installNewView(nv *message.NewView) Output {
 		if e := in.entries[pp.Seq]; e != nil && e.view < nv.View && !e.delivered {
 			delete(in.entries, pp.Seq)
 		}
-		out.merge(in.acceptPrePrepare(&pp, time.Time{}))
+		in.acceptPrePrepare(out, &pp, time.Time{})
 	}
 	// Clear un-prepared leftovers from older views; their requests re-enter
 	// through the primary's queue below.
@@ -281,11 +278,11 @@ func (in *Instance) installNewView(nv *message.NewView) Output {
 			in.pending = append(in.pending, ref)
 		}
 		if len(in.pending) > 0 {
-			// Cut immediately: view changes are rare and latency-sensitive.
-			out.merge(in.cutBatchNow())
+			// Cut immediately, without consulting the batch timer (the zero
+			// time): view changes are rare and latency-sensitive.
+			in.cutBatch(out, time.Time{})
 		}
 	}
-	return out
 }
 
 func lessDigest(a, b types.Digest) bool {
@@ -295,9 +292,4 @@ func lessDigest(a, b types.Digest) bool {
 		}
 	}
 	return false
-}
-
-// cutBatchNow cuts all pending batches without consulting the batch timer.
-func (in *Instance) cutBatchNow() Output {
-	return in.cutBatch(time.Time{})
 }

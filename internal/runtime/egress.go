@@ -60,8 +60,10 @@ func (f *egressFrame) release() {
 	}
 }
 
-// peerQueue is one peer's bounded egress queue plus its gauges.
+// peerQueue is one peer's bounded egress queue plus its gauges. name is the
+// peer's wire name, built when the queue is created.
 type peerQueue struct {
+	name    string
 	ch      chan *egressFrame
 	depth   *obs.Gauge
 	dropped *obs.Counter
@@ -77,7 +79,7 @@ type egress struct {
 	spans bool
 
 	mu     sync.Mutex
-	queues map[string]*peerQueue // guarded by mu; lazily created per peer
+	queues map[endpoint]*peerQueue // guarded by mu; lazily created per peer
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -90,27 +92,29 @@ func newEgress(tr transport.Transport, w *wal.Log, self string, reg *obs.Registr
 		self:   self,
 		reg:    reg,
 		sp:     obs.Nop{},
-		queues: make(map[string]*peerQueue),
+		queues: make(map[endpoint]*peerQueue),
 		stop:   stop,
 	}
 }
 
 // queue returns the peer's queue, creating it (and its worker) on first use.
-func (e *egress) queue(peer string) *peerQueue {
+func (e *egress) queue(peer endpoint) *peerQueue {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if q, ok := e.queues[peer]; ok {
 		return q
 	}
-	link := e.self + "->" + peer
+	name := peer.name()
+	link := e.self + "->" + name
 	q := &peerQueue{
+		name:    name,
 		ch:      make(chan *egressFrame, egressQueueDepth),
 		depth:   e.reg.Gauge(obs.LabeledName("rbft_egress_queue_depth", "link", link)),
 		dropped: e.reg.Counter(obs.LabeledName("rbft_egress_dropped_total", "link", link)),
 	}
 	e.queues[peer] = q
 	e.wg.Add(1)
-	go e.worker(peer, q)
+	go e.worker(q)
 	return q
 }
 
@@ -118,7 +122,7 @@ func (e *egress) queue(peer string) *peerQueue {
 // caller: on overflow it drops the oldest queued frame and retries. Runs on
 // the apply loop — it must stay non-blocking and lock-free apart from the
 // queue-map mutex.
-func (e *egress) enqueue(peer string, f *egressFrame) {
+func (e *egress) enqueue(peer endpoint, f *egressFrame) {
 	q := e.queue(peer)
 	for {
 		select {
@@ -148,7 +152,7 @@ func (e *egress) enqueue(peer string, f *egressFrame) {
 // cost nothing but its queue.
 //
 //rbft:egress
-func (e *egress) worker(peer string, q *peerQueue) {
+func (e *egress) worker(q *peerQueue) {
 	defer e.wg.Done()
 	bs, canBatch := e.tr.(transport.BatchSender)
 	batch := make([]*egressFrame, 0, egressMaxCoalesce)
@@ -206,10 +210,10 @@ func (e *egress) worker(peer string, q *peerQueue) {
 			for _, f := range batch {
 				payloads = append(payloads, f.buf.Bytes())
 			}
-			_ = bs.SendBatch(peer, payloads)
+			_ = bs.SendBatch(q.name, payloads)
 		} else {
 			for _, f := range batch {
-				_ = e.tr.Send(peer, f.buf.Bytes())
+				_ = e.tr.Send(q.name, f.buf.Bytes())
 			}
 		}
 		if e.spans {

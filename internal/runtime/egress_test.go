@@ -41,9 +41,9 @@ func newRecordingTransport(wedged string) *recordingTransport {
 	}
 }
 
-func (rt *recordingTransport) Name() string                      { return rt.name }
-func (rt *recordingTransport) Packets() <-chan transport.Packet  { return nil }
-func (rt *recordingTransport) Close() error                      { return nil }
+func (rt *recordingTransport) Name() string                     { return rt.name }
+func (rt *recordingTransport) Packets() <-chan transport.Packet { return nil }
+func (rt *recordingTransport) Close() error                     { return nil }
 func (rt *recordingTransport) record(to string, data []byte) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -105,8 +105,8 @@ func TestEgressEnqueueNeverBlocks(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < n; i++ {
-			eg.enqueue("node/1", testFrame(uint64(i)))
-			eg.enqueue("node/2", testFrame(uint64(i)))
+			eg.enqueue(nodeEndpoint(1), testFrame(uint64(i)))
+			eg.enqueue(nodeEndpoint(2), testFrame(uint64(i)))
 		}
 	}()
 	select {
@@ -119,7 +119,7 @@ func TestEgressEnqueueNeverBlocks(t *testing.T) {
 	// flood must come out the other side.
 	sentinel := testFrame(1 << 40)
 	want := append([]byte(nil), sentinel.buf.Bytes()...)
-	eg.enqueue("node/2", sentinel)
+	eg.enqueue(nodeEndpoint(2), sentinel)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		frames := rt.received("node/2")
@@ -158,12 +158,12 @@ func TestEgressCoalesces(t *testing.T) {
 	var want [][]byte
 	first := testFrame(0)
 	want = append(want, append([]byte(nil), first.buf.Bytes()...))
-	eg.enqueue("node/1", first)
+	eg.enqueue(nodeEndpoint(1), first)
 	time.Sleep(100 * time.Millisecond)
 	for i := 1; i < n; i++ {
 		f := testFrame(uint64(i))
 		want = append(want, append([]byte(nil), f.buf.Bytes()...))
-		eg.enqueue("node/1", f)
+		eg.enqueue(nodeEndpoint(1), f)
 	}
 	// Release the parked flush and the coalesced one behind it.
 	rt.gate <- struct{}{}
@@ -206,17 +206,18 @@ func TestEgressSharedFrameRefcount(t *testing.T) {
 	defer close(stop)
 	eg := newEgress(rt, nil, "node/0", reg, stop)
 
-	peers := []string{"node/1", "node/2", "node/3"}
+	targets := []types.NodeID{1, 2, 3}
 	msg := &message.Commit{Instance: 0, View: 1, Seq: 9, Node: 0}
 	want := msg.Marshal(nil)
 	for i := 0; i < 100; i++ {
-		f := &egressFrame{buf: message.Encode(msg), refs: int32(len(peers))}
-		for _, p := range peers {
-			eg.enqueue(p, f)
+		f := &egressFrame{buf: message.Encode(msg), refs: int32(len(targets))}
+		for _, to := range targets {
+			eg.enqueue(nodeEndpoint(to), f)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for _, p := range peers {
+	for _, to := range targets {
+		p := NodeName(to)
 		for len(rt.received(p)) < 100 {
 			if time.Now().After(deadline) {
 				t.Fatalf("peer %s got %d/100 frames", p, len(rt.received(p)))
@@ -321,7 +322,7 @@ func BenchmarkEgress(b *testing.B) {
 	defer close(stop)
 	eg := newEgress(ep, nil, "node/0", nil, stop)
 	msg := &message.Prepare{Instance: 0, View: 1, Seq: 2, Node: 0, Auth: make(crypto.Authenticator, 4)}
-	peers := []string{"node/1", "node/2", "node/3"}
+	peers := []endpoint{nodeEndpoint(1), nodeEndpoint(2), nodeEndpoint(3)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,27 +14,30 @@ func TestNames(t *testing.T) {
 func TestParseName(t *testing.T) {
 	tests := []struct {
 		in      string
-		kind    string
-		id      int
+		want    endpoint
 		wantErr bool
 	}{
-		{in: "node/0", kind: "node", id: 0},
-		{in: "node/12", kind: "node", id: 12},
-		{in: "client/5", kind: "client", id: 5},
+		{in: "node/0", want: nodeEndpoint(0)},
+		{in: "node/12", want: nodeEndpoint(12)},
+		{in: "client/5", want: clientEndpoint(5)},
 		{in: "garbage", wantErr: true},
 		{in: "node/x", wantErr: true},
+		{in: "peer/1", wantErr: true},
 		{in: "", wantErr: true},
 	}
 	for _, tt := range tests {
-		kind, id, err := parseName(tt.in)
+		got, err := parseName(tt.in)
 		if tt.wantErr {
 			if err == nil {
 				t.Errorf("parseName(%q) succeeded, want error", tt.in)
 			}
 			continue
 		}
-		if err != nil || kind != tt.kind || id != tt.id {
-			t.Errorf("parseName(%q) = (%q, %d, %v), want (%q, %d)", tt.in, kind, id, err, tt.kind, tt.id)
+		if err != nil || got != tt.want {
+			t.Errorf("parseName(%q) = (%+v, %v), want %+v", tt.in, got, err, tt.want)
+		}
+		if got.name() != tt.in {
+			t.Errorf("parseName(%q).name() = %q: not the inverse", tt.in, got.name())
 		}
 	}
 }

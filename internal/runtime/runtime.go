@@ -28,17 +28,37 @@ func NodeName(id types.NodeID) string { return "node/" + strconv.Itoa(int(id)) }
 // ClientName returns the canonical endpoint name of a client.
 func ClientName(id types.ClientID) string { return "client/" + strconv.Itoa(int(id)) }
 
-// parseName splits an endpoint name into kind and numeric id.
-func parseName(name string) (kind string, id int, err error) {
-	k, v, ok := strings.Cut(name, "/")
-	if !ok {
-		return "", 0, fmt.Errorf("runtime: malformed endpoint name %q", name)
+// endpoint is a transport peer by kind and id. The drivers address peers by
+// it — egress queues are keyed by it, so sending formats no string — and its
+// wire name is built once, when the peer's queue is created.
+type endpoint struct {
+	client bool
+	id     int
+}
+
+func nodeEndpoint(id types.NodeID) endpoint     { return endpoint{id: int(id)} }
+func clientEndpoint(id types.ClientID) endpoint { return endpoint{client: true, id: int(id)} }
+
+// name returns the endpoint's wire name (NodeName / ClientName).
+func (ep endpoint) name() string {
+	if ep.client {
+		return ClientName(types.ClientID(ep.id))
 	}
-	id, err = strconv.Atoi(v)
+	return NodeName(types.NodeID(ep.id))
+}
+
+// parseName is the inverse of name: it rejects anything but a node or client
+// endpoint name.
+func parseName(name string) (endpoint, error) {
+	kind, v, ok := strings.Cut(name, "/")
+	if !ok || (kind != "node" && kind != "client") {
+		return endpoint{}, fmt.Errorf("runtime: malformed endpoint name %q", name)
+	}
+	id, err := strconv.Atoi(v)
 	if err != nil {
-		return "", 0, fmt.Errorf("runtime: malformed endpoint name %q: %w", name, err)
+		return endpoint{}, fmt.Errorf("runtime: malformed endpoint name %q: %w", name, err)
 	}
-	return k, id, nil
+	return endpoint{client: kind == "client", id: id}, nil
 }
 
 // NodeOptions tunes a node runtime.
@@ -82,9 +102,13 @@ func DefaultIngressWorkers() int {
 const ingressQueueDepth = 1024
 
 // ingressItem is one raw frame travelling through the two-stage pipeline.
-// ready is closed by the verifier worker once v/err are populated; the
-// apply loop consumes items in arrival order and waits on ready, so apply
-// order is ingress order regardless of which worker finishes first.
+// ready is a one-shot latch embedded in the item (no per-frame channel):
+// classify arms it, the verifier worker releases it once v/err are
+// populated, and the apply loop consumes items in arrival order and waits on
+// it, so apply order is ingress order regardless of which worker finishes
+// first. The wait always ends: readLoop puts an item into work before
+// pending and the verifier pool drains work even on shutdown, so every item
+// the apply loop sees is verified.
 type ingressItem struct {
 	data       []byte
 	fromClient bool
@@ -93,7 +117,7 @@ type ingressItem struct {
 	admitted   bool      // client frame holds an ingress-budget slot until applied
 	at         time.Time // arrival stamp, set only when spans are on
 
-	ready chan struct{}
+	ready sync.WaitGroup
 	v     *message.Verified
 	err   error
 }
@@ -109,7 +133,7 @@ type NodeRuntime struct {
 	tr      transport.Transport
 	pre     *message.Preverifier // stateless; shared by the verifier pool
 	wal     *wal.Log             // nil unless durability is on
-	self    types.NodeID         // immutable after construction
+	peers   []types.NodeID       // every other node, the targets of a broadcast; immutable
 	eg      *egress              // per-peer send queues and workers
 
 	mu   sync.Mutex
@@ -125,14 +149,8 @@ type NodeRuntime struct {
 	wg      sync.WaitGroup
 }
 
-// StartNode launches the pipeline for node over tr with default options.
-// The caller retains no right to touch node concurrently; use WithNode for
-// synchronised access.
-func StartNode(node *core.Node, tr transport.Transport, cluster types.Config) *NodeRuntime {
-	return StartNodeOpts(node, tr, cluster, NodeOptions{})
-}
-
-// StartNodeOpts launches the pipeline for node over tr.
+// StartNodeOpts launches the pipeline for node over tr. The caller retains
+// no right to touch node concurrently; use WithNode for synchronised access.
 func StartNodeOpts(node *core.Node, tr transport.Transport, cluster types.Config, opts NodeOptions) *NodeRuntime {
 	workers := opts.IngressWorkers
 	if workers <= 0 {
@@ -143,7 +161,7 @@ func StartNodeOpts(node *core.Node, tr transport.Transport, cluster types.Config
 		tr:      tr,
 		pre:     node.Preverifier(),
 		wal:     opts.WAL,
-		self:    node.ID(),
+		peers:   cluster.OtherNodes(node.ID()),
 		node:    node,
 		work:    make(chan *ingressItem, ingressQueueDepth),
 		pending: make(chan *ingressItem, ingressQueueDepth),
@@ -152,11 +170,11 @@ func StartNodeOpts(node *core.Node, tr transport.Transport, cluster types.Config
 	}
 	nr.spans = obs.WantSpans(opts.Tracer)
 	if nr.spans {
-		nr.sp = obs.WithNode(opts.Tracer, nr.self)
+		nr.sp = obs.WithNode(opts.Tracer, node.ID())
 	} else {
 		nr.sp = obs.Nop{}
 	}
-	nr.eg = newEgress(tr, opts.WAL, NodeName(nr.self), opts.Metrics, nr.stop)
+	nr.eg = newEgress(tr, opts.WAL, NodeName(node.ID()), opts.Metrics, nr.stop)
 	nr.eg.sp, nr.eg.spans = nr.sp, nr.spans
 	nr.wg.Add(1 + workers)
 	for i := 0; i < workers; i++ {
@@ -230,25 +248,19 @@ func (nr *NodeRuntime) readLoop() {
 // classify parses the frame's origin; nil means an unattributable frame
 // (unknown endpoint name), dropped before it costs anything.
 func (nr *NodeRuntime) classify(p transport.Packet) *ingressItem {
-	kind, id, err := parseName(p.From)
-	if err != nil {
+	ep, err := parseName(p.From)
+	if err != nil || (!ep.client && (ep.id < 0 || ep.id >= nr.cluster.N)) {
 		return nil
 	}
-	it := &ingressItem{data: p.Data, ready: make(chan struct{})}
+	it := &ingressItem{data: p.Data, fromClient: ep.client}
+	if ep.client {
+		it.client = types.ClientID(ep.id)
+	} else {
+		it.from = types.NodeID(ep.id)
+	}
+	it.ready.Add(1)
 	if nr.spans {
 		it.at = time.Now()
-	}
-	switch kind {
-	case "client":
-		it.fromClient = true
-		it.client = types.ClientID(id)
-	case "node":
-		if id < 0 || id >= nr.cluster.N {
-			return nil
-		}
-		it.from = types.NodeID(id)
-	default:
-		return nil
 	}
 	return it
 }
@@ -273,7 +285,7 @@ func (nr *NodeRuntime) verifyLoop() {
 		if nr.spans && it.fromClient && it.err == nil {
 			nr.emitIngressSpans(it, t0)
 		}
-		close(it.ready)
+		it.ready.Done()
 	}
 }
 
@@ -317,11 +329,7 @@ func (nr *NodeRuntime) applyLoop() {
 			if !ok {
 				return
 			}
-			select {
-			case <-it.ready:
-			case <-nr.stop:
-				return
-			}
+			it.ready.Wait()
 			nr.apply(it)
 		case now := <-timer.C:
 			nr.mu.Lock()
@@ -403,24 +411,20 @@ func (nr *NodeRuntime) emit(out core.Output) {
 	// offending peer are discarded before they cost any protocol processing.
 	if pc, ok := nr.tr.(transport.PeerCloser); ok {
 		for _, nc := range out.NICCloses {
-			pc.ClosePeer(NodeName(nc.Peer), nc.Until)
+			pc.ClosePeer(nodeEndpoint(nc.Peer).name(), nc.Until)
 		}
 	}
 	for _, nm := range out.NodeMsgs {
 		targets := nm.To
 		if targets == nil {
-			for i := 0; i < nr.cluster.N; i++ {
-				if types.NodeID(i) != nr.self {
-					targets = append(targets, types.NodeID(i))
-				}
-			}
+			targets = nr.peers
 		}
 		if len(targets) == 0 {
 			continue
 		}
 		f := &egressFrame{buf: message.Encode(nm.Msg), lsn: lsn, refs: int32(len(targets))}
 		for _, to := range targets {
-			nr.eg.enqueue(NodeName(to), f)
+			nr.eg.enqueue(nodeEndpoint(to), f)
 		}
 	}
 	for _, cm := range out.ClientMsgs {
@@ -433,7 +437,7 @@ func (nr *NodeRuntime) emit(out core.Output) {
 				f.req = rep.ID
 			}
 		}
-		nr.eg.enqueue(ClientName(cm.To), f)
+		nr.eg.enqueue(clientEndpoint(cm.To), f)
 	}
 }
 
@@ -555,12 +559,12 @@ func (cr *ClientRuntime) handlePacket(p transport.Packet) {
 	if !ok {
 		return
 	}
-	kind, id, err := parseName(p.From)
-	if err != nil || kind != "node" {
+	from, err := parseName(p.From)
+	if err != nil || from.client {
 		return
 	}
 	cr.mu.Lock()
-	done, ok := cr.cl.OnReply(rep, types.NodeID(id), time.Now())
+	done, ok := cr.cl.OnReply(rep, types.NodeID(from.id), time.Now())
 	cr.mu.Unlock()
 	if !ok {
 		return

@@ -44,7 +44,7 @@ func TestTimerNotStarvedByIngressFlood(t *testing.T) {
 	stop := make(chan struct{})
 	nr := &NodeRuntime{
 		cluster: cluster, tr: net.Endpoint(NodeName(0)), pre: node.Preverifier(),
-		self: 0, node: node, sp: obs.Nop{}, stop: stop,
+		peers: cluster.OtherNodes(0), node: node, sp: obs.Nop{}, stop: stop,
 	}
 	nr.eg = newEgress(nr.tr, nil, NodeName(0), nil, stop)
 	defer func() { close(stop); nr.eg.wait() }()

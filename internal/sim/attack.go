@@ -69,14 +69,11 @@ func (s *Sim) floodOnce(f Flood, target types.NodeID, stop time.Time) {
 	if f.FromClients {
 		// Client-NIC flood: consumes the victim's client NIC inbound
 		// bandwidth and MAC-verification CPU; it cannot be attributed to a
-		// node, so no NIC closure applies.
-		l := &dst.clientRx
-		start := s.now
-		if l.busyUntil.After(start) {
-			start = l.busyUntil
-		}
-		l.busyUntil = start.Add(s.cfg.Cost.PacketCost(f.Size))
-		arrive := l.busyUntil.Add(s.cfg.Cost.LinkLatency)
+		// node, so no NIC closure applies. Its transit is the bare link
+		// latency even on a TCP run — unlike every other frame it was never
+		// charged TCPExtraLatency, and it stays so because every attack
+		// trace is pinned byte for byte.
+		arrive := s.book(&dst.clientRx, f.Size, s.cfg.Cost.LinkLatency)
 		s.schedule(arrive, func() { s.deliverToNode(dst, garbage, 0, true) })
 	} else {
 		// Node-to-node flood: consumes the attacker's dedicated link to the

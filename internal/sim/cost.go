@@ -112,7 +112,7 @@ const orderedPayloadCostFactor = 6
 // wireSize returns the modelled wire size of a message, including the
 // ordered-payload ablation bytes for PRE-PREPAREs.
 func (c CostModel) wireSize(msg message.Message) int {
-	size := len(msg.Marshal(nil))
+	size := msg.EncodedSize()
 	if c.OrderedPayloadBytes > 0 {
 		if pp, ok := msg.(*message.PrePrepare); ok {
 			size += len(pp.Batch) * c.OrderedPayloadBytes

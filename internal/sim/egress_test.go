@@ -137,3 +137,68 @@ func TestEgressCoalescingWithCrashes(t *testing.T) {
 		t.Fatal("crash scenario completed no requests")
 	}
 }
+
+// TestBookLink pins the one place link timing is computed (Sim.book) on the
+// paths that reach it: an idle link, a busy link, a link that freed in the
+// past, a coalesced flush and the client-NIC flood. 1 byte/µs and a 40-byte
+// packet overhead make every figure readable: a 100-byte payload occupies
+// its link for 140 µs, and a TCP run adds 60 + 90 µs of transit.
+func TestBookLink(t *testing.T) {
+	const us = time.Microsecond
+	s := New(Config{F: 1, EgressCoalesce: 8, Cost: CostModel{
+		LinkLatency: 60 * us, TCPExtraLatency: 90 * us,
+		LinkBandwidth: 1e6, PacketOverheadBytes: 40,
+	}})
+	t0 := s.now
+	deliveries := func(at time.Time) int {
+		n := 0
+		for _, ev := range s.events {
+			if ev.at.Equal(at) {
+				n++
+			}
+		}
+		return n
+	}
+
+	var l link
+	if got, want := s.book(&l, 100, s.transit), t0.Add(290*us); !got.Equal(want) || !l.busyUntil.Equal(t0.Add(140*us)) {
+		t.Errorf("idle link: arrives %v, busy until %v; want %v and t0+140µs", got.Sub(t0), l.busyUntil.Sub(t0), want.Sub(t0))
+	}
+	if got, want := s.book(&l, 100, s.transit), t0.Add(430*us); !got.Equal(want) || !l.busyUntil.Equal(t0.Add(280*us)) {
+		t.Errorf("busy link: arrives %v, busy until %v; want %v and t0+280µs (queued behind the first frame)", got.Sub(t0), l.busyUntil.Sub(t0), want.Sub(t0))
+	}
+	s.now = t0.Add(1000 * us)
+	if got, want := s.book(&l, 100, s.transit), t0.Add(1290*us); !got.Equal(want) {
+		t.Errorf("link freed in the past: arrives %v, want %v (starts now, not when it freed)", got.Sub(t0), want.Sub(t0))
+	}
+	s.now = t0
+
+	// Coalesced flush: the first payload finds node 0's link to node 1 idle
+	// and leaves alone; the next three park behind it and leave as one frame
+	// when the link frees, paying the 40-byte overhead once (340 µs, not 420).
+	garbage := s.floodMsg(Flood{Size: 100})
+	from, tx := s.nodes[0], &s.nodes[0].peerTx[1]
+	for i := 0; i < 4; i++ {
+		s.sendNodeToNodeSized(from, 1, garbage, 100)
+	}
+	if len(tx.pending) != 3 || !tx.busyUntil.Equal(t0.Add(140*us)) || deliveries(t0.Add(290*us)) != 1 {
+		t.Fatalf("after four sends: %d parked, busy until %v, %d deliveries at t0+290µs; want 3, t0+140µs, 1",
+			len(tx.pending), tx.busyUntil.Sub(t0), deliveries(t0.Add(290*us)))
+	}
+	s.now = tx.busyUntil
+	s.flushLink(from, 1, from.epoch)
+	if !tx.busyUntil.Equal(t0.Add(480*us)) || deliveries(t0.Add(630*us)) != 3 {
+		t.Errorf("coalesced flush: busy until %v with %d deliveries at t0+630µs; want t0+480µs and 3",
+			tx.busyUntil.Sub(t0), deliveries(t0.Add(630*us)))
+	}
+	s.now = t0
+
+	// Client-NIC flood: booked like any frame, but its transit is the bare
+	// link latency even on this TCP run (attack.go says why).
+	s.floodOnce(Flood{FromClients: true, Size: 160, Rate: 1}, 2, time.Time{})
+	rx := &s.nodes[2].clientRx
+	if !rx.busyUntil.Equal(t0.Add(200*us)) || deliveries(t0.Add(260*us)) != 1 || deliveries(t0.Add(350*us)) != 0 {
+		t.Errorf("client-NIC flood: busy until %v, %d deliveries at t0+260µs and %d at t0+350µs; want t0+200µs, 1 and 0 (no TCP extra latency)",
+			rx.busyUntil.Sub(t0), deliveries(t0.Add(260*us)), deliveries(t0.Add(350*us)))
+	}
+}

@@ -213,6 +213,8 @@ type pendingFrame struct {
 type simNode struct {
 	node *core.Node
 	id   types.NodeID
+	// peers is every other node: the targets of a broadcast.
+	peers []types.NodeID
 	// queues: index 0 = node modules (verification, propagation, dispatch,
 	// execution); 1..f+1 = one core per protocol-instance replica.
 	queues []cpuQueue
@@ -285,6 +287,10 @@ type Sim struct {
 	seq    uint64
 	now    time.Time
 	endAt  time.Time
+	// transit is the delay between a frame's last byte leaving its link and
+	// the receiver seeing it: link latency, plus TCP's per-message overhead
+	// unless the run is UDP.
+	transit time.Duration
 
 	nodes []*simNode
 	// clients is indexed by client id; entries are instantiated lazily on
@@ -315,7 +321,11 @@ func New(cfg Config) *Sim {
 		ks:      crypto.NewInsecureFastKeyStore([]byte("rbft-sim"), cluster.N, maxClients),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		now:     time.Unix(0, 0),
+		transit: cfg.Cost.LinkLatency,
 		metrics: newMetrics(cluster),
+	}
+	if !cfg.UDP {
+		s.transit += cfg.Cost.TCPExtraLatency
 	}
 	// Every node's events feed the metrics aggregator, and additionally the
 	// configured trace sink (JSONL etc.) when one is installed.
@@ -326,6 +336,7 @@ func New(cfg Config) *Sim {
 		sn := &simNode{
 			node:    s.newCoreNode(id),
 			id:      id,
+			peers:   cluster.OtherNodes(id),
 			queues:  make([]cpuQueue, cluster.Instances()+1),
 			peerTx:  make([]link, cluster.N),
 			closed:  make(map[types.NodeID]time.Time),
@@ -383,9 +394,6 @@ func (s *Sim) Cluster() types.Config { return s.cluster }
 
 // Node returns the core node state machine of node id (scripted attacks).
 func (s *Sim) Node(id types.NodeID) *core.Node { return s.nodes[id].node }
-
-// Now returns the current virtual time.
-func (s *Sim) Now() time.Time { return s.now }
 
 func (s *Sim) schedule(at time.Time, fn func()) {
 	if at.Before(s.now) {
@@ -686,11 +694,7 @@ func (s *Sim) emitOutputs(sn *simNode, out core.Output) {
 		size := s.cfg.Cost.wireSize(nm.Msg)
 		targets := nm.To
 		if targets == nil {
-			for i := 0; i < s.cluster.N; i++ {
-				if types.NodeID(i) != sn.id {
-					targets = append(targets, types.NodeID(i))
-				}
-			}
+			targets = sn.peers
 		}
 		for _, to := range targets {
 			s.sendNodeToNodeSized(sn, to, nm.Msg, size)
@@ -699,6 +703,21 @@ func (s *Sim) emitOutputs(sn *simNode, out core.Output) {
 	for _, cm := range out.ClientMsgs {
 		s.sendNodeToClient(sn, cm.To, cm.Msg)
 	}
+}
+
+// book reserves l for one physical frame carrying size payload bytes — from
+// now, or from when the link frees if it is still transmitting — and returns
+// when the frame arrives: the end of its serialization plus transit, the
+// delay between the last byte leaving and the receiver seeing the frame
+// (s.transit for everything but the client-NIC flood). Every simulated frame
+// in flight is booked here; nothing else moves busyUntil.
+func (s *Sim) book(l *link, size int, transit time.Duration) time.Time {
+	start := s.now
+	if l.busyUntil.After(start) {
+		start = l.busyUntil
+	}
+	l.busyUntil = start.Add(s.cfg.Cost.PacketCost(size))
+	return l.busyUntil.Add(transit)
 }
 
 // sendNodeToNode transmits msg on the dedicated from→to link.
@@ -722,15 +741,7 @@ func (s *Sim) sendNodeToNodeSized(from *simNode, to types.NodeID, msg message.Me
 	// Link idle: the payload leaves immediately as its own physical frame
 	// (greedy flush — coalescing adds no latency when the wire is keeping
 	// up, exactly like the runtime's flush policy).
-	start := s.now
-	if l.busyUntil.After(start) {
-		start = l.busyUntil
-	}
-	l.busyUntil = start.Add(s.cfg.Cost.PacketCost(size))
-	arrive := l.busyUntil.Add(s.cfg.Cost.LinkLatency)
-	if !s.cfg.UDP {
-		arrive = arrive.Add(s.cfg.Cost.TCPExtraLatency)
-	}
+	arrive := s.book(l, size, s.transit)
 	dst := s.nodes[to]
 	fromID := from.id
 	s.schedule(arrive, func() { s.deliverToNode(dst, msg, fromID, false) })
@@ -758,11 +769,7 @@ func (s *Sim) flushLink(from *simNode, to types.NodeID, ep int) {
 	for _, pf := range batch {
 		total += pf.size
 	}
-	l.busyUntil = s.now.Add(s.cfg.Cost.PacketCost(total))
-	arrive := l.busyUntil.Add(s.cfg.Cost.LinkLatency)
-	if !s.cfg.UDP {
-		arrive = arrive.Add(s.cfg.Cost.TCPExtraLatency)
-	}
+	arrive := s.book(l, total, s.transit)
 	dst := s.nodes[to]
 	fromID := from.id
 	for _, pf := range batch {
@@ -805,18 +812,8 @@ func (s *Sim) sendNodeToClient(from *simNode, to types.ClientID, msg message.Mes
 	if int(to) >= len(s.clients) || s.clients[to] == nil {
 		return // unknown or never-instantiated client: nothing awaits this reply
 	}
-	size := len(msg.Marshal(nil))
 	l := &from.clientTx
-	start := s.now
-	if l.busyUntil.After(start) {
-		start = l.busyUntil
-	}
-	ser := s.cfg.Cost.PacketCost(size)
-	l.busyUntil = start.Add(ser)
-	arrive := l.busyUntil.Add(s.cfg.Cost.LinkLatency)
-	if !s.cfg.UDP {
-		arrive = arrive.Add(s.cfg.Cost.TCPExtraLatency)
-	}
+	arrive := s.book(l, msg.EncodedSize(), s.transit)
 	if s.spans {
 		if rep, ok := msg.(*message.Reply); ok {
 			// egress: client-NIC queue wait plus serialization; reply: the

@@ -286,7 +286,7 @@ func (s *Sim) issueRequest(sc *simClient) {
 // broadcastRequest transmits a request to every node through each node's
 // client NIC, applying the worst-attack-1 MAC corruption if configured.
 func (s *Sim) broadcastRequest(sc *simClient, req *message.Request) {
-	size := len(req.Marshal(nil))
+	size := req.EncodedSize()
 	for _, sn := range s.nodes {
 		msg := message.Message(req)
 		if s.corruptFor(sn.id) {
@@ -297,16 +297,7 @@ func (s *Sim) broadcastRequest(sc *simClient, req *message.Request) {
 			}
 			msg = &bad
 		}
-		l := &sn.clientRx
-		start := s.now
-		if l.busyUntil.After(start) {
-			start = l.busyUntil
-		}
-		l.busyUntil = start.Add(s.cfg.Cost.PacketCost(size))
-		arrive := l.busyUntil.Add(s.cfg.Cost.LinkLatency)
-		if !s.cfg.UDP {
-			arrive = arrive.Add(s.cfg.Cost.TCPExtraLatency)
-		}
+		arrive := s.book(&sn.clientRx, size, s.transit)
 		node := sn
 		m := msg
 		s.schedule(arrive, func() { s.deliverToNode(node, m, 0, true) })

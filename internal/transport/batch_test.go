@@ -24,7 +24,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		{[]byte("solo")},
 		{[]byte("a"), []byte("bc"), []byte("def")},
 		{[]byte{}, []byte("x"), []byte{}}, // empty payloads survive
-		{bytes.Repeat([]byte{0x7f}, 1 << 12), {0x01}},
+		{bytes.Repeat([]byte{0x7f}, 1<<12), {0x01}},
 	}
 	for i, payloads := range cases {
 		total := 0

@@ -142,17 +142,23 @@ func (c Config) PrimaryOf(v View, inst InstanceID) NodeID {
 	return NodeID((uint64(v) + uint64(inst)) % uint64(c.N))
 }
 
-// IsPrimary reports whether node n hosts the primary of instance inst in
-// view v.
-func (c Config) IsPrimary(n NodeID, v View, inst InstanceID) bool {
-	return c.PrimaryOf(v, inst) == n
-}
-
 // AllNodes returns the node IDs [0, N).
 func (c Config) AllNodes() []NodeID {
 	nodes := make([]NodeID, c.N)
 	for i := range nodes {
 		nodes[i] = NodeID(i)
+	}
+	return nodes
+}
+
+// OtherNodes returns every node ID but self, ascending: the targets of a
+// broadcast from self. Drivers compute it once per node.
+func (c Config) OtherNodes(self NodeID) []NodeID {
+	nodes := make([]NodeID, 0, c.N-1)
+	for i := 0; i < c.N; i++ {
+		if NodeID(i) != self {
+			nodes = append(nodes, NodeID(i))
+		}
 	}
 	return nodes
 }

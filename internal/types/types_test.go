@@ -1,6 +1,7 @@
 package types
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -150,6 +151,15 @@ func TestAllNodes(t *testing.T) {
 	for i, n := range nodes {
 		if int(n) != i {
 			t.Errorf("AllNodes()[%d] = %d", i, n)
+		}
+	}
+}
+
+func TestOtherNodes(t *testing.T) {
+	c := NewConfig(1)
+	for self, want := range [][]NodeID{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}} {
+		if got := c.OtherNodes(NodeID(self)); !reflect.DeepEqual(got, want) {
+			t.Errorf("OtherNodes(%d) = %v, want %v", self, got, want)
 		}
 	}
 }

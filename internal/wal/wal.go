@@ -313,13 +313,6 @@ func (l *Log) Sync() error {
 	return l.WaitDurable(lsn)
 }
 
-// DurableLSN returns the highest LSN known to be on disk.
-func (l *Log) DurableLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.durable
-}
-
 // AppendedLSN returns the LSN of the most recently appended record.
 func (l *Log) AppendedLSN() uint64 {
 	l.mu.Lock()
@@ -523,9 +516,6 @@ func syncDir(dir string) {
 	_ = d.Sync()
 	_ = d.Close()
 }
-
-// Dir returns the log's directory (for diagnostics and tests).
-func (l *Log) Dir() string { return l.opts.Dir }
 
 // SegmentPaths returns the current segment files, oldest first.
 func (l *Log) SegmentPaths() []string {

@@ -53,7 +53,12 @@ func TestExecutedLaneEncodingCanonical(t *testing.T) {
 	payload := appendRecord(nil, &zeroLane)
 	payload = appendU32(payload, 0)
 	frame := make([]byte, 8, 8+len(payload))
-	putU32 := func(b []byte, v uint32) { b[0] = byte(v >> 24); b[1] = byte(v >> 16); b[2] = byte(v >> 8); b[3] = byte(v) }
+	putU32 := func(b []byte, v uint32) {
+		b[0] = byte(v >> 24)
+		b[1] = byte(v >> 16)
+		b[2] = byte(v >> 8)
+		b[3] = byte(v)
+	}
 	putU32(frame[0:4], uint32(len(payload)))
 	putU32(frame[4:8], crcOf(payload))
 	frame = append(frame, payload...)

@@ -8,6 +8,14 @@ cd "$(dirname "$0")/.."
 echo "== go build ./... =="
 go build ./...
 
+echo "== gofmt -l (every .go file but the analyzers' testdata fixtures; bench/ included) =="
+unformatted=$(gofmt -l . | grep -v '/testdata/' || true)
+if [ -n "$unformatted" ]; then
+	echo "not gofmt-formatted:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "== go vet ./... =="
 go vet ./...
 
@@ -16,6 +24,9 @@ go run ./cmd/rbft-vet ./...
 
 echo "== vet-fixtures (analyzer self-tests) =="
 go test ./tools/analyzers/...
+
+echo "== analyzer mutations (every analyzer fires on its violation seeded in the real tree) =="
+sh scripts/analyzer-mutations.sh
 
 echo "== go test ./... =="
 go test ./...
@@ -39,10 +50,12 @@ go test ./internal/core -run '^$' -fuzz '^FuzzMergeSchedule$' -fuzztime 5s
 go test ./internal/exec -run '^$' -fuzz '^FuzzWaveSchedule$' -fuzztime 5s
 go test ./internal/client -run '^$' -fuzz '^FuzzReadQuorum$' -fuzztime 5s
 
-echo "== allocation gate (zero-alloc steady-state encode, docs/EGRESS.md; allocation-free MACs and alias decode, docs/PIPELINE.md; one request through four core.Nodes) =="
+echo "== allocation gate (zero-alloc steady-state encode and two-allocation emit, docs/EGRESS.md; allocation-free MACs and alias decode, docs/PIPELINE.md; one batch through four replicas, one request through four core.Nodes) =="
 go test ./internal/message -run '^(TestEncodeZeroAlloc|TestDecodeAliasesFrame|TestPreverifyAllocationBudget)$' -count=1 -v
 go test ./internal/crypto -run '^TestMACAllocations$' -count=1 -v
+go test ./internal/pbft -run '^TestOrderBatchAllocationBudget$' -count=1 -v
 go test ./internal/core -run '^TestNodeRequestPathAllocationBudget$' -count=1 -v
+go test ./internal/runtime -run '^TestEmitAllocatesOnlyItsFrames$' -count=1 -v
 go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode|BenchmarkPreverifyClientFrame|BenchmarkPreverifyPropagateFrame)$' -benchtime 100x -benchmem
 go test ./internal/crypto -run '^$' -bench '^BenchmarkAuthenticator$' -benchtime 100x -benchmem
 go test ./internal/core -run '^$' -bench '^BenchmarkNodeRequestPath$' -benchtime 100x -benchmem
@@ -66,9 +79,10 @@ go run ./cmd/rbft-trace critical-path -top 3 TRACE_smoke.jsonl >/dev/null
 go run ./cmd/rbft-trace attribute TRACE_smoke.jsonl >/dev/null
 rm -f TRACE_smoke.jsonl
 
-echo "== line gate (ROADMAP item 2: non-test lines of internal/{core,sim,runtime}; all, then non-blank non-comment) =="
-f=$(ls internal/core/*.go internal/sim/*.go internal/runtime/*.go | grep -v _test.go)
-cat $f | wc -l
-cat $f | grep -vE '^\s*(//|$)' | wc -l
+echo "== line gate (ROADMAP item 2: non-test lines of internal/{core,sim,runtime}, then of internal/pbft; all, then non-blank non-comment) =="
+for dirs in "internal/core internal/sim internal/runtime" "internal/pbft"; do
+	f=$(for d in $dirs; do ls $d/*.go; done | grep -v _test.go)
+	echo "$dirs: $(cat $f | wc -l) $(cat $f | grep -vE '^\s*(//|$)' | wc -l)"
+done
 
 echo "CI gate passed."
