@@ -60,6 +60,7 @@ go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode|
 go test ./internal/crypto -run '^$' -bench '^BenchmarkAuthenticator$' -benchtime 100x -benchmem
 go test ./internal/core -run '^$' -bench '^BenchmarkNodeRequestPath$' -benchtime 100x -benchmem
 go test ./internal/runtime -run '^$' -bench '^BenchmarkEgress$' -benchtime 100x -benchmem
+go test ./internal/sim -run '^$' -bench '^BenchmarkSimRun$' -benchtime 3x -benchmem
 
 echo "== span-record gate (tracing-off cost must stay trivial) =="
 go test ./internal/obs -run '^$' -bench '^BenchmarkSpanRecord$' -benchtime 100x -benchmem
