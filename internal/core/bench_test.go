@@ -32,11 +32,14 @@ func BenchmarkNodeRequestPath(b *testing.B) {
 }
 
 // TestNodeRequestPathAllocationBudget puts a ceiling on what one request
-// allocates across the four nodes (scripts/ci.sh's allocation gate).
+// allocates across the four nodes (scripts/ci.sh's allocation gate). Since
+// nodeCluster carries frames the count includes the wire: one Marshal per
+// message sent and one Decode per delivery (383 allocations when it handed
+// message objects from node to node, 545 carrying frames).
 func TestNodeRequestPathAllocationBudget(t *testing.T) {
 	nc := newNodeCluster(t, 1, nil)
 	requestPath(nc, requestPathOp)
-	const ceiling = 395
+	const ceiling = 560
 	if n := testing.AllocsPerRun(200, func() { requestPath(nc, requestPathOp) }); n > ceiling {
 		t.Errorf("one request through four nodes: %v allocs, want <= %d", n, ceiling)
 	}

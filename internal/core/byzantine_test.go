@@ -46,7 +46,7 @@ func runByzantineFuzz(t *testing.T, seed int64) {
 			msg := randomProtocolMessage(rng, attacker, nc.cfg)
 			authenticate(msg, attackerRing, nc.cfg.N)
 			target := types.NodeID(rng.Intn(3))
-			nc.queue = append(nc.queue, clusterEvent{fromNode: attacker, toNode: target, nodeDst: true, msg: msg})
+			nc.queue = append(nc.queue, clusterEvent{fromNode: attacker, toNode: target, nodeDst: true, frame: frameOf(msg)})
 		case 2: // corrupted wire bytes re-decoded (malformed fields)
 			msg := randomProtocolMessage(rng, attacker, nc.cfg)
 			authenticate(msg, attackerRing, nc.cfg.N)
@@ -56,7 +56,7 @@ func runByzantineFuzz(t *testing.T, seed int64) {
 			}
 			if decoded, err := message.Decode(wire); err == nil {
 				target := types.NodeID(rng.Intn(3))
-				nc.queue = append(nc.queue, clusterEvent{fromNode: attacker, toNode: target, nodeDst: true, msg: decoded})
+				nc.queue = append(nc.queue, clusterEvent{fromNode: attacker, toNode: target, nodeDst: true, frame: frameOf(decoded)})
 			}
 		case 3: // forged client request from the faulty node (bad signature)
 			req := &message.Request{
@@ -69,7 +69,7 @@ func runByzantineFuzz(t *testing.T, seed int64) {
 			p := &message.Propagate{Req: *req, Node: attacker}
 			p.Auth = attackerRing.AuthenticatorForNodes(nc.cfg.N, p.Body())
 			target := types.NodeID(rng.Intn(3))
-			nc.queue = append(nc.queue, clusterEvent{fromNode: attacker, toNode: target, nodeDst: true, msg: p})
+			nc.queue = append(nc.queue, clusterEvent{fromNode: attacker, toNode: target, nodeDst: true, frame: frameOf(p)})
 		}
 		nc.runFor(5 * time.Millisecond)
 	}
@@ -164,10 +164,10 @@ func TestEquivocatingClientDoesNotDiverge(t *testing.T) {
 	}
 	// A and B go to disjoint node subsets.
 	for _, n := range []types.NodeID{0, 1} {
-		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, msg: reqA})
+		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, frame: frameOf(reqA)})
 	}
 	for _, n := range []types.NodeID{2, 3} {
-		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, msg: reqB})
+		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, frame: frameOf(reqB)})
 	}
 	nc.runFor(300 * time.Millisecond)
 

@@ -58,7 +58,7 @@ func testEvictedClientRetransmission(t *testing.T, mode types.OrderingMode) {
 	// identical execution history.
 	for _, n := range nc.cfg.AllNodes() {
 		nc.queue = append(nc.queue, clusterEvent{
-			isClient: true, fromClient: 1, toNode: n, nodeDst: true, msg: req,
+			isClient: true, fromClient: 1, toNode: n, nodeDst: true, frame: frameOf(req),
 		})
 	}
 	nc.runFor(200 * time.Millisecond)

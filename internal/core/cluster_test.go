@@ -44,7 +44,9 @@ type clusterEvent struct {
 	toNode     types.NodeID
 	toClient   types.ClientID
 	nodeDst    bool
-	msg        message.Message
+	// frame is the encoded message: bytes are all that travels, and a
+	// broadcast shares one immutable frame.
+	frame []byte
 }
 
 func newNodeCluster(t testing.TB, f int, tweak func(*Config)) *nodeCluster {
@@ -99,9 +101,10 @@ func (nc *nodeCluster) sendRequest(id types.ClientID, op []byte, onlyTo ...types
 	if len(targets) == 0 {
 		targets = nc.cfg.AllNodes()
 	}
+	frame := frameOf(req)
 	for _, n := range targets {
 		nc.queue = append(nc.queue, clusterEvent{
-			isClient: true, fromClient: id, toNode: n, nodeDst: true, msg: req,
+			isClient: true, fromClient: id, toNode: n, nodeDst: true, frame: frame,
 		})
 	}
 	return req
@@ -130,9 +133,10 @@ func (nc *nodeCluster) collect(from types.NodeID, out Output) {
 		}
 	}
 	for _, cm := range out.ClientMsgs {
-		nc.queue = append(nc.queue, clusterEvent{fromNode: from, toClient: cm.To, msg: cm.Msg})
+		nc.queue = append(nc.queue, clusterEvent{fromNode: from, toClient: cm.To, frame: frameOf(cm.Msg)})
 	}
 	for _, nm := range out.NodeMsgs {
+		frame := frameOf(nm.Msg)
 		targets := nm.To
 		if targets == nil {
 			for i := 0; i < nc.cfg.N; i++ {
@@ -145,7 +149,7 @@ func (nc *nodeCluster) collect(from types.NodeID, out Output) {
 			if nc.linkDown[from][to] {
 				continue
 			}
-			nc.queue = append(nc.queue, clusterEvent{fromNode: from, toNode: to, nodeDst: true, msg: nm.Msg})
+			nc.queue = append(nc.queue, clusterEvent{fromNode: from, toNode: to, nodeDst: true, frame: frame})
 		}
 	}
 }
@@ -197,9 +201,10 @@ func (nc *nodeCluster) runFor(d time.Duration) {
 			w := cl.NextWake()
 			if !w.IsZero() && !nc.now.Before(w) {
 				for _, req := range cl.Tick(nc.now) {
+					frame := frameOf(req)
 					for _, n := range nc.cfg.AllNodes() {
 						nc.queue = append(nc.queue, clusterEvent{
-							isClient: true, fromClient: id, toNode: n, nodeDst: true, msg: req,
+							isClient: true, fromClient: id, toNode: n, nodeDst: true, frame: frame,
 						})
 					}
 				}
@@ -208,41 +213,47 @@ func (nc *nodeCluster) runFor(d time.Duration) {
 	}
 }
 
-// onClientRequest and onNodeMessage feed one decoded message to a node the way
-// every driver does: Preverifier first, then OnVerified or OnIngressFailure.
-func onClientRequest(n *Node, req *message.Request, now time.Time) Output {
-	v, err := n.Preverifier().PreverifyClient(req, req.Client)
+// frameOf encodes msg into a frame of exactly its size.
+func frameOf(msg message.Message) []byte {
+	return msg.Marshal(make([]byte, 0, msg.EncodedSize()))
+}
+
+// onClientFrame and onNodeFrame feed one frame to a node the way every driver
+// does: preverify the frame, then OnVerified or OnRejected.
+func onClientFrame(n *Node, frame []byte, from types.ClientID, now time.Time) Output {
+	v, err := n.Preverifier().PreverifyClientFrame(frame, from)
 	if err != nil {
-		return n.OnIngressFailure(IngressFailure{
-			FromClient: true, Client: req.Client,
-			Kind: message.FailKindOf(err), Msg: req,
-		}, now)
+		return n.OnRejected(err, now)
 	}
 	return n.OnVerified(v, now)
 }
 
-func onNodeMessage(n *Node, msg message.Message, from types.NodeID, now time.Time) Output {
-	v, err := n.Preverifier().PreverifyNode(msg, from)
+func onNodeFrame(n *Node, frame []byte, from types.NodeID, now time.Time) Output {
+	v, err := n.Preverifier().PreverifyNodeFrame(frame, from)
 	if err != nil {
-		return n.OnIngressFailure(IngressFailure{
-			From: from, Kind: message.FailKindOf(err), Msg: msg,
-		}, now)
+		return n.OnRejected(err, now)
 	}
 	return n.OnVerified(v, now)
+}
+
+// onClientRequest and onNodeMessage feed a node the encoding of one message,
+// sent by the client the request names or by node from.
+func onClientRequest(n *Node, req *message.Request, now time.Time) Output {
+	return onClientFrame(n, frameOf(req), req.Client, now)
+}
+
+func onNodeMessage(n *Node, msg message.Message, from types.NodeID, now time.Time) Output {
+	return onNodeFrame(n, frameOf(msg), from, now)
 }
 
 func (nc *nodeCluster) deliver(ev clusterEvent) {
 	if ev.nodeDst {
 		node := nc.nodes[ev.toNode]
 		if ev.isClient {
-			req, ok := ev.msg.(*message.Request)
-			if !ok {
-				nc.t.Fatalf("client sent %T", ev.msg)
-			}
-			nc.collect(ev.toNode, onClientRequest(node, req, nc.now))
+			nc.collect(ev.toNode, onClientFrame(node, ev.frame, ev.fromClient, nc.now))
 			return
 		}
-		nc.collect(ev.toNode, onNodeMessage(node, ev.msg, ev.fromNode, nc.now))
+		nc.collect(ev.toNode, onNodeFrame(node, ev.frame, ev.fromNode, nc.now))
 		return
 	}
 	// To a client.
@@ -250,7 +261,11 @@ func (nc *nodeCluster) deliver(ev clusterEvent) {
 	if cl == nil {
 		return
 	}
-	rep, ok := ev.msg.(*message.Reply)
+	msg, err := message.Decode(ev.frame)
+	if err != nil {
+		nc.t.Fatalf("node %d sent client %d an undecodable frame: %v", ev.fromNode, ev.toClient, err)
+	}
+	rep, ok := msg.(*message.Reply)
 	if !ok {
 		return
 	}
@@ -343,7 +358,7 @@ func TestInvalidSignatureBlacklistsClient(t *testing.T) {
 		req.Auth[i] = ring.MACForNode(types.NodeID(i), body)
 	}
 	for _, n := range nc.cfg.AllNodes() {
-		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, msg: req})
+		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, frame: frameOf(req)})
 	}
 	nc.runFor(50 * time.Millisecond)
 	if got := len(nc.executed[0]); got != 0 {
@@ -371,7 +386,7 @@ func TestBadMACDropped(t *testing.T) {
 		req.Auth[i][0] ^= 0xff
 	}
 	for _, n := range nc.cfg.AllNodes() {
-		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, msg: req})
+		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, frame: frameOf(req)})
 	}
 	nc.runFor(50 * time.Millisecond)
 	if got := len(nc.executed[0]); got != 0 {

@@ -7,8 +7,8 @@
 // outputs are messages to send, executed requests, replies, instance-change
 // events and NIC closures. The discrete-event simulator and the real-time
 // TCP/UDP runtime both drive the same Node code, the one way there is: run
-// Preverifier() on the raw input, hand the result to OnVerified or
-// OnIngressFailure in arrival order, and call Tick when NextWake is due
+// Preverifier() on the frame's bytes, hand the result to OnVerified or
+// OnRejected in arrival order, and call Tick when NextWake is due
 // (docs/PIPELINE.md).
 //
 // The files follow the paper's modules: ingress.go (Verification's apply half
@@ -170,7 +170,7 @@ type NICClose struct {
 }
 
 // Output aggregates the effects of one node input. The entry point that took
-// the input (OnVerified, OnIngressFailure, Tick) owns the one Output of the
+// the input (OnVerified, OnRejected, Tick) owns the one Output of the
 // step; every handler below it appends to that value in call order, so the
 // order within each slice is the order in which the node produced the effect.
 type Output struct {
@@ -255,6 +255,8 @@ type Node struct {
 	msgsIn    [64]*obs.Counter
 	msgsOut   [64]*obs.Counter
 	clientOut *obs.Counter
+	// rejected counts the frames OnRejected reacted to, by message.FailKind.
+	rejected [message.FailBadSig + 1]*obs.Counter
 	// executedByLane counts executions by the ordering lane the executing
 	// order came from (always lane 0 in master-only mode).
 	executedByLane []*obs.Counter
@@ -313,8 +315,8 @@ func New(cfg Config, keys *crypto.KeyRing) *Node {
 
 // Preverifier returns the stateless ingress verification stage paired with
 // this node. Drivers run it on any number of goroutines (or charge it on
-// parallel simulated cores) and feed the results to OnVerified /
-// OnIngressFailure in arrival order.
+// parallel simulated cores) and feed the results to OnVerified / OnRejected in
+// arrival order.
 func (n *Node) Preverifier() *message.Preverifier { return n.pre }
 
 // SetTracer installs an event sink on the node and propagates it (node-
@@ -343,6 +345,9 @@ func (n *Node) SetRegistry(reg *obs.Registry) {
 		n.msgsOut[t] = reg.Counter(obs.LabeledName("rbft_messages_out_total", "type", t.String()))
 	}
 	n.clientOut = reg.Counter("rbft_client_messages_out_total")
+	for k := message.FailMalformed; k <= message.FailBadSig; k++ {
+		n.rejected[k] = reg.Counter(obs.LabeledName("rbft_frames_rejected_total", "kind", k.String()))
+	}
 	n.executedByLane = make([]*obs.Counter, len(n.replicas))
 	for i := range n.replicas {
 		n.executedByLane[i] = reg.Counter(obs.LabeledName("rbft_executed_total", "lane", fmt.Sprintf("%d", i)))

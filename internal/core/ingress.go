@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"time"
 
 	"rbft/internal/message"
@@ -28,23 +29,15 @@ func (n *Node) OnVerified(v *message.Verified, now time.Time) Output {
 	return out
 }
 
-// IngressFailure describes a frame the preverify stage rejected. Msg is the
-// decoded message when decoding succeeded (metrics only; may be nil).
-type IngressFailure struct {
-	FromClient bool
-	Client     types.ClientID
-	From       types.NodeID
-	Kind       message.FailKind
-	Msg        message.Message
-}
-
-// OnIngressFailure applies the node-state reaction to a preverification
-// failure: flood accounting and NIC closures for node traffic, blacklisting
-// for client signature failures. Keeping these decisions in the apply stage
-// (rather than in the concurrent verifiers) keeps flood state deterministic.
-func (n *Node) OnIngressFailure(f IngressFailure, now time.Time) Output {
+// OnRejected applies the node-state reaction to a frame the preverify stage
+// rejected; err is what Preverify*Frame returned and names the frame's origin.
+// Flood accounting and NIC closures for node traffic, blacklisting for client
+// signature failures. Keeping these decisions in the apply stage (rather than
+// in the concurrent verifiers) keeps flood state deterministic.
+func (n *Node) OnRejected(err error, now time.Time) Output {
 	var out Output
-	if n.behavior.Silent {
+	var f *message.PreverifyError
+	if !errors.As(err, &f) || n.behavior.Silent {
 		return out
 	}
 	if f.FromClient {
@@ -61,7 +54,7 @@ func (n *Node) OnIngressFailure(f IngressFailure, now time.Time) Output {
 		}
 		n.countInvalid(&out, f.From, now)
 	}
-	n.observeIO(f.Msg, &out)
+	n.rejected[f.Kind].Inc()
 	return out
 }
 

@@ -87,7 +87,7 @@ func TestMultiPrimaryBackupLaneEquivocationDedup(t *testing.T) {
 		t.Fatal("equivocation bodies collide")
 	}
 	for _, n := range nc.cfg.AllNodes() {
-		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, msg: reqB})
+		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, frame: frameOf(reqB)})
 	}
 	nc.runFor(200 * time.Millisecond)
 

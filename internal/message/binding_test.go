@@ -91,7 +91,7 @@ func TestFieldTamperingKeepsItsFailKind(t *testing.T) {
 			if err == nil {
 				t.Fatal("tampered frame accepted")
 			}
-			if got := FailKindOf(err); got != tc.want {
+			if got := failKindOf(err); got != tc.want {
 				t.Fatalf("tampered frame failed as %s, want %s (%v)", got, tc.want, err)
 			}
 		})
@@ -114,7 +114,7 @@ func TestMutatedOpNeverRidesAStaleDigest(t *testing.T) {
 	pre := newPreverifier(ks, 16)
 	req := signedRequest(ks, 1, 9, []byte("genuine"))
 	prop := propagateOf(ks, 1, req) // MAC'd while the op was genuine
-	v, err := pre.PreverifyClient(req, 1)
+	v, err := pre.preverifyClient(req, 1)
 	if err != nil {
 		t.Fatalf("genuine request rejected: %v", err)
 	}
@@ -127,15 +127,15 @@ func TestMutatedOpNeverRidesAStaleDigest(t *testing.T) {
 	if req.OpDigest() == genuine {
 		t.Fatal("OpDigest did not follow the mutated op")
 	}
-	if _, err := pre.PreverifyClient(req, 1); FailKindOf(err) != FailBadMAC {
+	if _, err := pre.preverifyClient(req, 1); failKindOf(err) != FailBadMAC {
 		t.Fatalf("mutated request: got %v, want bad-mac", err)
 	}
-	if _, err := pre.PreverifyNode(prop, 1); FailKindOf(err) != FailBadMAC {
+	if _, err := pre.preverifyNode(prop, 1); failKindOf(err) != FailBadMAC {
 		t.Fatalf("mutated op under the old PROPAGATE authenticator: got %v, want bad-mac", err)
 	}
 	// A faulty node re-MACs the mutated request: the MAC passes, the client
 	// signature — over the genuine digest — does not.
-	if _, err := pre.PreverifyNode(propagateOf(ks, 1, req), 1); FailKindOf(err) != FailBadSig {
+	if _, err := pre.preverifyNode(propagateOf(ks, 1, req), 1); failKindOf(err) != FailBadSig {
 		t.Fatalf("mutated op under a fresh PROPAGATE authenticator: got %v, want bad-sig", err)
 	}
 }
@@ -160,7 +160,7 @@ func TestDigestDefinitionsPinned(t *testing.T) {
 func largePropagateFrame(t testing.TB, ks *crypto.KeyStore, pre *Preverifier) []byte {
 	t.Helper()
 	req := signedRequest(ks, 1, 1, bytes.Repeat([]byte{0xab}, 4096))
-	if _, err := pre.PreverifyClient(req, 1); err != nil {
+	if _, err := pre.preverifyClient(req, 1); err != nil {
 		t.Fatalf("request rejected: %v", err)
 	}
 	return propagateOf(ks, 1, req).Marshal(nil)
@@ -283,7 +283,7 @@ func BenchmarkPreverifyPropagateFrame(b *testing.B) {
 		b.Run(bo.name, func(b *testing.B) {
 			pre := newPreverifier(ks, 16)
 			req := signedRequest(ks, 1, 1, bo.op)
-			if _, err := pre.PreverifyClient(req, 1); err != nil {
+			if _, err := pre.preverifyClient(req, 1); err != nil {
 				b.Fatal(err)
 			}
 			frame := propagateOf(ks, 1, req).Marshal(nil)

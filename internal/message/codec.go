@@ -148,15 +148,6 @@ func (r *reader) digest() types.Digest {
 	return d
 }
 
-func (r *reader) mac() crypto.MAC {
-	var m crypto.MAC
-	p := r.take(crypto.MACSize)
-	if p != nil {
-		copy(m[:], p)
-	}
-	return m
-}
-
 func (r *reader) refs() []types.RequestRef {
 	n := r.u32()
 	if n > maxFieldLen/types.DigestSize {
@@ -181,9 +172,10 @@ func (r *reader) auth() crypto.Authenticator {
 		r.fail(ErrOversized)
 		return nil
 	}
-	a := make(crypto.Authenticator, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		a = append(a, r.mac())
+	p := r.take(int(n) * crypto.MACSize) // nil when truncated: no entries
+	a := make(crypto.Authenticator, len(p)/crypto.MACSize)
+	for i := range a {
+		copy(a[i][:], p[i*crypto.MACSize:])
 	}
 	return a
 }
@@ -324,7 +316,7 @@ func decodeReply(r *reader) *Reply {
 		Node:   types.NodeID(r.u64()),
 		Result: r.bytes(),
 	}
-	rep.MAC = r.mac()
+	copy(rep.MAC[:], r.take(crypto.MACSize)) // nothing to copy when truncated
 	return rep
 }
 

@@ -88,7 +88,7 @@ func FuzzPreverify(f *testing.F) {
 				t.Fatalf("got verified=%v error=%v; want exactly one", v, err)
 			}
 			if err != nil {
-				if k := FailKindOf(err); k < FailMalformed || k > FailBadSig {
+				if k := failKindOf(err); k < FailMalformed || k > FailBadSig {
 					t.Fatalf("unclassified preverify error %v", err)
 				}
 			}

@@ -18,9 +18,8 @@ import (
 // number of goroutines (internal/runtime) or charge it on parallel simulated
 // cores (internal/sim).
 
-// FailKind classifies preverification failures so drivers can map them to
-// the node's flood-accounting and blacklisting reactions without re-deriving
-// the cause.
+// FailKind classifies preverification failures: the node's flood-accounting
+// and blacklisting reactions depend on it, as does the rejected-frame counter.
 type FailKind uint8
 
 // Preverification failure kinds.
@@ -53,39 +52,31 @@ func (k FailKind) String() string {
 	}
 }
 
-// PreverifyError is a classified preverification failure.
+// PreverifyError is a classified preverification failure. FromClient with
+// Client, or From, is the origin the transport claimed for the frame, so the
+// node can react (core.Node.OnRejected) to the error alone.
 type PreverifyError struct {
-	Kind FailKind
-	Err  error
+	Kind       FailKind
+	FromClient bool
+	Client     types.ClientID
+	From       types.NodeID
+	Err        error
 }
 
 // Error implements error.
 func (e *PreverifyError) Error() string {
-	if e.Err == nil {
-		return "message: preverify failed: " + e.Kind.String()
-	}
 	return fmt.Sprintf("message: preverify failed (%s): %v", e.Kind, e.Err)
 }
 
 // Unwrap exposes the underlying cause.
 func (e *PreverifyError) Unwrap() error { return e.Err }
 
-// FailKindOf extracts the failure kind of a preverification error
-// (FailMalformed for foreign errors, since decode errors dominate those).
-func FailKindOf(err error) FailKind {
-	var pe *PreverifyError
-	if errors.As(err, &pe) {
-		return pe.Kind
-	}
-	return FailMalformed
-}
-
 func failKind(kind FailKind, err error) error { return &PreverifyError{Kind: kind, Err: err} }
 
 // Verified is a message that passed the stateless preverify stage. The apply
 // stage trusts its authentication material unconditionally; a Verified value
-// must therefore only be constructed by Preverifier (or by tests that
-// deliberately forge one).
+// must therefore only be constructed by Preverifier, from a frame's bytes: a
+// certificate or a *PreverifyError is all a frame can turn into.
 type Verified struct {
 	// Msg is the decoded message.
 	Msg Message
@@ -232,29 +223,38 @@ func (p *Preverifier) Cache() *VerifyCache { return p.cache }
 // PreverifyClientFrame decodes and preverifies a raw frame that arrived on
 // the client NIC from the (transport-claimed) client.
 func (p *Preverifier) PreverifyClientFrame(raw []byte, claimed types.ClientID) (*Verified, error) {
-	msg, err := Decode(raw)
-	if err != nil {
-		return nil, failKind(FailMalformed, err)
-	}
-	return p.PreverifyClient(msg, claimed)
+	return p.preverifyFrame(raw, true, claimed, 0)
 }
 
 // PreverifyNodeFrame decodes and preverifies a raw frame that arrived on the
 // node NIC from peer node from.
 func (p *Preverifier) PreverifyNodeFrame(raw []byte, from types.NodeID) (*Verified, error) {
-	msg, err := Decode(raw)
-	if err != nil {
-		return nil, failKind(FailMalformed, err)
-	}
-	return p.PreverifyNode(msg, from)
+	return p.preverifyFrame(raw, false, 0, from)
 }
 
-// PreverifyClient preverifies a decoded client-NIC message: only REQUESTs
+// preverifyFrame is both entry points; it stamps a rejection with its origin.
+func (p *Preverifier) preverifyFrame(raw []byte, fromClient bool, client types.ClientID, from types.NodeID) (v *Verified, err error) {
+	msg, err := Decode(raw)
+	switch {
+	case err != nil:
+		err = failKind(FailMalformed, err)
+	case fromClient:
+		v, err = p.preverifyClient(msg, client)
+	default:
+		v, err = p.preverifyNode(msg, from)
+	}
+	if pe, ok := err.(*PreverifyError); ok {
+		pe.FromClient, pe.Client, pe.From = fromClient, client, from
+	}
+	return v, err
+}
+
+// preverifyClient preverifies a decoded client-NIC message: only REQUESTs
 // arrive there, carrying a MAC authenticator over the signed body and a
 // client signature, both over the operation's digest: one pass over the
 // operation here serves both. MAC first: rejecting garbage at MAC cost is the
 // Aardvark/RBFT flood defence's core economics.
-func (p *Preverifier) PreverifyClient(msg Message, claimed types.ClientID) (*Verified, error) {
+func (p *Preverifier) preverifyClient(msg Message, claimed types.ClientID) (*Verified, error) {
 	req, ok := msg.(*Request)
 	if !ok {
 		return nil, failKind(FailMalformed, fmt.Errorf("client sent %s", msg.MsgType()))
@@ -275,8 +275,8 @@ func (p *Preverifier) PreverifyClient(msg Message, claimed types.ClientID) (*Ver
 	return &Verified{Msg: req, FromClient: true, Client: claimed, SigCached: cached, Digest: d}, nil
 }
 
-// PreverifyNode preverifies a decoded node-NIC message from peer from.
-func (p *Preverifier) PreverifyNode(msg Message, from types.NodeID) (*Verified, error) {
+// preverifyNode preverifies a decoded node-NIC message from peer from.
+func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, error) {
 	var d types.Digest // OpDigest of a propagated request
 	// Every arm must authenticate msg before the Verified value is built.
 	//rbft:dispatch

@@ -1,6 +1,7 @@
 package message
 
 import (
+	"errors"
 	"testing"
 
 	"rbft/internal/crypto"
@@ -31,6 +32,16 @@ func propagateOf(ks *crypto.KeyStore, node types.NodeID, req *Request) *Propagat
 	return p
 }
 
+// failKindOf extracts the failure kind of a preverification error (0 when err
+// is not one).
+func failKindOf(err error) FailKind {
+	var pe *PreverifyError
+	if errors.As(err, &pe) {
+		return pe.Kind
+	}
+	return 0
+}
+
 func newPreverifier(ks *crypto.KeyStore, cacheCap int) *Preverifier {
 	return NewPreverifier(ks.NodeRing(0), 0, types.NewConfig(1), NewVerifyCache(cacheCap))
 }
@@ -46,7 +57,7 @@ func TestVerifyCacheHitMissCounters(t *testing.T) {
 	pre.Cache().SetCounters(hits, misses)
 
 	req := signedRequest(ks, 1, 1, []byte("op"))
-	v, err := pre.PreverifyClient(req, 1)
+	v, err := pre.preverifyClient(req, 1)
 	if err != nil {
 		t.Fatalf("valid request rejected: %v", err)
 	}
@@ -58,7 +69,7 @@ func TestVerifyCacheHitMissCounters(t *testing.T) {
 	}
 
 	// Client retransmission: same bytes, so the verdict is served from cache.
-	v, err = pre.PreverifyClient(req, 1)
+	v, err = pre.preverifyClient(req, 1)
 	if err != nil {
 		t.Fatalf("retransmitted request rejected: %v", err)
 	}
@@ -80,10 +91,10 @@ func TestPropagateSharesClientSigVerdict(t *testing.T) {
 	ks := testKeys()
 	pre := newPreverifier(ks, 16)
 	req := signedRequest(ks, 2, 7, []byte("shared"))
-	if _, err := pre.PreverifyClient(req, 2); err != nil {
+	if _, err := pre.preverifyClient(req, 2); err != nil {
 		t.Fatalf("client copy rejected: %v", err)
 	}
-	v, err := pre.PreverifyNode(propagateOf(ks, 1, req), 1)
+	v, err := pre.preverifyNode(propagateOf(ks, 1, req), 1)
 	if err != nil {
 		t.Fatalf("propagated copy rejected: %v", err)
 	}
@@ -104,7 +115,7 @@ func TestTamperedRequestMissesCacheAndIsRejected(t *testing.T) {
 	ks := testKeys()
 	pre := newPreverifier(ks, 16)
 	req := signedRequest(ks, 1, 3, []byte("genuine"))
-	if _, err := pre.PreverifyClient(req, 1); err != nil {
+	if _, err := pre.preverifyClient(req, 1); err != nil {
 		t.Fatalf("genuine request rejected: %v", err)
 	}
 
@@ -113,7 +124,7 @@ func TestTamperedRequestMissesCacheAndIsRejected(t *testing.T) {
 	tamperedOp := *req
 	tamperedOp.Op = []byte("Genuine")
 	tamperedOp.Sig = append([]byte(nil), req.Sig...)
-	if _, err := pre.PreverifyNode(propagateOf(ks, 1, &tamperedOp), 1); FailKindOf(err) != FailBadSig {
+	if _, err := pre.preverifyNode(propagateOf(ks, 1, &tamperedOp), 1); failKindOf(err) != FailBadSig {
 		t.Fatalf("tampered op accepted or misclassified: %v", err)
 	}
 
@@ -123,7 +134,7 @@ func TestTamperedRequestMissesCacheAndIsRejected(t *testing.T) {
 	tamperedSig.Sig = append([]byte(nil), req.Sig...)
 	tamperedSig.Sig[0] ^= 0x01
 	tamperedSig.Auth = ks.ClientRing(1).AuthenticatorForNodes(testN, tamperedSig.Body())
-	if _, err := pre.PreverifyClient(&tamperedSig, 1); FailKindOf(err) != FailBadSig {
+	if _, err := pre.preverifyClient(&tamperedSig, 1); failKindOf(err) != FailBadSig {
 		t.Fatalf("tampered sig accepted or misclassified: %v", err)
 	}
 
@@ -142,7 +153,7 @@ func TestBadSignatureVerdictCached(t *testing.T) {
 	req.Sig[1] ^= 0x80
 	req.Auth = ks.ClientRing(1).AuthenticatorForNodes(testN, req.Body())
 	for i, wantHits := range []uint64{0, 1} {
-		if _, err := pre.PreverifyClient(req, 1); FailKindOf(err) != FailBadSig {
+		if _, err := pre.preverifyClient(req, 1); failKindOf(err) != FailBadSig {
 			t.Fatalf("attempt %d: bad signature accepted or misclassified: %v", i, err)
 		}
 		if h, _ := pre.Cache().Stats(); h != wantHits {
@@ -160,19 +171,19 @@ func TestVerifyCacheEviction(t *testing.T) {
 	reqs := make([]*Request, 3)
 	for i := range reqs {
 		reqs[i] = signedRequest(ks, 1, types.RequestID(10+i), []byte{byte(i)})
-		if _, err := pre.PreverifyClient(reqs[i], 1); err != nil {
+		if _, err := pre.preverifyClient(reqs[i], 1); err != nil {
 			t.Fatalf("request %d rejected: %v", i, err)
 		}
 	}
 	// reqs[0] was evicted by reqs[2]; reqs[2] is still resident.
-	v, err := pre.PreverifyClient(reqs[0], 1)
+	v, err := pre.preverifyClient(reqs[0], 1)
 	if err != nil {
 		t.Fatalf("evicted request rejected on re-verify: %v", err)
 	}
 	if v.SigCached {
 		t.Fatal("evicted verdict still served from cache")
 	}
-	v, err = pre.PreverifyClient(reqs[2], 1)
+	v, err = pre.preverifyClient(reqs[2], 1)
 	if err != nil {
 		t.Fatalf("resident request rejected: %v", err)
 	}

@@ -118,7 +118,7 @@ func TestInstrumentAppPreservesReadExecutor(t *testing.T) {
 	cl := client.New(client.Config{Cluster: cluster, ID: 1}, ks.ClientRing(1))
 	now := time.Unix(0, 0)
 	req := cl.NewReadRequest([]byte("GET a"), now)
-	v, err := node.Preverifier().PreverifyClient(req, req.Client)
+	v, err := node.Preverifier().PreverifyClientFrame(req.Marshal(nil), req.Client)
 	if err != nil {
 		t.Fatal(err)
 	}

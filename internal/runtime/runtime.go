@@ -350,12 +350,7 @@ func (nr *NodeRuntime) apply(it *ingressItem) {
 		tickOut = nr.node.Tick(now)
 	}
 	if it.err != nil {
-		out = nr.node.OnIngressFailure(core.IngressFailure{
-			FromClient: it.fromClient,
-			Client:     it.client,
-			From:       it.from,
-			Kind:       message.FailKindOf(it.err),
-		}, now)
+		out = nr.node.OnRejected(it.err, now)
 	} else {
 		out = nr.node.OnVerified(it.v, now)
 	}
@@ -550,17 +545,19 @@ func (cr *ClientRuntime) loop() {
 	}
 }
 
+// handlePacket feeds one packet to the client, cheapest check first: only a
+// node's frame is worth decoding, and only a REPLY is worth the lock.
 func (cr *ClientRuntime) handlePacket(p transport.Packet) {
+	from, err := parseName(p.From)
+	if err != nil || from.client {
+		return
+	}
 	msg, err := message.Decode(p.Data)
 	if err != nil {
 		return
 	}
 	rep, ok := msg.(*message.Reply)
 	if !ok {
-		return
-	}
-	from, err := parseName(p.From)
-	if err != nil || from.client {
 		return
 	}
 	cr.mu.Lock()

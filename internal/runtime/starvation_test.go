@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -60,11 +59,11 @@ func TestTimerNotStarvedByIngressFlood(t *testing.T) {
 	// dispatch the request to node 0's replicas and arm the batch deadline.
 	cl := client.New(client.Config{Cluster: cluster, ID: 1}, ks.ClientRing(1))
 	req := cl.NewRequest([]byte("under-flood"), time.Now())
-	nr.apply(verified(nr.pre.PreverifyClient(req, req.Client)))
+	nr.apply(verified(nr.pre.PreverifyClientFrame(req.Marshal(nil), req.Client)))
 	p := &message.Propagate{Req: *req, Node: 1}
 	var buf [message.MaxBodySize]byte
 	p.Auth = ks.NodeRing(1).AuthenticatorForNodes(cluster.N, p.AppendBody(buf[:0], req.OpDigest()))
-	nr.apply(verified(nr.pre.PreverifyNode(p, 1)))
+	nr.apply(verified(nr.pre.PreverifyNodeFrame(p.Marshal(nil), 1)))
 
 	wake := node.NextWake()
 	if wake.IsZero() {
@@ -74,7 +73,8 @@ func TestTimerNotStarvedByIngressFlood(t *testing.T) {
 
 	// One frame of the flood: garbage from an unknown client, rejected by
 	// preverify, worth nothing to the protocol.
-	nr.apply(&ingressItem{fromClient: true, client: 60, err: errors.New("garbage")})
+	_, rej := nr.pre.PreverifyClientFrame([]byte("garbage"), 60)
+	nr.apply(&ingressItem{fromClient: true, client: 60, err: rej})
 
 	deadline := time.After(5 * time.Second)
 	for {

@@ -26,18 +26,10 @@ type Flood struct {
 	Start, Stop time.Duration
 }
 
-// floodMsg returns a cached garbage message for a flood (the padding is
-// immutable, so reuse is safe).
-func (s *Sim) floodMsg(f Flood) *message.Invalid {
-	if s.floodCache == nil {
-		s.floodCache = make(map[int]*message.Invalid)
-	}
-	if m, ok := s.floodCache[f.Size]; ok && m.Node == f.From {
-		return m
-	}
-	m := &message.Invalid{Node: f.From, Padding: make([]byte, f.Size)}
-	s.floodCache[f.Size] = m
-	return m
+// floodFrame encodes a flood's garbage message, once per flood: every copy
+// sent is the same immutable frame.
+func floodFrame(f Flood) []byte {
+	return encode(&message.Invalid{Node: f.From, Padding: make([]byte, f.Size)})
 }
 
 func (s *Sim) startFloods() {
@@ -51,37 +43,39 @@ func (s *Sim) startFloods() {
 		if flood.Stop > 0 {
 			stop = s.now.Add(flood.Stop)
 		}
+		garbage := floodFrame(flood)
 		for _, target := range flood.Targets {
 			t := target
-			s.schedule(start, func() { s.floodOnce(flood, t, stop) })
+			s.schedule(start, func() { s.floodOnce(flood, garbage, t, stop) })
 		}
 	}
 }
 
-// floodOnce sends one garbage message to the target and reschedules.
-func (s *Sim) floodOnce(f Flood, target types.NodeID, stop time.Time) {
+// floodOnce sends one copy of the flood's garbage frame to the target and
+// reschedules.
+func (s *Sim) floodOnce(f Flood, garbage []byte, target types.NodeID, stop time.Time) {
 	if !stop.IsZero() && !s.now.Before(stop) {
 		return
 	}
 	dst := s.nodes[target]
-	garbage := s.floodMsg(f)
 
 	if f.FromClients {
 		// Client-NIC flood: consumes the victim's client NIC inbound
 		// bandwidth and MAC-verification CPU; it cannot be attributed to a
-		// node, so no NIC closure applies. Its transit is the bare link
-		// latency even on a TCP run — unlike every other frame it was never
-		// charged TCPExtraLatency, and it stays so because every attack
-		// trace is pinned byte for byte.
+		// node, so no NIC closure applies — nor to a client: whichever id the
+		// frame claims, it is malformed, which proves nothing about anyone.
+		// Its transit is the bare link latency even on a TCP run — unlike
+		// every other frame it was never charged TCPExtraLatency, and it
+		// stays so because every attack trace is pinned byte for byte.
 		arrive := s.book(&dst.clientRx, f.Size, s.cfg.Cost.LinkLatency)
-		s.schedule(arrive, func() { s.deliverToNode(dst, garbage, 0, true) })
+		s.schedule(arrive, func() { s.deliverFromClient(dst, garbage, 0) })
 	} else {
 		// Node-to-node flood: consumes the attacker's dedicated link to the
 		// victim (per-peer NICs isolate other traffic) and the victim's CPU
 		// until the flood detector closes the NIC.
-		s.sendNodeToNode(s.nodes[f.From], target, garbage)
+		s.sendNodeToNode(s.nodes[f.From], target, garbage, len(garbage))
 	}
 
 	next := s.now.Add(time.Duration(float64(time.Second) / f.Rate))
-	s.schedule(next, func() { s.floodOnce(f, target, stop) })
+	s.schedule(next, func() { s.floodOnce(f, garbage, target, stop) })
 }

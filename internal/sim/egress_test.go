@@ -176,10 +176,10 @@ func TestBookLink(t *testing.T) {
 	// Coalesced flush: the first payload finds node 0's link to node 1 idle
 	// and leaves alone; the next three park behind it and leave as one frame
 	// when the link frees, paying the 40-byte overhead once (340 µs, not 420).
-	garbage := s.floodMsg(Flood{Size: 100})
+	garbage := floodFrame(Flood{Size: 100})
 	from, tx := s.nodes[0], &s.nodes[0].peerTx[1]
 	for i := 0; i < 4; i++ {
-		s.sendNodeToNodeSized(from, 1, garbage, 100)
+		s.sendNodeToNode(from, 1, garbage, 100)
 	}
 	if len(tx.pending) != 3 || !tx.busyUntil.Equal(t0.Add(140*us)) || deliveries(t0.Add(290*us)) != 1 {
 		t.Fatalf("after four sends: %d parked, busy until %v, %d deliveries at t0+290µs; want 3, t0+140µs, 1",
@@ -195,7 +195,8 @@ func TestBookLink(t *testing.T) {
 
 	// Client-NIC flood: booked like any frame, but its transit is the bare
 	// link latency even on this TCP run (attack.go says why).
-	s.floodOnce(Flood{FromClients: true, Size: 160, Rate: 1}, 2, time.Time{})
+	flood := Flood{FromClients: true, Size: 160, Rate: 1}
+	s.floodOnce(flood, floodFrame(flood), 2, time.Time{})
 	rx := &s.nodes[2].clientRx
 	if !rx.busyUntil.Equal(t0.Add(200*us)) || deliveries(t0.Add(260*us)) != 1 || deliveries(t0.Add(350*us)) != 0 {
 		t.Errorf("client-NIC flood: busy until %v, %d deliveries at t0+260µs and %d at t0+350µs; want t0+200µs, 1 and 0 (no TCP extra latency)",

@@ -163,19 +163,15 @@ type Action struct {
 	Do func(s *Sim)
 }
 
-// cpuTask is one unit of work waiting on a node CPU queue. A message task
-// that already went through preverification — on the verify cores of the
-// pipelined model (VerifyCores >= 1) — carries the outcome in v or verr, and
-// only the apply cost remains to be charged. The serial model queues tasks
-// with neither set and preverifies when the task runs.
+// cpuTask is one unit of work waiting on a node CPU queue: a timer tick (msg
+// nil), or an arrived frame as the node's preverifier judged it — v its
+// certificate, or rej the rejection. msg is what the cost model charges for
+// the frame: the verified message, or whatever a rejected frame decodes to.
 type cpuTask struct {
-	msg      message.Message
-	from     types.NodeID
-	isClient bool
-	isTick   bool
-
-	v    *message.Verified
-	verr error
+	msg        message.Message
+	fromClient bool
+	v          *message.Verified
+	rej        error
 
 	// arrivedAt is when the frame reached the node (ingress-span anchor).
 	arrivedAt time.Time
@@ -203,10 +199,11 @@ type link struct {
 	flushArmed bool
 }
 
-// pendingFrame is one protocol payload parked on a busy link.
+// pendingFrame is one encoded protocol payload parked on a busy link, with
+// its modelled wire size.
 type pendingFrame struct {
-	msg  message.Message
-	size int
+	frame []byte
+	size  int
 }
 
 // simNode wraps a core.Node with its CPU queues and NIC links.
@@ -305,8 +302,6 @@ type Sim struct {
 	// transitions; olNext cycles arrivals through the phase's population.
 	olEpoch int
 	olNext  int
-
-	floodCache map[int]*message.Invalid
 
 	metrics *Metrics
 }
@@ -446,9 +441,9 @@ func (s *Sim) Run(d time.Duration) *Result {
 // queueFor routes a message to the CPU queue that processes it: node-level
 // messages on queue 0, per-instance protocol messages on their instance
 // core.
-func queueFor(msg message.Message, instances int) int {
+func (s *Sim) queueFor(msg message.Message) int {
 	inst, _, ok := message.InstanceAndSender(msg)
-	if ok && int(inst) < instances {
+	if ok && int(inst) < s.cluster.Instances() {
 		return 1 + int(inst)
 	}
 	return 0
@@ -491,43 +486,29 @@ func (s *Sim) startNextTask(sn *simNode, q int) {
 // runTask invokes the node state machine for one task and returns the CPU
 // cost plus the node output (emitted at completion).
 func (s *Sim) runTask(sn *simNode, task cpuTask) (time.Duration, core.Output) {
-	if task.isTick {
+	if task.msg == nil {
 		out := sn.node.Tick(s.now)
 		return s.outputCost(out), out
 	}
 	cost := s.cfg.Cost.applyCost(task.msg)
-	if task.v == nil && task.verr == nil {
+	if sn.verify == nil {
 		// The serial model charges preverify and apply as one task on the
 		// processing core: the ingress span is the queue wait, the preverify
 		// span the verification share of the charged cost.
 		first := s.chargeFirstSight(sn, task.msg)
 		cost = s.cfg.Cost.inCost(task.msg, first)
-		if s.spans && task.isClient {
+		if s.spans && task.fromClient {
 			pv := s.cfg.Cost.preverifyCost(task.msg, first)
 			s.emitIngressSpans(sn, task, s.now, s.now.Add(pv), pv)
 		}
-		task = preverify(sn, task)
 	}
-	out := s.runApplyTask(sn, task)
+	var out core.Output
+	if task.rej != nil {
+		out = sn.node.OnRejected(task.rej, s.now)
+	} else {
+		out = sn.node.OnVerified(task.v, s.now)
+	}
 	return cost + s.outputCost(out), out
-}
-
-// runApplyTask hands a preverified task to the node's apply stage: the one
-// call into the node for messages under both charging models.
-func (s *Sim) runApplyTask(sn *simNode, task cpuTask) core.Output {
-	if task.verr == nil {
-		return sn.node.OnVerified(task.v, s.now)
-	}
-	f := core.IngressFailure{
-		FromClient: task.isClient,
-		From:       task.from,
-		Kind:       message.FailKindOf(task.verr),
-		Msg:        task.msg,
-	}
-	if req, ok := task.msg.(*message.Request); ok && task.isClient {
-		f.Client = req.Client
-	}
-	return sn.node.OnIngressFailure(f, s.now)
 }
 
 // ---- pipelined ingress (VerifyCores >= 1) ----
@@ -554,7 +535,7 @@ func (s *Sim) pipeIngress(sn *simNode, task cpuTask) {
 	}
 	done := start.Add(cost)
 	sn.verify[coreIdx] = done
-	if s.spans && task.isClient {
+	if s.spans && task.fromClient {
 		s.emitIngressSpans(sn, task, start, done, cost)
 	}
 	ep := sn.epoch
@@ -566,27 +547,11 @@ func (s *Sim) pipeIngress(sn *simNode, task cpuTask) {
 	})
 }
 
-// preverify runs the node's actual (fast-mode) preverification of task's
-// message and returns the task carrying the outcome.
-func preverify(sn *simNode, task cpuTask) cpuTask {
-	pre := sn.node.Preverifier()
-	if task.isClient {
-		if req, ok := task.msg.(*message.Request); ok {
-			task.v, task.verr = pre.PreverifyClient(req, req.Client)
-		} else {
-			task.verr = &message.PreverifyError{Kind: message.FailMalformed}
-		}
-	} else {
-		task.v, task.verr = pre.PreverifyNode(task.msg, task.from)
-	}
-	return task
-}
-
-// verifyDone preverifies one message and parks the outcome in the reorder
+// verifyDone parks a task whose verify-core charge has elapsed in the reorder
 // buffer until every earlier arrival has been released, preserving ingress
 // order into the apply queues.
 func (s *Sim) verifyDone(sn *simNode, seq uint64, task cpuTask) {
-	sn.reorder[seq] = preverify(sn, task)
+	sn.reorder[seq] = task
 	for {
 		next, ok := sn.reorder[sn.nextApply]
 		if !ok {
@@ -594,7 +559,7 @@ func (s *Sim) verifyDone(sn *simNode, seq uint64, task cpuTask) {
 		}
 		delete(sn.reorder, sn.nextApply)
 		sn.nextApply++
-		s.enqueueTask(sn, queueFor(next.msg, s.cluster.Instances()), next)
+		s.enqueueTask(sn, s.queueFor(next.msg), next)
 	}
 }
 
@@ -683,6 +648,13 @@ func (s *Sim) waveCost(n int) time.Duration {
 	return time.Duration((n+k-1)/k) * s.cfg.Cost.execCost(s.cfg.Workload.RequestSize)
 }
 
+// encode marshals msg into a frame of exactly its encoded size. Encoded bytes
+// are the only thing that travels between simulated endpoints; a frame is
+// immutable once sent, so a broadcast shares one.
+func encode(msg message.Message) []byte {
+	return msg.Marshal(make([]byte, 0, msg.EncodedSize()))
+}
+
 // emitOutputs transmits a node output over the modelled network. Metric
 // recording happens via the event trace at node-processing time; here the
 // simulator only applies the network-level effects.
@@ -691,13 +663,13 @@ func (s *Sim) emitOutputs(sn *simNode, out core.Output) {
 		sn.closed[nc.Peer] = nc.Until
 	}
 	for _, nm := range out.NodeMsgs {
-		size := s.cfg.Cost.wireSize(nm.Msg)
+		frame, size := encode(nm.Msg), s.cfg.Cost.wireSize(nm.Msg)
 		targets := nm.To
 		if targets == nil {
 			targets = sn.peers
 		}
 		for _, to := range targets {
-			s.sendNodeToNodeSized(sn, to, nm.Msg, size)
+			s.sendNodeToNode(sn, to, frame, size)
 		}
 	}
 	for _, cm := range out.ClientMsgs {
@@ -720,17 +692,14 @@ func (s *Sim) book(l *link, size int, transit time.Duration) time.Time {
 	return l.busyUntil.Add(transit)
 }
 
-// sendNodeToNode transmits msg on the dedicated from→to link.
-func (s *Sim) sendNodeToNode(from *simNode, to types.NodeID, msg message.Message) {
-	s.sendNodeToNodeSized(from, to, msg, s.cfg.Cost.wireSize(msg))
-}
-
-func (s *Sim) sendNodeToNodeSized(from *simNode, to types.NodeID, msg message.Message, size int) {
+// sendNodeToNode transmits frame on the dedicated from→to link, occupying it
+// for size modelled wire bytes.
+func (s *Sim) sendNodeToNode(from *simNode, to types.NodeID, frame []byte, size int) {
 	l := &from.peerTx[to]
 	if s.cfg.EgressCoalesce > 0 && (l.busyUntil.After(s.now) || len(l.pending) > 0) {
 		// Link busy (or a flush is already queued behind it): park the
 		// payload; it leaves in the next coalesced frame.
-		l.pending = append(l.pending, pendingFrame{msg: msg, size: size})
+		l.pending = append(l.pending, pendingFrame{frame: frame, size: size})
 		if !l.flushArmed {
 			l.flushArmed = true
 			ep := from.epoch
@@ -744,7 +713,7 @@ func (s *Sim) sendNodeToNodeSized(from *simNode, to types.NodeID, msg message.Me
 	arrive := s.book(l, size, s.transit)
 	dst := s.nodes[to]
 	fromID := from.id
-	s.schedule(arrive, func() { s.deliverToNode(dst, msg, fromID, false) })
+	s.schedule(arrive, func() { s.deliverFromNode(dst, frame, fromID) })
 }
 
 // flushLink transmits up to EgressCoalesce parked payloads as one coalesced
@@ -773,8 +742,8 @@ func (s *Sim) flushLink(from *simNode, to types.NodeID, ep int) {
 	dst := s.nodes[to]
 	fromID := from.id
 	for _, pf := range batch {
-		msg := pf.msg
-		s.schedule(arrive, func() { s.deliverToNode(dst, msg, fromID, false) })
+		frame := pf.frame
+		s.schedule(arrive, func() { s.deliverFromNode(dst, frame, fromID) })
 	}
 	if len(l.pending) > 0 {
 		l.flushArmed = true
@@ -782,29 +751,53 @@ func (s *Sim) flushLink(from *simNode, to types.NodeID, ep int) {
 	}
 }
 
-// deliverToNode enqueues an arrived message unless the sender's NIC is
-// closed (dropped at zero CPU cost).
-func (s *Sim) deliverToNode(sn *simNode, msg message.Message, from types.NodeID, isClient bool) {
+// deliverFromNode takes a frame off the NIC facing peer from — unless that NIC
+// is closed (dropped at zero CPU cost) — and preverifies it.
+func (s *Sim) deliverFromNode(sn *simNode, frame []byte, from types.NodeID) {
 	if sn.crashed {
 		return // the host is down; frames on the wire are lost
 	}
-	if !isClient {
-		if until, closed := sn.closed[from]; closed {
-			if s.now.Before(until) {
-				if sn.trace.Enabled() {
-					sn.trace.Trace(obs.Event{At: s.now, Type: obs.EvMsgDrop, Peer: from})
-				}
-				return
+	if until, closed := sn.closed[from]; closed {
+		if s.now.Before(until) {
+			if sn.trace.Enabled() {
+				sn.trace.Trace(obs.Event{At: s.now, Type: obs.EvMsgDrop, Peer: from})
 			}
-			delete(sn.closed, from)
+			return
 		}
+		delete(sn.closed, from)
 	}
-	task := cpuTask{msg: msg, from: from, isClient: isClient, arrivedAt: s.now}
+	v, rej := sn.node.Preverifier().PreverifyNodeFrame(frame, from)
+	s.ingest(sn, frame, cpuTask{v: v, rej: rej})
+}
+
+// deliverFromClient takes a frame sent by client from off the client NIC and
+// preverifies it.
+func (s *Sim) deliverFromClient(sn *simNode, frame []byte, from types.ClientID) {
+	if sn.crashed {
+		return
+	}
+	v, rej := sn.node.Preverifier().PreverifyClientFrame(frame, from)
+	s.ingest(sn, frame, cpuTask{fromClient: true, v: v, rej: rej})
+}
+
+// ingest queues a judged frame for the node's CPUs. The preverification above
+// is paid in host time; what it costs in virtual time is charged here, on the
+// message the frame decodes to — a rejected frame is decoded once more, only to
+// be costed, and undecodable bytes cost what an INVALID does.
+func (s *Sim) ingest(sn *simNode, frame []byte, task cpuTask) {
+	task.arrivedAt = s.now
+	if task.v != nil {
+		task.msg = task.v.Msg
+	} else if msg, err := message.Decode(frame); err == nil {
+		task.msg = msg
+	} else {
+		task.msg = &message.Invalid{}
+	}
 	if sn.verify != nil {
 		s.pipeIngress(sn, task)
 		return
 	}
-	s.enqueueTask(sn, queueFor(msg, s.cluster.Instances()), task)
+	s.enqueueTask(sn, s.queueFor(task.msg), task)
 }
 
 // sendNodeToClient transmits a reply over the node's client NIC.
@@ -813,7 +806,8 @@ func (s *Sim) sendNodeToClient(from *simNode, to types.ClientID, msg message.Mes
 		return // unknown or never-instantiated client: nothing awaits this reply
 	}
 	l := &from.clientTx
-	arrive := s.book(l, msg.EncodedSize(), s.transit)
+	frame := encode(msg)
+	arrive := s.book(l, len(frame), s.transit)
 	if s.spans {
 		if rep, ok := msg.(*message.Reply); ok {
 			// egress: client-NIC queue wait plus serialization; reply: the
@@ -830,7 +824,7 @@ func (s *Sim) sendNodeToClient(from *simNode, to types.ClientID, msg message.Mes
 	}
 	cl := s.clients[to]
 	fromID := from.id
-	s.schedule(arrive, func() { s.clientReceive(cl, msg, fromID) })
+	s.schedule(arrive, func() { s.clientReceive(cl, frame, fromID) })
 }
 
 // armNodeTimer keeps exactly one pending wake-up per node.
@@ -862,7 +856,7 @@ func (s *Sim) fireNodeTimer(sn *simNode) {
 		s.armNodeTimer(sn)
 		return
 	}
-	s.enqueueTask(sn, 0, cpuTask{isTick: true})
+	s.enqueueTask(sn, 0, cpuTask{})
 }
 
 // sampleMonitors records every node's per-instance monitor throughput as

@@ -286,21 +286,19 @@ func (s *Sim) issueRequest(sc *simClient) {
 // broadcastRequest transmits a request to every node through each node's
 // client NIC, applying the worst-attack-1 MAC corruption if configured.
 func (s *Sim) broadcastRequest(sc *simClient, req *message.Request) {
-	size := req.EncodedSize()
+	sent := encode(req)
 	for _, sn := range s.nodes {
-		msg := message.Message(req)
+		frame := sent
 		if s.corruptFor(sn.id) {
 			bad := *req
 			bad.Auth = append(crypto.Authenticator(nil), req.Auth...)
 			if int(sn.id) < len(bad.Auth) {
 				bad.Auth[sn.id][0] ^= 0xff
 			}
-			msg = &bad
+			frame = encode(&bad)
 		}
-		arrive := s.book(&sn.clientRx, size, s.transit)
-		node := sn
-		m := msg
-		s.schedule(arrive, func() { s.deliverToNode(node, m, 0, true) })
+		arrive := s.book(&sn.clientRx, len(frame), s.transit)
+		s.schedule(arrive, func() { s.deliverFromClient(sn, frame, sc.id) })
 	}
 }
 
@@ -313,8 +311,16 @@ func (s *Sim) corruptFor(n types.NodeID) bool {
 	return false
 }
 
-// clientReceive processes a reply at the client.
-func (s *Sim) clientReceive(sc *simClient, msg message.Message, from types.NodeID) {
+// clientReceive processes a frame at the client in the order of
+// ClientRuntime.handlePacket: a node sent it, it decodes, it is a REPLY.
+func (s *Sim) clientReceive(sc *simClient, frame []byte, from types.NodeID) {
+	if from < 0 || int(from) >= s.cluster.N {
+		return
+	}
+	msg, err := message.Decode(frame)
+	if err != nil {
+		return
+	}
 	rep, ok := msg.(*message.Reply)
 	if !ok {
 		return

@@ -67,3 +67,9 @@ mutate trustboundary internal/runtime/runtime.go \
 mutate trustboundary internal/runtime/runtime.go \
 	's|^\tcl \*client.Client // guarded by mu$|&\n\tlast message.Message // guarded by mu|' \
 	's|^\trep, ok := msg.(\*message.Reply)$|\tcr.last = msg\n&|'
+# A decoded, unverified message kept on the simulated node instead of only
+# being costed: in the simulator, too, a node sees a frame's content solely
+# through Preverify*Frame.
+mutate trustboundary internal/sim/sim.go \
+	's|^\tnode \*core.Node$|&\n\tlast message.Message // guarded by epoch|' \
+	's|^\t} else if msg, err := message.Decode(frame); err == nil {$|&\n\t\tsn.last = msg|'

@@ -80,10 +80,18 @@ go run ./cmd/rbft-trace critical-path -top 3 TRACE_smoke.jsonl >/dev/null
 go run ./cmd/rbft-trace attribute TRACE_smoke.jsonl >/dev/null
 rm -f TRACE_smoke.jsonl
 
-echo "== line gate (ROADMAP item 2: non-test lines of internal/{core,sim,runtime}, then of internal/pbft; all, then non-blank non-comment) =="
-for dirs in "internal/core internal/sim internal/runtime" "internal/pbft"; do
+echo "== line gate (ROADMAP item 2: non-test lines of internal/{core,sim,runtime}, then of internal/pbft and internal/message; all, then non-blank non-comment) =="
+# The ceiling is what PR 23 left behind for the first group: the drivers and
+# the node may shrink, never grow back.
+ceiling_lines=4935 ceiling_code=3384
+for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "internal/message"; do
 	f=$(for d in $dirs; do ls $d/*.go; done | grep -v _test.go)
-	echo "$dirs: $(cat $f | wc -l) $(cat $f | grep -vE '^\s*(//|$)' | wc -l)"
+	lines=$(cat $f | wc -l) code=$(cat $f | grep -vE '^\s*(//|$)' | wc -l)
+	echo "$dirs: $lines $code"
+	if [ "$dirs" = "internal/core internal/sim internal/runtime" ] && { [ "$lines" -gt "$ceiling_lines" ] || [ "$code" -gt "$ceiling_code" ]; }; then
+		echo "internal/{core,sim,runtime} grew past the ceiling of $ceiling_lines lines / $ceiling_code non-blank non-comment"
+		exit 1
+	fi
 done
 
 echo "CI gate passed."

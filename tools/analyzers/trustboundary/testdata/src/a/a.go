@@ -30,11 +30,7 @@ func (n *node) applyUnverified(raw []byte) {
 
 // applyVerified passes the preverifier first: the verified result is clean.
 func (n *node) applyVerified(p *message.Preverifier, raw []byte, from int) {
-	msg, err := message.Decode(raw)
-	if err != nil {
-		return
-	}
-	v, err := p.PreverifyNode(msg, from)
+	v, err := p.PreverifyNodeFrame(raw, from)
 	if err != nil {
 		return
 	}
@@ -76,8 +72,7 @@ func makeRecord(payload []byte) wal.Record { return wal.Record{Payload: payload}
 
 // logVerified goes through the preverifier before the WAL.
 func logVerified(l *wal.Log, p *message.Preverifier, raw []byte, from int) {
-	msg, _ := message.Decode(raw)
-	v, err := p.PreverifyNode(msg, from)
+	v, err := p.PreverifyNodeFrame(raw, from)
 	if err != nil {
 		return
 	}

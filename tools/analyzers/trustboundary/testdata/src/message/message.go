@@ -23,7 +23,12 @@ func Decode(data []byte) (*Message, error) {
 // Preverifier checks message authenticity.
 type Preverifier struct{}
 
-// PreverifyNode verifies a decoded node message.
-func (p *Preverifier) PreverifyNode(msg *Message, from int) (*Verified, error) {
+// PreverifyNodeFrame decodes and verifies a raw node frame: bytes in, a
+// certificate out.
+func (p *Preverifier) PreverifyNodeFrame(raw []byte, from int) (*Verified, error) {
+	msg, err := Decode(raw)
+	if err != nil {
+		return nil, err
+	}
 	return &Verified{Msg: msg, From: from}, nil
 }

@@ -165,7 +165,7 @@ func isDecodeCall(pass *framework.Pass, call *ast.CallExpr) bool {
 }
 
 // isPreverifyCall matches the preverifier entry points by name prefix:
-// PreverifyClient, PreverifyNode, and their Frame variants.
+// PreverifyClientFrame and PreverifyNodeFrame.
 func isPreverifyCall(call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
