@@ -198,7 +198,7 @@ func BenchmarkCodecPrePrepare(b *testing.B) {
 		batch[i] = types.RequestRef{Client: types.ClientID(i), ID: types.RequestID(i)}
 	}
 	pp := &message.PrePrepare{Instance: 0, View: 3, Seq: 99, Batch: batch, Node: 1}
-	pp.Auth = make([]crypto.MAC, 4)
+	pp.Auth = make(crypto.Authenticator, 4*crypto.MACSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

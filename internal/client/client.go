@@ -121,7 +121,8 @@ func (c *Client) OnReply(rep *message.Reply, from types.NodeID, now time.Time) (
 	if !ok {
 		return Completed{}, false // duplicate or unknown
 	}
-	if err := c.keys.VerifyNodeMAC(from, rep.Body(), rep.MAC); err != nil {
+	var buf [message.MaxBodySize]byte
+	if err := c.keys.VerifyNodeMAC(from, rep.AppendBody(buf[:0]), rep.MAC); err != nil {
 		return Completed{}, false
 	}
 	key := string(rep.Result)

@@ -157,11 +157,7 @@ func TestEquivocatingClientDoesNotDiverge(t *testing.T) {
 	reqB := &message.Request{Client: 1, ID: reqA.ID, Op: []byte{0, 0, 0, 0, 0, 0, 0, 9}}
 	ring := nc.ks.ClientRing(1)
 	reqB.Sig = ring.Sign(reqB.AppendSignedBody(nil, reqB.OpDigest()))
-	body := reqB.Body()
-	reqB.Auth = make(crypto.Authenticator, nc.cfg.N)
-	for i := range reqB.Auth {
-		reqB.Auth[i] = ring.MACForNode(types.NodeID(i), body)
-	}
+	reqB.Auth = ring.AuthenticatorForNodes(nc.cfg.N, reqB.Body())
 	// A and B go to disjoint node subsets.
 	for _, n := range []types.NodeID{0, 1} {
 		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, frame: frameOf(reqA)})

@@ -352,11 +352,7 @@ func TestInvalidSignatureBlacklistsClient(t *testing.T) {
 	cl := nc.client(1)
 	req := cl.NewRequest([]byte("x"), nc.now)
 	req.Sig[0] ^= 0xff // corrupt the signature, then re-MAC so MAC passes
-	ring := nc.ks.ClientRing(1)
-	body := req.Body()
-	for i := range req.Auth {
-		req.Auth[i] = ring.MACForNode(types.NodeID(i), body)
-	}
+	req.Auth = nc.ks.ClientRing(1).AuthenticatorForNodes(nc.cfg.N, req.Body())
 	for _, n := range nc.cfg.AllNodes() {
 		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, frame: frameOf(req)})
 	}
@@ -382,8 +378,8 @@ func TestBadMACDropped(t *testing.T) {
 	nc := newNodeCluster(t, 1, nil)
 	cl := nc.client(1)
 	req := cl.NewRequest([]byte("x"), nc.now)
-	for i := range req.Auth {
-		req.Auth[i][0] ^= 0xff
+	for i := 0; i < req.Auth.Entries(); i++ {
+		req.Auth.Entry(i)[0] ^= 0xff
 	}
 	for _, n := range nc.cfg.AllNodes() {
 		nc.queue = append(nc.queue, clusterEvent{isClient: true, fromClient: 1, toNode: n, nodeDst: true, frame: frameOf(req)})

@@ -94,7 +94,8 @@ func (n *Node) executeBatch(out *Output, lane types.InstanceID, refs []types.Req
 // replyTo builds an authenticated REPLY.
 func (n *Node) replyTo(client types.ClientID, id types.RequestID, result []byte) ClientSend {
 	rep := &message.Reply{Client: client, ID: id, Result: result, Node: n.cfg.Node}
-	rep.MAC = n.keys.MACForClient(client, rep.Body())
+	var buf [message.MaxBodySize]byte
+	rep.MAC = n.keys.MACForClient(client, rep.AppendBody(buf[:0]))
 	return ClientSend{To: client, Msg: rep}
 }
 

@@ -19,7 +19,8 @@ func (n *Node) voteInstanceChange(out *Output, reason monitor.Reason, now time.T
 	}
 	votes[n.cfg.Node] = true
 	ic := &message.InstanceChange{CPI: n.cpi, Node: n.cfg.Node}
-	ic.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, ic.Body())
+	var buf [message.MaxBodySize]byte
+	ic.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, ic.AppendBody(buf[:0]))
 	out.NodeMsgs = append(out.NodeMsgs, NodeSend{Msg: ic})
 	if n.tr.Enabled() {
 		n.tr.Trace(obs.Event{

@@ -17,9 +17,9 @@ import (
 // created, release the only place one goes away.
 type pendingRequest struct {
 	ref types.RequestRef
-	// body is the verified request minus its authenticator. Op and Sig alias
-	// the received frame (message.Decode), so the record keeps that frame
-	// alive until the request executes.
+	// body is the verified request. Op, Sig and Auth alias the received frame
+	// (message.Decode), so the record keeps that frame alive until the
+	// request executes.
 	body message.Request
 	// senders[i] is set once node i's PROPAGATE (or, for this node, the
 	// decision to send one) is in; nsenders counts the set entries.
@@ -62,7 +62,6 @@ func (n *Node) storeBody(cs *clientState, ref types.RequestRef, req *message.Req
 		ref: ref, body: *req, sibling: n.pending[ref.Key()],
 		senders: make([]bool, n.cfg.Cluster.N),
 	}
-	r.body.Auth = nil
 	n.pending[ref.Key()] = r
 	return r
 }

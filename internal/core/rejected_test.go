@@ -24,10 +24,7 @@ func TestOnRejectedCountsAndReacts(t *testing.T) {
 	)
 	nc := newNodeCluster(t, 1, nil)
 	resign := func(req *message.Request) *message.Request {
-		ring, body := nc.ks.ClientRing(req.Client), req.Body()
-		for i := range req.Auth {
-			req.Auth[i] = ring.MACForNode(types.NodeID(i), body)
-		}
+		req.Auth = nc.ks.ClientRing(req.Client).AuthenticatorForNodes(nc.cfg.N, req.Body())
 		return req
 	}
 	request := func(c types.ClientID, mangle func(*message.Request)) []byte {
@@ -51,11 +48,11 @@ func TestOnRejectedCountsAndReacts(t *testing.T) {
 	}{
 		{true, message.FailMalformed, []byte{0xff, 1, 2, 3}},
 		{true, message.FailWrongSender, request(named, func(*message.Request) {})},
-		{true, message.FailBadMAC, request(sender, func(r *message.Request) { r.Auth[0][0] ^= 0xff })},
+		{true, message.FailBadMAC, request(sender, func(r *message.Request) { r.Auth.Entry(0)[0] ^= 0xff })},
 		{true, message.FailBadSig, request(sender, func(r *message.Request) { r.Sig[0] ^= 0xff; resign(r) })},
 		{false, message.FailMalformed, frameOf(&message.Invalid{Node: peer, Padding: make([]byte, 16)})},
 		{false, message.FailWrongSender, instanceChange(impostor, func(*message.InstanceChange) {})},
-		{false, message.FailBadMAC, instanceChange(peer, func(ic *message.InstanceChange) { ic.Auth[0][0] ^= 0xff })},
+		{false, message.FailBadMAC, instanceChange(peer, func(ic *message.InstanceChange) { ic.Auth.Entry(0)[0] ^= 0xff })},
 		{false, message.FailBadSig, frameOf(forged)},
 	}
 	states := []struct {

@@ -346,32 +346,39 @@ func (r *KeyRing) MACForClient(to types.ClientID, data []byte) MAC {
 
 // VerifyNodeMAC checks a tag allegedly produced by node from over data.
 func (r *KeyRing) VerifyNodeMAC(from types.NodeID, data []byte, tag MAC) error {
-	return r.verifyMAC(nodePrincipal(from), data, tag)
+	return r.verifyMAC(nodePrincipal(from), data, tag[:])
 }
 
 // VerifyClientMAC checks a tag allegedly produced by client from over data.
 func (r *KeyRing) VerifyClientMAC(from types.ClientID, data []byte, tag MAC) error {
-	return r.verifyMAC(clientPrincipal(from), data, tag)
+	return r.verifyMAC(clientPrincipal(from), data, tag[:])
 }
 
-func (r *KeyRing) verifyMAC(from principal, data []byte, tag MAC) error {
+func (r *KeyRing) verifyMAC(from principal, data, tag []byte) error {
 	want := r.pairMAC(from, data)
-	if !hmac.Equal(want[:], tag[:]) {
+	if !hmac.Equal(want[:], tag) {
 		return ErrBadMAC
 	}
 	return nil
 }
 
-// Authenticator is a MAC authenticator: an array with one MAC per node,
-// indexed by NodeID. A sender computes it once; each receiver verifies only
-// its own entry.
-type Authenticator []MAC
+// Authenticator is a MAC authenticator: one MAC per node, concatenated in
+// NodeID order. That is also its wire form, so the authenticator of a decoded
+// message is a slice of the received frame and costs a receiver nothing per
+// node: a sender computes it once; each receiver verifies only its own entry.
+type Authenticator []byte
+
+// Entries returns the number of MACs a holds.
+func (a Authenticator) Entries() int { return len(a) / MACSize }
+
+// Entry returns node i's MAC. The bytes alias a.
+func (a Authenticator) Entry(i int) []byte { return a[i*MACSize : (i+1)*MACSize] }
 
 // AuthenticatorForNodes builds a MAC authenticator over data covering the n
 // nodes of the cluster: one pooled Hasher (in fast mode, one body checksum)
 // serves every entry. A node's own entry stays zero — nobody verifies it.
 func (r *KeyRing) AuthenticatorForNodes(n int, data []byte) Authenticator {
-	auth := make(Authenticator, n)
+	auth := make(Authenticator, n*MACSize)
 	var s *Hasher
 	var sum uint64
 	if r.fast {
@@ -380,16 +387,18 @@ func (r *KeyRing) AuthenticatorForNodes(n int, data []byte) Authenticator {
 		s = hasherPool.Get().(*Hasher)
 		defer hasherPool.Put(s)
 	}
-	for i := range auth {
+	for i := 0; i < n; i++ {
 		peer := nodePrincipal(types.NodeID(i))
 		if peer == r.self {
 			continue
 		}
+		var tag MAC
 		if r.fast {
-			auth[i] = fastPairTag(sum, r.self, peer)
+			tag = fastPairTag(sum, r.self, peer)
 		} else {
-			auth[i] = s.mac(r.macKeyFor(peer), data)
+			tag = s.mac(r.macKeyFor(peer), data)
 		}
+		copy(auth.Entry(i), tag[:])
 	}
 	return auth
 }
@@ -407,10 +416,10 @@ func (r *KeyRing) VerifyClientAuthenticatorEntry(from types.ClientID, self types
 }
 
 func (r *KeyRing) verifyEntry(from principal, self types.NodeID, data []byte, auth Authenticator) error {
-	if int(self) >= len(auth) || self < 0 {
-		return fmt.Errorf("%w: authenticator has %d entries, want entry %d", ErrBadMAC, len(auth), self)
+	if int(self) >= auth.Entries() || self < 0 {
+		return fmt.Errorf("%w: authenticator has %d entries, want entry %d", ErrBadMAC, auth.Entries(), self)
 	}
-	return r.verifyMAC(from, data, auth[self])
+	return r.verifyMAC(from, data, auth.Entry(int(self)))
 }
 
 // Sign produces an Ed25519 signature over data (or the simulation-only

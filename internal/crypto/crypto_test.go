@@ -74,8 +74,8 @@ func TestAuthenticator(t *testing.T) {
 	sender := ks.NodeRing(0)
 	data := []byte("broadcast body")
 	auth := sender.AuthenticatorForNodes(4, data)
-	if len(auth) != 4 {
-		t.Fatalf("authenticator has %d entries, want 4", len(auth))
+	if auth.Entries() != 4 || len(auth) != 4*MACSize {
+		t.Fatalf("authenticator has %d entries in %d bytes, want 4 in %d", auth.Entries(), len(auth), 4*MACSize)
 	}
 	for i := 1; i < 4; i++ {
 		ring := ks.NodeRing(types.NodeID(i))
@@ -84,25 +84,28 @@ func TestAuthenticator(t *testing.T) {
 		}
 	}
 	// Nobody verifies the sender's own entry, so it is not computed.
-	if auth[0] != (MAC{}) {
+	if MAC(auth.Entry(0)) != (MAC{}) {
 		t.Error("sender's own authenticator entry must stay zero")
 	}
 	// A client is no node: its authenticator fills every entry.
-	for i, tag := range ks.ClientRing(1).AuthenticatorForNodes(4, data) {
-		if err := ks.NodeRing(types.NodeID(i)).VerifyClientMAC(1, data, tag); err != nil {
+	clientAuth := ks.ClientRing(1).AuthenticatorForNodes(4, data)
+	for i := 0; i < clientAuth.Entries(); i++ {
+		if err := ks.NodeRing(types.NodeID(i)).VerifyClientMAC(1, data, MAC(clientAuth.Entry(i))); err != nil {
 			t.Errorf("client authenticator entry %d: %v", i, err)
 		}
 	}
 	// A node must not accept another node's entry as its own.
 	n2 := ks.NodeRing(2)
 	swapped := append(Authenticator(nil), auth...)
-	swapped[2] = auth[3]
+	copy(swapped.Entry(2), auth.Entry(3))
 	if err := n2.VerifyAuthenticatorEntry(0, 2, data, swapped); !errors.Is(err, ErrBadMAC) {
 		t.Fatal("swapped authenticator entry must not verify")
 	}
 	// Short authenticator must be rejected, not panic.
-	if err := n2.VerifyAuthenticatorEntry(0, 2, data, auth[:1]); !errors.Is(err, ErrBadMAC) {
-		t.Fatalf("short authenticator: got %v, want ErrBadMAC", err)
+	for _, short := range []Authenticator{auth[:MACSize], auth[:3*MACSize-1]} {
+		if err := n2.VerifyAuthenticatorEntry(0, 2, data, short); !errors.Is(err, ErrBadMAC) {
+			t.Fatalf("%d-byte authenticator: got %v, want ErrBadMAC", len(short), err)
+		}
 	}
 }
 

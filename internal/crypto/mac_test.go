@@ -26,7 +26,7 @@ func TestKeyedMACMatchesHMAC(t *testing.T) {
 		if !bytes.Equal(got[:], want) {
 			t.Errorf("%d-byte preimage: keyed-state MAC differs from HMAC-SHA256", n)
 		}
-		if auth := ring.AuthenticatorForNodes(4, data); auth[1] != got {
+		if auth := ring.AuthenticatorForNodes(4, data); MAC(auth.Entry(1)) != got {
 			t.Errorf("%d-byte preimage: authenticator entry differs from MACForNode", n)
 		}
 	}
@@ -80,7 +80,7 @@ func TestMACAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		var preimage [authPreimage]byte
 		preimage[0] = 1
-		sink = ring.AuthenticatorForNodes(4, preimage[:])[1]
+		sink = MAC(ring.AuthenticatorForNodes(4, preimage[:]).Entry(1))
 	}); n != 1 {
 		t.Errorf("AuthenticatorForNodes: %v allocs, want 1", n)
 	}

@@ -64,15 +64,12 @@ func appendRefs(b []byte, refs []types.RequestRef) []byte {
 	return b
 }
 
-// authSize is the encoded length of a MAC authenticator.
-func authSize(a crypto.Authenticator) int { return 4 + len(a)*crypto.MACSize }
+// authSize is the encoded length of a MAC authenticator: its entry count,
+// then its bytes as they are.
+func authSize(a crypto.Authenticator) int { return 4 + len(a) }
 
 func appendAuth(b []byte, a crypto.Authenticator) []byte {
-	b = appendU32(b, uint32(len(a)))
-	for i := range a {
-		b = append(b, a[i][:]...)
-	}
-	return b
+	return append(appendU32(b, uint32(a.Entries())), a...)
 }
 
 // reader decodes from a byte slice, latching the first error.
@@ -172,12 +169,10 @@ func (r *reader) auth() crypto.Authenticator {
 		r.fail(ErrOversized)
 		return nil
 	}
-	p := r.take(int(n) * crypto.MACSize) // nil when truncated: no entries
-	a := make(crypto.Authenticator, len(p)/crypto.MACSize)
-	for i := range a {
-		copy(a[i][:], p[i*crypto.MACSize:])
-	}
-	return a
+	// Aliases the frame like bytes: a receiver reads one entry of it, so a
+	// copy would be N MACs moved for nothing.
+	p := r.take(int(n) * crypto.MACSize)
+	return p[:len(p):len(p)]
 }
 
 func (r *reader) done() error {
@@ -191,9 +186,9 @@ func (r *reader) done() error {
 }
 
 // Decode parses a full wire encoding back into a Message. Variable-length
-// fields of the result (Op, Sig, Result, Padding) alias data, which the caller
-// must own and leave unmodified while the message is in use — what every
-// transport guarantees for Packet.Data.
+// fields of the result (Op, Sig, Result, Padding, Auth) alias data, which
+// Decode never writes to and the caller must own and leave unmodified while
+// the message is in use — what every transport guarantees for Packet.Data.
 func Decode(data []byte) (Message, error) {
 	r := &reader{b: data}
 	t := Type(r.u8())

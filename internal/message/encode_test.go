@@ -12,9 +12,9 @@ import (
 // with realistic authentication material sizes (f=1 cluster: 4-entry
 // authenticators).
 func sampleMessages() []Message {
-	auth := make(crypto.Authenticator, 4)
-	for i := range auth {
-		auth[i] = crypto.MAC{byte(i), 0xaa}
+	auth := make(crypto.Authenticator, 4*crypto.MACSize)
+	for i := 0; i < auth.Entries(); i++ {
+		copy(auth.Entry(i), []byte{byte(i), 0xaa})
 	}
 	refs := []types.RequestRef{
 		{Client: 1, ID: 2, Digest: types.Digest{1}},
@@ -93,7 +93,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 // allocate at all. This is the property that keeps the egress pipeline off
 // the garbage collector's back under load.
 func TestEncodeZeroAlloc(t *testing.T) {
-	auth := make(crypto.Authenticator, 4)
+	auth := make(crypto.Authenticator, 4*crypto.MACSize)
 	hot := []Message{
 		&Prepare{Instance: 1, View: 1, Seq: 2, Digest: types.Digest{7}, Node: 1, Auth: auth},
 		&Commit{Instance: 0, View: 1, Seq: 2, Digest: types.Digest{7}, Node: 2, Auth: auth},
@@ -123,7 +123,7 @@ func TestEncodeZeroAlloc(t *testing.T) {
 // ordering messages (the per-message cost the egress path pays before
 // framing). Run with -benchmem: steady-state it must report 0 allocs/op.
 func BenchmarkMarshal(b *testing.B) {
-	auth := make(crypto.Authenticator, 4)
+	auth := make(crypto.Authenticator, 4*crypto.MACSize)
 	msgs := map[string]Message{
 		"prepare": &Prepare{Instance: 1, View: 1, Seq: 2, Digest: types.Digest{7}, Node: 1, Auth: auth},
 		"preprepare-64refs": &PrePrepare{Instance: 0, View: 1, Seq: 2, Node: 0, Auth: auth,
@@ -146,7 +146,7 @@ func BenchmarkMarshal(b *testing.B) {
 // BenchmarkEncode measures the pooled encode path (Encode + Release), the
 // exact sequence the runtime egress uses per outbound message.
 func BenchmarkEncode(b *testing.B) {
-	auth := make(crypto.Authenticator, 4)
+	auth := make(crypto.Authenticator, 4*crypto.MACSize)
 	m := &Prepare{Instance: 1, View: 1, Seq: 2, Digest: types.Digest{7}, Node: 1, Auth: auth}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -36,7 +36,8 @@ func (m *Fetch) MsgType() Type { return TypeFetch }
 // fetchBodySize is the fixed body length of FETCH.
 const fetchBodySize = 1 + 8*4
 
-func (m *Fetch) appendBody(b []byte) []byte {
+// AppendBody appends what the MAC authenticator covers: every field but it.
+func (m *Fetch) AppendBody(b []byte) []byte {
 	b = appendU8(b, uint8(TypeFetch))
 	b = appendU64(b, uint64(m.Instance))
 	b = appendU64(b, uint64(m.FromSeq))
@@ -45,14 +46,14 @@ func (m *Fetch) appendBody(b []byte) []byte {
 }
 
 // Body implements Message.
-func (m *Fetch) Body() []byte { return m.appendBody(make([]byte, 0, fetchBodySize)) }
+func (m *Fetch) Body() []byte { return m.AppendBody(make([]byte, 0, fetchBodySize)) }
 
 // EncodedSize implements Message.
 func (m *Fetch) EncodedSize() int { return fetchBodySize + authSize(m.Auth) }
 
 // Marshal implements Message.
 func (m *Fetch) Marshal(dst []byte) []byte {
-	return appendAuth(m.appendBody(dst), m.Auth)
+	return appendAuth(m.AppendBody(dst), m.Auth)
 }
 
 // FetchResp returns one delivered batch.

@@ -36,12 +36,18 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x01}, 64))
 }
 
-// FuzzDecode checks that Decode never panics on arbitrary bytes and that any
-// frame it accepts survives a marshal/decode round trip with the same type.
+// FuzzDecode checks that Decode never panics on arbitrary bytes, never writes
+// to them (the simulator hands one frame to N-1 receivers, and every decoded
+// message aliases its frame) and that any frame it accepts survives a
+// marshal/decode round trip with the same type.
 func FuzzDecode(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := bytes.Clone(data)
 		msg, err := Decode(data)
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("Decode wrote to its input: %x -> %x", orig, data)
+		}
 		if err != nil {
 			if msg != nil {
 				t.Fatalf("Decode returned both a message and error %v", err)

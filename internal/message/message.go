@@ -131,8 +131,10 @@ func (m *Request) OpDigest() types.Digest {
 }
 
 // signedBodySize is the length of what a client signs; MaxBodySize that of
-// the largest well-formed REQUEST or PROPAGATE body, for callers that append
-// one into a stack buffer.
+// the largest well-formed REQUEST or PROPAGATE body, which also bounds every
+// fixed-size body (PRE-PREPARE, PREPARE, COMMIT, CHECKPOINT, FETCH,
+// INSTANCE-CHANGE) and a REPLY body with a short result, for callers that
+// append one into a stack buffer.
 const (
 	signedBodySize = 1 + types.DigestSize
 	MaxBodySize    = 1 + 8 + signedBodySize + crypto.SignatureSize
@@ -249,13 +251,17 @@ func (m *PrePrepare) BatchDigest() types.Digest {
 // prePrepareBodySize is the fixed body length of PRE-PREPARE.
 const prePrepareBodySize = 1 + 8 + types.DigestSize
 
-// Body implements Message: type, proposing node and BatchDigest, which binds
-// instance, view, sequence number and every batch reference.
-func (m *PrePrepare) Body() []byte {
-	b := appendU8(make([]byte, 0, prePrepareBodySize), uint8(TypePrePrepare))
+// AppendBody appends what the MAC authenticator covers: type, proposing node
+// and BatchDigest, which binds instance, view, sequence number and every
+// batch reference.
+func (m *PrePrepare) AppendBody(b []byte) []byte {
+	b = appendU8(b, uint8(TypePrePrepare))
 	b = appendU64(b, uint64(m.Node))
 	return appendDigest(b, m.BatchDigest())
 }
+
+// Body implements Message.
+func (m *PrePrepare) Body() []byte { return m.AppendBody(make([]byte, 0, prePrepareBodySize)) }
 
 // EncodedSize implements Message.
 func (m *PrePrepare) EncodedSize() int { return 1 + 8*4 + refsSize(m.Batch) + authSize(m.Auth) }
@@ -286,19 +292,19 @@ var _ Message = (*Prepare)(nil)
 // MsgType implements Message.
 func (m *Prepare) MsgType() Type { return TypePrepare }
 
-// Body implements Message.
-func (m *Prepare) Body() []byte {
-	return appendPhaseBody(make([]byte, 0, phaseBodySize), TypePrepare, m.Instance, m.View, m.Seq, m.Digest, m.Node)
+// AppendBody appends what the MAC authenticator covers: every field but it.
+func (m *Prepare) AppendBody(b []byte) []byte {
+	return appendPhaseBody(b, TypePrepare, m.Instance, m.View, m.Seq, m.Digest, m.Node)
 }
+
+// Body implements Message.
+func (m *Prepare) Body() []byte { return m.AppendBody(make([]byte, 0, phaseBodySize)) }
 
 // EncodedSize implements Message.
 func (m *Prepare) EncodedSize() int { return phaseBodySize + authSize(m.Auth) }
 
 // Marshal implements Message.
-func (m *Prepare) Marshal(dst []byte) []byte {
-	b := appendPhaseBody(dst, TypePrepare, m.Instance, m.View, m.Seq, m.Digest, m.Node)
-	return appendAuth(b, m.Auth)
-}
+func (m *Prepare) Marshal(dst []byte) []byte { return appendAuth(m.AppendBody(dst), m.Auth) }
 
 // Commit is the third-phase message: the sender has collected a prepared
 // certificate for (view, seq, digest).
@@ -317,19 +323,19 @@ var _ Message = (*Commit)(nil)
 // MsgType implements Message.
 func (m *Commit) MsgType() Type { return TypeCommit }
 
-// Body implements Message.
-func (m *Commit) Body() []byte {
-	return appendPhaseBody(make([]byte, 0, phaseBodySize), TypeCommit, m.Instance, m.View, m.Seq, m.Digest, m.Node)
+// AppendBody appends what the MAC authenticator covers: every field but it.
+func (m *Commit) AppendBody(b []byte) []byte {
+	return appendPhaseBody(b, TypeCommit, m.Instance, m.View, m.Seq, m.Digest, m.Node)
 }
+
+// Body implements Message.
+func (m *Commit) Body() []byte { return m.AppendBody(make([]byte, 0, phaseBodySize)) }
 
 // EncodedSize implements Message.
 func (m *Commit) EncodedSize() int { return phaseBodySize + authSize(m.Auth) }
 
 // Marshal implements Message.
-func (m *Commit) Marshal(dst []byte) []byte {
-	b := appendPhaseBody(dst, TypeCommit, m.Instance, m.View, m.Seq, m.Digest, m.Node)
-	return appendAuth(b, m.Auth)
-}
+func (m *Commit) Marshal(dst []byte) []byte { return appendAuth(m.AppendBody(dst), m.Auth) }
 
 // phaseBodySize is the fixed body length of PREPARE and COMMIT.
 const phaseBodySize = 1 + 8 + 8 + 8 + types.DigestSize + 8
@@ -361,7 +367,9 @@ func (m *Reply) MsgType() Type { return TypeReply }
 
 func (m *Reply) bodySize() int { return 1 + 8 + 8 + 8 + 4 + len(m.Result) }
 
-func (m *Reply) appendBody(b []byte) []byte {
+// AppendBody appends what the MAC covers: every field but it. A short result
+// fits a caller's stack buffer; a long one makes append grow it.
+func (m *Reply) AppendBody(b []byte) []byte {
 	b = appendU8(b, uint8(TypeReply))
 	b = appendU64(b, uint64(m.Client))
 	b = appendU64(b, uint64(m.ID))
@@ -370,14 +378,14 @@ func (m *Reply) appendBody(b []byte) []byte {
 }
 
 // Body implements Message.
-func (m *Reply) Body() []byte { return m.appendBody(make([]byte, 0, m.bodySize())) }
+func (m *Reply) Body() []byte { return m.AppendBody(make([]byte, 0, m.bodySize())) }
 
 // EncodedSize implements Message.
 func (m *Reply) EncodedSize() int { return m.bodySize() + crypto.MACSize }
 
 // Marshal implements Message.
 func (m *Reply) Marshal(dst []byte) []byte {
-	b := m.appendBody(dst)
+	b := m.AppendBody(dst)
 	return append(b, m.MAC[:]...)
 }
 
@@ -395,21 +403,22 @@ var _ Message = (*InstanceChange)(nil)
 // MsgType implements Message.
 func (m *InstanceChange) MsgType() Type { return TypeInstanceChange }
 
-func (m *InstanceChange) appendBody(b []byte) []byte {
+// AppendBody appends what the MAC authenticator covers: every field but it.
+func (m *InstanceChange) AppendBody(b []byte) []byte {
 	b = appendU8(b, uint8(TypeInstanceChange))
 	b = appendU64(b, m.CPI)
 	return appendU64(b, uint64(m.Node))
 }
 
 // Body implements Message.
-func (m *InstanceChange) Body() []byte { return m.appendBody(make([]byte, 0, 1+8+8)) }
+func (m *InstanceChange) Body() []byte { return m.AppendBody(make([]byte, 0, 1+8+8)) }
 
 // EncodedSize implements Message.
 func (m *InstanceChange) EncodedSize() int { return 1 + 8 + 8 + authSize(m.Auth) }
 
 // Marshal implements Message.
 func (m *InstanceChange) Marshal(dst []byte) []byte {
-	return appendAuth(m.appendBody(dst), m.Auth)
+	return appendAuth(m.AppendBody(dst), m.Auth)
 }
 
 // PreparedProof is one prepared-but-possibly-uncommitted entry carried in a
@@ -551,7 +560,8 @@ func (m *Checkpoint) MsgType() Type { return TypeCheckpoint }
 // checkpointBodySize is the fixed body length of CHECKPOINT.
 const checkpointBodySize = 1 + 8 + 8 + types.DigestSize + 8
 
-func (m *Checkpoint) appendBody(b []byte) []byte {
+// AppendBody appends what the MAC authenticator covers: every field but it.
+func (m *Checkpoint) AppendBody(b []byte) []byte {
 	b = appendU8(b, uint8(TypeCheckpoint))
 	b = appendU64(b, uint64(m.Instance))
 	b = appendU64(b, uint64(m.Seq))
@@ -560,14 +570,14 @@ func (m *Checkpoint) appendBody(b []byte) []byte {
 }
 
 // Body implements Message.
-func (m *Checkpoint) Body() []byte { return m.appendBody(make([]byte, 0, checkpointBodySize)) }
+func (m *Checkpoint) Body() []byte { return m.AppendBody(make([]byte, 0, checkpointBodySize)) }
 
 // EncodedSize implements Message.
 func (m *Checkpoint) EncodedSize() int { return checkpointBodySize + authSize(m.Auth) }
 
 // Marshal implements Message.
 func (m *Checkpoint) Marshal(dst []byte) []byte {
-	return appendAuth(m.appendBody(dst), m.Auth)
+	return appendAuth(m.AppendBody(dst), m.Auth)
 }
 
 // Invalid is a deliberately garbage message used by the attack harness to

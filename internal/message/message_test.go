@@ -13,10 +13,10 @@ import (
 )
 
 func sampleAuth(n int, seed byte) crypto.Authenticator {
-	a := make(crypto.Authenticator, n)
-	for i := range a {
-		for j := range a[i] {
-			a[i][j] = seed + byte(i*7+j)
+	a := make(crypto.Authenticator, n*crypto.MACSize)
+	for i := 0; i < n; i++ {
+		for j := range a.Entry(i) {
+			a.Entry(i)[j] = seed + byte(i*7+j)
 		}
 	}
 	return a

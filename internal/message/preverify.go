@@ -310,7 +310,8 @@ func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, 
 		if m.Node != from {
 			return nil, failKind(FailWrongSender, fmt.Errorf("INSTANCE-CHANGE claims node %d, sent by %d", m.Node, from))
 		}
-		if err := p.ring.VerifyAuthenticatorEntry(from, p.self, m.Body(), m.Auth); err != nil {
+		var buf [MaxBodySize]byte
+		if err := p.ring.VerifyAuthenticatorEntry(from, p.self, m.AppendBody(buf[:0]), m.Auth); err != nil {
 			return nil, failKind(FailBadMAC, err)
 		}
 	case *ViewChange:
@@ -342,7 +343,9 @@ func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, 
 		if err := p.checkInstanceSender(msg, from); err != nil {
 			return nil, err
 		}
-		if err := p.ring.VerifyAuthenticatorEntry(from, p.self, msg.Body(), AuthOf(msg)); err != nil {
+		var buf [MaxBodySize]byte
+		body, auth := instanceAuth(buf[:0], msg)
+		if err := p.ring.VerifyAuthenticatorEntry(from, p.self, body, auth); err != nil {
 			return nil, failKind(FailBadMAC, err)
 		}
 	default:
@@ -414,27 +417,28 @@ func InstanceAndSender(msg Message) (types.InstanceID, types.NodeID, bool) {
 	}
 }
 
-// AuthOf returns the MAC authenticator of a per-instance protocol message.
-func AuthOf(msg Message) crypto.Authenticator {
-	// ViewChange is signed, not MAC'd; the remaining ignored types never
-	// reach the instance path.
-	//rbft:dispatch ignore=Request,Propagate,Reply,InstanceChange,Invalid,ViewChange
+// instanceAuth returns the authenticator of a MAC'd per-instance protocol
+// message and the body it covers, appended to b. The fixed-size bodies fit a
+// MaxBodySize stack buffer — the calls are by concrete type so that it stays
+// on the stack; FETCH-RESP, sized by its batch, allocates its own.
+func instanceAuth(b []byte, msg Message) ([]byte, crypto.Authenticator) {
+	// ViewChange is signed, not MAC'd, and NewView verified by its own arm; the
+	// remaining ignored types never reach the instance path.
+	//rbft:dispatch ignore=Request,Propagate,Reply,InstanceChange,Invalid,ViewChange,NewView
 	switch m := msg.(type) {
 	case *PrePrepare:
-		return m.Auth
+		return m.AppendBody(b), m.Auth
 	case *Prepare:
-		return m.Auth
+		return m.AppendBody(b), m.Auth
 	case *Commit:
-		return m.Auth
+		return m.AppendBody(b), m.Auth
 	case *Checkpoint:
-		return m.Auth
-	case *NewView:
-		return m.Auth
+		return m.AppendBody(b), m.Auth
 	case *Fetch:
-		return m.Auth
+		return m.AppendBody(b), m.Auth
 	case *FetchResp:
-		return m.Auth
+		return m.Body(), m.Auth
 	default:
-		return nil
+		return nil, nil
 	}
 }

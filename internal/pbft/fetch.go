@@ -98,7 +98,8 @@ func (in *Instance) sendFetch(out *Output, now time.Time) {
 		ToSeq:    in.fetch.target,
 		Node:     in.cfg.Node,
 	}
-	f.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, f.Body())
+	var buf [message.MaxBodySize]byte
+	f.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, f.AppendBody(buf[:0]))
 	out.send(nil, f)
 }
 

@@ -532,7 +532,8 @@ func (in *Instance) prePrepareDelayFor(batch []types.RequestRef) time.Duration {
 func (in *Instance) emitPrePrepare(out *Output, pp *message.PrePrepare, now time.Time, since time.Time) {
 	if !in.behavior.Silent {
 		in.journal(out, wal.Record{Kind: wal.KindSentPrePrepare, View: pp.View, Seq: pp.Seq, Refs: pp.Batch})
-		pp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, pp.Body())
+		var buf [message.MaxBodySize]byte
+		pp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, pp.AppendBody(buf[:0]))
 		out.send(nil, pp)
 	}
 	if in.tr.Enabled() {
@@ -667,7 +668,8 @@ func (in *Instance) maybePrepare(out *Output, seq types.SeqNum, e *entry, now ti
 				Digest:   e.digest,
 				Node:     in.cfg.Node,
 			}
-			p.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, p.Body())
+			var buf [message.MaxBodySize]byte
+			p.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, p.AppendBody(buf[:0]))
 			out.send(nil, p)
 		}
 	}
@@ -737,7 +739,8 @@ func (in *Instance) checkPrepared(out *Output, seq types.SeqNum, e *entry, now t
 			Digest:   e.digest,
 			Node:     in.cfg.Node,
 		}
-		c.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, c.Body())
+		var buf [message.MaxBodySize]byte
+		c.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, c.AppendBody(buf[:0]))
 		out.send(nil, c)
 	}
 	e.commits[in.cfg.Node] = e.digest
@@ -844,7 +847,8 @@ func (in *Instance) emitCheckpoint(out *Output, seq types.SeqNum, now time.Time)
 			Digest:   in.logDigest,
 			Node:     in.cfg.Node,
 		}
-		cp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, cp.Body())
+		var buf [message.MaxBodySize]byte
+		cp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, cp.AppendBody(buf[:0]))
 		out.send(nil, cp)
 	}
 	in.recordCheckpoint(out, seq, in.cfg.Node, in.logDigest, now)

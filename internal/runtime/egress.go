@@ -143,10 +143,27 @@ func (e *egress) enqueue(peer endpoint, f *egressFrame) {
 	}
 }
 
+// drainInto appends to buf what ch already holds, never waiting, until buf is
+// at capacity. Every loop of the runtime takes its input this way: what queued
+// while the previous round was served comes out as one round, which regulates
+// itself under load and adds no latency when idle.
+func drainInto[T any](buf []T, ch <-chan T) []T {
+	for len(buf) < cap(buf) {
+		select {
+		case v, ok := <-ch:
+			if !ok {
+				return buf
+			}
+			buf = append(buf, v)
+		default:
+			return buf
+		}
+	}
+	return buf
+}
+
 // worker drains one peer's queue: it collects whatever is queued (bounded by
-// egressMaxCoalesce) — greedily, so a flush coalesces what queued while the
-// previous one was on the wire, which regulates itself under load and adds no
-// latency when idle — waits for the batch's durability horizon, and flushes
+// egressMaxCoalesce), waits for the batch's durability horizon, and flushes
 // it as one coalesced wire frame when the transport can. Send errors are
 // deliberate best-effort: the protocol tolerates loss, and a dead peer must
 // cost nothing but its queue.
@@ -158,21 +175,11 @@ func (e *egress) worker(q *peerQueue) {
 	batch := make([]*egressFrame, 0, egressMaxCoalesce)
 	payloads := make([][]byte, 0, egressMaxCoalesce)
 	for {
-		batch = batch[:0]
 		select {
 		case <-e.stop:
 			return
 		case f := <-q.ch:
-			batch = append(batch, f)
-		}
-	drain:
-		for len(batch) < egressMaxCoalesce {
-			select {
-			case f := <-q.ch:
-				batch = append(batch, f)
-			default:
-				break drain
-			}
+			batch = drainInto(append(batch[:0], f), q.ch)
 		}
 		q.depth.Set(int64(len(q.ch)))
 

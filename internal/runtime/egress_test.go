@@ -321,7 +321,7 @@ func BenchmarkEgress(b *testing.B) {
 	stop := make(chan struct{})
 	defer close(stop)
 	eg := newEgress(ep, nil, "node/0", nil, stop)
-	msg := &message.Prepare{Instance: 0, View: 1, Seq: 2, Node: 0, Auth: make(crypto.Authenticator, 4)}
+	msg := &message.Prepare{Instance: 0, View: 1, Seq: 2, Node: 0, Auth: make(crypto.Authenticator, 4*crypto.MACSize)}
 	peers := []endpoint{nodeEndpoint(1), nodeEndpoint(2), nodeEndpoint(3)}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -31,7 +31,7 @@ func TestEmitAllocatesOnlyItsFrames(t *testing.T) {
 	}
 	out := core.Output{
 		NodeMsgs: []core.NodeSend{{Msg: &message.Commit{
-			Instance: 0, View: 1, Seq: 2, Node: 0, Auth: make(crypto.Authenticator, cluster.N),
+			Instance: 0, View: 1, Seq: 2, Node: 0, Auth: make(crypto.Authenticator, cluster.N*crypto.MACSize),
 		}}},
 		ClientMsgs: []core.ClientSend{{To: 7, Msg: &message.Reply{
 			Client: 7, ID: 1, Result: []byte("ok"), Node: 0,

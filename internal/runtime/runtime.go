@@ -85,37 +85,27 @@ type NodeOptions struct {
 // DefaultIngressWorkers is the default preverify worker-pool size: one per
 // CPU, capped — past a handful of workers the serial apply stage is the
 // bottleneck and more verifiers only add scheduling noise.
-func DefaultIngressWorkers() int {
-	n := stdruntime.NumCPU()
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+func DefaultIngressWorkers() int { return min(stdruntime.NumCPU(), 8) }
 
 // ingressQueueDepth bounds the in-flight ingress items between the reader,
-// the verifier pool and the apply loop. Beyond it the reader blocks and the
-// transport's own backpressure/drop policy takes over.
+// the verifier pool (work) and the apply loop (pending, in slabs). Beyond it
+// the reader blocks and the transport's backpressure/drop policy takes over.
 const ingressQueueDepth = 1024
 
-// ingressItem is one raw frame travelling through the two-stage pipeline.
+// ingressItem is one raw frame travelling through the two-stage pipeline, a
+// slot of the slab readLoop allocates per drain. Slabs are plain garbage,
+// never recycled: verifier workers hold pointers into them, and a reused slab
+// would be a use-after-release the latch cannot see.
 // ready is a one-shot latch embedded in the item (no per-frame channel):
-// classify arms it, the verifier worker releases it once v/err are
-// populated, and the apply loop consumes items in arrival order and waits on
-// it, so apply order is ingress order regardless of which worker finishes
-// first. The wait always ends: readLoop puts an item into work before
-// pending and the verifier pool drains work even on shutdown, so every item
-// the apply loop sees is verified.
+// classify arms it, the verifier worker releases it once v/err are set, and
+// the apply loop waits on it item by item in arrival order, so apply order is
+// ingress order whichever worker finishes first. The wait always ends:
+// readLoop puts an item into work before its slab into pending and the
+// verifier pool drains work even on shutdown.
 type ingressItem struct {
-	data       []byte
-	fromClient bool
-	client     types.ClientID
-	from       types.NodeID
-	admitted   bool      // client frame holds an ingress-budget slot until applied
-	at         time.Time // arrival stamp, set only when spans are on
+	data []byte
+	from endpoint  // a client's frame holds an ingress-budget slot until applied
+	at   time.Time // arrival stamp, set only when spans are on
 
 	ready sync.WaitGroup
 	v     *message.Verified
@@ -142,8 +132,8 @@ type NodeRuntime struct {
 	sp    obs.Tracer // node-stamped span sink; Nop unless spans are on
 	spans bool       // cached obs.WantSpans(opts.Tracer)
 
-	work    chan *ingressItem // reader -> verifier pool
-	pending chan *ingressItem // reader -> apply loop, arrival-ordered
+	work    chan *ingressItem  // reader -> verifier pool, one frame at a time
+	pending chan []ingressItem // reader -> apply loop, arrival-ordered slabs
 	stop    chan struct{}
 	done    chan struct{} // apply loop exited
 	wg      sync.WaitGroup
@@ -164,7 +154,7 @@ func StartNodeOpts(node *core.Node, tr transport.Transport, cluster types.Config
 		peers:   cluster.OtherNodes(node.ID()),
 		node:    node,
 		work:    make(chan *ingressItem, ingressQueueDepth),
-		pending: make(chan *ingressItem, ingressQueueDepth),
+		pending: make(chan []ingressItem, ingressQueueDepth/egressMaxCoalesce),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -209,60 +199,57 @@ func (nr *NodeRuntime) Stop() {
 	nr.eg.wait()
 }
 
-// readLoop classifies raw frames and enqueues them: into work first (so the
-// verifier pool can start, and so every item the apply loop ever sees is
-// guaranteed to become ready), then into pending to fix the apply order.
+// readLoop waits for one frame, takes what Packets() already holds with it
+// (drainInto: an idle node's frame is a slab of one) and allocates one slab
+// for the lot. Each frame is classified and enqueued into work first (so the
+// verifier pool can start, and every item the apply loop ever sees becomes
+// ready), then the slab goes into pending to fix the apply order.
 func (nr *NodeRuntime) readLoop() {
 	defer nr.wg.Done()
 	defer close(nr.work)
 	defer close(nr.pending)
+	buf := make([]transport.Packet, 0, egressMaxCoalesce)
 	for p := range nr.tr.Packets() {
-		it := nr.classify(p)
-		if it == nil {
-			continue
-		}
-		if it.fromClient {
-			// Admission control (core.Config.IngressBudget): a client frame
-			// claims a per-shard budget slot before it reaches the verifier
-			// pool, so an overload burst is shed here — ahead of the crypto
-			// stage, where the cost would be paid.
-			//rbft:ignore lockdiscipline -- AdmitIngress touches only the lock-striped client table, never node state guarded by mu
-			if !nr.node.AdmitIngress(it.client) {
-				continue
+		buf = drainInto(append(buf[:0], p), nr.tr.Packets())
+		slab := make([]ingressItem, len(buf))
+		n := 0
+		for _, p := range buf {
+			if it := &slab[n]; nr.classify(p, it) {
+				nr.work <- it
+				n++
 			}
-			it.admitted = true
 		}
-		select {
-		case nr.work <- it:
-		case <-nr.stop:
-			return
-		}
-		select {
-		case nr.pending <- it:
-		case <-nr.stop:
-			return
+		clear(buf) // the frames belong to the slab now
+		if n > 0 {
+			select {
+			case nr.pending <- slab[:n]:
+			case <-nr.stop:
+				return
+			}
 		}
 	}
 }
 
-// classify parses the frame's origin; nil means an unattributable frame
-// (unknown endpoint name), dropped before it costs anything.
-func (nr *NodeRuntime) classify(p transport.Packet) *ingressItem {
+// classify fills the zero slab slot it and arms its latch. An unattributable
+// frame (unknown endpoint name) or a shed client frame leaves it as it is: false.
+func (nr *NodeRuntime) classify(p transport.Packet, it *ingressItem) bool {
 	ep, err := parseName(p.From)
 	if err != nil || (!ep.client && (ep.id < 0 || ep.id >= nr.cluster.N)) {
-		return nil
+		return false
 	}
-	it := &ingressItem{data: p.Data, fromClient: ep.client}
-	if ep.client {
-		it.client = types.ClientID(ep.id)
-	} else {
-		it.from = types.NodeID(ep.id)
+	// Admission control (core.Config.IngressBudget): a client frame claims a
+	// per-shard budget slot here, ahead of the verifier pool, so an overload
+	// burst is shed before the crypto stage, where its cost would be paid.
+	//rbft:ignore lockdiscipline -- AdmitIngress touches only the lock-striped client table, never node state guarded by mu
+	if ep.client && !nr.node.AdmitIngress(types.ClientID(ep.id)) {
+		return false
 	}
+	it.data, it.from = p.Data, ep
 	it.ready.Add(1)
 	if nr.spans {
 		it.at = time.Now()
 	}
-	return it
+	return true
 }
 
 // verifyLoop is one verifier worker: it runs the stateless preverify stage
@@ -277,12 +264,12 @@ func (nr *NodeRuntime) verifyLoop() {
 		if nr.spans {
 			t0 = time.Now()
 		}
-		if it.fromClient {
-			it.v, it.err = nr.pre.PreverifyClientFrame(it.data, it.client)
+		if it.from.client {
+			it.v, it.err = nr.pre.PreverifyClientFrame(it.data, types.ClientID(it.from.id))
 		} else {
-			it.v, it.err = nr.pre.PreverifyNodeFrame(it.data, it.from)
+			it.v, it.err = nr.pre.PreverifyNodeFrame(it.data, types.NodeID(it.from.id))
 		}
-		if nr.spans && it.fromClient && it.err == nil {
+		if nr.spans && it.from.client && it.err == nil {
 			nr.emitIngressSpans(it, t0)
 		}
 		it.ready.Done()
@@ -308,11 +295,11 @@ func (nr *NodeRuntime) emitIngressSpans(it *ingressItem, t0 time.Time) {
 	})
 }
 
-// applyLoop consumes preverified items in arrival order and drives the node
-// state machine. Protocol timers are deadline-checked before every apply:
-// a saturated ingress queue must not starve batch deadlines or the
-// monitoring period, so overdue ticks fire ahead of the next message
-// rather than relying on select fairness.
+// applyLoop consumes slabs of preverified items in arrival order and drives
+// the node state machine, re-arming its timer once per slab. Protocol timers
+// are deadline-checked before every apply: a saturated ingress queue or a
+// long slab must not starve batch deadlines or the monitoring period, so
+// overdue ticks fire ahead of the next message, not by select fairness.
 func (nr *NodeRuntime) applyLoop() {
 	defer close(nr.done)
 	timer := time.NewTimer(time.Hour)
@@ -325,12 +312,14 @@ func (nr *NodeRuntime) applyLoop() {
 		select {
 		case <-nr.stop:
 			return
-		case it, ok := <-nr.pending:
+		case slab, ok := <-nr.pending:
 			if !ok {
 				return
 			}
-			it.ready.Wait()
-			nr.apply(it)
+			for i := range slab {
+				slab[i].ready.Wait()
+				nr.apply(&slab[i])
+			}
 		case now := <-timer.C:
 			nr.mu.Lock()
 			out := nr.node.Tick(now)
@@ -355,8 +344,8 @@ func (nr *NodeRuntime) apply(it *ingressItem) {
 		out = nr.node.OnVerified(it.v, now)
 	}
 	nr.mu.Unlock()
-	if it.admitted {
-		nr.node.ReleaseIngress(it.client)
+	if it.from.client {
+		nr.node.ReleaseIngress(types.ClientID(it.from.id))
 	}
 	nr.emit(tickOut)
 	nr.emit(out)
@@ -371,13 +360,9 @@ func rearm(timer *time.Timer, wake time.Time) {
 		default:
 		}
 	}
-	if wake.IsZero() {
-		timer.Reset(time.Hour)
-		return
-	}
-	d := time.Until(wake)
-	if d < 0 {
-		d = 0
+	d := time.Hour
+	if !wake.IsZero() {
+		d = time.Until(wake) // not positive when overdue: fires at once
 	}
 	timer.Reset(d)
 }
@@ -438,8 +423,8 @@ func (nr *NodeRuntime) emit(out core.Output) {
 
 // ClientRuntime runs one RBFT client over a transport.
 type ClientRuntime struct {
-	cluster types.Config
-	tr      transport.Transport
+	tr    transport.Transport
+	nodes []string // every node's wire name, the targets of a broadcast; immutable
 
 	mu sync.Mutex
 	cl *client.Client // guarded by mu
@@ -452,12 +437,14 @@ type ClientRuntime struct {
 // StartClient launches the event loop for cl over tr.
 func StartClient(cl *client.Client, tr transport.Transport, cluster types.Config) *ClientRuntime {
 	cr := &ClientRuntime{
-		cluster:     cluster,
 		tr:          tr,
 		cl:          cl,
 		completions: make(chan client.Completed, 1024),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
+	}
+	for _, id := range cluster.AllNodes() {
+		cr.nodes = append(cr.nodes, NodeName(id))
 	}
 	go cr.loop()
 	return cr
@@ -476,8 +463,8 @@ func (cr *ClientRuntime) Submit(op []byte) {
 // client retransmits until f+1 replies match.
 func (cr *ClientRuntime) broadcast(req *message.Request) {
 	data := req.Marshal(nil)
-	for i := 0; i < cr.cluster.N; i++ {
-		_ = cr.tr.Send(NodeName(types.NodeID(i)), data)
+	for _, name := range cr.nodes {
+		_ = cr.tr.Send(name, data)
 	}
 }
 
@@ -517,10 +504,14 @@ func (cr *ClientRuntime) Stop() {
 	<-cr.done
 }
 
+// loop is the client's event loop. It takes the REPLYs Packets() already
+// holds in one round, so a burst pays the scan of pending requests for the
+// next wake-up, and the timer re-arm, once.
 func (cr *ClientRuntime) loop() {
 	defer close(cr.done)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
+	buf := make([]transport.Packet, 0, egressMaxCoalesce)
 	for {
 		cr.mu.Lock()
 		wake := cr.cl.NextWake()
@@ -533,7 +524,11 @@ func (cr *ClientRuntime) loop() {
 			if !ok {
 				return
 			}
-			cr.handlePacket(p)
+			buf = drainInto(append(buf[:0], p), cr.tr.Packets())
+			for _, p := range buf {
+				cr.handlePacket(p)
+			}
+			clear(buf)
 		case now := <-timer.C:
 			cr.mu.Lock()
 			resend := cr.cl.Tick(now)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rbft/internal/client"
-	"rbft/internal/crypto"
 	"rbft/internal/message"
 	"rbft/internal/types"
 )
@@ -291,10 +290,8 @@ func (s *Sim) broadcastRequest(sc *simClient, req *message.Request) {
 		frame := sent
 		if s.corruptFor(sn.id) {
 			bad := *req
-			bad.Auth = append(crypto.Authenticator(nil), req.Auth...)
-			if int(sn.id) < len(bad.Auth) {
-				bad.Auth[sn.id][0] ^= 0xff
-			}
+			bad.Auth = append([]byte(nil), req.Auth...)
+			bad.Auth.Entry(int(sn.id))[0] ^= 0xff
 			frame = encode(&bad)
 		}
 		arrive := s.book(&sn.clientRx, len(frame), s.transit)

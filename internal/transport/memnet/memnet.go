@@ -5,6 +5,7 @@
 package memnet
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -140,8 +141,9 @@ func (e *Endpoint) Send(to string, data []byte) error {
 	return nil
 }
 
-// enqueueLocked hands the receiver buf, a private copy of one payload from
-// peer from, dropping it on overflow. The caller holds e.mu.
+// enqueueLocked hands the receiver buf, one payload from peer from in memory
+// the sender no longer reaches, dropping it on overflow. The caller holds
+// e.mu.
 func (e *Endpoint) enqueueLocked(from string, buf []byte) {
 	select {
 	case e.recv <- transport.Packet{From: from, Data: buf}:
@@ -153,10 +155,12 @@ func (e *Endpoint) enqueueLocked(from string, buf []byte) {
 }
 
 // SendBatch implements transport.BatchSender. The payloads count as one
-// coalesced batch frame and arrive as individual Packets. The frame itself
-// is only assembled for a fault-injection drop rule to look at — it sees the
-// whole frame, as it would on a real wire; otherwise each payload is copied
-// once, straight into the receiver's Packet.
+// coalesced batch frame and arrive as individual Packets that share one
+// receiver-owned buffer — what a socket transport's read of a batch frame
+// delivers: each Packet.Data is a capacity-clipped slice of it, and whoever
+// retains one payload retains the buffer. The wire frame itself is only
+// assembled for a fault-injection drop rule to look at — it sees the whole
+// frame, as it would on a real wire.
 func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
@@ -192,6 +196,7 @@ func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
 	e.metrics.BatchesSent.Inc()
 	e.metrics.FramesCoalesced.Add(uint64(len(payloads)))
 	e.metrics.BytesSaved.Add(uint64((len(payloads) - 1) * transport.PacketOverheadEstimate))
+	buf := bytes.Join(payloads, nil) // one allocation of exactly total bytes
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
 	if dst.done {
@@ -205,7 +210,8 @@ func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
 		delete(dst.barred, e.name)
 	}
 	for _, p := range payloads {
-		dst.enqueueLocked(e.name, append([]byte(nil), p...))
+		dst.enqueueLocked(e.name, buf[:len(p):len(p)])
+		buf = buf[len(p):]
 	}
 	return nil
 }

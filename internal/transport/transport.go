@@ -48,8 +48,10 @@ type Transport interface {
 // frame on TCP, one datagram on UDP), amortising the per-frame overhead.
 // The receiving side splits batch frames back into individual Packets, so
 // SendBatch is semantically equivalent to calling Send once per payload —
-// only cheaper. Implementations fall back to per-payload sends when a batch
-// cannot be framed (e.g. it exceeds a datagram).
+// only cheaper, on both sides: the Packets of one batch are slices of one
+// receiver-owned buffer (see Packet.Data). Implementations fall back to
+// per-payload sends when a batch cannot be framed (e.g. it exceeds a
+// datagram).
 type BatchSender interface {
 	// SendBatch transmits the payloads to the named peer, coalescing them
 	// into as few wire frames as the transport allows.
