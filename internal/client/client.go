@@ -1,10 +1,12 @@
-// Package client implements the RBFT client: it signs requests, wraps them
+// Package client implements the RBFT client: it signs requests — one at a
+// time, or the queued ones as a bundle under a single signature — wraps them
 // in MAC authenticators, sends them to every node (open loop — multiple
-// requests may be in flight), accepts a result once f+1 valid matching
-// REPLY messages arrive, and retransmits on timeout.
+// requests may be in flight), accepts a result once f+1 valid matching REPLY
+// messages arrive, and retransmits on timeout.
 package client
 
 import (
+	"bytes"
 	"sort"
 	"time"
 
@@ -31,18 +33,32 @@ type Completed struct {
 	Latency time.Duration
 }
 
+// vote is one group of matching replies to a pending request: nodes[i] is
+// set once node i replied with result, n counts the set entries.
+type vote struct {
+	result []byte
+	nodes  []bool
+	n      int
+}
+
 // pending tracks one in-flight request.
 type pending struct {
-	req    *message.Request
+	id     types.RequestID
+	op     []byte
 	sentAt time.Time
 	// readOnly marks a speculative read: it needs a read quorum (2f+1) of
 	// matching replies and falls back to normal ordering on refutation or
 	// timeout (read.go).
 	readOnly bool
+	// sent is the signed request or bundle that carries the request, nil
+	// while it is queued; deadline is when sent is next due for
+	// retransmission, the same for every request of a bundle.
+	sent     *message.Request
 	deadline time.Time
-	// replies counts nodes per result fingerprint.
-	replies map[string]map[types.NodeID]bool
-	result  map[string][]byte
+	// votes holds one entry per distinct result, in arrival order; one backs
+	// it while every reply agrees.
+	votes []vote
+	one   [1]vote
 }
 
 // Client is an open-loop RBFT client. Not safe for concurrent use; drivers
@@ -53,6 +69,9 @@ type Client struct {
 
 	nextID  types.RequestID
 	pending map[types.RequestID]*pending
+	// queued are the requests Queue registered and Flush has not signed yet,
+	// in id order.
+	queued []*pending
 }
 
 // New creates a client with its key ring.
@@ -68,53 +87,97 @@ func New(cfg Config, keys *crypto.KeyRing) *Client {
 // ID returns the client's identity.
 func (c *Client) ID() types.ClientID { return c.cfg.ID }
 
-// Pending returns the number of in-flight requests.
+// Pending returns the number of in-flight requests, queued ones included.
 func (c *Client) Pending() int { return len(c.pending) }
 
-// NewRequest builds, signs and registers a request for operation op. The
-// caller transmits the returned message to every node.
+// NewRequest builds, signs and registers a request for operation op, alone —
+// a flush of one, whatever is queued. The caller transmits the returned
+// message to every node.
 func (c *Client) NewRequest(op []byte, now time.Time) *message.Request {
-	return c.issue(op, false, now, now)
+	ps := [1]*pending{c.register(op, false, now)}
+	return c.seal(ps[:], now)
 }
 
 // NewReadRequest builds, signs and registers a speculative read-only request
 // for operation op: nodes answer it from local state without ordering, and
 // the client accepts only once a read quorum (2f+1) of replies matches. On
 // refutation or timeout the request falls back to normal ordering (read.go).
-// The caller transmits the returned message to every node.
+// Reads are never bundled. The caller transmits the returned message to every
+// node.
 func (c *Client) NewReadRequest(op []byte, now time.Time) *message.Request {
-	return c.issue(op, true, now, now)
+	ps := [1]*pending{c.register(op, true, now)}
+	return c.seal(ps[:], now)
 }
 
-// issue signs and registers one request. sentAt anchors the latency
+// Queue registers a request for operation op under the next id and returns
+// the id; Flush signs it. op must not be modified afterwards: it is signed,
+// and retransmitted, as it is.
+func (c *Client) Queue(op []byte, now time.Time) types.RequestID {
+	p := c.register(op, false, now)
+	c.queued = append(c.queued, p)
+	return p.id
+}
+
+// Flush signs everything queued, in id order, as bundles of consecutive ids
+// holding at most message.MaxBundleOps operations and message.MaxBundleBytes
+// of operation bytes — an operation larger than that goes alone, as a single
+// request — and returns them for transmission to every node.
+func (c *Client) Flush(now time.Time) []*message.Request {
+	var out []*message.Request
+	for q := c.queued; len(q) > 0; {
+		k, size := 1, len(q[0].op)
+		for k < len(q) && k < message.MaxBundleOps && q[k].id == q[0].id+types.RequestID(k) &&
+			size+len(q[k].op) <= message.MaxBundleBytes {
+			size += len(q[k].op)
+			k++
+		}
+		out = append(out, c.seal(q[:k], now))
+		q = q[k:]
+	}
+	clear(c.queued)
+	c.queued = c.queued[:0]
+	return out
+}
+
+// register enters one request under the next id. sentAt anchors the latency
 // measurement: a read falling back to ordering keeps its original send time.
-func (c *Client) issue(op []byte, readOnly bool, now, sentAt time.Time) *message.Request {
-	req := &message.Request{Client: c.cfg.ID, ID: c.nextID, Op: op, ReadOnly: readOnly}
+func (c *Client) register(op []byte, readOnly bool, sentAt time.Time) *pending {
+	p := &pending{id: c.nextID, op: op, readOnly: readOnly, sentAt: sentAt}
+	p.votes = p.one[:0]
 	c.nextID++
-	// One pass over the operation: signature and authenticator both cover it
-	// through its digest.
-	d := req.OpDigest()
+	c.pending[p.id] = p
+	return p
+}
+
+// seal signs ps — consecutive ids, in order — as one request or bundle and
+// arms its retransmission deadline.
+func (c *Client) seal(ps []*pending, now time.Time) *message.Request {
+	req := &message.Request{Client: c.cfg.ID, ID: ps[0].id, Op: ps[0].op, ReadOnly: ps[0].readOnly}
+	if len(ps) > 1 {
+		req.Rest = make([][]byte, len(ps)-1)
+		for i, p := range ps[1:] {
+			req.Rest[i] = p.op
+		}
+	}
+	// One pass over the operations: signature and authenticator both cover
+	// them through the signed digest.
+	d, _ := req.Digests()
 	var buf [message.MaxBodySize]byte
 	req.Sig = c.keys.Sign(req.AppendSignedBody(buf[:0], d))
 	req.Auth = c.keys.AuthenticatorForNodes(c.cfg.Cluster.N, req.AppendBody(buf[:0], d))
-	p := &pending{
-		req:      req,
-		readOnly: readOnly,
-		sentAt:   sentAt,
-		replies:  make(map[string]map[types.NodeID]bool),
-		result:   make(map[string][]byte),
+	for _, p := range ps {
+		p.sent = req
+		if c.cfg.RetransmitTimeout > 0 {
+			p.deadline = now.Add(c.cfg.RetransmitTimeout)
+		}
 	}
-	if c.cfg.RetransmitTimeout > 0 {
-		p.deadline = now.Add(c.cfg.RetransmitTimeout)
-	}
-	c.pending[req.ID] = p
 	return req
 }
 
 // OnReply processes a REPLY from a node. It returns the completed request
 // once f+1 valid matching replies from distinct nodes have arrived.
 func (c *Client) OnReply(rep *message.Reply, from types.NodeID, now time.Time) (Completed, bool) {
-	if rep.Client != c.cfg.ID || rep.Node != from {
+	if rep.Client != c.cfg.ID || rep.Node != from || from < 0 || int(from) >= c.cfg.Cluster.N {
 		return Completed{}, false
 	}
 	p, ok := c.pending[rep.ID]
@@ -125,14 +188,11 @@ func (c *Client) OnReply(rep *message.Reply, from types.NodeID, now time.Time) (
 	if err := c.keys.VerifyNodeMAC(from, rep.AppendBody(buf[:0]), rep.MAC); err != nil {
 		return Completed{}, false
 	}
-	key := string(rep.Result)
-	nodes := p.replies[key]
-	if nodes == nil {
-		nodes = make(map[types.NodeID]bool, c.cfg.Cluster.WeakQuorum())
-		p.replies[key] = nodes
-		p.result[key] = rep.Result
+	v := p.vote(rep.Result, c.cfg.Cluster.N)
+	if !v.nodes[from] {
+		v.nodes[from] = true
+		v.n++
 	}
-	nodes[from] = true
 	threshold := c.cfg.Cluster.WeakQuorum()
 	if p.readOnly {
 		// Speculative replies are not execution commitments: any replica may
@@ -141,7 +201,7 @@ func (c *Client) OnReply(rep *message.Reply, from types.NodeID, now time.Time) (
 		// agree on the value at a consistent point.
 		threshold = c.cfg.Cluster.Quorum()
 	}
-	if len(nodes) < threshold {
+	if v.n < threshold {
 		if p.readOnly {
 			best, distinct := p.tally()
 			if _, impossible := readVerdict(best, distinct, c.cfg.Cluster.N, threshold); impossible {
@@ -156,9 +216,21 @@ func (c *Client) OnReply(rep *message.Reply, from types.NodeID, now time.Time) (
 	delete(c.pending, rep.ID)
 	return Completed{
 		ID:      rep.ID,
-		Result:  p.result[key],
+		Result:  v.result,
 		Latency: now.Sub(p.sentAt),
 	}, true
+}
+
+// vote returns the group of replies whose result equals result, opening one
+// in a cluster of n nodes on first sight.
+func (p *pending) vote(result []byte, n int) *vote {
+	for i := range p.votes {
+		if bytes.Equal(p.votes[i].result, result) {
+			return &p.votes[i]
+		}
+	}
+	p.votes = append(p.votes, vote{result: result, nodes: make([]bool, n)})
+	return &p.votes[len(p.votes)-1]
 }
 
 // NextWake returns the earliest retransmission deadline, or zero.
@@ -175,11 +247,12 @@ func (c *Client) NextWake() time.Time {
 	return wake
 }
 
-// Tick returns the requests due for (re)transmission to all nodes: ordinary
-// requests are resent as-is; a due speculative read (timed out, or refuted —
-// OnReply pulls its deadline forward when no read quorum can form) is
-// replaced by a fresh ordered request for the same operation. Due requests
-// are processed in request-ID order so drivers see a deterministic sequence.
+// Tick returns what is due for (re)transmission to all nodes: each due
+// request or bundle is resent once, as it was signed; a due speculative read
+// (timed out, or refuted — OnReply pulls its deadline forward when no read
+// quorum can form) is replaced by a fresh ordered request for the same
+// operation. Due requests are processed in request-ID order so drivers see a
+// deterministic sequence.
 func (c *Client) Tick(now time.Time) []*message.Request {
 	if c.cfg.RetransmitTimeout == 0 {
 		return nil
@@ -190,7 +263,7 @@ func (c *Client) Tick(now time.Time) []*message.Request {
 			due = append(due, p)
 		}
 	}
-	sort.Slice(due, func(i, j int) bool { return due[i].req.ID < due[j].req.ID })
+	sort.Slice(due, func(i, j int) bool { return due[i].id < due[j].id })
 	var resend []*message.Request
 	for _, p := range due {
 		if p.readOnly {
@@ -200,12 +273,17 @@ func (c *Client) Tick(now time.Time) []*message.Request {
 			// request's f+1 acceptance — they belong to a different, deleted
 			// pending entry. The original send time is kept so the measured
 			// latency covers the whole read, speculation included.
-			delete(c.pending, p.req.ID)
-			resend = append(resend, c.issue(p.req.Op, false, now, p.sentAt))
+			delete(c.pending, p.id)
+			ps := [1]*pending{c.register(p.op, false, p.sentAt)}
+			resend = append(resend, c.seal(ps[:], now))
 			continue
 		}
+		// A bundle's requests share their deadline and are adjacent in id
+		// order, so the bundle goes out once.
 		p.deadline = now.Add(c.cfg.RetransmitTimeout)
-		resend = append(resend, p.req)
+		if n := len(resend); n == 0 || resend[n-1] != p.sent {
+			resend = append(resend, p.sent)
+		}
 	}
 	return resend
 }

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -154,5 +155,169 @@ func TestIgnoresRepliesForOtherClients(t *testing.T) {
 	other := reply(ks, 0, 3, 1, "r") // addressed to client 3
 	if _, ok := cl.OnReply(other, 0, now); ok {
 		t.Fatal("accepted a reply for another client")
+	}
+}
+
+// flushIDs checks that reqs carry the requests first, first+1, … in order,
+// each within the bundle caps, and returns the id after the last.
+func flushIDs(t *testing.T, reqs []*message.Request, first types.RequestID) types.RequestID {
+	t.Helper()
+	for _, r := range reqs {
+		if r.ID != first {
+			t.Fatalf("bundle starts at id %d, want %d", r.ID, first)
+		}
+		size := 0
+		for i := 0; i < r.Len(); i++ {
+			size += len(r.OpAt(i))
+		}
+		if r.Len() > message.MaxBundleOps || (r.Len() > 1 && size > message.MaxBundleBytes) {
+			t.Fatalf("bundle of %d ops and %d B breaks the caps", r.Len(), size)
+		}
+		first += types.RequestID(r.Len())
+	}
+	return first
+}
+
+func bundleSizes(reqs []*message.Request) []int {
+	var ks []int
+	for _, r := range reqs {
+		ks = append(ks, r.Len())
+	}
+	return ks
+}
+
+// TestFlushRespectsCaps: Flush packs what is queued, in id order, into
+// bundles of at most MaxBundleOps operations and MaxBundleBytes of operation
+// bytes, and sends an operation larger than that alone.
+func TestFlushRespectsCaps(t *testing.T) {
+	cl, _, _ := newTestClient(t)
+	now := time.Unix(0, 0)
+	next := types.RequestID(1)
+	for _, tc := range []struct {
+		name string
+		ops  []int // op sizes
+		want []int // bundle sizes
+	}{
+		{"70 small ops", repeatSize(70, 8), []int{32, 32, 6}},
+		{"five 10 kB ops", repeatSize(5, 10<<10), []int{3, 2}},
+		{"an op over the byte cap", []int{8, message.MaxBundleBytes + 1, 8, 8}, []int{1, 1, 2}},
+		{"an op of exactly the byte cap", []int{8, message.MaxBundleBytes, 8}, []int{1, 1, 1}},
+	} {
+		for _, n := range tc.ops {
+			if id := cl.Queue(make([]byte, n), now); id != next+types.RequestID(cl.Pending()-1) {
+				t.Fatalf("%s: Queue returned id %d", tc.name, id)
+			}
+		}
+		reqs := cl.Flush(now)
+		if got := bundleSizes(reqs); !slices.Equal(got, tc.want) {
+			t.Fatalf("%s: flushed bundles of %v, want %v", tc.name, got, tc.want)
+		}
+		next = flushIDs(t, reqs, next)
+		if got := cl.Flush(now); got != nil {
+			t.Fatalf("%s: a second flush sent %d frames", tc.name, len(got))
+		}
+		for id := range cl.pending {
+			delete(cl.pending, id)
+		}
+	}
+}
+
+func repeatSize(n, size int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = size
+	}
+	return s
+}
+
+// TestQueuedIDsSequential: ids are handed out in call order across Queue,
+// NewRequest and NewReadRequest, and a bundle only ever spans consecutive
+// ids — a request signed alone in between splits the queue.
+func TestQueuedIDsSequential(t *testing.T) {
+	cl, _, _ := newTestClient(t)
+	now := time.Unix(0, 0)
+	a := cl.Queue([]byte("a"), now)
+	b := cl.Queue([]byte("b"), now)
+	alone := cl.NewRequest([]byte("alone"), now)
+	read := cl.NewReadRequest([]byte("GET k"), now)
+	c := cl.Queue([]byte("c"), now)
+	if a != 1 || b != 2 || alone.ID != 3 || read.ID != 4 || c != 5 {
+		t.Fatalf("ids %d %d %d %d %d, want 1..5", a, b, alone.ID, read.ID, c)
+	}
+	if alone.Len() != 1 || read.Len() != 1 {
+		t.Fatal("NewRequest and NewReadRequest must sign a single request")
+	}
+	reqs := cl.Flush(now)
+	if got := bundleSizes(reqs); !slices.Equal(got, []int{2, 1}) || reqs[0].ID != 1 || reqs[1].ID != 5 {
+		t.Fatalf("flushed %v from ids %d.., want a bundle of ids 1-2 and id 5 alone", got, reqs[0].ID)
+	}
+	if string(reqs[1].Op) != "c" || reqs[1].ReadOnly {
+		t.Fatalf("the read leaked into a flush: %+v", reqs[1])
+	}
+}
+
+// TestTickResendsEachDueBundleOnce: a due bundle is retransmitted once, as it
+// was signed, for as long as any of its requests is pending.
+func TestTickResendsEachDueBundleOnce(t *testing.T) {
+	cl, ks, _ := newTestClient(t)
+	now := time.Unix(0, 0)
+	for i := 0; i < 40; i++ {
+		cl.Queue([]byte{byte(i)}, now)
+	}
+	sent := cl.Flush(now)
+	if got := bundleSizes(sent); !slices.Equal(got, []int{32, 8}) {
+		t.Fatalf("flushed %v", got)
+	}
+	if wake := cl.NextWake(); !wake.Equal(now.Add(time.Second)) {
+		t.Fatalf("NextWake = %v, want +1s", wake)
+	}
+	if got := cl.Tick(now.Add(time.Second)); len(got) != 2 || got[0] != sent[0] || got[1] != sent[1] {
+		t.Fatalf("Tick resent %v, want each bundle once", bundleSizes(got))
+	}
+	// Complete the first 8 requests of the first bundle and all of the
+	// second: the first is still resent, whole, and only it.
+	for id := types.RequestID(1); id <= 40; id++ {
+		if id > 8 && id <= 32 {
+			continue
+		}
+		cl.OnReply(reply(ks, 0, 2, id, "r"), 0, now)
+		if _, ok := cl.OnReply(reply(ks, 1, 2, id, "r"), 1, now); !ok {
+			t.Fatalf("request %d did not complete", id)
+		}
+	}
+	if got := cl.Tick(now.Add(2 * time.Second)); len(got) != 1 || got[0] != sent[0] {
+		t.Fatalf("Tick resent %v, want the first bundle once", bundleSizes(got))
+	}
+	for id := types.RequestID(9); id <= 32; id++ {
+		cl.OnReply(reply(ks, 0, 2, id, "r"), 0, now)
+		cl.OnReply(reply(ks, 1, 2, id, "r"), 1, now)
+	}
+	if cl.Pending() != 0 || !cl.NextWake().IsZero() || len(cl.Tick(now.Add(time.Hour))) != 0 {
+		t.Fatalf("%d requests pending after every reply", cl.Pending())
+	}
+}
+
+// TestReadsNeverBundled: reads are signed alone, and two reads falling back
+// to ordering in one Tick are re-issued as two single requests.
+func TestReadsNeverBundled(t *testing.T) {
+	cl, _, _ := newTestClient(t)
+	now := time.Unix(0, 0)
+	cl.NewReadRequest([]byte("GET a"), now)
+	cl.NewReadRequest([]byte("GET b"), now)
+	cl.Queue([]byte("PUT c 1"), now)
+	if reqs := cl.Flush(now); len(reqs) != 1 || reqs[0].Len() != 1 || reqs[0].ID != 3 {
+		t.Fatalf("flush took reads along: %v", bundleSizes(reqs))
+	}
+	var fallbacks int
+	for _, r := range cl.Tick(now.Add(time.Second)) {
+		if r.Len() != 1 || r.ReadOnly {
+			t.Fatalf("Tick resent a %d-request frame, read-only %v", r.Len(), r.ReadOnly)
+		}
+		if r.ID > 3 {
+			fallbacks++
+		}
+	}
+	if fallbacks != 2 {
+		t.Fatalf("%d reads fell back to ordering, want 2", fallbacks)
 	}
 }

@@ -15,11 +15,9 @@ package client
 // A Byzantine node voting in several groups inflates distinct, which can
 // only make refutation fire earlier — the fallback path is always safe.
 func (p *pending) tally() (best, distinct int) {
-	for _, nodes := range p.replies {
-		if len(nodes) > best {
-			best = len(nodes)
-		}
-		distinct += len(nodes)
+	for _, v := range p.votes {
+		best = max(best, v.n)
+		distinct += v.n
 	}
 	return best, distinct
 }

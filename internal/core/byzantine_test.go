@@ -146,10 +146,23 @@ func authenticate(msg message.Message, ring *crypto.KeyRing, n int) {
 }
 
 // TestEquivocatingClientDoesNotDiverge: a faulty client sends two different
-// operations under the same request id to different nodes. At most one may
-// execute, and all correct nodes must agree which.
+// operations under the same request id to different nodes — as single
+// requests, and as two bundles whose ids overlap. At most one may execute per
+// id, and all correct nodes must agree which.
 func TestEquivocatingClientDoesNotDiverge(t *testing.T) {
 	nc := newNodeCluster(t, 1, nil)
+	// Client 2 signs ids 1–4 (+1 each) and, differently, ids 3–6 (+9 each).
+	ring2 := nc.ks.ClientRing(2)
+	nc.client(2) // quiescence is checked for registered clients
+	plus := func(v byte, n int) [][]byte {
+		ops := make([][]byte, n)
+		for i := range ops {
+			ops[i] = []byte{0, 0, 0, 0, 0, 0, 0, v}
+		}
+		return ops
+	}
+	nc.sendFrame(2, frameOf(signBundle(ring2, nc.cfg.N, 2, 1, plus(1, 4)...)), 0, 1)
+	nc.sendFrame(2, frameOf(signBundle(ring2, nc.cfg.N, 2, 3, plus(9, 4)...)), 2, 3)
 	cl := nc.client(1)
 	reqA := cl.NewRequest([]byte{0, 0, 0, 0, 0, 0, 0, 1}, nc.now)
 	// Forge a sibling with the same id but different op, properly signed
@@ -180,6 +193,15 @@ func TestEquivocatingClientDoesNotDiverge(t *testing.T) {
 			t.Fatalf("node %d counter %d != node 0 counter %d",
 				i, nc.apps[i].Total(1), nc.apps[0].Total(1))
 		}
+		if nc.apps[i].Total(2) != nc.apps[0].Total(2) {
+			t.Fatalf("bundles: node %d counter %d != node 0 counter %d",
+				i, nc.apps[i].Total(2), nc.apps[0].Total(2))
+		}
+	}
+	// Ids 1, 2 and 5, 6 have one body each; 3 and 4 execute one of their two.
+	nc.requireExecutedOnce(2, 1, 6)
+	if total := nc.apps[0].Total(2); total != 22 && total != 30 && total != 38 {
+		t.Fatalf("bundles: counter %d is not 1+1+9+9 plus 1 or 9 for each of ids 3 and 4", total)
 	}
 	nc.requireQuiescent()
 }

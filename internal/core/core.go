@@ -372,7 +372,7 @@ func (n *Node) SetRegistry(reg *obs.Registry) {
 // countedMsgTypes enumerates every wire message type for the per-type
 // counters. All values fit the msgsIn/msgsOut arrays (max is 33).
 var countedMsgTypes = []message.Type{
-	message.TypeRequest, message.TypeReadRequest, message.TypePropagate, message.TypePrePrepare,
+	message.TypeRequest, message.TypeReadRequest, message.TypeBundle, message.TypePropagate, message.TypePrePrepare,
 	message.TypePrepare, message.TypeCommit, message.TypeReply,
 	message.TypeInstanceChange, message.TypeViewChange, message.TypeNewView,
 	message.TypeCheckpoint, message.TypeInvalid, message.TypeFetch,

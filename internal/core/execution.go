@@ -49,7 +49,7 @@ func (n *Node) executeBatch(out *Output, lane types.InstanceID, refs []types.Req
 		cs.markExecuted(ref.ID)
 		n.journal(out, wal.Record{
 			Kind: wal.KindExecuted, Client: ref.Client, Req: ref.ID,
-			Digest: ref.Digest, Op: r.body.Op, Instance: lane,
+			Digest: ref.Digest, Op: r.op, Instance: lane,
 		})
 		if n.metricsOn && n.executedByLane != nil {
 			n.executedByLane[lane].Inc()
@@ -57,7 +57,7 @@ func (n *Node) executeBatch(out *Output, lane types.InstanceID, refs []types.Req
 		// cs stays valid to the end of the batch: r pins it in the table
 		// (a client with pending bodies is never evicted).
 		batch = append(batch, executing{req: r, cs: cs})
-		ops = append(ops, exec.Op{Client: ref.Client, ID: ref.ID, Body: r.body.Op})
+		ops = append(ops, exec.Op{Client: ref.Client, ID: ref.ID, Body: r.op})
 	}
 	if len(batch) == 0 {
 		return

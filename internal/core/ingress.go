@@ -19,11 +19,9 @@ func (n *Node) OnVerified(v *message.Verified, now time.Time) Output {
 	case !v.FromClient:
 		n.applyNodeMessage(&out, v, now)
 	default:
-		req, ok := v.Msg.(*message.Request)
-		if !ok {
-			return out // forged Verified; preverify never builds this
+		if req, ok := v.Msg.(*message.Request); ok { // preverify builds nothing else
+			n.applyRequest(&out, req, v, now)
 		}
-		n.applyClientRequest(&out, req, v.Digest, now)
 	}
 	n.observeIO(v.Msg, &out)
 	return out
@@ -58,51 +56,6 @@ func (n *Node) OnRejected(err error, now time.Time) Output {
 	return out
 }
 
-// applyClientRequest processes a preverified client REQUEST whose OpDigest is
-// d.
-func (n *Node) applyClientRequest(out *Output, req *message.Request, d types.Digest, now time.Time) {
-	cs := n.client(req.Client, now)
-	if cs.blacklisted {
-		return
-	}
-	if n.tr.Enabled() {
-		n.tr.Trace(obs.Event{
-			At: now, Type: obs.EvRequestReceived, Client: req.Client, Req: req.ID,
-		})
-	}
-	// Speculative read-only fast path: answer from local state, no ordering,
-	// no reply-cache or propagation bookkeeping. The client accepts only on
-	// a read quorum (2f+1) of matching replies and re-issues through normal
-	// ordering otherwise, so a request the app cannot serve as a read (or an
-	// app with no read path at all) is simply dropped here.
-	if req.ReadOnly {
-		if n.reader == nil {
-			return
-		}
-		if result, ok := n.reader.ExecuteRead(req.Op); ok {
-			out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, req.ID, result))
-		}
-		return
-	}
-	// Retransmission of an executed request: resend the cached reply. The
-	// watermark is tested first — the cache is a linear scan, and a new
-	// request must not pay for it. Executed but the cached reply has been
-	// evicted: drop. Re-propagating would re-execute on nodes that no longer
-	// remember the reply, so the executed watermark wins over helpfulness
-	// (the client library re-issues under a fresh ID if it truly never saw
-	// the reply).
-	if cs.isExecuted(req.ID) {
-		if result, ok := n.cachedReply(cs, req.ID); ok {
-			out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, req.ID, result))
-		}
-		return
-	}
-	ref := types.RequestRef{Client: req.Client, ID: req.ID, Digest: d}
-	if r := n.storeBody(cs, ref, req); r != nil {
-		n.propagate(out, r, now)
-	}
-}
-
 // applyNodeMessage processes a preverified message from another node:
 // PROPAGATE, the per-instance protocol messages, and INSTANCE-CHANGE.
 func (n *Node) applyNodeMessage(out *Output, v *message.Verified, now time.Time) {
@@ -111,7 +64,7 @@ func (n *Node) applyNodeMessage(out *Output, v *message.Verified, now time.Time)
 	}
 	switch m := v.Msg.(type) {
 	case *message.Propagate:
-		n.applyPropagate(out, m, v.Digest, v.From, now)
+		n.applyRequest(out, &m.Req, v, now)
 	case *message.InstanceChange:
 		n.onInstanceChange(out, m, now)
 	default:

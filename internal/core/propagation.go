@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"rbft/internal/message"
+	"rbft/internal/obs"
 	"rbft/internal/types"
 )
 
@@ -17,10 +18,10 @@ import (
 // created, release the only place one goes away.
 type pendingRequest struct {
 	ref types.RequestRef
-	// body is the verified request. Op, Sig and Auth alias the received frame
+	// op is the verified operation. It aliases the received frame
 	// (message.Decode), so the record keeps that frame alive until the
 	// request executes.
-	body message.Request
+	op []byte
 	// senders[i] is set once node i's PROPAGATE (or, for this node, the
 	// decision to send one) is in; nsenders counts the set entries.
 	senders  []bool
@@ -47,10 +48,11 @@ func (r *pendingRequest) addSender(id types.NodeID) bool {
 const maxPendingBodiesPerClient = 4096
 
 // storeBody returns the record of the verified request body ref, creating it
-// on first sight, or nil when the client already pins its full allowance of
-// bodies. This is the node's single retention point for decoded request
-// bytes, and with release one of the two places pendingBodies moves.
-func (n *Node) storeBody(cs *clientState, ref types.RequestRef, req *message.Request) *pendingRequest {
+// on first sight with operation op, or nil when the client already pins its
+// full allowance of bodies. This is the node's single retention point for
+// decoded request bytes, and with release one of the two places
+// pendingBodies moves.
+func (n *Node) storeBody(cs *clientState, ref types.RequestRef, op []byte) *pendingRequest {
 	if r := n.lookup(ref); r != nil {
 		return r
 	}
@@ -59,7 +61,7 @@ func (n *Node) storeBody(cs *clientState, ref types.RequestRef, req *message.Req
 	}
 	cs.pendingBodies++
 	r := &pendingRequest{
-		ref: ref, body: *req, sibling: n.pending[ref.Key()],
+		ref: ref, op: op, sibling: n.pending[ref.Key()],
 		senders: make([]bool, n.cfg.Cluster.N),
 	}
 	n.pending[ref.Key()] = r
@@ -85,36 +87,67 @@ func (n *Node) release(cs *clientState, key types.RequestKey) {
 	delete(n.pending, key)
 }
 
-// applyPropagate processes a preverified PROPAGATE (MAC and the embedded
-// request's client signature both already checked) whose request has
-// OpDigest d.
-func (n *Node) applyPropagate(out *Output, p *message.Propagate, d types.Digest, from types.NodeID, now time.Time) {
-	cs := n.client(p.Req.Client, now)
+// applyRequest runs the Propagation module for req, the request or bundle a
+// preverified client REQUEST (v.FromClient) or PROPAGATE from node v.From
+// carries. Each of its requests is a request of its own: one record, one
+// sender set, one dispatch once f+1 PROPAGATEs are in. The node sends its own
+// PROPAGATE — of the whole bundle, MAC'd over v.Digest — once, the first time
+// any of them is news. All records are stored before the first dispatch,
+// which can execute and release records; stored ones pin the client's entry.
+func (n *Node) applyRequest(out *Output, req *message.Request, v *message.Verified, now time.Time) {
+	cs := n.client(req.Client, now)
 	if cs.blacklisted {
 		return
 	}
-	// The request already executed here: it is decided, so further
-	// PROPAGATEs for its key must not pin fresh bodies or re-enter dispatch.
-	if cs.isExecuted(p.Req.ID) {
-		return
+	var one [1]*pendingRequest
+	stored, news := one[:0], false
+	for i := 0; i < req.Len(); i++ {
+		id := req.ID + types.RequestID(i)
+		if v.FromClient && n.tr.Enabled() {
+			n.tr.Trace(obs.Event{At: now, Type: obs.EvRequestReceived, Client: req.Client, Req: id})
+		}
+		// Speculative read-only fast path (never bundled): answer from local
+		// state or not at all — the client accepts only a read quorum (2f+1)
+		// of matching replies and otherwise re-issues through ordering.
+		if req.ReadOnly {
+			if n.reader == nil {
+				return
+			}
+			if result, ok := n.reader.ExecuteRead(req.Op); ok {
+				out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, id, result))
+			}
+			return
+		}
+		// An executed request is decided: no fresh body, no dispatch. A
+		// client's retransmission gets the cached reply (the watermark spares
+		// a new request the cache scan) or, evicted, nothing: re-propagating
+		// would re-execute on nodes that no longer remember the reply.
+		if cs.isExecuted(id) {
+			if !v.FromClient {
+				continue
+			}
+			if result, ok := n.cachedReply(cs, id); ok {
+				out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, id, result))
+			}
+			continue
+		}
+		r := n.storeBody(cs, types.RequestRef{Client: req.Client, ID: id, Digest: v.OpDigest(i)}, req.OpAt(i))
+		if r == nil {
+			continue
+		}
+		if !v.FromClient {
+			r.addSender(v.From)
+		}
+		news = r.addSender(n.cfg.Node) || news
+		stored = append(stored, r)
 	}
-	ref := types.RequestRef{Client: p.Req.Client, ID: p.Req.ID, Digest: d}
-	if r := n.storeBody(cs, ref, &p.Req); r != nil {
-		r.addSender(from)
-		n.propagate(out, r, now)
-	}
-}
-
-// propagate runs the Propagation module for a stored request: send our own
-// PROPAGATE the first time we learn of it, then dispatch once f+1 copies are
-// in. The MAC body comes from the ref's digest — the preverify stage's one
-// pass over the operation is the last.
-func (n *Node) propagate(out *Output, r *pendingRequest, now time.Time) {
-	if r.addSender(n.cfg.Node) && !n.behavior.DropPropagate {
-		p := &message.Propagate{Req: r.body, Node: n.cfg.Node}
+	if news && !n.behavior.DropPropagate {
+		p := &message.Propagate{Req: *req, Node: n.cfg.Node}
 		var buf [message.MaxBodySize]byte
-		p.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, p.AppendBody(buf[:0], r.ref.Digest))
+		p.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, p.AppendBody(buf[:0], v.Digest))
 		out.NodeMsgs = append(out.NodeMsgs, NodeSend{Msg: p})
 	}
-	n.maybeDispatch(out, r, now)
+	for _, r := range stored {
+		n.maybeDispatch(out, r, now)
+	}
 }

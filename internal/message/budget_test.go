@@ -13,7 +13,8 @@ import (
 // floor: a received frame costs the decoded message and the Verified value —
 // no authenticator (it aliases the frame), no MAC'd body (a stack buffer),
 // nothing proportional to the op or to N. A PRE-PREPARE adds its decoded
-// batch. Not under the race detector, where sync.Pool drops the pooled hashers
+// batch; a bundle, per frame and whatever its size, its list of operations
+// and its list of OpDigests. Not under the race detector, where sync.Pool drops the pooled hashers
 // at random and a digest then allocates one.
 func TestPreverifyAllocationBudget(t *testing.T) {
 	ks := testKeys()
@@ -28,18 +29,24 @@ func TestPreverifyAllocationBudget(t *testing.T) {
 	prePrepare.Auth = ring.AuthenticatorForNodes(testN, prePrepare.AppendBody(buf[:0]))
 	propagate := largePropagateFrame(t, ks, pre) // also caches client 1's verdict for the REQUEST row
 	request := signedRequest(ks, 1, 1, bytes.Repeat([]byte{0xab}, 4096)).Marshal(nil)
+	bundle := signedBundle(ks, 1, 2, bundleOps(16)...).Marshal(nil)
+	if _, err := pre.PreverifyClientFrame(bundle, 1); err != nil { // caches its verdict
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name       string
 		frame      []byte
 		fromClient bool
 		allocs     float64
+		bytes      uint64
 	}{
-		{"cached 4 kB PROPAGATE", propagate, false, 2},
-		{"cached 4 kB client REQUEST", request, true, 2},
-		{"PREPARE", prepare.Marshal(nil), false, 2},
-		{"COMMIT", commit.Marshal(nil), false, 2},
-		{"PRE-PREPARE of 8", prePrepare.Marshal(nil), false, 3},
+		{"cached 4 kB PROPAGATE", propagate, false, 2, 1024},
+		{"cached 4 kB client REQUEST", request, true, 2, 1024},
+		{"cached 16-op client bundle", bundle, true, 4, 2048}, // 56 B per op: its slice header and OpDigest
+		{"PREPARE", prepare.Marshal(nil), false, 2, 1024},
+		{"COMMIT", commit.Marshal(nil), false, 2, 1024},
+		{"PRE-PREPARE of 8", prePrepare.Marshal(nil), false, 3, 1024},
 	} {
 		verify := func() {
 			var err error
@@ -55,8 +62,8 @@ func TestPreverifyAllocationBudget(t *testing.T) {
 		if n := testing.AllocsPerRun(200, verify); n > tc.allocs {
 			t.Errorf("preverify of a %s: %v allocs, want <= %v", tc.name, n, tc.allocs)
 		}
-		if b := bytesPerRun(200, verify); b >= 1024 {
-			t.Errorf("preverify of a %s: %d B, want < 1024", tc.name, b)
+		if b := bytesPerRun(200, verify); b >= tc.bytes {
+			t.Errorf("preverify of a %s: %d B, want < %d", tc.name, b, tc.bytes)
 		}
 	}
 }

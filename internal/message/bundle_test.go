@@ -1,0 +1,200 @@
+package message
+
+import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"rbft/internal/crypto"
+	"rbft/internal/types"
+)
+
+// signedBundle builds a fully authenticated request carrying ops under ids
+// id, id+1, …: a bundle when there is more than one.
+func signedBundle(ks *crypto.KeyStore, client types.ClientID, id types.RequestID, ops ...[]byte) *Request {
+	cl := ks.ClientRing(client)
+	req := &Request{Client: client, ID: id, Op: ops[0]}
+	if len(ops) > 1 {
+		req.Rest = ops[1:]
+	}
+	d, _ := req.Digests()
+	req.Sig = cl.Sign(req.AppendSignedBody(nil, d))
+	req.Auth = cl.AuthenticatorForNodes(testN, req.Body())
+	return req
+}
+
+// bundleOps returns k distinct small operations.
+func bundleOps(k int) [][]byte {
+	ops := make([][]byte, k)
+	for i := range ops {
+		ops[i] = []byte(fmt.Sprintf("op-%02d", i))
+	}
+	return ops
+}
+
+// TestSingleRequestEncodingUnchanged pins a single request's REQUEST and
+// PROPAGATE frames to the bytes the encoding had before bundles existed:
+// k = 1 is the old wire format, signature and authenticators included.
+func TestSingleRequestEncodingUnchanged(t *testing.T) {
+	ks := crypto.NewKeyStore([]byte("golden"), testN, 4)
+	cl := ks.ClientRing(1)
+	req := &Request{Client: 1, ID: 7, Op: []byte("golden-op")}
+	req.Sig = cl.Sign(req.AppendSignedBody(nil, req.OpDigest()))
+	req.Auth = cl.AuthenticatorForNodes(testN, req.Body())
+	p := &Propagate{Req: *req, Node: 2}
+	p.Auth = ks.NodeRing(2).AuthenticatorForNodes(testN, p.Body())
+	const (
+		wantReq  = "010000000000000001000000000000000700000009676f6c64656e2d6f70000000400c2f328232db28d032ac2bab26a94eaae74dca707012219e38fd18d82900581fe7f32ad7c54bc033e81239e468d3f7816805514707a6cf8ccb40d0539fa7740c00000004d8f5dc4a5225ca23af6c9c2bd89519851da945fa72bc7ed7aa665e9d852872db74b52e7070c29c61280b44e5e58650c1224256890d87c76b90cca33c924dc197"
+		wantProp = "02000000000000000200000062010000000000000001000000000000000700000009676f6c64656e2d6f70000000400c2f328232db28d032ac2bab26a94eaae74dca707012219e38fd18d82900581fe7f32ad7c54bc033e81239e468d3f7816805514707a6cf8ccb40d0539fa7740c00000004d9df3f2616c8c55f1a4fe342ec7a101105efee0bdb4def0faac15dd659c97fba0000000000000000000000000000000043d66dbbd2acce122d5324c8ab09d7d9"
+	)
+	if got := hex.EncodeToString(req.Marshal(nil)); got != wantReq {
+		t.Errorf("REQUEST encoding changed:\n got %s\nwant %s", got, wantReq)
+	}
+	if got := hex.EncodeToString(p.Marshal(nil)); got != wantProp {
+		t.Errorf("PROPAGATE encoding changed:\n got %s\nwant %s", got, wantProp)
+	}
+	if d, ops := req.Digests(); d != req.OpDigest() || ops != nil {
+		t.Error("a single request's signed digest is not its OpDigest")
+	}
+}
+
+// TestBundleRoundTrip: bundles of every size from 2 to MaxBundleOps survive
+// encode/decode alone and inside a PROPAGATE, and preverify to a certificate
+// carrying the BundleDigest and every request's OpDigest.
+func TestBundleRoundTrip(t *testing.T) {
+	ks := testKeys()
+	for k := 2; k <= MaxBundleOps; k++ {
+		req := signedBundle(ks, 1, 40, bundleOps(k)...)
+		frame := req.Marshal(nil)
+		if len(frame) != req.EncodedSize() {
+			t.Fatalf("k=%d: EncodedSize %d, marshalled %d", k, req.EncodedSize(), len(frame))
+		}
+		if frame[0] != byte(TypeBundle) || req.MsgType() != TypeBundle {
+			t.Fatalf("k=%d: bundle not tagged TypeBundle", k)
+		}
+		got := roundTrip(t, req).(*Request)
+		if got.Len() != k || got.ID != 40 || got.Client != 1 || got.ReadOnly {
+			t.Fatalf("k=%d: decoded %d ops of client %d from id %d", k, got.Len(), got.Client, got.ID)
+		}
+		for i := 0; i < k; i++ {
+			if !bytes.Equal(got.OpAt(i), req.OpAt(i)) {
+				t.Fatalf("k=%d: op %d = %q, want %q", k, i, got.OpAt(i), req.OpAt(i))
+			}
+		}
+		if !bytes.Equal(got.Marshal(nil), frame) {
+			t.Fatalf("k=%d: re-encoding differs", k)
+		}
+		prop := propagateOf(ks, 1, req)
+		if gp := roundTrip(t, prop).(*Propagate); gp.Req.Len() != k || !bytes.Equal(gp.Marshal(nil), prop.Marshal(nil)) {
+			t.Fatalf("k=%d: PROPAGATE of a bundle does not round-trip", k)
+		}
+
+		pre := newPreverifier(ks, 16)
+		v, err := pre.PreverifyClientFrame(frame, 1)
+		if err != nil {
+			t.Fatalf("k=%d: bundle rejected: %v", k, err)
+		}
+		if _, err := pre.PreverifyNodeFrame(prop.Marshal(nil), 1); err != nil {
+			t.Fatalf("k=%d: PROPAGATE of the bundle rejected: %v", k, err)
+		}
+		if len(v.OpDigests) != k || v.Digest != BundleDigest(v.OpDigests) {
+			t.Fatalf("k=%d: certificate carries %d OpDigests", k, len(v.OpDigests))
+		}
+		for i := 0; i < k; i++ {
+			one := Request{Client: 1, ID: 40 + types.RequestID(i), Op: req.OpAt(i)}
+			if v.OpDigest(i) != one.OpDigest() {
+				t.Fatalf("k=%d: OpDigest(%d) is not request %d's", k, i, one.ID)
+			}
+		}
+	}
+}
+
+// TestBundleCaps: a node rejects a bundle of fewer than two or more than
+// MaxBundleOps operations, or of more than MaxBundleBytes, as malformed.
+func TestBundleCaps(t *testing.T) {
+	ks := testKeys()
+	big := bytes.Repeat([]byte{1}, MaxBundleBytes/2)
+	one := signedBundle(ks, 1, 1, []byte("a"), []byte("b")).Marshal(nil)
+	one[1+8+8+3] = 1 // the count field: a "bundle" of one
+	for name, frame := range map[string][]byte{
+		"count of one":         one,
+		"MaxBundleOps+1 ops":   signedBundle(ks, 1, 1, bundleOps(MaxBundleOps+1)...).Marshal(nil),
+		"MaxBundleBytes+1 B":   signedBundle(ks, 1, 1, big, big, []byte{2}).Marshal(nil),
+		"read tag on a bundle": append([]byte{byte(TypeReadRequest)}, signedBundle(ks, 1, 1, bundleOps(4)...).Marshal(nil)[1:]...),
+	} {
+		if _, err := newPreverifier(ks, 16).PreverifyClientFrame(frame, 1); failKindOf(err) != FailMalformed {
+			t.Errorf("%s: got %v, want malformed", name, err)
+		}
+	}
+	if _, err := newPreverifier(ks, 16).PreverifyClientFrame(signedBundle(ks, 1, 1, big, big).Marshal(nil), 1); err != nil {
+		t.Errorf("a bundle of exactly MaxBundleBytes rejected: %v", err)
+	}
+}
+
+// TestBundleTamperingRejected: every way of altering a signed bundle is
+// caught — at MAC cost when the frame is altered in flight, and by the client
+// signature when a faulty node relays the altered bundle in a PROPAGATE it
+// MACs itself. The cache holds the genuine bundle's verdict throughout.
+func TestBundleTamperingRejected(t *testing.T) {
+	ks := testKeys()
+	genuine := signedBundle(ks, 1, 10, bundleOps(6)...)
+	tampered := func(edit func(r *Request)) *Request {
+		r := *genuine
+		r.Rest = append([][]byte(nil), genuine.Rest...)
+		edit(&r)
+		return &r
+	}
+	for _, tc := range []struct {
+		name string
+		req  *Request
+	}{
+		{"one op changed", tampered(func(r *Request) { r.Rest[2] = []byte("op-99") })},
+		{"two ops swapped", tampered(func(r *Request) { r.Rest[0], r.Rest[1] = r.Rest[1], r.Rest[0] })},
+		{"first two ops swapped", tampered(func(r *Request) { r.Op, r.Rest[0] = r.Rest[0], r.Op })},
+		{"op dropped", tampered(func(r *Request) { r.Rest = r.Rest[:len(r.Rest)-1] })},
+		{"op appended", tampered(func(r *Request) { r.Rest = append(r.Rest, []byte("op-06")) })},
+		{"wrong first id", tampered(func(r *Request) { r.ID++ })},
+		{"bundle cut to one op", tampered(func(r *Request) { r.Rest = nil })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pre := newPreverifier(ks, 16)
+			if _, err := pre.PreverifyClientFrame(genuine.Marshal(nil), 1); err != nil {
+				t.Fatalf("genuine bundle rejected: %v", err)
+			}
+			if _, err := pre.PreverifyClientFrame(tc.req.Marshal(nil), 1); failKindOf(err) != FailBadMAC {
+				t.Errorf("altered in flight: got %v, want bad-mac", err)
+			}
+			if _, err := pre.PreverifyNodeFrame(propagateOf(ks, 1, tc.req).Marshal(nil), 1); failKindOf(err) != FailBadSig {
+				t.Errorf("relayed by a faulty node: got %v, want bad-sig", err)
+			}
+		})
+	}
+	// An inner read tag on a propagated bundle never decodes: reads are not
+	// ordered, so they are never propagated, bundled or not.
+	prop := propagateOf(ks, 1, genuine).Marshal(nil)
+	prop[propOffInner+reqOffTag] = byte(TypeReadRequest)
+	if _, err := newPreverifier(ks, 16).PreverifyNodeFrame(prop, 1); failKindOf(err) != FailMalformed {
+		t.Errorf("PROPAGATE of a read-tagged bundle: got %v, want malformed", err)
+	}
+}
+
+// TestBundleCostsOneVerificationPerNode: a bundle's REQUEST and its three
+// PROPAGATEs reach a node as four frames and cost it one Ed25519 verification
+// — one cache miss — whatever the bundle's size.
+func TestBundleCostsOneVerificationPerNode(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	req := signedBundle(ks, 3, 1, bundleOps(16)...)
+	if _, err := pre.PreverifyClientFrame(req.Marshal(nil), 3); err != nil {
+		t.Fatalf("bundle rejected: %v", err)
+	}
+	for from := types.NodeID(1); from < testN; from++ {
+		if _, err := pre.PreverifyNodeFrame(propagateOf(ks, from, req).Marshal(nil), from); err != nil {
+			t.Fatalf("PROPAGATE from node %d rejected: %v", from, err)
+		}
+	}
+	if h, m := pre.Cache().Stats(); m != 1 || h != 3 {
+		t.Fatalf("hits=%d misses=%d, want 3/1: one verification per bundle per node", h, m)
+	}
+}

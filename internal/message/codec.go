@@ -186,7 +186,7 @@ func (r *reader) done() error {
 }
 
 // Decode parses a full wire encoding back into a Message. Variable-length
-// fields of the result (Op, Sig, Result, Padding, Auth) alias data, which
+// fields of the result (Op, Rest, Sig, Result, Padding, Auth) alias data, which
 // Decode never writes to and the caller must own and leave unmodified while
 // the message is in use — what every transport guarantees for Packet.Data.
 func Decode(data []byte) (Message, error) {
@@ -198,10 +198,10 @@ func Decode(data []byte) (Message, error) {
 	var m Message
 	//rbft:dispatch
 	switch t {
-	case TypeRequest:
-		m = decodeRequest(r, false)
-	case TypeReadRequest:
-		m = decodeRequest(r, true)
+	case TypeRequest, TypeReadRequest, TypeBundle:
+		req := decodeRequest(r, t)
+		req.Auth = r.auth()
+		m = &req
 	case TypePropagate:
 		m = decodePropagate(r)
 	case TypePrePrepare:
@@ -251,15 +251,27 @@ func Decode(data []byte) (Message, error) {
 	return m, nil
 }
 
-func decodeRequest(r *reader, readOnly bool) *Request {
-	return &Request{
-		Client:   types.ClientID(r.u64()),
-		ID:       types.RequestID(r.u64()),
-		Op:       r.bytes(),
-		ReadOnly: readOnly,
-		Sig:      r.bytes(),
-		Auth:     r.auth(),
+// decodeRequest reads the fields of a request whose wire tag t was just read,
+// up to its signature: one operation, or a bundle's count and operations.
+func decodeRequest(r *reader, t Type) Request {
+	req := Request{Client: types.ClientID(r.u64()), ID: types.RequestID(r.u64()), ReadOnly: t == TypeReadRequest}
+	if t != TypeBundle {
+		req.Op = r.bytes()
+	} else if k := r.u32(); k < 2 || k > MaxBundleOps {
+		r.fail(fmt.Errorf("%w: bundle of %d operations", ErrOversized, k))
+	} else {
+		req.Op, req.Rest = r.bytes(), make([][]byte, k-1)
+		size := len(req.Op)
+		for i := range req.Rest {
+			req.Rest[i] = r.bytes()
+			size += len(req.Rest[i])
+		}
+		if size > MaxBundleBytes {
+			r.fail(fmt.Errorf("%w: bundle of %d operation bytes", ErrOversized, size))
+		}
 	}
+	req.Sig = r.bytes()
+	return req
 }
 
 func decodePropagate(r *reader) *Propagate {
@@ -267,19 +279,15 @@ func decodePropagate(r *reader) *Propagate {
 	inner := r.bytes()
 	if r.err == nil {
 		ir := &reader{b: inner}
-		// Only ordinary requests may be propagated: read-only requests
-		// (TypeReadRequest) never enter ordering, so an inner read tag is
-		// rejected as malformed.
-		if t := Type(ir.u8()); t != TypeRequest {
+		// Only ordinary requests and bundles may be propagated: read-only
+		// requests (TypeReadRequest) never enter ordering, so an inner read
+		// tag is rejected as malformed.
+		t := Type(ir.u8())
+		if t != TypeRequest && t != TypeBundle {
 			r.fail(fmt.Errorf("%w: propagate inner type %d", ErrUnknownType, t))
 			return p
 		}
-		p.Req = Request{
-			Client: types.ClientID(ir.u64()),
-			ID:     types.RequestID(ir.u64()),
-			Op:     ir.bytes(),
-			Sig:    ir.bytes(),
-		}
+		p.Req = decodeRequest(ir, t)
 		if err := ir.done(); err != nil {
 			r.fail(err)
 		}

@@ -15,6 +15,8 @@ func fuzzSeeds(f *testing.F) {
 	msgs := []Message{
 		&Request{Client: 1, ID: 2, Op: []byte("op"), Sig: make([]byte, crypto.SignatureSize)},
 		&Propagate{Req: Request{Client: 1, ID: 2, Op: []byte("op")}, Node: 3},
+		&Request{Client: 1, ID: 2, Op: []byte("op"), Rest: [][]byte{[]byte("op3"), {}}, Sig: make([]byte, crypto.SignatureSize)},
+		&Propagate{Req: Request{Client: 1, ID: 2, Op: []byte("op"), Rest: [][]byte{[]byte("op3")}}, Node: 3},
 		&PrePrepare{Instance: 0, View: 1, Seq: 2, Batch: refs, Node: 0},
 		&Prepare{Instance: 1, View: 1, Seq: 2, Node: 1},
 		&Commit{Instance: 0, View: 1, Seq: 2, Node: 2},
@@ -77,14 +79,23 @@ func FuzzDecode(f *testing.F) {
 // PreverifyError kind.
 func FuzzPreverify(f *testing.F) {
 	fuzzSeeds(f)
-	// Also seed a fully authenticated request so the accept path (and the
-	// signature cache) is exercised, not just rejections.
+	// Also seed a fully authenticated request and bundle, and the bundle's
+	// PROPAGATE from node 2, so the accept path (and the signature cache) is
+	// exercised, not just rejections.
 	ks := crypto.NewKeyStore([]byte("fuzz-preverify"), 4, 4)
 	cl := ks.ClientRing(1)
-	req := &Request{Client: 1, ID: 2, Op: []byte("op")}
-	req.Sig = cl.Sign(req.AppendSignedBody(nil, req.OpDigest()))
-	req.Auth = cl.AuthenticatorForNodes(4, req.Body())
-	f.Add(req.Marshal(nil))
+	for _, req := range []*Request{
+		{Client: 1, ID: 2, Op: []byte("op")},
+		{Client: 1, ID: 3, Op: []byte("op3"), Rest: [][]byte{[]byte("op4"), []byte("op5")}},
+	} {
+		d, _ := req.Digests()
+		req.Sig = cl.Sign(req.AppendSignedBody(nil, d))
+		req.Auth = cl.AuthenticatorForNodes(4, req.Body())
+		f.Add(req.Marshal(nil))
+		p := &Propagate{Req: *req, Node: 2}
+		p.Auth = ks.NodeRing(2).AuthenticatorForNodes(4, p.Body())
+		f.Add(p.Marshal(nil))
+	}
 
 	cluster := types.NewConfig(1)
 	pre := NewPreverifier(ks.NodeRing(0), 0, cluster, NewVerifyCache(64))

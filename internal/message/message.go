@@ -6,9 +6,10 @@
 // can authenticate and receivers can verify without re-implementing the
 // codec: the encoding of every field except the authentication material,
 // with a variable-length payload entering only through a digest that binds
-// it (a REQUEST through OpDigest, a PRE-PREPARE through BatchDigest). A
-// signature or MAC thus costs the same whatever the payload size, and the
-// payload is hashed once per received frame (docs/PIPELINE.md has the bytes).
+// it (a REQUEST through OpDigest, a bundle of requests through BundleDigest,
+// a PRE-PREPARE through BatchDigest). A signature or MAC thus costs the same
+// whatever the payload size, and the payload is hashed once per received
+// frame (docs/PIPELINE.md has the bytes).
 //
 // Encoding is allocation-disciplined: every message knows its exact encoded
 // length (EncodedSize) and Marshal appends in place, so marshalling into a
@@ -46,9 +47,26 @@ const (
 // keep their historical byte encoding exactly.
 const TypeReadRequest Type = 12
 
+// TypeBundle is the wire tag of a signed client bundle (docs/CLIENTS.md §
+// Bundles): the same Request structure carrying the operations of k ≥ 2
+// consecutive request ids under one signature and one authenticator. Like the
+// read-only flag the tag is part of the signed body, and a single request
+// keeps its REQUEST encoding exactly.
+const TypeBundle Type = 13
+
+// The bundle caps: a bundle carries at most MaxBundleOps operations and at
+// most MaxBundleBytes of operation bytes (an operation larger than that
+// travels alone). A node rejects a bundle past either as malformed, so one
+// frame — one admission slot, one signature check — never buys unbounded work.
+const (
+	MaxBundleOps   = 32
+	MaxBundleBytes = 32 << 10
+)
+
 var typeNames = map[Type]string{
 	TypeRequest:        "REQUEST",
 	TypeReadRequest:    "READ-REQUEST",
+	TypeBundle:         "REQUEST-BUNDLE",
 	TypePropagate:      "PROPAGATE",
 	TypePrePrepare:     "PRE-PREPARE",
 	TypePrepare:        "PREPARE",
@@ -88,11 +106,17 @@ type Message interface {
 
 // Request is the client's signed request: operation o, request id rid, client
 // id c, signed with the client's key and wrapped in a MAC authenticator for
-// all nodes.
+// all nodes — or, with Rest, a signed bundle of such requests.
 type Request struct {
 	Client types.ClientID
 	ID     types.RequestID
 	Op     []byte
+	// Rest makes the request a bundle (wire tag TypeBundle): the operations of
+	// requests ID+1 … ID+len(Rest), in id order, which share Sig and Auth with
+	// request ID. Each is still a request of its own — ordered, executed and
+	// answered under its own id. Empty for a single request; a read-only
+	// request is never bundled.
+	Rest [][]byte
 	// ReadOnly flags the request for the speculative read fast path: nodes
 	// answer it from local state without ordering, and the client accepts
 	// only on a 2f+1 read quorum of matching replies (docs/CLIENTS.md). The
@@ -105,9 +129,12 @@ type Request struct {
 
 var _ Message = (*Request)(nil)
 
-// tag returns the wire tag encoding the read-only flag.
+// tag returns the wire tag: a bundle's, or one encoding the read-only flag.
 func (m *Request) tag() Type {
-	if m.ReadOnly {
+	switch {
+	case len(m.Rest) > 0:
+		return TypeBundle
+	case m.ReadOnly:
 		return TypeReadRequest
 	}
 	return TypeRequest
@@ -116,17 +143,56 @@ func (m *Request) tag() Type {
 // MsgType implements Message.
 func (m *Request) MsgType() Type { return m.tag() }
 
+// Len returns the number of requests m carries: 1, or k for a bundle of k.
+func (m *Request) Len() int { return 1 + len(m.Rest) }
+
+// OpAt returns the operation of request ID+i, for 0 ≤ i < Len().
+func (m *Request) OpAt(i int) []byte {
+	if i == 0 {
+		return m.Op
+	}
+	return m.Rest[i-1]
+}
+
 // OpDigest hashes the request operation together with its origin, binding the
 // digest to the (client, id) pair: SHA-256(client‖id‖op), streamed. Never
 // cached on the Request — a caller that needs it twice keeps the value — so
-// it cannot go stale when Op is mutated.
-func (m *Request) OpDigest() types.Digest {
+// it cannot go stale when Op is mutated. For a bundle it is request ID's.
+func (m *Request) OpDigest() types.Digest { return opDigest(m.Client, m.ID, m.Op) }
+
+func opDigest(c types.ClientID, id types.RequestID, op []byte) types.Digest {
 	var hdr [16]byte
-	putU64(hdr[0:], uint64(m.Client))
-	putU64(hdr[8:], uint64(m.ID))
+	putU64(hdr[0:], uint64(c))
+	putU64(hdr[8:], uint64(id))
 	h := crypto.NewHasher()
 	h.WriteLocal(hdr[:])
-	h.Write(m.Op)
+	h.Write(op)
+	return h.Sum()
+}
+
+// Digests returns what the client signs for m — a single request's OpDigest,
+// a bundle's BundleDigest — and, for a bundle, the OpDigest of each of its
+// requests in id order (nil for a single request). One pass over the
+// operations, like OpDigest.
+func (m *Request) Digests() (signed types.Digest, ops []types.Digest) {
+	if len(m.Rest) == 0 {
+		return m.OpDigest(), nil
+	}
+	ops = make([]types.Digest, m.Len())
+	for i := range ops {
+		ops[i] = opDigest(m.Client, m.ID+types.RequestID(i), m.OpAt(i))
+	}
+	return BundleDigest(ops), ops
+}
+
+// BundleDigest is what a client signs for a bundle whose requests have the
+// OpDigests ds: SHA-256(d₁‖…‖d_k). Each dᵢ binds client, id and operation, so
+// the one digest binds every request of the bundle, their order and number.
+func BundleDigest(ds []types.Digest) types.Digest {
+	h := crypto.NewHasher()
+	for i := range ds {
+		h.WriteLocal(ds[i][:])
+	}
 	return h.Sum()
 }
 
@@ -141,31 +207,48 @@ const (
 )
 
 // AppendSignedBody appends what the client signature covers: the wire tag
-// (which carries the read-only flag) and d, the request's OpDigest.
+// (which carries the read-only flag, or marks a bundle) and d, the signed
+// digest Digests returns.
 func (m *Request) AppendSignedBody(b []byte, d types.Digest) []byte {
 	return appendDigest(appendU8(b, uint8(m.tag())), d)
 }
 
 // AppendBody appends what the MAC authenticator covers: the signed body (d is
-// the request's OpDigest) plus the signature, so a tampered signature is
-// caught at MAC cost.
+// the signed digest) plus the signature, so a tampered signature is caught at
+// MAC cost. A bundle's body is as long as a single request's.
 func (m *Request) AppendBody(b []byte, d types.Digest) []byte {
 	return append(m.AppendSignedBody(b, d), m.Sig...)
 }
 
 // Body implements Message.
 func (m *Request) Body() []byte {
-	return m.AppendBody(make([]byte, 0, MaxBodySize), m.OpDigest())
+	d, _ := m.Digests()
+	return m.AppendBody(make([]byte, 0, MaxBodySize), d)
 }
 
-// wireSize is the length of the request's wire fields (no authenticator).
-func (m *Request) wireSize() int { return 1 + 8 + 8 + 4 + len(m.Op) + 4 + len(m.Sig) }
+// wireSize is the length of the request's wire fields (no authenticator): a
+// bundle adds its operation count.
+func (m *Request) wireSize() int {
+	n := 1 + 8 + 8 + 4*m.Len() + 4 + len(m.Sig)
+	if len(m.Rest) > 0 {
+		n += 4
+	}
+	for i := 0; i < m.Len(); i++ {
+		n += len(m.OpAt(i))
+	}
+	return n
+}
 
 func (m *Request) appendWire(b []byte) []byte {
 	b = appendU8(b, uint8(m.tag()))
 	b = appendU64(b, uint64(m.Client))
 	b = appendU64(b, uint64(m.ID))
-	b = appendBytes(b, m.Op)
+	if len(m.Rest) > 0 {
+		b = appendU32(b, uint32(m.Len()))
+	}
+	for i := 0; i < m.Len(); i++ {
+		b = appendBytes(b, m.OpAt(i))
+	}
 	return appendBytes(b, m.Sig)
 }
 
@@ -177,10 +260,10 @@ func (m *Request) Marshal(dst []byte) []byte {
 	return appendAuth(m.appendWire(dst), m.Auth)
 }
 
-// Propagate is a node's forwarding of a verified client request to all other
-// nodes, authenticated with a MAC authenticator.
+// Propagate is a node's forwarding of a verified client request — or a whole
+// bundle — to all other nodes, authenticated with a MAC authenticator.
 type Propagate struct {
-	Req  Request // embedded request (with its client signature, no client auth)
+	Req  Request // embedded request or bundle (with its client signature, no client auth)
 	Node types.NodeID
 
 	Auth crypto.Authenticator
@@ -192,7 +275,7 @@ var _ Message = (*Propagate)(nil)
 func (m *Propagate) MsgType() Type { return TypePropagate }
 
 // AppendBody appends what the MAC authenticator covers: type, forwarding node
-// and the embedded request's own body (d is its OpDigest).
+// and the embedded request's own body (d is its signed digest).
 func (m *Propagate) AppendBody(b []byte, d types.Digest) []byte {
 	b = appendU8(b, uint8(TypePropagate))
 	b = appendU64(b, uint64(m.Node))
@@ -201,7 +284,8 @@ func (m *Propagate) AppendBody(b []byte, d types.Digest) []byte {
 
 // Body implements Message.
 func (m *Propagate) Body() []byte {
-	return m.AppendBody(make([]byte, 0, MaxBodySize), m.Req.OpDigest())
+	d, _ := m.Req.Digests()
+	return m.AppendBody(make([]byte, 0, MaxBodySize), d)
 }
 
 // EncodedSize implements Message.

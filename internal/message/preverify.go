@@ -89,23 +89,37 @@ type Verified struct {
 	// SigCached reports whether the request-signature check was served from
 	// the verification cache (observability only).
 	SigCached bool
-	// Digest is the OpDigest of the request a REQUEST or PROPAGATE carries
-	// (zero otherwise): the value both authentication checks were made
-	// against, so the apply stage never hashes the operation again.
+	// Digest is what the client signed for the request or bundle a REQUEST or
+	// PROPAGATE carries (zero otherwise) — a single request's OpDigest, a
+	// bundle's BundleDigest: the value both authentication checks were made
+	// against, so the apply stage never hashes an operation again.
 	Digest types.Digest
+	// OpDigests are a bundle's per-request OpDigests in id order; nil for a
+	// single request, whose OpDigest is Digest.
+	OpDigests []types.Digest
+}
+
+// OpDigest returns the OpDigest of request i (id ID+i) of the verified
+// REQUEST or PROPAGATE.
+func (v *Verified) OpDigest(i int) types.Digest {
+	if v.OpDigests == nil {
+		return v.Digest
+	}
+	return v.OpDigests[i]
 }
 
 // VerifyCache memoises request-signature verification outcomes, keyed by
-// SHA-256(tag‖OpDigest‖signature): the request's MAC'd body, 97 bytes
-// whatever the operation size. RBFT propagates every request to f+1 protocol
+// SHA-256(tag‖d‖signature), d the signed digest: the request's MAC'd body, 97
+// bytes whatever the operation size — one key per bundle, however many
+// requests it carries. RBFT propagates every request to f+1 protocol
 // instances and clients retransmit aggressively, so the same signature
 // reaches a node many times; the cache collapses those to one Ed25519
 // verification plus one short hash per copy. Keying by content digest makes
-// the cache tamper-proof: OpDigest is recomputed from every frame's own
-// bytes, so any mutation of client, id, operation, read-only flag or
-// signature changes the key and can never be served a stale "valid" verdict.
-// Outcomes (including failures) are deterministic for fixed bytes, so
-// caching them is sound.
+// the cache tamper-proof: d is recomputed from every frame's own bytes, so
+// any mutation of client, id, an operation, the read-only or bundle tag or
+// the signature changes the key and can never be served a stale "valid"
+// verdict. Outcomes (including failures) are deterministic for fixed bytes,
+// so caching them is sound.
 //
 // The cache is concurrency-safe; verifier worker goroutines share one
 // instance per node.
@@ -250,10 +264,11 @@ func (p *Preverifier) preverifyFrame(raw []byte, fromClient bool, client types.C
 }
 
 // preverifyClient preverifies a decoded client-NIC message: only REQUESTs
-// arrive there, carrying a MAC authenticator over the signed body and a
-// client signature, both over the operation's digest: one pass over the
-// operation here serves both. MAC first: rejecting garbage at MAC cost is the
-// Aardvark/RBFT flood defence's core economics.
+// (single, read-only or bundled) arrive there, carrying a MAC authenticator
+// over the signed body and a client signature, both over the signed digest:
+// one pass over the operations here serves both, and a bundle costs one MAC
+// check and one signature check whatever its size. MAC first: rejecting
+// garbage at MAC cost is the Aardvark/RBFT flood defence's core economics.
 func (p *Preverifier) preverifyClient(msg Message, claimed types.ClientID) (*Verified, error) {
 	req, ok := msg.(*Request)
 	if !ok {
@@ -262,7 +277,7 @@ func (p *Preverifier) preverifyClient(msg Message, claimed types.ClientID) (*Ver
 	if req.Client != claimed {
 		return nil, failKind(FailWrongSender, fmt.Errorf("request claims client %d, sent by %d", req.Client, claimed))
 	}
-	d := req.OpDigest()
+	d, ops := req.Digests()
 	var buf [MaxBodySize]byte
 	body := req.AppendBody(buf[:0], d)
 	if err := p.ring.VerifyClientAuthenticatorEntry(req.Client, p.self, body, req.Auth); err != nil {
@@ -272,12 +287,13 @@ func (p *Preverifier) preverifyClient(msg Message, claimed types.ClientID) (*Ver
 	if err != nil {
 		return nil, err
 	}
-	return &Verified{Msg: req, FromClient: true, Client: claimed, SigCached: cached, Digest: d}, nil
+	return &Verified{Msg: req, FromClient: true, Client: claimed, SigCached: cached, Digest: d, OpDigests: ops}, nil
 }
 
 // preverifyNode preverifies a decoded node-NIC message from peer from.
 func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, error) {
-	var d types.Digest // OpDigest of a propagated request
+	var d types.Digest     // signed digest of a propagated request or bundle
+	var ops []types.Digest // a propagated bundle's OpDigests
 	// Every arm must authenticate msg before the Verified value is built.
 	//rbft:dispatch
 	switch m := msg.(type) {
@@ -293,7 +309,7 @@ func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, 
 		if m.Node != from {
 			return nil, failKind(FailWrongSender, fmt.Errorf("PROPAGATE claims node %d, sent by %d", m.Node, from))
 		}
-		d = m.Req.OpDigest()
+		d, ops = m.Req.Digests()
 		var buf [MaxBodySize]byte
 		body := m.AppendBody(buf[:0], d)
 		if err := p.ring.VerifyAuthenticatorEntry(from, p.self, body, m.Auth); err != nil {
@@ -351,7 +367,7 @@ func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, 
 	default:
 		return nil, failKind(FailMalformed, fmt.Errorf("unhandled message type %s", msg.MsgType()))
 	}
-	return &Verified{Msg: msg, From: from, Digest: d}, nil
+	return &Verified{Msg: msg, From: from, Digest: d, OpDigests: ops}, nil
 }
 
 // checkInstanceSender validates the claimed sender and instance id of a
@@ -370,9 +386,9 @@ func (p *Preverifier) checkInstanceSender(msg Message, from types.NodeID) error 
 	return nil
 }
 
-// requestSigOK verifies the client signature of a request through the cache,
-// given the request's body (tag‖OpDigest‖signature). It reports whether the
-// verdict was served from cache.
+// requestSigOK verifies the client signature of a request or bundle through
+// the cache, given its body (tag‖d‖signature). It reports whether the verdict
+// was served from cache.
 func (p *Preverifier) requestSigOK(client types.ClientID, body []byte) (cached bool, err error) {
 	key := crypto.Digest(body)
 	if ok, hit := p.cache.lookup(key); hit {

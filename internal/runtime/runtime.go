@@ -429,6 +429,7 @@ type ClientRuntime struct {
 	mu sync.Mutex
 	cl *client.Client // guarded by mu
 
+	queued      chan struct{} // wakes the loop to flush what Submit/Invoke queued
 	completions chan client.Completed
 	stop        chan struct{}
 	done        chan struct{}
@@ -439,6 +440,7 @@ func StartClient(cl *client.Client, tr transport.Transport, cluster types.Config
 	cr := &ClientRuntime{
 		tr:          tr,
 		cl:          cl,
+		queued:      make(chan struct{}, 1),
 		completions: make(chan client.Completed, 1024),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -450,21 +452,32 @@ func StartClient(cl *client.Client, tr transport.Transport, cluster types.Config
 	return cr
 }
 
-// Submit signs and transmits a new request to every node (open loop: it
-// does not wait for completion).
-func (cr *ClientRuntime) Submit(op []byte) {
+// Submit queues a request for op (open loop: it does not wait for it); the
+// client loop signs what is queued when it wakes as one bundle, never waiting
+// for more, and sends it to every node (docs/CLIENTS.md § Bundles). op must
+// not be modified after the call: it is signed, and resent, as it is.
+func (cr *ClientRuntime) Submit(op []byte) { cr.enqueue(op) }
+
+// enqueue queues op under the next request id and wakes the loop.
+func (cr *ClientRuntime) enqueue(op []byte) types.RequestID {
 	cr.mu.Lock()
-	req := cr.cl.NewRequest(op, time.Now())
+	id := cr.cl.Queue(op, time.Now())
 	cr.mu.Unlock()
-	cr.broadcast(req)
+	select {
+	case cr.queued <- struct{}{}:
+	default:
+	}
+	return id
 }
 
-// broadcast transmits req to every node. Send errors are best-effort: the
+// broadcast transmits reqs to every node. Send errors are best-effort: the
 // client retransmits until f+1 replies match.
-func (cr *ClientRuntime) broadcast(req *message.Request) {
-	data := req.Marshal(nil)
-	for _, name := range cr.nodes {
-		_ = cr.tr.Send(name, data)
+func (cr *ClientRuntime) broadcast(reqs []*message.Request) {
+	for _, req := range reqs {
+		data := req.Marshal(make([]byte, 0, req.EncodedSize()))
+		for _, name := range cr.nodes {
+			_ = cr.tr.Send(name, data)
+		}
 	}
 }
 
@@ -475,20 +488,17 @@ func (cr *ClientRuntime) Completions() <-chan client.Completed { return cr.compl
 // It must not run concurrently with other Invoke/Submit consumers of the
 // Completions channel.
 func (cr *ClientRuntime) Invoke(op []byte, timeout time.Duration) (client.Completed, error) {
-	cr.mu.Lock()
-	req := cr.cl.NewRequest(op, time.Now())
-	cr.mu.Unlock()
-	cr.broadcast(req)
+	id := cr.enqueue(op)
 	deadline := time.After(timeout)
 	for {
 		select {
 		case done := <-cr.completions:
-			if done.ID == req.ID {
+			if done.ID == id {
 				return done, nil
 			}
 			// Another in-flight request finished; keep waiting for ours.
 		case <-deadline:
-			return client.Completed{}, fmt.Errorf("runtime: request %d timed out after %v", req.ID, timeout)
+			return client.Completed{}, fmt.Errorf("runtime: request %d timed out after %v", id, timeout)
 		}
 	}
 }
@@ -506,7 +516,7 @@ func (cr *ClientRuntime) Stop() {
 
 // loop is the client's event loop. It takes the REPLYs Packets() already
 // holds in one round, so a burst pays the scan of pending requests for the
-// next wake-up, and the timer re-arm, once.
+// next wake-up, and the timer re-arm, once; it flushes what enqueue queued.
 func (cr *ClientRuntime) loop() {
 	defer close(cr.done)
 	timer := time.NewTimer(time.Hour)
@@ -529,13 +539,16 @@ func (cr *ClientRuntime) loop() {
 				cr.handlePacket(p)
 			}
 			clear(buf)
+		case <-cr.queued:
+			cr.mu.Lock()
+			reqs := cr.cl.Flush(time.Now())
+			cr.mu.Unlock()
+			cr.broadcast(reqs)
 		case now := <-timer.C:
 			cr.mu.Lock()
-			resend := cr.cl.Tick(now)
+			reqs := cr.cl.Tick(now)
 			cr.mu.Unlock()
-			for _, req := range resend {
-				cr.broadcast(req)
-			}
+			cr.broadcast(reqs)
 		}
 	}
 }
