@@ -67,8 +67,10 @@ type Client struct {
 	cfg  Config
 	keys *crypto.KeyRing
 
-	nextID  types.RequestID
-	pending map[types.RequestID]*pending
+	// nextID and nextRead number ordered requests and, under readIDs,
+	// speculative reads.
+	nextID, nextRead types.RequestID
+	pending          map[types.RequestID]*pending
 	// queued are the requests Queue registered and Flush has not signed yet,
 	// in id order.
 	queued []*pending
@@ -139,12 +141,23 @@ func (c *Client) Flush(now time.Time) []*message.Request {
 	return out
 }
 
-// register enters one request under the next id. sentAt anchors the latency
-// measurement: a read falling back to ordering keeps its original send time.
+// readIDs is the id space of speculative reads, above every ordered id. A
+// read is never ordered, so an ordered id it took would be a gap below which
+// the nodes' executed watermark for this client could never advance.
+const readIDs types.RequestID = 1 << 63
+
+// register enters one request under the next id of its space. sentAt anchors
+// the latency measurement: a read falling back to ordering keeps its
+// original send time.
 func (c *Client) register(op []byte, readOnly bool, sentAt time.Time) *pending {
 	p := &pending{id: c.nextID, op: op, readOnly: readOnly, sentAt: sentAt}
 	p.votes = p.one[:0]
-	c.nextID++
+	if readOnly {
+		p.id = readIDs | c.nextRead
+		c.nextRead++
+	} else {
+		c.nextID++
+	}
 	c.pending[p.id] = p
 	return p
 }

@@ -230,9 +230,10 @@ func repeatSize(n, size int) []int {
 	return s
 }
 
-// TestQueuedIDsSequential: ids are handed out in call order across Queue,
-// NewRequest and NewReadRequest, and a bundle only ever spans consecutive
-// ids — a request signed alone in between splits the queue.
+// TestQueuedIDsSequential: ids are handed out in call order across Queue and
+// NewRequest, NewReadRequest takes the next id of the reads' own space, and a
+// bundle only ever spans consecutive ids — a request signed alone in between
+// splits the queue.
 func TestQueuedIDsSequential(t *testing.T) {
 	cl, _, _ := newTestClient(t)
 	now := time.Unix(0, 0)
@@ -241,15 +242,15 @@ func TestQueuedIDsSequential(t *testing.T) {
 	alone := cl.NewRequest([]byte("alone"), now)
 	read := cl.NewReadRequest([]byte("GET k"), now)
 	c := cl.Queue([]byte("c"), now)
-	if a != 1 || b != 2 || alone.ID != 3 || read.ID != 4 || c != 5 {
-		t.Fatalf("ids %d %d %d %d %d, want 1..5", a, b, alone.ID, read.ID, c)
+	if a != 1 || b != 2 || alone.ID != 3 || read.ID != readIDs || c != 4 {
+		t.Fatalf("ids %d %d %d %d %d, want 1, 2, 3, readIDs, 4", a, b, alone.ID, read.ID, c)
 	}
 	if alone.Len() != 1 || read.Len() != 1 {
 		t.Fatal("NewRequest and NewReadRequest must sign a single request")
 	}
 	reqs := cl.Flush(now)
-	if got := bundleSizes(reqs); !slices.Equal(got, []int{2, 1}) || reqs[0].ID != 1 || reqs[1].ID != 5 {
-		t.Fatalf("flushed %v from ids %d.., want a bundle of ids 1-2 and id 5 alone", got, reqs[0].ID)
+	if got := bundleSizes(reqs); !slices.Equal(got, []int{2, 1}) || reqs[0].ID != 1 || reqs[1].ID != 4 {
+		t.Fatalf("flushed %v from ids %d.., want a bundle of ids 1-2 and id 4 alone", got, reqs[0].ID)
 	}
 	if string(reqs[1].Op) != "c" || reqs[1].ReadOnly {
 		t.Fatalf("the read leaked into a flush: %+v", reqs[1])
@@ -298,14 +299,15 @@ func TestTickResendsEachDueBundleOnce(t *testing.T) {
 }
 
 // TestReadsNeverBundled: reads are signed alone, and two reads falling back
-// to ordering in one Tick are re-issued as two single requests.
+// to ordering in one Tick are re-issued as two single requests. Reads take
+// no ordered id, so the queued write is id 1 and the fallbacks 2 and 3.
 func TestReadsNeverBundled(t *testing.T) {
 	cl, _, _ := newTestClient(t)
 	now := time.Unix(0, 0)
 	cl.NewReadRequest([]byte("GET a"), now)
 	cl.NewReadRequest([]byte("GET b"), now)
 	cl.Queue([]byte("PUT c 1"), now)
-	if reqs := cl.Flush(now); len(reqs) != 1 || reqs[0].Len() != 1 || reqs[0].ID != 3 {
+	if reqs := cl.Flush(now); len(reqs) != 1 || reqs[0].Len() != 1 || reqs[0].ID != 1 {
 		t.Fatalf("flush took reads along: %v", bundleSizes(reqs))
 	}
 	var fallbacks int
@@ -313,7 +315,7 @@ func TestReadsNeverBundled(t *testing.T) {
 		if r.Len() != 1 || r.ReadOnly {
 			t.Fatalf("Tick resent a %d-request frame, read-only %v", r.Len(), r.ReadOnly)
 		}
-		if r.ID > 3 {
+		if r.ID > 1 {
 			fallbacks++
 		}
 	}

@@ -67,7 +67,7 @@ func bundlePath(nc *nodeCluster, op []byte) {
 func TestNodeBundlePathAllocationBudget(t *testing.T) {
 	nc := newNodeCluster(t, 1, nil)
 	bundlePath(nc, requestPathOp)
-	const ceiling = 100 // per request; measured 76.6, against 417 for a single request
+	const ceiling = 78 // per request; measured 77.4, against 416 for a single request
 	if n := testing.AllocsPerRun(50, func() { bundlePath(nc, requestPathOp) }) / 16; n > ceiling {
 		t.Errorf("a 16-request bundle through four nodes: %v allocs per request, want <= %d", n, ceiling)
 	}

@@ -160,6 +160,18 @@ func (sh *clientShard) evictLocked() (evictInfo, bool) {
 	return evictInfo{}, false
 }
 
+// executed is the replicas' decided hook (pbft.Instance.SetDecided): whether
+// ref's (client, id) executed here, without creating a table entry.
+func (t *clientTable) executed(ref types.RequestRef) bool {
+	sh := t.shardOf(ref.Client)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if cs := sh.clients[ref.Client]; cs != nil {
+		return cs.isExecuted(ref.ID)
+	}
+	return ref.ID <= sh.watermarks[ref.Client]
+}
+
 // count returns the resident client total across shards (tests and the
 // bounded-memory gate).
 func (t *clientTable) count() int {

@@ -276,8 +276,8 @@ func (nc *nodeCluster) deliver(ev clusterEvent) {
 
 // requireQuiescent asserts that the single release point did its job on a
 // cluster in which every node has executed every request: no node (nc's own,
-// or the given ones) holds a pending request record, and no client is left
-// with a pending-body count.
+// or the given ones) holds a pending request record, no replica holds a
+// request record, and no client is left with a pending-body count.
 func (nc *nodeCluster) requireQuiescent(nodes ...*Node) {
 	nc.t.Helper()
 	if len(nodes) == 0 {
@@ -286,6 +286,11 @@ func (nc *nodeCluster) requireQuiescent(nodes ...*Node) {
 	for _, n := range nodes {
 		if got := len(n.pending); got != 0 {
 			nc.t.Errorf("node %d still holds pending records under %d request keys", n.ID(), got)
+		}
+		for i, r := range n.replicas {
+			if got := r.InFlight(); got != 0 {
+				nc.t.Errorf("node %d replica %d still holds %d request records", n.ID(), i, got)
+			}
 		}
 		for id := range nc.clients {
 			if cs := n.table.shardOf(id).clients[id]; cs != nil && cs.pendingBodies != 0 {

@@ -244,11 +244,8 @@ type Node struct {
 
 	// Observability. tr is node-stamped; the message counters index by
 	// message.Type and stay nil (no-op) until SetRegistry wires them.
-	// spansOn caches obs.WantSpans(tr); with it on, a request's record notes
-	// its dispatch time to anchor the per-instance order spans (dispatch →
-	// delivery). The record is released when the request executes, so a
-	// backup lane delivering after the master has executed skips its order
-	// span (its quorum spans still cover the lane).
+	// spansOn caches obs.WantSpans(tr): emit the per-instance order spans
+	// (dispatch → delivery) of requests the node still holds.
 	tr        obs.Tracer
 	spansOn   bool
 	metricsOn bool
@@ -308,7 +305,9 @@ func New(cfg Config, keys *crypto.KeyRing) *Node {
 			SigPreverified: true,
 			Durable:        c.Durable,
 		}
-		n.replicas = append(n.replicas, pbft.New(pc, keys))
+		r := pbft.New(pc, keys)
+		r.SetDecided(n.table.executed)
+		n.replicas = append(n.replicas, r)
 	}
 	return n
 }

@@ -140,9 +140,9 @@ func TestOmegaUnfairnessTriggersVote(t *testing.T) {
 	// client whose master ordering lags far behind its backup ordering.
 	n := nc.nodes[0]
 	ref := types.RequestRef{Client: 5, ID: 1, Digest: types.Digest{1}}
-	n.mon.RequestDispatched(ref, nc.now)
-	n.mon.RequestOrdered(1, ref, nc.now.Add(100*time.Microsecond))
-	verdict := n.mon.RequestOrdered(0, ref, nc.now.Add(5*time.Millisecond))
+	n.mon.RequestDispatched(types.MasterInstance, nc.now)
+	n.mon.RequestOrdered(1, ref, nc.now, nc.now.Add(100*time.Microsecond))
+	verdict := n.mon.RequestOrdered(0, ref, nc.now, nc.now.Add(5*time.Millisecond))
 	if !verdict.Suspicious || verdict.Reason != monitor.ReasonFairness {
 		t.Fatalf("verdict = %+v, want fairness suspicion", verdict)
 	}

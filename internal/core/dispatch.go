@@ -15,24 +15,15 @@ import (
 // goes to all f+1 local replicas for redundant ordering; in multi-primary
 // mode only to the lane owning the client's partition.
 func (n *Node) maybeDispatch(out *Output, r *pendingRequest, now time.Time) {
-	if r.dispatched || r.nsenders < n.cfg.Cluster.WeakQuorum() {
+	if !r.dispatchedAt.IsZero() || r.nsenders < n.cfg.Cluster.WeakQuorum() {
 		return
 	}
-	r.dispatched = true
-	if n.spansOn {
-		r.dispatchedAt = now
-	}
+	r.dispatchedAt = now
 	// A replica's output can deliver, execute and thereby release r, so
 	// nothing below reads the record.
 	ref := r.ref
-	first, last := 0, len(n.replicas)-1
-	if n.multiPrimary() {
-		lane := types.PartitionOf(ref.Client, len(n.replicas))
-		first, last = int(lane), int(lane)
-		n.mon.RequestDispatchedTo(lane, ref, now)
-	} else {
-		n.mon.RequestDispatched(ref, now)
-	}
+	first, last := n.lanes(ref.Client)
+	n.mon.RequestDispatched(types.InstanceID(first), now)
 	if n.tr.Enabled() {
 		n.tr.Trace(obs.Event{
 			At: now, Type: obs.EvRequestDispatched, Client: ref.Client, Req: ref.ID,
@@ -79,17 +70,19 @@ func (n *Node) absorb(out *Output, inst types.InstanceID, res pbft.Output, now t
 			})
 		}
 		for _, ref := range batch.Refs {
-			if n.spansOn {
-				if r := n.lookup(ref); r != nil && !r.dispatchedAt.IsZero() {
-					n.tr.Trace(obs.Event{
-						At: now, Type: obs.EvSpan, Stage: obs.StageOrder,
-						Instance: inst, Seq: batch.Seq, View: batch.View,
-						Client: ref.Client, Req: ref.ID,
-						Trace: obs.TraceID(ref.Digest), Dur: now.Sub(r.dispatchedAt),
-					})
-				}
+			var at time.Time // zero once the request executed here
+			if r := n.lookup(ref); r != nil {
+				at = r.dispatchedAt
 			}
-			verdict := n.mon.RequestOrdered(inst, ref, now)
+			if n.spansOn && !at.IsZero() {
+				n.tr.Trace(obs.Event{
+					At: now, Type: obs.EvSpan, Stage: obs.StageOrder,
+					Instance: inst, Seq: batch.Seq, View: batch.View,
+					Client: ref.Client, Req: ref.ID,
+					Trace: obs.TraceID(ref.Digest), Dur: now.Sub(at),
+				})
+			}
+			verdict := n.mon.RequestOrdered(inst, ref, at, now)
 			if verdict.Suspicious {
 				n.lastSuspect = verdict
 				n.voteInstanceChange(out, verdict.Reason, now)

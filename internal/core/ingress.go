@@ -91,9 +91,7 @@ func (n *Node) nicClosed(from types.NodeID, now time.Time) bool {
 func (n *Node) countInvalid(out *Output, from types.NodeID, now time.Time) {
 	if now.Sub(n.floodStart) > n.cfg.FloodWindow {
 		n.floodStart = now
-		for k := range n.floodCounts {
-			delete(n.floodCounts, k)
-		}
+		clear(n.floodCounts)
 	}
 	n.floodCounts[from]++
 	if n.floodCounts[from] >= n.cfg.FloodThreshold {

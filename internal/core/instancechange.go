@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"time"
 
 	"rbft/internal/message"
@@ -62,11 +63,7 @@ func (n *Node) checkInstanceChangeQuorum(out *Output, reason monitor.Reason, now
 	n.view++
 	n.lastSuspect = monitor.Verdict{}
 	n.mon.Reset(now)
-	for v := range n.icVotes {
-		if v < n.cpi {
-			delete(n.icVotes, v)
-		}
-	}
+	maps.DeleteFunc(n.icVotes, func(v uint64, _ map[types.NodeID]bool) bool { return v < n.cpi })
 	out.InstanceChanges = append(out.InstanceChanges, ICEvent{
 		CPI:     n.cpi,
 		NewView: n.view,

@@ -148,6 +148,16 @@ func (n *Node) multiPrimary() bool {
 	return n.cfg.OrderingMode == types.OrderingMultiPrimary
 }
 
+// lanes returns the replicas a request of client c goes to, and which hold
+// its ref: its partition's lane in multi-primary mode, all of them otherwise.
+func (n *Node) lanes(c types.ClientID) (first, last int) {
+	if n.multiPrimary() {
+		lane := int(types.PartitionOf(c, len(n.replicas)))
+		return lane, lane
+	}
+	return 0, len(n.replicas) - 1
+}
+
 // MergeCursors returns the per-lane merge cursors (nil in master-only mode).
 // Tests use it to check crash recovery rebuilds the merge position.
 func (n *Node) MergeCursors() []types.SeqNum {

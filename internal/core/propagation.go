@@ -24,12 +24,9 @@ type pendingRequest struct {
 	op []byte
 	// senders[i] is set once node i's PROPAGATE (or, for this node, the
 	// decision to send one) is in; nsenders counts the set entries.
-	senders  []bool
-	nsenders int
-	// dispatched is set once the request went to the local replicas;
-	// dispatchedAt is when, noted only with spans on.
-	dispatched   bool
-	dispatchedAt time.Time
+	senders      []bool
+	nsenders     int
+	dispatchedAt time.Time // when it went to the local replicas; zero before
 	sibling      *pendingRequest
 }
 
@@ -79,10 +76,14 @@ func (n *Node) lookup(ref types.RequestRef) *pendingRequest {
 }
 
 // release drops every record under key — the executed body and any
-// equivocated siblings: the request is decided on this node.
+// equivocated siblings — and tells the replicas holding their refs.
 func (n *Node) release(cs *clientState, key types.RequestKey) {
+	first, last := n.lanes(key.Client)
 	for r := n.pending[key]; r != nil; r = r.sibling {
 		cs.pendingBodies--
+		for i := first; i <= last; i++ {
+			n.replicas[i].Executed(r.ref)
+		}
 	}
 	delete(n.pending, key)
 }

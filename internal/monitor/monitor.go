@@ -148,8 +148,7 @@ type Monitor struct {
 
 	throughput []float64 // last completed period, req/s per instance
 
-	dispatch map[types.RequestKey]time.Time
-	clients  map[types.ClientID]*clientLat
+	clients map[types.ClientID]*clientLat
 
 	latencyLog []LatencyRecord
 
@@ -167,7 +166,6 @@ func New(cfg Config) *Monitor {
 		counts:     make([]uint64, c.Instances),
 		dispatched: make([]uint64, c.Instances),
 		throughput: make([]float64, c.Instances),
-		dispatch:   make(map[types.RequestKey]time.Time),
 		clients:    make(map[types.ClientID]*clientLat),
 		tr:         obs.Nop{},
 	}
@@ -185,41 +183,32 @@ func (m *Monitor) SetRegistry(reg *obs.Registry) {
 	m.latHist = reg.Histogram("rbft_ordering_latency_seconds", obs.LatencyBuckets)
 }
 
-// RequestDispatched records that the node handed the request to its local
-// replicas for ordering.
-func (m *Monitor) RequestDispatched(ref types.RequestRef, now time.Time) {
+// RequestDispatched records that the node handed a request to its local
+// replicas for ordering: to lane alone in per-lane mode (counted against it
+// for the per-lane Δ test), to every instance otherwise (lane is the master).
+// The node keeps the dispatch time itself and passes it to RequestOrdered.
+func (m *Monitor) RequestDispatched(lane types.InstanceID, now time.Time) {
 	if !m.started {
 		m.started = true
 		m.periodStart = now
 	}
-	key := ref.Key()
-	if _, exists := m.dispatch[key]; !exists {
-		m.dispatch[key] = now
-	}
-}
-
-// RequestDispatchedTo records a partition-targeted dispatch: the node handed
-// the request to the single lane owning its client's partition. Besides the
-// dispatch-time bookkeeping it counts the dispatch against the lane so the
-// per-lane Δ test can compare completion ratios.
-func (m *Monitor) RequestDispatchedTo(lane types.InstanceID, ref types.RequestRef, now time.Time) {
-	m.RequestDispatched(ref, now)
 	if int(lane) < len(m.dispatched) {
 		m.dispatched[lane]++
 	}
 }
 
-// RequestOrdered records that instance inst delivered the request, returning
-// a verdict from the latency tests when inst is the master.
-func (m *Monitor) RequestOrdered(inst types.InstanceID, ref types.RequestRef, now time.Time) Verdict {
+// RequestOrdered records that instance inst delivered the request the node
+// dispatched at dispatchedAt, returning a verdict from the latency tests when
+// inst is the master. A zero dispatchedAt means the node no longer holds the
+// request (it executed) or never dispatched it: only the count moves.
+func (m *Monitor) RequestOrdered(inst types.InstanceID, ref types.RequestRef, dispatchedAt, now time.Time) Verdict {
 	if int(inst) < len(m.counts) {
 		m.counts[inst]++
 	}
-	start, ok := m.dispatch[ref.Key()]
-	if !ok {
+	if dispatchedAt.IsZero() {
 		return Verdict{}
 	}
-	lat := now.Sub(start)
+	lat := now.Sub(dispatchedAt)
 	cl := m.clients[ref.Client]
 	if cl == nil {
 		cl = &clientLat{
@@ -239,10 +228,6 @@ func (m *Monitor) RequestOrdered(inst types.InstanceID, ref types.RequestRef, no
 	if !m.cfg.PerLane && inst != types.MasterInstance {
 		return Verdict{}
 	}
-	// The request has completed its ordering; forget its dispatch time so
-	// the map stays bounded.
-	delete(m.dispatch, ref.Key())
-
 	if m.cfg.RecordLatencies {
 		m.latencyLog = append(m.latencyLog, LatencyRecord{
 			Client: ref.Client, ID: ref.ID, Latency: lat,
@@ -409,5 +394,6 @@ func (m *Monitor) Reset(now time.Time) {
 	}
 	m.periodStart = now
 	m.clients = make(map[types.ClientID]*clientLat)
-	// Dispatch times survive: in-flight requests are still being ordered.
+	// Dispatch times, kept by the node, survive: in-flight requests are
+	// still being ordered.
 }

@@ -16,10 +16,10 @@ func TestDeltaTestFiresWhenMasterSlow(t *testing.T) {
 	now := time.Unix(0, 0)
 	for i := 0; i < 20; i++ {
 		r := ref(0, types.RequestID(i))
-		m.RequestDispatched(r, now)
-		m.RequestOrdered(1, r, now) // backup orders everything
+		m.RequestDispatched(0, now)
+		m.RequestOrdered(1, r, now, now) // backup orders everything
 		if i < 5 {
-			m.RequestOrdered(0, r, now) // master orders only 25%
+			m.RequestOrdered(0, r, now, now) // master orders only 25%
 		}
 	}
 	v := m.Tick(now.Add(100 * time.Millisecond))
@@ -36,9 +36,9 @@ func TestDeltaTestPassesWhenBalanced(t *testing.T) {
 	now := time.Unix(0, 0)
 	for i := 0; i < 20; i++ {
 		r := ref(0, types.RequestID(i))
-		m.RequestDispatched(r, now)
-		m.RequestOrdered(1, r, now)
-		m.RequestOrdered(0, r, now)
+		m.RequestDispatched(0, now)
+		m.RequestOrdered(1, r, now, now)
+		m.RequestOrdered(0, r, now, now)
 	}
 	if v := m.Tick(now.Add(100 * time.Millisecond)); v.Suspicious {
 		t.Fatalf("balanced instances flagged: %+v", v)
@@ -50,8 +50,8 @@ func TestDeltaTestSuppressedBelowMinRequests(t *testing.T) {
 	now := time.Unix(0, 0)
 	for i := 0; i < 10; i++ {
 		r := ref(0, types.RequestID(i))
-		m.RequestDispatched(r, now)
-		m.RequestOrdered(1, r, now)
+		m.RequestDispatched(0, now)
+		m.RequestOrdered(1, r, now, now)
 	}
 	if v := m.Tick(now.Add(100 * time.Millisecond)); v.Suspicious {
 		t.Fatal("idle-period noise must not trigger the delta test")
@@ -62,8 +62,8 @@ func TestTickBeforePeriodEndIsNoop(t *testing.T) {
 	m := New(Config{Instances: 2, Period: 100 * time.Millisecond, MinRequests: 1})
 	now := time.Unix(0, 0)
 	r := ref(0, 1)
-	m.RequestDispatched(r, now)
-	m.RequestOrdered(1, r, now)
+	m.RequestDispatched(0, now)
+	m.RequestOrdered(1, r, now, now)
 	if v := m.Tick(now.Add(50 * time.Millisecond)); v.Suspicious {
 		t.Fatal("tick before period end must not evaluate")
 	}
@@ -73,15 +73,15 @@ func TestLambdaTest(t *testing.T) {
 	m := New(Config{Instances: 2, Lambda: time.Millisecond})
 	now := time.Unix(0, 0)
 	r := ref(0, 1)
-	m.RequestDispatched(r, now)
-	v := m.RequestOrdered(0, r, now.Add(2*time.Millisecond))
+	m.RequestDispatched(0, now)
+	v := m.RequestOrdered(0, r, now, now.Add(2*time.Millisecond))
 	if !v.Suspicious || v.Reason != ReasonLatency {
 		t.Fatalf("verdict = %+v, want latency suspicion", v)
 	}
 	// Within the bound: fine.
 	r2 := ref(0, 2)
-	m.RequestDispatched(r2, now)
-	if v := m.RequestOrdered(0, r2, now.Add(500*time.Microsecond)); v.Suspicious {
+	m.RequestDispatched(0, now)
+	if v := m.RequestOrdered(0, r2, now, now.Add(500*time.Microsecond)); v.Suspicious {
 		t.Fatalf("fast request flagged: %+v", v)
 	}
 }
@@ -90,8 +90,8 @@ func TestLambdaIgnoresBackupLatency(t *testing.T) {
 	m := New(Config{Instances: 2, Lambda: time.Millisecond})
 	now := time.Unix(0, 0)
 	r := ref(0, 1)
-	m.RequestDispatched(r, now)
-	if v := m.RequestOrdered(1, r, now.Add(time.Hour)); v.Suspicious {
+	m.RequestDispatched(0, now)
+	if v := m.RequestOrdered(1, r, now, now.Add(time.Hour)); v.Suspicious {
 		t.Fatal("lambda applies only to master-ordered requests")
 	}
 }
@@ -103,9 +103,9 @@ func TestOmegaTest(t *testing.T) {
 	// slow for this client.
 	for i := 1; i <= 10; i++ {
 		r := ref(3, types.RequestID(i))
-		m.RequestDispatched(r, now)
-		m.RequestOrdered(1, r, now.Add(100*time.Microsecond))
-		v := m.RequestOrdered(0, r, now.Add(5*time.Millisecond))
+		m.RequestDispatched(0, now)
+		m.RequestOrdered(1, r, now, now.Add(100*time.Microsecond))
+		v := m.RequestOrdered(0, r, now, now.Add(5*time.Millisecond))
 		if i >= 2 && (!v.Suspicious || v.Reason != ReasonFairness) {
 			t.Fatalf("request %d: verdict = %+v, want fairness suspicion", i, v)
 		}
@@ -117,9 +117,9 @@ func TestOmegaPassesWhenFair(t *testing.T) {
 	now := time.Unix(0, 0)
 	for i := 1; i <= 10; i++ {
 		r := ref(3, types.RequestID(i))
-		m.RequestDispatched(r, now)
-		m.RequestOrdered(1, r, now.Add(100*time.Microsecond))
-		if v := m.RequestOrdered(0, r, now.Add(200*time.Microsecond)); v.Suspicious {
+		m.RequestDispatched(0, now)
+		m.RequestOrdered(1, r, now, now.Add(100*time.Microsecond))
+		if v := m.RequestOrdered(0, r, now, now.Add(200*time.Microsecond)); v.Suspicious {
 			t.Fatalf("fair master flagged: %+v", v)
 		}
 	}
@@ -130,9 +130,9 @@ func TestThroughputReporting(t *testing.T) {
 	now := time.Unix(0, 0)
 	for i := 0; i < 100; i++ {
 		r := ref(0, types.RequestID(i))
-		m.RequestDispatched(r, now)
-		m.RequestOrdered(0, r, now)
-		m.RequestOrdered(1, r, now)
+		m.RequestDispatched(0, now)
+		m.RequestOrdered(0, r, now, now)
+		m.RequestOrdered(1, r, now, now)
 	}
 	m.Tick(now.Add(time.Second))
 	tp := m.Throughput()
@@ -145,10 +145,10 @@ func TestResetClearsCountsButKeepsDispatch(t *testing.T) {
 	m := New(Config{Instances: 2, Period: time.Second, MinRequests: 1, Lambda: time.Hour})
 	now := time.Unix(0, 0)
 	r := ref(0, 1)
-	m.RequestDispatched(r, now)
+	m.RequestDispatched(0, now)
 	m.Reset(now.Add(time.Millisecond))
 	// The in-flight request still completes and is measured.
-	v := m.RequestOrdered(0, r, now.Add(2*time.Millisecond))
+	v := m.RequestOrdered(0, r, now, now.Add(2*time.Millisecond))
 	if v.Suspicious {
 		t.Fatalf("unexpected suspicion after reset: %+v", v)
 	}
@@ -191,10 +191,10 @@ func TestRecordLatenciesAccumulates(t *testing.T) {
 	want := []time.Duration{time.Millisecond, 3 * time.Millisecond, 2 * time.Millisecond}
 	for i, lat := range want {
 		r := ref(1, types.RequestID(i+1))
-		m.RequestDispatched(r, now)
+		m.RequestDispatched(0, now)
 		// A backup ordering must not enter the log; only the master's does.
-		m.RequestOrdered(1, r, now.Add(lat/2))
-		m.RequestOrdered(0, r, now.Add(lat))
+		m.RequestOrdered(1, r, now, now.Add(lat/2))
+		m.RequestOrdered(0, r, now, now.Add(lat))
 	}
 	log := m.LatencyLog()
 	if len(log) != len(want) {
@@ -209,8 +209,8 @@ func TestRecordLatenciesAccumulates(t *testing.T) {
 	// With recording off the log stays empty under the same traffic.
 	m = New(Config{Instances: 2, Period: time.Second})
 	r := ref(1, 1)
-	m.RequestDispatched(r, now)
-	m.RequestOrdered(0, r, now.Add(time.Millisecond))
+	m.RequestDispatched(0, now)
+	m.RequestOrdered(0, r, now, now.Add(time.Millisecond))
 	if got := m.LatencyLog(); len(got) != 0 {
 		t.Fatalf("latency log populated without RecordLatencies: %+v", got)
 	}
@@ -221,9 +221,9 @@ func TestMasterSilentRatioZero(t *testing.T) {
 	now := time.Unix(0, 0)
 	for i := 0; i < 30; i++ {
 		r := ref(0, types.RequestID(i))
-		m.RequestDispatched(r, now)
-		m.RequestOrdered(1, r, now)
-		m.RequestOrdered(2, r, now)
+		m.RequestDispatched(0, now)
+		m.RequestOrdered(1, r, now, now)
+		m.RequestOrdered(2, r, now, now)
 	}
 	v := m.Tick(now.Add(100 * time.Millisecond))
 	if !v.Suspicious || v.Ratio != 0 {
@@ -241,12 +241,12 @@ func TestPerLaneDeltaFiresOnSlowPartitionOwner(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		// Even clients on lane 0, odd on lane 1 — lane 1 orders only 25%.
 		r0 := ref(2, types.RequestID(i))
-		m.RequestDispatchedTo(0, r0, now)
-		m.RequestOrdered(0, r0, now)
+		m.RequestDispatched(0, now)
+		m.RequestOrdered(0, r0, now, now)
 		r1 := ref(1, types.RequestID(i))
-		m.RequestDispatchedTo(1, r1, now)
+		m.RequestDispatched(1, now)
 		if i < 5 {
-			m.RequestOrdered(1, r1, now)
+			m.RequestOrdered(1, r1, now, now)
 		}
 	}
 	v := m.Tick(now.Add(100 * time.Millisecond))
@@ -267,13 +267,13 @@ func TestPerLaneDeltaToleratesImbalancedPartitions(t *testing.T) {
 	// Lane 0 owns 4x the load of lane 1; both complete everything.
 	for i := 0; i < 20; i++ {
 		r := ref(2, types.RequestID(i))
-		m.RequestDispatchedTo(0, r, now)
-		m.RequestOrdered(0, r, now)
+		m.RequestDispatched(0, now)
+		m.RequestOrdered(0, r, now, now)
 	}
 	for i := 0; i < 5; i++ {
 		r := ref(1, types.RequestID(i))
-		m.RequestDispatchedTo(1, r, now)
-		m.RequestOrdered(1, r, now)
+		m.RequestDispatched(1, now)
+		m.RequestOrdered(1, r, now, now)
 	}
 	v := m.Tick(now.Add(100 * time.Millisecond))
 	if v.Suspicious {
@@ -291,12 +291,12 @@ func TestPerLaneDeltaSuppressedBelowMinRequests(t *testing.T) {
 	now := time.Unix(0, 0)
 	for i := 0; i < 20; i++ {
 		r := ref(2, types.RequestID(i))
-		m.RequestDispatchedTo(0, r, now)
-		m.RequestOrdered(0, r, now)
+		m.RequestDispatched(0, now)
+		m.RequestOrdered(0, r, now, now)
 	}
 	// Lane 1: 5 dispatches (below MinRequests), none ordered.
 	for i := 0; i < 5; i++ {
-		m.RequestDispatchedTo(1, ref(1, types.RequestID(i)), now)
+		m.RequestDispatched(1, now)
 	}
 	v := m.Tick(now.Add(100 * time.Millisecond))
 	if v.Suspicious {
@@ -305,19 +305,15 @@ func TestPerLaneDeltaSuppressedBelowMinRequests(t *testing.T) {
 }
 
 // TestPerLaneBackupOrderingCompletesRequest: in per-lane mode a backup
-// lane's delivery completes the request — the dispatch entry is dropped and
-// the latency tests run on it.
+// lane's delivery completes the request: the latency tests run on it.
 func TestPerLaneBackupOrderingCompletesRequest(t *testing.T) {
 	m := New(Config{Instances: 2, Period: 100 * time.Millisecond, Delta: 0.9, MinRequests: 5,
 		PerLane: true, Lambda: time.Millisecond})
 	now := time.Unix(0, 0)
 	r := ref(1, 1)
-	m.RequestDispatchedTo(1, r, now)
-	v := m.RequestOrdered(1, r, now.Add(5*time.Millisecond))
+	m.RequestDispatched(1, now)
+	v := m.RequestOrdered(1, r, now, now.Add(5*time.Millisecond))
 	if !v.Suspicious || v.Reason != ReasonLatency {
 		t.Fatalf("verdict = %+v, want Λ violation on the owning backup lane", v)
-	}
-	if _, ok := m.dispatch[r.Key()]; ok {
-		t.Fatal("completed request still tracked in the dispatch map")
 	}
 }

@@ -114,7 +114,7 @@ func TestOrderBatchAllocationBudget(t *testing.T) {
 		}
 	}
 	orderOne()
-	const ceiling = 68
+	const ceiling = 62
 	if n := testing.AllocsPerRun(200, orderOne); n > ceiling {
 		t.Errorf("one batch through four replicas: %v allocs, want <= %d", n, ceiling)
 	}

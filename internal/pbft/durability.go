@@ -1,6 +1,8 @@
 package pbft
 
 import (
+	"maps"
+
 	"rbft/internal/types"
 	"rbft/internal/wal"
 )
@@ -125,16 +127,13 @@ func (in *Instance) FinishRestore(nodeView types.View) {
 	}
 	in.nextSeq = next
 
-	// Promises at or below the stable checkpoint can never conflict with
-	// in-window traffic; drop them.
-	for seq := range in.promisedPrepare {
-		if seq <= in.stableSeq {
-			delete(in.promisedPrepare, seq)
-		}
-	}
-	for seq := range in.promisedCommit {
-		if seq <= in.stableSeq {
-			delete(in.promisedCommit, seq)
-		}
-	}
+	in.dropPromises(in.stableSeq)
+}
+
+// dropPromises forgets the promises at or below the stable checkpoint seq:
+// they can never conflict with in-window traffic.
+func (in *Instance) dropPromises(seq types.SeqNum) {
+	at := func(s types.SeqNum, _ promise) bool { return s <= seq }
+	maps.DeleteFunc(in.promisedPrepare, at)
+	maps.DeleteFunc(in.promisedCommit, at)
 }

@@ -1,7 +1,9 @@
 package pbft
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"time"
 
 	"rbft/internal/crypto"
@@ -28,12 +30,6 @@ const (
 	// serving fetches, in units of the watermark window.
 	retainDeliveredFactor = 2
 )
-
-// deliveredBatch is a retained copy of a delivered batch.
-type deliveredBatch struct {
-	view types.View
-	refs []types.RequestRef
-}
 
 // fetchState tracks one outstanding catch-up.
 type fetchState struct {
@@ -92,12 +88,7 @@ func (in *Instance) sendFetch(out *Output, now time.Time) {
 	if in.behavior.Silent {
 		return
 	}
-	f := &message.Fetch{
-		Instance: in.cfg.Instance,
-		FromSeq:  in.lastDelivered,
-		ToSeq:    in.fetch.target,
-		Node:     in.cfg.Node,
-	}
+	f := &message.Fetch{Instance: in.cfg.Instance, FromSeq: in.lastDelivered, ToSeq: in.fetch.target, Node: in.cfg.Node}
 	var buf [message.MaxBodySize]byte
 	f.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, f.AppendBody(buf[:0]))
 	out.send(nil, f)
@@ -120,16 +111,11 @@ func (in *Instance) onFetch(out *Output, f *message.Fetch) error {
 		to = from + fetchChunk
 	}
 	for seq := from + 1; seq <= to; seq++ {
-		db, ok := in.recentDelivered[seq]
+		refs, ok := in.recentDelivered[seq]
 		if !ok {
 			continue // GC'd past the retention window
 		}
-		resp := &message.FetchResp{
-			Instance: in.cfg.Instance,
-			Seq:      seq,
-			Batch:    db.refs,
-			Node:     in.cfg.Node,
-		}
+		resp := &message.FetchResp{Instance: in.cfg.Instance, Seq: seq, Batch: refs, Node: in.cfg.Node}
 		resp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, resp.Body())
 		out.send([]types.NodeID{f.Node}, resp)
 	}
@@ -164,18 +150,13 @@ func (in *Instance) onFetchResp(out *Output, fr *message.FetchResp, now time.Tim
 		payloads[digest] = fr.Batch
 	}
 
-	matching := 0
-	for _, d := range votes {
-		if d == digest {
-			matching++
-		}
-	}
-	if matching < in.cfg.Cluster.WeakQuorum() {
+	if tally(votes, digest) < in.cfg.Cluster.WeakQuorum() {
 		return nil
 	}
 	// Adopt: mark the entry delivered with the fetched content.
 	e := in.entry(fr.Seq)
 	if !e.delivered {
+		in.unwait(fr.Seq, e)
 		e.delivered = true
 		e.havePP = true
 		e.view = in.view
@@ -192,12 +173,8 @@ func (in *Instance) fetchProgress() {
 	if in.fetch == nil {
 		return
 	}
-	for seq := range in.fetch.votes {
-		if seq <= in.lastDelivered {
-			delete(in.fetch.votes, seq)
-			delete(in.fetch.payloads, seq)
-		}
-	}
+	maps.DeleteFunc(in.fetch.votes, func(s types.SeqNum, _ map[types.NodeID]types.Digest) bool { return s <= in.lastDelivered })
+	maps.DeleteFunc(in.fetch.payloads, func(s types.SeqNum, _ map[types.Digest][]types.RequestRef) bool { return s <= in.lastDelivered })
 	if in.fetch.target <= in.lastDelivered {
 		in.fetch = nil
 	}
@@ -223,36 +200,31 @@ func (in *Instance) fetchTick(out *Output, now time.Time) {
 }
 
 // retainDelivered records a delivered batch for serving future fetches and
-// prunes the retention window.
-func (in *Instance) retainDelivered(seq types.SeqNum, view types.View, refs []types.RequestRef) {
-	in.recentDelivered[seq] = deliveredBatch{view: view, refs: refs}
+// prunes the retention window. The refs that the pruned batch delivered and
+// this replica still holds leave with it: the retention window is as long
+// as a replica remembers a delivered ref it was not told executed.
+func (in *Instance) retainDelivered(seq types.SeqNum, refs []types.RequestRef) {
+	in.recentDelivered[seq] = refs
 	retention := retainDeliveredFactor * in.cfg.WatermarkWindow
 	if seq > retention {
-		delete(in.recentDelivered, seq-retention)
+		old := seq - retention
+		for _, ref := range in.recentDelivered[old] {
+			if r := in.reqs[ref]; r != nil && r.at == old {
+				r.retire = true
+				in.settle(ref, r)
+			}
+		}
+		delete(in.recentDelivered, old)
 	}
 }
 
 // refsDigest hashes a batch's request refs (order-sensitive).
 func refsDigest(refs []types.RequestRef) types.Digest {
 	buf := make([]byte, 0, len(refs)*(16+types.DigestSize))
-	var tmp [8]byte
 	for _, r := range refs {
-		putU64(tmp[:], uint64(r.Client))
-		buf = append(buf, tmp[:]...)
-		putU64(tmp[:], uint64(r.ID))
-		buf = append(buf, tmp[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Client))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.ID))
 		buf = append(buf, r.Digest[:]...)
 	}
 	return crypto.Digest(buf)
-}
-
-func putU64(b []byte, v uint64) {
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
 }

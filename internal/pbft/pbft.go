@@ -13,7 +13,9 @@
 // that returns an error returns a zero Output. Drivers — the real-time
 // runtime and the discrete-event simulator — execute those effects. This is
 // what lets the same protocol code run over live TCP and inside the
-// deterministic simulator that regenerates the paper's figures.
+// deterministic simulator that regenerates the paper's figures. A sixth
+// input, Executed, has no effects: the node reports a ref it executed, and
+// the replica forgets it (docs/ORDERING.md, "Per-request state").
 //
 // Differences from a standalone PBFT deployment, per the RBFT paper:
 //   - an instance never initiates a view change by itself; view changes are
@@ -28,6 +30,7 @@ package pbft
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"rbft/internal/crypto"
@@ -173,14 +176,17 @@ type Instance struct {
 	// Primary state.
 	nextSeq       types.SeqNum // next sequence number to assign
 	pending       []types.RequestRef
-	inBatch       map[types.RequestRef]bool // queued or proposed by this primary
 	batchDeadline time.Time
 
+	// Per-request state (see reqState): reqs holds a record per ref in
+	// flight, free recycles retired records, and decided — installed by the
+	// node, nil without one — reports whether a ref's (client, id) executed.
+	reqs    map[types.RequestRef]*reqState
+	free    []*reqState
+	decided func(types.RequestRef) bool
+
 	// Replica state.
-	known             map[types.RequestRef]bool // refs with f+1 PROPAGATEs at the node
-	waiters           map[types.RequestRef][]types.SeqNum
 	entries           map[types.SeqNum]*entry
-	delivered         map[types.RequestRef]types.SeqNum
 	lastDelivered     types.SeqNum
 	stableSeq         types.SeqNum                  // last stable checkpoint
 	logDigest         types.Digest                  // running digest chain of delivered batches
@@ -191,7 +197,7 @@ type Instance struct {
 	viewChanges map[types.View]map[types.NodeID]*message.ViewChange
 
 	// Catch-up state (see fetch.go).
-	recentDelivered map[types.SeqNum]deliveredBatch
+	recentDelivered map[types.SeqNum][]types.RequestRef
 	fetch           *fetchState
 
 	// Crash-recovery state (see durability.go): promises replayed from the
@@ -244,15 +250,12 @@ func New(cfg Config, keys *crypto.KeyRing) *Instance {
 		cfg:               c,
 		keys:              keys,
 		nextSeq:           1,
-		inBatch:           make(map[types.RequestRef]bool),
-		known:             make(map[types.RequestRef]bool),
-		waiters:           make(map[types.RequestRef][]types.SeqNum),
+		reqs:              make(map[types.RequestRef]*reqState),
 		entries:           make(map[types.SeqNum]*entry),
-		delivered:         make(map[types.RequestRef]types.SeqNum),
 		checkpointDigests: make(map[types.SeqNum]types.Digest),
 		checkpoints:       make(map[types.SeqNum]map[types.NodeID]types.Digest),
 		viewChanges:       make(map[types.View]map[types.NodeID]*message.ViewChange),
-		recentDelivered:   make(map[types.SeqNum]deliveredBatch),
+		recentDelivered:   make(map[types.SeqNum][]types.RequestRef),
 		promisedPrepare:   make(map[types.SeqNum]promise),
 		promisedCommit:    make(map[types.SeqNum]promise),
 		tr:                obs.Nop{},
@@ -310,25 +313,26 @@ func (in *Instance) NextWake() time.Time {
 // copies of the request and it is ready for ordering.
 func (in *Instance) AddRequest(ref types.RequestRef, now time.Time) Output {
 	var out Output
-	if in.known[ref] {
+	r := in.track(ref)
+	if r == nil || r.known {
 		return out
 	}
-	in.known[ref] = true
+	r.known = true
 
-	// Release any PRE-PREPAREs that were waiting on this request.
-	for _, seq := range in.waiters[ref] {
-		e := in.entries[seq]
-		if e == nil {
-			continue
-		}
-		e.waiting--
-		if e.waiting == 0 {
-			in.maybePrepare(&out, seq, e, now)
+	// Release the PRE-PREPAREs that were waiting on this request.
+	for _, w := range r.waiters {
+		if e := in.entries[w.seq]; e != nil && e.view == w.view {
+			e.waiting--
+			if e.waiting == 0 {
+				in.maybePrepare(&out, w.seq, e, now)
+			}
 		}
 	}
-	delete(in.waiters, ref)
+	r.waiters = r.waiters[:0]
 
-	if in.IsPrimary() && !in.inViewChange {
+	// A ref becomes known once, so the primary queues it once; a view change
+	// re-queues what is still in flight (installNewView).
+	if in.IsPrimary() && !in.inViewChange && r.at == 0 {
 		in.enqueue(&out, ref, now)
 	}
 	return out
@@ -337,16 +341,9 @@ func (in *Instance) AddRequest(ref types.RequestRef, now time.Time) Output {
 // enqueue adds a ref to the primary's pending batch and cuts a batch when
 // full, otherwise arms the batch timer.
 func (in *Instance) enqueue(out *Output, ref types.RequestRef, now time.Time) {
-	if in.inBatch[ref] {
-		return
-	}
-	if _, done := in.delivered[ref]; done {
-		return
-	}
 	if in.spans && len(in.pending) == 0 {
 		in.pendingSince = now
 	}
-	in.inBatch[ref] = true
 	in.pending = append(in.pending, ref)
 	if len(in.pending) >= in.cfg.BatchSize {
 		in.cutBatch(out, now)
@@ -444,13 +441,7 @@ func (in *Instance) cutBatch(out *Output, now time.Time) {
 		copy(batch, in.pending[:n])
 		in.pending = in.pending[n:]
 
-		pp := &message.PrePrepare{
-			Instance: in.cfg.Instance,
-			View:     in.view,
-			Seq:      in.nextSeq,
-			Batch:    batch,
-			Node:     in.cfg.Node,
-		}
+		pp := &message.PrePrepare{Instance: in.cfg.Instance, View: in.view, Seq: in.nextSeq, Batch: batch, Node: in.cfg.Node}
 		in.nextSeq++
 		in.stats.Proposed++
 
@@ -497,12 +488,7 @@ func (in *Instance) ProposeFiller(now time.Time) Output {
 	if in.nextSeq > in.stableSeq+in.cfg.WatermarkWindow {
 		return out
 	}
-	pp := &message.PrePrepare{
-		Instance: in.cfg.Instance,
-		View:     in.view,
-		Seq:      in.nextSeq,
-		Node:     in.cfg.Node,
-	}
+	pp := &message.PrePrepare{Instance: in.cfg.Instance, View: in.view, Seq: in.nextSeq, Node: in.cfg.Node}
 	in.nextSeq++
 	in.stats.Proposed++
 	in.lastPropose = now
@@ -613,6 +599,7 @@ func (in *Instance) acceptPrePrepare(out *Output, pp *message.PrePrepare, now ti
 	if e.havePP && e.digest != digest && e.view >= pp.View {
 		return // conflicting proposal; keep the first
 	}
+	in.unwait(pp.Seq, e) // the superseded proposal's waiters go with it
 	e.havePP = true
 	e.view = pp.View
 	e.digest = digest
@@ -626,15 +613,12 @@ func (in *Instance) acceptPrePrepare(out *Output, pp *message.PrePrepare, now ti
 	// Count refs the node has not yet collected f+1 PROPAGATEs for. The
 	// paper's rule: reply with PREPARE only if the node already received f+1
 	// copies of the request, preventing a malicious primary from boosting
-	// its instance with requests sent only to it.
-	e.waiting = 0
+	// its instance with requests sent only to it. A delivered ref is not
+	// waited on, nor one the node reports executed.
 	for _, ref := range pp.Batch {
-		if _, done := in.delivered[ref]; done {
-			continue
-		}
-		if !in.known[ref] {
+		if r := in.track(ref); r != nil && r.at == 0 && !r.known {
 			e.waiting++
-			in.waiters[ref] = append(in.waiters[ref], pp.Seq)
+			r.waiters = append(r.waiters, waiter{view: pp.View, seq: pp.Seq})
 		}
 	}
 	if e.waiting == 0 {
@@ -661,13 +645,7 @@ func (in *Instance) maybePrepare(out *Output, seq types.SeqNum, e *entry, now ti
 		e.prepares[in.cfg.Node] = e.digest
 		if !in.behavior.Silent {
 			in.journal(out, wal.Record{Kind: wal.KindSentPrepare, View: e.view, Seq: seq, Digest: e.digest})
-			p := &message.Prepare{
-				Instance: in.cfg.Instance,
-				View:     e.view,
-				Seq:      seq,
-				Digest:   e.digest,
-				Node:     in.cfg.Node,
-			}
+			p := &message.Prepare{Instance: in.cfg.Instance, View: e.view, Seq: seq, Digest: e.digest, Node: in.cfg.Node}
 			var buf [message.MaxBodySize]byte
 			p.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, p.AppendBody(buf[:0]))
 			out.send(nil, p)
@@ -701,13 +679,7 @@ func (in *Instance) checkPrepared(out *Output, seq types.SeqNum, e *entry, now t
 	if !e.havePP || e.waiting > 0 || e.sentComm {
 		return
 	}
-	matching := 0
-	for _, d := range e.prepares {
-		if d == e.digest {
-			matching++
-		}
-	}
-	if matching < in.cfg.Cluster.PrepareQuorum() {
+	if tally(e.prepares, e.digest) < in.cfg.Cluster.PrepareQuorum() {
 		return
 	}
 	if conflicts(in.promisedCommit, seq, e) {
@@ -732,13 +704,7 @@ func (in *Instance) checkPrepared(out *Output, seq types.SeqNum, e *entry, now t
 	}
 	if !in.behavior.Silent {
 		in.journal(out, wal.Record{Kind: wal.KindSentCommit, View: e.view, Seq: seq, Digest: e.digest})
-		c := &message.Commit{
-			Instance: in.cfg.Instance,
-			View:     e.view,
-			Seq:      seq,
-			Digest:   e.digest,
-			Node:     in.cfg.Node,
-		}
+		c := &message.Commit{Instance: in.cfg.Instance, View: e.view, Seq: seq, Digest: e.digest, Node: in.cfg.Node}
 		var buf [message.MaxBodySize]byte
 		c.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, c.AppendBody(buf[:0]))
 		out.send(nil, c)
@@ -768,12 +734,7 @@ func (in *Instance) checkCommitted(out *Output, seq types.SeqNum, e *entry, now 
 	if !e.havePP || !e.sentComm || e.delivered {
 		return
 	}
-	matching := 0
-	for _, d := range e.commits {
-		if d == e.digest {
-			matching++
-		}
-	}
+	matching := tally(e.commits, e.digest)
 	if matching < in.cfg.Cluster.Quorum() {
 		return
 	}
@@ -806,12 +767,13 @@ func (in *Instance) deliverReady(out *Output, now time.Time) {
 		in.lastDelivered = next
 		refs := make([]types.RequestRef, 0, len(e.batch))
 		for _, ref := range e.batch {
-			if _, done := in.delivered[ref]; done {
+			r := in.track(ref)
+			if r == nil || r.at != 0 {
 				continue // dedupe across view-change re-proposals
 			}
-			in.delivered[ref] = next
+			r.at = next
 			refs = append(refs, ref)
-			delete(in.inBatch, ref)
+			in.settle(ref, r)
 		}
 		in.stats.Delivered++
 		in.stats.RefsOrdered += uint64(len(refs))
@@ -821,7 +783,7 @@ func (in *Instance) deliverReady(out *Output, now time.Time) {
 			View:     e.view,
 			Refs:     refs,
 		})
-		in.retainDelivered(next, e.view, e.batch)
+		in.retainDelivered(next, e.batch)
 		in.logDigest = chainDigest(in.logDigest, e.digest)
 
 		if next%in.cfg.CheckpointInterval == 0 {
@@ -841,12 +803,7 @@ func (in *Instance) emitCheckpoint(out *Output, seq types.SeqNum, now time.Time)
 	in.checkpointDigests[seq] = in.logDigest
 	in.journal(out, wal.Record{Kind: wal.KindCheckpoint, Seq: seq, Digest: in.logDigest})
 	if !in.behavior.Silent {
-		cp := &message.Checkpoint{
-			Instance: in.cfg.Instance,
-			Seq:      seq,
-			Digest:   in.logDigest,
-			Node:     in.cfg.Node,
-		}
+		cp := &message.Checkpoint{Instance: in.cfg.Instance, Seq: seq, Digest: in.logDigest, Node: in.cfg.Node}
 		var buf [message.MaxBodySize]byte
 		cp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, cp.AppendBody(buf[:0]))
 		out.send(nil, cp)
@@ -904,42 +861,25 @@ func (in *Instance) stabilize(seq types.SeqNum) {
 		return
 	}
 	in.stableSeq = seq
-	for s := range in.entries {
+	for s, e := range in.entries {
 		if s <= seq {
+			in.unwait(s, e) //rbft:ignore maprange -- touches only e's own waiters
 			delete(in.entries, s)
 		}
 	}
-	for s := range in.checkpoints {
-		if s < seq {
-			delete(in.checkpoints, s)
+	maps.DeleteFunc(in.checkpoints, func(s types.SeqNum, _ map[types.NodeID]types.Digest) bool { return s < seq })
+	maps.DeleteFunc(in.checkpointDigests, func(s types.SeqNum, _ types.Digest) bool { return s < seq })
+	in.dropPromises(seq)
+}
+
+// tally counts the votes for digest d.
+func tally(votes map[types.NodeID]types.Digest, d types.Digest) (n int) {
+	for _, v := range votes {
+		if v == d {
+			n++
 		}
 	}
-	for s := range in.checkpointDigests {
-		if s < seq {
-			delete(in.checkpointDigests, s)
-		}
-	}
-	for s := range in.promisedPrepare {
-		if s <= seq {
-			delete(in.promisedPrepare, s)
-		}
-	}
-	for s := range in.promisedCommit {
-		if s <= seq {
-			delete(in.promisedCommit, s)
-		}
-	}
-	// Drop delivered-ref records old enough that no re-proposal can
-	// reference them (one full watermark window behind the stable point).
-	if seq > in.cfg.WatermarkWindow {
-		floor := seq - in.cfg.WatermarkWindow
-		for ref, at := range in.delivered {
-			if at <= floor {
-				delete(in.delivered, ref)
-				delete(in.known, ref)
-			}
-		}
-	}
+	return n
 }
 
 func (in *Instance) inWindow(seq types.SeqNum) bool {

@@ -24,6 +24,10 @@ type testCluster struct {
 	rng       *rand.Rand // if non-nil, deliveries are randomly interleaved
 	drop      func(from, to types.NodeID, m message.Message) bool
 	delivered map[types.NodeID][]Batch
+	// executed, once nodeSignal installs it, is each node's set of executed
+	// (client, id) keys; peak is the most request records a replica held.
+	executed map[types.NodeID]map[types.RequestKey]bool
+	peak     int
 }
 
 type netMsg struct {
@@ -60,6 +64,15 @@ func newTestCluster(t *testing.T, f int, tweak func(*Config)) *testCluster {
 func (tc *testCluster) collect(from types.NodeID, out Output) {
 	for _, b := range out.Delivered {
 		tc.delivered[from] = append(tc.delivered[from], b)
+		if done := tc.executed[from]; done != nil {
+			for _, ref := range b.Refs {
+				done[ref.Key()] = true
+				tc.replicas[from].Executed(ref)
+			}
+		}
+	}
+	if n := tc.replicas[from].InFlight(); n > tc.peak {
+		tc.peak = n
 	}
 	for _, ob := range out.Msgs {
 		targets := ob.To
@@ -72,6 +85,19 @@ func (tc *testCluster) collect(from types.NodeID, out Output) {
 			}
 			tc.queue = append(tc.queue, netMsg{from: from, to: to, msg: ob.Msg})
 		}
+	}
+}
+
+// nodeSignal makes every replica behave as under a core.Node whose master it
+// is: the node executes each (client, id) the replica delivers, the first
+// time, reports the ref through Executed, and answers SetDecided's question
+// from what it executed.
+func (tc *testCluster) nodeSignal() {
+	tc.executed = make(map[types.NodeID]map[types.RequestKey]bool)
+	for n, r := range tc.replicas {
+		done := make(map[types.RequestKey]bool)
+		tc.executed[types.NodeID(n)] = done
+		r.SetDecided(func(ref types.RequestRef) bool { return done[ref.Key()] })
 	}
 }
 

@@ -1,7 +1,10 @@
 package pbft
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -22,7 +25,6 @@ func (in *Instance) StartViewChange(newView types.View, now time.Time) Output {
 	in.inViewChange = true
 	// Primary-only state is void across the change.
 	in.pending = nil
-	in.inBatch = make(map[types.RequestRef]bool)
 	in.batchDeadline = time.Time{}
 	in.delayed = nil
 
@@ -233,14 +235,16 @@ func (in *Instance) installNewView(out *Output, nv *message.NewView) {
 		// Reset any stale entry from the previous view so the re-issued
 		// proposal is processed cleanly.
 		if e := in.entries[pp.Seq]; e != nil && e.view < nv.View && !e.delivered {
+			in.unwait(pp.Seq, e)
 			delete(in.entries, pp.Seq)
 		}
 		in.acceptPrePrepare(out, &pp, time.Time{})
 	}
-	// Clear un-prepared leftovers from older views; their requests re-enter
-	// through the primary's queue below.
+	// Clear un-prepared leftovers from older views, and the PREPAREs waiting
+	// on them; their requests re-enter through the primary's queue below.
 	for seq, e := range in.entries {
 		if e.view < nv.View && !e.delivered && !e.sentComm {
+			in.unwait(seq, e) //rbft:ignore maprange -- touches only e's own waiters
 			delete(in.entries, seq)
 		}
 	}
@@ -252,44 +256,22 @@ func (in *Instance) installNewView(out *Output, nv *message.NewView) {
 		if in.nextSeq <= in.stableSeq {
 			in.nextSeq = in.stableSeq + 1
 		}
-		// Deterministically re-queue in-flight requests.
+		// Deterministically re-queue the requests in flight: known here,
+		// undelivered here, and not re-issued.
 		var refs []types.RequestRef
-		for ref := range in.known {
-			if _, done := in.delivered[ref]; done {
-				continue
+		for ref, r := range in.reqs {
+			if r.known && r.at == 0 && !reissued[ref] {
+				refs = append(refs, ref)
 			}
-			if reissued[ref] {
-				continue
-			}
-			refs = append(refs, ref)
 		}
-		sort.Slice(refs, func(i, j int) bool {
-			a, b := refs[i], refs[j]
-			if a.Client != b.Client {
-				return a.Client < b.Client
-			}
-			if a.ID != b.ID {
-				return a.ID < b.ID
-			}
-			return lessDigest(a.Digest, b.Digest)
+		slices.SortFunc(refs, func(a, b types.RequestRef) int {
+			return cmp.Or(cmp.Compare(a.Client, b.Client), cmp.Compare(a.ID, b.ID), bytes.Compare(a.Digest[:], b.Digest[:]))
 		})
-		for _, ref := range refs {
-			in.inBatch[ref] = true
-			in.pending = append(in.pending, ref)
-		}
+		in.pending = append(in.pending, refs...)
 		if len(in.pending) > 0 {
 			// Cut immediately, without consulting the batch timer (the zero
 			// time): view changes are rare and latency-sensitive.
 			in.cutBatch(out, time.Time{})
 		}
 	}
-}
-
-func lessDigest(a, b types.Digest) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

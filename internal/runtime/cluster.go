@@ -123,7 +123,9 @@ func StartLocalCluster(opts ClusterOptions) (*LocalCluster, error) {
 		}
 		transports[i] = tr
 	}
-	lc.connectPeers(transports)
+	for _, tr := range transports {
+		lc.addPeersTo(tr)
+	}
 
 	// Second pass: start the nodes.
 	lc.nodes = make([]*NodeRuntime, cluster.N)
@@ -280,13 +282,7 @@ func (lc *LocalCluster) listen(name string) (transport.Transport, error) {
 	}
 }
 
-// connectPeers registers every node address with every endpoint.
-func (lc *LocalCluster) connectPeers(eps []transport.Transport) {
-	for _, ep := range eps {
-		lc.addPeersTo(ep)
-	}
-}
-
+// addPeersTo registers every other endpoint's address with ep.
 func (lc *LocalCluster) addPeersTo(ep transport.Transport) {
 	switch e := ep.(type) {
 	case *tcpnet.Endpoint:

@@ -101,8 +101,6 @@ func (c CostModel) Hash(size int) time.Duration {
 	return time.Duration(float64(c.HashPerKB) * float64(size) / 1024)
 }
 
-func (c CostModel) hash(size int) time.Duration { return c.Hash(size) }
-
 // orderedPayloadCostFactor scales the CPU charged per ordered-payload byte:
 // a full request travelling inside the ordering messages is MACed, copied
 // and digested at several hops (the same multi-hop handling that caps
@@ -158,20 +156,18 @@ func (c CostModel) preverifyCost(msg message.Message, firstSight bool) time.Dura
 	//rbft:dispatch ignore=Reply
 	switch m := msg.(type) {
 	case *message.Request:
-		cost += c.MACVerify + c.hash(len(m.Op))
+		cost += c.MACVerify + c.Hash(len(m.Op))
 		if firstSight {
 			cost += c.SigVerify
 		}
 	case *message.Propagate:
-		cost += c.MACVerify + c.hash(len(m.Req.Op))
+		cost += c.MACVerify + c.Hash(len(m.Req.Op))
 		if firstSight {
 			cost += c.SigVerify
 		}
 	case *message.PrePrepare:
-		cost += c.MACVerify + c.hash(orderedPayloadCostFactor*len(m.Batch)*c.OrderedPayloadBytes)
-	case *message.Prepare, *message.Commit, *message.Checkpoint, *message.InstanceChange, *message.Fetch:
-		cost += c.MACVerify
-	case *message.FetchResp:
+		cost += c.MACVerify + c.Hash(orderedPayloadCostFactor*len(m.Batch)*c.OrderedPayloadBytes)
+	case *message.Prepare, *message.Commit, *message.Checkpoint, *message.InstanceChange, *message.Fetch, *message.FetchResp:
 		cost += c.MACVerify
 	case *message.ViewChange:
 		cost += c.SigVerify
@@ -215,18 +211,16 @@ func (c CostModel) outCost(msg message.Message, n int) time.Duration {
 		return c.SigSign + time.Duration(n)*c.MACGen
 	case *message.Propagate:
 		// One MAC per recipient over the full request body.
-		return time.Duration(n) * (c.MACGen + c.hash(len(m.Req.Op)))
+		return time.Duration(n) * (c.MACGen + c.Hash(len(m.Req.Op)))
 	case *message.PrePrepare:
 		return time.Duration(n)*c.MACGen + time.Duration(len(m.Batch))*c.PerRefProcess +
-			time.Duration(n)*c.hash(orderedPayloadCostFactor*len(m.Batch)*c.OrderedPayloadBytes)
-	case *message.Prepare, *message.Commit, *message.Checkpoint, *message.InstanceChange, *message.Fetch:
+			time.Duration(n)*c.Hash(orderedPayloadCostFactor*len(m.Batch)*c.OrderedPayloadBytes)
+	case *message.Prepare, *message.Commit, *message.Checkpoint, *message.InstanceChange, *message.Fetch, *message.NewView:
 		return time.Duration(n) * c.MACGen
 	case *message.FetchResp:
 		return time.Duration(n)*c.MACGen + time.Duration(len(m.Batch))*c.PerRefProcess
 	case *message.ViewChange:
 		return c.SigSign
-	case *message.NewView:
-		return time.Duration(n) * c.MACGen
 	case *message.Reply:
 		return c.MACGen
 	default:
