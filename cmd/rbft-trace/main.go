@@ -166,7 +166,7 @@ func printFrontDoor(events []obs.Event) {
 	}
 	fmt.Printf("front door: %d client evictions (bounded client table)\n", total)
 	for _, n := range nodes {
-		fmt.Printf("  node %-3d evictions=%-8d last-shard-size=%d\n",
+		fmt.Printf("  node %-3d evictions=%-8d last-table-size=%d\n",
 			n, evictions[n], lastSize[n])
 	}
 }
@@ -347,7 +347,7 @@ func formatEvent(ev obs.Event) string {
 	case obs.EvNICClose, obs.EvMsgDrop:
 		s += fmt.Sprintf(" peer=%d", ev.Peer)
 	case obs.EvClientEvicted:
-		s += fmt.Sprintf(" client=%d shard-size=%d", ev.Client, ev.Count)
+		s += fmt.Sprintf(" client=%d table-size=%d", ev.Client, ev.Count)
 	case obs.EvSpan:
 		s += fmt.Sprintf(" stage=%s dur=%s", ev.Stage, ev.Dur)
 		if ev.Stage.PerInstance() {

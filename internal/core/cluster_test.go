@@ -293,7 +293,7 @@ func (nc *nodeCluster) requireQuiescent(nodes ...*Node) {
 			}
 		}
 		for id := range nc.clients {
-			if cs := n.table.shardOf(id).clients[id]; cs != nil && cs.pendingBodies != 0 {
+			if cs := n.table.clients[id]; cs != nil && cs.pendingBodies != 0 {
 				nc.t.Errorf("node %d counts %d pending bodies for client %d", n.ID(), cs.pendingBodies, id)
 			}
 		}

@@ -71,18 +71,10 @@ type Config struct {
 	// ReplyCacheSize bounds the per-client reply cache.
 	ReplyCacheSize int
 
-	// ClientShards is the lock-stripe count of the client table (0 means
-	// defaultClientShards). Sharding lets admission control run concurrently
-	// with the apply stage and bounds per-shard metric cardinality.
-	ClientShards int
-	// MaxClients bounds the resident client-table entries across all shards;
-	// beyond it the least-recently-used quiescent client is evicted
-	// (docs/CLIENTS.md). 0 means unbounded (the historical behaviour).
+	// MaxClients bounds the resident client-table entries; beyond it the
+	// least-recently-used quiescent client is evicted (docs/CLIENTS.md). 0
+	// means unbounded (the historical behaviour).
 	MaxClients int
-	// IngressBudget is the per-shard admission budget: client frames beyond
-	// this many in flight (admitted at ingress, not yet applied) are shed
-	// before the crypto stage. 0 disables admission control.
-	IngressBudget int
 
 	// FloodThreshold is the number of invalid messages from one peer within
 	// FloodWindow that triggers closing that peer's NIC for NICClosePeriod.
@@ -227,7 +219,7 @@ type Node struct {
 	// signed request body from first sight to execution (propagation.go).
 	pending map[types.RequestKey]*pendingRequest
 
-	// Execution module state. The sharded client table (clients.go) holds
+	// Execution module state. The client table (clients.go) holds
 	// per-client reply caches and executed watermarks; reader is the app's
 	// read fast path (nil when the app is not a ReadExecutor).
 	table  *clientTable
@@ -272,7 +264,7 @@ func New(cfg Config, keys *crypto.KeyRing) *Node {
 		keys:        keys,
 		mon:         monitor.New(c.Monitoring),
 		pending:     make(map[types.RequestKey]*pendingRequest),
-		table:       newClientTable(c.ClientShards, c.MaxClients, c.IngressBudget),
+		table:       newClientTable(c.MaxClients),
 		icVotes:     make(map[uint64]map[types.NodeID]bool),
 		floodCounts: make(map[types.NodeID]int),
 		closedUntil: make(map[types.NodeID]time.Time),
@@ -354,13 +346,8 @@ func (n *Node) SetRegistry(reg *obs.Registry) {
 	n.execWaves = reg.Counter("rbft_exec_waves_total")
 	n.execConflicts = reg.Counter("rbft_exec_conflicts_total")
 	n.execParallel = reg.Counter("rbft_exec_parallel_total")
-	for i := range n.table.shards {
-		sh := &n.table.shards[i]
-		sh.size = reg.Gauge(obs.LabeledName("rbft_client_table_size", "shard", fmt.Sprintf("%d", i)))
-		sh.evictions = reg.Counter(obs.LabeledName("rbft_client_evictions_total", "shard", fmt.Sprintf("%d", i)))
-	}
-	n.table.admitted = reg.Counter("rbft_ingress_admitted_total")
-	n.table.rejected = reg.Counter("rbft_ingress_rejected_total")
+	n.table.size = reg.Gauge("rbft_client_table_size")
+	n.table.evictions = reg.Counter("rbft_client_evictions_total")
 	n.pre.Cache().SetCounters(
 		reg.Counter("rbft_sigcache_hits_total"),
 		reg.Counter("rbft_sigcache_misses_total"),

@@ -104,15 +104,3 @@ func (n *Node) countInvalid(out *Output, from types.NodeID, now time.Time) {
 		}
 	}
 }
-
-// AdmitIngress is the admission-control gate drivers call for every client
-// frame BEFORE spending crypto on it: false means the client's shard has
-// exhausted its pending budget and the frame should be shed (reject-with-
-// busy). Unlike every other Node method this one is safe for concurrent use
-// with the apply stage — it touches only shard-local admission state — which
-// is what lets the runtime's reader shed floods ahead of the verifier pool.
-func (n *Node) AdmitIngress(c types.ClientID) bool { return n.table.admit(c) }
-
-// ReleaseIngress returns an AdmitIngress slot once the admitted frame has
-// left the apply stage. Concurrency-safe like AdmitIngress.
-func (n *Node) ReleaseIngress(c types.ClientID) { n.table.release(c) }

@@ -25,7 +25,7 @@ func TestReadLeavesNoWatermarkGap(t *testing.T) {
 		t.Fatalf("client completed %d writes, want 200", got)
 	}
 	for _, n := range nc.nodes {
-		cs := n.table.shardOf(1).clients[1]
+		cs := n.table.clients[1]
 		if cs.execThrough != 200 || len(cs.execRecent) != 0 {
 			t.Fatalf("node %d: executed through %d with %d ids parked above, want 200 and none", n.ID(), cs.execThrough, len(cs.execRecent))
 		}

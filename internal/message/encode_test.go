@@ -38,7 +38,7 @@ func sampleMessages() []Message {
 		&Checkpoint{Instance: 0, Seq: 128, Digest: types.Digest{3}, Node: 0, Auth: auth},
 		&Invalid{Node: 1, Padding: []byte("xxxx")},
 		&Fetch{Instance: 0, FromSeq: 1, ToSeq: 3, Node: 2, Auth: auth},
-		&FetchResp{Instance: 0, Seq: 2, Batch: refs, Node: 0, Auth: auth},
+		&FetchResp{Instance: 0, Seq: 2, View: 1, Batch: refs, Node: 0, Auth: auth},
 	}
 }
 

@@ -56,10 +56,13 @@ func (m *Fetch) Marshal(dst []byte) []byte {
 	return appendAuth(m.AppendBody(dst), m.Auth)
 }
 
-// FetchResp returns one delivered batch.
+// FetchResp returns one delivered batch and the view its sender delivered it
+// in: the two fix the batch's PRE-PREPARE digest, which the requester chains
+// into its log digest exactly as its peers did.
 type FetchResp struct {
 	Instance types.InstanceID
 	Seq      types.SeqNum
+	View     types.View
 	Batch    []types.RequestRef
 	Node     types.NodeID
 
@@ -71,12 +74,13 @@ var _ Message = (*FetchResp)(nil)
 // MsgType implements Message.
 func (m *FetchResp) MsgType() Type { return TypeFetchResp }
 
-func (m *FetchResp) bodySize() int { return 1 + 8*3 + refsSize(m.Batch) }
+func (m *FetchResp) bodySize() int { return 1 + 8*4 + refsSize(m.Batch) }
 
 func (m *FetchResp) appendBody(b []byte) []byte {
 	b = appendU8(b, uint8(TypeFetchResp))
 	b = appendU64(b, uint64(m.Instance))
 	b = appendU64(b, uint64(m.Seq))
+	b = appendU64(b, uint64(m.View))
 	b = appendU64(b, uint64(m.Node))
 	return appendRefs(b, m.Batch)
 }
@@ -107,6 +111,7 @@ func decodeFetchResp(r *reader) *FetchResp {
 	f := &FetchResp{
 		Instance: types.InstanceID(r.u64()),
 		Seq:      types.SeqNum(r.u64()),
+		View:     types.View(r.u64()),
 		Node:     types.NodeID(r.u64()),
 	}
 	f.Batch = r.refs()

@@ -27,7 +27,7 @@ func fuzzSeeds(f *testing.F) {
 		&Checkpoint{Instance: 0, Seq: 128, Node: 0},
 		&Invalid{Node: 1, Padding: []byte("xxxx")},
 		&Fetch{Instance: 0, FromSeq: 1, ToSeq: 3, Node: 2},
-		&FetchResp{Instance: 0, Seq: 2, Batch: refs, Node: 0},
+		&FetchResp{Instance: 0, Seq: 2, View: 1, Batch: refs, Node: 0},
 	}
 	for _, m := range msgs {
 		f.Add(m.Marshal(nil))

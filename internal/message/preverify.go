@@ -86,9 +86,6 @@ type Verified struct {
 	FromClient bool
 	Client     types.ClientID
 	From       types.NodeID
-	// SigCached reports whether the request-signature check was served from
-	// the verification cache (observability only).
-	SigCached bool
 	// Digest is what the client signed for the request or bundle a REQUEST or
 	// PROPAGATE carries (zero otherwise) — a single request's OpDigest, a
 	// bundle's BundleDigest: the value both authentication checks were made
@@ -283,11 +280,10 @@ func (p *Preverifier) preverifyClient(msg Message, claimed types.ClientID) (*Ver
 	if err := p.ring.VerifyClientAuthenticatorEntry(req.Client, p.self, body, req.Auth); err != nil {
 		return nil, failKind(FailBadMAC, err)
 	}
-	cached, err := p.requestSigOK(req.Client, body)
-	if err != nil {
+	if err := p.requestSigOK(req.Client, body); err != nil {
 		return nil, err
 	}
-	return &Verified{Msg: req, FromClient: true, Client: claimed, SigCached: cached, Digest: d, OpDigests: ops}, nil
+	return &Verified{Msg: req, FromClient: true, Client: claimed, Digest: d, OpDigests: ops}, nil
 }
 
 // preverifyNode preverifies a decoded node-NIC message from peer from.
@@ -319,7 +315,7 @@ func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, 
 		// phase exists to transfer; verify it here (cached) so the apply
 		// stage can adopt the request without any crypto. The request's
 		// own body is the PROPAGATE body minus type and node.
-		if _, err := p.requestSigOK(m.Req.Client, body[1+8:]); err != nil {
+		if err := p.requestSigOK(m.Req.Client, body[1+8:]); err != nil {
 			return nil, err
 		}
 	case *InstanceChange:
@@ -387,22 +383,21 @@ func (p *Preverifier) checkInstanceSender(msg Message, from types.NodeID) error 
 }
 
 // requestSigOK verifies the client signature of a request or bundle through
-// the cache, given its body (tag‖d‖signature). It reports whether the verdict
-// was served from cache.
-func (p *Preverifier) requestSigOK(client types.ClientID, body []byte) (cached bool, err error) {
+// the cache, given its body (tag‖d‖signature).
+func (p *Preverifier) requestSigOK(client types.ClientID, body []byte) error {
 	key := crypto.Digest(body)
 	if ok, hit := p.cache.lookup(key); hit {
 		if !ok {
-			return true, failKind(FailBadSig, crypto.ErrBadSignature)
+			return failKind(FailBadSig, crypto.ErrBadSignature)
 		}
-		return true, nil
+		return nil
 	}
 	verr := p.ring.VerifyClientSignature(client, body[:signedBodySize], body[signedBodySize:])
 	p.cache.store(key, verr == nil)
 	if verr != nil {
-		return false, failKind(FailBadSig, verr)
+		return failKind(FailBadSig, verr)
 	}
-	return false, nil
+	return nil
 }
 
 // InstanceAndSender extracts the instance id and claimed sender of a

@@ -70,8 +70,8 @@ const (
 	// it on each instance lane.
 	EvSpan // span
 	// EvClientEvicted: the bounded client table evicted a client's state
-	// (LRU). Client is the evicted client; Count is the owning shard's size
-	// after the eviction.
+	// (LRU). Client is the evicted client; Count is the table's size after
+	// the eviction.
 	EvClientEvicted // client-evicted
 )
 

@@ -1,12 +1,10 @@
 package pbft
 
 import (
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"time"
 
-	"rbft/internal/crypto"
 	"rbft/internal/message"
 	"rbft/internal/types"
 )
@@ -35,10 +33,17 @@ const (
 type fetchState struct {
 	target   types.SeqNum // highest sequence evidence says is committed
 	deadline time.Time    // next retry
-	// votes[seq][node] is the refs-digest a peer returned.
+	// votes[seq][node] is the batch digest a peer returned: the PRE-PREPARE
+	// digest of (instance, view, seq, refs), the one its log digest chains.
+	// The response that completes a quorum carries the content itself.
 	votes map[types.SeqNum]map[types.NodeID]types.Digest
-	// payloads[seq][digest] retains one candidate batch per digest.
-	payloads map[types.SeqNum]map[types.Digest][]types.RequestRef
+}
+
+// deliveredBatch is a delivered batch kept for serving fetches: its refs and
+// the view it was delivered in.
+type deliveredBatch struct {
+	view types.View
+	refs []types.RequestRef
 }
 
 // noteCheckpointEvidence is called for every received CHECKPOINT; when f+1
@@ -65,10 +70,7 @@ func (in *Instance) noteCheckpointEvidence(out *Output, seq types.SeqNum, now ti
 		return
 	}
 	if in.fetch == nil {
-		in.fetch = &fetchState{
-			votes:    make(map[types.SeqNum]map[types.NodeID]types.Digest),
-			payloads: make(map[types.SeqNum]map[types.Digest][]types.RequestRef),
-		}
+		in.fetch = &fetchState{votes: make(map[types.SeqNum]map[types.NodeID]types.Digest)}
 	}
 	if seq > in.fetch.target {
 		in.fetch.target = seq
@@ -111,19 +113,20 @@ func (in *Instance) onFetch(out *Output, f *message.Fetch) error {
 		to = from + fetchChunk
 	}
 	for seq := from + 1; seq <= to; seq++ {
-		refs, ok := in.recentDelivered[seq]
+		b, ok := in.recentDelivered[seq]
 		if !ok {
 			continue // GC'd past the retention window
 		}
-		resp := &message.FetchResp{Instance: in.cfg.Instance, Seq: seq, Batch: refs, Node: in.cfg.Node}
+		resp := &message.FetchResp{Instance: in.cfg.Instance, Seq: seq, View: b.view, Batch: b.refs, Node: in.cfg.Node}
 		resp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, resp.Body())
 		out.send([]types.NodeID{f.Node}, resp)
 	}
 	return nil
 }
 
-// onFetchResp tallies responses; f+1 identical batches from distinct peers
-// are adopted as delivered.
+// onFetchResp tallies responses; f+1 identical batches, delivered in the
+// same view, from distinct peers are adopted as delivered, under the view
+// and digest those peers delivered them with.
 func (in *Instance) onFetchResp(out *Output, fr *message.FetchResp, now time.Time) error {
 	if fr.Instance != in.cfg.Instance {
 		return fmt.Errorf("pbft: FETCH-RESP for instance %d on instance %d", fr.Instance, in.cfg.Instance)
@@ -131,7 +134,8 @@ func (in *Instance) onFetchResp(out *Output, fr *message.FetchResp, now time.Tim
 	if in.fetch == nil || fr.Seq <= in.lastDelivered || fr.Seq > in.fetch.target {
 		return nil
 	}
-	digest := refsDigest(fr.Batch)
+	pp := message.PrePrepare{Instance: fr.Instance, View: fr.View, Seq: fr.Seq, Batch: fr.Batch}
+	digest := pp.BatchDigest()
 	votes := in.fetch.votes[fr.Seq]
 	if votes == nil {
 		votes = make(map[types.NodeID]types.Digest, in.cfg.Cluster.WeakQuorum())
@@ -141,15 +145,6 @@ func (in *Instance) onFetchResp(out *Output, fr *message.FetchResp, now time.Tim
 		return nil
 	}
 	votes[fr.Node] = digest
-	payloads := in.fetch.payloads[fr.Seq]
-	if payloads == nil {
-		payloads = make(map[types.Digest][]types.RequestRef, 2)
-		in.fetch.payloads[fr.Seq] = payloads
-	}
-	if _, ok := payloads[digest]; !ok {
-		payloads[digest] = fr.Batch
-	}
-
 	if tally(votes, digest) < in.cfg.Cluster.WeakQuorum() {
 		return nil
 	}
@@ -159,8 +154,9 @@ func (in *Instance) onFetchResp(out *Output, fr *message.FetchResp, now time.Tim
 		in.unwait(fr.Seq, e)
 		e.delivered = true
 		e.havePP = true
-		e.view = in.view
-		e.batch = payloads[digest]
+		e.view = fr.View
+		e.digest = digest
+		e.batch = fr.Batch
 		in.deliverReady(out, now)
 	}
 	in.fetchProgress()
@@ -174,7 +170,6 @@ func (in *Instance) fetchProgress() {
 		return
 	}
 	maps.DeleteFunc(in.fetch.votes, func(s types.SeqNum, _ map[types.NodeID]types.Digest) bool { return s <= in.lastDelivered })
-	maps.DeleteFunc(in.fetch.payloads, func(s types.SeqNum, _ map[types.Digest][]types.RequestRef) bool { return s <= in.lastDelivered })
 	if in.fetch.target <= in.lastDelivered {
 		in.fetch = nil
 	}
@@ -203,12 +198,12 @@ func (in *Instance) fetchTick(out *Output, now time.Time) {
 // prunes the retention window. The refs that the pruned batch delivered and
 // this replica still holds leave with it: the retention window is as long
 // as a replica remembers a delivered ref it was not told executed.
-func (in *Instance) retainDelivered(seq types.SeqNum, refs []types.RequestRef) {
-	in.recentDelivered[seq] = refs
+func (in *Instance) retainDelivered(seq types.SeqNum, view types.View, refs []types.RequestRef) {
+	in.recentDelivered[seq] = deliveredBatch{view: view, refs: refs}
 	retention := retainDeliveredFactor * in.cfg.WatermarkWindow
 	if seq > retention {
 		old := seq - retention
-		for _, ref := range in.recentDelivered[old] {
+		for _, ref := range in.recentDelivered[old].refs {
 			if r := in.reqs[ref]; r != nil && r.at == old {
 				r.retire = true
 				in.settle(ref, r)
@@ -216,15 +211,4 @@ func (in *Instance) retainDelivered(seq types.SeqNum, refs []types.RequestRef) {
 		}
 		delete(in.recentDelivered, old)
 	}
-}
-
-// refsDigest hashes a batch's request refs (order-sensitive).
-func refsDigest(refs []types.RequestRef) types.Digest {
-	buf := make([]byte, 0, len(refs)*(16+types.DigestSize))
-	for _, r := range refs {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Client))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.ID))
-		buf = append(buf, r.Digest[:]...)
-	}
-	return crypto.Digest(buf)
 }

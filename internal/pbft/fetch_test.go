@@ -9,7 +9,9 @@ import (
 
 // TestFetchRecoversPartitionedReplica: one replica loses all inbound traffic
 // while the others order and checkpoint past it; when connectivity returns,
-// checkpoint evidence reveals the gap and the fetch protocol fills it.
+// checkpoint evidence reveals the gap and the fetch protocol fills it. The
+// adopted batches must then chain into the same log digest as its peers', so
+// its later checkpoints match theirs and become stable.
 func TestFetchRecoversPartitionedReplica(t *testing.T) {
 	tc := newTestCluster(t, 1, func(c *Config) {
 		c.BatchSize = 1
@@ -38,7 +40,7 @@ func TestFetchRecoversPartitionedReplica(t *testing.T) {
 	// Heal the partition; order more traffic so fresh checkpoints reach the
 	// victim and reveal its gap.
 	tc.drop = nil
-	for i := 20; i < 40; i++ {
+	for i := 20; i < 60; i++ {
 		tc.addRequest(ref(0, types.RequestID(i)))
 	}
 
@@ -49,6 +51,12 @@ func TestFetchRecoversPartitionedReplica(t *testing.T) {
 	}
 	if !sameOrder(want, got) {
 		t.Fatal("victim's recovered order diverges")
+	}
+	for n, r := range tc.replicas {
+		if r.stableSeq != 60 || r.logDigest != tc.replicas[victim].logDigest {
+			t.Fatalf("node %d is stable at %d, the victim at %d; want both at 60 with one log digest",
+				n, r.stableSeq, tc.replicas[victim].stableSeq)
+		}
 	}
 }
 
@@ -87,8 +95,8 @@ func TestFetchRequiresWeakQuorum(t *testing.T) {
 	}
 }
 
-// TestFetchMismatchedResponsesDoNotCount: two responders with different
-// content do not form a quorum.
+// TestFetchMismatchedResponsesDoNotCount: responders with different content,
+// or with the same refs delivered in different views, do not form a quorum.
 func TestFetchMismatchedResponsesDoNotCount(t *testing.T) {
 	tc := newTestCluster(t, 1, nil)
 	in := tc.replicas[0]
@@ -100,8 +108,10 @@ func TestFetchMismatchedResponsesDoNotCount(t *testing.T) {
 	}
 	a := &message.FetchResp{Instance: 0, Seq: 1, Batch: []types.RequestRef{ref(1, 1)}, Node: 1}
 	b := &message.FetchResp{Instance: 0, Seq: 1, Batch: []types.RequestRef{ref(2, 2)}, Node: 2}
+	c := &message.FetchResp{Instance: 0, Seq: 1, View: 1, Batch: []types.RequestRef{ref(1, 1)}, Node: 3}
 	in.OnMessage(a, tc.now)
 	in.OnMessage(b, tc.now)
+	in.OnMessage(c, tc.now)
 	if in.lastDelivered != 0 {
 		t.Fatal("mismatched responses formed a quorum")
 	}
@@ -139,7 +149,7 @@ func TestFetchServesRetainedBatches(t *testing.T) {
 	}
 }
 
-// TestFetchRespRoundTrip covers the new codec paths.
+// TestFetchCodecRoundTrip covers the FETCH and FETCH-RESP codec paths.
 func TestFetchCodecRoundTrip(t *testing.T) {
 	f := &message.Fetch{Instance: 1, FromSeq: 10, ToSeq: 20, Node: 2}
 	wire := f.Marshal(nil)
@@ -150,13 +160,14 @@ func TestFetchCodecRoundTrip(t *testing.T) {
 	if g, ok := got.(*message.Fetch); !ok || g.FromSeq != 10 || g.ToSeq != 20 {
 		t.Fatalf("decoded %#v", got)
 	}
-	fr := &message.FetchResp{Instance: 1, Seq: 15, Batch: []types.RequestRef{ref(1, 2)}, Node: 0}
+	fr := &message.FetchResp{Instance: 1, Seq: 15, View: 3, Batch: []types.RequestRef{ref(1, 2)}, Node: 2}
 	wire = fr.Marshal(nil)
 	got, err = message.Decode(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, ok := got.(*message.FetchResp); !ok || g.Seq != 15 || len(g.Batch) != 1 {
+	if g, ok := got.(*message.FetchResp); !ok || g.Instance != 1 || g.Seq != 15 || g.View != 3 || g.Node != 2 ||
+		len(g.Batch) != 1 || g.Batch[0] != fr.Batch[0] {
 		t.Fatalf("decoded %#v", got)
 	}
 }

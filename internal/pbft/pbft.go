@@ -197,7 +197,7 @@ type Instance struct {
 	viewChanges map[types.View]map[types.NodeID]*message.ViewChange
 
 	// Catch-up state (see fetch.go).
-	recentDelivered map[types.SeqNum][]types.RequestRef
+	recentDelivered map[types.SeqNum]deliveredBatch
 	fetch           *fetchState
 
 	// Crash-recovery state (see durability.go): promises replayed from the
@@ -255,7 +255,7 @@ func New(cfg Config, keys *crypto.KeyRing) *Instance {
 		checkpointDigests: make(map[types.SeqNum]types.Digest),
 		checkpoints:       make(map[types.SeqNum]map[types.NodeID]types.Digest),
 		viewChanges:       make(map[types.View]map[types.NodeID]*message.ViewChange),
-		recentDelivered:   make(map[types.SeqNum][]types.RequestRef),
+		recentDelivered:   make(map[types.SeqNum]deliveredBatch),
 		promisedPrepare:   make(map[types.SeqNum]promise),
 		promisedCommit:    make(map[types.SeqNum]promise),
 		tr:                obs.Nop{},
@@ -783,7 +783,7 @@ func (in *Instance) deliverReady(out *Output, now time.Time) {
 			View:     e.view,
 			Refs:     refs,
 		})
-		in.retainDelivered(next, e.batch)
+		in.retainDelivered(next, e.view, e.batch)
 		in.logDigest = chainDigest(in.logDigest, e.digest)
 
 		if next%in.cfg.CheckpointInterval == 0 {

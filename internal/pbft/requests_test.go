@@ -176,13 +176,15 @@ func TestLaggingReplicaKeepsRecordUntilDelivery(t *testing.T) {
 // TestLaggingPrimaryReproposalDoesNotStall: the view-1 primary missed view 0
 // entirely, so it re-proposes the refs it knows and has not delivered. The
 // others executed and forgot them; their node's decided answer lets them
-// prepare without waiting, and deliver nothing twice. (The window is wide
-// because a replica that caught up through FETCH does not stabilize again.)
+// prepare without waiting, and deliver nothing twice. (The window is one
+// checkpoint wider than the default: the new primary fetches seqs 1-4, but
+// delivers seq 5 in view 1 where the others delivered it in view 0, so its
+// log digest forks there and it does not stabilize again.)
 func TestLaggingPrimaryReproposalDoesNotStall(t *testing.T) {
 	tc := newTestCluster(t, 1, func(c *Config) {
 		c.BatchSize = 1
 		c.CheckpointInterval = 2
-		c.WatermarkWindow = 64
+		c.WatermarkWindow = 10
 	})
 	tc.nodeSignal()
 	p1 := tc.cfg.PrimaryOf(1, 0)

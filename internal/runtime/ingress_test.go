@@ -61,9 +61,8 @@ func nextPropagate(t *testing.T, ep transport.Transport) types.RequestKey {
 
 // TestIngressSlabKeepsArrivalOrder queues six frames on a node's endpoint
 // before its reader runs. The reader must hand the apply loop ONE slab holding
-// the four that are attributable and admitted, in arrival order; the apply
-// loop must then feed them to the node in that order, the rejected one in its
-// place, and give the admitted client frame's budget slot back.
+// the five that are attributable, in arrival order; the apply loop must then
+// feed them to the node in that order, the rejected one in its place.
 //
 // Order is observed through the flood defence: with a threshold of one, the
 // garbage frame from node 1 closes node 1's NIC, so node 1's PROPAGATE ahead
@@ -73,7 +72,7 @@ func TestIngressSlabKeepsArrivalOrder(t *testing.T) {
 	ks := crypto.NewKeyStore([]byte("slab-test"), cluster.N, 3)
 	nr, net := idleRuntime(core.Config{
 		Cluster: cluster, Node: 3, // primary of no instance in view 0: it orders nothing
-		BatchSize: 10000, FloodThreshold: 1, IngressBudget: 1,
+		BatchSize: 10000, FloodThreshold: 1,
 	}, ks)
 	peer1, peer2 := net.Endpoint(NodeName(1)), net.Endpoint(NodeName(2))
 	stranger, client2 := net.Endpoint("router/7"), net.Endpoint(ClientName(2))
@@ -82,7 +81,7 @@ func TestIngressSlabKeepsArrivalOrder(t *testing.T) {
 	cl1 := client.New(client.Config{Cluster: cluster, ID: 1}, ks.ClientRing(1))
 	cl2 := client.New(client.Config{Cluster: cluster, ID: 2}, ks.ClientRing(2))
 	reqA, reqB := cl1.NewRequest([]byte("ahead"), now), cl1.NewRequest([]byte("behind"), now)
-	reqC, reqD := cl2.NewRequest([]byte("admitted"), now), cl2.NewRequest([]byte("shed"), now)
+	reqC, reqD := cl2.NewRequest([]byte("first"), now), cl2.NewRequest([]byte("second"), now)
 	frameA, frameB := propagateFrame(ks, cluster, 1, reqA), propagateFrame(ks, cluster, 1, reqB)
 	garbage := []byte("garbage")
 	to := NodeName(3)
@@ -107,19 +106,18 @@ func TestIngressSlabKeepsArrivalOrder(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the reader produced no slab")
 	}
-	if len(slab) != 4 {
-		t.Fatalf("slab holds %d items, want the 4 attributable, admitted frames of one drain", len(slab))
+	if len(slab) != 5 {
+		t.Fatalf("slab holds %d items, want the 5 attributable frames of one drain", len(slab))
 	}
 	for i, want := range [][]byte{frameA, garbage, frameB} {
 		if it := &slab[i]; it.from != nodeEndpoint(1) || string(it.data) != string(want) {
 			t.Fatalf("slab[%d] is not node 1's frame %d", i, i)
 		}
 	}
-	if it := &slab[3]; it.from != clientEndpoint(2) || string(it.data) != string(reqC.Marshal(nil)) {
-		t.Fatalf("slab[3] is from %+v, want client 2's first REQUEST", it.from)
-	}
-	if nr.node.AdmitIngress(2) {
-		t.Fatal("client 2's shard admitted a second frame while its one slot is in flight")
+	for i, req := range []*message.Request{reqC, reqD} {
+		if it := &slab[3+i]; it.from != clientEndpoint(2) || string(it.data) != string(req.Marshal(nil)) {
+			t.Fatalf("slab[%d] is from %+v, want client 2's REQUEST %d", 3+i, it.from, i)
+		}
 	}
 
 	nr.pending <- slab
@@ -132,8 +130,7 @@ func TestIngressSlabKeepsArrivalOrder(t *testing.T) {
 	if got, want := nextPropagate(t, peer2), (types.RequestKey{Client: 2, ID: reqC.ID}); got != want {
 		t.Fatalf("second PROPAGATE is of %+v, want %+v: the frame behind the rejected one must have met a closed NIC", got, want)
 	}
-	if !nr.node.AdmitIngress(2) {
-		t.Fatal("the applied client frame did not release its admission slot")
+	if got, want := nextPropagate(t, peer2), (types.RequestKey{Client: 2, ID: reqD.ID}); got != want {
+		t.Fatalf("third PROPAGATE is of %+v, want %+v", got, want)
 	}
-	nr.node.ReleaseIngress(2)
 }

@@ -104,7 +104,7 @@ const ingressQueueDepth = 1024
 // verifier pool drains work even on shutdown.
 type ingressItem struct {
 	data []byte
-	from endpoint  // a client's frame holds an ingress-budget slot until applied
+	from endpoint
 	at   time.Time // arrival stamp, set only when spans are on
 
 	ready sync.WaitGroup
@@ -231,17 +231,10 @@ func (nr *NodeRuntime) readLoop() {
 }
 
 // classify fills the zero slab slot it and arms its latch. An unattributable
-// frame (unknown endpoint name) or a shed client frame leaves it as it is: false.
+// frame (unknown endpoint name) leaves it as it is: false.
 func (nr *NodeRuntime) classify(p transport.Packet, it *ingressItem) bool {
 	ep, err := parseName(p.From)
 	if err != nil || (!ep.client && (ep.id < 0 || ep.id >= nr.cluster.N)) {
-		return false
-	}
-	// Admission control (core.Config.IngressBudget): a client frame claims a
-	// per-shard budget slot here, ahead of the verifier pool, so an overload
-	// burst is shed before the crypto stage, where its cost would be paid.
-	//rbft:ignore lockdiscipline -- AdmitIngress touches only the lock-striped client table, never node state guarded by mu
-	if ep.client && !nr.node.AdmitIngress(types.ClientID(ep.id)) {
 		return false
 	}
 	it.data, it.from = p.Data, ep
@@ -344,9 +337,6 @@ func (nr *NodeRuntime) apply(it *ingressItem) {
 		out = nr.node.OnVerified(it.v, now)
 	}
 	nr.mu.Unlock()
-	if it.from.client {
-		nr.node.ReleaseIngress(types.ClientID(it.from.id))
-	}
 	nr.emit(tickOut)
 	nr.emit(out)
 }

@@ -7,7 +7,6 @@ import (
 
 	"rbft/internal/app"
 	"rbft/internal/core"
-	"rbft/internal/obs"
 	"rbft/internal/pbft"
 	"rbft/internal/types"
 )
@@ -127,56 +126,6 @@ func TestTwoClientsConcurrentlyTCP(t *testing.T) {
 			t.Fatalf("totals %d/%d, want %d/%d", apps[0].Total(1), apps[0].Total(2), n, n)
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func TestIngressAdmissionControl(t *testing.T) {
-	// With a one-slot ingress budget, a burst of client frames must be shed
-	// at the reader — before the crypto stage — yet the protocol still
-	// completes every request through client retransmission.
-	reg := obs.NewRegistry()
-	var apps []*app.Counter
-	lc, err := StartLocalCluster(ClusterOptions{
-		F:         1,
-		Transport: Mem,
-		Metrics:   reg,
-		NewApp: func(n types.NodeID) app.Application {
-			c := app.NewCounter()
-			apps = append(apps, c)
-			return c
-		},
-		RetransmitTimeout: 50 * time.Millisecond,
-		Tune:              func(c *core.Config) { c.IngressBudget = 1 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(lc.Stop)
-	cr, err := lc.NewClient(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 50
-	for i := 0; i < n; i++ {
-		cr.Submit([]byte(fmt.Sprintf("op-%d", i)))
-	}
-	got := 0
-	deadline := time.After(30 * time.Second)
-	for got < n {
-		select {
-		case <-cr.Completions():
-			got++
-		case <-deadline:
-			t.Fatalf("completed %d of %d requests under admission control", got, n)
-		}
-	}
-	admitted := reg.Counter("rbft_ingress_admitted_total").Value()
-	rejected := reg.Counter("rbft_ingress_rejected_total").Value()
-	if admitted == 0 {
-		t.Fatal("no client frames counted as admitted")
-	}
-	if rejected == 0 {
-		t.Fatal("a one-slot budget under a 50-request burst shed nothing")
 	}
 }
 

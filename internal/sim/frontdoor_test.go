@@ -100,7 +100,6 @@ func TestOpenLoopMillionClientFrontDoor(t *testing.T) {
 	cfg := baseConfig(1, 8, 0, 0)
 	cfg.Seed = 11
 	cfg.MaxClients = 4096
-	cfg.ClientShards = 16
 	cfg.CheckpointInterval = 128
 	cfg.WatermarkWindow = 1024
 	cfg.Workload = Workload{
@@ -112,6 +111,11 @@ func TestOpenLoopMillionClientFrontDoor(t *testing.T) {
 		}},
 	}
 	s := New(cfg)
+	regs := make([]*obs.Registry, len(s.nodes))
+	for i, sn := range s.nodes {
+		regs[i] = obs.NewRegistry()
+		sn.node.SetRegistry(regs[i])
+	}
 	res := s.Run(2 * time.Second)
 	if res.Completed == 0 {
 		t.Fatal("million-client run completed no requests")
@@ -121,9 +125,12 @@ func TestOpenLoopMillionClientFrontDoor(t *testing.T) {
 	}
 	// ~20k distinct clients sent; a table that held them all would be 5x the
 	// bound, so staying under it proves eviction is working on every node.
-	for i := 0; i < s.Cluster().N; i++ {
+	for i, reg := range regs {
 		if got := s.Node(types.NodeID(i)).ClientCount(); got > cfg.MaxClients {
 			t.Fatalf("node %d client table holds %d entries, bound %d", i, got, cfg.MaxClients)
+		}
+		if got := reg.Counter("rbft_client_evictions_total").Value(); got == 0 {
+			t.Fatalf("node %d evicted no client; the bound was never reached", i)
 		}
 	}
 }

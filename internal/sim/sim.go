@@ -123,12 +123,6 @@ type Config struct {
 	// an evicted client that retransmits is re-verified from scratch. 0 (the
 	// default) keeps the table unbounded, as before.
 	MaxClients int
-	// ClientShards sets each node's client-table shard count
-	// (core.Config.ClientShards); 0 uses the core default. Sharding only
-	// matters for lock striping in the live runtime — the simulator is
-	// single-threaded — but the shard count changes eviction (per-shard LRU),
-	// so it is a modelled parameter too.
-	ClientShards int
 
 	// NodeBehavior installs Byzantine node behaviour for attacks.
 	NodeBehavior map[types.NodeID]core.Behavior
@@ -362,7 +356,6 @@ func (s *Sim) newCoreNode(id types.NodeID) *core.Node {
 		CheckpointInterval: s.cfg.CheckpointInterval,
 		WatermarkWindow:    s.cfg.WatermarkWindow,
 		MaxClients:         s.cfg.MaxClients,
-		ClientShards:       s.cfg.ClientShards,
 		Monitoring:         s.cfg.Monitoring,
 		FloodThreshold:     s.cfg.FloodThreshold,
 		FloodWindow:        s.cfg.FloodWindow,

@@ -21,8 +21,8 @@ type Phase struct {
 	// requests arrive at Clients x RatePerClient per second, each arrival
 	// cycling through the population. Clients are instantiated lazily — a
 	// million-client front door only ever materialises the clients that
-	// actually send — which is the regime the sharded client table and
-	// admission control are sized for.
+	// actually send — which is the regime the bounded client table is sized
+	// for.
 	OpenLoop bool
 }
 

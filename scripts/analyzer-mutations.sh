@@ -54,6 +54,10 @@ mutate pipeblock internal/runtime/egress.go \
 # Guarded node state read before the lock is taken.
 mutate lockdiscipline internal/runtime/runtime.go \
 	's|^func (nr \*NodeRuntime) apply(it \*ingressItem) {$|&\n\t_ = nr.node.NextWake()|'
+# The node reached from the reader goroutine, which never takes the lock: the
+# client table is the apply stage's alone.
+mutate lockdiscipline internal/runtime/runtime.go \
+	's|^func (nr \*NodeRuntime) classify(p transport.Packet, it \*ingressItem) bool {$|&\n\t_ = nr.node.NextWake()|'
 # Map iteration order escaping into a returned slice.
 mutate maprange internal/sim/sim.go \
 	'$a func closedPeers(sn *simNode) (peers []types.NodeID) { for p := range sn.closed { peers = append(peers, p) }; return peers }'

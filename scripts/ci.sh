@@ -85,7 +85,7 @@ echo "== line gate (ROADMAP item 2: non-test lines of internal/{core,sim,runtime
 # The ceilings are what earlier changes left behind: the drivers and the node
 # may shrink, never grow back; nor may the protocol instance, since its
 # per-request state became one record per request in flight.
-ceiling_lines=4935 ceiling_code=3384 pbft_ceiling_lines=1651
+ceiling_lines=4783 ceiling_code=3284 pbft_ceiling_lines=1623
 for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "internal/message" "internal/crypto"; do
 	f=$(for d in $dirs; do ls $d/*.go; done | grep -v _test.go)
 	lines=$(cat $f | wc -l) code=$(cat $f | grep -vE '^\s*(//|$)' | wc -l)
