@@ -291,11 +291,7 @@ func New(cfg Config, keys *crypto.KeyRing) *Node {
 			BatchTimeout:       c.BatchTimeout,
 			CheckpointInterval: c.CheckpointInterval,
 			WatermarkWindow:    c.WatermarkWindow,
-			// The node's preverify stage checks VIEW-CHANGE signatures
-			// (including the copies embedded in NEW-VIEW) before the replica
-			// ever sees them; don't pay for them twice.
-			SigPreverified: true,
-			Durable:        c.Durable,
+			Durable:            c.Durable,
 		}
 		r := pbft.New(pc, keys)
 		r.SetDecided(n.table.executed)

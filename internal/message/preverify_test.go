@@ -181,3 +181,53 @@ func TestVerifyCacheEviction(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 1/4: the resident verdict must be served from cache", h, m)
 	}
 }
+
+// viewChangeOf is node's signed VIEW-CHANGE of instance 0 to view 1.
+func viewChangeOf(ks *crypto.KeyStore, node types.NodeID) ViewChange {
+	vc := ViewChange{Instance: 0, NewView: 1, Node: node}
+	vc.Sig = ks.NodeRing(node).Sign(vc.Body())
+	return vc
+}
+
+// TestPreverifyViewChangeBadSignature: the preverifier is the one place a
+// VIEW-CHANGE's signature is checked — the replica trusts what it is handed —
+// so a flipped signature byte must fail here, as a bad signature.
+func TestPreverifyViewChangeBadSignature(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	vc := viewChangeOf(ks, 1)
+	if _, err := pre.preverifyNode(&vc, 1); err != nil {
+		t.Fatalf("genuine VIEW-CHANGE rejected: %v", err)
+	}
+	vc.Sig[0] ^= 0x01
+	if _, err := pre.preverifyNode(&vc, 1); failKindOf(err) != FailBadSig {
+		t.Fatalf("VIEW-CHANGE with a flipped signature byte: %v, want FailBadSig", err)
+	}
+}
+
+// TestPreverifyNewViewEmbeddedBadSignature: a NEW-VIEW carries the
+// VIEW-CHANGEs that justify it, each signed by its originator. A primary that
+// tampers with one and MACs the result honestly gets past the MAC and no
+// further.
+func TestPreverifyNewViewEmbeddedBadSignature(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	primary := types.NewConfig(1).PrimaryOf(1, 0)
+	newView := func(tamper bool) *NewView {
+		nv := &NewView{Instance: 0, View: 1, Node: primary}
+		for _, n := range []types.NodeID{1, 2, 3} {
+			nv.ViewChanges = append(nv.ViewChanges, viewChangeOf(ks, n))
+		}
+		if tamper {
+			nv.ViewChanges[2].Sig[0] ^= 0x01
+		}
+		nv.Auth = ks.NodeRing(primary).AuthenticatorForNodes(testN, nv.Body())
+		return nv
+	}
+	if _, err := pre.preverifyNode(newView(false), primary); err != nil {
+		t.Fatalf("genuine NEW-VIEW rejected: %v", err)
+	}
+	if _, err := pre.preverifyNode(newView(true), primary); failKindOf(err) != FailBadSig {
+		t.Fatalf("NEW-VIEW with a tampered embedded signature: %v, want FailBadSig", err)
+	}
+}

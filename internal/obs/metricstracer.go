@@ -10,11 +10,12 @@ import (
 // MetricsTracer derives registry metrics from the event stream, so a
 // deployment gets per-instance ordered counts, batch-size distribution,
 // instance-change counts by reason, NIC closures and message drops from the
-// same instrumentation points that feed the trace sinks.
+// same instrumentation points that feed the trace sinks. Executions it leaves
+// to the node, which counts them per lane (rbft_executed_total{lane}) on the
+// same registry: counting them here too would serve every execution twice.
 type MetricsTracer struct {
 	reg *Registry
 
-	executed  *Counter
 	nicCloses *Counter
 	msgDrops  *Counter
 	icStarts  *Counter
@@ -37,7 +38,6 @@ type stageKey struct {
 func NewMetricsTracer(reg *Registry) *MetricsTracer {
 	return &MetricsTracer{
 		reg:       reg,
-		executed:  reg.Counter("rbft_executed_total"),
 		nicCloses: reg.Counter("rbft_nic_closures_total"),
 		msgDrops:  reg.Counter("rbft_messages_dropped_total"),
 		icStarts:  reg.Counter("rbft_instance_change_votes_total"),
@@ -57,8 +57,6 @@ func (mt *MetricsTracer) Trace(ev Event) {
 	case EvOrdered:
 		mt.orderedCounter(ev.Instance).Add(uint64(ev.Count))
 		mt.batchSize.Observe(float64(ev.Count))
-	case EvExecuted:
-		mt.executed.Inc()
 	case EvInstanceChangeStart:
 		mt.icStarts.Inc()
 	case EvInstanceChangeComplete:

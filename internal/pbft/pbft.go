@@ -58,12 +58,6 @@ type Config struct {
 	// WatermarkWindow is the width of the sequence window above the last
 	// stable checkpoint within which ordering may proceed.
 	WatermarkWindow types.SeqNum
-	// SigPreverified declares that the driver's ingress pipeline already
-	// verified VIEW-CHANGE signatures (including the copies embedded in
-	// NEW-VIEW) before handing messages to this replica, so the replica
-	// skips re-verifying them. core.Node sets this; replicas driven
-	// directly off the wire must leave it false.
-	SigPreverified bool
 	// Durable makes the replica attach wal.Records to its Outputs for every
 	// state transition that must survive a crash (see durability.go). The
 	// driver must persist an output's records before transmitting its
@@ -97,14 +91,10 @@ type Behavior struct {
 	// PrePrepareDelay makes a malicious primary hold every PRE-PREPARE for
 	// the given duration before sending it.
 	PrePrepareDelay time.Duration
-	// ProposeInterval throttles a malicious primary to at most one batch
-	// per interval, reducing its instance's throughput (worst-attack-2: the
-	// faulty master primary delays requests down to the detection limit).
-	ProposeInterval time.Duration
 	// ProposeRate throttles a malicious primary to at most this many
 	// request refs per second (token bucket), the precise pacing a smart
 	// worst-attack-2 primary uses to sit just above the Δ detection
-	// threshold. Takes precedence over ProposeInterval.
+	// threshold.
 	ProposeRate float64
 	// DelayClients makes an unfair primary delay proposals containing
 	// requests from these clients by PrePrepareDelay while serving everyone
@@ -208,10 +198,9 @@ type Instance struct {
 	restore         *restoreState
 
 	// Delayed PRE-PREPAREs (malicious primary attack hook).
-	delayed     []delayedSend
-	lastPropose time.Time
-	tokens      float64
-	lastRefill  time.Time
+	delayed    []delayedSend
+	tokens     float64
+	lastRefill time.Time
 
 	// Statistics.
 	stats Stats
@@ -382,7 +371,6 @@ func (in *Instance) cutBatch(out *Output, now time.Time) {
 	if !in.IsPrimary() || in.inViewChange || len(in.pending) == 0 {
 		return
 	}
-	throttle := in.behavior.ProposeInterval
 	rate := in.behavior.ProposeRate
 	if rate > 0 {
 		// Token-bucket pacing: refill, burst-capped at one batch.
@@ -398,12 +386,6 @@ func (in *Instance) cutBatch(out *Output, now time.Time) {
 		}
 	}
 	for len(in.pending) > 0 {
-		if throttle > 0 && rate == 0 {
-			if next := in.lastPropose.Add(throttle); now.Before(next) {
-				in.batchDeadline = next
-				return
-			}
-		}
 		if in.nextSeq > in.stableSeq+in.cfg.WatermarkWindow {
 			// Out of watermark window; wait for a stable checkpoint.
 			break
@@ -445,7 +427,6 @@ func (in *Instance) cutBatch(out *Output, now time.Time) {
 		in.nextSeq++
 		in.stats.Proposed++
 
-		in.lastPropose = now
 		since := in.pendingSince
 		if len(in.pending) == 0 {
 			in.pendingSince = time.Time{}
@@ -455,13 +436,6 @@ func (in *Instance) cutBatch(out *Output, now time.Time) {
 			in.delayed = append(in.delayed, delayedSend{at: now.Add(delay), msg: pp, since: since})
 		} else {
 			in.emitPrePrepare(out, pp, now, since)
-		}
-		if throttle > 0 && rate == 0 {
-			// One batch per interval: re-arm for the backlog.
-			if len(in.pending) > 0 {
-				in.batchDeadline = now.Add(throttle)
-			}
-			return
 		}
 	}
 }
@@ -491,7 +465,6 @@ func (in *Instance) ProposeFiller(now time.Time) Output {
 	pp := &message.PrePrepare{Instance: in.cfg.Instance, View: in.view, Seq: in.nextSeq, Node: in.cfg.Node}
 	in.nextSeq++
 	in.stats.Proposed++
-	in.lastPropose = now
 	in.emitPrePrepare(&out, pp, now, time.Time{})
 	return out
 }
@@ -539,7 +512,8 @@ func (in *Instance) emitPrePrepare(out *Output, pp *message.PrePrepare, now time
 }
 
 // OnMessage dispatches a verified instance message. The node layer has
-// already verified the MAC authenticator and that msg's Node field matches
+// already verified the MAC authenticator, the VIEW-CHANGE signatures
+// (including those embedded in a NEW-VIEW), and that msg's Node field matches
 // the authenticated sender.
 func (in *Instance) OnMessage(msg message.Message, now time.Time) (Output, error) {
 	var out Output

@@ -656,10 +656,4 @@ func TestNewViewValidationRejectsForgery(t *testing.T) {
 	if _, err := tc.replicas[victim].OnMessage(nv, tc.now); err == nil {
 		t.Fatal("NEW-VIEW with no view-change quorum must be rejected")
 	}
-	// Forged signature.
-	vc := &message.ViewChange{Instance: 0, NewView: v, Node: 0}
-	vc.Sig = []byte("forged")
-	if _, err := tc.replicas[victim].OnMessage(vc, tc.now); err == nil {
-		t.Fatal("VIEW-CHANGE with a forged signature must be rejected")
-	}
 }

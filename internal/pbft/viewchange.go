@@ -72,11 +72,6 @@ func (in *Instance) onViewChange(out *Output, vc *message.ViewChange) error {
 	if vc.NewView < in.view {
 		return nil // stale
 	}
-	if vc.Node != in.cfg.Node && !in.cfg.SigPreverified {
-		if err := in.keys.VerifyNodeSignature(vc.Node, vc.Body(), vc.Sig); err != nil {
-			return fmt.Errorf("pbft: VIEW-CHANGE signature from node %d: %w", vc.Node, err)
-		}
-	}
 	byNode := in.viewChanges[vc.NewView]
 	if byNode == nil {
 		byNode = make(map[types.NodeID]*message.ViewChange, in.cfg.Cluster.Quorum())
@@ -178,11 +173,6 @@ func (in *Instance) onNewView(out *Output, nv *message.NewView, now time.Time) e
 		vc := &nv.ViewChanges[i]
 		if vc.Instance != in.cfg.Instance || vc.NewView != nv.View {
 			return fmt.Errorf("pbft: NEW-VIEW embeds mismatched VIEW-CHANGE (instance %d, view %d)", vc.Instance, vc.NewView)
-		}
-		if !in.cfg.SigPreverified {
-			if err := in.keys.VerifyNodeSignature(vc.Node, vc.Body(), vc.Sig); err != nil {
-				return fmt.Errorf("pbft: NEW-VIEW embedded signature from node %d: %w", vc.Node, err)
-			}
 		}
 		seen[vc.Node] = true
 	}

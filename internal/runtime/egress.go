@@ -69,7 +69,8 @@ type peerQueue struct {
 	dropped *obs.Counter
 }
 
-// egress owns the per-peer queues and workers of one node runtime.
+// egress owns the per-peer queues and workers of one node runtime. Only the
+// apply loop enqueues, so the queue map needs no lock.
 type egress struct {
 	tr    transport.Transport
 	wal   *wal.Log // nil unless durability is on
@@ -78,8 +79,7 @@ type egress struct {
 	sp    obs.Tracer // node-stamped span sink; Nop unless spans are on
 	spans bool
 
-	mu     sync.Mutex
-	queues map[endpoint]*peerQueue // guarded by mu; lazily created per peer
+	queues map[endpoint]*peerQueue // created lazily per peer: clients appear at run time
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -99,8 +99,6 @@ func newEgress(tr transport.Transport, w *wal.Log, self string, reg *obs.Registr
 
 // queue returns the peer's queue, creating it (and its worker) on first use.
 func (e *egress) queue(peer endpoint) *peerQueue {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if q, ok := e.queues[peer]; ok {
 		return q
 	}
@@ -120,8 +118,7 @@ func (e *egress) queue(peer endpoint) *peerQueue {
 
 // enqueue hands a frame to the peer's queue without ever blocking the
 // caller: on overflow it drops the oldest queued frame and retries. Runs on
-// the apply loop — it must stay non-blocking and lock-free apart from the
-// queue-map mutex.
+// the apply loop — it must stay non-blocking and lock-free.
 func (e *egress) enqueue(peer endpoint, f *egressFrame) {
 	q := e.queue(peer)
 	for {

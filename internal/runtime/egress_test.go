@@ -266,7 +266,7 @@ func TestApplyLoopSurvivesWedgedPeer(t *testing.T) {
 	healthy := net.Endpoint(NodeName(2))
 	clientEp := net.Endpoint(ClientName(1))
 
-	nr := StartNodeOpts(node, we, cluster, NodeOptions{IngressWorkers: 2})
+	nr := StartNodeOpts(node, we, cluster, NodeOptions{})
 	defer nr.Stop()
 	// Unwedge before Stop (defers run LIFO): Stop waits for the egress
 	// workers, and a worker parked inside the wedged Send can only observe

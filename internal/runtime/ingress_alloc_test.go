@@ -25,7 +25,7 @@ import (
 func TestIngressAllocatesPerSlabNotPerFrame(t *testing.T) {
 	cluster := types.NewConfig(1)
 	ks := crypto.NewKeyStore([]byte("ingress-alloc-test"), cluster.N, 2)
-	nr, net := idleRuntime(core.Config{Cluster: cluster, Node: 3, BatchSize: 10000}, ks)
+	nr, node, net := idleRuntime(core.Config{Cluster: cluster, Node: 3, BatchSize: 10000}, ks)
 	peer := net.Endpoint(NodeName(1))
 	req := client.New(client.Config{Cluster: cluster, ID: 1}, ks.ClientRing(1)).NewRequest([]byte("adopted"), time.Now())
 	frame := propagateFrame(ks, cluster, 1, req)
@@ -46,7 +46,7 @@ func TestIngressAllocatesPerSlabNotPerFrame(t *testing.T) {
 			slab := <-nr.pending
 			for i := range slab {
 				slab[i].ready.Wait()
-				nr.apply(&slab[i])
+				nr.apply(node, &slab[i])
 			}
 			applied += len(slab)
 		}

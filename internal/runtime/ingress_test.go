@@ -17,19 +17,20 @@ import (
 // idleRuntime wires cfg.Node's runtime to a fresh memnet the way
 // StartNodeOpts does, but starts none of its loops: a test starts the ones it
 // wants (wg.Add first for readLoop and verifyLoop) and plays the others
-// itself. Stop works once applyLoop runs.
-func idleRuntime(cfg core.Config, ks *crypto.KeyStore) (*NodeRuntime, *memnet.Network) {
+// itself, with the node it is handed. Stop works once applyLoop runs.
+func idleRuntime(cfg core.Config, ks *crypto.KeyStore) (*NodeRuntime, *core.Node, *memnet.Network) {
 	node := core.New(cfg, ks.NodeRing(cfg.Node))
 	net := memnet.NewNetwork()
 	nr := &NodeRuntime{
 		cluster: cfg.Cluster, tr: net.Endpoint(NodeName(cfg.Node)), pre: node.Preverifier(),
-		peers: cfg.Cluster.OtherNodes(cfg.Node), node: node, sp: obs.Nop{},
+		peers: cfg.Cluster.OtherNodes(cfg.Node), sp: obs.Nop{},
 		work:    make(chan *ingressItem, ingressQueueDepth),
 		pending: make(chan []ingressItem, ingressQueueDepth/egressMaxCoalesce),
-		stop:    make(chan struct{}), done: make(chan struct{}),
+		calls:   make(chan func(*core.Node)), parked: make(chan *core.Node, 1),
+		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	nr.eg = newEgress(nr.tr, nil, NodeName(cfg.Node), nil, nr.stop)
-	return nr, net
+	return nr, node, net
 }
 
 // propagateFrame is node from's authenticated PROPAGATE of req.
@@ -70,7 +71,7 @@ func nextPropagate(t *testing.T, ep transport.Transport) types.RequestKey {
 func TestIngressSlabKeepsArrivalOrder(t *testing.T) {
 	cluster := types.NewConfig(1)
 	ks := crypto.NewKeyStore([]byte("slab-test"), cluster.N, 3)
-	nr, net := idleRuntime(core.Config{
+	nr, node, net := idleRuntime(core.Config{
 		Cluster: cluster, Node: 3, // primary of no instance in view 0: it orders nothing
 		BatchSize: 10000, FloodThreshold: 1,
 	}, ks)
@@ -121,7 +122,7 @@ func TestIngressSlabKeepsArrivalOrder(t *testing.T) {
 	}
 
 	nr.pending <- slab
-	go nr.applyLoop()
+	go nr.applyLoop(node)
 	defer nr.Stop()
 	// Node 3 forwards what it adopts, in the order it adopted it.
 	if got, want := nextPropagate(t, peer2), (types.RequestKey{Client: 1, ID: reqA.ID}); got != want {

@@ -63,9 +63,6 @@ func parseName(name string) (endpoint, error) {
 
 // NodeOptions tunes a node runtime.
 type NodeOptions struct {
-	// IngressWorkers is the number of verifier goroutines in the preverify
-	// stage (0 means DefaultIngressWorkers()).
-	IngressWorkers int
 	// WAL, when set, receives every durability record the node emits; an
 	// output's records are persisted (group-committed and fsynced) before
 	// any of its messages are transmitted. The node must have been built
@@ -82,10 +79,10 @@ type NodeOptions struct {
 	Tracer obs.Tracer
 }
 
-// DefaultIngressWorkers is the default preverify worker-pool size: one per
-// CPU, capped — past a handful of workers the serial apply stage is the
-// bottleneck and more verifiers only add scheduling noise.
-func DefaultIngressWorkers() int { return min(stdruntime.NumCPU(), 8) }
+// ingressWorkers is the preverify worker-pool size: one per CPU, capped —
+// past a handful of workers the serial apply stage is the bottleneck and more
+// verifiers only add scheduling noise.
+var ingressWorkers = min(stdruntime.NumCPU(), 8)
 
 // ingressQueueDepth bounds the in-flight ingress items between the reader,
 // the verifier pool (work) and the apply loop (pending, in slabs). Beyond it
@@ -116,8 +113,10 @@ type ingressItem struct {
 // ingress pipeline (docs/PIPELINE.md): a reader goroutine classifies frames
 // and enqueues them, a pool of verifier goroutines runs the stateless
 // preverify stage concurrently, and the apply loop consumes verified items
-// in arrival order, feeding the node state machine under the mutex. Crypto
-// never runs under mu.
+// in arrival order, feeding the node state machine. The apply loop is the
+// node's only owner: it holds the node as a parameter, not a field, so no
+// other stage can reach it while the loop runs, and WithNode hands its
+// closure to the loop.
 type NodeRuntime struct {
 	cluster types.Config
 	tr      transport.Transport
@@ -126,35 +125,31 @@ type NodeRuntime struct {
 	peers   []types.NodeID       // every other node, the targets of a broadcast; immutable
 	eg      *egress              // per-peer send queues and workers
 
-	mu   sync.Mutex
-	node *core.Node // guarded by mu
-
 	sp    obs.Tracer // node-stamped span sink; Nop unless spans are on
 	spans bool       // cached obs.WantSpans(opts.Tracer)
 
-	work    chan *ingressItem  // reader -> verifier pool, one frame at a time
-	pending chan []ingressItem // reader -> apply loop, arrival-ordered slabs
+	work    chan *ingressItem     // reader -> verifier pool, one frame at a time
+	pending chan []ingressItem    // reader -> apply loop, arrival-ordered slabs
+	calls   chan func(*core.Node) // WithNode -> apply loop
+	parked  chan *core.Node       // the node, handed back once the apply loop has exited
 	stop    chan struct{}
 	done    chan struct{} // apply loop exited
 	wg      sync.WaitGroup
 }
 
 // StartNodeOpts launches the pipeline for node over tr. The caller retains
-// no right to touch node concurrently; use WithNode for synchronised access.
+// no right to touch node; WithNode runs code on the apply loop that owns it.
 func StartNodeOpts(node *core.Node, tr transport.Transport, cluster types.Config, opts NodeOptions) *NodeRuntime {
-	workers := opts.IngressWorkers
-	if workers <= 0 {
-		workers = DefaultIngressWorkers()
-	}
 	nr := &NodeRuntime{
 		cluster: cluster,
 		tr:      tr,
 		pre:     node.Preverifier(),
 		wal:     opts.WAL,
 		peers:   cluster.OtherNodes(node.ID()),
-		node:    node,
 		work:    make(chan *ingressItem, ingressQueueDepth),
 		pending: make(chan []ingressItem, ingressQueueDepth/egressMaxCoalesce),
+		calls:   make(chan func(*core.Node)),
+		parked:  make(chan *core.Node, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -166,22 +161,33 @@ func StartNodeOpts(node *core.Node, tr transport.Transport, cluster types.Config
 	}
 	nr.eg = newEgress(tr, opts.WAL, NodeName(node.ID()), opts.Metrics, nr.stop)
 	nr.eg.sp, nr.eg.spans = nr.sp, nr.spans
-	nr.wg.Add(1 + workers)
-	for i := 0; i < workers; i++ {
+	nr.wg.Add(1 + ingressWorkers)
+	for i := 0; i < ingressWorkers; i++ {
 		go nr.verifyLoop()
 	}
 	go nr.readLoop()
-	go nr.applyLoop()
+	go nr.applyLoop(node)
 	return nr
 }
 
-// WithNode runs fn with exclusive access to the node state machine and
-// transmits any output it produced (fault-injection hooks in tests).
+// WithNode runs fn on the apply loop, between two slabs, transmits any output
+// it produced, and only then returns (fault-injection hooks and probes). fn
+// already runs on the loop, so it must not call WithNode itself: that would
+// wait for the loop it is blocking. After Stop, fn runs on the caller and its
+// output is dropped, because a stopped node does not send.
 func (nr *NodeRuntime) WithNode(fn func(n *core.Node) core.Output) {
-	nr.mu.Lock()
-	out := fn(nr.node)
-	nr.mu.Unlock()
-	nr.emit(out)
+	ran := make(chan struct{})
+	call := func(n *core.Node) {
+		nr.emit(fn(n))
+		close(ran)
+	}
+	select {
+	case nr.calls <- call:
+		<-ran
+	case n := <-nr.parked:
+		fn(n)
+		nr.parked <- n
+	}
 }
 
 // Stop terminates the pipeline and waits for every stage — including the
@@ -247,7 +253,7 @@ func (nr *NodeRuntime) classify(p transport.Packet, it *ingressItem) bool {
 
 // verifyLoop is one verifier worker: it runs the stateless preverify stage
 // (decode + MAC/signature checks) with no access to node state, so any
-// number of workers can run concurrently while the apply loop holds mu.
+// number of workers can run concurrently with the apply loop.
 //
 //rbft:verifier
 func (nr *NodeRuntime) verifyLoop() {
@@ -288,20 +294,20 @@ func (nr *NodeRuntime) emitIngressSpans(it *ingressItem, t0 time.Time) {
 	})
 }
 
-// applyLoop consumes slabs of preverified items in arrival order and drives
-// the node state machine, re-arming its timer once per slab. Protocol timers
-// are deadline-checked before every apply: a saturated ingress queue or a
-// long slab must not starve batch deadlines or the monitoring period, so
-// overdue ticks fire ahead of the next message, not by select fairness.
-func (nr *NodeRuntime) applyLoop() {
+// applyLoop owns node: it consumes slabs of preverified items in arrival
+// order and drives the node state machine, re-arming its timer once per slab,
+// and runs WithNode's closures between slabs. Protocol timers are
+// deadline-checked before every apply: a saturated ingress queue or a long
+// slab must not starve batch deadlines or the monitoring period, so overdue
+// ticks fire ahead of the next message, not by select fairness. On exit it
+// parks the node for WithNode callers that come after Stop.
+func (nr *NodeRuntime) applyLoop(node *core.Node) {
 	defer close(nr.done)
+	defer func() { nr.parked <- node }()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
-		nr.mu.Lock()
-		wake := nr.node.NextWake()
-		nr.mu.Unlock()
-		rearm(timer, wake)
+		rearm(timer, node.NextWake())
 		select {
 		case <-nr.stop:
 			return
@@ -311,34 +317,28 @@ func (nr *NodeRuntime) applyLoop() {
 			}
 			for i := range slab {
 				slab[i].ready.Wait()
-				nr.apply(&slab[i])
+				nr.apply(node, &slab[i])
 			}
+		case call := <-nr.calls:
+			call(node)
 		case now := <-timer.C:
-			nr.mu.Lock()
-			out := nr.node.Tick(now)
-			nr.mu.Unlock()
-			nr.emit(out)
+			nr.emit(node.Tick(now))
 		}
 	}
 }
 
 // apply feeds one verified (or rejected) item to the node, firing any
 // overdue timer first.
-func (nr *NodeRuntime) apply(it *ingressItem) {
+func (nr *NodeRuntime) apply(node *core.Node, it *ingressItem) {
 	now := time.Now()
-	var tickOut, out core.Output
-	nr.mu.Lock()
-	if wake := nr.node.NextWake(); !wake.IsZero() && !now.Before(wake) {
-		tickOut = nr.node.Tick(now)
+	if wake := node.NextWake(); !wake.IsZero() && !now.Before(wake) {
+		nr.emit(node.Tick(now))
 	}
 	if it.err != nil {
-		out = nr.node.OnRejected(it.err, now)
+		nr.emit(node.OnRejected(it.err, now))
 	} else {
-		out = nr.node.OnVerified(it.v, now)
+		nr.emit(node.OnVerified(it.v, now))
 	}
-	nr.mu.Unlock()
-	nr.emit(tickOut)
-	nr.emit(out)
 }
 
 // rearm points an event loop's timer at its state machine's next wake-up

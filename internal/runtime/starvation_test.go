@@ -8,6 +8,7 @@ import (
 	"rbft/internal/core"
 	"rbft/internal/crypto"
 	"rbft/internal/message"
+	"rbft/internal/obs"
 	"rbft/internal/types"
 )
 
@@ -30,14 +31,19 @@ import (
 // the offered load, so the one dispatched request can only be ordered when
 // the primary's BatchTimeout tick fires — and it must fire ahead of the one
 // flood frame released after the deadline, with 61 frames of the slab still
-// to come.
+// to come. The test cannot ask the node for its deadline while the loop owns
+// it; it learns it from the node's own trace instead: the dispatch event's
+// time plus BatchTimeout.
 func TestTimerNotStarvedByIngressFlood(t *testing.T) {
+	const batchTimeout = 5 * time.Millisecond
 	cluster := types.NewConfig(1)
 	ks := crypto.NewKeyStore([]byte("starvation-test"), cluster.N, 2)
-	nr, net := idleRuntime(core.Config{
+	nr, node, net := idleRuntime(core.Config{
 		Cluster: cluster, Node: 0, // the master primary in view 0
-		BatchSize: 10000, BatchTimeout: 5 * time.Millisecond,
+		BatchSize: 10000, BatchTimeout: batchTimeout,
 	}, ks)
+	trace := obs.NewFlightRecorder(0)
+	node.SetTracer(trace)
 	peer := net.Endpoint(NodeName(1))
 
 	slab := make([]ingressItem, egressMaxCoalesce)
@@ -53,7 +59,7 @@ func TestTimerNotStarvedByIngressFlood(t *testing.T) {
 		it.ready.Done()
 	}
 	nr.pending <- slab
-	go nr.applyLoop()
+	go nr.applyLoop(node)
 	released := 0
 	defer func() {
 		for i := released; i < len(slab); i++ {
@@ -75,11 +81,13 @@ func TestTimerNotStarvedByIngressFlood(t *testing.T) {
 	var wake time.Time
 	for start := time.Now(); wake.IsZero(); time.Sleep(time.Millisecond) {
 		if time.Since(start) > 5*time.Second {
-			t.Fatal("dispatching the request armed no batch deadline")
+			t.Fatal("the request was never dispatched, so no batch deadline is armed")
 		}
-		nr.mu.Lock()
-		wake = nr.node.NextWake()
-		nr.mu.Unlock()
+		for _, ev := range trace.Events() {
+			if ev.Type == obs.EvRequestDispatched {
+				wake = ev.At.Add(batchTimeout)
+			}
+		}
 	}
 	time.Sleep(time.Until(wake) + time.Millisecond)
 

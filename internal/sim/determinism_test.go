@@ -23,7 +23,7 @@ func determinismScenario(seed int64) Config {
 	cfg.MonitorSampleEvery = 100 * time.Millisecond
 	cfg.NodeBehavior = map[types.NodeID]core.Behavior{
 		0: {Instance: map[types.InstanceID]pbft.Behavior{
-			types.MasterInstance: {ProposeInterval: 100 * time.Millisecond},
+			types.MasterInstance: {ProposeRate: 640}, // one 64-ref batch per 100 ms
 		}},
 	}
 	return cfg

@@ -99,11 +99,12 @@ func TestSilentMasterPrimaryRecoversViaInstanceChange(t *testing.T) {
 }
 
 func TestThrottledMasterPrimaryDetected(t *testing.T) {
-	// A master primary that throttles hard (far below Δ) must be replaced.
+	// A master primary that throttles hard (far below Δ) must be replaced:
+	// 640 refs/s, one 64-ref batch per 100 ms, against 2000 offered.
 	cfg := baseConfig(1, 8, 4, 500)
 	cfg.NodeBehavior = map[types.NodeID]core.Behavior{
 		0: {Instance: map[types.InstanceID]pbft.Behavior{
-			types.MasterInstance: {ProposeInterval: 100 * time.Millisecond},
+			types.MasterInstance: {ProposeRate: 640},
 		}},
 	}
 	res := New(cfg).Run(3 * time.Second)

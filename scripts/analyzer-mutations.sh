@@ -51,13 +51,11 @@ mutate quorumsafety internal/pbft/pbft.go \
 # A blocking call on an egress worker.
 mutate pipeblock internal/runtime/egress.go \
 	's|^func (e \*egress) worker(q \*peerQueue) {$|&\n\ttime.Sleep(time.Millisecond)|'
-# Guarded node state read before the lock is taken.
+# Guarded client state read before the lock is taken. (The node runtime has
+# no lock left to forget: its node is the apply loop's parameter, out of every
+# other stage's reach.)
 mutate lockdiscipline internal/runtime/runtime.go \
-	's|^func (nr \*NodeRuntime) apply(it \*ingressItem) {$|&\n\t_ = nr.node.NextWake()|'
-# The node reached from the reader goroutine, which never takes the lock: the
-# client table is the apply stage's alone.
-mutate lockdiscipline internal/runtime/runtime.go \
-	's|^func (nr \*NodeRuntime) classify(p transport.Packet, it \*ingressItem) bool {$|&\n\t_ = nr.node.NextWake()|'
+	's|^func (cr \*ClientRuntime) handlePacket(p transport.Packet) {$|&\n\t_ = cr.cl.Pending()|'
 # Map iteration order escaping into a returned slice.
 mutate maprange internal/sim/sim.go \
 	'$a func closedPeers(sn *simNode) (peers []types.NodeID) { for p := range sn.closed { peers = append(peers, p) }; return peers }'
@@ -66,7 +64,7 @@ mutate msghandler internal/pbft/pbft.go \
 	'/^\tcase \*message.FetchResp:$/,+1d'
 # A Verified value forged outside the message package.
 mutate trustboundary internal/runtime/runtime.go \
-	's|^func (nr \*NodeRuntime) apply(it \*ingressItem) {$|&\n\tit.v = \&message.Verified{Msg: it.v.Msg}|'
+	's|^func (nr \*NodeRuntime) apply(node \*core.Node, it \*ingressItem) {$|&\n\tit.v = \&message.Verified{Msg: it.v.Msg}|'
 # A decoded, unverified message stored in guarded state.
 mutate trustboundary internal/runtime/runtime.go \
 	's|^\tcl \*client.Client // guarded by mu$|&\n\tlast message.Message // guarded by mu|' \
