@@ -187,21 +187,54 @@ func (c *Client) seal(ps []*pending, now time.Time) *message.Request {
 	return req
 }
 
-// OnReply processes a REPLY from a node. It returns the completed request
-// once f+1 valid matching replies from distinct nodes have arrived.
+// OnReply processes a single REPLY from a node, the k = 1 case of OnReplies.
+// It returns the completed request once f+1 valid matching replies from
+// distinct nodes have arrived. A REPLY-BUNDLE, which only a client that
+// bundles (Queue and Flush) receives, goes to OnReplies.
 func (c *Client) OnReply(rep *message.Reply, from types.NodeID, now time.Time) (Completed, bool) {
+	if len(rep.Rest) > 0 {
+		return Completed{}, false
+	}
+	var one [1]Completed
+	if done := c.OnReplies(rep, from, now, one[:0]); len(done) > 0 {
+		return done[0], true
+	}
+	return Completed{}, false
+}
+
+// OnReplies processes a REPLY or REPLY-BUNDLE from a node: one MAC check for
+// the frame, then one reply for each request it answers. It appends to done
+// every request that now has f+1 valid matching replies from distinct nodes
+// (a speculative read 2f+1), in id order, and returns the result.
+func (c *Client) OnReplies(rep *message.Reply, from types.NodeID, now time.Time, done []Completed) []Completed {
 	if rep.Client != c.cfg.ID || rep.Node != from || from < 0 || int(from) >= c.cfg.Cluster.N {
-		return Completed{}, false
+		return done
 	}
-	p, ok := c.pending[rep.ID]
-	if !ok {
-		return Completed{}, false // duplicate or unknown
+	verified := false
+	for i := 0; i < rep.Len(); i++ {
+		id := rep.ID + types.RequestID(i)
+		p, ok := c.pending[id]
+		if !ok {
+			continue // duplicate or unknown
+		}
+		if !verified {
+			var buf [message.MaxBodySize]byte
+			if err := c.keys.VerifyNodeMAC(from, rep.AppendBody(buf[:0]), rep.MAC); err != nil {
+				return done
+			}
+			verified = true
+		}
+		if result, ok := c.count(p, rep.ResultAt(i), from, now); ok {
+			done = append(done, Completed{ID: id, Result: result, Latency: now.Sub(p.sentAt)})
+		}
 	}
-	var buf [message.MaxBodySize]byte
-	if err := c.keys.VerifyNodeMAC(from, rep.AppendBody(buf[:0]), rep.MAC); err != nil {
-		return Completed{}, false
-	}
-	v := p.vote(rep.Result, c.cfg.Cluster.N)
+	return done
+}
+
+// count adds node from's reply with result to p's tally and reports the
+// accepted result once a group reaches p's threshold, dropping p then.
+func (c *Client) count(p *pending, result []byte, from types.NodeID, now time.Time) ([]byte, bool) {
+	v := p.vote(result, c.cfg.Cluster.N)
 	if !v.nodes[from] {
 		v.nodes[from] = true
 		v.n++
@@ -224,14 +257,10 @@ func (c *Client) OnReply(rep *message.Reply, from types.NodeID, now time.Time) (
 				p.deadline = now
 			}
 		}
-		return Completed{}, false
+		return nil, false
 	}
-	delete(c.pending, rep.ID)
-	return Completed{
-		ID:      rep.ID,
-		Result:  v.result,
-		Latency: now.Sub(p.sentAt),
-	}, true
+	delete(c.pending, p.id)
+	return v.result, true
 }
 
 // vote returns the group of replies whose result equals result, opening one

@@ -19,7 +19,13 @@ func newTestClient(t *testing.T) (*Client, *crypto.KeyStore, types.Config) {
 }
 
 func reply(ks *crypto.KeyStore, node types.NodeID, client types.ClientID, id types.RequestID, result string) *message.Reply {
-	rep := &message.Reply{Client: client, ID: id, Result: []byte(result), Node: node}
+	return replyBundle(ks, node, client, id, []byte(result))
+}
+
+// replyBundle has node answer client's requests id, id+1, … with results in
+// one frame: a REPLY-BUNDLE when there is more than one.
+func replyBundle(ks *crypto.KeyStore, node types.NodeID, client types.ClientID, id types.RequestID, results ...[]byte) *message.Reply {
+	rep := &message.Reply{Client: client, ID: id, Result: results[0], Rest: results[1:], Node: node}
 	rep.MAC = ks.NodeRing(node).MACForClient(client, rep.Body())
 	return rep
 }
@@ -321,5 +327,59 @@ func TestReadsNeverBundled(t *testing.T) {
 	}
 	if fallbacks != 2 {
 		t.Fatalf("%d reads fell back to ordering, want 2", fallbacks)
+	}
+}
+
+// TestBundledAndSingleRepliesMix: f+1 is counted per request, whatever frame
+// carried each reply — a REPLY-BUNDLE from one node and single REPLYs from
+// another complete a bundle request by request. OnReply leaves a bundle to
+// OnReplies, and a bundle that answers nothing pending costs no MAC check.
+func TestBundledAndSingleRepliesMix(t *testing.T) {
+	cl, ks, _ := newTestClient(t)
+	now := time.Unix(0, 0)
+	for i := 0; i < 4; i++ {
+		cl.Queue([]byte{byte(i)}, now)
+	}
+	cl.Flush(now)
+	results := [][]byte{[]byte("r1"), []byte("r2"), []byte("r3"), []byte("r4")}
+	if _, ok := cl.OnReply(replyBundle(ks, 0, 2, 1, results...), 0, now); ok {
+		t.Fatal("OnReply took a REPLY-BUNDLE")
+	}
+	if done := cl.OnReplies(replyBundle(ks, 0, 2, 1, results...), 0, now, nil); len(done) != 0 {
+		t.Fatalf("one node's bundle completed %d requests", len(done))
+	}
+	for id := types.RequestID(1); id <= 4; id++ {
+		done, ok := cl.OnReply(reply(ks, 1, 2, id, string(results[id-1])), 1, now.Add(time.Millisecond))
+		if !ok || done.ID != id || string(done.Result) != string(results[id-1]) || done.Latency != time.Millisecond {
+			t.Fatalf("request %d: completion %+v, %v", id, done, ok)
+		}
+	}
+	if cl.Pending() != 0 {
+		t.Fatalf("%d requests pending", cl.Pending())
+	}
+	// A late bundle from a third node: everything it answers is done.
+	if done := cl.OnReplies(replyBundle(ks, 2, 2, 1, results...), 2, now, nil); len(done) != 0 {
+		t.Fatalf("a late bundle completed %d requests", len(done))
+	}
+}
+
+// TestReplyBundleCompletesInIDOrder: a bundle from a second node completes
+// what a first node's bundle started, every request in id order, and a
+// request on which the two disagree waits for a third reply.
+func TestReplyBundleCompletesInIDOrder(t *testing.T) {
+	cl, ks, _ := newTestClient(t)
+	now := time.Unix(0, 0)
+	for i := 0; i < 3; i++ {
+		cl.Queue([]byte{byte(i)}, now)
+	}
+	cl.Flush(now)
+	cl.OnReplies(replyBundle(ks, 0, 2, 1, []byte("a"), []byte("b"), []byte("c")), 0, now, nil)
+	done := cl.OnReplies(replyBundle(ks, 1, 2, 1, []byte("a"), []byte("x"), []byte("c")), 1, now, nil)
+	if len(done) != 2 || done[0].ID != 1 || done[1].ID != 3 {
+		t.Fatalf("completed %+v, want requests 1 and 3", done)
+	}
+	done = cl.OnReplies(replyBundle(ks, 2, 2, 1, []byte("a"), []byte("b"), []byte("c")), 2, now, nil)
+	if len(done) != 1 || done[0].ID != 2 || string(done[0].Result) != "b" {
+		t.Fatalf("completed %+v, want request 2 with b", done)
 	}
 }

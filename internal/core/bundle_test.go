@@ -109,8 +109,8 @@ func TestBundleExecutesOnceInOrder(t *testing.T) {
 }
 
 // TestRetransmittedBundleHalfExecuted: a bundle whose first half already
-// executed — it went out as a bundle of its own — gets cached replies for
-// that half and is ordered for the rest; nothing executes twice.
+// executed — it went out as a bundle of its own — gets that half's cached
+// replies in one frame and is ordered for the rest; nothing executes twice.
 func TestRetransmittedBundleHalfExecuted(t *testing.T) {
 	nc := newNodeCluster(t, 1, nil)
 	ops := counterOps(16)
@@ -125,13 +125,11 @@ func TestRetransmittedBundleHalfExecuted(t *testing.T) {
 
 	frame := frameOf(full)
 	out := onClientFrame(nc.nodes[0], frame, 1, nc.now)
-	for i, cm := range out.ClientMsgs {
-		if rep := cm.Msg.(*message.Reply); rep.ID != types.RequestID(i+1) {
-			t.Fatalf("reply %d answers request %d", i, rep.ID)
-		}
+	if len(out.ClientMsgs) != 1 {
+		t.Fatalf("retransmitted bundle got %d reply frames, want one for its cached half", len(out.ClientMsgs))
 	}
-	if len(out.ClientMsgs) != 8 {
-		t.Fatalf("retransmitted bundle got %d cached replies, want 8", len(out.ClientMsgs))
+	if rep := out.ClientMsgs[0].Msg.(*message.Reply); rep.ID != 1 || rep.Len() != 8 || rep.MsgType() != message.TypeReplyBundle {
+		t.Fatalf("cached replies framed as a %s of %d from request %d, want a bundle of 8 from 1", rep.MsgType(), rep.Len(), rep.ID)
 	}
 	if ps := propagatesOf(out); len(ps) != 1 {
 		t.Fatalf("retransmitted bundle made %d PROPAGATEs, want one for its new half", len(ps))
@@ -145,4 +143,46 @@ func TestRetransmittedBundleHalfExecuted(t *testing.T) {
 		t.Fatalf("client completed %d of 16 requests", got)
 	}
 	nc.requireQuiescent()
+}
+
+// replyFrames runs a 16-request bundle of client 1 through nc and returns,
+// per node, the sizes of the reply frames the client received, in order.
+func (nc *nodeCluster) replyFrames() map[types.NodeID][]int {
+	frames := make(map[types.NodeID][]int)
+	nc.onReply = func(from types.NodeID, rep *message.Reply) { frames[from] = append(frames[from], rep.Len()) }
+	nc.sendFrame(1, frameOf(nc.queueBundle(1, counterOps(16)...)), nc.cfg.AllNodes()...)
+	nc.runFor(200 * time.Millisecond)
+	nc.requireExecutedOnce(1, 1, 16)
+	if got := len(nc.completed[1]); got != 16 {
+		nc.t.Fatalf("client completed %d of 16 requests", got)
+	}
+	for i, d := range nc.completed[1] {
+		if d.ID != types.RequestID(i+1) {
+			nc.t.Fatalf("completion %d is request %d", i, d.ID)
+		}
+	}
+	return frames
+}
+
+// TestBundleAnsweredInOneFramePerNode: a 16-request bundle ordered in one
+// batch is answered with one REPLY-BUNDLE per node.
+func TestBundleAnsweredInOneFramePerNode(t *testing.T) {
+	nc := newNodeCluster(t, 1, func(c *Config) { c.BatchSize = 16 })
+	for node, sizes := range nc.replyFrames() {
+		if len(sizes) != 1 || sizes[0] != 16 {
+			t.Errorf("node %d answered in frames of %v requests, want one of 16", node, sizes)
+		}
+	}
+}
+
+// TestBundleSplitAcrossBatchesAnsweredPerBatch: the same bundle ordered in
+// two batches of 8 is answered with one frame per batch on every node.
+func TestBundleSplitAcrossBatchesAnsweredPerBatch(t *testing.T) {
+	nc := newNodeCluster(t, 1, nil) // BatchSize 8
+	frames := nc.replyFrames()
+	for node := range nc.nodes {
+		if sizes := frames[types.NodeID(node)]; len(sizes) != 2 || sizes[0] != 8 || sizes[1] != 8 {
+			t.Errorf("node %d answered in frames of %v requests, want two of 8", node, sizes)
+		}
+	}
 }

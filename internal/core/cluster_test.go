@@ -34,6 +34,8 @@ type nodeCluster struct {
 	records map[types.NodeID][]wal.Record
 	// linkDown[from][to] drops node-to-node traffic.
 	linkDown map[types.NodeID]map[types.NodeID]bool
+	// onReply, when set, sees every reply frame a client receives.
+	onReply func(from types.NodeID, rep *message.Reply)
 }
 
 type clusterEvent struct {
@@ -269,9 +271,10 @@ func (nc *nodeCluster) deliver(ev clusterEvent) {
 	if !ok {
 		return
 	}
-	if done, ok := cl.OnReply(rep, ev.fromNode, nc.now); ok {
-		nc.completed[ev.toClient] = append(nc.completed[ev.toClient], done)
+	if nc.onReply != nil {
+		nc.onReply(ev.fromNode, rep)
 	}
+	nc.completed[ev.toClient] = cl.OnReplies(rep, ev.fromNode, nc.now, nc.completed[ev.toClient])
 }
 
 // requireQuiescent asserts that the single release point did its job on a

@@ -216,8 +216,12 @@ type Node struct {
 	cpi  uint64
 
 	// pending is the Propagation and Dispatch modules' state: one record per
-	// signed request body from first sight to execution (propagation.go).
+	// signed request body from first sight to execution (propagation.go),
+	// drawn from free; stored and answers are working slices, empty between calls.
 	pending map[types.RequestKey]*pendingRequest
+	free    []*pendingRequest
+	stored  []*pendingRequest
+	answers []answer
 
 	// Execution module state. The client table (clients.go) holds
 	// per-client reply caches and executed watermarks; reader is the app's
@@ -378,9 +382,7 @@ func (n *Node) observeIO(in message.Message, out *Output) {
 			n.msgsOut[t].Inc()
 		}
 	}
-	if len(out.ClientMsgs) > 0 {
-		n.clientOut.Add(uint64(len(out.ClientMsgs)))
-	}
+	n.clientOut.Add(uint64(len(out.ClientMsgs)))
 }
 
 // SetBehavior installs Byzantine behaviour (attack experiments only).

@@ -71,7 +71,6 @@ func (n *Node) executeBatch(out *Output, lane types.InstanceID, refs []types.Req
 		n.execParallel.Add(uint64(res.Parallel))
 	}
 	out.Executions = slices.Grow(out.Executions, len(batch))
-	out.ClientMsgs = slices.Grow(out.ClientMsgs, len(batch))
 	for i, e := range batch {
 		ref, result := e.req.ref, res.Results[i]
 		if n.tr.Enabled() {
@@ -81,9 +80,10 @@ func (n *Node) executeBatch(out *Output, lane types.InstanceID, refs []types.Req
 		}
 		e.cs.cacheReply(ref.ID, result, n.cfg.ReplyCacheSize)
 		out.Executions = append(out.Executions, Execution{Ref: ref, Result: result, Wave: base + res.Wave[i]})
-		out.ClientMsgs = append(out.ClientMsgs, n.replyTo(ref.Client, ref.ID, result))
+		n.reply(ref.Client, e.req.bundle, ref.ID, result)
 		n.release(e.cs, ref.Key())
 	}
+	n.sendReplies(out)
 	// Hand the working slices back empty: they must not pin the executed
 	// requests' frames until the next batch overwrites them.
 	clear(batch)
@@ -91,12 +91,43 @@ func (n *Node) executeBatch(out *Output, lane types.InstanceID, refs []types.Req
 	n.execBatch, n.execOps = batch[:0], ops[:0]
 }
 
-// replyTo builds an authenticated REPLY.
-func (n *Node) replyTo(client types.ClientID, id types.RequestID, result []byte) ClientSend {
-	rep := &message.Reply{Client: client, ID: id, Result: result, Node: n.cfg.Node}
-	var buf [message.MaxBodySize]byte
-	rep.MAC = n.keys.MACForClient(client, rep.AppendBody(buf[:0]))
-	return ClientSend{To: client, Msg: rep}
+// answer is a reply waiting in Node.answers for its frame: the result of
+// request id, which arrived in the client bundle whose first id is bundle.ID.
+type answer struct {
+	bundle types.RequestKey
+	id     types.RequestID
+	result []byte
+}
+
+// reply queues the answer to client's request id for sendReplies.
+func (n *Node) reply(client types.ClientID, bundle, id types.RequestID, result []byte) {
+	n.answers = append(n.answers, answer{bundle: types.RequestKey{Client: client, ID: bundle}, id: id, result: result})
+}
+
+// sendReplies sends what reply queued, in order, as authenticated frames: a
+// run of answers to consecutive requests of one client bundle — at most
+// message.MaxBundleOps, as the bundle was — shares one REPLY-BUNDLE and one
+// MAC, any other answer is a REPLY of its own.
+func (n *Node) sendReplies(out *Output) {
+	for a := n.answers; len(a) > 0; {
+		k := 1
+		for k < len(a) && a[k].bundle == a[0].bundle && a[k].id == a[0].id+types.RequestID(k) {
+			k++
+		}
+		rep := &message.Reply{Client: a[0].bundle.Client, ID: a[0].id, Result: a[0].result, Node: n.cfg.Node}
+		if k > 1 {
+			rep.Rest = make([][]byte, k-1)
+			for i := range rep.Rest {
+				rep.Rest[i] = a[1+i].result
+			}
+		}
+		var buf [message.MaxBodySize]byte
+		rep.MAC = n.keys.MACForClient(rep.Client, rep.AppendBody(buf[:0]))
+		out.ClientMsgs = append(out.ClientMsgs, ClientSend{To: rep.Client, Msg: rep})
+		a = a[k:]
+	}
+	clear(n.answers) // pins no result until the next batch
+	n.answers = n.answers[:0]
 }
 
 // cachedReply looks up a cached reply for a retransmitted request.

@@ -15,9 +15,13 @@ import (
 // under one id, and execution must pick the same one on every node — the
 // first one ordered — so each body (told apart by its digest) gets its own
 // record, chained through sibling. storeBody is the only place a record is
-// created, release the only place one goes away.
+// taken, release the only place one goes back: records come in slabs and are
+// recycled, never freed.
 type pendingRequest struct {
 	ref types.RequestRef
+	// bundle is the first id of the signed bundle the body arrived in (its own
+	// id when it came alone): replies group by it (sendReplies).
+	bundle types.RequestID
 	// op is the verified operation. It aliases the received frame
 	// (message.Decode), so the record keeps that frame alive until the
 	// request executes.
@@ -49,7 +53,7 @@ const maxPendingBodiesPerClient = 4096
 // full allowance of bodies. This is the node's single retention point for
 // decoded request bytes, and with release one of the two places
 // pendingBodies moves.
-func (n *Node) storeBody(cs *clientState, ref types.RequestRef, op []byte) *pendingRequest {
+func (n *Node) storeBody(cs *clientState, ref types.RequestRef, bundle types.RequestID, op []byte) *pendingRequest {
 	if r := n.lookup(ref); r != nil {
 		return r
 	}
@@ -57,10 +61,17 @@ func (n *Node) storeBody(cs *clientState, ref types.RequestRef, op []byte) *pend
 		return nil
 	}
 	cs.pendingBodies++
-	r := &pendingRequest{
-		ref: ref, op: op, sibling: n.pending[ref.Key()],
-		senders: make([]bool, n.cfg.Cluster.N),
+	if len(n.free) == 0 {
+		// 64 records and their sender sets, in two allocations.
+		slab, senders, k := make([]pendingRequest, 64), make([]bool, 64*n.cfg.Cluster.N), n.cfg.Cluster.N
+		for i := range slab {
+			slab[i].senders, senders = senders[:k:k], senders[k:]
+			n.free = append(n.free, &slab[i])
+		}
 	}
+	r := n.free[len(n.free)-1]
+	n.free = n.free[:len(n.free)-1]
+	r.ref, r.bundle, r.op, r.sibling = ref, bundle, op, n.pending[ref.Key()]
 	n.pending[ref.Key()] = r
 	return r
 }
@@ -76,14 +87,20 @@ func (n *Node) lookup(ref types.RequestRef) *pendingRequest {
 }
 
 // release drops every record under key — the executed body and any
-// equivocated siblings — and tells the replicas holding their refs.
+// equivocated siblings — tells the replicas holding their refs, and recycles
+// the records cleared, so a slab pins no frame.
 func (n *Node) release(cs *clientState, key types.RequestKey) {
 	first, last := n.lanes(key.Client)
-	for r := n.pending[key]; r != nil; r = r.sibling {
+	for r := n.pending[key]; r != nil; {
 		cs.pendingBodies--
 		for i := first; i <= last; i++ {
 			n.replicas[i].Executed(r.ref)
 		}
+		next := r.sibling
+		clear(r.senders)
+		*r = pendingRequest{senders: r.senders}
+		n.free = append(n.free, r)
+		r = next
 	}
 	delete(n.pending, key)
 }
@@ -94,14 +111,14 @@ func (n *Node) release(cs *clientState, key types.RequestKey) {
 // sender set, one dispatch once f+1 PROPAGATEs are in. The node sends its own
 // PROPAGATE — of the whole bundle, MAC'd over v.Digest — once, the first time
 // any of them is news. All records are stored before the first dispatch,
-// which can execute and release records; stored ones pin the client's entry.
+// which can execute and release records (a released one is cleared, so its
+// turn dispatches nothing); stored ones pin the client's entry.
 func (n *Node) applyRequest(out *Output, req *message.Request, v *message.Verified, now time.Time) {
 	cs := n.client(req.Client, now)
 	if cs.blacklisted {
 		return
 	}
-	var one [1]*pendingRequest
-	stored, news := one[:0], false
+	news := false
 	for i := 0; i < req.Len(); i++ {
 		id := req.ID + types.RequestID(i)
 		if v.FromClient && n.tr.Enabled() {
@@ -111,28 +128,26 @@ func (n *Node) applyRequest(out *Output, req *message.Request, v *message.Verifi
 		// state or not at all — the client accepts only a read quorum (2f+1)
 		// of matching replies and otherwise re-issues through ordering.
 		if req.ReadOnly {
-			if n.reader == nil {
-				return
+			if n.reader != nil {
+				if result, ok := n.reader.ExecuteRead(req.Op); ok {
+					n.reply(req.Client, id, id, result)
+				}
 			}
-			if result, ok := n.reader.ExecuteRead(req.Op); ok {
-				out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, id, result))
-			}
-			return
+			break
 		}
 		// An executed request is decided: no fresh body, no dispatch. A
 		// client's retransmission gets the cached reply (the watermark spares
 		// a new request the cache scan) or, evicted, nothing: re-propagating
 		// would re-execute on nodes that no longer remember the reply.
 		if cs.isExecuted(id) {
-			if !v.FromClient {
-				continue
-			}
-			if result, ok := n.cachedReply(cs, id); ok {
-				out.ClientMsgs = append(out.ClientMsgs, n.replyTo(req.Client, id, result))
+			if v.FromClient {
+				if result, ok := n.cachedReply(cs, id); ok {
+					n.reply(req.Client, req.ID, id, result)
+				}
 			}
 			continue
 		}
-		r := n.storeBody(cs, types.RequestRef{Client: req.Client, ID: id, Digest: v.OpDigest(i)}, req.OpAt(i))
+		r := n.storeBody(cs, types.RequestRef{Client: req.Client, ID: id, Digest: v.OpDigest(i)}, req.ID, req.OpAt(i))
 		if r == nil {
 			continue
 		}
@@ -140,15 +155,18 @@ func (n *Node) applyRequest(out *Output, req *message.Request, v *message.Verifi
 			r.addSender(v.From)
 		}
 		news = r.addSender(n.cfg.Node) || news
-		stored = append(stored, r)
+		n.stored = append(n.stored, r)
 	}
+	n.sendReplies(out)
 	if news && !n.behavior.DropPropagate {
 		p := &message.Propagate{Req: *req, Node: n.cfg.Node}
 		var buf [message.MaxBodySize]byte
 		p.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, p.AppendBody(buf[:0], v.Digest))
 		out.NodeMsgs = append(out.NodeMsgs, NodeSend{Msg: p})
 	}
-	for _, r := range stored {
+	for _, r := range n.stored {
 		n.maybeDispatch(out, r, now)
 	}
+	clear(n.stored) // pins no record until the next request
+	n.stored = n.stored[:0]
 }

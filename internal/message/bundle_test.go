@@ -3,6 +3,7 @@ package message
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -196,5 +197,128 @@ func TestBundleCostsOneVerificationPerNode(t *testing.T) {
 	}
 	if h, m := pre.Cache().Stats(); m != 1 || h != 3 {
 		t.Fatalf("hits=%d misses=%d, want 3/1: one verification per bundle per node", h, m)
+	}
+}
+
+// signedReplyBundle has node answer client's requests id, id+1, … with
+// results in one frame: a REPLY-BUNDLE when there is more than one.
+func signedReplyBundle(ks *crypto.KeyStore, node types.NodeID, client types.ClientID, id types.RequestID, results ...[]byte) *Reply {
+	rep := &Reply{Client: client, ID: id, Result: results[0], Rest: results[1:], Node: node}
+	rep.MAC = ks.NodeRing(node).MACForClient(client, rep.Body())
+	return rep
+}
+
+// TestSingleReplyEncodingUnchanged pins a single reply's frame to the bytes
+// REPLY had before reply bundles existed, MAC included: k = 1 is the old wire
+// format.
+func TestSingleReplyEncodingUnchanged(t *testing.T) {
+	ks := crypto.NewKeyStore([]byte("golden"), testN, 4)
+	rep := signedReplyBundle(ks, 2, 1, 7, []byte("golden-result"))
+	const want = "060000000000000001000000000000000700000000000000020000000d676f6c64656e2d726573756c74b446824236162ef61b58c09c575fa864"
+	if got := hex.EncodeToString(rep.Marshal(nil)); got != want {
+		t.Errorf("REPLY encoding changed:\n got %s\nwant %s", got, want)
+	}
+	if rep.MsgType() != TypeReply || rep.Len() != 1 {
+		t.Errorf("a single reply is a %s of %d", rep.MsgType(), rep.Len())
+	}
+}
+
+// TestReplyBundleRoundTrip: reply bundles of every size from 2 to
+// MaxBundleOps survive encode/decode, their MAC body fits MaxBodySize, and
+// the decoded frame passes the client's one MAC check.
+func TestReplyBundleRoundTrip(t *testing.T) {
+	ks := testKeys()
+	for k := 2; k <= MaxBundleOps; k++ {
+		rep := signedReplyBundle(ks, 3, 1, 40, bundleOps(k)...)
+		frame := rep.Marshal(nil)
+		if len(frame) != rep.EncodedSize() {
+			t.Fatalf("k=%d: EncodedSize %d, marshalled %d", k, rep.EncodedSize(), len(frame))
+		}
+		if frame[0] != byte(TypeReplyBundle) || rep.MsgType() != TypeReplyBundle {
+			t.Fatalf("k=%d: reply bundle not tagged TypeReplyBundle", k)
+		}
+		if n := len(rep.Body()); n > MaxBodySize {
+			t.Fatalf("k=%d: MAC body of %d bytes, over MaxBodySize", k, n)
+		}
+		got := roundTrip(t, rep).(*Reply)
+		if got.Len() != k || got.ID != 40 || got.Client != 1 || got.Node != 3 || got.MAC != rep.MAC {
+			t.Fatalf("k=%d: decoded %d results for client %d from id %d", k, got.Len(), got.Client, got.ID)
+		}
+		for i := 0; i < k; i++ {
+			if !bytes.Equal(got.ResultAt(i), rep.ResultAt(i)) {
+				t.Fatalf("k=%d: result %d = %q, want %q", k, i, got.ResultAt(i), rep.ResultAt(i))
+			}
+		}
+		if !bytes.Equal(got.Marshal(nil), frame) {
+			t.Fatalf("k=%d: re-encoding differs", k)
+		}
+		if err := ks.ClientRing(1).VerifyNodeMAC(3, got.Body(), got.MAC); err != nil {
+			t.Fatalf("k=%d: decoded bundle fails its MAC: %v", k, err)
+		}
+	}
+}
+
+// TestReplyBundleCaps: a reply bundle of fewer than two or more than
+// MaxBundleOps results does not decode.
+func TestReplyBundleCaps(t *testing.T) {
+	ks := testKeys()
+	one := signedReplyBundle(ks, 0, 1, 1, []byte("a"), []byte("b")).Marshal(nil)
+	one[1+8+8+8+3] = 1 // the count field: a "bundle" of one
+	over := signedReplyBundle(ks, 0, 1, 1, bundleOps(MaxBundleOps)...).Marshal(nil)
+	over[1+8+8+8+3] = MaxBundleOps + 1
+	for name, frame := range map[string][]byte{
+		"count of one":           one,
+		"MaxBundleOps+1":         over,
+		"count of zero":          append(append([]byte{byte(TypeReplyBundle)}, make([]byte, 8+8+8+4)...), make([]byte, crypto.MACSize)...),
+		"MaxBundleOps+1 encoded": signedReplyBundle(ks, 0, 1, 1, bundleOps(MaxBundleOps+1)...).Marshal(nil),
+	} {
+		if _, err := Decode(frame); !errors.Is(err, ErrOversized) {
+			t.Errorf("%s: got %v, want ErrOversized", name, err)
+		}
+	}
+}
+
+// TestReplyBundleTamperingFailsMAC: every way of altering a node's reply
+// bundle in flight fails the client's MAC check, which covers the results
+// through ResultsDigest.
+func TestReplyBundleTamperingFailsMAC(t *testing.T) {
+	ks := testKeys()
+	genuine := signedReplyBundle(ks, 2, 1, 10, bundleOps(6)...)
+	client := ks.ClientRing(1)
+	if err := client.VerifyNodeMAC(2, genuine.Body(), genuine.MAC); err != nil {
+		t.Fatalf("genuine reply bundle fails its MAC: %v", err)
+	}
+	tampered := func(edit func(r *Reply)) *Reply {
+		r := *genuine
+		r.Rest = append([][]byte(nil), genuine.Rest...)
+		edit(&r)
+		// What the client checks is the frame it decodes.
+		got, err := Decode(r.Marshal(nil))
+		if err != nil {
+			t.Fatalf("tampered frame does not decode: %v", err)
+		}
+		return got.(*Reply)
+	}
+	for _, tc := range []struct {
+		name string
+		rep  *Reply
+	}{
+		{"one result changed", tampered(func(r *Reply) { r.Rest[2] = []byte("op-99") })},
+		{"two results swapped", tampered(func(r *Reply) { r.Rest[0], r.Rest[1] = r.Rest[1], r.Rest[0] })},
+		{"first two results swapped", tampered(func(r *Reply) { r.Result, r.Rest[0] = r.Rest[0], r.Result })},
+		{"count cut", tampered(func(r *Reply) { r.Rest = r.Rest[:len(r.Rest)-1] })},
+		{"cut to one result", tampered(func(r *Reply) { r.Rest = nil })},
+		{"first id shifted", tampered(func(r *Reply) { r.ID++ })},
+		{"boundary moved", tampered(func(r *Reply) { r.Result, r.Rest[0] = append(r.Result, r.Rest[0][0]), r.Rest[0][1:] })},
+	} {
+		if err := client.VerifyNodeMAC(2, tc.rep.Body(), tc.rep.MAC); err == nil {
+			t.Errorf("%s: MAC check passed", tc.name)
+		}
+	}
+	// Another node claiming the frame: its own key does not make the MAC.
+	wrong := *genuine
+	wrong.Node = 3
+	if err := client.VerifyNodeMAC(3, wrong.Body(), wrong.MAC); err == nil {
+		t.Error("wrong node: MAC check passed")
 	}
 }

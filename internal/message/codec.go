@@ -216,8 +216,8 @@ func Decode(data []byte) (Message, error) {
 		c.Instance, c.View, c.Seq, c.Digest, c.Node = decodePhase(r)
 		c.Auth = r.auth()
 		m = c
-	case TypeReply:
-		m = decodeReply(r)
+	case TypeReply, TypeReplyBundle:
+		m = decodeReply(r, t)
 	case TypeInstanceChange:
 		ic := &InstanceChange{CPI: r.u64(), Node: types.NodeID(r.u64())}
 		ic.Auth = r.auth()
@@ -312,12 +312,23 @@ func decodePhase(r *reader) (types.InstanceID, types.View, types.SeqNum, types.D
 	return types.InstanceID(r.u64()), types.View(r.u64()), types.SeqNum(r.u64()), r.digest(), types.NodeID(r.u64())
 }
 
-func decodeReply(r *reader) *Reply {
+// decodeReply reads a reply whose wire tag t was just read: one result, or a
+// bundle's count and results.
+func decodeReply(r *reader, t Type) *Reply {
 	rep := &Reply{
 		Client: types.ClientID(r.u64()),
 		ID:     types.RequestID(r.u64()),
 		Node:   types.NodeID(r.u64()),
-		Result: r.bytes(),
+	}
+	if t == TypeReply {
+		rep.Result = r.bytes()
+	} else if k := r.u32(); k < 2 || k > MaxBundleOps {
+		r.fail(fmt.Errorf("%w: reply bundle of %d results", ErrOversized, k))
+	} else {
+		rep.Result, rep.Rest = r.bytes(), make([][]byte, k-1)
+		for i := range rep.Rest {
+			rep.Rest[i] = r.bytes()
+		}
 	}
 	copy(rep.MAC[:], r.take(crypto.MACSize)) // nothing to copy when truncated
 	return rep

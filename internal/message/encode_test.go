@@ -32,6 +32,7 @@ func sampleMessages() []Message {
 		&Prepare{Instance: 1, View: 1, Seq: 2, Digest: types.Digest{7}, Node: 1, Auth: auth},
 		&Commit{Instance: 0, View: 1, Seq: 2, Digest: types.Digest{7}, Node: 2, Auth: auth},
 		&Reply{Client: 1, ID: 2, Result: []byte("r"), Node: 0, MAC: crypto.MAC{1}},
+		&Reply{Client: 1, ID: 2, Result: []byte("r"), Rest: [][]byte{[]byte("r3"), {}}, Node: 0, MAC: crypto.MAC{1}},
 		&InstanceChange{CPI: 7, Node: 3, Auth: auth},
 		&vc,
 		&NewView{Instance: 0, View: 2, ViewChanges: []ViewChange{vc}, PrePrepares: []PrePrepare{{Instance: 0, View: 2, Seq: 2, Batch: refs, Node: 1, Auth: auth}}, Node: 1, Auth: auth},
@@ -102,6 +103,7 @@ func TestEncodeZeroAlloc(t *testing.T) {
 		&Propagate{Req: Request{Client: 1, ID: 2, Op: bytes.Repeat([]byte{0x42}, 64),
 			Sig: make([]byte, crypto.SignatureSize)}, Node: 3, Auth: auth},
 		&Reply{Client: 1, ID: 2, Result: []byte("r"), Node: 0},
+		&Reply{Client: 1, ID: 2, Result: []byte("r"), Rest: [][]byte{[]byte("r3"), []byte("r4")}, Node: 0},
 		&Checkpoint{Instance: 0, Seq: 128, Node: 0, Auth: auth},
 	}
 	for _, m := range hot {

@@ -21,6 +21,7 @@ func fuzzSeeds(f *testing.F) {
 		&Prepare{Instance: 1, View: 1, Seq: 2, Node: 1},
 		&Commit{Instance: 0, View: 1, Seq: 2, Node: 2},
 		&Reply{Client: 1, ID: 2, Result: []byte("r"), Node: 0},
+		&Reply{Client: 1, ID: 2, Result: []byte("r"), Rest: [][]byte{[]byte("r3"), {}}, Node: 0},
 		&InstanceChange{CPI: 7, Node: 3},
 		&ViewChange{Instance: 0, NewView: 2, StableSeq: 1, Node: 1, Sig: make([]byte, crypto.SignatureSize)},
 		&NewView{Instance: 0, View: 2, ViewChanges: []ViewChange{{Instance: 0, NewView: 2, Node: 1}}, Node: 1},

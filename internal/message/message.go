@@ -54,10 +54,17 @@ const TypeReadRequest Type = 12
 // keeps its REQUEST encoding exactly.
 const TypeBundle Type = 13
 
+// TypeReplyBundle is the wire tag of a node's answer to k ≥ 2 consecutive
+// requests of one client bundle (docs/CLIENTS.md § Bundles): the same Reply
+// structure carrying k results under one MAC. A single reply keeps its REPLY
+// encoding exactly.
+const TypeReplyBundle Type = 14
+
 // The bundle caps: a bundle carries at most MaxBundleOps operations and at
 // most MaxBundleBytes of operation bytes (an operation larger than that
 // travels alone). A node rejects a bundle past either as malformed, so one
 // frame — one admission slot, one signature check — never buys unbounded work.
+// A reply bundle carries at most MaxBundleOps results.
 const (
 	MaxBundleOps   = 32
 	MaxBundleBytes = 32 << 10
@@ -72,6 +79,7 @@ var typeNames = map[Type]string{
 	TypePrepare:        "PREPARE",
 	TypeCommit:         "COMMIT",
 	TypeReply:          "REPLY",
+	TypeReplyBundle:    "REPLY-BUNDLE",
 	TypeInstanceChange: "INSTANCE-CHANGE",
 	TypeViewChange:     "VIEW-CHANGE",
 	TypeNewView:        "NEW-VIEW",
@@ -199,8 +207,8 @@ func BundleDigest(ds []types.Digest) types.Digest {
 // signedBodySize is the length of what a client signs; MaxBodySize that of
 // the largest well-formed REQUEST or PROPAGATE body, which also bounds every
 // fixed-size body (PRE-PREPARE, PREPARE, COMMIT, CHECKPOINT, FETCH,
-// INSTANCE-CHANGE) and a REPLY body with a short result, for callers that
-// append one into a stack buffer.
+// INSTANCE-CHANGE), every REPLY-BUNDLE body and a REPLY body with a short
+// result, for callers that append one into a stack buffer.
 const (
 	signedBodySize = 1 + types.DigestSize
 	MaxBodySize    = 1 + 8 + signedBodySize + crypto.SignatureSize
@@ -434,42 +442,107 @@ func appendPhaseBody(b []byte, t Type, inst types.InstanceID, v types.View, n ty
 }
 
 // Reply carries the execution result back to the client, authenticated with a
-// single node-to-client MAC.
+// single node-to-client MAC — or, with Rest, the results of consecutive
+// requests of one client bundle under that one MAC.
 type Reply struct {
 	Client types.ClientID
 	ID     types.RequestID
 	Result []byte
-	Node   types.NodeID
+	// Rest makes the reply a bundle (wire tag TypeReplyBundle): the results of
+	// requests ID+1 … ID+len(Rest), in id order. Empty for a single reply.
+	Rest [][]byte
+	Node types.NodeID
 
 	MAC crypto.MAC
 }
 
 var _ Message = (*Reply)(nil)
 
+// tag returns the wire tag: a bundle's, or REPLY.
+func (m *Reply) tag() Type {
+	if len(m.Rest) > 0 {
+		return TypeReplyBundle
+	}
+	return TypeReply
+}
+
 // MsgType implements Message.
-func (m *Reply) MsgType() Type { return TypeReply }
+func (m *Reply) MsgType() Type { return m.tag() }
 
-func (m *Reply) bodySize() int { return 1 + 8 + 8 + 8 + 4 + len(m.Result) }
+// Len returns the number of requests m answers: 1, or k for a bundle of k.
+func (m *Reply) Len() int { return 1 + len(m.Rest) }
 
-// AppendBody appends what the MAC covers: every field but it. A short result
-// fits a caller's stack buffer; a long one makes append grow it.
+// ResultAt returns the result of request ID+i, for 0 ≤ i < Len().
+func (m *Reply) ResultAt(i int) []byte {
+	if i == 0 {
+		return m.Result
+	}
+	return m.Rest[i-1]
+}
+
+// ResultsDigest hashes a bundle's results in id order, each behind its
+// length: SHA-256(len₁‖r₁‖…‖len_k‖r_k), which binds their number, order and
+// boundaries.
+func (m *Reply) ResultsDigest() types.Digest {
+	var n [4]byte
+	h := crypto.NewHasher()
+	for i := 0; i < m.Len(); i++ {
+		h.WriteLocal(appendU32(n[:0], uint32(len(m.ResultAt(i)))))
+		h.Write(m.ResultAt(i))
+	}
+	return h.Sum()
+}
+
+func (m *Reply) bodySize() int {
+	if len(m.Rest) > 0 {
+		return 1 + 8 + 8 + 8 + 4 + types.DigestSize
+	}
+	return 1 + 8 + 8 + 8 + 4 + len(m.Result)
+}
+
+// AppendBody appends what the MAC covers: every field but it, a bundle's
+// results through ResultsDigest — so any bundle's body fits MaxBodySize. A
+// single reply's short result fits a caller's stack buffer too; a long one
+// makes append grow it.
 func (m *Reply) AppendBody(b []byte) []byte {
-	b = appendU8(b, uint8(TypeReply))
+	b = m.appendHead(b)
+	if len(m.Rest) == 0 {
+		return appendBytes(b, m.Result)
+	}
+	return appendDigest(appendU32(b, uint32(m.Len())), m.ResultsDigest())
+}
+
+func (m *Reply) appendHead(b []byte) []byte {
+	b = appendU8(b, uint8(m.tag()))
 	b = appendU64(b, uint64(m.Client))
 	b = appendU64(b, uint64(m.ID))
-	b = appendU64(b, uint64(m.Node))
-	return appendBytes(b, m.Result)
+	return appendU64(b, uint64(m.Node))
 }
 
 // Body implements Message.
 func (m *Reply) Body() []byte { return m.AppendBody(make([]byte, 0, m.bodySize())) }
 
 // EncodedSize implements Message.
-func (m *Reply) EncodedSize() int { return m.bodySize() + crypto.MACSize }
+func (m *Reply) EncodedSize() int {
+	n := 1 + 8 + 8 + 8 + 4*m.Len() + crypto.MACSize
+	if len(m.Rest) > 0 {
+		n += 4
+	}
+	for i := 0; i < m.Len(); i++ {
+		n += len(m.ResultAt(i))
+	}
+	return n
+}
 
-// Marshal implements Message.
+// Marshal implements Message: a bundle's count, then every result.
 func (m *Reply) Marshal(dst []byte) []byte {
-	b := m.AppendBody(dst)
+	b := m.appendHead(dst)
+	if len(m.Rest) > 0 {
+		b = appendU32(b, uint32(m.Len()))
+	}
+	for i := 0; i < m.Len(); i++ {
+		b = appendBytes(b, m.ResultAt(i))
+	}
 	return append(b, m.MAC[:]...)
 }
 

@@ -27,8 +27,9 @@ func (s *sentFrames) Send(to string, data []byte) error {
 
 // TestSubmitBundlesQueuedRequests: 100 back-to-back Submits, from two
 // goroutines, leave the client loop to sign what is queued whenever it wakes
-// — bundles within the caps, covering every id once — and all 100 complete;
-// Invoke still works beside Submit.
+// — bundles within the caps, covering every id once — and every id completes
+// exactly once, whether its replies came bundled or not; Invoke still works
+// beside Submit.
 func TestSubmitBundlesQueuedRequests(t *testing.T) {
 	lc, apps := startCluster(t, Mem, nil)
 	tr, err := lc.listen(ClientName(1))
@@ -71,6 +72,13 @@ func TestSubmitBundlesQueuedRequests(t *testing.T) {
 		if err != nil || done.ID != types.RequestID(n+1+i) {
 			t.Fatalf("Invoke after the burst: request %d, %v", done.ID, err)
 		}
+	}
+	// The replies of the other nodes, bundled or not, complete nothing twice.
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case done := <-cr.Completions():
+		t.Fatalf("request %d completed again", done.ID)
+	default:
 	}
 
 	// Each frame went to every node; no retransmission is configured.

@@ -256,46 +256,42 @@ func (lc *LocalCluster) RestartNode(id types.NodeID) error {
 
 // listen creates one endpoint of the configured kind.
 func (lc *LocalCluster) listen(name string) (transport.Transport, error) {
+	var ep interface {
+		transport.Transport
+		SetMetrics(transport.Metrics)
+	}
+	var err error
 	switch lc.opts.Transport {
 	case Mem:
-		ep := lc.net.Endpoint(name)
-		ep.SetMetrics(transport.NewMetrics(lc.opts.Metrics, "mem"))
-		return ep, nil
+		ep = lc.net.Endpoint(name)
 	case TCP:
-		ep, err := tcpnet.Listen(name, "127.0.0.1:0", nil)
-		if err != nil {
-			return nil, err
-		}
-		ep.SetMetrics(transport.NewMetrics(lc.opts.Metrics, "tcp"))
-		lc.addrs[name] = ep.Addr()
-		return ep, nil
+		ep, err = tcpnet.Listen(name, "127.0.0.1:0", nil)
 	case UDP:
-		ep, err := udpnet.Listen(name, "127.0.0.1:0", nil)
-		if err != nil {
-			return nil, err
-		}
-		ep.SetMetrics(transport.NewMetrics(lc.opts.Metrics, "udp"))
-		lc.addrs[name] = ep.Addr()
-		return ep, nil
+		ep, err = udpnet.Listen(name, "127.0.0.1:0", nil)
 	default:
 		return nil, fmt.Errorf("runtime: unknown transport kind %d", lc.opts.Transport)
 	}
+	if err != nil {
+		return nil, err
+	}
+	ep.SetMetrics(transport.NewMetrics(lc.opts.Metrics, [...]string{Mem: "mem", TCP: "tcp", UDP: "udp"}[lc.opts.Transport]))
+	if sock, ok := ep.(interface{ Addr() string }); ok {
+		lc.addrs[name] = sock.Addr()
+	}
+	return ep, nil
 }
 
 // addPeersTo registers every other endpoint's address with ep.
 func (lc *LocalCluster) addPeersTo(ep transport.Transport) {
-	switch e := ep.(type) {
-	case *tcpnet.Endpoint:
-		for name, addr := range lc.addrs {
-			if name != e.Name() {
-				e.AddPeer(name, addr)
-			}
+	for name, addr := range lc.addrs {
+		if name == ep.Name() {
+			continue
 		}
-	case *udpnet.Endpoint:
-		for name, addr := range lc.addrs {
-			if name != e.Name() {
-				_ = e.AddPeer(name, addr)
-			}
+		switch e := ep.(type) {
+		case *tcpnet.Endpoint:
+			e.AddPeer(name, addr)
+		case *udpnet.Endpoint:
+			_ = e.AddPeer(name, addr)
 		}
 	}
 }

@@ -46,10 +46,11 @@ type egressFrame struct {
 	refs int32 // atomic
 
 	// Span bookkeeping, populated only for reply frames when spans are on:
-	// at is the enqueue stamp, client/req identify the request so the
-	// wal-durable and egress spans can join the rest of its lifecycle.
+	// at is the enqueue stamp, and the frame answers client's requests req …
+	// req+answers-1, so the wal-durable and egress spans can join the rest of
+	// their lifecycles.
 	at      time.Time
-	isReply bool
+	answers int
 	client  types.ClientID
 	req     types.RequestID
 }
@@ -227,32 +228,28 @@ func (e *egress) worker(q *peerQueue) {
 	}
 }
 
-// emitReplySpans records, for each reply frame the flushed batch carried, a
-// wal-durable span (the batch's shared log-before-send wait, when one ran)
-// and an egress span (enqueue to post-send, with the WAL wait subtracted so
-// the two stages attribute disjoint time). Transit to the client is not
-// observable server-side, so runtime traces carry no reply span — the
+// emitReplySpans records, for each request a reply frame of the flushed batch
+// answered, a wal-durable span (the batch's shared log-before-send wait, when
+// one ran) and an egress span (enqueue to post-send, with the WAL wait
+// subtracted so the two stages attribute disjoint time). Transit to the client
+// is not observable server-side, so runtime traces carry no reply span — the
 // critical-path analyzer falls back to execution events.
 func (e *egress) emitReplySpans(batch []*egressFrame, walWait time.Duration) {
 	now := time.Now()
 	for _, f := range batch {
-		if !f.isReply {
-			continue
-		}
-		if walWait > 0 {
+		d := max(now.Sub(f.at)-walWait, 0)
+		for req := f.req; req < f.req+types.RequestID(f.answers); req++ {
+			if walWait > 0 {
+				e.sp.Trace(obs.Event{
+					At: now, Type: obs.EvSpan, Stage: obs.StageWALDurable,
+					Client: f.client, Req: req, Dur: walWait,
+				})
+			}
 			e.sp.Trace(obs.Event{
-				At: now, Type: obs.EvSpan, Stage: obs.StageWALDurable,
-				Client: f.client, Req: f.req, Dur: walWait,
+				At: now, Type: obs.EvSpan, Stage: obs.StageEgress,
+				Client: f.client, Req: req, Dur: d,
 			})
 		}
-		d := now.Sub(f.at) - walWait
-		if d < 0 {
-			d = 0
-		}
-		e.sp.Trace(obs.Event{
-			At: now, Type: obs.EvSpan, Stage: obs.StageEgress,
-			Client: f.client, Req: f.req, Dur: d,
-		})
 	}
 }
 

@@ -399,13 +399,8 @@ func (nr *NodeRuntime) emit(out core.Output) {
 	}
 	for _, cm := range out.ClientMsgs {
 		f := &egressFrame{buf: message.Encode(cm.Msg), lsn: lsn, refs: 1}
-		if nr.spans {
-			if rep, ok := cm.Msg.(*message.Reply); ok {
-				f.at = time.Now()
-				f.isReply = true
-				f.client = rep.Client
-				f.req = rep.ID
-			}
+		if rep, ok := cm.Msg.(*message.Reply); ok && nr.spans {
+			f.at, f.client, f.req, f.answers = time.Now(), rep.Client, rep.ID, rep.Len()
 		}
 		nr.eg.enqueue(clientEndpoint(cm.To), f)
 	}
@@ -421,6 +416,7 @@ type ClientRuntime struct {
 
 	queued      chan struct{} // wakes the loop to flush what Submit/Invoke queued
 	completions chan client.Completed
+	completed   []client.Completed // handlePacket's working slice; the loop's own
 	stop        chan struct{}
 	done        chan struct{}
 }
@@ -559,14 +555,13 @@ func (cr *ClientRuntime) handlePacket(p transport.Packet) {
 		return
 	}
 	cr.mu.Lock()
-	done, ok := cr.cl.OnReply(rep, types.NodeID(from.id), time.Now())
+	cr.completed = cr.cl.OnReplies(rep, types.NodeID(from.id), time.Now(), cr.completed[:0])
 	cr.mu.Unlock()
-	if !ok {
-		return
-	}
-	select {
-	case cr.completions <- done:
-	default:
-		// Consumer not draining; drop rather than wedge the loop.
+	for _, done := range cr.completed {
+		select {
+		case cr.completions <- done:
+		default:
+			// Consumer not draining; drop rather than wedge the loop.
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rbft/internal/obs"
+	"rbft/internal/types"
 )
 
 // TestRuntimeEmitsLifecycleSpans drives a live durable cluster through a
@@ -33,14 +34,35 @@ func TestRuntimeEmitsLifecycleSpans(t *testing.T) {
 			t.Fatalf("invoke %d: %v", i, err)
 		}
 	}
+	// A burst, which goes out in bundles and is answered in reply bundles:
+	// every request still gets its own egress span.
+	const burst = 20
+	for i := 0; i < burst; i++ {
+		cr.Submit(nil)
+	}
+	for i := 0; i < burst; i++ {
+		select {
+		case <-cr.Completions():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d submitted requests completed", i, burst)
+		}
+	}
 
-	seen := map[obs.Stage]int{}
+	seen, egress := map[obs.Stage]int{}, map[types.RequestID]bool{}
 	for _, ev := range fr.Events() {
 		if ev.Type == obs.EvSpan {
 			seen[ev.Stage]++
 			if ev.Dur < 0 {
 				t.Fatalf("negative span duration: %+v", ev)
 			}
+			if ev.Stage == obs.StageEgress {
+				egress[ev.Req] = true
+			}
+		}
+	}
+	for id := types.RequestID(1); id <= 5+burst; id++ {
+		if !egress[id] {
+			t.Fatalf("request %d has no egress span", id)
 		}
 	}
 	for _, st := range []obs.Stage{

@@ -184,14 +184,7 @@ func (m *Metrics) result(cfg Config) *Result {
 // nearest-rank definition: the smallest value such that at least p·n of the
 // observations are <= it, i.e. index ceil(p·n)-1 of the sorted sample.
 func nearestRank(p float64, n int) int {
-	idx := int(math.Ceil(p*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return idx
+	return min(max(int(math.Ceil(p*float64(n)))-1, 0), n-1)
 }
 
 // ViewChanged reports whether any node completed an instance change.

@@ -401,12 +401,10 @@ func (s *Sim) Run(d time.Duration) *Result {
 
 	s.startWorkload()
 	s.startFloods()
-	for _, a := range s.cfg.Script {
-		act := a
+	for _, act := range s.cfg.Script {
 		s.schedule(act.At, func() { act.Do(s) })
 	}
-	for _, c := range s.cfg.Crashes {
-		cr := c
+	for _, cr := range s.cfg.Crashes {
 		s.schedule(cr.At, func() { s.crashNode(cr.Node) })
 		s.schedule(cr.At.Add(cr.Down), func() { s.restartNode(cr.Node) })
 	}
@@ -618,8 +616,7 @@ func (s *Sim) outputCost(out core.Output) time.Duration {
 	for _, cm := range out.ClientMsgs {
 		cost += s.cfg.Cost.outCost(cm.Msg, 1)
 	}
-	cost += s.execChargeFor(out)
-	return cost
+	return cost + s.execChargeFor(out)
 }
 
 // execChargeFor charges an output's executions: the sum of its waves' spans.
@@ -705,8 +702,7 @@ func (s *Sim) sendNodeToNode(from *simNode, to types.NodeID, frame []byte, size 
 	// up, exactly like the runtime's flush policy).
 	arrive := s.book(l, size, s.transit)
 	dst := s.nodes[to]
-	fromID := from.id
-	s.schedule(arrive, func() { s.deliverFromNode(dst, frame, fromID) })
+	s.schedule(arrive, func() { s.deliverFromNode(dst, frame, from.id) })
 }
 
 // flushLink transmits up to EgressCoalesce parked payloads as one coalesced
@@ -721,10 +717,7 @@ func (s *Sim) flushLink(from *simNode, to types.NodeID, ep int) {
 		// died with it) or the queue was cleared; nothing to transmit.
 		return
 	}
-	k := len(l.pending)
-	if k > s.cfg.EgressCoalesce {
-		k = s.cfg.EgressCoalesce
-	}
+	k := min(len(l.pending), s.cfg.EgressCoalesce)
 	batch := l.pending[:k:k]
 	l.pending = l.pending[k:]
 	total := 0
@@ -733,10 +726,8 @@ func (s *Sim) flushLink(from *simNode, to types.NodeID, ep int) {
 	}
 	arrive := s.book(l, total, s.transit)
 	dst := s.nodes[to]
-	fromID := from.id
 	for _, pf := range batch {
-		frame := pf.frame
-		s.schedule(arrive, func() { s.deliverFromNode(dst, frame, fromID) })
+		s.schedule(arrive, func() { s.deliverFromNode(dst, pf.frame, from.id) })
 	}
 	if len(l.pending) > 0 {
 		l.flushArmed = true
@@ -816,8 +807,7 @@ func (s *Sim) sendNodeToClient(from *simNode, to types.ClientID, msg message.Mes
 		}
 	}
 	cl := s.clients[to]
-	fromID := from.id
-	s.schedule(arrive, func() { s.clientReceive(cl, frame, fromID) })
+	s.schedule(arrive, func() { s.clientReceive(cl, frame, from.id) })
 }
 
 // armNodeTimer keeps exactly one pending wake-up per node.
@@ -828,9 +818,6 @@ func (s *Sim) armNodeTimer(sn *simNode) {
 	}
 	if !sn.timerAt.IsZero() && !sn.timerAt.After(wake) && sn.timerAt.After(s.now) {
 		return // an earlier or equal wake-up is already scheduled
-	}
-	if wake.Before(s.now) {
-		wake = s.now
 	}
 	sn.timerAt = wake
 	s.schedule(wake, func() { s.fireNodeTimer(sn) })

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"rbft/internal/client"
@@ -63,10 +64,7 @@ type kvOpGen struct {
 }
 
 func newKVOpGen(cfg *KVWorkload, size int, rng *rand.Rand) *kvOpGen {
-	keys := cfg.Keys
-	if keys < 2 {
-		keys = 2
-	}
+	keys := max(cfg.Keys, 2)
 	skew := cfg.ZipfS
 	if skew <= 1 {
 		skew = 1.1
@@ -88,24 +86,18 @@ func (g *kvOpGen) next(rng *rand.Rand) (op []byte, isRead bool) {
 		return []byte(fmt.Sprintf("GET k%d", key)), true
 	}
 	op = []byte(fmt.Sprintf("PUT k%d ", key))
-	pad := g.size - len(op)
-	if pad < 1 {
-		pad = 1
-	}
+	pad := max(g.size-len(op), 1)
 	for i := 0; i < pad; i++ {
 		op = append(op, 'a'+byte(i%26))
 	}
 	return op, false
 }
 
-func (w Workload) maxClients() int {
-	max := 0
+func (w Workload) maxClients() (n int) {
 	for _, p := range w.Phases {
-		if p.Clients > max {
-			max = p.Clients
-		}
+		n = max(n, p.Clients)
 	}
-	return max
+	return n
 }
 
 // StaticLoad is the paper's static workload: a fixed saturating client
@@ -185,8 +177,7 @@ func (s *Sim) clientAt(i int) *simClient {
 func (s *Sim) startWorkload() {
 	at := s.now
 	for i, p := range s.cfg.Workload.Phases {
-		phase := p
-		s.schedule(at, func() { s.applyPhase(phase) })
+		s.schedule(at, func() { s.applyPhase(p) })
 		if i < len(s.cfg.Workload.Phases)-1 {
 			at = at.Add(p.Duration)
 		}
@@ -227,8 +218,7 @@ func (s *Sim) applyPhase(p Phase) {
 		if !wasActive {
 			// Stagger activations slightly to avoid phase-locked bursts.
 			delay := time.Duration(s.rng.Int63n(int64(time.Millisecond) + 1))
-			client := sc
-			s.schedule(s.now.Add(delay), func() { s.clientSend(client) })
+			s.schedule(s.now.Add(delay), func() { s.clientSend(sc) })
 		}
 	}
 }
@@ -299,14 +289,7 @@ func (s *Sim) broadcastRequest(sc *simClient, req *message.Request) {
 	}
 }
 
-func (s *Sim) corruptFor(n types.NodeID) bool {
-	for _, id := range s.cfg.CorruptClientAuthFor {
-		if id == n {
-			return true
-		}
-	}
-	return false
-}
+func (s *Sim) corruptFor(n types.NodeID) bool { return slices.Contains(s.cfg.CorruptClientAuthFor, n) }
 
 // clientReceive processes a frame at the client in the order of
 // ClientRuntime.handlePacket: a node sent it, it decodes, it is a REPLY.
@@ -345,9 +328,6 @@ func (s *Sim) armClientTimer(sc *simClient) {
 	}
 	if !sc.timerAt.IsZero() && !sc.timerAt.After(wake) && sc.timerAt.After(s.now) {
 		return
-	}
-	if wake.Before(s.now) {
-		wake = s.now
 	}
 	sc.timerAt = wake
 	s.schedule(wake, func() { s.fireClientTimer(sc) })
