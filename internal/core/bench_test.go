@@ -70,10 +70,10 @@ func bundlePath(nc *nodeCluster, op []byte) {
 func TestNodeBundlePathAllocationBudget(t *testing.T) {
 	nc := newNodeCluster(t, 1, nil)
 	bundlePath(nc, requestPathOp)
-	const ceiling = 56 // per request; measured 55.8, against 408 for a single request (77.4 and 416 with a REPLY per request)
+	const ceiling = 55.1 // per request; measured 55.06, against 408 for a single request (55.8 while every PROPAGATE copy hashed its bundle again; 77.4 and 416 with a REPLY per request)
 	n := testing.AllocsPerRun(50, func() { bundlePath(nc, requestPathOp) }) / 16
 	t.Logf("%v allocs per request", n)
 	if n > ceiling {
-		t.Errorf("a 16-request bundle through four nodes: %v allocs per request, want <= %d", n, ceiling)
+		t.Errorf("a 16-request bundle through four nodes: %v allocs per request, want <= %v", n, ceiling)
 	}
 }

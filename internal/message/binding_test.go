@@ -294,18 +294,39 @@ func BenchmarkPreverifyClientFrame(b *testing.B) {
 }
 
 // BenchmarkPreverifyPropagateFrame is the sig-cache hit path every PROPAGATE
-// copy after the first takes: decode, one pass over the op, the MAC check
-// and a cache lookup.
+// copy after the first takes: decode, a comparison of the operations with the
+// cached copy, the MAC check against the cached digest. The bundle of 8 4 kB
+// operations — large-mem's sat-phase bundle — also runs the miss path for
+// comparison, a pass over the operations and an Ed25519 verification, and
+// both report per request.
 func BenchmarkPreverifyPropagateFrame(b *testing.B) {
 	ks := testKeys()
+	ops8x4k := make([][]byte, 8)
+	for i := range ops8x4k {
+		ops8x4k[i] = bytes.Repeat([]byte{byte(i)}, 4096)
+	}
+	type benchCase struct {
+		name string
+		req  *Request
+		miss bool
+	}
+	cases := []benchCase{
+		{"bundle-8x4kB-hit", signedBundle(ks, 1, 1, ops8x4k...), false},
+		{"bundle-8x4kB-miss", signedBundle(ks, 1, 1, ops8x4k...), true},
+	}
 	for _, bo := range benchOps {
-		b.Run(bo.name, func(b *testing.B) {
-			pre := newPreverifier(ks, 16)
-			req := signedRequest(ks, 1, 1, bo.op)
-			if _, err := pre.preverifyClient(req, 1); err != nil {
-				b.Fatal(err)
+		cases = append(cases, benchCase{bo.name, signedRequest(ks, 1, 1, bo.op), false})
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			pre := NewPreverifier(ks.NodeRing(0), 0, types.NewConfig(1), nil) // no cache: every call misses
+			if !tc.miss {
+				pre = newPreverifier(ks, 16)
+				if _, err := pre.preverifyClient(tc.req, 1); err != nil {
+					b.Fatal(err)
+				}
 			}
-			frame := propagateOf(ks, 1, req).Marshal(nil)
+			frame := propagateOf(ks, 1, tc.req).Marshal(nil)
 			b.SetBytes(int64(len(frame)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -314,6 +335,7 @@ func BenchmarkPreverifyPropagateFrame(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.req.Len()), "ns/req")
 		})
 	}
 }

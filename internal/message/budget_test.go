@@ -13,9 +13,10 @@ import (
 // floor: a received frame costs the decoded message and the Verified value —
 // no authenticator (it aliases the frame), no MAC'd body (a stack buffer),
 // nothing proportional to the op or to N. A PRE-PREPARE adds its decoded
-// batch; a bundle, per frame and whatever its size, its list of operations
-// and its list of OpDigests. Not under the race detector, where sync.Pool drops the pooled hashers
-// at random and a digest then allocates one.
+// batch; a bundle, per frame and whatever its size, its list of operations —
+// and, when the cache does not hold it, its list of OpDigests. Not under the
+// race detector, where sync.Pool drops the pooled hashers at random and a
+// digest then allocates one.
 func TestPreverifyAllocationBudget(t *testing.T) {
 	ks := testKeys()
 	pre := newPreverifier(ks, 16)
@@ -29,10 +30,12 @@ func TestPreverifyAllocationBudget(t *testing.T) {
 	prePrepare.Auth = ring.AuthenticatorForNodes(testN, prePrepare.AppendBody(buf[:0]))
 	propagate := largePropagateFrame(t, ks, pre) // also caches client 1's verdict for the REQUEST row
 	request := signedRequest(ks, 1, 1, bytes.Repeat([]byte{0xab}, 4096)).Marshal(nil)
-	bundle := signedBundle(ks, 1, 2, bundleOps(16)...).Marshal(nil)
-	if _, err := pre.PreverifyClientFrame(bundle, 1); err != nil { // caches its verdict
+	signed := signedBundle(ks, 1, 2, bundleOps(16)...)
+	bundle := signed.Marshal(nil)
+	if _, err := pre.PreverifyClientFrame(bundle, 1); err != nil { // caches it
 		t.Fatal(err)
 	}
+	bundlePropagate := propagateOf(ks, 1, signed).Marshal(nil)
 
 	for _, tc := range []struct {
 		name       string
@@ -43,7 +46,8 @@ func TestPreverifyAllocationBudget(t *testing.T) {
 	}{
 		{"cached 4 kB PROPAGATE", propagate, false, 2, 1024},
 		{"cached 4 kB client REQUEST", request, true, 2, 1024},
-		{"cached 16-op client bundle", bundle, true, 4, 2048}, // 56 B per op: its slice header and OpDigest
+		{"cached 16-op client bundle", bundle, true, 3, 1024}, // 24 B per op: its slice header
+		{"cached 16-op bundle PROPAGATE", bundlePropagate, false, 3, 1024},
 		{"PREPARE", prepare.Marshal(nil), false, 2, 1024},
 		{"COMMIT", commit.Marshal(nil), false, 2, 1024},
 		{"PRE-PREPARE of 8", prePrepare.Marshal(nil), false, 3, 1024},

@@ -2,6 +2,7 @@ package message
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"rbft/internal/crypto"
@@ -10,7 +11,7 @@ import (
 
 // fuzzSeeds marshals one representative of every message type so the fuzzers
 // start from structurally valid frames and mutate from there.
-func fuzzSeeds(f *testing.F) {
+func fuzzSeeds() [][]byte {
 	refs := []types.RequestRef{{Client: 1, ID: 2}, {Client: 3, ID: 4}}
 	msgs := []Message{
 		&Request{Client: 1, ID: 2, Op: []byte("op"), Sig: make([]byte, crypto.SignatureSize)},
@@ -30,13 +31,12 @@ func fuzzSeeds(f *testing.F) {
 		&Fetch{Instance: 0, FromSeq: 1, ToSeq: 3, Node: 2},
 		&FetchResp{Instance: 0, Seq: 2, View: 1, Batch: refs, Node: 0},
 	}
+	var frames [][]byte
 	for _, m := range msgs {
-		f.Add(m.Marshal(nil))
+		frames = append(frames, m.Marshal(nil))
 	}
 	// A few degenerate frames.
-	f.Add([]byte{})
-	f.Add([]byte{0xff})
-	f.Add(bytes.Repeat([]byte{0x01}, 64))
+	return append(frames, []byte{}, []byte{0xff}, bytes.Repeat([]byte{0x01}, 64))
 }
 
 // FuzzDecode checks that Decode never panics on arbitrary bytes, never writes
@@ -44,7 +44,9 @@ func fuzzSeeds(f *testing.F) {
 // message aliases its frame) and that any frame it accepts survives a
 // marshal/decode round trip with the same type.
 func FuzzDecode(f *testing.F) {
-	fuzzSeeds(f)
+	for _, frame := range fuzzSeeds() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		orig := bytes.Clone(data)
 		msg, err := Decode(data)
@@ -75,32 +77,43 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzPreverify drives the full preverify stage (decode + authentication)
-// with arbitrary frames on both NICs. Invariants: no panics, a Verified
-// value exactly when there is no error, and every error is a classified
-// PreverifyError kind.
+// with two arbitrary frames in turn, each on both NICs, through a preverifier
+// whose cache the first frame may fill for the second. Invariants:
+// no panics, a Verified value exactly when there is no error, every error a
+// classified PreverifyError kind, and a second frame accepted from the cache
+// carries the digests its own bytes hash to.
 func FuzzPreverify(f *testing.F) {
-	fuzzSeeds(f)
-	// Also seed a fully authenticated request and bundle, and the bundle's
-	// PROPAGATE from node 2, so the accept path (and the signature cache) is
-	// exercised, not just rejections.
+	for _, frame := range fuzzSeeds() {
+		f.Add(frame, []byte(nil))
+	}
+	// Also seed fully authenticated requests and bundles, each followed by its
+	// PROPAGATE from node 2, so the accept path and the signature cache's hit
+	// path are exercised, not just rejections.
 	ks := crypto.NewKeyStore([]byte("fuzz-preverify"), 4, 4)
 	cl := ks.ClientRing(1)
 	for _, req := range []*Request{
 		{Client: 1, ID: 2, Op: []byte("op")},
 		{Client: 1, ID: 3, Op: []byte("op3"), Rest: [][]byte{[]byte("op4"), []byte("op5")}},
+		{Client: 1, ID: 6, Op: []byte("ab"), Rest: [][]byte{[]byte("c")}},
 	} {
 		d, _ := req.Digests()
 		req.Sig = cl.Sign(req.AppendSignedBody(nil, d))
 		req.Auth = cl.AuthenticatorForNodes(4, req.Body())
-		f.Add(req.Marshal(nil))
 		p := &Propagate{Req: *req, Node: 2}
 		p.Auth = ks.NodeRing(2).AuthenticatorForNodes(4, p.Body())
-		f.Add(p.Marshal(nil))
+		f.Add(req.Marshal(nil), p.Marshal(nil))
+		if len(req.Rest) == 1 {
+			// And a faulty node's PROPAGATE of the bundle with an operation
+			// boundary moved, ["a","bc"] for ["ab","c"], under its signature.
+			p.Req.Op, p.Req.Rest = []byte("a"), [][]byte{[]byte("bc")}
+			p.Auth = ks.NodeRing(2).AuthenticatorForNodes(4, p.Body())
+			f.Add(req.Marshal(nil), p.Marshal(nil))
+		}
 	}
 
-	cluster := types.NewConfig(1)
-	pre := NewPreverifier(ks.NodeRing(0), 0, cluster, NewVerifyCache(64))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	// Few entries, so that the frames of one input also evict each other's.
+	pre := NewPreverifier(ks.NodeRing(0), 0, types.NewConfig(1), NewVerifyCache(4))
+	f.Fuzz(func(t *testing.T, first, second []byte) {
 		check := func(v *Verified, err error) {
 			if (v == nil) == (err == nil) {
 				t.Fatalf("got verified=%v error=%v; want exactly one", v, err)
@@ -109,9 +122,22 @@ func FuzzPreverify(f *testing.F) {
 				if k := failKindOf(err); k < FailMalformed || k > FailBadSig {
 					t.Fatalf("unclassified preverify error %v", err)
 				}
+				return
+			}
+			req, ok := v.Msg.(*Request)
+			if p, isProp := v.Msg.(*Propagate); isProp {
+				req, ok = &p.Req, true
+			}
+			if !ok {
+				return
+			}
+			if d, ops := req.Digests(); d != v.Digest || !slices.Equal(ops, v.OpDigests) {
+				t.Fatalf("accepted %s carries digests %x %x, its bytes hash to %x %x", v.Msg.MsgType(), v.Digest, v.OpDigests, d, ops)
 			}
 		}
-		check(pre.PreverifyClientFrame(data, 1))
-		check(pre.PreverifyNodeFrame(data, 2))
+		for _, data := range [][]byte{first, second} {
+			check(pre.PreverifyClientFrame(data, 1))
+			check(pre.PreverifyNodeFrame(data, 2))
+		}
 	})
 }

@@ -1,7 +1,9 @@
 package message
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"rbft/internal/crypto"
@@ -179,6 +181,178 @@ func TestVerifyCacheEviction(t *testing.T) {
 	}
 	if h, m := pre.Cache().Stats(); h != 1 || m != 4 {
 		t.Fatalf("hits=%d misses=%d, want 1/4: the resident verdict must be served from cache", h, m)
+	}
+}
+
+// TestPropagateVariantsMissTheCache: a faulty node relays an honest bundle's
+// signature over a request changed in one way, under its own valid MAC. Each
+// variant misses the cache — so it is hashed, not served the honest digests —
+// and fails the signature; none of them displaces the honest entry, which the
+// next honest copy still hits.
+func TestPropagateVariantsMissTheCache(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	honest := signedBundle(ks, 1, 10, []byte("ab"), []byte("c"), []byte("op-2"), []byte("op-3"))
+	want, err := pre.PreverifyClientFrame(honest.Marshal(nil), 1)
+	if err != nil {
+		t.Fatalf("honest bundle rejected: %v", err)
+	}
+	variant := func(edit func(r *Request)) *Request {
+		r := *honest
+		r.Rest = append([][]byte(nil), honest.Rest...)
+		edit(&r)
+		return &r
+	}
+	for _, tc := range []struct {
+		name string
+		req  *Request
+	}{
+		{"one op changed", variant(func(r *Request) { r.Rest[1] = []byte("op-9") })},
+		{"two ops swapped", variant(func(r *Request) { r.Rest[1], r.Rest[2] = r.Rest[2], r.Rest[1] })},
+		{"op boundary moved", variant(func(r *Request) { r.Op, r.Rest[0] = []byte("a"), []byte("bc") })},
+		{"first id shifted", variant(func(r *Request) { r.ID++ })},
+		{"count cut", variant(func(r *Request) { r.Rest = r.Rest[:len(r.Rest)-1] })},
+		{"client changed", variant(func(r *Request) { r.Client = 2 })},
+	} {
+		_, m0 := pre.Cache().Stats()
+		if _, err := pre.PreverifyNodeFrame(propagateOf(ks, 1, tc.req).Marshal(nil), 1); failKindOf(err) != FailBadSig {
+			t.Errorf("%s: got %v, want bad-sig", tc.name, err)
+		}
+		if _, m := pre.Cache().Stats(); m != m0+1 {
+			t.Errorf("%s: %d misses, want %d: the variant must not hit the honest entry", tc.name, m, m0+1)
+		}
+	}
+	h0, m0 := pre.Cache().Stats()
+	got, err := pre.PreverifyNodeFrame(propagateOf(ks, 2, honest).Marshal(nil), 2)
+	if err != nil {
+		t.Fatalf("honest PROPAGATE after the variants rejected: %v", err)
+	}
+	if h, m := pre.Cache().Stats(); h != h0+1 || m != m0 {
+		t.Fatalf("honest PROPAGATE: hits %d→%d, misses %d→%d; want one hit: the variants poisoned the entry", h0, h, m0, m)
+	}
+	if got.Digest != want.Digest || !slices.Equal(got.OpDigests, want.OpDigests) {
+		t.Fatal("the honest PROPAGATE's cached digests differ from those its REQUEST hashed to")
+	}
+}
+
+// ops8x4k returns the 8 operations of 4 kB of a full bundle, bytes of tag.
+func ops8x4k(tag byte) [][]byte {
+	ops := make([][]byte, 8)
+	for i := range ops {
+		ops[i] = bytes.Repeat([]byte{tag, byte(i)}, 2048)
+	}
+	return ops
+}
+
+// TestVerifyCacheOverwrittenCopyKeepsItsVerdict: more than the arena's worth
+// of operations arrives between a bundle's REQUEST and its PROPAGATE, so the
+// arena write reaches the bundle's copy. Its entry drops the copy and its
+// OpDigests but keeps d and the verdict: the PROPAGATE is hashed again, takes
+// the verdict without a second Ed25519 verification, and stores its copy
+// again, which the next PROPAGATE hits byte for byte. A request too large for
+// the arena keeps a verdict without a copy the same way.
+func TestVerifyCacheOverwrittenCopyKeepsItsVerdict(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 0)
+	cache := pre.Cache()
+	entry := func(req *Request) cacheEntry {
+		cache.mu.RLock()
+		defer cache.mu.RUnlock()
+		return cache.entries[cache.bySig[[crypto.SignatureSize]byte(req.Sig)]%uint64(len(cache.entries))]
+	}
+	a := signedBundle(ks, 1, 1, ops8x4k('a')...)
+	if _, err := pre.PreverifyClientFrame(a.Marshal(nil), 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i*MaxBundleBytes <= verifyArenaBytes; i++ {
+		other := signedBundle(ks, 2, types.RequestID(1+8*i), ops8x4k(byte(i))...)
+		if _, err := pre.PreverifyClientFrame(other.Marshal(nil), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e := entry(a); !e.held || e.hasCopy || e.ops != nil {
+		t.Fatalf("a's entry: held %v, copy %v, OpDigests %v; want its verdict without copy or OpDigests", e.held, e.hasCopy, e.ops != nil)
+	}
+	_, want := a.Digests()
+	for node := types.NodeID(1); node <= 2; node++ {
+		h0, m0 := cache.Stats()
+		v, err := pre.PreverifyNodeFrame(propagateOf(ks, node, a).Marshal(nil), node)
+		if err != nil {
+			t.Fatalf("PROPAGATE from node %d rejected: %v", node, err)
+		}
+		if !slices.Equal(v.OpDigests, want) {
+			t.Fatalf("PROPAGATE from node %d: OpDigests differ from the bundle's", node)
+		}
+		if h, m := cache.Stats(); h != h0+1 || m != m0 {
+			t.Fatalf("PROPAGATE from node %d: hits %d→%d, misses %d→%d; want the cached verdict, no verification", node, h0, h, m0, m)
+		}
+		if e := entry(a); !e.hasCopy {
+			t.Fatalf("PROPAGATE from node %d: a's copy not stored again", node)
+		}
+	}
+
+	huge := signedRequest(ks, 3, 1, bytes.Repeat([]byte{'h'}, verifyArenaBytes))
+	if _, err := pre.PreverifyClientFrame(huge.Marshal(nil), 3); err != nil {
+		t.Fatal(err)
+	}
+	h0, m0 := cache.Stats()
+	if _, err := pre.PreverifyNodeFrame(propagateOf(ks, 1, huge).Marshal(nil), 1); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := cache.Stats(); h != h0+1 || m != m0 {
+		t.Fatalf("a request larger than the arena: hits %d→%d, misses %d→%d; want its verdict cached", h0, h, m0, m)
+	}
+	if e := entry(huge); !e.held || e.hasCopy {
+		t.Fatalf("a request larger than the arena: held %v, copy %v; want a verdict without copy", e.held, e.hasCopy)
+	}
+}
+
+// TestVerifyCacheConcurrentCopies runs a REQUEST and the PROPAGATEs of the
+// same bundles through one preverifier on two goroutines (a race-detector
+// target). The cache holds fewer entries than there are bundles and they
+// carry more operation bytes than its arena, so both evict as it goes. Every
+// copy is accepted with the digests its own bytes hash to.
+func TestVerifyCacheConcurrentCopies(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 8)
+	const bundles = verifyArenaBytes/MaxBundleBytes + 8
+	reqs, props := make([][]byte, bundles), make([][]byte, bundles)
+	want := make([][]types.Digest, bundles)
+	for i := range reqs {
+		req := signedBundle(ks, types.ClientID(1+i%4), types.RequestID(1+8*i), ops8x4k(byte(i))[:2+i%7]...)
+		reqs[i] = req.Marshal(nil)
+		props[i] = propagateOf(ks, types.NodeID(1+i%3), req).Marshal(nil)
+		_, want[i] = req.Digests()
+	}
+	errs := make(chan error, 2)
+	run := func(frames [][]byte, verify func(i int, frame []byte) (*Verified, error)) {
+		for round := 0; round < 3; round++ {
+			for i, frame := range frames {
+				v, err := verify(i, frame)
+				if err == nil && !slices.Equal(v.OpDigests, want[i]) {
+					err = errors.New("accepted with another bundle's OpDigests")
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+		errs <- nil
+	}
+	go run(reqs, func(i int, frame []byte) (*Verified, error) {
+		return pre.PreverifyClientFrame(frame, types.ClientID(1+i%4))
+	})
+	go run(props, func(i int, frame []byte) (*Verified, error) {
+		return pre.PreverifyNodeFrame(frame, types.NodeID(1+i%3))
+	})
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, m := pre.Cache().Stats(); h+m != 2*3*bundles || m < bundles {
+		t.Fatalf("hits=%d misses=%d, want %d lookups and at least one miss per bundle", h, m, 2*3*bundles)
 	}
 }
 

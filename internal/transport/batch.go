@@ -61,10 +61,22 @@ func AppendBatch(dst []byte, payloads [][]byte) []byte {
 }
 
 // SplitBatch decodes a batch frame, invoking fn once per payload in order.
-// Payloads are subslices of frame (no copy); callers that retain them beyond
-// frame's lifetime must copy. Truncated or trailing-garbage frames return
-// ErrCorruptBatch; a non-batch frame returns ErrNotBatch.
+// Payloads are capacity-clipped subslices of frame (no copy): appending to
+// one never reaches the next payload's length prefix or bytes. Callers that
+// retain them beyond frame's lifetime must copy. A truncated or
+// trailing-garbage frame returns ErrCorruptBatch before fn sees any of its
+// payloads, so a corrupt frame is dropped whole; a non-batch frame returns
+// ErrNotBatch.
 func SplitBatch(frame []byte, fn func(payload []byte)) error {
+	if err := walkBatch(frame, func([]byte) {}); err != nil {
+		return err
+	}
+	return walkBatch(frame, fn)
+}
+
+// walkBatch invokes fn on each payload of frame until it finds the frame
+// corrupt.
+func walkBatch(frame []byte, fn func(payload []byte)) error {
 	if !IsBatch(frame) {
 		return ErrNotBatch
 	}
@@ -82,7 +94,7 @@ func SplitBatch(frame []byte, fn func(payload []byte)) error {
 		if n > MaxFrame || off+n > len(frame) {
 			return fmt.Errorf("%w: truncated payload %d/%d", ErrCorruptBatch, i, count)
 		}
-		fn(frame[off : off+n])
+		fn(frame[off : off+n : off+n])
 		off += n
 	}
 	if off != len(frame) {

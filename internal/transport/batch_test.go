@@ -7,10 +7,15 @@ import (
 	"testing"
 )
 
+// collect splits frame, checking that every payload is capacity-clipped: an
+// append to one must not reach the next payload's length prefix or bytes.
 func collect(t *testing.T, frame []byte) [][]byte {
 	t.Helper()
 	var out [][]byte
 	if err := SplitBatch(frame, func(p []byte) {
+		if cap(p) != len(p) {
+			t.Errorf("payload %d: capacity %d past its %d bytes", len(out), cap(p), len(p))
+		}
 		out = append(out, append([]byte(nil), p...))
 	}); err != nil {
 		t.Fatalf("SplitBatch: %v", err)
@@ -68,30 +73,33 @@ func TestIsBatchRejectsProtocolFrames(t *testing.T) {
 	}
 }
 
+// TestSplitBatchCorrupt: every way a batch frame can be corrupt is detected,
+// and before any of its payloads is handed out — a corrupt frame is dropped
+// whole.
 func TestSplitBatchCorrupt(t *testing.T) {
 	valid := AppendBatch(nil, [][]byte{[]byte("ab"), []byte("cde")})
-	nop := func([]byte) {}
+	none := func([]byte) { t.Error("a payload of a corrupt batch frame was handed out") }
 
-	if err := SplitBatch([]byte("not a batch"), nop); !errors.Is(err, ErrNotBatch) {
+	if err := SplitBatch([]byte("not a batch"), none); !errors.Is(err, ErrNotBatch) {
 		t.Errorf("non-batch frame: %v, want ErrNotBatch", err)
 	}
 
 	// Every strict prefix of a valid batch frame must be rejected.
 	for n := batchHeaderSize; n < len(valid); n++ {
-		err := SplitBatch(valid[:n], nop)
+		err := SplitBatch(valid[:n], none)
 		if !errors.Is(err, ErrCorruptBatch) {
 			t.Errorf("prefix of %d bytes: %v, want ErrCorruptBatch", n, err)
 		}
 	}
 
 	// Trailing garbage after the last payload.
-	if err := SplitBatch(append(append([]byte(nil), valid...), 0xcc), nop); !errors.Is(err, ErrCorruptBatch) {
+	if err := SplitBatch(append(append([]byte(nil), valid...), 0xcc), none); !errors.Is(err, ErrCorruptBatch) {
 		t.Errorf("trailing byte: %v, want ErrCorruptBatch", err)
 	}
 
 	// An absurd payload count must fail fast, not allocate or spin.
 	huge := []byte{BatchMagic, 0xff, 0xff, 0xff, 0xff}
-	if err := SplitBatch(huge, nop); !errors.Is(err, ErrCorruptBatch) {
+	if err := SplitBatch(huge, none); !errors.Is(err, ErrCorruptBatch) {
 		t.Errorf("huge count: %v, want ErrCorruptBatch", err)
 	}
 
@@ -100,7 +108,7 @@ func TestSplitBatchCorrupt(t *testing.T) {
 	var ln [4]byte
 	binary.BigEndian.PutUint32(ln[:], uint32(MaxFrame+1))
 	bad = append(bad, ln[:]...)
-	if err := SplitBatch(bad, nop); !errors.Is(err, ErrCorruptBatch) {
+	if err := SplitBatch(bad, none); !errors.Is(err, ErrCorruptBatch) {
 		t.Errorf("oversized payload length: %v, want ErrCorruptBatch", err)
 	}
 }
@@ -120,6 +128,9 @@ func FuzzFrameBatch(f *testing.F) {
 		var payloads [][]byte
 		total := 0
 		err := SplitBatch(frame, func(p []byte) {
+			if cap(p) != len(p) {
+				t.Fatalf("payload %d not capacity-clipped", len(payloads))
+			}
 			payloads = append(payloads, append([]byte(nil), p...))
 			total += len(p)
 		})

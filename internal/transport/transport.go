@@ -25,7 +25,8 @@ type Packet struct {
 	// receiver must not modify them, because a message decoded from the
 	// payload aliases it (message.Decode copies no variable-length field).
 	// Whoever retains the message retains the payload — and, for a payload
-	// split out of a coalesced batch frame, the frame around it.
+	// split out of a coalesced batch frame, the frame around it, of which
+	// the payload is a capacity-clipped slice: an append to it copies.
 	Data []byte
 }
 

@@ -50,7 +50,7 @@ go test ./internal/core -run '^$' -fuzz '^FuzzMergeSchedule$' -fuzztime 5s
 go test ./internal/exec -run '^$' -fuzz '^FuzzWaveSchedule$' -fuzztime 5s
 go test ./internal/client -run '^$' -fuzz '^FuzzReadQuorum$' -fuzztime 5s
 
-echo "== allocation gate (zero-alloc steady-state encode and two-allocation emit, docs/EGRESS.md; allocation-free MACs, alias decode, two allocations per preverified frame and per frame from wire to node, one buffer per coalesced memnet flush, docs/PIPELINE.md; one batch through four replicas, one request through four core.Nodes and a 16-request bundle at a fraction of that per request; a bundle preverifies at four allocations per frame, whatever its size) =="
+echo "== allocation gate (zero-alloc steady-state encode and two-allocation emit, docs/EGRESS.md; allocation-free MACs, alias decode, two allocations per preverified frame and per frame from wire to node, one buffer per coalesced memnet flush, docs/PIPELINE.md; one batch through four replicas, one request through four core.Nodes and a 16-request bundle at a fraction of that per request; a bundle preverifies at three allocations per cached copy, whatever its size) =="
 go test ./internal/message -run '^(TestEncodeZeroAlloc|TestDecodeAliasesFrame|TestPreverifyAllocationBudget)$' -count=1 -v
 go test ./internal/crypto -run '^TestMACAllocations$' -count=1 -v
 go test ./internal/pbft -run '^TestOrderBatchAllocationBudget$' -count=1 -v
