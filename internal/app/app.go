@@ -3,9 +3,9 @@
 package app
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"sync"
 
 	"rbft/internal/types"
@@ -14,7 +14,10 @@ import (
 // Application is the deterministic state machine replicated by RBFT. Execute
 // is invoked with requests in the total order decided by the master instance;
 // it must be deterministic (identical inputs produce identical outputs and
-// state on every node).
+// state on every node). The node never modifies a returned result — it
+// caches it, encodes it into replies and hands it to observers — so an
+// application may return shared, immutable bytes; Null and KV return
+// capacity-clipped constants, to which an append copies.
 type Application interface {
 	Execute(client types.ClientID, id types.RequestID, op []byte) []byte
 }
@@ -56,7 +59,24 @@ var _ Application = Null{}
 
 // Execute implements Application.
 func (Null) Execute(types.ClientID, types.RequestID, []byte) []byte {
-	return []byte("ok")
+	return resultAck
+}
+
+// Shared results (see Application.Execute).
+var (
+	resultAck         = constResult("ok")
+	resultOK          = constResult("OK")
+	resultNotFound    = constResult("NOT_FOUND")
+	resultEmpty       = constResult("ERR empty op")
+	resultUsagePut    = constResult("ERR usage: PUT key value")
+	resultUsageGet    = constResult("ERR usage: GET key")
+	resultUsageDelete = constResult("ERR usage: DEL key")
+)
+
+// constResult returns s as a capacity-clipped byte slice.
+func constResult(s string) []byte {
+	b := []byte(s)
+	return b[:len(b):len(b)]
 }
 
 // Counter is a tiny application maintaining one integer per client; every
@@ -157,10 +177,10 @@ func NewKV() *KV {
 }
 
 // shardOf maps a key to its segment (FNV-1a, masked).
-func (kv *KV) shardOf(key string) *kvShard {
+func (kv *KV) shardOf(key []byte) *kvShard {
 	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
+	for _, c := range key {
+		h ^= uint32(c)
 		h *= 16777619
 	}
 	return &kv.shards[h&(kvShards-1)]
@@ -182,103 +202,123 @@ const (
 	kvDel
 )
 
-// parseOp splits op into verb, key and value. Verbs match case-insensitively;
-// the key (parts[1]) and value (parts[2], spaces preserved) are verbatim.
-func parseOp(op []byte) (verb kvVerb, key, value, rawVerb string) {
-	s := string(op)
-	if strings.TrimSpace(s) == "" {
-		return kvEmpty, "", "", ""
+// parseOp splits op in place into verb, key and value, all slices of op.
+// The raw verb runs to the first space, the key to the second, and the value
+// (spaces preserved) is the rest. Verbs match ASCII case-insensitively; the
+// key and value are verbatim.
+func parseOp(op []byte) (verb kvVerb, key, value, rawVerb []byte) {
+	if len(bytes.TrimSpace(op)) == 0 {
+		return kvEmpty, nil, nil, nil
 	}
-	parts := strings.SplitN(s, " ", 3)
-	rawVerb = parts[0]
-	switch strings.ToUpper(rawVerb) {
-	case "PUT":
-		if len(parts) != 3 {
-			return kvBadPut, "", "", rawVerb
+	rawVerb, rest, hasKey := bytes.Cut(op, []byte{' '})
+	i := bytes.IndexByte(rest, ' ')
+	switch {
+	case verbIs(rawVerb, "PUT"):
+		if i < 0 {
+			return kvBadPut, nil, nil, rawVerb
 		}
-		return kvPut, parts[1], parts[2], rawVerb
-	case "GET":
-		if len(parts) != 2 {
-			return kvBadGet, "", "", rawVerb
+		return kvPut, rest[:i], rest[i+1:], rawVerb
+	case verbIs(rawVerb, "GET"):
+		if !hasKey || i >= 0 {
+			return kvBadGet, nil, nil, rawVerb
 		}
-		return kvGet, parts[1], "", rawVerb
-	case "DEL":
-		if len(parts) != 2 {
-			return kvBadDel, "", "", rawVerb
+		return kvGet, rest, nil, rawVerb
+	case verbIs(rawVerb, "DEL"):
+		if !hasKey || i >= 0 {
+			return kvBadDel, nil, nil, rawVerb
 		}
-		return kvDel, parts[1], "", rawVerb
+		return kvDel, rest, nil, rawVerb
 	default:
-		return kvUnknown, "", "", rawVerb
+		return kvUnknown, nil, nil, rawVerb
 	}
 }
 
-// Execute implements Application.
+// verbIs reports whether raw is the upper-case ASCII verb in any case.
+func verbIs(raw []byte, verb string) bool {
+	if len(raw) != len(verb) {
+		return false
+	}
+	for i, c := range raw {
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != verb[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Execute implements Application. A PUT allocates the one string that holds
+// the stored key and value, a GET hit the copy of its value; everything else
+// returns a shared result.
 func (kv *KV) Execute(_ types.ClientID, _ types.RequestID, op []byte) []byte {
 	verb, key, value, rawVerb := parseOp(op)
 	switch verb {
 	case kvPut:
+		// key and value sit one space apart at the end of op.
+		kvs := string(op[len(op)-len(value)-1-len(key):])
 		sh := kv.shardOf(key)
 		sh.mu.Lock()
-		sh.data[key] = value
+		sh.data[kvs[:len(key)]] = kvs[len(key)+1:]
 		sh.mu.Unlock()
-		return []byte("OK")
+		return resultOK
 	case kvGet:
-		sh := kv.shardOf(key)
-		sh.mu.Lock()
-		v, ok := sh.data[key]
-		sh.mu.Unlock()
-		if !ok {
-			return []byte("NOT_FOUND")
-		}
-		return []byte(v)
+		return kv.get(key)
 	case kvDel:
 		sh := kv.shardOf(key)
 		sh.mu.Lock()
-		delete(sh.data, key)
+		delete(sh.data, string(key))
 		sh.mu.Unlock()
-		return []byte("OK")
+		return resultOK
 	case kvEmpty:
-		return []byte("ERR empty op")
+		return resultEmpty
 	case kvBadPut:
-		return []byte("ERR usage: PUT key value")
+		return resultUsagePut
 	case kvBadGet:
-		return []byte("ERR usage: GET key")
+		return resultUsageGet
 	case kvBadDel:
-		return []byte("ERR usage: DEL key")
+		return resultUsageDelete
 	default:
 		return []byte(fmt.Sprintf("ERR unknown op %q", rawVerb))
 	}
 }
 
-// ExecuteRead implements ReadExecutor: a GET is answered from the key's
-// shard under its lock — the same bytes Execute would produce for the same
-// store state. Anything that is not a well-formed GET is not a read
-// (ok=false) and must travel through ordering.
+// get answers a GET from the key's shard under its lock: a copy of the
+// stored value, or the shared NOT_FOUND.
+func (kv *KV) get(key []byte) []byte {
+	sh := kv.shardOf(key)
+	sh.mu.Lock()
+	v, ok := sh.data[string(key)]
+	sh.mu.Unlock()
+	if !ok {
+		return resultNotFound
+	}
+	return []byte(v)
+}
+
+// ExecuteRead implements ReadExecutor: a GET is answered exactly as Execute
+// would answer it for the same store state. Anything that is not a
+// well-formed GET is not a read (ok=false) and must travel through ordering.
 func (kv *KV) ExecuteRead(op []byte) ([]byte, bool) {
 	verb, key, _, _ := parseOp(op)
 	if verb != kvGet {
 		return nil, false
 	}
-	sh := kv.shardOf(key)
-	sh.mu.Lock()
-	v, ok := sh.data[key]
-	sh.mu.Unlock()
-	if !ok {
-		return []byte("NOT_FOUND"), true
-	}
-	return []byte(v), true
+	return kv.get(key), true
 }
 
 // Keys implements ConflictKeyer: GET reads its key; PUT and DEL write theirs.
 // Malformed, empty and unknown operations touch no state and declare nothing,
-// so they commute with everything.
+// so they commute with everything. The key string and its one-element slice
+// are the only allocations.
 func (kv *KV) Keys(op []byte) (reads, writes []string) {
 	verb, key, _, _ := parseOp(op)
 	switch verb {
 	case kvGet:
-		return []string{key}, nil
+		return []string{string(key)}, nil
 	case kvPut, kvDel:
-		return nil, []string{key}
+		return nil, []string{string(key)}
 	default:
 		return nil, nil
 	}

@@ -35,11 +35,13 @@ func BenchmarkNodeRequestPath(b *testing.B) {
 // allocates across the four nodes (scripts/ci.sh's allocation gate). Since
 // nodeCluster carries frames the count includes the wire: one Marshal per
 // message sent and one Decode per delivery (383 allocations when it handed
-// message objects from node to node, 545 carrying frames).
+// message objects from node to node, 545 carrying frames). Measured 396:
+// 408 before app.Null returned a shared result and the execution scheduler
+// kept its Result slices from batch to batch.
 func TestNodeRequestPathAllocationBudget(t *testing.T) {
 	nc := newNodeCluster(t, 1, nil)
 	requestPath(nc, requestPathOp)
-	const ceiling = 560
+	const ceiling = 396
 	n := testing.AllocsPerRun(200, func() { requestPath(nc, requestPathOp) })
 	t.Logf("%v allocs", n)
 	if n > ceiling {
@@ -70,7 +72,7 @@ func bundlePath(nc *nodeCluster, op []byte) {
 func TestNodeBundlePathAllocationBudget(t *testing.T) {
 	nc := newNodeCluster(t, 1, nil)
 	bundlePath(nc, requestPathOp)
-	const ceiling = 55.1 // per request; measured 55.06, against 408 for a single request (55.8 while every PROPAGATE copy hashed its bundle again; 77.4 and 416 with a REPLY per request)
+	const ceiling = 53.6 // per request; measured 53.56, against 396 for a single request (55.06 before the shared app.Null result and the reused scheduler Result; 55.8 while every PROPAGATE copy hashed its bundle again; 77.4 and 416 with a REPLY per request)
 	n := testing.AllocsPerRun(50, func() { bundlePath(nc, requestPathOp) }) / 16
 	t.Logf("%v allocs per request", n)
 	if n > ceiling {

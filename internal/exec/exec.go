@@ -46,7 +46,9 @@ type Op struct {
 	Body   []byte
 }
 
-// Result is the outcome of one ExecuteBatch call.
+// Result is the outcome of one ExecuteBatch call. Its slices belong to the
+// Scheduler and stay valid until its next ExecuteBatch, which reuses them;
+// the replies themselves are the application's (app.Application.Execute).
 type Result struct {
 	// Results holds each operation's reply, in input order.
 	Results [][]byte
@@ -65,11 +67,18 @@ type Result struct {
 // Scheduler plans and runs the parallel apply of ordered batches. A nil
 // scheduler, a worker count below 2, or an application without
 // app.ConflictKeyer all mean Parallel() is false and the caller keeps its
-// serial apply path.
+// serial apply path. ExecuteBatch calls must not overlap: the scheduler
+// keeps its plan tables, wave buckets and Result from batch to batch, so a
+// steady stream of batches allocates only what the application does.
 type Scheduler struct {
 	app     app.Application
 	keyer   app.ConflictKeyer
 	workers int
+
+	plan    planner
+	buckets [][]int // op indices per wave; as long as the most waves seen
+	res     Result
+	wg      sync.WaitGroup
 }
 
 // New builds a scheduler for a. The parallel path engages only when workers
@@ -96,12 +105,28 @@ func (s *Scheduler) Parallel() bool {
 // looked up by the current op's keys, never iterated), so every replica
 // computes the same waves.
 func PlanWaves(keyer app.ConflictKeyer, ops []Op) (wave []int, waves []int, conflicts int) {
-	wave = make([]int, len(ops))
-	// lastWriter[k] is the wave of k's latest writer; lastReader[k] the
-	// highest wave of any reader. Presence in the map matters (wave 0 is a
-	// valid value), hence explicit ok-checks rather than zero defaults.
-	lastWriter := make(map[string]int)
-	lastReader := make(map[string]int)
+	var p planner
+	return p.plan(keyer, ops)
+}
+
+// planner holds the tables of one wave plan for reuse by the next.
+// lastWriter[k] is the wave of k's latest writer; lastReader[k] the highest
+// wave of any reader. Presence in the map matters (wave 0 is a valid value),
+// hence explicit ok-checks rather than zero defaults. Both are empty between
+// plans, so no plan sees another's keys.
+type planner struct {
+	lastWriter, lastReader map[string]int
+	wave, waves            []int
+}
+
+// plan is PlanWaves on p's tables; wave and waves are p's, valid until the
+// next plan.
+func (p *planner) plan(keyer app.ConflictKeyer, ops []Op) (wave []int, waves []int, conflicts int) {
+	if p.lastWriter == nil {
+		p.lastWriter, p.lastReader = make(map[string]int), make(map[string]int)
+	}
+	lastWriter, lastReader := p.lastWriter, p.lastReader
+	wave = resize(p.wave, len(ops))
 	maxWave := -1
 	for i, op := range ops {
 		reads, writes := keyer.Keys(op.Body)
@@ -135,11 +160,24 @@ func PlanWaves(keyer app.ConflictKeyer, ops []Op) (wave []int, waves []int, conf
 			lastWriter[k] = w
 		}
 	}
-	waves = make([]int, maxWave+1)
+	clear(lastWriter) // pins no key past the batch
+	clear(lastReader)
+	waves = resize(p.waves, maxWave+1)
+	clear(waves)
 	for _, w := range wave {
 		waves[w]++
 	}
+	p.wave, p.waves = wave, waves
 	return wave, waves, conflicts
+}
+
+// resize returns s with length n, reallocated only if it lacks the capacity.
+// The elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ExecuteBatch applies ops — one merged, deduplicated batch in the agreed
@@ -148,22 +186,29 @@ func PlanWaves(keyer app.ConflictKeyer, ops []Op) (wave []int, waves []int, conf
 // can account uniformly). The caller must not touch application state
 // concurrently; all cross-wave synchronisation happens inside.
 func (s *Scheduler) ExecuteBatch(ops []Op) Result {
-	res := Result{Results: make([][]byte, len(ops))}
+	res := &s.res
+	res.Results = resize(res.Results, len(ops))
+	res.Conflicts, res.Parallel = 0, 0
 	if !s.Parallel() {
-		res.Wave = make([]int, len(ops))
-		res.Waves = make([]int, len(ops))
+		res.Wave, res.Waves = resize(res.Wave, len(ops)), resize(res.Waves, len(ops))
 		for i, op := range ops {
 			res.Results[i] = s.app.Execute(op.Client, op.ID, op.Body)
 			res.Wave[i] = i
 			res.Waves[i] = 1
 		}
-		return res
+		return *res
 	}
-	res.Wave, res.Waves, res.Conflicts = PlanWaves(s.keyer, ops)
+	res.Wave, res.Waves, res.Conflicts = s.plan.plan(s.keyer, ops)
 
 	// Bucket op indices by wave, preserving sequence order within each wave
 	// (the buckets are filled by one in-order scan).
-	buckets := make([][]int, len(res.Waves))
+	for len(s.buckets) < len(res.Waves) {
+		s.buckets = append(s.buckets, nil)
+	}
+	buckets := s.buckets[:len(res.Waves)]
+	for w := range buckets {
+		buckets[w] = buckets[w][:0]
+	}
 	for i, w := range res.Wave {
 		buckets[w] = append(buckets[w], i)
 	}
@@ -173,31 +218,27 @@ func (s *Scheduler) ExecuteBatch(ops []Op) Result {
 		}
 		s.runWave(ops, idx, res.Results)
 	}
-	return res
+	return *res
 }
 
 // runWave applies one wave of non-conflicting operations across the worker
 // shards. Shard w takes indices w, w+n, w+2n... — a deterministic partition,
 // though correctness does not depend on it (the wave's ops commute).
 func (s *Scheduler) runWave(ops []Op, idx []int, results [][]byte) {
-	n := s.workers
-	if len(idx) < n {
-		n = len(idx)
-	}
+	n := min(s.workers, len(idx))
 	if n <= 1 {
 		s.applyShard(ops, idx, 0, 1, results)
 		return
 	}
-	var wg sync.WaitGroup
 	for shard := 1; shard < n; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
 			s.applyShard(ops, idx, shard, n, results)
-		}(shard)
+		}()
 	}
 	s.applyShard(ops, idx, 0, n, results)
-	wg.Wait()
+	s.wg.Wait()
 }
 
 // applyShard is the worker-shard body: it applies its stride of the wave and

@@ -29,6 +29,46 @@ func TestLogDigestChainsAgree(t *testing.T) {
 	}
 }
 
+// TestCheckpointsStabiliseAfterBatchDeliveredInTwoViews: nodes 2 and 3
+// commit a batch in view 0 while nodes 0 and 1 only prepare it. NEW-VIEW
+// re-issues it, node 0 (the view-0 primary, whose view-0 PREPARE 2 and 3 never
+// logged) prepares it in view 1 with them, and 0 and 1 commit it there. The
+// log digests must still agree, so checkpoints keep stabilising and the
+// view-1 primary never stalls at its high watermark.
+func TestCheckpointsStabiliseAfterBatchDeliveredInTwoViews(t *testing.T) {
+	tc := newTestCluster(t, 1, func(c *Config) {
+		c.BatchSize = 1
+		c.CheckpointInterval = 2
+		c.WatermarkWindow = 4
+	})
+	tc.drop = func(from, to types.NodeID, m message.Message) bool {
+		return m.MsgType() == message.TypeCommit && to < 2
+	}
+	tc.addRequest(ref(0, 0))
+	for n, want := range []int{0, 0, 1, 1} {
+		if got := len(orderedRefs(tc.delivered[types.NodeID(n)])); got != want {
+			t.Fatalf("node %d delivered %d refs in view 0, want %d", n, got, want)
+		}
+	}
+	tc.drop = nil
+	tc.startViewChange(1)
+	for i := 1; i < 20; i++ {
+		tc.addRequest(ref(0, types.RequestID(i)))
+	}
+	want := tc.replicas[0].logDigest
+	for n, r := range tc.replicas {
+		if got := len(orderedRefs(tc.delivered[types.NodeID(n)])); got != 20 {
+			t.Fatalf("node %d delivered %d refs, want 20", n, got)
+		}
+		if r.logDigest != want {
+			t.Fatalf("node %d log digest diverges", n)
+		}
+		if r.stableSeq != 20 {
+			t.Fatalf("node %d stable at %d, want 20", n, r.stableSeq)
+		}
+	}
+}
+
 // TestCheckpointWithWrongDigestDoesNotStabilize: 2f+1 matching digests are
 // required; a faulty node's bogus checkpoint cannot force stabilisation.
 func TestCheckpointWithWrongDigestDoesNotStabilize(t *testing.T) {

@@ -185,8 +185,8 @@ func TestRestoreViewChangeState(t *testing.T) {
 	in := durableInstance(t, 1, nil)
 	in.Restore(wal.Record{Kind: wal.KindViewChange, View: 2})
 	in.FinishRestore(0)
-	if in.View() != 2 || !in.InViewChange() {
-		t.Fatalf("view=%d inViewChange=%v after interrupted view change, want 2/true", in.View(), in.InViewChange())
+	if in.View() != 2 || !in.inViewChange {
+		t.Fatalf("view=%d inViewChange=%v after interrupted view change, want 2/true", in.View(), in.inViewChange)
 	}
 
 	// Crash after the NEW-VIEW: fully in the new view.
@@ -194,8 +194,8 @@ func TestRestoreViewChangeState(t *testing.T) {
 	in.Restore(wal.Record{Kind: wal.KindViewChange, View: 2})
 	in.Restore(wal.Record{Kind: wal.KindNewView, View: 2})
 	in.FinishRestore(0)
-	if in.View() != 2 || in.InViewChange() {
-		t.Fatalf("view=%d inViewChange=%v after completed view change, want 2/false", in.View(), in.InViewChange())
+	if in.View() != 2 || in.inViewChange {
+		t.Fatalf("view=%d inViewChange=%v after completed view change, want 2/false", in.View(), in.inViewChange)
 	}
 }
 

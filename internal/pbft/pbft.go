@@ -264,10 +264,6 @@ func (in *Instance) SetTracer(t obs.Tracer) {
 // View returns the current view.
 func (in *Instance) View() types.View { return in.view }
 
-// InViewChange reports whether the replica is between VIEW-CHANGE and
-// NEW-VIEW.
-func (in *Instance) InViewChange() bool { return in.inViewChange }
-
 // Stats returns a copy of the replica's counters.
 func (in *Instance) Stats() Stats { return in.stats }
 
@@ -758,7 +754,11 @@ func (in *Instance) deliverReady(out *Output, now time.Time) {
 			Refs:     refs,
 		})
 		in.retainDelivered(next, e.view, e.batch)
-		in.logDigest = chainDigest(in.logDigest, e.digest)
+		d := e.digest // as proposed in view 0, so a view change cannot split checkpoints
+		if e.view != 0 {
+			d = (&message.PrePrepare{Instance: in.cfg.Instance, Seq: next, Batch: e.batch}).BatchDigest()
+		}
+		in.logDigest = chainDigest(in.logDigest, d)
 
 		if next%in.cfg.CheckpointInterval == 0 {
 			in.emitCheckpoint(out, next, now)

@@ -346,7 +346,7 @@ func TestViewChangeRotatesPrimaryAndPreservesLiveness(t *testing.T) {
 		if r.View() != 1 {
 			t.Fatalf("node %d view = %d, want 1", n, r.View())
 		}
-		if r.InViewChange() {
+		if r.inViewChange {
 			t.Fatalf("node %d stuck in view change", n)
 		}
 	}
@@ -419,8 +419,8 @@ func TestViewChangeSkipsToHigherView(t *testing.T) {
 	tc.addRequest(ref(0, 1))
 	tc.startViewChange(5)
 	for n, r := range tc.replicas {
-		if r.View() != 5 || r.InViewChange() {
-			t.Fatalf("node %d view=%d inVC=%v, want view 5 settled", n, r.View(), r.InViewChange())
+		if r.View() != 5 || r.inViewChange {
+			t.Fatalf("node %d view=%d inVC=%v, want view 5 settled", n, r.View(), r.inViewChange)
 		}
 	}
 	tc.addRequest(ref(0, 2))

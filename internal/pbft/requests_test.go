@@ -55,8 +55,8 @@ func TestStaleWaiterDoesNotReleaseNextViewPrepare(t *testing.T) {
 		t.Fatalf("view-0 PRE-PREPARE: err %v, PREPARE sent %v", err, hasPrepare(out))
 	}
 	tc.startViewChange(1)
-	if backup.View() != 1 || backup.InViewChange() {
-		t.Fatalf("backup view %d, in view change %v", backup.View(), backup.InViewChange())
+	if backup.View() != 1 || backup.inViewChange {
+		t.Fatalf("backup view %d, in view change %v", backup.View(), backup.inViewChange)
 	}
 	pp1 := &message.PrePrepare{Instance: 0, View: 1, Seq: 1, Batch: []types.RequestRef{y}, Node: tc.cfg.PrimaryOf(1, 0)}
 	if out, err := backup.OnMessage(pp1, tc.now); err != nil || hasPrepare(out) {

@@ -10,16 +10,18 @@
 // The endpoint implements transport.BatchSender: several payloads flush as
 // one batch frame (transport.AppendBatch) with a single buffered write —
 // one length prefix, one syscall, one TCP segment train — and the receiving
-// side splits batch frames back into individual Packets. Frame writes carry
-// a write deadline so a peer that stops draining its socket wedges neither
-// the sender goroutine nor the per-connection mutex: the write times out,
-// the connection is torn down, and the next send redials.
+// side splits batch frames back into individual Packets. Inbound frames are
+// read a chunk at a time (frameReader): one read syscall and at most one
+// allocation per 64 KiB of stream, not per frame. Frame writes carry a write
+// deadline so a peer that stops draining its socket wedges neither the
+// sender goroutine nor the per-connection mutex: the write times out, the
+// connection is torn down, and the next send redials. Dials are bounded by
+// the same timeout.
 package tcpnet
 
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -150,8 +152,8 @@ func (e *Endpoint) Packets() <-chan transport.Packet { return e.recv }
 // traffic.
 func (e *Endpoint) SetMetrics(m transport.Metrics) { e.metrics = m }
 
-// SetWriteTimeout overrides the per-frame write deadline (0 disables). Call
-// before the endpoint carries traffic.
+// SetWriteTimeout overrides the per-frame write deadline, which also bounds
+// a dial (0 disables both). Call before the endpoint carries traffic.
 func (e *Endpoint) SetWriteTimeout(d time.Duration) { e.writeTimeout = d }
 
 // ClosePeer implements transport.PeerCloser: inbound frames claiming to be
@@ -190,16 +192,18 @@ func (e *Endpoint) acceptLoop() {
 }
 
 // serveConn reads the handshake then pumps frames into recv, splitting
-// coalesced batch frames back into individual packets.
+// coalesced batch frames back into individual packets. Every payload is a
+// clipped slice of the connection's current read chunk (see frameReader).
 func (e *Endpoint) serveConn(conn net.Conn) {
 	defer conn.Close()
-	peer, err := readFrame(conn)
+	fr := frameReader{r: conn}
+	peer, err := fr.next()
 	if err != nil {
 		return
 	}
 	from := string(peer)
 	for {
-		data, err := readFrame(conn)
+		data, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -331,11 +335,15 @@ func (e *Endpoint) conn(to string) (*lockedConn, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", transport.ErrUnknownPeer, to)
 	}
-	c, err := net.Dial("tcp", addr)
+	// The dial is bounded like a write: a peer that never completes the
+	// handshake (blackholed, accept queue full) fails this Send instead of
+	// stalling the caller for the kernel's SYN retry budget.
+	c, err := (&net.Dialer{Timeout: e.writeTimeout}).Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet dial %q: %w", to, err)
 	}
-	if err := writeFrame(c, []byte(e.name)); err != nil {
+	lc := &lockedConn{conn: c}
+	if err := lc.writeFrame([]byte(e.name), e.writeTimeout); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("tcpnet handshake with %q: %w", to, err)
 	}
@@ -349,7 +357,6 @@ func (e *Endpoint) conn(to string) (*lockedConn, error) {
 		c.Close()
 		return existing, nil
 	}
-	lc := &lockedConn{conn: c}
 	e.conns[to] = lc
 	return lc, nil
 }
@@ -403,33 +410,4 @@ func appendFrameHeader(b []byte, n int) []byte {
 func appendFrame(b, data []byte) []byte {
 	b = appendFrameHeader(b, len(data))
 	return append(b, data...)
-}
-
-// writeFrame writes a 4-byte big-endian length prefix followed by data
-// (handshake path; steady-state frames go through lockedConn for the
-// single-write + deadline discipline).
-func writeFrame(w io.Writer, data []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
-	return err
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > transport.MaxFrame {
-		return nil, transport.ErrFrameTooBig
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
-	}
-	return data, nil
 }

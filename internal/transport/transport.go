@@ -26,7 +26,10 @@ type Packet struct {
 	// payload aliases it (message.Decode copies no variable-length field).
 	// Whoever retains the message retains the payload — and, for a payload
 	// split out of a coalesced batch frame, the frame around it, of which
-	// the payload is a capacity-clipped slice: an append to it copies.
+	// the payload is a capacity-clipped slice: an append to it copies. A
+	// payload read from a stream (tcpnet) is likewise a clipped slice of the
+	// read chunk it arrived in, and retaining it retains that chunk, up to
+	// 64 KiB, which the transport never writes to again.
 	Data []byte
 }
 

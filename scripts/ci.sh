@@ -41,26 +41,34 @@ echo "== bench/ module (nested; tier-1 only type-checks it via TestBenchModuleCo
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/runtime/... ./internal/transport/... ./internal/message/... ./internal/client/... ./internal/obs/... ./internal/wal/... ./internal/exec/...
 
-echo "== fuzz smoke (internal/message, internal/wal, internal/transport, internal/core, internal/exec, internal/client) =="
+echo "== fuzz smoke (internal/message, internal/wal, internal/transport, internal/core, internal/exec, internal/client, internal/app) =="
 go test ./internal/message -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s
 go test ./internal/message -run '^$' -fuzz '^FuzzPreverify$' -fuzztime 5s
 go test ./internal/wal -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 5s
 go test ./internal/transport -run '^$' -fuzz '^FuzzFrameBatch$' -fuzztime 5s
+go test ./internal/transport/tcpnet -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 5s
 go test ./internal/core -run '^$' -fuzz '^FuzzMergeSchedule$' -fuzztime 5s
 go test ./internal/exec -run '^$' -fuzz '^FuzzWaveSchedule$' -fuzztime 5s
 go test ./internal/client -run '^$' -fuzz '^FuzzReadQuorum$' -fuzztime 5s
+go test ./internal/app -run '^$' -fuzz '^FuzzKVParse$' -fuzztime 5s
 
-echo "== allocation gate (zero-alloc steady-state encode and two-allocation emit, docs/EGRESS.md; allocation-free MACs, alias decode, two allocations per preverified frame and per frame from wire to node, one buffer per coalesced memnet flush, docs/PIPELINE.md; one batch through four replicas, one request through four core.Nodes and a 16-request bundle at a fraction of that per request; a bundle preverifies at three allocations per cached copy, whatever its size) =="
+echo "== allocation gate (zero-alloc steady-state encode and two-allocation emit, docs/EGRESS.md; allocation-free MACs, alias decode, two allocations per preverified frame and per frame from wire to node, one buffer per coalesced memnet flush, docs/PIPELINE.md; one batch through four replicas, one request through four core.Nodes and a 16-request bundle at a fraction of that per request; a bundle preverifies at three allocations per cached copy, whatever its size; a TCP connection reads at one allocation per 64 KiB chunk, a KV op costs what its result and stored string need, and a steady-state exec batch one allocation per worker goroutine) =="
 go test ./internal/message -run '^(TestEncodeZeroAlloc|TestDecodeAliasesFrame|TestPreverifyAllocationBudget)$' -count=1 -v
 go test ./internal/crypto -run '^TestMACAllocations$' -count=1 -v
 go test ./internal/pbft -run '^TestOrderBatchAllocationBudget$' -count=1 -v
 go test ./internal/core -run '^(TestNodeRequestPathAllocationBudget|TestNodeBundlePathAllocationBudget)$' -count=1 -v
 go test ./internal/runtime -run '^(TestEmitAllocatesOnlyItsFrames|TestIngressAllocatesPerSlabNotPerFrame)$' -count=1 -v
 go test ./internal/transport/memnet -run '^TestSendBatchSharesOneBuffer$' -count=1 -v
+go test ./internal/transport/tcpnet -run '^TestReadAllocatesPerChunkNotPerFrame$' -count=1 -v
+go test ./internal/app -run '^TestKVAllocations$' -count=1 -v
+go test ./internal/exec -run '^TestExecuteBatchAllocationBudget$' -count=1 -v
 go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode|BenchmarkPreverifyClientFrame|BenchmarkPreverifyPropagateFrame)$' -benchtime 100x -benchmem
 go test ./internal/crypto -run '^$' -bench '^BenchmarkAuthenticator$' -benchtime 100x -benchmem
 go test ./internal/core -run '^$' -bench '^BenchmarkNodeRequestPath$' -benchtime 100x -benchmem
 go test ./internal/runtime -run '^$' -bench '^BenchmarkEgress$' -benchtime 100x -benchmem
+go test ./internal/transport/tcpnet -run '^$' -bench '^BenchmarkTCPReceive$' -benchtime 1000x -benchmem
+go test ./internal/app -run '^$' -bench '^BenchmarkKVExecute$' -benchtime 100x -benchmem
+go test ./internal/exec -run '^$' -bench '^BenchmarkPlanWaves$' -benchtime 100x -benchmem
 go test ./internal/sim -run '^$' -bench '^BenchmarkSimRun$' -benchtime 3x -benchmem
 
 echo "== span-record gate (tracing-off cost must stay trivial) =="
