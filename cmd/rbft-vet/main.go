@@ -4,15 +4,10 @@
 // trustboundary, pipeblock) against the packages each one is scoped to,
 // and rejects any //rbft: source annotation no analyzer understands.
 //
-// Standalone:
+// It loads the packages itself (framework.Load):
 //
 //	go run ./cmd/rbft-vet ./...
 //	go run ./cmd/rbft-vet -analyzers=quorumsafety,pipeblock ./...
-//
-// As a vet tool (unitchecker mode, driven by the go command's build cache):
-//
-//	go build -o rbft-vet ./cmd/rbft-vet
-//	go vet -vettool=$(pwd)/rbft-vet ./...
 //
 // Diagnostics are printed in a stable order (file, line, column, analyzer)
 // so runs diff cleanly. Exit status is non-zero when any diagnostic is
@@ -51,23 +46,9 @@ var analyzers = []*framework.Analyzer{
 }
 
 func main() {
-	// The go command probes vet tools with -V=full (for its build cache
-	// key) and -flags (for supported flags) before handing over a
-	// unitchecker config file.
-	versionFlag := flag.String("V", "", "print version (go vet protocol)")
-	flagsFlag := flag.Bool("flags", false, "print flag metadata (go vet protocol)")
 	all := flag.Bool("all", false, "ignore analyzer scopes and run every analyzer on every package")
 	subset := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all registered)")
 	flag.Parse()
-
-	if *versionFlag != "" {
-		fmt.Printf("rbft-vet version 1\n")
-		return
-	}
-	if *flagsFlag {
-		fmt.Println("[]")
-		return
-	}
 
 	selected, err := selectAnalyzers(*subset)
 	if err != nil {
@@ -75,11 +56,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0], selected))
-	}
-	os.Exit(standalone(args, selected, *all))
+	os.Exit(run(flag.Args(), selected, *all))
 }
 
 // selectAnalyzers resolves the -analyzers flag against the registry. The
@@ -138,10 +115,10 @@ func sortFindings(fs []finding) {
 	})
 }
 
-// standalone loads the named package patterns itself, runs every applicable
-// selected analyzer, audits //rbft: annotations, and prints the findings in
-// stable order.
-func standalone(patterns []string, selected []*framework.Analyzer, all bool) int {
+// run loads the named package patterns, runs every applicable selected
+// analyzer, audits //rbft: annotations, and prints the findings in stable
+// order.
+func run(patterns []string, selected []*framework.Analyzer, all bool) int {
 	pkgs, err := framework.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

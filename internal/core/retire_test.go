@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rbft/internal/app"
+	"rbft/internal/obs"
 	"rbft/internal/types"
 )
 
@@ -106,6 +107,8 @@ func TestRestartKeepsWatermarkNotTables(t *testing.T) {
 		}
 	}
 
+	ordered := make(orderedRefs, len(restored.replicas))
+	restored.SetTracer(ordered)
 	nc.nodes[victim], nc.apps[victim] = restored, counter
 	for i := 0; i < 10; i++ {
 		nc.sendRequest(1, plusOne)
@@ -114,10 +117,22 @@ func TestRestartKeepsWatermarkNotTables(t *testing.T) {
 	if total := counter.Total(1); total != 30 {
 		t.Fatalf("restored counter = %d, want 30: each request executed exactly once", total)
 	}
-	for i, r := range restored.replicas {
-		if got := r.Stats().RefsOrdered; got != 10 {
+	for i, got := range ordered {
+		if got != 10 {
 			t.Errorf("restored replica %d ordered %d refs since the restart, want the 10 new ones", i, got)
 		}
 	}
 	nc.requireQuiescent()
+}
+
+// orderedRefs counts, per instance, the refs of the batches a node's replicas
+// deliver to it (obs.EvOrdered), after pbft drops the refs the node executed.
+type orderedRefs []int
+
+func (o orderedRefs) Enabled() bool { return true }
+
+func (o orderedRefs) Trace(ev obs.Event) {
+	if ev.Type == obs.EvOrdered {
+		o[ev.Instance] += ev.Count
+	}
 }

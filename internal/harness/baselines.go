@@ -145,18 +145,6 @@ func FormatTable1(rows []Table1Row) string {
 	return b.String()
 }
 
-// BaselineFaultFree reports each baseline's fault-free peak throughput and
-// latency at a request size (used by Figure 7 and tests).
-func BaselineFaultFree(size int, o Options) map[string]baseline.Result {
-	o = o.withDefaults()
-	w := baseline.Static(500000, size, 30*time.Second)
-	return map[string]baseline.Result{
-		"Prime":    baseline.Prime(baseline.PrimeConfig{}, w),
-		"Aardvark": baseline.Aardvark(baseline.AardvarkConfig{}, w),
-		"Spinning": baseline.Spinning(baseline.SpinningConfig{}, w),
-	}
-}
-
 // BaselineCurve produces a latency-vs-throughput curve for one baseline by
 // sweeping offered load (figure 7's Prime/Aardvark/Spinning series).
 func BaselineCurve(name string, size int, loads []float64, o Options) []CurvePoint {

@@ -96,8 +96,9 @@ func BenchmarkInstanceOrderingRecorded(b *testing.B) {
 // allocates across four replicas (scripts/ci.sh's allocation gate):
 // AddRequest on each, then PRE-PREPARE, three PREPAREs and four COMMITs to
 // delivery everywhere, real authenticators and testCluster's in-memory queue
-// included. Each step appends to the one Output its entry point owns, so
-// what a step allocates is its messages plus that Output's slices.
+// included. Each step appends to the one Output its entry point owns, and
+// the sequence's slot was allocated with the ring in New, so what a step
+// allocates is its messages plus that Output's slices.
 func TestOrderBatchAllocationBudget(t *testing.T) {
 	tc := newTestCluster(t, 1, func(c *Config) { c.BatchSize = 1 })
 	id := types.RequestID(0)
@@ -114,7 +115,7 @@ func TestOrderBatchAllocationBudget(t *testing.T) {
 		}
 	}
 	orderOne()
-	const ceiling = 62
+	const ceiling = 42
 	if n := testing.AllocsPerRun(200, orderOne); n > ceiling {
 		t.Errorf("one batch through four replicas: %v allocs, want <= %d", n, ceiling)
 	}

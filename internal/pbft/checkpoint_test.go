@@ -100,7 +100,7 @@ func TestCheckpointWithWrongDigestDoesNotStabilize(t *testing.T) {
 		t.Fatal("forged digests stabilised a checkpoint")
 	}
 	// Matching digests from two peers (plus our own) do stabilise.
-	want := victim.checkpointDigests[2]
+	want := victim.checkpoints[2][victim.cfg.Node]
 	for _, from := range []types.NodeID{2, 3} {
 		cp := &message.Checkpoint{Instance: 0, Seq: 2, Digest: want, Node: from}
 		if _, err := victim.OnMessage(cp, tc.now); err != nil {

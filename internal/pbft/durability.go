@@ -1,8 +1,6 @@
 package pbft
 
 import (
-	"maps"
-
 	"rbft/internal/types"
 	"rbft/internal/wal"
 )
@@ -33,19 +31,27 @@ func (in *Instance) journal(out *Output, rec wal.Record) {
 }
 
 // promise is a durable claim this replica made before the crash: in view
-// View it vouched for Digest at some sequence number.
+// View it vouched for Digest at the sequence number of its slot. The zero
+// digest means no claim.
 type promise struct {
 	view   types.View
 	digest types.Digest
 }
 
-// conflicts reports whether acting on e at seq would contradict a restored
-// promise: same view, different digest. A matching digest is not a
+// conflicts reports whether acting on s would contradict the restored
+// promise p: same view, different digest. A matching digest is not a
 // conflict — re-sending an identical message is harmless — and a higher
-// view legitimately supersedes the old proposal.
-func conflicts(m map[types.SeqNum]promise, seq types.SeqNum, e *entry) bool {
-	p, ok := m[seq]
-	return ok && p.view == e.view && p.digest != e.digest
+// view legitimately supersedes the old proposal. A promise at or below the
+// stable checkpoint can never conflict with in-window traffic.
+func (in *Instance) conflicts(s *slot, p promise) bool {
+	return !p.digest.IsZero() && s.seq > in.stableSeq && p.view == s.view && p.digest != s.digest
+}
+
+// keep records rec's claim in p unless p holds one from a later view.
+func (p *promise) keep(rec wal.Record) {
+	if p.digest.IsZero() || rec.View >= p.view {
+		*p = promise{view: rec.View, digest: rec.Digest}
+	}
 }
 
 // restoreState accumulates cross-record facts during a replay.
@@ -67,12 +73,12 @@ func (in *Instance) Restore(rec wal.Record) {
 			in.restore.maxPPSeq = rec.Seq
 		}
 	case wal.KindSentPrepare:
-		if p, ok := in.promisedPrepare[rec.Seq]; !ok || rec.View >= p.view {
-			in.promisedPrepare[rec.Seq] = promise{view: rec.View, digest: rec.Digest}
+		if s := in.slot(rec.Seq); s != nil {
+			s.promisedPrepare.keep(rec)
 		}
 	case wal.KindSentCommit:
-		if p, ok := in.promisedCommit[rec.Seq]; !ok || rec.View >= p.view {
-			in.promisedCommit[rec.Seq] = promise{view: rec.View, digest: rec.Digest}
+		if s := in.slot(rec.Seq); s != nil {
+			s.promisedCommit.keep(rec)
 		}
 	case wal.KindCheckpoint:
 		// Our own checkpoint digest; only useful again if the checkpoint
@@ -126,14 +132,4 @@ func (in *Instance) FinishRestore(nodeView types.View) {
 		next = rs.maxPPSeq + 1
 	}
 	in.nextSeq = next
-
-	in.dropPromises(in.stableSeq)
-}
-
-// dropPromises forgets the promises at or below the stable checkpoint seq:
-// they can never conflict with in-window traffic.
-func (in *Instance) dropPromises(seq types.SeqNum) {
-	at := func(s types.SeqNum, _ promise) bool { return s <= seq }
-	maps.DeleteFunc(in.promisedPrepare, at)
-	maps.DeleteFunc(in.promisedCommit, at)
 }

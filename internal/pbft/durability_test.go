@@ -199,21 +199,37 @@ func TestRestoreViewChangeState(t *testing.T) {
 	}
 }
 
-// TestRestoreStableCheckpointPrunesPromises: promises at or below the stable
-// checkpoint are dropped, and delivery resumes from the checkpoint.
+// TestRestoreStableCheckpointPrunesPromises: a promise above the stable
+// checkpoint still blocks equivocation, one at or below it never does, and
+// delivery resumes from the checkpoint. The window is 8, so the replay meets
+// the promise at 12 before the stable checkpoint that brings it in window.
 func TestRestoreStableCheckpointPrunesPromises(t *testing.T) {
-	in := durableInstance(t, 1, nil)
+	now := time.Unix(0, 0)
+	in := durableInstance(t, 1, func(c *Config) { c.CheckpointInterval = 2 })
 	in.Restore(wal.Record{Kind: wal.KindSentPrepare, View: 0, Seq: 3, Digest: types.Digest{1}})
 	in.Restore(wal.Record{Kind: wal.KindSentPrepare, View: 0, Seq: 12, Digest: types.Digest{2}})
 	in.Restore(wal.Record{Kind: wal.KindStable, Seq: 10, Digest: types.Digest{3}})
 	in.FinishRestore(0)
-	if _, ok := in.promisedPrepare[3]; ok {
-		t.Fatal("promise below the stable checkpoint survived")
-	}
-	if _, ok := in.promisedPrepare[12]; !ok {
-		t.Fatal("promise above the stable checkpoint was dropped")
+	if s := in.at(3); in.conflicts(s, s.promisedPrepare) {
+		t.Fatal("a promise below the stable checkpoint still blocks its sequence")
 	}
 	if in.LastDelivered() != 10 {
 		t.Fatalf("LastDelivered = %d after restore, want 10", in.LastDelivered())
+	}
+	// A batch other than the promised one at seq 12 is not prepared; the same
+	// batch at seq 11, which holds no promise, is.
+	in.AddRequest(testRef(1), now)
+	for _, tt := range []struct {
+		seq  types.SeqNum
+		want bool
+	}{{12, false}, {11, true}} {
+		pp := &message.PrePrepare{Instance: 0, View: 0, Seq: tt.seq, Batch: []types.RequestRef{testRef(1)}, Node: 0}
+		out, err := in.OnMessage(pp, now)
+		if err != nil {
+			t.Fatalf("OnMessage(seq %d): %v", tt.seq, err)
+		}
+		if got := hasMsg(out, message.TypePrepare); got != tt.want {
+			t.Fatalf("seq %d: PREPARE sent = %v, want %v", tt.seq, got, tt.want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package pbft
 
 import (
 	"fmt"
-	"maps"
 	"time"
 
 	"rbft/internal/message"
@@ -24,44 +23,29 @@ const (
 	fetchChunk = 64
 	// fetchRetry is the re-request interval while a gap persists.
 	fetchRetry = 100 * time.Millisecond
-	// retainDeliveredFactor scales how many delivered batches are kept for
-	// serving fetches, in units of the watermark window.
+	// retainDeliveredFactor scales, in watermark windows, how many delivered
+	// batches are kept for serving fetches; the log ring holds one more.
 	retainDeliveredFactor = 2
 )
 
-// fetchState tracks one outstanding catch-up.
+// fetchState tracks one outstanding catch-up. The FETCH-RESP votes live in
+// the slots (slot.fetched): the batch digest each peer returned, the
+// PRE-PREPARE digest of (instance, view, seq, refs) its log digest chains.
 type fetchState struct {
 	target   types.SeqNum // highest sequence evidence says is committed
 	deadline time.Time    // next retry
-	// votes[seq][node] is the batch digest a peer returned: the PRE-PREPARE
-	// digest of (instance, view, seq, refs), the one its log digest chains.
-	// The response that completes a quorum carries the content itself.
-	votes map[types.SeqNum]map[types.NodeID]types.Digest
-}
-
-// deliveredBatch is a delivered batch kept for serving fetches: its refs and
-// the view it was delivered in.
-type deliveredBatch struct {
-	view types.View
-	refs []types.RequestRef
 }
 
 // noteCheckpointEvidence is called for every received CHECKPOINT; when f+1
 // distinct peers agree on a digest at a sequence beyond our deliveries, we
 // are behind and start (or extend) a fetch.
-func (in *Instance) noteCheckpointEvidence(out *Output, seq types.SeqNum, now time.Time) {
+func (in *Instance) noteCheckpointEvidence(out *Output, seq types.SeqNum, votes []types.Digest, now time.Time) {
 	if seq <= in.lastDelivered {
 		return
 	}
-	votes := in.checkpoints[seq]
-	if votes == nil {
-		return
-	}
-	counts := make(map[types.Digest]int, len(votes))
 	behind := false
 	for _, d := range votes {
-		counts[d]++
-		if counts[d] >= in.cfg.Cluster.WeakQuorum() {
+		if !d.IsZero() && tally(votes, d) >= in.cfg.Cluster.WeakQuorum() {
 			behind = true
 			break
 		}
@@ -70,7 +54,7 @@ func (in *Instance) noteCheckpointEvidence(out *Output, seq types.SeqNum, now ti
 		return
 	}
 	if in.fetch == nil {
-		in.fetch = &fetchState{votes: make(map[types.SeqNum]map[types.NodeID]types.Digest)}
+		in.fetch = &fetchState{}
 	}
 	if seq > in.fetch.target {
 		in.fetch.target = seq
@@ -96,7 +80,8 @@ func (in *Instance) sendFetch(out *Output, now time.Time) {
 	out.send(nil, f)
 }
 
-// onFetch serves retained delivered batches for the requested range.
+// onFetch serves the retained delivered batches of the requested range: the
+// last retainDeliveredFactor × W up to lastDelivered.
 func (in *Instance) onFetch(out *Output, f *message.Fetch) error {
 	if f.Instance != in.cfg.Instance {
 		return fmt.Errorf("pbft: FETCH for instance %d on instance %d", f.Instance, in.cfg.Instance)
@@ -113,11 +98,11 @@ func (in *Instance) onFetch(out *Output, f *message.Fetch) error {
 		to = from + fetchChunk
 	}
 	for seq := from + 1; seq <= to; seq++ {
-		b, ok := in.recentDelivered[seq]
-		if !ok {
-			continue // GC'd past the retention window
+		s := in.at(seq)
+		if s.seq != seq || !s.delivered || seq+retainDeliveredFactor*in.cfg.WatermarkWindow <= in.lastDelivered {
+			continue // out of retention
 		}
-		resp := &message.FetchResp{Instance: in.cfg.Instance, Seq: seq, View: b.view, Batch: b.refs, Node: in.cfg.Node}
+		resp := &message.FetchResp{Instance: in.cfg.Instance, Seq: seq, View: s.deliveredIn, Batch: s.batch, Node: in.cfg.Node}
 		resp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, resp.Body())
 		out.send([]types.NodeID{f.Node}, resp)
 	}
@@ -134,45 +119,30 @@ func (in *Instance) onFetchResp(out *Output, fr *message.FetchResp, now time.Tim
 	if in.fetch == nil || fr.Seq <= in.lastDelivered || fr.Seq > in.fetch.target {
 		return nil
 	}
+	s := in.slot(fr.Seq)
+	if s == nil || !s.fetched[fr.Node].IsZero() {
+		return nil
+	}
 	pp := message.PrePrepare{Instance: fr.Instance, View: fr.View, Seq: fr.Seq, Batch: fr.Batch}
 	digest := pp.BatchDigest()
-	votes := in.fetch.votes[fr.Seq]
-	if votes == nil {
-		votes = make(map[types.NodeID]types.Digest, in.cfg.Cluster.WeakQuorum())
-		in.fetch.votes[fr.Seq] = votes
-	}
-	if _, dup := votes[fr.Node]; dup {
+	s.fetched[fr.Node] = digest
+	if tally(s.fetched, digest) < in.cfg.Cluster.WeakQuorum() {
 		return nil
 	}
-	votes[fr.Node] = digest
-	if tally(votes, digest) < in.cfg.Cluster.WeakQuorum() {
-		return nil
-	}
-	// Adopt: mark the entry delivered with the fetched content.
-	e := in.entry(fr.Seq)
-	if !e.delivered {
-		in.unwait(fr.Seq, e)
-		e.delivered = true
-		e.havePP = true
-		e.view = fr.View
-		e.digest = digest
-		e.batch = fr.Batch
+	// Adopt: mark the slot delivered with the fetched content.
+	if !s.delivered {
+		in.unwait(s)
+		s.delivered = true
+		s.havePP = true
+		s.view = fr.View
+		s.digest = digest
+		s.batch = fr.Batch
 		in.deliverReady(out, now)
 	}
-	in.fetchProgress()
-	return nil
-}
-
-// fetchProgress forgets the votes deliveries have overtaken and closes the
-// fetch once its target is delivered.
-func (in *Instance) fetchProgress() {
-	if in.fetch == nil {
-		return
-	}
-	maps.DeleteFunc(in.fetch.votes, func(s types.SeqNum, _ map[types.NodeID]types.Digest) bool { return s <= in.lastDelivered })
 	if in.fetch.target <= in.lastDelivered {
-		in.fetch = nil
+		in.fetch = nil // caught up
 	}
+	return nil
 }
 
 // fetchWake exposes the retry deadline to NextWake.
@@ -188,27 +158,31 @@ func (in *Instance) fetchTick(out *Output, now time.Time) {
 	if in.fetch == nil || now.Before(in.fetch.deadline) {
 		return
 	}
-	in.fetchProgress()
-	if in.fetch != nil {
-		in.sendFetch(out, now)
-	}
+	in.sendFetch(out, now) // or close it, if caught up
 }
 
-// retainDelivered records a delivered batch for serving future fetches and
-// prunes the retention window. The refs that the pruned batch delivered and
-// this replica still holds leave with it: the retention window is as long
-// as a replica remembers a delivered ref it was not told executed.
-func (in *Instance) retainDelivered(seq types.SeqNum, view types.View, refs []types.RequestRef) {
-	in.recentDelivered[seq] = deliveredBatch{view: view, refs: refs}
+// retainDelivered is called as seq is delivered: the batch that leaves the
+// retention window, retainDeliveredFactor × W below it, stops being served
+// to fetches, and the refs it delivered that this replica still holds leave
+// with it. The retention window is as long as a replica remembers a
+// delivered ref it was not told executed.
+func (in *Instance) retainDelivered(seq types.SeqNum) {
 	retention := retainDeliveredFactor * in.cfg.WatermarkWindow
-	if seq > retention {
-		old := seq - retention
-		for _, ref := range in.recentDelivered[old].refs {
+	if seq <= retention {
+		return
+	}
+	old := seq - retention
+	if s := in.at(old); s.seq == old {
+		for _, ref := range s.batch {
 			if r := in.reqs[ref]; r != nil && r.at == old {
 				r.retire = true
 				in.settle(ref, r)
 			}
 		}
-		delete(in.recentDelivered, old)
+		// Free the batch now, not a window later when the slot is reused;
+		// above the stable checkpoint a prepared proof may still need it.
+		if old <= in.stableSeq {
+			s.batch = nil
+		}
 	}
 }

@@ -63,7 +63,7 @@ func TestFetchRecoversPartitionedReplica(t *testing.T) {
 // TestFetchRequiresWeakQuorum: a single (possibly faulty) responder cannot
 // make a replica adopt a batch.
 func TestFetchRequiresWeakQuorum(t *testing.T) {
-	tc := newTestCluster(t, 1, nil)
+	tc := newTestCluster(t, 1, func(c *Config) { c.CheckpointInterval = 4 })
 	in := tc.replicas[0]
 	// Fabricate checkpoint evidence that seq 4 is committed elsewhere.
 	for _, from := range []types.NodeID{1, 2} {
@@ -98,7 +98,7 @@ func TestFetchRequiresWeakQuorum(t *testing.T) {
 // TestFetchMismatchedResponsesDoNotCount: responders with different content,
 // or with the same refs delivered in different views, do not form a quorum.
 func TestFetchMismatchedResponsesDoNotCount(t *testing.T) {
-	tc := newTestCluster(t, 1, nil)
+	tc := newTestCluster(t, 1, func(c *Config) { c.CheckpointInterval = 4 })
 	in := tc.replicas[0]
 	for _, from := range []types.NodeID{1, 2} {
 		cp := &message.Checkpoint{Instance: 0, Seq: 4, Digest: types.Digest{7}, Node: from}
@@ -169,5 +169,35 @@ func TestFetchCodecRoundTrip(t *testing.T) {
 	if g, ok := got.(*message.FetchResp); !ok || g.Instance != 1 || g.Seq != 15 || g.View != 3 || g.Node != 2 ||
 		len(g.Batch) != 1 || g.Batch[0] != fr.Batch[0] {
 		t.Fatalf("decoded %#v", got)
+	}
+}
+
+// TestFetchServesOnlyRetention: a replica serves the batches of the last
+// retainDeliveredFactor × W sequences it delivered, although its log ring
+// still holds older slots; their batches are already freed.
+func TestFetchServesOnlyRetention(t *testing.T) {
+	tc := newTestCluster(t, 1, func(c *Config) {
+		c.BatchSize = 1
+		c.CheckpointInterval = 2
+	})
+	for i := 0; i < 40; i++ {
+		tc.addRequest(ref(0, types.RequestID(i)))
+	}
+	in := tc.replicas[1]
+	retention := retainDeliveredFactor * in.cfg.WatermarkWindow
+	if s := in.at(in.lastDelivered - retention); !s.delivered || s.batch != nil {
+		t.Fatalf("seq %d: delivered %v, batch %v; want its slot kept and its batch freed", s.seq, s.delivered, s.batch)
+	}
+	out, err := in.OnMessage(&message.Fetch{Instance: 0, FromSeq: 0, ToSeq: 40, Node: 3}, tc.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range out.Msgs {
+		if fr := m.Msg.(*message.FetchResp); fr.Seq != in.lastDelivered-retention+types.SeqNum(i)+1 {
+			t.Fatalf("response %d serves seq %d", i, fr.Seq)
+		}
+	}
+	if len(out.Msgs) != int(retention) {
+		t.Fatalf("served %d batches, want the %d retained", len(out.Msgs), retention)
 	}
 }

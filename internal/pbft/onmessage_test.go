@@ -15,7 +15,8 @@ import (
 // Output of a failed OnMessage, and effects emitted ahead of the rejection
 // would be lost with it. Each row is one error OnMessage can return, fed to a
 // fresh replica 2 (a backup in views 0 and 1) with durability on, so a
-// premature journal record would show as much as a premature message.
+// premature journal record would show as much as a premature message. A
+// sender outside the cluster is among them: vote vectors are indexed by it.
 // Signatures are not among them: the preverifier is the one place that checks
 // a VIEW-CHANGE's (message.TestPreverifyViewChangeBadSignature).
 func TestOnMessageErrorsCarryNoOutput(t *testing.T) {
@@ -50,6 +51,13 @@ func TestOnMessageErrorsCarryNoOutput(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"node-level type", msg(&message.Request{}), "unexpected message type"},
+		{"PREPARE from node N", msg(&message.Prepare{Seq: 1, Node: 4}), "PREPARE from node 4 outside the cluster"},
+		{"COMMIT from node -1", msg(&message.Commit{Seq: 1, Node: -1}), "COMMIT from node -1 outside the cluster"},
+		{"CHECKPOINT from node N", msg(&message.Checkpoint{Seq: 128, Node: 4}), "CHECKPOINT from node 4 outside the cluster"},
+		{"FETCH-RESP from node -1", msg(&message.FetchResp{Seq: 1, Node: -1}), "FETCH-RESP from node -1 outside the cluster"},
+		{"PRE-PREPARE from node N", msg(&message.PrePrepare{Seq: 1, Node: 4}), "PRE-PREPARE from node 4 outside the cluster"},
+		{"CHECKPOINT off the interval", msg(&message.Checkpoint{Seq: 100, Node: 1}), "not a multiple of the interval 128"},
+		{"CHECKPOINT claiming this replica", msg(&message.Checkpoint{Seq: 128, Node: 2}), "claims node 2, this replica"},
 		{"PRE-PREPARE instance", msg(&message.PrePrepare{Instance: 1, Seq: 1, Node: 0}), "PRE-PREPARE for instance 1"},
 		{"PRE-PREPARE not from primary", msg(&message.PrePrepare{Seq: 1, Node: 3}), "primary is 0"},
 		{"PREPARE instance", msg(&message.Prepare{Instance: 1, Seq: 1, Node: 1}), "PREPARE for instance 1"},

@@ -132,14 +132,26 @@ func (o *Output) send(to []types.NodeID, m message.Message) {
 	o.Msgs = append(o.Msgs, Outbound{To: to, Msg: m})
 }
 
-// entry tracks the three-phase state of one sequence number.
-type entry struct {
+// slot is one sequence number's place in the replica's log (Instance.log).
+type slot struct {
+	seq types.SeqNum // the sequence number held; 0 when none
+	phase
+	// deliveredIn is the view the batch was delivered in, which FETCH serves
+	// even after a NEW-VIEW re-issues the sequence in a later view.
+	deliveredIn types.View
+	// promisedPrepare and promisedCommit are what Restore replayed.
+	promisedPrepare, promisedCommit promise
+	// prepares, commits and fetched are votes indexed by NodeID: the digest
+	// a node's PREPARE, COMMIT or FETCH-RESP carried. Zero means no vote.
+	prepares, commits, fetched []types.Digest
+}
+
+// phase is the three-phase state of a slot's current proposal.
+type phase struct {
 	view      types.View
 	digest    types.Digest
 	batch     []types.RequestRef
 	havePP    bool
-	prepares  map[types.NodeID]types.Digest
-	commits   map[types.NodeID]types.Digest
 	sentPrep  bool
 	sentComm  bool
 	delivered bool
@@ -175,35 +187,30 @@ type Instance struct {
 	free    []*reqState
 	decided func(types.RequestRef) bool
 
-	// Replica state.
-	entries           map[types.SeqNum]*entry
-	lastDelivered     types.SeqNum
-	stableSeq         types.SeqNum                  // last stable checkpoint
-	logDigest         types.Digest                  // running digest chain of delivered batches
-	checkpointDigests map[types.SeqNum]types.Digest // our own, awaiting stability
-	checkpoints       map[types.SeqNum]map[types.NodeID]types.Digest
+	// Replica state. log is a ring of slots indexed by seq % len(log): the
+	// window being ordered and the delivered batches retained for FETCH.
+	log           []slot
+	lastDelivered types.SeqNum
+	stableSeq     types.SeqNum // last stable checkpoint
+	logDigest     types.Digest // running digest chain of delivered batches
+	// checkpoints holds the CHECKPOINT votes, indexed by NodeID, for each
+	// sequence in (stableSeq, lastDelivered+len(log)].
+	checkpoints map[types.SeqNum][]types.Digest
 
 	// View-change state.
 	viewChanges map[types.View]map[types.NodeID]*message.ViewChange
 
 	// Catch-up state (see fetch.go).
-	recentDelivered map[types.SeqNum]deliveredBatch
-	fetch           *fetchState
+	fetch *fetchState
 
-	// Crash-recovery state (see durability.go): promises replayed from the
-	// WAL that the live protocol must never contradict, and the transient
-	// accumulator used while a replay is in progress.
-	promisedPrepare map[types.SeqNum]promise
-	promisedCommit  map[types.SeqNum]promise
-	restore         *restoreState
+	// Crash-recovery state (see durability.go): the accumulator used while
+	// a replay is in progress.
+	restore *restoreState
 
 	// Delayed PRE-PREPAREs (malicious primary attack hook).
 	delayed    []delayedSend
 	tokens     float64
 	lastRefill time.Time
-
-	// Statistics.
-	stats Stats
 
 	// tr receives phase-transition events (pre-prepare proposed, prepared,
 	// committed). Node identity is stamped by the installer's wrapper.
@@ -224,31 +231,27 @@ type delayedSend struct {
 	since time.Time
 }
 
-// Stats counts observable protocol events, used by tests and the monitor.
-type Stats struct {
-	Proposed    uint64 // batches proposed as primary
-	Delivered   uint64 // batches delivered
-	RefsOrdered uint64 // request refs delivered
-	ViewChanges uint64 // view changes completed (NEW-VIEW accepted/sent)
-}
-
-// New creates a protocol-instance replica.
+// New creates a protocol-instance replica. Its log is allocated here, once:
+// (retainDeliveredFactor+1) × WatermarkWindow slots and their vote vectors.
 func New(cfg Config, keys *crypto.KeyRing) *Instance {
 	c := cfg.withDefaults()
-	return &Instance{
-		cfg:               c,
-		keys:              keys,
-		nextSeq:           1,
-		reqs:              make(map[types.RequestRef]*reqState),
-		entries:           make(map[types.SeqNum]*entry),
-		checkpointDigests: make(map[types.SeqNum]types.Digest),
-		checkpoints:       make(map[types.SeqNum]map[types.NodeID]types.Digest),
-		viewChanges:       make(map[types.View]map[types.NodeID]*message.ViewChange),
-		recentDelivered:   make(map[types.SeqNum]deliveredBatch),
-		promisedPrepare:   make(map[types.SeqNum]promise),
-		promisedCommit:    make(map[types.SeqNum]promise),
-		tr:                obs.Nop{},
+	in := &Instance{
+		cfg:         c,
+		keys:        keys,
+		nextSeq:     1,
+		reqs:        make(map[types.RequestRef]*reqState),
+		log:         make([]slot, (retainDeliveredFactor+1)*c.WatermarkWindow),
+		checkpoints: make(map[types.SeqNum][]types.Digest),
+		viewChanges: make(map[types.View]map[types.NodeID]*message.ViewChange),
+		tr:          obs.Nop{},
 	}
+	n := c.Cluster.N
+	votes := make([]types.Digest, 3*n*len(in.log))
+	for i := range in.log {
+		v := votes[3*n*i:]
+		in.log[i].prepares, in.log[i].commits, in.log[i].fetched = v[:n:n], v[n:2*n:2*n], v[2*n:3*n:3*n]
+	}
+	return in
 }
 
 // SetBehavior installs Byzantine behaviour (attack experiments only).
@@ -263,9 +266,6 @@ func (in *Instance) SetTracer(t obs.Tracer) {
 
 // View returns the current view.
 func (in *Instance) View() types.View { return in.view }
-
-// Stats returns a copy of the replica's counters.
-func (in *Instance) Stats() Stats { return in.stats }
 
 // LastDelivered returns the highest contiguously delivered sequence number.
 func (in *Instance) LastDelivered() types.SeqNum { return in.lastDelivered }
@@ -306,10 +306,10 @@ func (in *Instance) AddRequest(ref types.RequestRef, now time.Time) Output {
 
 	// Release the PRE-PREPAREs that were waiting on this request.
 	for _, w := range r.waiters {
-		if e := in.entries[w.seq]; e != nil && e.view == w.view {
-			e.waiting--
-			if e.waiting == 0 {
-				in.maybePrepare(&out, w.seq, e, now)
+		if s := in.at(w.seq); s.seq == w.seq && s.view == w.view {
+			s.waiting--
+			if s.waiting == 0 {
+				in.maybePrepare(&out, s, now)
 			}
 		}
 	}
@@ -421,7 +421,6 @@ func (in *Instance) cutBatch(out *Output, now time.Time) {
 
 		pp := &message.PrePrepare{Instance: in.cfg.Instance, View: in.view, Seq: in.nextSeq, Batch: batch, Node: in.cfg.Node}
 		in.nextSeq++
-		in.stats.Proposed++
 
 		since := in.pendingSince
 		if len(in.pending) == 0 {
@@ -460,7 +459,6 @@ func (in *Instance) ProposeFiller(now time.Time) Output {
 	}
 	pp := &message.PrePrepare{Instance: in.cfg.Instance, View: in.view, Seq: in.nextSeq, Node: in.cfg.Node}
 	in.nextSeq++
-	in.stats.Proposed++
 	in.emitPrePrepare(&out, pp, now, time.Time{})
 	return out
 }
@@ -510,9 +508,13 @@ func (in *Instance) emitPrePrepare(out *Output, pp *message.PrePrepare, now time
 // OnMessage dispatches a verified instance message. The node layer has
 // already verified the MAC authenticator, the VIEW-CHANGE signatures
 // (including those embedded in a NEW-VIEW), and that msg's Node field matches
-// the authenticated sender.
+// the authenticated sender. A sender outside the cluster is rejected here
+// too, before any handler indexes a vote vector by it.
 func (in *Instance) OnMessage(msg message.Message, now time.Time) (Output, error) {
 	var out Output
+	if _, from, ok := message.InstanceAndSender(msg); ok && (from < 0 || int(from) >= in.cfg.Cluster.N) {
+		return out, fmt.Errorf("pbft: %s from node %d outside the cluster", msg.MsgType(), from)
+	}
 	var err error
 	// Node-level messages (client traffic, request propagation, replies,
 	// instance changes, attack garbage) are consumed by core.Node and can
@@ -561,67 +563,73 @@ func (in *Instance) onPrePrepare(out *Output, pp *message.PrePrepare, now time.T
 // acceptPrePrepare records a PRE-PREPARE (already validated, or self-issued)
 // and sends PREPARE once every batch ref is known to the node.
 func (in *Instance) acceptPrePrepare(out *Output, pp *message.PrePrepare, now time.Time) {
-	e := in.entry(pp.Seq)
+	s := in.slot(pp.Seq)
+	if s == nil {
+		return
+	}
 	digest := pp.BatchDigest()
-	if e.havePP && e.view == pp.View {
+	if s.havePP && s.view == pp.View {
 		return // duplicate
 	}
-	if e.havePP && e.digest != digest && e.view >= pp.View {
+	if s.havePP && s.digest != digest && s.view >= pp.View {
 		return // conflicting proposal; keep the first
 	}
-	in.unwait(pp.Seq, e) // the superseded proposal's waiters go with it
-	e.havePP = true
-	e.view = pp.View
-	e.digest = digest
-	e.batch = pp.Batch
-	e.sentPrep = false
-	e.sentComm = false
+	in.unwait(s) // the superseded proposal's waiters go with it
+	s.havePP = true
+	s.view = pp.View
+	s.digest = digest
+	s.batch = pp.Batch
+	s.sentPrep = false
+	s.sentComm = false
 	if in.spans {
-		e.ppAt = now
+		s.ppAt = now
 	}
 
 	// Count refs the node has not yet collected f+1 PROPAGATEs for. The
 	// paper's rule: reply with PREPARE only if the node already received f+1
 	// copies of the request, preventing a malicious primary from boosting
 	// its instance with requests sent only to it. A delivered ref is not
-	// waited on, nor one the node reports executed.
-	for _, ref := range pp.Batch {
-		if r := in.track(ref); r != nil && r.at == 0 && !r.known {
-			e.waiting++
-			r.waiters = append(r.waiters, waiter{view: pp.View, seq: pp.Seq})
+	// waited on, nor one the node reports executed, nor any ref of a
+	// sequence already delivered here.
+	if !s.delivered && pp.Seq > in.lastDelivered {
+		for _, ref := range pp.Batch {
+			if r := in.track(ref); r != nil && r.at == 0 && !r.known {
+				s.waiting++
+				r.waiters = append(r.waiters, waiter{view: pp.View, seq: pp.Seq})
+			}
 		}
 	}
-	if e.waiting == 0 {
-		in.maybePrepare(out, pp.Seq, e, now)
+	if s.waiting == 0 {
+		in.maybePrepare(out, s, now)
 	}
 }
 
 // maybePrepare sends this replica's PREPARE (non-primary only) and checks
 // phase progress.
-func (in *Instance) maybePrepare(out *Output, seq types.SeqNum, e *entry, now time.Time) {
-	if !e.havePP || e.waiting > 0 {
+func (in *Instance) maybePrepare(out *Output, s *slot, now time.Time) {
+	if !s.havePP || s.waiting > 0 {
 		return
 	}
-	if conflicts(in.promisedPrepare, seq, e) {
+	if in.conflicts(s, s.promisedPrepare) {
 		// We already vouched for a different batch at this (view, seq)
 		// before the crash; preparing this one would be equivocation.
 		return
 	}
-	if !in.IsPrimary() && !e.sentPrep {
-		e.sentPrep = true
+	if !in.IsPrimary() && !s.sentPrep {
+		s.sentPrep = true
 		// Our own PREPARE counts toward the 2f quorum (PBFT counts the
 		// replica's logged prepare), which is what lets the instance make
 		// progress with f silent faulty replicas.
-		e.prepares[in.cfg.Node] = e.digest
+		s.prepares[in.cfg.Node] = s.digest
 		if !in.behavior.Silent {
-			in.journal(out, wal.Record{Kind: wal.KindSentPrepare, View: e.view, Seq: seq, Digest: e.digest})
-			p := &message.Prepare{Instance: in.cfg.Instance, View: e.view, Seq: seq, Digest: e.digest, Node: in.cfg.Node}
+			in.journal(out, wal.Record{Kind: wal.KindSentPrepare, View: s.view, Seq: s.seq, Digest: s.digest})
+			p := &message.Prepare{Instance: in.cfg.Instance, View: s.view, Seq: s.seq, Digest: s.digest, Node: in.cfg.Node}
 			var buf [message.MaxBodySize]byte
 			p.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, p.AppendBody(buf[:0]))
 			out.send(nil, p)
 		}
 	}
-	in.checkPrepared(out, seq, e, now)
+	in.checkPrepared(out, s, now)
 }
 
 func (in *Instance) onPrepare(out *Output, p *message.Prepare, now time.Time) error {
@@ -634,53 +642,53 @@ func (in *Instance) onPrepare(out *Output, p *message.Prepare, now time.Time) er
 	if p.Node == in.Primary() {
 		return fmt.Errorf("pbft: primary %d must not send PREPARE", p.Node)
 	}
-	e := in.entry(p.Seq)
-	if _, dup := e.prepares[p.Node]; dup && p.Node != in.cfg.Node {
+	s := in.slot(p.Seq)
+	if s == nil || !s.prepares[p.Node].IsZero() && p.Node != in.cfg.Node {
 		return nil
 	}
-	e.prepares[p.Node] = p.Digest
-	in.checkPrepared(out, p.Seq, e, now)
+	s.prepares[p.Node] = p.Digest
+	in.checkPrepared(out, s, now)
 	return nil
 }
 
 // prepared: PRE-PREPARE plus 2f matching PREPAREs from distinct non-primary
 // replicas (our own counts when we sent it).
-func (in *Instance) checkPrepared(out *Output, seq types.SeqNum, e *entry, now time.Time) {
-	if !e.havePP || e.waiting > 0 || e.sentComm {
+func (in *Instance) checkPrepared(out *Output, s *slot, now time.Time) {
+	if !s.havePP || s.waiting > 0 || s.sentComm {
 		return
 	}
-	if tally(e.prepares, e.digest) < in.cfg.Cluster.PrepareQuorum() {
+	if tally(s.prepares, s.digest) < in.cfg.Cluster.PrepareQuorum() {
 		return
 	}
-	if conflicts(in.promisedCommit, seq, e) {
+	if in.conflicts(s, s.promisedCommit) {
 		// A COMMIT for a different digest at this (view, seq) is already on
 		// the wire from before the crash; never contradict it.
 		return
 	}
-	e.sentComm = true
+	s.sentComm = true
 	if in.tr.Enabled() {
 		in.tr.Trace(obs.Event{
 			At: now, Type: obs.EvPrepare, Instance: in.cfg.Instance,
-			Seq: seq, View: e.view,
+			Seq: s.seq, View: s.view,
 		})
 	}
-	if in.spans && !e.ppAt.IsZero() {
-		e.prepAt = now
+	if in.spans && !s.ppAt.IsZero() {
+		s.prepAt = now
 		in.tr.Trace(obs.Event{
 			At: now, Type: obs.EvSpan, Stage: obs.StagePrepareQuorum,
-			Instance: in.cfg.Instance, Seq: seq, View: e.view,
-			Count: len(e.batch), Dur: now.Sub(e.ppAt),
+			Instance: in.cfg.Instance, Seq: s.seq, View: s.view,
+			Count: len(s.batch), Dur: now.Sub(s.ppAt),
 		})
 	}
 	if !in.behavior.Silent {
-		in.journal(out, wal.Record{Kind: wal.KindSentCommit, View: e.view, Seq: seq, Digest: e.digest})
-		c := &message.Commit{Instance: in.cfg.Instance, View: e.view, Seq: seq, Digest: e.digest, Node: in.cfg.Node}
+		in.journal(out, wal.Record{Kind: wal.KindSentCommit, View: s.view, Seq: s.seq, Digest: s.digest})
+		c := &message.Commit{Instance: in.cfg.Instance, View: s.view, Seq: s.seq, Digest: s.digest, Node: in.cfg.Node}
 		var buf [message.MaxBodySize]byte
 		c.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, c.AppendBody(buf[:0]))
 		out.send(nil, c)
 	}
-	e.commits[in.cfg.Node] = e.digest
-	in.checkCommitted(out, seq, e, now)
+	s.commits[in.cfg.Node] = s.digest
+	in.checkCommitted(out, s, now)
 }
 
 func (in *Instance) onCommit(out *Output, c *message.Commit, now time.Time) error {
@@ -690,53 +698,54 @@ func (in *Instance) onCommit(out *Output, c *message.Commit, now time.Time) erro
 	if c.View != in.view || in.inViewChange || !in.inWindow(c.Seq) {
 		return nil
 	}
-	e := in.entry(c.Seq)
-	if _, dup := e.commits[c.Node]; dup && c.Node != in.cfg.Node {
+	s := in.slot(c.Seq)
+	if s == nil || !s.commits[c.Node].IsZero() && c.Node != in.cfg.Node {
 		return nil
 	}
-	e.commits[c.Node] = c.Digest
-	in.checkCommitted(out, c.Seq, e, now)
+	s.commits[c.Node] = c.Digest
+	in.checkCommitted(out, s, now)
 	return nil
 }
 
 // committed: 2f+1 matching COMMITs (including our own).
-func (in *Instance) checkCommitted(out *Output, seq types.SeqNum, e *entry, now time.Time) {
-	if !e.havePP || !e.sentComm || e.delivered {
+func (in *Instance) checkCommitted(out *Output, s *slot, now time.Time) {
+	if !s.havePP || !s.sentComm || s.delivered {
 		return
 	}
-	matching := tally(e.commits, e.digest)
+	matching := tally(s.commits, s.digest)
 	if matching < in.cfg.Cluster.Quorum() {
 		return
 	}
-	e.delivered = true
+	s.delivered = true
 	if in.tr.Enabled() {
 		in.tr.Trace(obs.Event{
 			At: now, Type: obs.EvCommit, Instance: in.cfg.Instance,
-			Seq: seq, View: e.view,
+			Seq: s.seq, View: s.view,
 		})
 	}
-	if in.spans && !e.prepAt.IsZero() {
+	if in.spans && !s.prepAt.IsZero() {
 		in.tr.Trace(obs.Event{
 			At: now, Type: obs.EvSpan, Stage: obs.StageCommitQuorum,
-			Instance: in.cfg.Instance, Seq: seq, View: e.view,
-			Count: len(e.batch), Dur: now.Sub(e.prepAt),
+			Instance: in.cfg.Instance, Seq: s.seq, View: s.view,
+			Count: len(s.batch), Dur: now.Sub(s.prepAt),
 		})
 	}
 	in.deliverReady(out, now)
 }
 
-// deliverReady delivers committed entries in contiguous sequence order and
+// deliverReady delivers committed slots in contiguous sequence order and
 // emits checkpoints at interval boundaries.
 func (in *Instance) deliverReady(out *Output, now time.Time) {
 	for {
 		next := in.lastDelivered + 1
-		e := in.entries[next]
-		if e == nil || !e.delivered {
+		s := in.at(next)
+		if s.seq != next || !s.delivered {
 			break
 		}
 		in.lastDelivered = next
-		refs := make([]types.RequestRef, 0, len(e.batch))
-		for _, ref := range e.batch {
+		s.deliveredIn = s.view
+		refs := make([]types.RequestRef, 0, len(s.batch))
+		for _, ref := range s.batch {
 			r := in.track(ref)
 			if r == nil || r.at != 0 {
 				continue // dedupe across view-change re-proposals
@@ -745,18 +754,16 @@ func (in *Instance) deliverReady(out *Output, now time.Time) {
 			refs = append(refs, ref)
 			in.settle(ref, r)
 		}
-		in.stats.Delivered++
-		in.stats.RefsOrdered += uint64(len(refs))
 		out.Delivered = append(out.Delivered, Batch{
 			Instance: in.cfg.Instance,
 			Seq:      next,
-			View:     e.view,
+			View:     s.view,
 			Refs:     refs,
 		})
-		in.retainDelivered(next, e.view, e.batch)
-		d := e.digest // as proposed in view 0, so a view change cannot split checkpoints
-		if e.view != 0 {
-			d = (&message.PrePrepare{Instance: in.cfg.Instance, Seq: next, Batch: e.batch}).BatchDigest()
+		in.retainDelivered(next)
+		d := s.digest // as proposed in view 0, so a view change cannot split checkpoints
+		if s.view != 0 {
+			d = (&message.PrePrepare{Instance: in.cfg.Instance, Seq: next, Batch: s.batch}).BatchDigest()
 		}
 		in.logDigest = chainDigest(in.logDigest, d)
 
@@ -774,7 +781,6 @@ func chainDigest(prev, batch types.Digest) types.Digest {
 }
 
 func (in *Instance) emitCheckpoint(out *Output, seq types.SeqNum, now time.Time) {
-	in.checkpointDigests[seq] = in.logDigest
 	in.journal(out, wal.Record{Kind: wal.KindCheckpoint, Seq: seq, Digest: in.logDigest})
 	if !in.behavior.Silent {
 		cp := &message.Checkpoint{Instance: in.cfg.Instance, Seq: seq, Digest: in.logDigest, Node: in.cfg.Node}
@@ -785,11 +791,22 @@ func (in *Instance) emitCheckpoint(out *Output, seq types.SeqNum, now time.Time)
 	in.recordCheckpoint(out, seq, in.cfg.Node, in.logDigest, now)
 }
 
+// onCheckpoint keeps a peer's CHECKPOINT vote. A correct node checkpoints
+// only at interval boundaries; one too far above lastDelivered is ignored —
+// no peer retains the batches that would let a fetch close such a gap — so
+// one faulty peer can make the replica keep votes at no more than
+// (lastDelivered − stableSeq + len(log))/interval sequences.
 func (in *Instance) onCheckpoint(out *Output, cp *message.Checkpoint, now time.Time) error {
 	if cp.Instance != in.cfg.Instance {
 		return fmt.Errorf("pbft: CHECKPOINT for instance %d on instance %d", cp.Instance, in.cfg.Instance)
 	}
-	if cp.Seq <= in.stableSeq {
+	if cp.Node == in.cfg.Node {
+		return fmt.Errorf("pbft: CHECKPOINT from a peer claims node %d, this replica", cp.Node)
+	}
+	if cp.Seq%in.cfg.CheckpointInterval != 0 {
+		return fmt.Errorf("pbft: CHECKPOINT at %d, not a multiple of the interval %d", cp.Seq, in.cfg.CheckpointInterval)
+	}
+	if cp.Seq <= in.stableSeq || cp.Seq > in.lastDelivered+types.SeqNum(len(in.log)) {
 		return nil
 	}
 	in.recordCheckpoint(out, cp.Seq, cp.Node, cp.Digest, now)
@@ -797,28 +814,22 @@ func (in *Instance) onCheckpoint(out *Output, cp *message.Checkpoint, now time.T
 }
 
 func (in *Instance) recordCheckpoint(out *Output, seq types.SeqNum, node types.NodeID, digest types.Digest, now time.Time) {
-	m := in.checkpoints[seq]
-	if m == nil {
-		m = make(map[types.NodeID]types.Digest, in.cfg.Cluster.Quorum())
-		in.checkpoints[seq] = m
+	votes := in.checkpoints[seq]
+	if votes == nil {
+		votes = make([]types.Digest, in.cfg.Cluster.N)
+		in.checkpoints[seq] = votes
 	}
-	m[node] = digest
+	votes[node] = digest
 	// Checkpoint evidence may reveal that this replica missed committed
 	// batches entirely; start catch-up if so. This must run even (indeed,
 	// especially) when we have no own digest for the sequence.
-	in.noteCheckpointEvidence(out, seq, now)
-	// Stability requires 2f+1 digests matching our own.
-	own, haveOwn := in.checkpointDigests[seq]
-	if !haveOwn {
+	in.noteCheckpointEvidence(out, seq, votes, now)
+	// Stability requires 2f+1 digests matching our own (emitCheckpoint's).
+	own := votes[in.cfg.Node]
+	if own.IsZero() {
 		return
 	}
-	matching := 0
-	for _, d := range m {
-		if d == own {
-			matching++
-		}
-	}
-	if matching >= in.cfg.Cluster.Quorum() && seq > in.stableSeq {
+	if tally(votes, own) >= in.cfg.Cluster.Quorum() && seq > in.stableSeq {
 		in.journal(out, wal.Record{Kind: wal.KindStable, Seq: seq, Digest: own})
 		in.stabilize(seq)
 		// Stabilising widens the watermark window; a primary stalled on the
@@ -829,25 +840,16 @@ func (in *Instance) recordCheckpoint(out *Output, seq types.SeqNum, node types.N
 	}
 }
 
-// stabilize garbage-collects state below the new stable checkpoint.
+// stabilize moves the stable checkpoint to seq. The log needs no cleaning:
+// every slot at or below seq is delivered and waits on nothing, and leaves
+// the ring when a later sequence takes its position over.
 func (in *Instance) stabilize(seq types.SeqNum) {
-	if seq <= in.stableSeq {
-		return
-	}
 	in.stableSeq = seq
-	for s, e := range in.entries {
-		if s <= seq {
-			in.unwait(s, e) //rbft:ignore maprange -- touches only e's own waiters
-			delete(in.entries, s)
-		}
-	}
-	maps.DeleteFunc(in.checkpoints, func(s types.SeqNum, _ map[types.NodeID]types.Digest) bool { return s < seq })
-	maps.DeleteFunc(in.checkpointDigests, func(s types.SeqNum, _ types.Digest) bool { return s < seq })
-	in.dropPromises(seq)
+	maps.DeleteFunc(in.checkpoints, func(s types.SeqNum, _ []types.Digest) bool { return s <= seq })
 }
 
 // tally counts the votes for digest d.
-func tally(votes map[types.NodeID]types.Digest, d types.Digest) (n int) {
+func tally(votes []types.Digest, d types.Digest) (n int) {
 	for _, v := range votes {
 		if v == d {
 			n++
@@ -860,14 +862,32 @@ func (in *Instance) inWindow(seq types.SeqNum) bool {
 	return seq > in.stableSeq && seq <= in.stableSeq+in.cfg.WatermarkWindow
 }
 
-func (in *Instance) entry(seq types.SeqNum) *entry {
-	e := in.entries[seq]
-	if e == nil {
-		e = &entry{
-			prepares: make(map[types.NodeID]types.Digest, in.cfg.Cluster.Quorum()),
-			commits:  make(map[types.NodeID]types.Digest, in.cfg.Cluster.Quorum()),
-		}
-		in.entries[seq] = e
+// at returns the ring position of seq; it holds seq only if its seq says so.
+func (in *Instance) at(seq types.SeqNum) *slot { return &in.log[seq%types.SeqNum(len(in.log))] }
+
+// slot returns seq's slot, taking the ring position over from an older
+// sequence. It returns nil when a newer sequence holds the position, and,
+// outside a WAL replay, for seq above lastDelivered+W: below that, the
+// sequence it takes over from is delivered and out of retention.
+func (in *Instance) slot(seq types.SeqNum) *slot {
+	s := in.at(seq)
+	if s.seq == seq {
+		return s
 	}
-	return e
+	if seq == 0 || s.seq > seq || seq > in.lastDelivered+in.cfg.WatermarkWindow && in.restore == nil {
+		return nil
+	}
+	in.restart(s)
+	clear(s.fetched)
+	*s = slot{seq: seq, prepares: s.prepares, commits: s.commits, fetched: s.fetched}
+	return s
+}
+
+// restart forgets the proposal a NEW-VIEW supersedes at s, with its votes
+// and waiters; the restored promises and fetch votes stay.
+func (in *Instance) restart(s *slot) {
+	in.unwait(s)
+	s.phase = phase{}
+	clear(s.prepares)
+	clear(s.commits)
 }

@@ -293,12 +293,16 @@ func TestSilentPrimaryStallsInstance(t *testing.T) {
 	}
 }
 
+// TestCheckpointGarbageCollection: stabilising leaves nothing to clean up —
+// every slot at or below the stable checkpoint is delivered and waits on
+// nothing — and the replicas hold no request record once all is executed.
 func TestCheckpointGarbageCollection(t *testing.T) {
 	tc := newTestCluster(t, 1, func(c *Config) {
 		c.BatchSize = 1
 		c.CheckpointInterval = 4
 		c.WatermarkWindow = 16
 	})
+	tc.nodeSignal()
 	for i := 0; i < 20; i++ {
 		tc.addRequest(ref(0, types.RequestID(i)))
 	}
@@ -306,15 +310,16 @@ func TestCheckpointGarbageCollection(t *testing.T) {
 		if r.stableSeq < 16 {
 			t.Errorf("node %d stableSeq = %d, want >= 16", n, r.stableSeq)
 		}
-		for seq := range r.entries {
-			if seq <= r.stableSeq {
-				t.Errorf("node %d retains entry %d below stable %d", n, seq, r.stableSeq)
+		for i := range r.log {
+			if s := &r.log[i]; s.seq != 0 && s.seq <= r.stableSeq && (!s.delivered || s.waiting != 0) {
+				t.Errorf("node %d slot %d below stable %d: delivered %v, waiting %d", n, s.seq, r.stableSeq, s.delivered, s.waiting)
 			}
 		}
 		if got := len(orderedRefs(tc.delivered[types.NodeID(n)])); got != 20 {
 			t.Errorf("node %d delivered %d, want 20", n, got)
 		}
 	}
+	requireNoRecords(t, tc)
 }
 
 func TestWatermarkLimitsThenRecovers(t *testing.T) {
@@ -624,24 +629,6 @@ func TestTotalOrderUnderRandomScheduling(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestStatsCounting(t *testing.T) {
-	tc := newTestCluster(t, 1, nil)
-	for i := 0; i < 9; i++ {
-		tc.addRequest(ref(0, types.RequestID(i)))
-	}
-	primary := tc.replicas[0].Primary()
-	st := tc.replicas[primary].Stats()
-	if st.Proposed == 0 {
-		t.Error("primary proposed nothing")
-	}
-	for n, r := range tc.replicas {
-		st := r.Stats()
-		if st.RefsOrdered != 9 {
-			t.Errorf("node %d RefsOrdered = %d, want 9", n, st.RefsOrdered)
-		}
 	}
 }
 

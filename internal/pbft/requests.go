@@ -19,7 +19,7 @@ type reqState struct {
 	retire bool         // executed, or out of retention: go once delivered
 	at     types.SeqNum // delivered at this sequence number; 0 until then
 	// waiters are the PRE-PREPAREs whose PREPARE waits on the ref, each tied
-	// to its (view, seq) entry and dropped with it (unwait).
+	// to its (view, seq) proposal and dropped with it (unwait).
 	waiters []waiter
 }
 
@@ -75,20 +75,21 @@ func (in *Instance) settle(ref types.RequestRef, r *reqState) {
 	in.free = append(in.free, r)
 }
 
-// unwait drops the waiters of e's proposal at seq before e goes or another
-// proposal replaces it: a PREPARE waits only on the proposal it vouches for.
-func (in *Instance) unwait(seq types.SeqNum, e *entry) {
-	for _, ref := range e.batch {
-		if e.waiting == 0 {
+// unwait drops the waiters of s's proposal before another proposal replaces
+// it or a NEW-VIEW voids it: a PREPARE waits only on the proposal it vouches
+// for.
+func (in *Instance) unwait(s *slot) {
+	for _, ref := range s.batch {
+		if s.waiting == 0 {
 			break
 		}
 		if r := in.reqs[ref]; r != nil {
-			if i := slices.Index(r.waiters, waiter{view: e.view, seq: seq}); i >= 0 {
+			if i := slices.Index(r.waiters, waiter{view: s.view, seq: s.seq}); i >= 0 {
 				r.waiters = slices.Delete(r.waiters, i, i+1)
-				e.waiting--
+				s.waiting--
 				in.settle(ref, r)
 			}
 		}
 	}
-	e.waiting = 0
+	s.waiting = 0
 }

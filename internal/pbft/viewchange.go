@@ -46,22 +46,15 @@ func (in *Instance) StartViewChange(newView types.View, now time.Time) Output {
 	return out
 }
 
-// preparedProofs collects the prepared certificates above the stable
-// checkpoint, sorted by sequence number.
+// preparedProofs collects the prepared certificates of the watermark window
+// in sequence order: only a sequence in the window can gather PREPAREs.
 func (in *Instance) preparedProofs() []message.PreparedProof {
 	var proofs []message.PreparedProof
-	for seq, e := range in.entries {
-		if seq <= in.stableSeq || !e.havePP || !e.sentComm {
-			continue
+	for seq := in.stableSeq + 1; seq <= in.stableSeq+in.cfg.WatermarkWindow; seq++ {
+		if s := in.at(seq); s.seq == seq && s.havePP && s.sentComm {
+			proofs = append(proofs, message.PreparedProof{Seq: seq, View: s.view, Digest: s.digest, Batch: s.batch})
 		}
-		proofs = append(proofs, message.PreparedProof{
-			Seq:    seq,
-			View:   e.view,
-			Digest: e.digest,
-			Batch:  e.batch,
-		})
 	}
-	sort.Slice(proofs, func(i, j int) bool { return proofs[i].Seq < proofs[j].Seq })
 	return proofs
 }
 
@@ -204,7 +197,6 @@ func (in *Instance) installNewView(out *Output, nv *message.NewView) {
 	in.journal(out, wal.Record{Kind: wal.KindNewView, View: nv.View})
 	in.view = nv.View
 	in.inViewChange = false
-	in.stats.ViewChanges++
 	delete(in.viewChanges, nv.View)
 	for v := range in.viewChanges {
 		if v <= nv.View {
@@ -222,20 +214,20 @@ func (in *Instance) installNewView(out *Output, nv *message.NewView) {
 		for _, ref := range pp.Batch {
 			reissued[ref] = true
 		}
-		// Reset any stale entry from the previous view so the re-issued
-		// proposal is processed cleanly.
-		if e := in.entries[pp.Seq]; e != nil && e.view < nv.View && !e.delivered {
-			in.unwait(pp.Seq, e)
-			delete(in.entries, pp.Seq)
+		// Reset a stale undelivered slot from the previous view so the
+		// re-issued proposal is processed cleanly.
+		if s := in.at(pp.Seq); s.seq == pp.Seq && s.view < nv.View && !s.delivered {
+			in.restart(s)
 		}
 		in.acceptPrePrepare(out, &pp, time.Time{})
 	}
 	// Clear un-prepared leftovers from older views, and the PREPAREs waiting
 	// on them; their requests re-enter through the primary's queue below.
-	for seq, e := range in.entries {
-		if e.view < nv.View && !e.delivered && !e.sentComm {
-			in.unwait(seq, e) //rbft:ignore maprange -- touches only e's own waiters
-			delete(in.entries, seq)
+	// No slot takes a sequence above lastDelivered+W, and a proposal at or
+	// below lastDelivered has no waiters.
+	for seq := in.lastDelivered + 1; seq <= in.lastDelivered+in.cfg.WatermarkWindow; seq++ {
+		if s := in.at(seq); s.seq == seq && s.view < nv.View && !s.delivered && !s.sentComm {
+			in.restart(s)
 		}
 	}
 

@@ -93,7 +93,7 @@ echo "== line gate (ROADMAP items 2 and 9: non-test lines of internal/{core,sim,
 # The ceilings are what earlier changes left behind: the drivers and the node
 # may shrink, never grow back; nor may the protocol instance, since its
 # per-request state became one record per request in flight; nor the tooling.
-ceiling_lines=4776 ceiling_code=3276 pbft_ceiling_lines=1587 tooling_ceiling_lines=5528
+ceiling_lines=4776 ceiling_code=3276 pbft_ceiling_lines=1570 tooling_ceiling_lines=5328
 for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "internal/message" "internal/crypto"; do
 	f=$(for d in $dirs; do ls $d/*.go; done | grep -v _test.go)
 	lines=$(cat $f | wc -l) code=$(cat $f | grep -vE '^\s*(//|$)' | wc -l)

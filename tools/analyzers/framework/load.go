@@ -28,20 +28,6 @@ type Package struct {
 	comments CommentIndex
 }
 
-// NewPackage assembles a Package from externally loaded parts (used by the
-// rbft-vet unitchecker mode, where the go command supplies the file lists
-// and export data).
-func NewPackage(pkgPath, dir string, fset *token.FileSet, syntax []*ast.File, tpkg *types.Package, info *types.Info) *Package {
-	return &Package{
-		PkgPath:   pkgPath,
-		Dir:       dir,
-		Fset:      fset,
-		Syntax:    syntax,
-		Types:     tpkg,
-		TypesInfo: info,
-	}
-}
-
 // listedPkg is the subset of `go list -json` output the loader consumes.
 type listedPkg struct {
 	ImportPath string
