@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rbft/internal/message"
+	"rbft/internal/transport"
 	"rbft/internal/types"
 )
 
@@ -52,7 +53,7 @@ func TestReplyTallyAllocatesNothing(t *testing.T) {
 					for i := 0; i < tc.k; i++ {
 						cl.Queue(op, now)
 					}
-					cl.Flush(now)
+					cl.Flush(now, transport.MaxFrame)
 				}
 				done = cl.OnReplies(reps[next][0], 0, now, done[:0])
 				if done = cl.OnReplies(reps[next][1], 1, now, done[:0]); len(done) != tc.k {

@@ -121,15 +121,17 @@ func (c *Client) Queue(op []byte, now time.Time) types.RequestID {
 }
 
 // Flush signs everything queued, in id order, as bundles of consecutive ids
-// holding at most message.MaxBundleOps operations and message.MaxBundleBytes
-// of operation bytes — an operation larger than that goes alone, as a single
-// request — and returns them for transmission to every node.
-func (c *Client) Flush(now time.Time) []*message.Request {
+// holding at most message.MaxBundleOps operations, each only as large as lets
+// the PROPAGATE a node builds from it fit in budget bytes — the frame of the
+// transport that carries it (transport.PayloadBudget). An operation that fits
+// no bundle goes alone, as a single request. Flush returns the bundles for
+// transmission to every node.
+func (c *Client) Flush(now time.Time, budget int) []*message.Request {
 	var out []*message.Request
 	for q := c.queued; len(q) > 0; {
 		k, size := 1, len(q[0].op)
 		for k < len(q) && k < message.MaxBundleOps && q[k].id == q[0].id+types.RequestID(k) &&
-			size+len(q[k].op) <= message.MaxBundleBytes {
+			message.PropagateSize(k+1, size+len(q[k].op), c.cfg.Cluster.N) <= budget {
 			size += len(q[k].op)
 			k++
 		}

@@ -7,6 +7,8 @@ import (
 
 	"rbft/internal/crypto"
 	"rbft/internal/message"
+	"rbft/internal/transport"
+	"rbft/internal/transport/udpnet"
 	"rbft/internal/types"
 )
 
@@ -165,19 +167,18 @@ func TestIgnoresRepliesForOtherClients(t *testing.T) {
 }
 
 // flushIDs checks that reqs carry the requests first, first+1, … in order,
-// each within the bundle caps, and returns the id after the last.
-func flushIDs(t *testing.T, reqs []*message.Request, first types.RequestID) types.RequestID {
+// each bundle within MaxBundleOps and its PROPAGATE — as node 0 of ks builds
+// it — within budget, and returns the id after the last.
+func flushIDs(t *testing.T, ks *crypto.KeyStore, cfg types.Config, reqs []*message.Request, first types.RequestID, budget int) types.RequestID {
 	t.Helper()
 	for _, r := range reqs {
 		if r.ID != first {
 			t.Fatalf("bundle starts at id %d, want %d", r.ID, first)
 		}
-		size := 0
-		for i := 0; i < r.Len(); i++ {
-			size += len(r.OpAt(i))
-		}
-		if r.Len() > message.MaxBundleOps || (r.Len() > 1 && size > message.MaxBundleBytes) {
-			t.Fatalf("bundle of %d ops and %d B breaks the caps", r.Len(), size)
+		p := &message.Propagate{Req: *r, Node: 0}
+		p.Auth = ks.NodeRing(0).AuthenticatorForNodes(cfg.N, p.Body())
+		if r.Len() > message.MaxBundleOps || (r.Len() > 1 && p.EncodedSize() > budget) {
+			t.Fatalf("bundle of %d ops has a %d B PROPAGATE, over the caps (budget %d)", r.Len(), p.EncodedSize(), budget)
 		}
 		first += types.RequestID(r.Len())
 	}
@@ -193,33 +194,46 @@ func bundleSizes(reqs []*message.Request) []int {
 }
 
 // TestFlushRespectsCaps: Flush packs what is queued, in id order, into
-// bundles of at most MaxBundleOps operations and MaxBundleBytes of operation
-// bytes, and sends an operation larger than that alone.
+// bundles of at most MaxBundleOps operations whose PROPAGATE fits the frame
+// budget it is given, and sends an operation that fits no bundle alone.
 func TestFlushRespectsCaps(t *testing.T) {
-	cl, _, _ := newTestClient(t)
+	cl, ks, cfg := newTestClient(t)
+	ep, err := udpnet.Listen("client/2", "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp := ep.MaxPayload()
+	ep.Close()
+	// alone is the largest operation whose PROPAGATE fits udp's budget.
+	alone := udp - message.PropagateSize(1, 0, cfg.N)
 	now := time.Unix(0, 0)
 	next := types.RequestID(1)
 	for _, tc := range []struct {
-		name string
-		ops  []int // op sizes
-		want []int // bundle sizes
+		name   string
+		budget int
+		ops    []int // op sizes
+		want   []int // bundle sizes
 	}{
-		{"70 small ops", repeatSize(70, 8), []int{32, 32, 6}},
-		{"five 10 kB ops", repeatSize(5, 10<<10), []int{3, 2}},
-		{"an op over the byte cap", []int{8, message.MaxBundleBytes + 1, 8, 8}, []int{1, 1, 2}},
-		{"an op of exactly the byte cap", []int{8, message.MaxBundleBytes, 8}, []int{1, 1, 1}},
+		{"70 small ops", transport.MaxFrame, repeatSize(70, 8), []int{32, 32, 6}},
+		{"32 × 4 kB, memnet and tcpnet", transport.MaxFrame, repeatSize(32, 4096), []int{32}},
+		{"32 × 4 kB, udpnet", udp, repeatSize(32, 4096), []int{14, 14, 4}},
+		{"an op that fits no bundle", udp, []int{8, udp, 8, 8}, []int{1, 1, 2}},
+		{"an op that fits only alone", udp, []int{8, alone, 8}, []int{1, 1, 1}},
+		// A second op adds its length prefix and the bundle's count (8 B) to
+		// the PROPAGATE: the first two fill the budget to the byte.
+		{"ops that fill the budget", udp, []int{alone - 8 - 8, 8, 8}, []int{2, 1}},
 	} {
 		for _, n := range tc.ops {
 			if id := cl.Queue(make([]byte, n), now); id != next+types.RequestID(cl.Pending()-1) {
 				t.Fatalf("%s: Queue returned id %d", tc.name, id)
 			}
 		}
-		reqs := cl.Flush(now)
+		reqs := cl.Flush(now, tc.budget)
 		if got := bundleSizes(reqs); !slices.Equal(got, tc.want) {
 			t.Fatalf("%s: flushed bundles of %v, want %v", tc.name, got, tc.want)
 		}
-		next = flushIDs(t, reqs, next)
-		if got := cl.Flush(now); got != nil {
+		next = flushIDs(t, ks, cfg, reqs, next, tc.budget)
+		if got := cl.Flush(now, tc.budget); got != nil {
 			t.Fatalf("%s: a second flush sent %d frames", tc.name, len(got))
 		}
 		for id := range cl.pending {
@@ -254,7 +268,7 @@ func TestQueuedIDsSequential(t *testing.T) {
 	if alone.Len() != 1 || read.Len() != 1 {
 		t.Fatal("NewRequest and NewReadRequest must sign a single request")
 	}
-	reqs := cl.Flush(now)
+	reqs := cl.Flush(now, transport.MaxFrame)
 	if got := bundleSizes(reqs); !slices.Equal(got, []int{2, 1}) || reqs[0].ID != 1 || reqs[1].ID != 4 {
 		t.Fatalf("flushed %v from ids %d.., want a bundle of ids 1-2 and id 4 alone", got, reqs[0].ID)
 	}
@@ -271,7 +285,7 @@ func TestTickResendsEachDueBundleOnce(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		cl.Queue([]byte{byte(i)}, now)
 	}
-	sent := cl.Flush(now)
+	sent := cl.Flush(now, transport.MaxFrame)
 	if got := bundleSizes(sent); !slices.Equal(got, []int{32, 8}) {
 		t.Fatalf("flushed %v", got)
 	}
@@ -313,7 +327,7 @@ func TestReadsNeverBundled(t *testing.T) {
 	cl.NewReadRequest([]byte("GET a"), now)
 	cl.NewReadRequest([]byte("GET b"), now)
 	cl.Queue([]byte("PUT c 1"), now)
-	if reqs := cl.Flush(now); len(reqs) != 1 || reqs[0].Len() != 1 || reqs[0].ID != 1 {
+	if reqs := cl.Flush(now, transport.MaxFrame); len(reqs) != 1 || reqs[0].Len() != 1 || reqs[0].ID != 1 {
 		t.Fatalf("flush took reads along: %v", bundleSizes(reqs))
 	}
 	var fallbacks int
@@ -340,7 +354,7 @@ func TestBundledAndSingleRepliesMix(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cl.Queue([]byte{byte(i)}, now)
 	}
-	cl.Flush(now)
+	cl.Flush(now, transport.MaxFrame)
 	results := [][]byte{[]byte("r1"), []byte("r2"), []byte("r3"), []byte("r4")}
 	if _, ok := cl.OnReply(replyBundle(ks, 0, 2, 1, results...), 0, now); ok {
 		t.Fatal("OnReply took a REPLY-BUNDLE")
@@ -372,7 +386,7 @@ func TestReplyBundleCompletesInIDOrder(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cl.Queue([]byte{byte(i)}, now)
 	}
-	cl.Flush(now)
+	cl.Flush(now, transport.MaxFrame)
 	cl.OnReplies(replyBundle(ks, 0, 2, 1, []byte("a"), []byte("b"), []byte("c")), 0, now, nil)
 	done := cl.OnReplies(replyBundle(ks, 1, 2, 1, []byte("a"), []byte("x"), []byte("c")), 1, now, nil)
 	if len(done) != 2 || done[0].ID != 1 || done[1].ID != 3 {

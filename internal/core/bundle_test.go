@@ -6,6 +6,7 @@ import (
 
 	"rbft/internal/crypto"
 	"rbft/internal/message"
+	"rbft/internal/transport"
 	"rbft/internal/types"
 )
 
@@ -34,7 +35,7 @@ func (nc *nodeCluster) queueBundle(c types.ClientID, ops ...[]byte) *message.Req
 	for _, op := range ops {
 		cl.Queue(op, nc.now)
 	}
-	reqs := cl.Flush(nc.now)
+	reqs := cl.Flush(nc.now, transport.MaxFrame)
 	if len(reqs) != 1 || reqs[0].Len() != len(ops) {
 		nc.t.Fatalf("%d ops flushed as %d frames", len(ops), len(reqs))
 	}

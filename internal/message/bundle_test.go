@@ -111,25 +111,41 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPropagateSize: PropagateSize is the length of the PROPAGATE a node
+// builds from a request or bundle of every size, each op 5 B here.
+func TestPropagateSize(t *testing.T) {
+	ks := testKeys()
+	for k := 1; k <= MaxBundleOps; k++ {
+		frame := propagateOf(ks, 1, signedBundle(ks, 1, 40, bundleOps(k)...)).Marshal(nil)
+		if got := PropagateSize(k, 5*k, testN); got != len(frame) {
+			t.Fatalf("k=%d: PropagateSize %d, PROPAGATE of %d B", k, got, len(frame))
+		}
+	}
+}
+
 // TestBundleCaps: a node rejects a bundle of fewer than two or more than
-// MaxBundleOps operations, or of more than MaxBundleBytes, as malformed.
+// MaxBundleOps operations as malformed; its bytes are the frame's to bound, so
+// MaxBundleOps operations of 4 kB decode.
 func TestBundleCaps(t *testing.T) {
 	ks := testKeys()
-	big := bytes.Repeat([]byte{1}, MaxBundleBytes/2)
 	one := signedBundle(ks, 1, 1, []byte("a"), []byte("b")).Marshal(nil)
 	one[1+8+8+3] = 1 // the count field: a "bundle" of one
 	for name, frame := range map[string][]byte{
 		"count of one":         one,
 		"MaxBundleOps+1 ops":   signedBundle(ks, 1, 1, bundleOps(MaxBundleOps+1)...).Marshal(nil),
-		"MaxBundleBytes+1 B":   signedBundle(ks, 1, 1, big, big, []byte{2}).Marshal(nil),
 		"read tag on a bundle": append([]byte{byte(TypeReadRequest)}, signedBundle(ks, 1, 1, bundleOps(4)...).Marshal(nil)[1:]...),
 	} {
 		if _, err := newPreverifier(ks, 16).PreverifyClientFrame(frame, 1); failKindOf(err) != FailMalformed {
 			t.Errorf("%s: got %v, want malformed", name, err)
 		}
 	}
-	if _, err := newPreverifier(ks, 16).PreverifyClientFrame(signedBundle(ks, 1, 1, big, big).Marshal(nil), 1); err != nil {
-		t.Errorf("a bundle of exactly MaxBundleBytes rejected: %v", err)
+	big := make([][]byte, MaxBundleOps)
+	for i := range big {
+		big[i] = bytes.Repeat([]byte{byte(i)}, 4096)
+	}
+	v, err := newPreverifier(ks, 16).PreverifyClientFrame(signedBundle(ks, 1, 1, big...).Marshal(nil), 1)
+	if err != nil || len(v.OpDigests) != MaxBundleOps {
+		t.Errorf("a bundle of %d ops of 4 kB rejected: %v", MaxBundleOps, err)
 	}
 }
 

@@ -261,13 +261,8 @@ func decodeRequest(r *reader, t Type) Request {
 		r.fail(fmt.Errorf("%w: bundle of %d operations", ErrOversized, k))
 	} else {
 		req.Op, req.Rest = r.bytes(), make([][]byte, k-1)
-		size := len(req.Op)
 		for i := range req.Rest {
 			req.Rest[i] = r.bytes()
-			size += len(req.Rest[i])
-		}
-		if size > MaxBundleBytes {
-			r.fail(fmt.Errorf("%w: bundle of %d operation bytes", ErrOversized, size))
 		}
 	}
 	req.Sig = r.bytes()

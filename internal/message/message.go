@@ -60,15 +60,13 @@ const TypeBundle Type = 13
 // encoding exactly.
 const TypeReplyBundle Type = 14
 
-// The bundle caps: a bundle carries at most MaxBundleOps operations and at
-// most MaxBundleBytes of operation bytes (an operation larger than that
-// travels alone). A node rejects a bundle past either as malformed, so one
-// frame — one admission slot, one signature check — never buys unbounded work.
-// A reply bundle carries at most MaxBundleOps results.
-const (
-	MaxBundleOps   = 32
-	MaxBundleBytes = 32 << 10
-)
+// MaxBundleOps caps a bundle's operations, and a reply bundle's results. A
+// node rejects a bundle past it as malformed, so one frame — one admission
+// slot, one signature check — never creates more than MaxBundleOps request
+// records or reply results. A bundle's bytes are bounded by the frame that
+// carries it: the client packs a bundle only while the PROPAGATE a node will
+// build from it fits its transport's frame (PropagateSize, client.Flush).
+const MaxBundleOps = 32
 
 var typeNames = map[Type]string{
 	TypeRequest:        "REQUEST",
@@ -237,12 +235,19 @@ func (m *Request) Body() []byte {
 // wireSize is the length of the request's wire fields (no authenticator): a
 // bundle adds its operation count.
 func (m *Request) wireSize() int {
-	n := 1 + 8 + 8 + 4*m.Len() + 4 + len(m.Sig)
-	if len(m.Rest) > 0 {
-		n += 4
-	}
+	n := 0
 	for i := 0; i < m.Len(); i++ {
 		n += len(m.OpAt(i))
+	}
+	return requestWireSize(m.Len(), n, len(m.Sig))
+}
+
+// requestWireSize is wireSize for k operations of opBytes in all, signed by a
+// signature of sigLen bytes.
+func requestWireSize(k, opBytes, sigLen int) int {
+	n := 1 + 8 + 8 + 4*k + opBytes + 4 + sigLen
+	if k > 1 {
+		n += 4
 	}
 	return n
 }
@@ -297,7 +302,16 @@ func (m *Propagate) Body() []byte {
 }
 
 // EncodedSize implements Message.
-func (m *Propagate) EncodedSize() int { return 1 + 8 + 4 + m.Req.wireSize() + authSize(m.Auth) }
+func (m *Propagate) EncodedSize() int { return propagateSize(m.Req.wireSize(), len(m.Auth)) }
+
+func propagateSize(reqWireSize, authLen int) int { return 1 + 8 + 4 + reqWireSize + 4 + authLen }
+
+// PropagateSize returns the encoded size of the PROPAGATE a node of an n-node
+// cluster builds from a signed request or bundle of k operations holding
+// opBytes bytes in all: the frame a bundle has to fit.
+func PropagateSize(k, opBytes, n int) int {
+	return propagateSize(requestWireSize(k, opBytes, crypto.SignatureSize), n*crypto.MACSize)
+}
 
 // Marshal implements Message.
 func (m *Propagate) Marshal(dst []byte) []byte {

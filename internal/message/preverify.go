@@ -178,14 +178,15 @@ type cacheEntry struct {
 // DefaultVerifyCacheSize bounds the per-node signature verification cache.
 const DefaultVerifyCacheSize = 4096
 
-// verifyArenaBytes sizes a cache's operation arena. On the large-mem
-// benchmark workload (bundles of 8 operations of 4 kB, 2-vCPU host) the arena
-// bytes a node's cache took between a bundle's first copy and a later one
-// measured under 160 kB at the median, 416 kB at the 99th percentile, 608 kB
-// at the 99.9th and 0.97 MiB at most; on small-mem and kv-tcp-wal under 30 kB.
-// A copy later than the arena's worth is hashed again, and still takes the
-// verdict.
-const verifyArenaBytes = 32 * MaxBundleBytes
+// verifyArenaBytes sizes a cache's operation arena, by measurement. On the
+// large-mem benchmark workload (bundles of about 24 operations of 4 kB, 2-vCPU
+// host, 8 saturated segments) the arena bytes a node's cache took between a
+// bundle's first copy and a later one measured 198 kB at the median (two
+// bundles), 529 kB at the 99th percentile, 727 kB at the 99.9th and 0.94 MiB
+// at most, and no copy was hashed again; on small-mem and kv-tcp-wal under
+// 30 kB. A copy later than the arena's worth is hashed again, and still takes
+// the verdict.
+const verifyArenaBytes = 1 << 20
 
 // NewVerifyCache creates a cache holding up to capacity entries (0 means
 // DefaultVerifyCacheSize) and their operations in an arena of

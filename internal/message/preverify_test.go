@@ -235,7 +235,7 @@ func TestPropagateVariantsMissTheCache(t *testing.T) {
 	}
 }
 
-// ops8x4k returns the 8 operations of 4 kB of a full bundle, bytes of tag.
+// ops8x4k returns 8 operations of 4 kB, bytes of tag.
 func ops8x4k(tag byte) [][]byte {
 	ops := make([][]byte, 8)
 	for i := range ops {
@@ -243,6 +243,10 @@ func ops8x4k(tag byte) [][]byte {
 	}
 	return ops
 }
+
+// opArenaBytes is what one 4 kB operation takes of a cache's arena: its
+// length and its bytes.
+const opArenaBytes = 4 + 4096
 
 // TestVerifyCacheOverwrittenCopyKeepsItsVerdict: more than the arena's worth
 // of operations arrives between a bundle's REQUEST and its PROPAGATE, so the
@@ -264,7 +268,7 @@ func TestVerifyCacheOverwrittenCopyKeepsItsVerdict(t *testing.T) {
 	if _, err := pre.PreverifyClientFrame(a.Marshal(nil), 1); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i*MaxBundleBytes <= verifyArenaBytes; i++ {
+	for i := 0; i*8*opArenaBytes <= verifyArenaBytes; i++ {
 		other := signedBundle(ks, 2, types.RequestID(1+8*i), ops8x4k(byte(i))...)
 		if _, err := pre.PreverifyClientFrame(other.Marshal(nil), 2); err != nil {
 			t.Fatal(err)
@@ -315,7 +319,9 @@ func TestVerifyCacheOverwrittenCopyKeepsItsVerdict(t *testing.T) {
 func TestVerifyCacheConcurrentCopies(t *testing.T) {
 	ks := testKeys()
 	pre := newPreverifier(ks, 8)
-	const bundles = verifyArenaBytes/MaxBundleBytes + 8
+	// Every bundle holds at least two operations, so one round's copies
+	// outgrow the arena.
+	const bundles = verifyArenaBytes/(2*opArenaBytes) + 8
 	reqs, props := make([][]byte, bundles), make([][]byte, bundles)
 	want := make([][]types.Digest, bundles)
 	for i := range reqs {

@@ -116,3 +116,31 @@ func TestSubmitBundlesQueuedRequests(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestUDPBundlesFitADatagram: a burst of 4 kB operations over UDP completes.
+// The client bundles them only as far as the PROPAGATE a node builds fits a
+// datagram (transport.PayloadBudget); a bundle past it would be undeliverable
+// and retransmitted for ever.
+func TestUDPBundlesFitADatagram(t *testing.T) {
+	lc, err := StartLocalCluster(ClusterOptions{F: 1, Transport: UDP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Stop)
+	cr, err := lc.NewClient(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burst = 48
+	for i := 0; i < burst; i++ {
+		cr.Submit(make([]byte, 4096))
+	}
+	deadline := time.After(20 * time.Second)
+	for i := 0; i < burst; i++ {
+		select {
+		case <-cr.Completions():
+		case <-deadline:
+			t.Fatalf("%d of %d submitted 4 kB requests completed", i, burst)
+		}
+	}
+}

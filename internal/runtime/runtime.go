@@ -527,7 +527,7 @@ func (cr *ClientRuntime) loop() {
 			clear(buf)
 		case <-cr.queued:
 			cr.mu.Lock()
-			reqs := cr.cl.Flush(time.Now())
+			reqs := cr.cl.Flush(time.Now(), transport.PayloadBudget(cr.tr))
 			cr.mu.Unlock()
 			cr.broadcast(reqs)
 		case now := <-timer.C:

@@ -48,6 +48,9 @@ func TestRuntimeEmitsLifecycleSpans(t *testing.T) {
 		}
 	}
 
+	// An egress worker records its spans after the send that lets the client
+	// complete: read the recorder once Stop has joined the workers.
+	lc.Stop()
 	seen, egress := map[obs.Stage]int{}, map[types.RequestID]bool{}
 	for _, ev := range fr.Events() {
 		if ev.Type == obs.EvSpan {

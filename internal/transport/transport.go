@@ -62,6 +62,22 @@ type BatchSender interface {
 	SendBatch(to string, payloads [][]byte) error
 }
 
+// PayloadLimiter is implemented by transports whose frames carry less than
+// MaxFrame bytes of payload, such as a datagram's.
+type PayloadLimiter interface {
+	// MaxPayload returns the largest payload one frame carries.
+	MaxPayload() int
+}
+
+// PayloadBudget returns the largest payload tr carries in one frame: MaxFrame
+// unless tr is a PayloadLimiter.
+func PayloadBudget(tr Transport) int {
+	if l, ok := tr.(PayloadLimiter); ok {
+		return l.MaxPayload()
+	}
+	return MaxFrame
+}
+
 // PeerCloser is implemented by transports that can enforce a NIC closure:
 // frames received from the named peer are discarded until the deadline
 // passes. The RBFT flood defence (core.Output.NICCloses) is enforced here,

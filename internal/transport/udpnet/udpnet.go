@@ -2,8 +2,10 @@
 // prefixed with the sender's name. The paper's UDP variant of RBFT showed
 // 18-22% lower latency than TCP at the same peak throughput; this transport
 // lets the runtime reproduce that deployment. Frames larger than a safe
-// datagram payload are rejected (RBFT instance traffic is small because
-// instances order request identifiers, not bodies).
+// datagram payload are rejected. Instance traffic is small, because
+// instances order request identifiers, not bodies; REQUEST and PROPAGATE do
+// carry bodies, so a client bundles only as many operations as keep the
+// PROPAGATE within one datagram (MaxPayload, transport.PayloadBudget).
 package udpnet
 
 import (
@@ -38,9 +40,10 @@ type Endpoint struct {
 }
 
 var (
-	_ transport.Transport   = (*Endpoint)(nil)
-	_ transport.PeerCloser  = (*Endpoint)(nil)
-	_ transport.BatchSender = (*Endpoint)(nil)
+	_ transport.Transport      = (*Endpoint)(nil)
+	_ transport.PeerCloser     = (*Endpoint)(nil)
+	_ transport.BatchSender    = (*Endpoint)(nil)
+	_ transport.PayloadLimiter = (*Endpoint)(nil)
 )
 
 // Listen creates an endpoint named name bound to addr. peers maps peer
@@ -92,6 +95,19 @@ func (e *Endpoint) Name() string { return e.name }
 
 // Packets implements transport.Transport.
 func (e *Endpoint) Packets() <-chan transport.Packet { return e.recv }
+
+// MaxPayload implements transport.PayloadLimiter: what one datagram carries
+// after the longest name prefix among this endpoint and its peers, so that a
+// payload within it fits a datagram whichever of them sends it.
+func (e *Endpoint) MaxPayload() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	longest := len(e.name)
+	for name := range e.peers {
+		longest = max(longest, len(name))
+	}
+	return MaxDatagram - 2 - longest
+}
 
 // SetMetrics installs transport counters. Call before the endpoint carries
 // traffic.

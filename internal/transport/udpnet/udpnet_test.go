@@ -155,3 +155,37 @@ func TestCorruptBatchDatagramDroppedWhole(t *testing.T) {
 		t.Fatalf("dropped counter %d, want 2 (one per corrupt datagram)", d)
 	}
 }
+
+// TestMaxPayload: the budget transport.PayloadBudget reports is what one
+// datagram carries after the longest name prefix among the endpoint and its
+// peers, so a payload of exactly that size crosses in either direction; one
+// that leaves no room for the sender's name is refused.
+func TestMaxPayload(t *testing.T) {
+	a, b, _, _ := listenPair(t)
+	if err := a.AddPeer("a-peer-with-a-long-name", "127.0.0.1:9"); err != nil {
+		t.Fatal(err)
+	}
+	budget := transport.PayloadBudget(a)
+	if want := MaxDatagram - 2 - len("a-peer-with-a-long-name"); budget != want {
+		t.Fatalf("budget %d, want %d", budget, want)
+	}
+	if got := transport.PayloadBudget(b); got != MaxDatagram-2-1 {
+		t.Fatalf("b's budget %d, want %d", got, MaxDatagram-2-1)
+	}
+	payload := bytes.Repeat([]byte{7}, budget)
+	if err := a.Send("b", payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Send("a", payload); err != nil {
+		t.Fatal(err)
+	}
+	if got := recv(t, b, 1)[0].Data; !bytes.Equal(got, payload) {
+		t.Fatalf("b received %d B, want %d", len(got), len(payload))
+	}
+	if got := recv(t, a, 1)[0].Data; !bytes.Equal(got, payload) {
+		t.Fatalf("a received %d B, want %d", len(got), len(payload))
+	}
+	if err := b.Send("a", make([]byte, MaxDatagram-2)); err == nil {
+		t.Fatal("b sent a payload one byte over its datagram")
+	}
+}

@@ -41,6 +41,9 @@ echo "== bench/ module (nested; tier-1 only type-checks it via TestBenchModuleCo
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/runtime/... ./internal/transport/... ./internal/message/... ./internal/client/... ./internal/obs/... ./internal/wal/... ./internal/exec/...
 
+echo "== lifecycle spans under -race, 20 runs (the recorder is read after Stop joins the egress workers) =="
+go test -race -count=20 -run '^TestRuntimeEmitsLifecycleSpans$' ./internal/runtime
+
 echo "== fuzz smoke (internal/message, internal/wal, internal/transport, internal/core, internal/exec, internal/client, internal/app) =="
 go test ./internal/message -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s
 go test ./internal/message -run '^$' -fuzz '^FuzzPreverify$' -fuzztime 5s
