@@ -55,7 +55,8 @@ const (
 	EvInstanceChangeComplete // instance-change-complete
 	// EvNICClose: flood defence closed the NIC toward Peer until a deadline.
 	EvNICClose // nic-close
-	// EvMsgDrop: the driver or transport dropped a message from Peer.
+	// EvMsgDrop: the driver (sim and runtime alike) dropped a message from
+	// Peer.
 	EvMsgDrop // msg-drop
 	// EvNodeCrash: the node crashed, losing all non-durable state.
 	EvNodeCrash // node-crash

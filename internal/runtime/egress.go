@@ -15,8 +15,8 @@ import (
 // Egress pipeline (docs/EGRESS.md): the apply loop never touches the wire.
 // emit encodes each output message once into a pooled buffer and enqueues it
 // on the per-peer egress queues; one worker goroutine per peer drains its
-// queue, waits out the durability horizon, and flushes — coalescing whatever
-// is queued into a single batch frame when the transport supports it.
+// queue, waits out the durability horizon, and flushes whatever is queued with
+// one SendBatch, which coalesces it into as few wire frames as fit.
 //
 // The queues are bounded with drop-oldest overflow: RBFT tolerates message
 // loss (retransmission and fetch recover), but it does not tolerate the
@@ -162,14 +162,12 @@ func drainInto[T any](buf []T, ch <-chan T) []T {
 
 // worker drains one peer's queue: it collects whatever is queued (bounded by
 // egressMaxCoalesce), waits for the batch's durability horizon, and flushes
-// it as one coalesced wire frame when the transport can. Send errors are
-// deliberate best-effort: the protocol tolerates loss, and a dead peer must
-// cost nothing but its queue.
+// it with one SendBatch. Send errors are deliberate best-effort: the protocol
+// tolerates loss, and a dead peer must cost nothing but its queue.
 //
 //rbft:egress
 func (e *egress) worker(q *peerQueue) {
 	defer e.wg.Done()
-	bs, canBatch := e.tr.(transport.BatchSender)
 	batch := make([]*egressFrame, 0, egressMaxCoalesce)
 	payloads := make([][]byte, 0, egressMaxCoalesce)
 	for {
@@ -210,17 +208,11 @@ func (e *egress) worker(q *peerQueue) {
 			}
 		}
 
-		if canBatch && len(batch) > 1 {
-			payloads = payloads[:0]
-			for _, f := range batch {
-				payloads = append(payloads, f.buf.Bytes())
-			}
-			_ = bs.SendBatch(q.name, payloads)
-		} else {
-			for _, f := range batch {
-				_ = e.tr.Send(q.name, f.buf.Bytes())
-			}
+		payloads = payloads[:0]
+		for _, f := range batch {
+			payloads = append(payloads, f.buf.Bytes())
 		}
+		_ = e.tr.SendBatch(q.name, payloads)
 		if e.spans {
 			e.emitReplySpans(batch, walWait)
 		}
@@ -260,7 +252,7 @@ func releaseAll(batch []*egressFrame) {
 }
 
 // wait blocks until every worker has exited (call after closing stop). A
-// worker parked inside an in-flight Send exits once that write returns; the
-// Transport contract (Send must not block indefinitely) plus tcpnet's write
+// worker parked inside an in-flight SendBatch exits once that write returns;
+// the Transport contract (no send blocks indefinitely) plus tcpnet's write
 // deadline bound that, so wait terminates even with a wedged peer.
 func (e *egress) wait() { e.wg.Wait() }

@@ -191,8 +191,8 @@ func TestEgressCoalesces(t *testing.T) {
 	}
 	// The first flush is a singleton; everything that queued behind it must
 	// have left as one coalesced batch.
-	if len(batches) != 1 || coalesced != n-1 {
-		t.Fatalf("expected one %d-payload batch behind the parked flush, got batches %v", n-1, batches)
+	if len(batches) != 2 || batches[0] != 1 || batches[1] != n-1 {
+		t.Fatalf("expected a 1-payload flush, then one %d-payload batch behind it, got batches %v", n-1, batches)
 	}
 }
 
@@ -232,7 +232,7 @@ func TestEgressSharedFrameRefcount(t *testing.T) {
 	}
 }
 
-// wedgeEndpoint wraps a memnet endpoint; sends to the wedged peer block
+// wedgeEndpoint wraps a memnet endpoint; flushes to the wedged peer block
 // until the test releases them, like a TCP connection with full buffers.
 type wedgeEndpoint struct {
 	transport.Transport
@@ -241,13 +241,13 @@ type wedgeEndpoint struct {
 	unblock chan struct{}
 }
 
-func (w *wedgeEndpoint) Send(to string, data []byte) error {
+func (w *wedgeEndpoint) SendBatch(to string, payloads [][]byte) error {
 	if to == w.wedged {
 		w.blocked.Add(1)
 		<-w.unblock
 		return nil
 	}
-	return w.Transport.Send(to, data)
+	return w.Transport.SendBatch(to, payloads)
 }
 
 // TestApplyLoopSurvivesWedgedPeer is the dead-peer regression test from the

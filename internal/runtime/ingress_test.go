@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func idleRuntime(cfg core.Config, ks *crypto.KeyStore) (*NodeRuntime, *core.Node
 	net := memnet.NewNetwork()
 	nr := &NodeRuntime{
 		cluster: cfg.Cluster, tr: net.Endpoint(NodeName(cfg.Node)), pre: node.Preverifier(),
-		peers: cfg.Cluster.OtherNodes(cfg.Node), sp: obs.Nop{},
+		peers: cfg.Cluster.OtherNodes(cfg.Node), sp: obs.Nop{}, closed: make([]atomic.Int64, cfg.Cluster.N),
 		work:    make(chan *ingressItem, ingressQueueDepth),
 		pending: make(chan []ingressItem, ingressQueueDepth/egressMaxCoalesce),
 		calls:   make(chan func(*core.Node)), parked: make(chan *core.Node, 1),

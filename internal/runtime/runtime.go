@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rbft/internal/client"
@@ -72,10 +73,10 @@ type NodeOptions struct {
 	// Metrics, when set, receives the egress gauges and counters (per-link
 	// queue depth and drops).
 	Metrics *obs.Registry
-	// Tracer, when set, additionally receives the runtime's own lifecycle
-	// spans (ingress wait, preverify, WAL wait, egress) stamped with this
-	// node's id, alongside whatever the caller installed on the node itself.
-	// Span emission is skipped when the tracer opts out via obs.SpanSink.
+	// Tracer, when set, additionally receives the runtime's own events stamped
+	// with this node's id: its lifecycle spans (ingress wait, preverify, WAL
+	// wait, egress; skipped when the tracer opts out via obs.SpanSink) and an
+	// EvMsgDrop per frame dropped from a closed NIC (see nicClosed).
 	Tracer obs.Tracer
 }
 
@@ -125,8 +126,9 @@ type NodeRuntime struct {
 	peers   []types.NodeID       // every other node, the targets of a broadcast; immutable
 	eg      *egress              // per-peer send queues and workers
 
-	sp    obs.Tracer // node-stamped span sink; Nop unless spans are on
-	spans bool       // cached obs.WantSpans(opts.Tracer)
+	sp     obs.Tracer     // node-stamped NodeOptions.Tracer; Nop without one
+	spans  bool           // cached obs.WantSpans(opts.Tracer)
+	closed []atomic.Int64 // per node id: UnixNano until which its NIC is closed
 
 	work    chan *ingressItem     // reader -> verifier pool, one frame at a time
 	pending chan []ingressItem    // reader -> apply loop, arrival-ordered slabs
@@ -146,18 +148,15 @@ func StartNodeOpts(node *core.Node, tr transport.Transport, cluster types.Config
 		pre:     node.Preverifier(),
 		wal:     opts.WAL,
 		peers:   cluster.OtherNodes(node.ID()),
+		sp:      obs.WithNode(opts.Tracer, node.ID()),
+		spans:   obs.WantSpans(opts.Tracer),
+		closed:  make([]atomic.Int64, cluster.N),
 		work:    make(chan *ingressItem, ingressQueueDepth),
 		pending: make(chan []ingressItem, ingressQueueDepth/egressMaxCoalesce),
 		calls:   make(chan func(*core.Node)),
 		parked:  make(chan *core.Node, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-	}
-	nr.spans = obs.WantSpans(opts.Tracer)
-	if nr.spans {
-		nr.sp = obs.WithNode(opts.Tracer, node.ID())
-	} else {
-		nr.sp = obs.Nop{}
 	}
 	nr.eg = newEgress(tr, opts.WAL, NodeName(node.ID()), opts.Metrics, nr.stop)
 	nr.eg.sp, nr.eg.spans = nr.sp, nr.spans
@@ -236,11 +235,11 @@ func (nr *NodeRuntime) readLoop() {
 	}
 }
 
-// classify fills the zero slab slot it and arms its latch. An unattributable
-// frame (unknown endpoint name) leaves it as it is: false.
+// classify fills the zero slab slot it and arms its latch. A frame from an
+// unknown endpoint, or from a node whose NIC is closed, leaves it be: false.
 func (nr *NodeRuntime) classify(p transport.Packet, it *ingressItem) bool {
 	ep, err := parseName(p.From)
-	if err != nil || (!ep.client && (ep.id < 0 || ep.id >= nr.cluster.N)) {
+	if err != nil || (!ep.client && (ep.id < 0 || ep.id >= nr.cluster.N || nr.nicClosed(types.NodeID(ep.id)))) {
 		return false
 	}
 	it.data, it.from = p.Data, ep
@@ -248,6 +247,18 @@ func (nr *NodeRuntime) classify(p transport.Packet, it *ingressItem) bool {
 	if nr.spans {
 		it.at = time.Now()
 	}
+	return true
+}
+
+// nicClosed reports whether the NIC toward node id is closed (emit stores the
+// deadline of each core.Output.NICCloses), so that its frame is dropped before
+// it costs a decode, a MAC or a verifier, traced as the simulator traces it.
+// Only a node whose NIC was ever closed costs a clock read.
+func (nr *NodeRuntime) nicClosed(id types.NodeID) bool {
+	if until := nr.closed[id].Load(); until == 0 || time.Now().UnixNano() >= until {
+		return false
+	}
+	nr.sp.Trace(obs.Event{At: time.Now(), Type: obs.EvMsgDrop, Peer: id})
 	return true
 }
 
@@ -377,12 +388,8 @@ func (nr *NodeRuntime) emit(out core.Output) {
 			return
 		}
 	}
-	// Enforce flood-defence NIC closures at the transport so frames from the
-	// offending peer are discarded before they cost any protocol processing.
-	if pc, ok := nr.tr.(transport.PeerCloser); ok {
-		for _, nc := range out.NICCloses {
-			pc.ClosePeer(nodeEndpoint(nc.Peer).name(), nc.Until)
-		}
+	for _, nc := range out.NICCloses {
+		nr.closed[nc.Peer].Store(nc.Until.UnixNano())
 	}
 	for _, nm := range out.NodeMsgs {
 		targets := nm.To

@@ -102,3 +102,46 @@ func walkBatch(frame []byte, fn func(payload []byte)) error {
 	}
 	return nil
 }
+
+// AppendFrame appends the frame that carries run: its only payload bare, or
+// several payloads as one batch frame.
+func AppendFrame(dst []byte, run [][]byte) []byte {
+	if len(run) == 1 {
+		return append(dst, run[0]...)
+	}
+	return AppendBatch(dst, run)
+}
+
+// Coalesce is the SendBatch every transport shares. It sends payloads in
+// order, packing consecutive ones greedily into frames of at most limit
+// bytes; write sends one frame of size bytes that carries run (AppendFrame).
+// A payload that fits beside no neighbour goes out bare, so one large payload
+// in a flush costs the others nothing. Coalesced runs are counted in m. A
+// payload larger than limit on its own fails with ErrFrameTooBig, and a failed
+// write with its error; the frames before it have been sent.
+func Coalesce(payloads [][]byte, limit int, m Metrics, write func(run [][]byte, size int) error) error {
+	for len(payloads) > 0 {
+		n, total := 1, len(payloads[0])
+		for n < len(payloads) && BatchSize(n+1, total+len(payloads[n])) <= limit {
+			total += len(payloads[n])
+			n++
+		}
+		size := total
+		if n > 1 {
+			size = BatchSize(n, total)
+		}
+		if size > limit {
+			return ErrFrameTooBig
+		}
+		if err := write(payloads[:n], size); err != nil {
+			return err
+		}
+		m.BytesOut.Add(uint64(total))
+		if n > 1 {
+			m.BatchesSent.Inc()
+			m.FramesCoalesced.Add(uint64(n))
+		}
+		payloads = payloads[n:]
+	}
+	return nil
+}

@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"time"
 
 	"rbft/internal/transport"
 )
@@ -58,8 +57,7 @@ type Endpoint struct {
 	name   string
 	recv   chan transport.Packet
 	closed sync.Once
-	done   bool                 // guarded by mu
-	barred map[string]time.Time // guarded by mu; peer -> drop-inbound-until deadline
+	done   bool // guarded by mu
 	// metrics is set once, before the endpoint sends — but not before peers
 	// can send to it (it is reachable as soon as it exists), so SetMetrics
 	// and every inbound-side read hold mu. The counters themselves are
@@ -68,11 +66,7 @@ type Endpoint struct {
 	mu      sync.Mutex
 }
 
-var (
-	_ transport.Transport   = (*Endpoint)(nil)
-	_ transport.PeerCloser  = (*Endpoint)(nil)
-	_ transport.BatchSender = (*Endpoint)(nil)
-)
+var _ transport.Transport = (*Endpoint)(nil)
 
 // SetMetrics installs transport counters. Call before the endpoint sends.
 func (e *Endpoint) SetMetrics(m transport.Metrics) {
@@ -88,18 +82,6 @@ func (e *Endpoint) noteDropped() {
 	e.mu.Unlock()
 }
 
-// ClosePeer implements transport.PeerCloser: inbound frames from peer are
-// discarded until the deadline (RBFT flood defence).
-func (e *Endpoint) ClosePeer(peer string, until time.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.barred == nil {
-		e.barred = make(map[string]time.Time)
-	}
-	e.barred[peer] = until
-	e.metrics.PeerClosures.Inc()
-}
-
 // Name implements transport.Transport.
 func (e *Endpoint) Name() string { return e.name }
 
@@ -111,6 +93,30 @@ func (e *Endpoint) Send(to string, data []byte) error {
 	if len(data) > transport.MaxFrame {
 		return transport.ErrFrameTooBig
 	}
+	if err := e.transmit(to, [][]byte{data}); err != nil {
+		return err
+	}
+	e.metrics.BytesOut.Add(uint64(len(data)))
+	return nil
+}
+
+// SendBatch implements transport.Transport. The payloads of one coalesced
+// frame arrive as individual Packets that share one receiver-owned buffer —
+// what a socket transport's read of a batch frame delivers: each Packet.Data
+// is a capacity-clipped slice of it, and whoever retains one payload retains
+// the buffer.
+func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
+	return transport.Coalesce(payloads, transport.MaxFrame, e.metrics, func(run [][]byte, _ int) error {
+		return e.transmit(to, run)
+	})
+}
+
+// transmit carries the frame of run (transport.AppendFrame) to peer to. The
+// frame itself is only assembled for a fault-injection drop rule to look at —
+// it sees the whole frame, as it would on a real wire; the receiver gets
+// run's payloads copied into one buffer (one allocation of exactly their
+// total) the sender no longer reaches.
+func (e *Endpoint) transmit(to string, run [][]byte) error {
 	e.net.mu.RLock()
 	dst, ok := e.net.endpoints[to]
 	drop := e.net.dropRule
@@ -118,26 +124,20 @@ func (e *Endpoint) Send(to string, data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", transport.ErrUnknownPeer, to)
 	}
-	if drop != nil && drop(e.name, to, data) {
+	if drop != nil && drop(e.name, to, transport.AppendFrame(nil, run)) {
 		dst.noteDropped()
 		return nil // silently dropped (fault injection)
 	}
-	e.metrics.BytesOut.Add(uint64(len(data)))
-	buf := make([]byte, len(data))
-	copy(buf, data)
+	buf := bytes.Join(run, nil)
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
 	if dst.done {
 		return transport.ErrClosed
 	}
-	if until, ok := dst.barred[e.name]; ok {
-		if time.Now().Before(until) {
-			dst.metrics.Dropped.Inc()
-			return nil // receiver's NIC is closed toward us
-		}
-		delete(dst.barred, e.name)
+	for _, p := range run {
+		dst.enqueueLocked(e.name, buf[:len(p):len(p)])
+		buf = buf[len(p):]
 	}
-	dst.enqueueLocked(e.name, buf)
 	return nil
 }
 
@@ -152,68 +152,6 @@ func (e *Endpoint) enqueueLocked(from string, buf []byte) {
 		// Receiver overloaded: drop, like a saturated NIC.
 		e.metrics.Dropped.Inc()
 	}
-}
-
-// SendBatch implements transport.BatchSender. The payloads count as one
-// coalesced batch frame and arrive as individual Packets that share one
-// receiver-owned buffer — what a socket transport's read of a batch frame
-// delivers: each Packet.Data is a capacity-clipped slice of it, and whoever
-// retains one payload retains the buffer. The wire frame itself is only
-// assembled for a fault-injection drop rule to look at — it sees the whole
-// frame, as it would on a real wire.
-func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	if len(payloads) == 1 {
-		return e.Send(to, payloads[0])
-	}
-	total := 0
-	for _, p := range payloads {
-		total += len(p)
-	}
-	size := transport.BatchSize(len(payloads), total)
-	if size > transport.MaxFrame {
-		for _, p := range payloads {
-			if err := e.Send(to, p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	e.net.mu.RLock()
-	dst, ok := e.net.endpoints[to]
-	drop := e.net.dropRule
-	e.net.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", transport.ErrUnknownPeer, to)
-	}
-	if drop != nil && drop(e.name, to, transport.AppendBatch(make([]byte, 0, size), payloads)) {
-		dst.noteDropped()
-		return nil // silently dropped (fault injection)
-	}
-	e.metrics.BytesOut.Add(uint64(total))
-	e.metrics.BatchesSent.Inc()
-	e.metrics.FramesCoalesced.Add(uint64(len(payloads)))
-	e.metrics.BytesSaved.Add(uint64((len(payloads) - 1) * transport.PacketOverheadEstimate))
-	buf := bytes.Join(payloads, nil) // one allocation of exactly total bytes
-	dst.mu.Lock()
-	defer dst.mu.Unlock()
-	if dst.done {
-		return transport.ErrClosed
-	}
-	if until, ok := dst.barred[e.name]; ok {
-		if time.Now().Before(until) {
-			dst.metrics.Dropped.Inc()
-			return nil // receiver's NIC is closed toward us
-		}
-		delete(dst.barred, e.name)
-	}
-	for _, p := range payloads {
-		dst.enqueueLocked(e.name, buf[:len(p):len(p)])
-		buf = buf[len(p):]
-	}
-	return nil
 }
 
 // Close implements transport.Transport.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-	"time"
 
 	"rbft/internal/obs"
 	"rbft/internal/transport"
@@ -115,25 +114,6 @@ func TestSendBatchDropClosureOverflow(t *testing.T) {
 			t.Fatalf("dropped counter %d, want 1 (one wire frame)", got)
 		}
 		net.SetDropRule(func(string, string, []byte) bool { return false })
-		if err := a.SendBatch("b", batch); err != nil {
-			t.Fatal(err)
-		}
-		recv(t, b, len(batch))
-	})
-
-	t.Run("closed peer", func(t *testing.T) {
-		net := NewNetwork()
-		a, b := net.Endpoint("a"), net.Endpoint("b")
-		m := metricsOn(b)
-		b.ClosePeer("a", time.Now().Add(time.Hour))
-		if err := a.SendBatch("b", batch); err != nil {
-			t.Fatal(err)
-		}
-		requireEmpty(t, b)
-		if got := m.Dropped.Value(); got != 1 {
-			t.Fatalf("dropped counter %d, want 1", got)
-		}
-		b.ClosePeer("a", time.Now().Add(-time.Second)) // the closure has lapsed
 		if err := a.SendBatch("b", batch); err != nil {
 			t.Fatal(err)
 		}

@@ -7,12 +7,12 @@
 // endpoint name; subsequent frames are payloads. Identity is *claimed* at
 // this layer and authenticated above it by MACs.
 //
-// The endpoint implements transport.BatchSender: several payloads flush as
-// one batch frame (transport.AppendBatch) with a single buffered write —
-// one length prefix, one syscall, one TCP segment train — and the receiving
-// side splits batch frames back into individual Packets. Inbound frames are
-// read a chunk at a time (frameReader): one read syscall and at most one
-// allocation per 64 KiB of stream, not per frame. Frame writes carry a write
+// SendBatch flushes several payloads as one batch frame
+// (transport.AppendBatch) with a single buffered write — one length prefix,
+// one syscall, one TCP segment train — and the receiving side splits batch
+// frames back into individual Packets. Inbound frames are read a chunk at a
+// time (frameReader): one read syscall and at most one allocation per 64 KiB
+// of stream, not per frame, and no lock per frame. Frame writes carry a write
 // deadline so a peer that stops draining its socket wedges neither the
 // sender goroutine nor the per-connection mutex: the write times out, the
 // connection is torn down, and the next send redials. Dials are bounded by
@@ -44,7 +44,6 @@ type Endpoint struct {
 	peers    map[string]string      // guarded by mu; name -> dial address
 	conns    map[string]*lockedConn // guarded by mu; name -> established outbound connection
 	accepted map[net.Conn]bool      // guarded by mu; inbound connections, closed on shutdown
-	barred   map[string]time.Time   // guarded by mu; peer -> drop-inbound-until deadline
 	done     bool                   // guarded by mu
 
 	// writeTimeout is set once before the endpoint carries traffic.
@@ -69,28 +68,15 @@ type lockedConn struct {
 	scratch []byte
 }
 
-// writeFrame flushes one length-prefixed frame with a single write under a
-// deadline. A deadline expiry (or any other error) leaves the connection
-// poisoned; callers tear it down and redial.
-func (lc *lockedConn) writeFrame(data []byte, timeout time.Duration) error {
+// writeFrame flushes the length-prefixed frame of run (size bytes,
+// transport.AppendFrame) with a single write under a deadline. A deadline
+// expiry (or any other error) leaves the connection poisoned; callers tear it
+// down and redial.
+func (lc *lockedConn) writeFrame(run [][]byte, size int, timeout time.Duration) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	lc.scratch = appendFrame(lc.scratch[:0], data)
-	return lc.writeLocked(timeout)
-}
-
-// writeBatch flushes payloads as one batch frame with a single write.
-func (lc *lockedConn) writeBatch(payloads [][]byte, total int, timeout time.Duration) error {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	batchLen := transport.BatchSize(len(payloads), total)
-	lc.scratch = appendFrameHeader(lc.scratch[:0], batchLen)
-	lc.scratch = transport.AppendBatch(lc.scratch, payloads)
-	return lc.writeLocked(timeout)
-}
-
-// writeLocked writes the accumulated scratch frame under the write deadline.
-func (lc *lockedConn) writeLocked(timeout time.Duration) error {
+	lc.scratch = binary.BigEndian.AppendUint32(lc.scratch[:0], uint32(size))
+	lc.scratch = transport.AppendFrame(lc.scratch, run)
 	if timeout > 0 {
 		if err := lc.conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 			return err
@@ -100,11 +86,7 @@ func (lc *lockedConn) writeLocked(timeout time.Duration) error {
 	return err
 }
 
-var (
-	_ transport.Transport   = (*Endpoint)(nil)
-	_ transport.PeerCloser  = (*Endpoint)(nil)
-	_ transport.BatchSender = (*Endpoint)(nil)
-)
+var _ transport.Transport = (*Endpoint)(nil)
 
 // Listen creates an endpoint named name listening on addr (e.g.
 // "127.0.0.1:0"). peers maps every peer name to its dial address; it may be
@@ -121,7 +103,6 @@ func Listen(name, addr string, peers map[string]string) (*Endpoint, error) {
 		peers:        make(map[string]string, len(peers)),
 		conns:        make(map[string]*lockedConn),
 		accepted:     make(map[net.Conn]bool),
-		barred:       make(map[string]time.Time),
 		writeTimeout: defaultWriteTimeout,
 	}
 	for k, v := range peers {
@@ -155,15 +136,6 @@ func (e *Endpoint) SetMetrics(m transport.Metrics) { e.metrics = m }
 // SetWriteTimeout overrides the per-frame write deadline, which also bounds
 // a dial (0 disables both). Call before the endpoint carries traffic.
 func (e *Endpoint) SetWriteTimeout(d time.Duration) { e.writeTimeout = d }
-
-// ClosePeer implements transport.PeerCloser: inbound frames claiming to be
-// from peer are discarded until the deadline (RBFT flood defence).
-func (e *Endpoint) ClosePeer(peer string, until time.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.barred[peer] = until
-	e.metrics.PeerClosures.Inc()
-}
 
 func (e *Endpoint) acceptLoop() {
 	defer e.wg.Done()
@@ -207,22 +179,6 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		e.mu.Lock()
-		closed := e.done
-		until, blocked := e.barred[from]
-		e.mu.Unlock()
-		if closed {
-			return
-		}
-		if blocked {
-			if time.Now().Before(until) {
-				e.metrics.Dropped.Inc()
-				continue // NIC closed toward this peer
-			}
-			e.mu.Lock()
-			delete(e.barred, from)
-			e.mu.Unlock()
-		}
 		if transport.IsBatch(data) {
 			if err := transport.SplitBatch(data, func(p []byte) {
 				e.deliver(from, p)
@@ -255,7 +211,7 @@ func (e *Endpoint) Send(to string, data []byte) error {
 		return transport.ErrFrameTooBig
 	}
 	err := e.withConn(to, func(lc *lockedConn) error {
-		return lc.writeFrame(data, e.writeTimeout)
+		return lc.writeFrame([][]byte{data}, len(data), e.writeTimeout)
 	})
 	if err != nil {
 		return err
@@ -264,39 +220,14 @@ func (e *Endpoint) Send(to string, data []byte) error {
 	return nil
 }
 
-// SendBatch implements transport.BatchSender: payloads flush as one batch
-// frame with a single write. An oversized batch falls back to per-payload
-// frames.
+// SendBatch implements transport.Transport: each run of payloads that fits
+// one frame flushes as one batch frame with a single write.
 func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	if len(payloads) == 1 {
-		return e.Send(to, payloads[0])
-	}
-	total := 0
-	for _, p := range payloads {
-		total += len(p)
-	}
-	if transport.BatchSize(len(payloads), total) > transport.MaxFrame {
-		for _, p := range payloads {
-			if err := e.Send(to, p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	err := e.withConn(to, func(lc *lockedConn) error {
-		return lc.writeBatch(payloads, total, e.writeTimeout)
+	return transport.Coalesce(payloads, transport.MaxFrame, e.metrics, func(run [][]byte, size int) error {
+		return e.withConn(to, func(lc *lockedConn) error {
+			return lc.writeFrame(run, size, e.writeTimeout)
+		})
 	})
-	if err != nil {
-		return err
-	}
-	e.metrics.BytesOut.Add(uint64(total))
-	e.metrics.BatchesSent.Inc()
-	e.metrics.FramesCoalesced.Add(uint64(len(payloads)))
-	e.metrics.BytesSaved.Add(uint64((len(payloads) - 1) * transport.PacketOverheadEstimate))
-	return nil
 }
 
 // withConn runs write against the cached connection to the peer, tearing
@@ -343,7 +274,7 @@ func (e *Endpoint) conn(to string) (*lockedConn, error) {
 		return nil, fmt.Errorf("tcpnet dial %q: %w", to, err)
 	}
 	lc := &lockedConn{conn: c}
-	if err := lc.writeFrame([]byte(e.name), e.writeTimeout); err != nil {
+	if err := lc.writeFrame([][]byte{[]byte(e.name)}, len(e.name), e.writeTimeout); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("tcpnet handshake with %q: %w", to, err)
 	}
@@ -396,18 +327,4 @@ func (e *Endpoint) Close() error {
 	e.wg.Wait()
 	close(e.recv)
 	return nil
-}
-
-// appendFrameHeader appends the 4-byte big-endian length prefix for a frame
-// of n payload bytes.
-func appendFrameHeader(b []byte, n int) []byte {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(n))
-	return append(b, hdr[:]...)
-}
-
-// appendFrame appends a full wire frame (length prefix + payload).
-func appendFrame(b, data []byte) []byte {
-	b = appendFrameHeader(b, len(data))
-	return append(b, data...)
 }

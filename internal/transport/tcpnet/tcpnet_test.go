@@ -331,3 +331,8 @@ func BenchmarkTCPReceive(b *testing.B) {
 		sent += k
 	}
 }
+
+// appendFrame appends a full wire frame (length prefix + payload).
+func appendFrame(b, data []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(b, uint32(len(data))), data...)
+}

@@ -216,7 +216,7 @@ func TestMemnetDropRule(t *testing.T) {
 	}
 }
 
-// TestSendBatchDeliversIndividually checks the BatchSender contract on every
+// TestSendBatchDeliversIndividually checks the SendBatch contract on every
 // transport: a coalesced batch arrives as one Packet per payload, in order,
 // indistinguishable from individual sends.
 func TestSendBatchDeliversIndividually(t *testing.T) {
@@ -225,12 +225,8 @@ func TestSendBatchDeliversIndividually(t *testing.T) {
 			a, b := mk(t)
 			defer a.Close()
 			defer b.Close()
-			bs, ok := a.(transport.BatchSender)
-			if !ok {
-				t.Fatalf("%s does not implement transport.BatchSender", name)
-			}
 			want := [][]byte{[]byte("alpha"), []byte("beta"), {0x01}, []byte("gamma")}
-			if err := bs.SendBatch("b", want); err != nil {
+			if err := a.SendBatch("b", want); err != nil {
 				t.Fatal(err)
 			}
 			for i, w := range want {
@@ -240,10 +236,10 @@ func TestSendBatchDeliversIndividually(t *testing.T) {
 				}
 			}
 			// Degenerate batches: empty is a no-op, singleton a plain send.
-			if err := bs.SendBatch("b", nil); err != nil {
+			if err := a.SendBatch("b", nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := bs.SendBatch("b", [][]byte{[]byte("solo")}); err != nil {
+			if err := a.SendBatch("b", [][]byte{[]byte("solo")}); err != nil {
 				t.Fatal(err)
 			}
 			if p := recvOne(t, b); string(p.Data) != "solo" {
@@ -266,7 +262,7 @@ func TestSendBatchOversizedFallsBack(t *testing.T) {
 		bytes.Repeat([]byte{2}, 30*1024),
 		bytes.Repeat([]byte{3}, 30*1024),
 	}
-	if err := a.(transport.BatchSender).SendBatch("b", payloads); err != nil {
+	if err := a.SendBatch("b", payloads); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[byte]int{}

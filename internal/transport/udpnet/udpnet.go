@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"rbft/internal/transport"
 )
@@ -27,22 +27,20 @@ type Endpoint struct {
 	conn *net.UDPConn
 	recv chan transport.Packet
 
-	mu     sync.RWMutex
-	peers  map[string]*net.UDPAddr // guarded by mu
-	barred map[string]time.Time    // guarded by mu; peer -> drop-inbound-until deadline
-	done   bool                    // guarded by mu
+	mu    sync.RWMutex
+	peers map[string]*net.UDPAddr // guarded by mu
+	done  bool                    // guarded by mu
 
-	// metrics is set once before the endpoint carries traffic; the counters
-	// themselves are internally atomic.
-	metrics transport.Metrics
+	// metrics is set once before the endpoint carries traffic, but after
+	// readLoop has started, so readLoop loads it per datagram without a lock;
+	// the counters themselves are internally atomic.
+	metrics atomic.Pointer[transport.Metrics]
 
 	wg sync.WaitGroup
 }
 
 var (
 	_ transport.Transport      = (*Endpoint)(nil)
-	_ transport.PeerCloser     = (*Endpoint)(nil)
-	_ transport.BatchSender    = (*Endpoint)(nil)
 	_ transport.PayloadLimiter = (*Endpoint)(nil)
 )
 
@@ -58,12 +56,12 @@ func Listen(name, addr string, peers map[string]string) (*Endpoint, error) {
 		return nil, fmt.Errorf("udpnet listen: %w", err)
 	}
 	e := &Endpoint{
-		name:   name,
-		conn:   conn,
-		recv:   make(chan transport.Packet, 4096),
-		peers:  make(map[string]*net.UDPAddr, len(peers)),
-		barred: make(map[string]time.Time),
+		name:  name,
+		conn:  conn,
+		recv:  make(chan transport.Packet, 4096),
+		peers: make(map[string]*net.UDPAddr, len(peers)),
 	}
+	e.metrics.Store(&transport.Metrics{})
 	for k, v := range peers {
 		if err := e.AddPeer(k, v); err != nil {
 			conn.Close()
@@ -111,16 +109,7 @@ func (e *Endpoint) MaxPayload() int {
 
 // SetMetrics installs transport counters. Call before the endpoint carries
 // traffic.
-func (e *Endpoint) SetMetrics(m transport.Metrics) { e.metrics = m }
-
-// ClosePeer implements transport.PeerCloser: datagrams claiming to be from
-// peer are discarded until the deadline (RBFT flood defence).
-func (e *Endpoint) ClosePeer(peer string, until time.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.barred[peer] = until
-	e.metrics.PeerClosures.Inc()
-}
+func (e *Endpoint) SetMetrics(m transport.Metrics) { e.metrics.Store(&m) }
 
 func (e *Endpoint) readLoop() {
 	defer e.wg.Done()
@@ -140,27 +129,11 @@ func (e *Endpoint) readLoop() {
 		from := string(buf[2 : 2+nameLen])
 		data := make([]byte, n-2-nameLen)
 		copy(data, buf[2+nameLen:n])
-		e.mu.RLock()
-		closed := e.done
-		until, blocked := e.barred[from]
-		e.mu.RUnlock()
-		if closed {
-			return
-		}
-		if blocked {
-			if time.Now().Before(until) {
-				e.metrics.Dropped.Inc()
-				continue // NIC closed toward this peer
-			}
-			e.mu.Lock()
-			delete(e.barred, from)
-			e.mu.Unlock()
-		}
 		if transport.IsBatch(data) {
 			if err := transport.SplitBatch(data, func(p []byte) {
 				e.deliver(from, p)
 			}); err != nil {
-				e.metrics.Dropped.Inc() // corrupt batch frame: drop it whole
+				e.metrics.Load().Dropped.Inc() // corrupt batch frame: drop it whole
 			}
 			continue
 		}
@@ -172,10 +145,10 @@ func (e *Endpoint) readLoop() {
 func (e *Endpoint) deliver(from string, data []byte) {
 	select {
 	case e.recv <- transport.Packet{From: from, Data: data}:
-		e.metrics.BytesIn.Add(uint64(len(data)))
+		e.metrics.Load().BytesIn.Add(uint64(len(data)))
 	default:
 		// Drop on overload: UDP semantics.
-		e.metrics.Dropped.Inc()
+		e.metrics.Load().Dropped.Inc()
 	}
 }
 
@@ -184,50 +157,24 @@ func (e *Endpoint) Send(to string, data []byte) error {
 	if 2+len(e.name)+len(data) > MaxDatagram {
 		return transport.ErrFrameTooBig
 	}
-	e.mu.RLock()
-	addr, ok := e.peers[to]
-	done := e.done
-	e.mu.RUnlock()
-	if done {
-		return transport.ErrClosed
+	if err := e.write(to, [][]byte{data}, len(data)); err != nil {
+		return err
 	}
-	if !ok {
-		return fmt.Errorf("%w: %q", transport.ErrUnknownPeer, to)
-	}
-	frame := make([]byte, 2+len(e.name)+len(data))
-	binary.BigEndian.PutUint16(frame[:2], uint16(len(e.name)))
-	copy(frame[2:], e.name)
-	copy(frame[2+len(e.name):], data)
-	_, err := e.conn.WriteToUDP(frame, addr)
-	if err == nil {
-		e.metrics.BytesOut.Add(uint64(len(data)))
-	}
-	return err
+	e.metrics.Load().BytesOut.Add(uint64(len(data)))
+	return nil
 }
 
-// SendBatch implements transport.BatchSender: the payloads coalesce into one
-// batch frame carried by a single datagram. A batch too large for a datagram
-// falls back to one datagram per payload.
+// SendBatch implements transport.Transport: each run of payloads that fits
+// one datagram coalesces into one batch frame carried by that datagram.
 func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	if len(payloads) == 1 {
-		return e.Send(to, payloads[0])
-	}
-	total := 0
-	for _, p := range payloads {
-		total += len(p)
-	}
-	size := transport.BatchSize(len(payloads), total)
-	if 2+len(e.name)+size > MaxDatagram {
-		for _, p := range payloads {
-			if err := e.Send(to, p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	return transport.Coalesce(payloads, MaxDatagram-2-len(e.name), *e.metrics.Load(), func(run [][]byte, size int) error {
+		return e.write(to, run, size)
+	})
+}
+
+// write sends peer to one datagram: this endpoint's name prefix, then the
+// frame of run (size bytes, transport.AppendFrame).
+func (e *Endpoint) write(to string, run [][]byte, size int) error {
 	e.mu.RLock()
 	addr, ok := e.peers[to]
 	done := e.done
@@ -239,17 +186,10 @@ func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
 		return fmt.Errorf("%w: %q", transport.ErrUnknownPeer, to)
 	}
 	frame := make([]byte, 0, 2+len(e.name)+size)
-	frame = append(frame, byte(len(e.name)>>8), byte(len(e.name)))
+	frame = binary.BigEndian.AppendUint16(frame, uint16(len(e.name)))
 	frame = append(frame, e.name...)
-	frame = transport.AppendBatch(frame, payloads)
-	if _, err := e.conn.WriteToUDP(frame, addr); err != nil {
-		return err
-	}
-	e.metrics.BytesOut.Add(uint64(total))
-	e.metrics.BatchesSent.Inc()
-	e.metrics.FramesCoalesced.Add(uint64(len(payloads)))
-	e.metrics.BytesSaved.Add(uint64((len(payloads) - 1) * transport.PacketOverheadEstimate))
-	return nil
+	_, err := e.conn.WriteToUDP(transport.AppendFrame(frame, run), addr)
+	return err
 }
 
 // Close implements transport.Transport.

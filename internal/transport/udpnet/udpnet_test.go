@@ -102,7 +102,8 @@ func TestLoopbackSendAndSendBatch(t *testing.T) {
 }
 
 // TestOversizedBatchFallsBackToDatagrams: a batch too large for one datagram
-// goes out as one datagram per payload, all of which arrive.
+// goes out in as few datagrams as fit it — the first two payloads as one
+// batch, the third bare — all of which arrive, in order.
 func TestOversizedBatchFallsBackToDatagrams(t *testing.T) {
 	a, b, am, _ := listenPair(t)
 	payloads := [][]byte{
@@ -118,8 +119,31 @@ func TestOversizedBatchFallsBackToDatagrams(t *testing.T) {
 			t.Fatalf("payload %d: %d bytes differ from the %d sent", i, len(p.Data), len(payloads[i]))
 		}
 	}
-	if n := am.BatchesSent.Value(); n != 0 {
-		t.Fatalf("%d batch datagrams sent for a batch larger than a datagram, want 0", n)
+	if n, m := am.BatchesSent.Value(), am.FramesCoalesced.Value(); n != 1 || m != 2 {
+		t.Fatalf("%d batch datagrams carrying %d payloads, want 1 carrying 2", n, m)
+	}
+}
+
+// TestBigPayloadLeavesTheRestCoalesced: a flush that holds one datagram-sized
+// payload sends that payload bare and still packs the small ones behind it
+// into one batch datagram, instead of giving each a datagram of its own.
+func TestBigPayloadLeavesTheRestCoalesced(t *testing.T) {
+	a, b, am, _ := listenPair(t)
+	payloads := [][]byte{bytes.Repeat([]byte{0xee}, a.MaxPayload())}
+	for i := 0; i < 10; i++ {
+		payloads = append(payloads, bytes.Repeat([]byte{byte(i)}, 200))
+	}
+	if err := a.SendBatch("b", payloads); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range recv(t, b, len(payloads)) {
+		if !bytes.Equal(p.Data, payloads[i]) {
+			t.Fatalf("packet %d: %d bytes differ from payload %d's %d", i, len(p.Data), i, len(payloads[i]))
+		}
+	}
+	datagrams := am.BatchesSent.Value() + uint64(len(payloads)) - am.FramesCoalesced.Value()
+	if n, m := am.BatchesSent.Value(), am.FramesCoalesced.Value(); datagrams != 2 || n != 1 || m != 10 {
+		t.Fatalf("%d datagrams, %d of them batches carrying %d payloads; want 2: the big payload bare and one batch of 10", datagrams, n, m)
 	}
 }
 

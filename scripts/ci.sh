@@ -92,12 +92,15 @@ go run ./cmd/rbft-trace critical-path -top 3 TRACE_smoke.jsonl >/dev/null
 go run ./cmd/rbft-trace attribute TRACE_smoke.jsonl >/dev/null
 rm -f TRACE_smoke.jsonl
 
-echo "== line gate (ROADMAP items 2 and 9: non-test lines of internal/{core,sim,runtime}, then of internal/pbft, internal/message and internal/crypto; all, then non-blank non-comment; then tools/ + cmd/) =="
+echo "== line gate (ROADMAP items 2 and 9: non-test lines of internal/{core,sim,runtime}, then of internal/pbft, internal/message, internal/crypto and internal/transport with its three transports; all, then non-blank non-comment; then tools/ + cmd/) =="
 # The ceilings are what earlier changes left behind: the drivers and the node
 # may shrink, never grow back; nor may the protocol instance, since its
-# per-request state became one record per request in flight; nor the tooling.
+# per-request state became one record per request in flight; nor the
+# transports, since they came down to moving bytes; nor the tooling.
 ceiling_lines=4776 ceiling_code=3276 pbft_ceiling_lines=1570 tooling_ceiling_lines=5328
-for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "internal/message" "internal/crypto"; do
+transports="internal/transport internal/transport/memnet internal/transport/tcpnet internal/transport/udpnet"
+transport_ceiling_lines=1039 transport_ceiling_code=700
+for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "internal/message" "internal/crypto" "$transports"; do
 	f=$(for d in $dirs; do ls $d/*.go; done | grep -v _test.go)
 	lines=$(cat $f | wc -l) code=$(cat $f | grep -vE '^\s*(//|$)' | wc -l)
 	echo "$dirs: $lines $code"
@@ -107,6 +110,10 @@ for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "inter
 	fi
 	if [ "$dirs" = "internal/pbft" ] && [ "$lines" -gt "$pbft_ceiling_lines" ]; then
 		echo "internal/pbft grew past the ceiling of $pbft_ceiling_lines lines"
+		exit 1
+	fi
+	if [ "$dirs" = "$transports" ] && { [ "$lines" -gt "$transport_ceiling_lines" ] || [ "$code" -gt "$transport_ceiling_code" ]; }; then
+		echo "internal/transport grew past the ceiling of $transport_ceiling_lines lines / $transport_ceiling_code non-blank non-comment"
 		exit 1
 	fi
 done
