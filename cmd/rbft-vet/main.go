@@ -1,13 +1,11 @@
 // Command rbft-vet is the multichecker for the repository's protocol
-// invariants. It runs the custom analyzers under tools/analyzers
+// invariants. It runs every custom analyzer under tools/analyzers
 // (simdeterminism, maprange, lockdiscipline, msghandler, quorumsafety,
-// trustboundary, pipeblock) against the packages each one is scoped to,
-// and rejects any //rbft: source annotation no analyzer understands.
-//
-// It loads the packages itself (framework.Load):
+// trustboundary, pipeblock) on each package it applies to, and rejects any
+// //rbft: source annotation no analyzer understands. It takes no flags,
+// only package patterns, and loads the packages itself (framework.Load):
 //
 //	go run ./cmd/rbft-vet ./...
-//	go run ./cmd/rbft-vet -analyzers=quorumsafety,pipeblock ./...
 //
 // Diagnostics are printed in a stable order (file, line, column, analyzer)
 // so runs diff cleanly. Exit status is non-zero when any diagnostic is
@@ -18,12 +16,10 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"go/token"
 	"os"
 	"sort"
-	"strings"
 
 	"rbft/tools/analyzers/framework"
 	"rbft/tools/analyzers/lockdiscipline"
@@ -46,47 +42,7 @@ var analyzers = []*framework.Analyzer{
 }
 
 func main() {
-	all := flag.Bool("all", false, "ignore analyzer scopes and run every analyzer on every package")
-	subset := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all registered)")
-	flag.Parse()
-
-	selected, err := selectAnalyzers(*subset)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	os.Exit(run(flag.Args(), selected, *all))
-}
-
-// selectAnalyzers resolves the -analyzers flag against the registry. The
-// empty subset means every registered analyzer.
-func selectAnalyzers(subset string) ([]*framework.Analyzer, error) {
-	if subset == "" {
-		return analyzers, nil
-	}
-	byName := make(map[string]*framework.Analyzer, len(analyzers))
-	var names []string
-	for _, a := range analyzers {
-		byName[a.Name] = a
-		names = append(names, a.Name)
-	}
-	var selected []*framework.Analyzer
-	for _, name := range strings.Split(subset, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("rbft-vet: unknown analyzer %q (registered: %s)", name, strings.Join(names, ", "))
-		}
-		selected = append(selected, a)
-	}
-	if len(selected) == 0 {
-		return nil, fmt.Errorf("rbft-vet: -analyzers=%q selects nothing", subset)
-	}
-	return selected, nil
+	os.Exit(run(os.Args[1:]))
 }
 
 // finding is one diagnostic tagged with its analyzer for stable ordering.
@@ -115,24 +71,20 @@ func sortFindings(fs []finding) {
 	})
 }
 
-// run loads the named package patterns, runs every applicable selected
-// analyzer, audits //rbft: annotations, and prints the findings in stable
-// order.
-func run(patterns []string, selected []*framework.Analyzer, all bool) int {
+// run loads the named package patterns, runs every applicable analyzer,
+// audits //rbft: annotations, and prints the findings in stable order.
+func run(patterns []string) int {
 	pkgs, err := framework.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	// The annotation audit always checks against every registered
-	// analyzer's vocabulary: running a subset must not make the other
-	// analyzers' annotations "unknown".
 	known := framework.KnownAnnotations(analyzers)
 
 	var findings []finding
 	for _, pkg := range pkgs {
-		for _, a := range selected {
-			if !all && !a.Scope(pkg.PkgPath) {
+		for _, a := range analyzers {
+			if !a.Applies(pkg.PkgPath) {
 				continue
 			}
 			diags, err := framework.Run(a, pkg)

@@ -331,7 +331,12 @@ func (n *Node) SetRegistry(reg *obs.Registry) {
 		return
 	}
 	n.metricsOn = true
-	for _, t := range countedMsgTypes {
+	// One in and one out counter per named wire type; every tag fits the
+	// arrays.
+	for t := range message.Type(len(n.msgsIn)) {
+		if t.String() == "UNKNOWN" {
+			continue
+		}
 		n.msgsIn[t] = reg.Counter(obs.LabeledName("rbft_messages_in_total", "type", t.String()))
 		n.msgsOut[t] = reg.Counter(obs.LabeledName("rbft_messages_out_total", "type", t.String()))
 	}
@@ -353,16 +358,6 @@ func (n *Node) SetRegistry(reg *obs.Registry) {
 		reg.Counter("rbft_sigcache_misses_total"),
 	)
 	n.mon.SetRegistry(reg)
-}
-
-// countedMsgTypes enumerates every wire message type for the per-type
-// counters. All values fit the msgsIn/msgsOut arrays (max is 33).
-var countedMsgTypes = []message.Type{
-	message.TypeRequest, message.TypeReadRequest, message.TypeBundle, message.TypePropagate, message.TypePrePrepare,
-	message.TypePrepare, message.TypeCommit, message.TypeReply,
-	message.TypeInstanceChange, message.TypeViewChange, message.TypeNewView,
-	message.TypeCheckpoint, message.TypeInvalid, message.TypeFetch,
-	message.TypeFetchResp,
 }
 
 // observeIO counts one handled input message and the node's emissions.

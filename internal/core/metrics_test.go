@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rbft/internal/message"
 	"rbft/internal/obs"
 )
 
@@ -44,5 +45,35 @@ func TestExecutedCountedOncePerRegistry(t *testing.T) {
 	}
 	if sum != float64(executed) {
 		t.Fatalf("the rbft_executed_total series sum to %v for %d executions:\n%s", sum, executed, rec.Body.String())
+	}
+}
+
+// TestEveryMessageTypeCounted pins that the per-type message counters follow
+// message.Type's names: after SetRegistry, every type with a name has an in
+// and an out counter, registered under that name.
+func TestEveryMessageTypeCounted(t *testing.T) {
+	nc := newNodeCluster(t, 1, nil)
+	reg := obs.NewRegistry()
+	n := nc.nodes[0]
+	n.SetRegistry(reg)
+	named := 0
+	for i := 0; i < 256; i++ {
+		ty := message.Type(i)
+		if ty.String() == "UNKNOWN" {
+			continue
+		}
+		named++
+		if i >= len(n.msgsIn) {
+			t.Fatalf("%s (tag %d) does not fit the %d per-type counters", ty, i, len(n.msgsIn))
+		}
+		if in := reg.Counter(obs.LabeledName("rbft_messages_in_total", "type", ty.String())); n.msgsIn[ty] != in {
+			t.Errorf("%s (tag %d) has no rbft_messages_in_total counter", ty, i)
+		}
+		if out := reg.Counter(obs.LabeledName("rbft_messages_out_total", "type", ty.String())); n.msgsOut[ty] != out {
+			t.Errorf("%s (tag %d) has no rbft_messages_out_total counter", ty, i)
+		}
+	}
+	if named == 0 {
+		t.Fatal("no message.Type has a name")
 	}
 }

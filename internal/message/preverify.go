@@ -301,9 +301,9 @@ func (c *VerifyCache) store(req *Request, s signedDigests) {
 		n += 4 + uint64(len(req.OpAt(i)))
 	}
 	key := [crypto.SignatureSize]byte(req.Sig)
-	size, slots := uint64(len(c.arena)), uint64(len(c.entries))
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	size, slots := uint64(len(c.arena)), uint64(len(c.entries))
 	if old, held := c.bySig[key]; held {
 		if !s.ok && c.entries[old%slots].ok {
 			return

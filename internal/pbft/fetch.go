@@ -1,7 +1,6 @@
 package pbft
 
 import (
-	"fmt"
 	"time"
 
 	"rbft/internal/message"
@@ -83,9 +82,6 @@ func (in *Instance) sendFetch(out *Output, now time.Time) {
 // onFetch serves the retained delivered batches of the requested range: the
 // last retainDeliveredFactor × W up to lastDelivered.
 func (in *Instance) onFetch(out *Output, f *message.Fetch) error {
-	if f.Instance != in.cfg.Instance {
-		return fmt.Errorf("pbft: FETCH for instance %d on instance %d", f.Instance, in.cfg.Instance)
-	}
 	if in.behavior.Silent {
 		return nil
 	}
@@ -113,9 +109,6 @@ func (in *Instance) onFetch(out *Output, f *message.Fetch) error {
 // same view, from distinct peers are adopted as delivered, under the view
 // and digest those peers delivered them with.
 func (in *Instance) onFetchResp(out *Output, fr *message.FetchResp, now time.Time) error {
-	if fr.Instance != in.cfg.Instance {
-		return fmt.Errorf("pbft: FETCH-RESP for instance %d on instance %d", fr.Instance, in.cfg.Instance)
-	}
 	if in.fetch == nil || fr.Seq <= in.lastDelivered || fr.Seq > in.fetch.target {
 		return nil
 	}

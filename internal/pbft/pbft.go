@@ -508,12 +508,17 @@ func (in *Instance) emitPrePrepare(out *Output, pp *message.PrePrepare, now time
 // OnMessage dispatches a verified instance message. The node layer has
 // already verified the MAC authenticator, the VIEW-CHANGE signatures
 // (including those embedded in a NEW-VIEW), and that msg's Node field matches
-// the authenticated sender. A sender outside the cluster is rejected here
-// too, before any handler indexes a vote vector by it.
+// the authenticated sender. A sender outside the cluster, or a message for
+// another instance, is rejected here, before any handler indexes a vote
+// vector by it.
 func (in *Instance) OnMessage(msg message.Message, now time.Time) (Output, error) {
 	var out Output
-	if _, from, ok := message.InstanceAndSender(msg); ok && (from < 0 || int(from) >= in.cfg.Cluster.N) {
+	inst, from, ok := message.InstanceAndSender(msg)
+	if ok && (from < 0 || int(from) >= in.cfg.Cluster.N) {
 		return out, fmt.Errorf("pbft: %s from node %d outside the cluster", msg.MsgType(), from)
+	}
+	if ok && inst != in.cfg.Instance {
+		return out, fmt.Errorf("pbft: %s for instance %d on instance %d", msg.MsgType(), inst, in.cfg.Instance)
 	}
 	var err error
 	// Node-level messages (client traffic, request propagation, replies,
@@ -544,9 +549,6 @@ func (in *Instance) OnMessage(msg message.Message, now time.Time) (Output, error
 }
 
 func (in *Instance) onPrePrepare(out *Output, pp *message.PrePrepare, now time.Time) error {
-	if pp.Instance != in.cfg.Instance {
-		return fmt.Errorf("pbft: PRE-PREPARE for instance %d on instance %d", pp.Instance, in.cfg.Instance)
-	}
 	if pp.View != in.view || in.inViewChange {
 		return nil // stale or future view; ignore
 	}
@@ -633,9 +635,6 @@ func (in *Instance) maybePrepare(out *Output, s *slot, now time.Time) {
 }
 
 func (in *Instance) onPrepare(out *Output, p *message.Prepare, now time.Time) error {
-	if p.Instance != in.cfg.Instance {
-		return fmt.Errorf("pbft: PREPARE for instance %d on instance %d", p.Instance, in.cfg.Instance)
-	}
 	if p.View != in.view || in.inViewChange || !in.inWindow(p.Seq) {
 		return nil
 	}
@@ -692,9 +691,6 @@ func (in *Instance) checkPrepared(out *Output, s *slot, now time.Time) {
 }
 
 func (in *Instance) onCommit(out *Output, c *message.Commit, now time.Time) error {
-	if c.Instance != in.cfg.Instance {
-		return fmt.Errorf("pbft: COMMIT for instance %d on instance %d", c.Instance, in.cfg.Instance)
-	}
 	if c.View != in.view || in.inViewChange || !in.inWindow(c.Seq) {
 		return nil
 	}
@@ -797,9 +793,6 @@ func (in *Instance) emitCheckpoint(out *Output, seq types.SeqNum, now time.Time)
 // one faulty peer can make the replica keep votes at no more than
 // (lastDelivered − stableSeq + len(log))/interval sequences.
 func (in *Instance) onCheckpoint(out *Output, cp *message.Checkpoint, now time.Time) error {
-	if cp.Instance != in.cfg.Instance {
-		return fmt.Errorf("pbft: CHECKPOINT for instance %d on instance %d", cp.Instance, in.cfg.Instance)
-	}
 	if cp.Node == in.cfg.Node {
 		return fmt.Errorf("pbft: CHECKPOINT from a peer claims node %d, this replica", cp.Node)
 	}

@@ -59,9 +59,6 @@ func (in *Instance) preparedProofs() []message.PreparedProof {
 }
 
 func (in *Instance) onViewChange(out *Output, vc *message.ViewChange) error {
-	if vc.Instance != in.cfg.Instance {
-		return fmt.Errorf("pbft: VIEW-CHANGE for instance %d on instance %d", vc.Instance, in.cfg.Instance)
-	}
 	if vc.NewView < in.view {
 		return nil // stale
 	}
@@ -149,9 +146,6 @@ func (in *Instance) computeNewViewPrePrepares(v types.View, vcs []message.ViewCh
 }
 
 func (in *Instance) onNewView(out *Output, nv *message.NewView, now time.Time) error {
-	if nv.Instance != in.cfg.Instance {
-		return fmt.Errorf("pbft: NEW-VIEW for instance %d on instance %d", nv.Instance, in.cfg.Instance)
-	}
 	if nv.View < in.view || (nv.View == in.view && !in.inViewChange) {
 		return nil // stale
 	}

@@ -488,7 +488,7 @@ func segName(firstLSN uint64) string {
 
 // writeAndSync is the raw I/O step of a flush: write the batch, then
 // fsync. It runs with no locks held so a slow disk never blocks appenders,
-// and the lockdiscipline analyzer enforces that.
+// and the pipeblock analyzer enforces that.
 //
 //rbft:wal
 func writeAndSync(f *os.File, data []byte, noSync bool) error {

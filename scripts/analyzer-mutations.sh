@@ -51,6 +51,11 @@ mutate quorumsafety internal/pbft/pbft.go \
 # A blocking call on an egress worker.
 mutate pipeblock internal/runtime/egress.go \
 	's|^func (e \*egress) worker(q \*peerQueue) {$|&\n\ttime.Sleep(time.Millisecond)|'
+# A wave shard that serializes on a mutex: a stage annotation forbids taking
+# one, whatever guards it.
+mutate pipeblock internal/exec/exec.go \
+	's|^\twg      sync.WaitGroup$|&\n\tmu      sync.Mutex|' \
+	's|^func (s \*Scheduler) applyShard(ops \[\]Op, idx \[\]int, shard, stride int, results \[\]\[\]byte) {$|&\n\ts.mu.Lock()\n\tdefer s.mu.Unlock()|'
 # Guarded client state read before the lock is taken. (The node runtime has
 # no lock left to forget: its node is the apply loop's parameter, out of every
 # other stage's reach.)

@@ -26,7 +26,8 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
 	// Scope reports whether the analyzer applies to a package import path
-	// when driven by cmd/rbft-vet. Self-tests bypass it.
+	// when driven by cmd/rbft-vet; nil means every package. Self-tests
+	// bypass it.
 	Scope func(pkgPath string) bool
 	// Run analyzes one package, reporting findings via pass.Reportf.
 	Run func(*Pass) error
@@ -36,6 +37,12 @@ type Analyzer struct {
 	// any //rbft: annotation outside it, so a typo'd directive fails CI
 	// instead of silently disabling its check.
 	Annotations []string
+}
+
+// Applies reports whether a runs on the package at pkgPath: a nil Scope
+// is every package.
+func (a *Analyzer) Applies(pkgPath string) bool {
+	return a.Scope == nil || a.Scope(pkgPath)
 }
 
 // Diagnostic is one finding, positioned in the loaded file set.

@@ -1,8 +1,8 @@
-// Package lockdiscipline enforces the `// guarded by <mu>` convention in the
-// concurrent packages (internal/runtime, internal/transport): struct fields
-// annotated with a guard comment must only be accessed by functions that
-// acquire that mutex (on the same receiver/base expression), and types that
-// contain a lock must never be copied by value.
+// Package lockdiscipline enforces the `// guarded by <mu>` convention
+// wherever it is written: struct fields annotated with a guard comment must
+// only be accessed by functions that acquire that mutex (on the same
+// receiver/base expression), and types that contain a lock must never be
+// copied by value.
 //
 // The check is intentionally function-granular rather than a full lockset
 // analysis: a function that touches a guarded field must contain at least
@@ -14,37 +14,10 @@
 //     composite literal (initialisation before publication);
 //   - explicit suppression: //rbft:ignore lockdiscipline -- <reason>.
 //
-// Functions annotated `//rbft:verifier` (the concurrent preverify stage of
-// the ingress pipeline, docs/PIPELINE.md) are held to a stricter rule: they
-// may not access any guarded field at all, and may not acquire or release a
-// mutex. The verify stage is stateless by contract — a verifier worker that
-// reaches for the node lock either reintroduces crypto-under-mutex or races
-// the apply loop.
-//
-// Functions annotated `//rbft:wal` (the fsync and segment-I/O path of the
-// write-ahead log, docs/DURABILITY.md) are held to the same lock-free rule:
-// no mutex acquisition or release and no guarded-field access. Disk I/O is
-// the slowest thing a node does — an fsync that runs under the log (or
-// node) mutex stalls every appender for milliseconds and re-serializes the
-// pipeline that group commit exists to keep full.
-//
-// Functions annotated `//rbft:egress` (the per-peer send workers of the
-// egress pipeline, docs/EGRESS.md) are held to the same lock-free rule: no
-// mutex acquisition or release and no guarded-field access. An egress
-// worker blocks on the wire by design — toward a wedged peer, for seconds —
-// so a worker that takes the node mutex (or any guarded state) hands that
-// peer's stall straight back to the apply loop, undoing the isolation the
-// per-peer queues exist to provide.
-//
-// Functions annotated `//rbft:exec` (the worker shards of the parallel
-// execution scheduler, docs/EXECUTION.md) are held to the same lock-free
-// rule: no mutex acquisition or release and no guarded-field access. A wave
-// shard runs concurrently with its siblings between two barriers owned by
-// the coordinator; a shard that reaches for a mutex or node state either
-// serializes the wave it exists to parallelize or races the single-threaded
-// node it must stay invisible to. Application-internal locking (the KV
-// store's shard mutexes) lives behind the cross-package Execute call and is
-// the application's own contract, not the shard's.
+// A pipeline stage function (pipeblock.Stage: //rbft:verifier, egress, wal,
+// exec) gets neither of the first two: no caller of a stage holds a lock for
+// it and a stage publishes nothing, so its guarded access is flagged here
+// unless it takes the lock — which pipeblock then flags.
 //
 // The copy check flags value parameters, value results, value receivers,
 // plain-assignment copies and range-value copies of any type that
@@ -60,31 +33,15 @@ import (
 	"strings"
 
 	"rbft/tools/analyzers/framework"
+	"rbft/tools/analyzers/pipeblock"
 )
 
-// Analyzer is the lockdiscipline pass.
+// Analyzer is the lockdiscipline pass. It runs on every package: a guard
+// comment means the same wherever it is written.
 var Analyzer = &framework.Analyzer{
-	Name:        "lockdiscipline",
-	Doc:         "check `// guarded by mu` field annotations and forbid copying locks by value",
-	Scope:       inScope,
-	Run:         run,
-	Annotations: []string{"verifier", "wal", "egress", "exec"},
-}
-
-var concurrentPackages = []string{
-	"rbft/internal/runtime",
-	"rbft/internal/transport",
-	"rbft/internal/wal",
-	"rbft/internal/exec",
-}
-
-func inScope(pkgPath string) bool {
-	for _, p := range concurrentPackages {
-		if pkgPath == p || strings.HasPrefix(pkgPath, p+"/") {
-			return true
-		}
-	}
-	return false
+	Name: "lockdiscipline",
+	Doc:  "check `// guarded by mu` field annotations and forbid copying locks by value",
+	Run:  run,
 }
 
 var guardRE = regexp.MustCompile(`guarded by (\w+)`)
@@ -106,23 +63,7 @@ func run(pass *framework.Pass) error {
 			if fd.Body == nil {
 				continue
 			}
-			if isVerifierFunc(fd) {
-				checkLockFreeBody(pass, guards, fd, "verifier", "the preverify stage must run lock-free", "verifier goroutines must not touch guarded state")
-				continue
-			}
-			if isWALFunc(fd) {
-				checkLockFreeBody(pass, guards, fd, "wal I/O", "fsync and segment I/O must not run under a mutex", "the WAL I/O path must not touch guarded state")
-				continue
-			}
-			if isEgressFunc(fd) {
-				checkLockFreeBody(pass, guards, fd, "egress", "a send worker that takes a mutex hands a wedged peer's stall back to the apply loop", "egress workers must not touch guarded protocol state")
-				continue
-			}
-			if isExecFunc(fd) {
-				checkLockFreeBody(pass, guards, fd, "exec shard", "a wave shard that takes a mutex serializes the wave it exists to parallelize", "exec shards must not touch guarded state; the coordinator owns all synchronisation")
-				continue
-			}
-			checkFuncBody(pass, guards, fd.Name.Name, fd.Body)
+			checkFuncBody(pass, guards, fd)
 		}
 	}
 	return nil
@@ -183,7 +124,6 @@ func collectGuards(pass *framework.Pass) map[*types.Named]map[string]guardedFiel
 type access struct {
 	pos   token.Pos
 	base  string // textual base expression, e.g. "nr" in nr.node
-	owner *types.Named
 	field string
 	mutex string
 }
@@ -191,11 +131,12 @@ type access struct {
 // checkFuncBody verifies every guarded-field access in one function (and its
 // closures — lock acquisitions anywhere in the same body count, matching the
 // common pattern of a closure locking for itself).
-func checkFuncBody(pass *framework.Pass, guards map[*types.Named]map[string]guardedField, fnName string, body *ast.BlockStmt) {
+func checkFuncBody(pass *framework.Pass, guards map[*types.Named]map[string]guardedField, fd *ast.FuncDecl) {
 	if len(guards) == 0 {
 		return
 	}
-	if strings.HasSuffix(fnName, "Locked") {
+	stage := pipeblock.Stage(fd) != ""
+	if strings.HasSuffix(fd.Name.Name, "Locked") && !stage {
 		return
 	}
 
@@ -206,14 +147,14 @@ func checkFuncBody(pass *framework.Pass, guards map[*types.Named]map[string]guar
 	locked := make(map[string]token.Pos)
 	var accesses []access
 
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
 				if i >= len(n.Lhs) {
 					break
 				}
-				if isCompositeConstruction(rhs) {
+				if !stage && isCompositeConstruction(rhs) {
 					constructed[types.ExprString(n.Lhs[i])] = true
 				}
 			}
@@ -232,6 +173,10 @@ func checkFuncBody(pass *framework.Pass, guards map[*types.Named]map[string]guar
 		return true
 	})
 
+	hint := "suffix the name with Locked if the caller holds it"
+	if stage {
+		hint = "no caller holds a lock for a pipeline stage"
+	}
 	for _, a := range accesses {
 		if constructed[a.base] {
 			continue
@@ -244,85 +189,8 @@ func checkFuncBody(pass *framework.Pass, guards map[*types.Named]map[string]guar
 			pass.Reportf(a.pos, "%s.%s is guarded by %s.%s but accessed before the lock is taken", a.base, a.field, a.base, a.mutex)
 			continue
 		}
-		pass.Reportf(a.pos, "%s.%s is guarded by %s.%s, which this function never locks (suffix the name with Locked if the caller holds it)", a.base, a.field, a.base, a.mutex)
+		pass.Reportf(a.pos, "%s.%s is guarded by %s.%s, which this function never locks (%s)", a.base, a.field, a.base, a.mutex, hint)
 	}
-}
-
-// ---- lock-free-stage discipline (//rbft:verifier, //rbft:wal) ----
-
-// hasDirective reports whether fd carries the given //rbft:<name> annotation
-// in its doc comment. Directive-style comments are stripped by
-// CommentGroup.Text, so the raw comment list is scanned.
-func hasDirective(fd *ast.FuncDecl, directive string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(strings.TrimPrefix(c.Text, "//"), directive) {
-			return true
-		}
-	}
-	return false
-}
-
-// isVerifierFunc matches the //rbft:verifier annotation: the stateless
-// preverify stage of the ingress pipeline.
-func isVerifierFunc(fd *ast.FuncDecl) bool { return hasDirective(fd, "rbft:verifier") }
-
-// isWALFunc matches the //rbft:wal annotation: the fsync/segment-I/O path of
-// the write-ahead log.
-func isWALFunc(fd *ast.FuncDecl) bool { return hasDirective(fd, "rbft:wal") }
-
-// isEgressFunc matches the //rbft:egress annotation: the per-peer send
-// workers of the egress pipeline.
-func isEgressFunc(fd *ast.FuncDecl) bool { return hasDirective(fd, "rbft:egress") }
-
-// isExecFunc matches the //rbft:exec annotation: the worker shards of the
-// parallel execution scheduler.
-func isExecFunc(fd *ast.FuncDecl) bool { return hasDirective(fd, "rbft:exec") }
-
-// checkLockFreeBody enforces the lock-free contract shared by the verifier,
-// WAL-I/O and egress-worker stages: no access to any guarded field (locked
-// or not) and no mutex acquisition or release anywhere in the function.
-// There are no exemptions — a verifier that needs node state belongs in the
-// apply stage, an fsync that needs the log mutex belongs on the flusher's
-// unlocked side, and an egress worker that needs protocol state should have
-// been handed it in its queued frame.
-func checkLockFreeBody(pass *framework.Pass, guards map[*types.Named]map[string]guardedField, fd *ast.FuncDecl, role, lockMsg, guardMsg string) {
-	name := fd.Name.Name
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if recv, kind := mutexCall(n); kind != "" {
-				pass.Reportf(n.Pos(), "%s function %s calls %s.%s; %s", role, name, recv, kind, lockMsg)
-			}
-		case *ast.SelectorExpr:
-			if a, ok := guardedAccess(pass, guards, n); ok {
-				pass.Reportf(a.pos, "%s function %s accesses %s.%s (guarded by %s.%s); %s", role, name, a.base, a.field, a.base, a.mutex, guardMsg)
-			}
-		}
-		return true
-	})
-}
-
-// mutexCall matches {Lock,RLock,Unlock,RUnlock} calls on a field selector
-// (base.mu.Lock) or a bare identifier (mu.Lock — a mutex parameter or
-// local), returning the receiver expression text and the lock kind.
-func mutexCall(call *ast.CallExpr) (recv, kind string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", ""
-	}
-	switch sel.X.(type) {
-	case *ast.SelectorExpr, *ast.Ident:
-		return types.ExprString(sel.X), sel.Sel.Name
-	}
-	return "", ""
 }
 
 // guardedAccess reports whether sel is base.field where field is guarded in
@@ -350,7 +218,6 @@ func guardedAccess(pass *framework.Pass, guards map[*types.Named]map[string]guar
 	return access{
 		pos:   sel.Pos(),
 		base:  types.ExprString(sel.X),
-		owner: named,
 		field: sel.Sel.Name,
 		mutex: gf.mutex,
 	}, true

@@ -28,31 +28,13 @@ import (
 	"rbft/tools/analyzers/framework"
 )
 
-// Analyzer is the msghandler pass.
+// Analyzer is the msghandler pass. It runs on every package: a dispatch
+// annotation or an enum-keyed registry means the same wherever it is written.
 var Analyzer = &framework.Analyzer{
 	Name:        "msghandler",
 	Doc:         "require annotated dispatch switches and enum-keyed registries to be exhaustive over message types",
-	Scope:       inScope,
 	Run:         run,
 	Annotations: []string{"dispatch"},
-}
-
-var dispatchPackages = []string{
-	"rbft/internal/core",
-	"rbft/internal/pbft",
-	"rbft/internal/baseline",
-	"rbft/internal/sim",
-	"rbft/internal/message",
-	"rbft/internal/types",
-}
-
-func inScope(pkgPath string) bool {
-	for _, p := range dispatchPackages {
-		if pkgPath == p || strings.HasPrefix(pkgPath, p+"/") {
-			return true
-		}
-	}
-	return false
 }
 
 func run(pass *framework.Pass) error {

@@ -1,18 +1,14 @@
-// Package pipeblock checks that the pipeline's hot-path functions — those
-// annotated //rbft:verifier (the concurrent preverify stage,
-// docs/PIPELINE.md), //rbft:egress (per-peer send workers, docs/EGRESS.md),
-// //rbft:wal (the fsync/segment-I/O path, docs/DURABILITY.md) and
-// //rbft:exec (the wave shards of the parallel execution scheduler,
-// docs/EXECUTION.md) — cannot stall on anything but the work they exist to
-// do. lockdiscipline already
-// keeps these functions away from mutexes and guarded state; pipeblock
-// covers the other ways a stage wedges:
+// Package pipeblock owns the pipeline's stage annotations — //rbft:verifier
+// (the concurrent preverify stage, docs/PIPELINE.md), //rbft:egress
+// (per-peer send workers, docs/EGRESS.md), //rbft:wal (the fsync and
+// segment-I/O path, docs/DURABILITY.md) and //rbft:exec (the wave shards of
+// the parallel execution scheduler, docs/EXECUTION.md) — and checks that an
+// annotated function cannot stall on anything but the work it exists to do:
 //
-//   - a channel send outside a select with default: a send on a provably
-//     unbuffered channel (def-use resolves the operand to make(chan T) with
-//     no or zero capacity) blocks until a receiver is ready, and a bare
-//     send on any other channel blocks whenever the buffer is full — either
-//     way the stage's stall propagates backward through the pipeline;
+//   - a bare channel send, outside a select with default: it blocks
+//     whenever the buffer is full (at once, on an unbuffered channel, until
+//     a receiver is ready), and the stage's stall propagates backward
+//     through the pipeline;
 //
 //   - a select containing a send case but no default (and the degenerate
 //     empty select{}): without default the select parks until some case can
@@ -21,9 +17,20 @@
 //   - calls that exist to block: time.Sleep, sync.WaitGroup.Wait,
 //     sync.Cond.Wait;
 //
+//   - a Lock, RLock, Unlock or RUnlock call on any receiver (a field, a
+//     local, a mutex parameter): a verifier that takes a lock reintroduces
+//     crypto-under-mutex, an fsync under a mutex stalls every appender, an
+//     egress worker holding one hands a wedged peer's stall back to the
+//     apply loop, and a wave shard holding one serializes its wave;
+//
 //   - calls into same-package functions that acquire a mutex (directly
-//     containing a .Lock()/.RLock() call): the mutex wait happens inside
-//     the callee, out of lockdiscipline's lexical sight.
+//     containing a .Lock()/.RLock() call): the lock wait happens inside the
+//     callee.
+//
+// A stage function that touches `guarded by` state is lockdiscipline's: it
+// holds stage functions (Stage) to its general rule without the …Locked and
+// constructor exemptions, so the access is flagged there or the lock it
+// takes is flagged here.
 //
 // Receive-only selects stay silent: parking on empty ingress (the egress
 // worker waiting for its queue, the verifier draining its work channel) is
@@ -35,53 +42,34 @@ package pipeblock
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 
 	"rbft/tools/analyzers/framework"
 )
 
-// Analyzer is the pipeblock pass.
+// stages are the annotations pipeblock owns, one per pipeline stage.
+var stages = []string{"verifier", "egress", "wal", "exec"}
+
+// Analyzer is the pipeblock pass. It runs on every package: a stage
+// annotation means the same wherever it is written.
 var Analyzer = &framework.Analyzer{
 	Name:        "pipeblock",
-	Doc:         "forbid potentially-blocking operations (unbuffered sends, default-less send selects, sleeps, lock-taking calls) in //rbft:verifier, //rbft:egress, //rbft:wal and //rbft:exec functions",
-	Scope:       inScope,
+	Doc:         "forbid potentially-blocking operations (bare sends, default-less send selects, sleeps, mutex calls, lock-taking calls) in //rbft:verifier, //rbft:egress, //rbft:wal and //rbft:exec functions",
 	Run:         run,
-	Annotations: []string{"verifier", "egress", "wal", "exec"},
+	Annotations: stages,
 }
 
-// scopedPackages are the packages that host annotated pipeline stages.
-var scopedPackages = []string{
-	"rbft/internal/runtime",
-	"rbft/internal/wal",
-	"rbft/internal/transport",
-	"rbft/internal/sim",
-	"rbft/internal/exec",
-}
-
-func inScope(pkgPath string) bool {
-	for _, p := range scopedPackages {
-		if pkgPath == p || strings.HasPrefix(pkgPath, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// directives are the hot-path annotations this analyzer patrols.
-var directives = []string{"rbft:verifier", "rbft:egress", "rbft:wal", "rbft:exec"}
-
-// stageOf returns the annotation fd carries, or "" when unannotated.
-func stageOf(fd *ast.FuncDecl) string {
+// Stage returns the stage annotation fd carries ("rbft:egress"), or ""
+// when it carries none.
+func Stage(fd *ast.FuncDecl) string {
 	if fd.Doc == nil {
 		return ""
 	}
 	for _, c := range fd.Doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		for _, d := range directives {
-			if strings.HasPrefix(text, d) {
-				return d
+		for _, s := range stages {
+			if strings.HasPrefix(c.Text, "//rbft:"+s) {
+				return "rbft:" + s
 			}
 		}
 	}
@@ -96,11 +84,9 @@ func run(pass *framework.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			stage := stageOf(fd)
-			if stage == "" {
-				continue
+			if stage := Stage(fd); stage != "" {
+				checkBody(pass, lockTakers, fd, stage)
 			}
-			checkBody(pass, lockTakers, fd, stage)
 		}
 	}
 	return nil
@@ -108,8 +94,7 @@ func run(pass *framework.Pass) error {
 
 // collectLockTakers returns the package's functions whose bodies acquire a
 // mutex (contain a .Lock() or .RLock() call). A hot-path function calling
-// one of them waits for the lock inside the callee, where lockdiscipline's
-// lexical check cannot see it.
+// one of them waits for the lock inside the callee.
 func collectLockTakers(pass *framework.Pass) map[*types.Func]bool {
 	takers := make(map[*types.Func]bool)
 	for _, f := range pass.Files {
@@ -143,8 +128,6 @@ func collectLockTakers(pass *framework.Pass) map[*types.Func]bool {
 }
 
 func checkBody(pass *framework.Pass, lockTakers map[*types.Func]bool, fd *ast.FuncDecl, stage string) {
-	du := framework.NewDefUse(pass.TypesInfo, fd.Body)
-
 	// selectComms collects send statements that are a select case's comm:
 	// the select rule owns those, the bare-send rule must skip them.
 	selectComms := make(map[ast.Stmt]bool)
@@ -167,11 +150,7 @@ func checkBody(pass *framework.Pass, lockTakers map[*types.Func]bool, fd *ast.Fu
 			if selectComms[n] {
 				return true
 			}
-			if provablyUnbuffered(pass, du, n.Chan) {
-				pass.Reportf(n.Pos(), "send on unbuffered channel in %s function: the send parks until a receiver is ready; hand off through a buffered channel or a select with default", stage)
-			} else {
-				pass.Reportf(n.Pos(), "bare channel send in %s function: the send blocks whenever the buffer is full; use a select with default (drop/fallback) on the hot path", stage)
-			}
+			pass.Reportf(n.Pos(), "bare channel send in %s function: the send blocks whenever the buffer is full (until a receiver is ready, if it has none); use a select with default (drop/fallback) on the hot path", stage)
 		case *ast.SelectStmt:
 			checkSelect(pass, n, stage)
 		case *ast.CallExpr:
@@ -179,39 +158,6 @@ func checkBody(pass *framework.Pass, lockTakers map[*types.Func]bool, fd *ast.Fu
 		}
 		return true
 	})
-}
-
-// provablyUnbuffered resolves ch through the def-use layer and reports
-// whether every resolution path ends in make(chan T) with no or zero
-// capacity.
-func provablyUnbuffered(pass *framework.Pass, du *framework.DefUse, ch ast.Expr) bool {
-	origins := du.Origins(ch)
-	if len(origins) == 0 {
-		return false
-	}
-	for _, origin := range origins {
-		call, ok := ast.Unparen(origin).(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		ident, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || ident.Name != "make" {
-			return false
-		}
-		if _, isBuiltin := pass.TypesInfo.Uses[ident].(*types.Builtin); !isBuiltin {
-			return false
-		}
-		if len(call.Args) >= 2 {
-			tv, ok := pass.TypesInfo.Types[call.Args[1]]
-			if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-				return false
-			}
-			if c, exact := constant.Int64Val(tv.Value); !exact || c != 0 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // checkSelect flags the select shapes that park a hot-path goroutine on a
@@ -240,8 +186,8 @@ func checkSelect(pass *framework.Pass, sel *ast.SelectStmt, stage string) {
 	}
 }
 
-// checkCall flags the calls that exist to block, and same-package calls
-// into lock-taking functions.
+// checkCall flags mutex calls, the calls that exist to block, and
+// same-package calls into lock-taking functions.
 func checkCall(pass *framework.Pass, lockTakers map[*types.Func]bool, call *ast.CallExpr, stage string) {
 	var ident *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -249,8 +195,12 @@ func checkCall(pass *framework.Pass, lockTakers map[*types.Func]bool, call *ast.
 		ident = fun
 	case *ast.SelectorExpr:
 		ident = fun.Sel
-		if blockingStdCall(pass, fun) {
-			pass.Reportf(call.Pos(), "%s in %s function: a pipeline stage must not block on time or goroutine rendezvous", callName(fun), stage)
+		switch {
+		case fun.Sel.Name == "Lock" || fun.Sel.Name == "RLock" || fun.Sel.Name == "Unlock" || fun.Sel.Name == "RUnlock":
+			pass.Reportf(call.Pos(), "%s in %s function: a pipeline stage must not take or release a mutex; hand it what it needs in its work item", types.ExprString(fun), stage)
+			return
+		case blockingStdCall(pass, fun):
+			pass.Reportf(call.Pos(), "%s in %s function: a pipeline stage must not block on time or goroutine rendezvous", types.ExprString(fun), stage)
 			return
 		}
 	default:
@@ -261,7 +211,7 @@ func checkCall(pass *framework.Pass, lockTakers map[*types.Func]bool, call *ast.
 		return
 	}
 	if lockTakers[fn] {
-		pass.Reportf(call.Pos(), "call to %s in %s function: the callee acquires a mutex, so the lock wait happens on the hot path out of lockdiscipline's sight", fn.Name(), stage)
+		pass.Reportf(call.Pos(), "call to %s in %s function: the callee acquires a mutex, so the lock wait happens on the hot path", fn.Name(), stage)
 	}
 }
 
@@ -279,12 +229,4 @@ func blockingStdCall(pass *framework.Pass, sel *ast.SelectorExpr) bool {
 		return fn.Name() == "Wait"
 	}
 	return false
-}
-
-// callName renders pkg.Func / recv.Method for the diagnostic.
-func callName(sel *ast.SelectorExpr) string {
-	if base, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-		return base.Name + "." + sel.Sel.Name
-	}
-	return sel.Sel.Name
 }

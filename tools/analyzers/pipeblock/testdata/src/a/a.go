@@ -1,7 +1,7 @@
-// Package a exercises the pipeblock analyzer: blocking operations inside
-// //rbft:verifier, //rbft:egress, //rbft:wal and //rbft:exec annotated
-// functions, and the non-blocking idioms (and unannotated functions) that
-// stay silent.
+// Package a exercises the pipeblock analyzer: blocking operations and mutex
+// calls inside //rbft:verifier, //rbft:egress, //rbft:wal and //rbft:exec
+// annotated functions, and the non-blocking idioms (and unannotated
+// functions) that stay silent.
 package a
 
 import (
@@ -27,7 +27,7 @@ func (s *server) locked() {
 //rbft:verifier
 func verifyUnbuffered() {
 	ch := make(chan int)
-	ch <- 1 // want `send on unbuffered channel in rbft:verifier function`
+	ch <- 1 // want `bare channel send in rbft:verifier function`
 }
 
 //rbft:verifier
@@ -113,6 +113,46 @@ func plainCalls(s *server, wg *sync.WaitGroup) {
 	s.locked()
 	wg.Wait()
 	time.Sleep(time.Millisecond)
+}
+
+// ---- mutex calls, on any receiver ----
+
+//rbft:verifier
+func (s *server) verifyDirty() int {
+	s.mu.Lock()         // want `s\.mu\.Lock in rbft:verifier function: a pipeline stage must not take or release a mutex`
+	defer s.mu.Unlock() // want `s\.mu\.Unlock in rbft:verifier function: a pipeline stage must not take or release a mutex`
+	return s.n
+}
+
+//rbft:wal
+func (s *server) walWriteDirty() int {
+	s.mu.Lock()         // want `s\.mu\.Lock in rbft:wal function`
+	defer s.mu.Unlock() // want `s\.mu\.Unlock in rbft:wal function`
+	return s.n
+}
+
+//rbft:egress
+func (s *server) egressDirty() int {
+	s.mu.Lock()         // want `s\.mu\.Lock in rbft:egress function`
+	defer s.mu.Unlock() // want `s\.mu\.Unlock in rbft:egress function`
+	return s.n
+}
+
+//rbft:exec
+func (s *server) execDirty() int {
+	s.mu.Lock()         // want `s\.mu\.Lock in rbft:exec function`
+	defer s.mu.Unlock() // want `s\.mu\.Unlock in rbft:exec function`
+	return s.n
+}
+
+// A mutex passed in as a parameter is still a mutex.
+//
+//rbft:exec
+func execParamLock(mu *sync.Mutex, rw *sync.RWMutex) {
+	mu.Lock()    // want `mu\.Lock in rbft:exec function`
+	mu.Unlock()  // want `mu\.Unlock in rbft:exec function`
+	rw.RLock()   // want `rw\.RLock in rbft:exec function`
+	rw.RUnlock() // want `rw\.RUnlock in rbft:exec function`
 }
 
 // ---- exec shards ----
