@@ -142,6 +142,14 @@ func authenticate(msg message.Message, ring *crypto.KeyRing, n int) {
 		m.Auth = ring.AuthenticatorForNodes(n, m.Body())
 	case *message.InstanceChange:
 		m.Auth = ring.AuthenticatorForNodes(n, m.Body())
+	case *message.Propagate:
+		m.Auth = ring.AuthenticatorForNodes(n, m.Body())
+	case *message.NewView:
+		m.Auth = ring.AuthenticatorForNodes(n, m.Body())
+	case *message.Fetch:
+		m.Auth = ring.AuthenticatorForNodes(n, m.Body())
+	case *message.FetchResp:
+		m.Auth = ring.AuthenticatorForNodes(n, m.Body())
 	}
 }
 

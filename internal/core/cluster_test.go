@@ -486,6 +486,30 @@ func TestInstanceChangeNeedsQuorum(t *testing.T) {
 	}
 }
 
+// TestInstanceChangeCatchesUpSkippedRounds: node 0 missed two whole
+// instance-change rounds (a restart, or a closed NIC) and is still at cpi 0
+// when the other three vote in round 2. Their votes count for rounds 0 and 1
+// too, so node 0 performs all three instance changes at once and every one of
+// its replicas reaches view 3.
+func TestInstanceChangeCatchesUpSkippedRounds(t *testing.T) {
+	nc := newNodeCluster(t, 1, nil)
+	n := nc.nodes[0]
+	var changes []ICEvent
+	for _, from := range []types.NodeID{1, 2, 3} {
+		ic := &message.InstanceChange{CPI: 2, Node: from}
+		authenticate(ic, nc.ks.NodeRing(from), nc.cfg.N)
+		changes = append(changes, onNodeMessage(n, ic, from, nc.now).InstanceChanges...)
+	}
+	if n.CPI() != 3 || n.View() != 3 || len(changes) != 3 {
+		t.Fatalf("node 0 at cpi %d, view %d after %d instance changes; want 3, 3, 3", n.CPI(), n.View(), len(changes))
+	}
+	for i, r := range n.replicas {
+		if r.View() != 3 {
+			t.Errorf("replica %d in view %d, want 3", i, r.View())
+		}
+	}
+}
+
 func TestFloodingPeerGetsNICClosed(t *testing.T) {
 	nc := newNodeCluster(t, 1, func(c *Config) {
 		c.FloodThreshold = 10

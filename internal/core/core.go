@@ -229,14 +229,16 @@ type Node struct {
 	table  *clientTable
 	reader app.ReadExecutor
 
-	// Instance-change state.
-	icVotes     map[uint64]map[types.NodeID]bool
+	// Instance-change state. icVotes holds, indexed by NodeID, the cpi of
+	// the node's latest INSTANCE-CHANGE plus one; zero means no vote.
+	icVotes     []uint64
 	lastSuspect monitor.Verdict
 
-	// Flood defence.
-	floodCounts map[types.NodeID]int
+	// Flood defence, indexed by NodeID: invalid messages counted since
+	// floodStart, and the deadline of a closed NIC (zero when never closed).
+	floodCounts []int
 	floodStart  time.Time
-	closedUntil map[types.NodeID]time.Time
+	closedUntil []time.Time
 
 	// Observability. tr is node-stamped; the message counters index by
 	// message.Type and stay nil (no-op) until SetRegistry wires them.
@@ -269,9 +271,9 @@ func New(cfg Config, keys *crypto.KeyRing) *Node {
 		mon:         monitor.New(c.Monitoring),
 		pending:     make(map[types.RequestKey]*pendingRequest),
 		table:       newClientTable(c.MaxClients),
-		icVotes:     make(map[uint64]map[types.NodeID]bool),
-		floodCounts: make(map[types.NodeID]int),
-		closedUntil: make(map[types.NodeID]time.Time),
+		icVotes:     make([]uint64, c.Cluster.N),
+		floodCounts: make([]int, c.Cluster.N),
+		closedUntil: make([]time.Time, c.Cluster.N),
 		tr:          obs.Nop{},
 	}
 	n.pre = message.NewPreverifier(keys, c.Node, c.Cluster, message.NewVerifyCache(0)) // 0: the default capacity

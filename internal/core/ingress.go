@@ -72,19 +72,15 @@ func (n *Node) applyNodeMessage(out *Output, v *message.Verified, now time.Time)
 	}
 }
 
-// nicClosed reports whether traffic from a peer is currently dropped due to
-// a flood closure, expiring the closure once its deadline passes.
+// nicClosed reports whether traffic from a peer is dropped: a flood closure
+// is in force, or the sender names no node of the cluster.
 func (n *Node) nicClosed(from types.NodeID, now time.Time) bool {
-	until, closed := n.closedUntil[from]
-	if !closed {
-		return false
-	}
-	if now.Before(until) {
-		return true
-	}
-	delete(n.closedUntil, from)
-	return false
+	return !n.member(from) || now.Before(n.closedUntil[from])
 }
+
+// member reports whether id names a node of the cluster, and so may index a
+// per-node table.
+func (n *Node) member(id types.NodeID) bool { return id >= 0 && int(id) < n.cfg.Cluster.N }
 
 // countInvalid records an invalid message from a peer and closes its NIC if
 // it exceeds the flood threshold within the window.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -111,7 +112,9 @@ func TestOnRejectedCountsAndReacts(t *testing.T) {
 				if reacted && !f.fromClient {
 					wantFlood = 1
 				}
-				if got := n.floodCounts[peer]; got != wantFlood || len(n.floodCounts) > wantFlood {
+				want := make([]int, nc.cfg.N)
+				want[peer] = wantFlood
+				if !slices.Equal(n.floodCounts, want) {
 					t.Errorf("flood counts = %v, want %d for node %d and nothing else", n.floodCounts, wantFlood, peer)
 				}
 				if len(out.NodeMsgs)+len(out.ClientMsgs)+len(out.NICCloses) != 0 {

@@ -69,9 +69,7 @@ func (in *Instance) Restore(rec wal.Record) {
 	}
 	switch rec.Kind {
 	case wal.KindSentPrePrepare:
-		if rec.Seq > in.restore.maxPPSeq {
-			in.restore.maxPPSeq = rec.Seq
-		}
+		in.restore.maxPPSeq = max(in.restore.maxPPSeq, rec.Seq)
 	case wal.KindSentPrepare:
 		if s := in.slot(rec.Seq); s != nil {
 			s.promisedPrepare.keep(rec)
@@ -89,13 +87,9 @@ func (in *Instance) Restore(rec wal.Record) {
 			in.logDigest = rec.Digest
 		}
 	case wal.KindViewChange:
-		if rec.View > in.restore.maxVCView {
-			in.restore.maxVCView = rec.View
-		}
+		in.restore.maxVCView = max(in.restore.maxVCView, rec.View)
 	case wal.KindNewView:
-		if rec.View > in.restore.maxNVView {
-			in.restore.maxNVView = rec.View
-		}
+		in.restore.maxNVView = max(in.restore.maxNVView, rec.View)
 	}
 }
 
@@ -109,13 +103,7 @@ func (in *Instance) FinishRestore(nodeView types.View) {
 	}
 	in.restore = nil
 
-	view := nodeView
-	if rs.maxVCView > view {
-		view = rs.maxVCView
-	}
-	if rs.maxNVView > view {
-		view = rs.maxNVView
-	}
+	view := max(nodeView, rs.maxVCView, rs.maxNVView)
 	in.view = view
 	// A VIEW-CHANGE we sent for the final view without a NEW-VIEW on record
 	// means we crashed mid-view-change: stay in it, and let the NEW-VIEW (or
@@ -127,9 +115,5 @@ func (in *Instance) FinishRestore(nodeView types.View) {
 	in.lastDelivered = in.stableSeq
 
 	// Never reuse a sequence number we may already have bound to a batch.
-	next := in.stableSeq + 1
-	if rs.maxPPSeq+1 > next {
-		next = rs.maxPPSeq + 1
-	}
-	in.nextSeq = next
+	in.nextSeq = max(in.stableSeq, rs.maxPPSeq) + 1
 }

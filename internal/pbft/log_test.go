@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -77,6 +78,60 @@ func TestCheckpointFloodBounded(t *testing.T) {
 		if want := 10_000 - 10_000/int(interval); errs != want {
 			t.Fatalf("%d CHECKPOINTs rejected, want the %d off the interval", errs, want)
 		}
+	}
+}
+
+// TestViewChangeFloodBounded: one peer sending VIEW-CHANGEs for views 1 to
+// 10 000 leaves a replica holding at most N of them — each sender's latest —
+// and does not block view 1: the VIEW-CHANGE(1)s of nodes 0–2, arriving out
+// of node order, still make view 1's primary send a NEW-VIEW whose
+// certificates are in node order.
+func TestViewChangeFloodBounded(t *testing.T) {
+	tc := newTestCluster(t, 1, nil)
+	primary := tc.cfg.PrimaryOf(1, 0)
+	in := tc.replicas[primary]
+	for v := types.View(1); v <= 10_000; v++ {
+		vc := &message.ViewChange{Instance: 0, NewView: v, Node: 3}
+		if out, err := in.OnMessage(vc, tc.now); err != nil || len(out.Msgs) != 0 {
+			t.Fatalf("peer 3's VIEW-CHANGE(%d): error %v, %d messages", v, err, len(out.Msgs))
+		}
+	}
+	held := 0
+	for _, vc := range in.viewChanges {
+		if vc != nil {
+			held++
+		}
+	}
+	if held > tc.cfg.N || len(in.viewChanges) != tc.cfg.N {
+		t.Fatalf("replica holds %d VIEW-CHANGEs in %d slots, want at most %d in %d", held, len(in.viewChanges), tc.cfg.N, tc.cfg.N)
+	}
+
+	in.StartViewChange(1, tc.now)
+	var nv *message.NewView
+	for _, from := range []types.NodeID{2, 0} {
+		for _, m := range tc.replicas[from].StartViewChange(1, tc.now).Msgs {
+			if vc, ok := m.Msg.(*message.ViewChange); ok {
+				out, err := in.OnMessage(vc, tc.now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range out.Msgs {
+					if got, ok := m.Msg.(*message.NewView); ok {
+						nv = got
+					}
+				}
+			}
+		}
+	}
+	if nv == nil {
+		t.Fatal("view 1's primary sent no NEW-VIEW")
+	}
+	var nodes []types.NodeID
+	for _, vc := range nv.ViewChanges {
+		nodes = append(nodes, vc.Node)
+	}
+	if !slices.Equal(nodes, []types.NodeID{0, 1, 2}) {
+		t.Fatalf("NEW-VIEW certificates from nodes %v, want [0 1 2]", nodes)
 	}
 }
 

@@ -72,6 +72,12 @@ func TestOnMessageErrorsCarryNoOutput(t *testing.T) {
 		{"NEW-VIEW mismatched VIEW-CHANGE", newView(func(nv *message.NewView) {
 			nv.ViewChanges[2] = vc(3, func(v *message.ViewChange) { v.NewView = 2 })
 		}), "embeds mismatched VIEW-CHANGE"},
+		{"NEW-VIEW repeated VIEW-CHANGE", newView(func(nv *message.NewView) {
+			nv.ViewChanges = []message.ViewChange{vc(0, nil), vc(1, nil), vc(1, nil), vc(3, nil)}
+		}), "from 1 after 1, want ascending nodes"},
+		{"NEW-VIEW swapped VIEW-CHANGEs", newView(func(nv *message.NewView) {
+			nv.ViewChanges[0], nv.ViewChanges[1] = nv.ViewChanges[1], nv.ViewChanges[0]
+		}), "from 0 after 1, want ascending nodes"},
 		{"NEW-VIEW below quorum", newView(func(nv *message.NewView) {
 			nv.ViewChanges = nv.ViewChanges[:2]
 		}), "carries 2 view changes, need 3"},

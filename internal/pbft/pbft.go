@@ -197,8 +197,8 @@ type Instance struct {
 	// sequence in (stableSeq, lastDelivered+len(log)].
 	checkpoints map[types.SeqNum][]types.Digest
 
-	// View-change state.
-	viewChanges map[types.View]map[types.NodeID]*message.ViewChange
+	// viewChanges holds each node's latest VIEW-CHANGE, indexed by NodeID.
+	viewChanges []*message.ViewChange
 
 	// Catch-up state (see fetch.go).
 	fetch *fetchState
@@ -242,7 +242,7 @@ func New(cfg Config, keys *crypto.KeyRing) *Instance {
 		reqs:        make(map[types.RequestRef]*reqState),
 		log:         make([]slot, (retainDeliveredFactor+1)*c.WatermarkWindow),
 		checkpoints: make(map[types.SeqNum][]types.Digest),
-		viewChanges: make(map[types.View]map[types.NodeID]*message.ViewChange),
+		viewChanges: make([]*message.ViewChange, c.Cluster.N),
 		tr:          obs.Nop{},
 	}
 	n := c.Cluster.N

@@ -43,6 +43,12 @@ func (in *Instance) Executed(ref types.RequestRef) {
 // InFlight returns how many request refs the replica holds a record of.
 func (in *Instance) InFlight() int { return len(in.reqs) }
 
+// Footprint sums the lengths of the tables peers' messages fill: request
+// records, log slots, CHECKPOINT vote vectors and VIEW-CHANGE slots.
+func (in *Instance) Footprint() int {
+	return len(in.reqs) + len(in.log) + len(in.checkpoints) + len(in.viewChanges)
+}
+
 // track returns ref's record, creating it, or nil when the replica holds
 // none and its node reports ref decided.
 func (in *Instance) track(ref types.RequestRef) *reqState {

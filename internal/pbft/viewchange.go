@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"rbft/internal/message"
@@ -58,37 +57,31 @@ func (in *Instance) preparedProofs() []message.PreparedProof {
 	return proofs
 }
 
+// onViewChange keeps each sender's latest VIEW-CHANGE: one for a higher view
+// supersedes its older one, so a peer holds one slot whatever views it names.
 func (in *Instance) onViewChange(out *Output, vc *message.ViewChange) error {
 	if vc.NewView < in.view {
 		return nil // stale
 	}
-	byNode := in.viewChanges[vc.NewView]
-	if byNode == nil {
-		byNode = make(map[types.NodeID]*message.ViewChange, in.cfg.Cluster.Quorum())
-		in.viewChanges[vc.NewView] = byNode
-	}
-	if _, dup := byNode[vc.Node]; dup {
+	if held := in.viewChanges[vc.Node]; held != nil && held.NewView >= vc.NewView {
 		return nil
 	}
-	byNode[vc.Node] = vc
+	in.viewChanges[vc.Node] = vc
 
-	// Only the new primary assembles NEW-VIEW, and only while it is itself in
-	// the view change for that view.
-	if in.cfg.Cluster.PrimaryOf(vc.NewView, in.cfg.Instance) != in.cfg.Node {
+	// Only the new primary, while in the view change, assembles NEW-VIEW.
+	if in.view != vc.NewView || !in.inViewChange || !in.IsPrimary() {
 		return nil
 	}
-	if in.view != vc.NewView || !in.inViewChange {
+	// The slots are in node order, which is the order onNewView requires.
+	var vcs []message.ViewChange
+	for _, held := range in.viewChanges {
+		if held != nil && held.NewView == vc.NewView {
+			vcs = append(vcs, *held)
+		}
+	}
+	if len(vcs) < in.cfg.Cluster.Quorum() {
 		return nil
 	}
-	if len(byNode) < in.cfg.Cluster.Quorum() {
-		return nil
-	}
-
-	vcs := make([]message.ViewChange, 0, len(byNode))
-	for _, stored := range byNode {
-		vcs = append(vcs, *stored)
-	}
-	sort.Slice(vcs, func(i, j int) bool { return vcs[i].Node < vcs[j].Node })
 
 	pps := in.computeNewViewPrePrepares(vc.NewView, vcs)
 	nv := &message.NewView{
@@ -110,26 +103,29 @@ func (in *Instance) onViewChange(out *Output, vc *message.ViewChange) error {
 // PRE-PREPAREs from a set of VIEW-CHANGE messages: for every sequence number
 // between the highest reported stable checkpoint and the highest prepared
 // sequence, the proposal prepared in the highest view wins; gaps become null
-// (empty) batches.
+// (empty) batches. A correct replica reports proofs only inside its watermark
+// window, so at most W above that checkpoint; one beyond is a faulty sender's
+// and ignored, which bounds the NEW-VIEW at W proposals.
 func (in *Instance) computeNewViewPrePrepares(v types.View, vcs []message.ViewChange) []message.PrePrepare {
-	var minS, maxS types.SeqNum
+	var minS types.SeqNum
+	for i := range vcs {
+		minS = max(minS, vcs[i].StableSeq)
+	}
+	maxS := minS
 	best := make(map[types.SeqNum]message.PreparedProof)
 	for i := range vcs {
-		if vcs[i].StableSeq > minS {
-			minS = vcs[i].StableSeq
-		}
 		for _, p := range vcs[i].Prepared {
-			if p.Seq > maxS {
-				maxS = p.Seq
+			if p.Seq <= minS || p.Seq-minS > in.cfg.WatermarkWindow {
+				continue
 			}
-			cur, ok := best[p.Seq]
-			if !ok || p.View > cur.View {
+			maxS = max(maxS, p.Seq)
+			if cur, ok := best[p.Seq]; !ok || p.View > cur.View {
 				best[p.Seq] = p
 			}
 		}
 	}
 	var pps []message.PrePrepare
-	for seq := minS + 1; seq <= maxS; seq++ {
+	for seq := minS + 1; seq-minS <= maxS-minS; seq++ { // no wrap at the top of the range
 		pp := message.PrePrepare{
 			Instance: in.cfg.Instance,
 			View:     v,
@@ -154,17 +150,18 @@ func (in *Instance) onNewView(out *Output, nv *message.NewView, now time.Time) e
 		return fmt.Errorf("pbft: NEW-VIEW for view %d from %d, want primary %d", nv.View, nv.Node, wantPrimary)
 	}
 
-	// Validate the embedded VIEW-CHANGE quorum.
-	seen := make(map[types.NodeID]bool, len(nv.ViewChanges))
+	// Validate the embedded VIEW-CHANGE quorum: one per sender, in node order.
 	for i := range nv.ViewChanges {
 		vc := &nv.ViewChanges[i]
 		if vc.Instance != in.cfg.Instance || vc.NewView != nv.View {
 			return fmt.Errorf("pbft: NEW-VIEW embeds mismatched VIEW-CHANGE (instance %d, view %d)", vc.Instance, vc.NewView)
 		}
-		seen[vc.Node] = true
+		if i > 0 && vc.Node <= nv.ViewChanges[i-1].Node {
+			return fmt.Errorf("pbft: NEW-VIEW embeds VIEW-CHANGE from %d after %d, want ascending nodes", vc.Node, nv.ViewChanges[i-1].Node)
+		}
 	}
-	if len(seen) < in.cfg.Cluster.Quorum() {
-		return fmt.Errorf("pbft: NEW-VIEW carries %d view changes, need %d", len(seen), in.cfg.Cluster.Quorum())
+	if len(nv.ViewChanges) < in.cfg.Cluster.Quorum() {
+		return fmt.Errorf("pbft: NEW-VIEW carries %d view changes, need %d", len(nv.ViewChanges), in.cfg.Cluster.Quorum())
 	}
 
 	// The re-issued PRE-PREPAREs must be exactly the deterministic function
@@ -191,10 +188,9 @@ func (in *Instance) installNewView(out *Output, nv *message.NewView) {
 	in.journal(out, wal.Record{Kind: wal.KindNewView, View: nv.View})
 	in.view = nv.View
 	in.inViewChange = false
-	delete(in.viewChanges, nv.View)
-	for v := range in.viewChanges {
-		if v <= nv.View {
-			delete(in.viewChanges, v)
+	for i, held := range in.viewChanges {
+		if held != nil && held.NewView <= nv.View {
+			in.viewChanges[i] = nil
 		}
 	}
 

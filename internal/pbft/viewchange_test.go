@@ -95,6 +95,29 @@ func TestPreparedProofsSortedAndAboveStable(t *testing.T) {
 
 // TestNewViewRejectsTamperedProposals: a primary that re-issues proposals
 // inconsistent with the view-change certificates is rejected.
+// TestNewViewIgnoresProofsBeyondWindow: a faulty sender's signed VIEW-CHANGE
+// may claim a prepared proof at any sequence number. A correct replica reports
+// proofs only inside its watermark window, at most W above the highest stable
+// checkpoint a VIEW-CHANGE reports, so the NEW-VIEW re-issues at most W
+// proposals however far the claim, the top of the sequence range included.
+func TestNewViewIgnoresProofsBeyondWindow(t *testing.T) {
+	const window = 16
+	tc := newTestCluster(t, 1, func(c *Config) { c.WatermarkWindow = window })
+	batch := []types.RequestRef{ref(0, 1)}
+	top := ^types.SeqNum(0)
+	for _, far := range []struct{ stable, seq types.SeqNum }{{0, window + 1}, {0, 1 << 40}, {top - window, top}} {
+		vcs := []message.ViewChange{
+			{NewView: 1, Node: 0, Prepared: []message.PreparedProof{{Seq: window, Batch: batch}}},
+			{NewView: 1, Node: 1},
+			{NewView: 1, StableSeq: far.stable, Node: 3, Prepared: []message.PreparedProof{{Seq: far.seq, Batch: batch}}},
+		}
+		pps := tc.replicas[1].computeNewViewPrePrepares(1, vcs)
+		if len(pps) != window || pps[window-1].Seq != far.stable+window || len(pps[window-1].Batch) != 1 {
+			t.Fatalf("proof at %d over stable %d: %d proposals, want %d ending at %d with the proven batch", far.seq, far.stable, len(pps), window, far.stable+window)
+		}
+	}
+}
+
 func TestNewViewRejectsTamperedProposals(t *testing.T) {
 	tc := newTestCluster(t, 1, nil)
 	// Drive real view change traffic but intercept the NEW-VIEW.
