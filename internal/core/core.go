@@ -18,6 +18,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -95,18 +96,10 @@ func (c *Config) withDefaults() Config {
 	if out.App == nil {
 		out.App = app.Null{}
 	}
-	if out.ReplyCacheSize == 0 {
-		out.ReplyCacheSize = 256
-	}
-	if out.FloodThreshold == 0 {
-		out.FloodThreshold = 64
-	}
-	if out.FloodWindow == 0 {
-		out.FloodWindow = 100 * time.Millisecond
-	}
-	if out.NICClosePeriod == 0 {
-		out.NICClosePeriod = time.Second
-	}
+	out.ReplyCacheSize = cmp.Or(out.ReplyCacheSize, 256)
+	out.FloodThreshold = cmp.Or(out.FloodThreshold, 64)
+	out.FloodWindow = cmp.Or(out.FloodWindow, 100*time.Millisecond)
+	out.NICClosePeriod = cmp.Or(out.NICClosePeriod, time.Second)
 	out.Monitoring.Instances = out.Cluster.Instances()
 	out.Monitoring.PerLane = out.OrderingMode == types.OrderingMultiPrimary
 	return out

@@ -29,6 +29,7 @@ const (
 	opInstanceChange
 	opInvalid
 	opPeersVote
+	opForgedPropagate
 	numOps
 
 	stepSize = 1 + 1 + 8 + 8 + 1
@@ -53,10 +54,13 @@ func faultyStep(op, inst byte, x, y uint64, d byte) []byte {
 // core's and each replica's (pbft.Instance.Footprint), must stay under a
 // bound set by N, the watermark window W and the checkpoint interval, plus
 // the genuine requests the peer can relay: what one peer makes a correct node
-// keep does not grow with what it sends. The seed corpus holds an
+// keep does not grow with what it sends. And every request body the node
+// keeps hashes to its ref's digest, though the peer relays genuine headers
+// over operations it changed, MAC'd over the genuine digest, to a node whose
+// verifier has seen the genuine REQUEST. The seed corpus holds an
 // ascending-view VIEW-CHANGE stream and an ascending-cpi INSTANCE-CHANGE
 // stream, so plain `go test` fails if either vote store grows per view or per
-// cpi again.
+// cpi again, and a stream with every op, forged PROPAGATEs included.
 func FuzzFaultyPeer(f *testing.F) {
 	var views, cpis, mixed []byte
 	for i := uint64(1); i <= 100; i++ {
@@ -157,6 +161,12 @@ func FuzzFaultyPeer(f *testing.F) {
 				msg = &message.InstanceChange{CPI: x, Node: attacker}
 			case opInvalid:
 				msg = &message.Invalid{Node: attacker, Padding: make([]byte, d)}
+			case opForgedPropagate: // the client's REQUEST reaches a verifier; node 3's forged copy is applied first
+				req := pool[int(d)%len(pool)]
+				if _, err := n.Preverifier().PreverifyClientFrame(frameOf(req), req.Client); err != nil {
+					t.Fatalf("step %d: genuine request rejected: %v", step, err)
+				}
+				onNodeFrame(n, propagateOver(ring, cfg.N, attacker, withOp(req, 0, []byte{byte(x)}), req.OpDigest()), attacker, now)
 			case opPeersVote: // nodes 1 and 2 vote for the node's cpi, then view-change with it
 				for _, peer := range []types.NodeID{1, 2} {
 					ic := &message.InstanceChange{CPI: n.CPI(), Node: peer}
@@ -177,6 +187,9 @@ func FuzzFaultyPeer(f *testing.F) {
 			}
 			if size := faultyPeerFootprint(n); size > bound {
 				t.Fatalf("step %d (op %d): node keeps %d entries, bound %d", step, op, size, bound)
+			}
+			if r := forgedBody(n); r != nil {
+				t.Fatalf("step %d (op %d): node keeps client %d's request %d with an operation that does not hash to its digest", step, op, r.ref.Client, r.ref.ID)
 			}
 		}
 	})

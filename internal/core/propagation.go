@@ -48,15 +48,12 @@ func (r *pendingRequest) addSender(id types.NodeID) bool {
 // equivocating) client can keep resident per node.
 const maxPendingBodiesPerClient = 4096
 
-// storeBody returns the record of the verified request body ref, creating it
-// on first sight with operation op, or nil when the client already pins its
-// full allowance of bodies. This is the node's single retention point for
-// decoded request bytes, and with release one of the two places
-// pendingBodies moves.
+// storeBody creates the record of the verified request body ref, which the
+// node does not hold, with operation op; or returns nil when the client
+// already pins its full allowance of bodies. This is the node's single
+// retention point for decoded request bytes, and with release one of the two
+// places pendingBodies moves.
 func (n *Node) storeBody(cs *clientState, ref types.RequestRef, bundle types.RequestID, op []byte) *pendingRequest {
-	if r := n.lookup(ref); r != nil {
-		return r
-	}
 	if cs.pendingBodies >= maxPendingBodiesPerClient {
 		return nil
 	}
@@ -110,9 +107,11 @@ func (n *Node) release(cs *clientState, key types.RequestKey) {
 // carries. Each of its requests is a request of its own: one record, one
 // sender set, one dispatch once f+1 PROPAGATEs are in. The node sends its own
 // PROPAGATE — of the whole bundle, MAC'd over v.Digest — once, the first time
-// any of them is news. All records are stored before the first dispatch,
-// which can execute and release records (a released one is cleared, so its
-// turn dispatches nothing); stored ones pin the client's entry.
+// any of them is news. A vote for a ref the node holds reads no operation
+// byte; a new body is stored only if the vote's bytes hash to its digest, else
+// the vote is dropped and counted against its sender. All records are stored
+// before the first dispatch, which can execute and release records (a released
+// one is cleared, so its turn dispatches nothing); stored ones pin the client.
 func (n *Node) applyRequest(out *Output, req *message.Request, v *message.Verified, now time.Time) {
 	cs := n.client(req.Client, now)
 	if cs.blacklisted {
@@ -147,7 +146,15 @@ func (n *Node) applyRequest(out *Output, req *message.Request, v *message.Verifi
 			}
 			continue
 		}
-		r := n.storeBody(cs, types.RequestRef{Client: req.Client, ID: id, Digest: v.OpDigest(i)}, req.ID, req.OpAt(i))
+		ref := types.RequestRef{Client: req.Client, ID: id, Digest: v.OpDigest(i)}
+		r := n.lookup(ref)
+		if r == nil {
+			if !v.OpsMatch() {
+				n.countInvalid(out, v.From, now)
+				break
+			}
+			r = n.storeBody(cs, ref, req.ID, req.OpAt(i))
+		}
 		if r == nil {
 			continue
 		}

@@ -37,7 +37,10 @@ const (
 
 // TestFieldTamperingKeepsItsFailKind flips one byte in each field of an
 // encoded REQUEST and PROPAGATE. Every flip must be rejected, and with the
-// same FailKind the full-body MACs produced.
+// same FailKind the full-body MACs produced — but one: a PROPAGATE's
+// operation, under the genuine header the cache holds, takes the genuine
+// digest its MAC covers, so it is accepted as a vote whose operations fail
+// OpsMatch, and the node that would keep them drops it.
 func TestFieldTamperingKeepsItsFailKind(t *testing.T) {
 	ks := testKeys()
 	op := []byte("transfer 10 from a to b")
@@ -50,8 +53,8 @@ func TestFieldTamperingKeepsItsFailKind(t *testing.T) {
 		name string
 		wire []byte // reqWire arrives from client 1, propWire from node 2
 		off  int
-		set  byte // 0: flip the low bit instead
-		want FailKind
+		set  byte     // 0: flip the low bit instead
+		want FailKind // 0: an unchecked vote that fails OpsMatch
 	}{
 		{"request/read-only tag", reqWire, reqOffTag, byte(TypeReadRequest), FailBadMAC},
 		{"request/client", reqWire, reqOffClient + 7, 0, FailWrongSender},
@@ -64,7 +67,7 @@ func TestFieldTamperingKeepsItsFailKind(t *testing.T) {
 		{"propagate/inner tag", propWire, propOffInner + reqOffTag, byte(TypeReadRequest), FailMalformed},
 		{"propagate/client", propWire, propOffInner + reqOffClient + 7, 0, FailBadMAC},
 		{"propagate/id", propWire, propOffInner + reqOffID + 7, 0, FailBadMAC},
-		{"propagate/op", propWire, propOffInner + reqOffOp + 3, 0, FailBadMAC},
+		{"propagate/op", propWire, propOffInner + reqOffOp + 3, 0, 0},
 		{"propagate/sig", propWire, propOffInner + reqOffSig(len(op)) + 5, 0, FailBadMAC},
 		{"propagate/own auth slot", propWire, propOffInner + reqOffAuth(len(op)) + self*crypto.MACSize, 0, FailBadMAC},
 	}
@@ -82,11 +85,16 @@ func TestFieldTamperingKeepsItsFailKind(t *testing.T) {
 			} else {
 				frame[tc.off] ^= 0x01
 			}
+			var v *Verified
 			var err error
 			if strings.HasPrefix(tc.name, "request/") {
-				_, err = pre.PreverifyClientFrame(frame, 1)
+				v, err = pre.PreverifyClientFrame(frame, 1)
 			} else {
-				_, err = pre.PreverifyNodeFrame(frame, 2)
+				v, err = pre.PreverifyNodeFrame(frame, 2)
+			}
+			if tc.want == 0 {
+				requireForgedCopy(t, v, err, req)
+				return
 			}
 			if err == nil {
 				t.Fatal("tampered frame accepted")
@@ -105,10 +113,13 @@ func TestFieldTamperingKeepsItsFailKind(t *testing.T) {
 	}
 }
 
-// TestMutatedOpNeverRidesAStaleDigest: nothing caches a request's digest, so
-// changing Op in place after the request was signed — and after its genuine
-// form was verified and cached — is always caught, whichever check sees it
-// first.
+// TestMutatedOpNeverRidesAStaleDigest: changing Op in place after the request
+// was signed — and after its genuine form was verified and cached — is always
+// caught, whichever check sees it first. A client REQUEST is hashed, so its
+// MAC fails. A PROPAGATE under the genuine header takes the cached genuine
+// digest: re-MAC'd over the mutated one it fails the MAC, and under the MAC
+// it had while the op was genuine it is a vote whose operations fail
+// OpsMatch.
 func TestMutatedOpNeverRidesAStaleDigest(t *testing.T) {
 	ks := testKeys()
 	pre := newPreverifier(ks, 16)
@@ -130,13 +141,12 @@ func TestMutatedOpNeverRidesAStaleDigest(t *testing.T) {
 	if _, err := pre.preverifyClient(req, 1); failKindOf(err) != FailBadMAC {
 		t.Fatalf("mutated request: got %v, want bad-mac", err)
 	}
-	if _, err := pre.preverifyNode(prop, 1); failKindOf(err) != FailBadMAC {
-		t.Fatalf("mutated op under the old PROPAGATE authenticator: got %v, want bad-mac", err)
-	}
-	// A faulty node re-MACs the mutated request: the MAC passes, the client
-	// signature — over the genuine digest — does not.
-	if _, err := pre.preverifyNode(propagateOf(ks, 1, req), 1); failKindOf(err) != FailBadSig {
-		t.Fatalf("mutated op under a fresh PROPAGATE authenticator: got %v, want bad-sig", err)
+	v, err = pre.preverifyNode(prop, 1)
+	requireForgedCopy(t, v, err, &Request{Client: req.Client, ID: req.ID, Op: []byte("genuine")})
+	// A faulty node re-MACs the mutated request over its own digest: the MAC
+	// covers the genuine digest the cache hands the copy, so it fails.
+	if _, err := pre.preverifyNode(propagateOf(ks, 1, req), 1); failKindOf(err) != FailBadMAC {
+		t.Fatalf("mutated op under a fresh PROPAGATE authenticator: got %v, want bad-mac", err)
 	}
 }
 
@@ -256,6 +266,15 @@ func TestDecodePreservesEmptyFields(t *testing.T) {
 	}
 }
 
+// opsOf returns req's operations in id order.
+func opsOf(req *Request) [][]byte {
+	ops := make([][]byte, req.Len())
+	for i := range ops {
+		ops[i] = req.OpAt(i)
+	}
+	return ops
+}
+
 var benchOps = []struct {
 	name string
 	op   []byte
@@ -278,13 +297,16 @@ func BenchmarkPreverifyClientFrame(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			frame := tc.req.Marshal(nil)
-			pre := NewPreverifier(ks.NodeRing(0), 0, types.NewConfig(1), nil) // no cache: every call misses
-			b.SetBytes(int64(len(frame)))
+			// Two signed requests alternate through a 1-entry cache, so every
+			// call misses and stores its verdict, as a first copy does.
+			other := signedBundle(ks, 1, tc.req.ID+types.RequestID(tc.req.Len()), opsOf(tc.req)...)
+			frames := [2][]byte{tc.req.Marshal(nil), other.Marshal(nil)}
+			pre := newPreverifier(ks, 1)
+			b.SetBytes(int64(len(frames[0])))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pre.PreverifyClientFrame(frame, 1); err != nil {
+				if _, err := pre.PreverifyClientFrame(frames[i%2], 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -294,11 +316,10 @@ func BenchmarkPreverifyClientFrame(b *testing.B) {
 }
 
 // BenchmarkPreverifyPropagateFrame is the sig-cache hit path every PROPAGATE
-// copy after the first takes: decode, a comparison of the operations with the
-// cached copy, the MAC check against the cached digest. The bundle of 8 4 kB
-// operations — large-mem's sat-phase bundle — also runs the miss path for
-// comparison, a pass over the operations and an Ed25519 verification, and
-// both report per request.
+// copy after the first takes: decode and the MAC check against the cached
+// digest, the operations unread. The bundle of 8 4 kB operations — large-mem's
+// sat-phase bundle — also runs the miss path for comparison, a pass over the
+// operations and an Ed25519 verification, and both report per request.
 func BenchmarkPreverifyPropagateFrame(b *testing.B) {
 	ks := testKeys()
 	ops8x4k := make([][]byte, 8)
@@ -319,19 +340,23 @@ func BenchmarkPreverifyPropagateFrame(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			pre := NewPreverifier(ks.NodeRing(0), 0, types.NewConfig(1), nil) // no cache: every call misses
-			if !tc.miss {
-				pre = newPreverifier(ks, 16)
-				if _, err := pre.preverifyClient(tc.req, 1); err != nil {
-					b.Fatal(err)
-				}
+			frames := [2][]byte{propagateOf(ks, 1, tc.req).Marshal(nil)}
+			frames[1] = frames[0]
+			pre := newPreverifier(ks, 16)
+			if tc.miss {
+				// Two signed bundles alternate through a 1-entry cache, so
+				// every call misses and stores its verdict, as a first copy
+				// does.
+				other := signedBundle(ks, 1, tc.req.ID+types.RequestID(tc.req.Len()), opsOf(tc.req)...)
+				frames[1], pre = propagateOf(ks, 1, other).Marshal(nil), newPreverifier(ks, 1)
+			} else if _, err := pre.preverifyClient(tc.req, 1); err != nil {
+				b.Fatal(err)
 			}
-			frame := propagateOf(ks, 1, tc.req).Marshal(nil)
-			b.SetBytes(int64(len(frame)))
+			b.SetBytes(int64(len(frames[0])))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pre.PreverifyNodeFrame(frame, 1); err != nil {
+				if _, err := pre.PreverifyNodeFrame(frames[i%2], 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -150,9 +150,12 @@ func TestBundleCaps(t *testing.T) {
 }
 
 // TestBundleTamperingRejected: every way of altering a signed bundle is
-// caught — at MAC cost when the frame is altered in flight, and by the client
-// signature when a faulty node relays the altered bundle in a PROPAGATE it
-// MACs itself. The cache holds the genuine bundle's verdict throughout.
+// caught — at MAC cost when the frame is altered in flight; and when a faulty
+// node relays the altered bundle in a PROPAGATE it MACs itself, by the client
+// signature if the header changed, else by the MAC, which covers the genuine
+// digest the cache hands the copy. The cache holds the genuine bundle's
+// verdict throughout. Operations altered under the genuine header and MAC'd
+// over the genuine digest are a vote whose operations fail OpsMatch.
 func TestBundleTamperingRejected(t *testing.T) {
 	ks := testKeys()
 	genuine := signedBundle(ks, 1, 10, bundleOps(6)...)
@@ -163,16 +166,18 @@ func TestBundleTamperingRejected(t *testing.T) {
 		return &r
 	}
 	for _, tc := range []struct {
-		name string
-		req  *Request
+		name    string
+		req     *Request
+		relayed FailKind // 0: an unchecked vote, MAC'd over the genuine digest
 	}{
-		{"one op changed", tampered(func(r *Request) { r.Rest[2] = []byte("op-99") })},
-		{"two ops swapped", tampered(func(r *Request) { r.Rest[0], r.Rest[1] = r.Rest[1], r.Rest[0] })},
-		{"first two ops swapped", tampered(func(r *Request) { r.Op, r.Rest[0] = r.Rest[0], r.Op })},
-		{"op dropped", tampered(func(r *Request) { r.Rest = r.Rest[:len(r.Rest)-1] })},
-		{"op appended", tampered(func(r *Request) { r.Rest = append(r.Rest, []byte("op-06")) })},
-		{"wrong first id", tampered(func(r *Request) { r.ID++ })},
-		{"bundle cut to one op", tampered(func(r *Request) { r.Rest = nil })},
+		{"one op changed", tampered(func(r *Request) { r.Rest[2] = []byte("op-99") }), FailBadMAC},
+		{"two ops swapped", tampered(func(r *Request) { r.Rest[0], r.Rest[1] = r.Rest[1], r.Rest[0] }), FailBadMAC},
+		{"first two ops swapped", tampered(func(r *Request) { r.Op, r.Rest[0] = r.Rest[0], r.Op }), FailBadMAC},
+		{"op dropped", tampered(func(r *Request) { r.Rest = r.Rest[:len(r.Rest)-1] }), FailBadSig},
+		{"op appended", tampered(func(r *Request) { r.Rest = append(r.Rest, []byte("op-06")) }), FailBadSig},
+		{"wrong first id", tampered(func(r *Request) { r.ID++ }), FailBadSig},
+		{"bundle cut to one op", tampered(func(r *Request) { r.Rest = nil }), FailBadSig},
+		{"one op changed, MAC'd over the genuine digest", tampered(func(r *Request) { r.Rest[2] = []byte("op-99") }), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pre := newPreverifier(ks, 16)
@@ -182,8 +187,12 @@ func TestBundleTamperingRejected(t *testing.T) {
 			if _, err := pre.PreverifyClientFrame(tc.req.Marshal(nil), 1); failKindOf(err) != FailBadMAC {
 				t.Errorf("altered in flight: got %v, want bad-mac", err)
 			}
-			if _, err := pre.PreverifyNodeFrame(propagateOf(ks, 1, tc.req).Marshal(nil), 1); failKindOf(err) != FailBadSig {
-				t.Errorf("relayed by a faulty node: got %v, want bad-sig", err)
+			if tc.relayed == 0 {
+				d, _ := genuine.Digests()
+				v, err := pre.PreverifyNodeFrame(propagateOver(ks, 1, tc.req, d).Marshal(nil), 1)
+				requireForgedCopy(t, v, err, genuine)
+			} else if _, err := pre.PreverifyNodeFrame(propagateOf(ks, 1, tc.req).Marshal(nil), 1); failKindOf(err) != tc.relayed {
+				t.Errorf("relayed by a faulty node: got %v, want %s", err, tc.relayed)
 			}
 		})
 	}

@@ -191,6 +191,20 @@ func (m *Request) Digests() (signed types.Digest, ops []types.Digest) {
 	return BundleDigest(ops), ops
 }
 
+// hashesTo reports whether what the client signs for m is d, hashing m's
+// operations once as Digests does, without keeping their OpDigests.
+func (m *Request) hashesTo(d types.Digest) bool {
+	if len(m.Rest) == 0 {
+		return m.OpDigest() == d
+	}
+	h := crypto.NewHasher()
+	for i := 0; i < m.Len(); i++ {
+		od := opDigest(m.Client, m.ID+types.RequestID(i), m.OpAt(i))
+		h.WriteLocal(od[:])
+	}
+	return h.Sum() == d
+}
+
 // BundleDigest is what a client signs for a bundle whose requests have the
 // OpDigests ds: SHA-256(d₁‖…‖d_k). Each dᵢ binds client, id and operation, so
 // the one digest binds every request of the bundle, their order and number.

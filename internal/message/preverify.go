@@ -1,8 +1,6 @@
 package message
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -82,6 +80,9 @@ func failKind(kind FailKind, err error) error { return &PreverifyError{Kind: kin
 type Verified struct {
 	// Msg is the decoded message.
 	Msg Message
+	// unchecked marks a PROPAGATE that took Digest and OpDigests from the
+	// cache entry of the request it copies, its operations unread.
+	unchecked bool
 	// FromClient reports whether the frame arrived on the client NIC; Client
 	// is then the authenticated client, otherwise From is the authenticated
 	// peer node.
@@ -100,6 +101,20 @@ type Verified struct {
 	OpDigests []types.Digest
 }
 
+// OpsMatch reports whether the operations of the verified REQUEST or
+// PROPAGATE hash to Digest, and so to OpDigests. Preverification hashed them
+// unless v is an unchecked PROPAGATE: then OpsMatch does, once, and a node
+// must call it before it keeps the copy's operations.
+func (v *Verified) OpsMatch() bool {
+	if v.unchecked {
+		if !v.Msg.(*Propagate).Req.hashesTo(v.Digest) {
+			return false
+		}
+		v.unchecked = false
+	}
+	return true
+}
+
 // OpDigest returns the OpDigest of request i (id ID+i) of the verified
 // REQUEST or PROPAGATE.
 func (v *Verified) OpDigest(i int) types.Digest {
@@ -111,48 +126,39 @@ func (v *Verified) OpDigest(i int) types.Digest {
 
 // VerifyCache remembers what checking a request's or bundle's client signature
 // produced, so that the copies of it that follow cost a node no Ed25519
-// verification and, while the cache still holds a copy of their operations,
-// no pass over them either. RBFT delivers every signed request to each node n
-// times — from the client, then in a PROPAGATE from each other node — and
-// clients retransmit.
+// verification and, in a PROPAGATE, no pass over their operations. RBFT
+// delivers every signed request to each node n times — from the client, then
+// in a PROPAGATE from each other node — and clients retransmit.
 //
 // An entry is keyed by the client signature. It holds the request's client,
-// first id, wire tag and count, its signed digest d and the verdict — and,
-// while the arena holds it, a length-prefixed copy of its operations and its
-// OpDigests. A request is known to an entry when every one of those fields
-// equals the entry's: if its operations equal the copy byte for byte, it takes
-// d and the OpDigests from the entry instead of hashing; otherwise it is
-// hashed, and takes the verdict only if its own d is the entry's. Changing the
-// client, the first id, the tag, the count, an operation, their order or a
-// boundary between two of them therefore never rides a verdict computed from
-// other bytes. The caller still checks the frame's MAC against d before it
-// uses a verdict.
+// first id, wire tag and count, its signed digest d, its OpDigests and the
+// verdict, and nothing else. A request is known to an entry when its client,
+// first id, tag and count equal the entry's. A known client REQUEST is hashed
+// and takes the verdict only if its own d is the entry's: the read-only path
+// executes its operation. A known PROPAGATE of a verified request takes d and
+// the OpDigests from the entry without reading its operations, and comes back
+// marked unchecked: the node binds them to d (Verified.OpsMatch) at the one
+// place it keeps them. Either way the frame's MAC is checked against d before
+// the verdict is used, so a changed client, first id, tag or count never
+// rides a verdict computed for another header.
 //
 // Verdicts are deterministic for fixed bytes, so failures are cached too, but
 // a failure never replaces a verified entry under the same signature: a faulty
-// node relaying a variant cannot evict the genuine bundle.
+// node relaying a variant cannot evict the genuine bundle. A copy known to a
+// failed entry is hashed, so a forger that got its variant in first cannot
+// make the genuine copies that follow fail.
 //
 // The footprint is fixed when the cache is built: capacity entries, evicted
-// FIFO, and an arena of verifyArenaBytes, written round-robin. The arena holds
-// copies, not aliases of frames, so the cache pins no frame and an operation
-// mutated in place no longer matches. An entry whose copy the arena write
-// reaches drops it and its OpDigests and keeps its verdict; an entry whose
-// operations would not fit the arena never has a copy. A copy takes the arena
-// its own bytes plus 32 B per OpDigest, so the OpDigests the cache keeps alive
-// stay within the arena's size as well.
+// FIFO, each holding at most MaxBundleOps OpDigests.
 //
 // The cache is concurrency-safe; verifier worker goroutines share one
-// instance per node. Lookups, byte comparison included, share a read lock; only
-// storing a verdict, once per request or bundle, takes the write lock.
+// instance per node. Lookups share a read lock; only storing a verdict, once
+// per request or bundle, takes the write lock.
 type VerifyCache struct {
 	mu      sync.RWMutex
-	bySig   map[[crypto.SignatureSize]byte]uint64 // guarded by mu; signature -> entry number
-	entries []cacheEntry                          // guarded by mu; entry number s at s % len
-	head    uint64                                // guarded by mu; the next entry number
-	tail    uint64                                // guarded by mu; the oldest entry number kept
-	copied  uint64                                // guarded by mu; the oldest entry number whose copy may be in the arena
-	arena   []byte                                // guarded by mu; operation copies
-	written uint64                                // guarded by mu; arena bytes written ever, padding included
+	bySig   map[[crypto.SignatureSize]byte]int // guarded by mu; signature -> slot
+	entries []cacheEntry                       // guarded by mu; written round-robin
+	next    int                                // guarded by mu; the slot the next entry takes
 
 	// hits/misses are nil-safe obs counters; SetCounters swaps in
 	// registry-resolved ones.
@@ -160,45 +166,32 @@ type VerifyCache struct {
 	misses *obs.Counter
 }
 
-// cacheEntry is one signature's verdict and what it was computed from.
+// cacheEntry is one signature's verdict and the header and digests it was
+// computed for.
 type cacheEntry struct {
-	held    bool // false once the entry left
-	ok      bool // the signature verified
-	hasCopy bool // the arena holds its operations: at, n and ops are set
-	tag     Type
-	k       int
-	client  types.ClientID
-	id      types.RequestID
-	at, n   uint64 // the operation copy: arena bytes [at, at+n) of written
-	d       types.Digest
-	ops     []types.Digest
-	sig     [crypto.SignatureSize]byte
+	held   bool // false once the entry left
+	ok     bool // the signature verified
+	tag    Type
+	k      int
+	client types.ClientID
+	id     types.RequestID
+	d      types.Digest
+	ops    []types.Digest
+	sig    [crypto.SignatureSize]byte
 }
 
 // DefaultVerifyCacheSize bounds the per-node signature verification cache.
 const DefaultVerifyCacheSize = 4096
 
-// verifyArenaBytes sizes a cache's operation arena, by measurement. On the
-// large-mem benchmark workload (bundles of about 24 operations of 4 kB, 2-vCPU
-// host, 8 saturated segments) the arena bytes a node's cache took between a
-// bundle's first copy and a later one measured 198 kB at the median (two
-// bundles), 529 kB at the 99th percentile, 727 kB at the 99.9th and 0.94 MiB
-// at most, and no copy was hashed again; on small-mem and kv-tcp-wal under
-// 30 kB. A copy later than the arena's worth is hashed again, and still takes
-// the verdict.
-const verifyArenaBytes = 1 << 20
-
 // NewVerifyCache creates a cache holding up to capacity entries (0 means
-// DefaultVerifyCacheSize) and their operations in an arena of
-// verifyArenaBytes.
+// DefaultVerifyCacheSize).
 func NewVerifyCache(capacity int) *VerifyCache {
 	if capacity <= 0 {
 		capacity = DefaultVerifyCacheSize
 	}
 	return &VerifyCache{
-		bySig:   make(map[[crypto.SignatureSize]byte]uint64, capacity),
+		bySig:   make(map[[crypto.SignatureSize]byte]int, capacity),
 		entries: make([]cacheEntry, capacity),
-		arena:   make([]byte, verifyArenaBytes),
 		hits:    &obs.Counter{},
 		misses:  &obs.Counter{},
 	}
@@ -207,9 +200,6 @@ func NewVerifyCache(capacity int) *VerifyCache {
 // SetCounters replaces the cache's hit/miss counters, typically with
 // registry-resolved ones so the ratio is exported via /metrics.
 func (c *VerifyCache) SetCounters(hits, misses *obs.Counter) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	if hits != nil {
 		c.hits = hits
@@ -223,9 +213,6 @@ func (c *VerifyCache) SetCounters(hits, misses *obs.Counter) {
 // Stats returns the cumulative hit and miss counts: verdicts taken from the
 // cache, and signatures verified.
 func (c *VerifyCache) Stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	c.mu.RLock()
 	h, m := c.hits, c.misses
 	c.mu.RUnlock()
@@ -234,9 +221,6 @@ func (c *VerifyCache) Stats() (hits, misses uint64) {
 
 // count records that a verdict was taken from the cache (hit) or verified.
 func (c *VerifyCache) count(hit bool) {
-	if c == nil {
-		return
-	}
 	c.mu.RLock()
 	if hit {
 		c.hits.Inc()
@@ -254,102 +238,52 @@ type signedDigests struct {
 	ok  bool
 }
 
-// recall looks req up under its signature. known reports an entry for req's
-// client, first id, tag and count, whose d, OpDigests (nil without a copy) and
-// verdict s holds; same that req's operations also equal the entry's copy, so
-// that s's digests are req's.
-func (c *VerifyCache) recall(req *Request) (s signedDigests, known, same bool) {
-	if c == nil || len(req.Sig) != crypto.SignatureSize {
-		return s, false, false
+// recall looks req up under its signature: known reports an entry for req's
+// client, first id, tag and count, whose d, OpDigests and verdict s holds.
+func (c *VerifyCache) recall(req *Request) (s signedDigests, known bool) {
+	if len(req.Sig) != crypto.SignatureSize {
+		return s, false
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	i, held := c.bySig[[crypto.SignatureSize]byte(req.Sig)]
 	if !held {
-		return s, false, false
+		return s, false
 	}
-	e := &c.entries[i%uint64(len(c.entries))]
+	e := &c.entries[i]
 	if e.client != req.Client || e.id != req.ID || e.tag != req.tag() || e.k != req.Len() {
-		return s, false, false
+		return s, false
 	}
-	return signedDigests{d: e.d, ops: e.ops, ok: e.ok}, true, e.hasCopy && c.sameOpsLocked(e, req)
-}
-
-// sameOpsLocked reports whether req's operations equal e's copy.
-func (c *VerifyCache) sameOpsLocked(e *cacheEntry, req *Request) bool {
-	at := e.at % uint64(len(c.arena))
-	b := c.arena[at : at+e.n]
-	for i := 0; i < e.k; i++ {
-		op := req.OpAt(i)
-		if int(binary.BigEndian.Uint32(b)) != len(op) || !bytes.Equal(b[4:4+len(op)], op) {
-			return false
-		}
-		b = b[4+len(op):]
-	}
-	return true
+	return signedDigests{d: e.d, ops: e.ops, ok: e.ok}, true
 }
 
 // store records s, the outcome of checking req's signature, under a new entry
-// and copies req's operations into the arena if they fit — unless a verified
-// entry holds the signature and s is a failure.
+// — unless a verified entry holds the signature and s is a failure.
 func (c *VerifyCache) store(req *Request, s signedDigests) {
-	if c == nil || len(req.Sig) != crypto.SignatureSize {
+	if len(req.Sig) != crypto.SignatureSize {
 		return
-	}
-	n := uint64(0)
-	for i := 0; i < req.Len(); i++ {
-		n += 4 + uint64(len(req.OpAt(i)))
 	}
 	key := [crypto.SignatureSize]byte(req.Sig)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	size, slots := uint64(len(c.arena)), uint64(len(c.entries))
 	if old, held := c.bySig[key]; held {
-		if !s.ok && c.entries[old%slots].ok {
+		if !s.ok && c.entries[old].ok {
 			return
 		}
 		c.dropLocked(old)
 	}
-	if c.head-c.tail == slots {
-		c.dropLocked(c.tail)
-		c.tail++
-	}
-	e := cacheEntry{held: true, ok: s.ok, tag: req.tag(), k: req.Len(), client: req.Client, id: req.ID, d: s.d, sig: key}
-	// A copy is charged its OpDigests too, which the entry keeps on the heap
-	// as long as the arena keeps the copy: both together stay within its size.
-	if charge := n + uint64(len(s.ops))*types.DigestSize; charge <= size {
-		at := c.written
-		if off := at % size; off+charge > size {
-			at += size - off // a copy never wraps: it starts the arena over
-		}
-		c.written = at + charge
-		b := c.arena[at%size : at%size]
-		for i := 0; i < req.Len(); i++ {
-			b = appendBytes(b, req.OpAt(i)) // in place: the arena has room for n
-		}
-		e.hasCopy, e.at, e.n, e.ops = true, at, n, s.ops
-	}
-	c.entries[c.head%slots] = e
-	c.bySig[key] = c.head
-	c.head++
-	// Copies lie in the arena in entry order, so those this write reached are
-	// the oldest still there: their entries drop them, and their OpDigests.
-	for c.copied = max(c.copied, c.tail); c.copied < c.head; c.copied++ {
-		e := &c.entries[c.copied%slots]
-		if e.hasCopy && e.at+size >= c.written {
-			break
-		}
-		e.hasCopy, e.ops = false, nil
-	}
+	c.dropLocked(c.next)
+	c.entries[c.next] = cacheEntry{held: true, ok: s.ok, tag: req.tag(), k: req.Len(), client: req.Client, id: req.ID, d: s.d, ops: s.ops, sig: key}
+	c.bySig[key] = c.next
+	c.next = (c.next + 1) % len(c.entries)
 }
 
-// dropLocked empties entry s.
-func (c *VerifyCache) dropLocked(s uint64) {
-	e := &c.entries[s%uint64(len(c.entries))]
-	if e.held {
+// dropLocked empties slot i.
+func (c *VerifyCache) dropLocked(i int) {
+	if e := &c.entries[i]; e.held {
 		delete(c.bySig, e.sig)
 	}
-	*e = cacheEntry{}
+	c.entries[i] = cacheEntry{}
 }
 
 // Preverifier performs the stateless ingress verification stage for one
@@ -363,8 +297,7 @@ type Preverifier struct {
 	cache   *VerifyCache
 }
 
-// NewPreverifier builds the preverify stage for node self. cache may be nil
-// to disable signature-verification caching.
+// NewPreverifier builds the preverify stage for node self.
 func NewPreverifier(ring *crypto.KeyRing, self types.NodeID, cluster types.Config, cache *VerifyCache) *Preverifier {
 	return &Preverifier{ring: ring, self: self, cluster: cluster, cache: cache}
 }
@@ -416,7 +349,7 @@ func (p *Preverifier) preverifyClient(msg Message, claimed types.ClientID) (*Ver
 	if req.Client != claimed {
 		return nil, failKind(FailWrongSender, fmt.Errorf("request claims client %d, sent by %d", req.Client, claimed))
 	}
-	s, known := p.digests(req)
+	s, known := p.digests(req, false)
 	var buf [MaxBodySize]byte
 	body := req.AppendBody(buf[:0], s.d)
 	if err := p.ring.VerifyClientAuthenticatorEntry(req.Client, p.self, body, req.Auth); err != nil {
@@ -431,6 +364,7 @@ func (p *Preverifier) preverifyClient(msg Message, claimed types.ClientID) (*Ver
 // preverifyNode preverifies a decoded node-NIC message from peer from.
 func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, error) {
 	var s signedDigests // what a propagated request's or bundle's signature covers
+	var known bool      // a PROPAGATE took s from the cache, its operations unread
 	// Every arm must authenticate msg before the Verified value is built.
 	//rbft:dispatch
 	switch m := msg.(type) {
@@ -446,8 +380,7 @@ func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, 
 		if m.Node != from {
 			return nil, failKind(FailWrongSender, fmt.Errorf("PROPAGATE claims node %d, sent by %d", m.Node, from))
 		}
-		var known bool
-		s, known = p.digests(&m.Req)
+		s, known = p.digests(&m.Req, true)
 		var buf [MaxBodySize]byte
 		body := m.AppendBody(buf[:0], s.d)
 		if err := p.ring.VerifyAuthenticatorEntry(from, p.self, body, m.Auth); err != nil {
@@ -505,7 +438,7 @@ func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, 
 	default:
 		return nil, failKind(FailMalformed, fmt.Errorf("unhandled message type %s", msg.MsgType()))
 	}
-	return &Verified{Msg: msg, From: from, Digest: s.d, OpDigests: s.ops}, nil
+	return &Verified{Msg: msg, From: from, Digest: s.d, OpDigests: s.ops, unchecked: known}, nil
 }
 
 // checkInstanceSender validates the claimed sender and instance id of a
@@ -525,19 +458,16 @@ func (p *Preverifier) checkInstanceSender(msg Message, from types.NodeID) error 
 }
 
 // digests returns what req's client signature covers, and its verdict if the
-// cache knows it (known): from the cache when it holds req byte for byte, else
-// from one pass over req's operations.
-func (p *Preverifier) digests(req *Request) (s signedDigests, known bool) {
-	s, known, same := p.cache.recall(req)
-	if same {
+// cache knows it (known). A relayed request (a PROPAGATE's) known to a
+// verified entry takes the entry's digests without a pass over its
+// operations; any other request known to an entry takes them if its
+// operations hash to the entry's d. Everything else is hashed.
+func (p *Preverifier) digests(req *Request, relayed bool) (s signedDigests, known bool) {
+	if s, known = p.cache.recall(req); known && (relayed && s.ok || req.hashesTo(s.d)) {
 		return s, true
 	}
 	d, ops := req.Digests()
-	if known = known && d == s.d; known {
-		// The arena had dropped its copy: store it again for the copies to come.
-		p.cache.store(req, signedDigests{d: d, ops: ops, ok: s.ok})
-	}
-	return signedDigests{d: d, ops: ops, ok: s.ok}, known
+	return signedDigests{d: d, ops: ops}, false
 }
 
 // requestSigOK checks the client signature of req, whose MAC'd body

@@ -26,12 +26,40 @@ func signedRequest(ks *crypto.KeyStore, client types.ClientID, id types.RequestI
 	return req
 }
 
-// propagateOf wraps req in a PROPAGATE correctly MAC'd by node.
+// propagateOf wraps req in a PROPAGATE correctly MAC'd by node: over the
+// digest req's operations hash to.
 func propagateOf(ks *crypto.KeyStore, node types.NodeID, req *Request) *Propagate {
+	d, _ := req.Digests()
+	return propagateOver(ks, node, req, d)
+}
+
+// propagateOver wraps req in a PROPAGATE that node MACs over the signed digest
+// d, whatever req's operations hash to: a faulty node that relays a genuine
+// header and signature over forged operations MACs over the genuine d.
+func propagateOver(ks *crypto.KeyStore, node types.NodeID, req *Request, d types.Digest) *Propagate {
 	p := &Propagate{Req: *req, Node: node}
 	p.Req.Auth = nil
-	p.Auth = ks.NodeRing(node).AuthenticatorForNodes(testN, p.Body())
+	var buf [MaxBodySize]byte
+	p.Auth = ks.NodeRing(node).AuthenticatorForNodes(testN, p.AppendBody(buf[:0], d))
 	return p
+}
+
+// requireForgedCopy asserts that a PROPAGATE of forged operations under
+// genuine's header, signature and MAC'd digest was accepted as a vote whose
+// operations are unchecked: it carries genuine's digests, and its own
+// operations fail OpsMatch.
+func requireForgedCopy(t *testing.T, v *Verified, err error, genuine *Request) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("forged copy under the genuine MAC: %v, want an unchecked certificate", err)
+	}
+	d, ops := genuine.Digests()
+	if !v.unchecked || v.Digest != d || !slices.Equal(v.OpDigests, ops) {
+		t.Fatalf("forged copy: unchecked %v, digests of the genuine request %v; want both", v.unchecked, v.Digest == d && slices.Equal(v.OpDigests, ops))
+	}
+	if v.OpsMatch() {
+		t.Fatal("forged operations pass OpsMatch")
+	}
 }
 
 // failKindOf extracts the failure kind of a preverification error (0 when err
@@ -101,10 +129,12 @@ func TestPropagateSharesClientSigVerdict(t *testing.T) {
 }
 
 // TestTamperedRequestMissesCacheAndIsRejected is the security property of
-// content-keyed caching: after a valid verdict is cached, any mutation of the
-// signed body or the signature changes the cache key, so the stale "valid"
-// verdict can never be replayed onto tampered bytes — the tampered copy gets
-// a full verification and is rejected.
+// signature-keyed caching: after a valid verdict is cached, a tampered
+// signature misses the cache and fails the full verification, and a
+// PROPAGATE of a tampered operation under the genuine signature takes the
+// genuine digest, so it fails its MAC — or, MAC'd over that digest, is a vote
+// whose operations fail OpsMatch. The stale "valid" verdict never vouches for
+// tampered bytes.
 func TestTamperedRequestMissesCacheAndIsRejected(t *testing.T) {
 	ks := testKeys()
 	pre := newPreverifier(ks, 16)
@@ -114,13 +144,16 @@ func TestTamperedRequestMissesCacheAndIsRejected(t *testing.T) {
 	}
 
 	// A faulty node alters the operation inside its PROPAGATE but keeps the
-	// original client signature; its own MAC over the wrapper is valid.
+	// original client signature, and MACs the wrapper over the altered
+	// digest, then over the genuine one.
 	tamperedOp := *req
 	tamperedOp.Op = []byte("Genuine")
 	tamperedOp.Sig = append([]byte(nil), req.Sig...)
-	if _, err := pre.preverifyNode(propagateOf(ks, 1, &tamperedOp), 1); failKindOf(err) != FailBadSig {
+	if _, err := pre.preverifyNode(propagateOf(ks, 1, &tamperedOp), 1); failKindOf(err) != FailBadMAC {
 		t.Fatalf("tampered op accepted or misclassified: %v", err)
 	}
+	v, err := pre.preverifyNode(propagateOver(ks, 1, &tamperedOp, req.OpDigest()), 1)
+	requireForgedCopy(t, v, err, req)
 
 	// A tampered signature with a freshly minted MAC (a faulty client) must
 	// likewise miss the cache and fail the real check.
@@ -132,8 +165,8 @@ func TestTamperedRequestMissesCacheAndIsRejected(t *testing.T) {
 		t.Fatalf("tampered sig accepted or misclassified: %v", err)
 	}
 
-	if h, m := pre.Cache().Stats(); h != 0 || m != 3 {
-		t.Fatalf("hits=%d misses=%d, want 0/3 (both tampered copies must miss)", h, m)
+	if h, m := pre.Cache().Stats(); h != 1 || m != 2 {
+		t.Fatalf("hits=%d misses=%d, want 1/2 (the tampered signature must miss; only the copy MAC'd over the genuine digest takes its verdict)", h, m)
 	}
 }
 
@@ -185,10 +218,13 @@ func TestVerifyCacheEviction(t *testing.T) {
 }
 
 // TestPropagateVariantsMissTheCache: a faulty node relays an honest bundle's
-// signature over a request changed in one way, under its own valid MAC. Each
-// variant misses the cache — so it is hashed, not served the honest digests —
-// and fails the signature; none of them displaces the honest entry, which the
-// next honest copy still hits.
+// signature over a request changed in one way, under its own valid MAC. A
+// changed header — first id, count, client — misses the cache, so it is
+// hashed, not served the honest digests, and fails the signature. Changed
+// operations under the honest header take the honest digest without being
+// read: MAC'd over their own digest they fail the MAC, and MAC'd over the
+// honest one they are a vote whose operations fail OpsMatch. None of them
+// displaces the honest entry, which the next honest copy still hits.
 func TestPropagateVariantsMissTheCache(t *testing.T) {
 	ks := testKeys()
 	pre := newPreverifier(ks, 16)
@@ -203,23 +239,32 @@ func TestPropagateVariantsMissTheCache(t *testing.T) {
 		edit(&r)
 		return &r
 	}
+	oneOpChanged := variant(func(r *Request) { r.Rest[1] = []byte("op-9") })
+	// A header variant is verified in full (a miss); a MAC failure reaches
+	// no verdict; an unchecked vote takes the cached one (a hit).
 	for _, tc := range []struct {
-		name string
-		req  *Request
+		name      string
+		prop      *Propagate
+		want      FailKind // 0: an unchecked vote
+		hit, miss uint64
 	}{
-		{"one op changed", variant(func(r *Request) { r.Rest[1] = []byte("op-9") })},
-		{"two ops swapped", variant(func(r *Request) { r.Rest[1], r.Rest[2] = r.Rest[2], r.Rest[1] })},
-		{"op boundary moved", variant(func(r *Request) { r.Op, r.Rest[0] = []byte("a"), []byte("bc") })},
-		{"first id shifted", variant(func(r *Request) { r.ID++ })},
-		{"count cut", variant(func(r *Request) { r.Rest = r.Rest[:len(r.Rest)-1] })},
-		{"client changed", variant(func(r *Request) { r.Client = 2 })},
+		{"one op changed", propagateOf(ks, 1, oneOpChanged), FailBadMAC, 0, 0},
+		{"two ops swapped", propagateOf(ks, 1, variant(func(r *Request) { r.Rest[1], r.Rest[2] = r.Rest[2], r.Rest[1] })), FailBadMAC, 0, 0},
+		{"op boundary moved", propagateOf(ks, 1, variant(func(r *Request) { r.Op, r.Rest[0] = []byte("a"), []byte("bc") })), FailBadMAC, 0, 0},
+		{"one op changed, MAC'd over the honest digest", propagateOver(ks, 1, oneOpChanged, want.Digest), 0, 1, 0},
+		{"first id shifted", propagateOf(ks, 1, variant(func(r *Request) { r.ID++ })), FailBadSig, 0, 1},
+		{"count cut", propagateOf(ks, 1, variant(func(r *Request) { r.Rest = r.Rest[:len(r.Rest)-1] })), FailBadSig, 0, 1},
+		{"client changed", propagateOf(ks, 1, variant(func(r *Request) { r.Client = 2 })), FailBadSig, 0, 1},
 	} {
-		_, m0 := pre.Cache().Stats()
-		if _, err := pre.PreverifyNodeFrame(propagateOf(ks, 1, tc.req).Marshal(nil), 1); failKindOf(err) != FailBadSig {
-			t.Errorf("%s: got %v, want bad-sig", tc.name, err)
+		h0, m0 := pre.Cache().Stats()
+		v, err := pre.PreverifyNodeFrame(tc.prop.Marshal(nil), 1)
+		if tc.want == 0 {
+			requireForgedCopy(t, v, err, honest)
+		} else if failKindOf(err) != tc.want {
+			t.Errorf("%s: got %v, want %s", tc.name, err, tc.want)
 		}
-		if _, m := pre.Cache().Stats(); m != m0+1 {
-			t.Errorf("%s: %d misses, want %d: the variant must not hit the honest entry", tc.name, m, m0+1)
+		if h, m := pre.Cache().Stats(); h != h0+tc.hit || m != m0+tc.miss {
+			t.Errorf("%s: hits %d→%d, misses %d→%d; want %d more hits, %d more misses", tc.name, h0, h, m0, m, tc.hit, tc.miss)
 		}
 	}
 	h0, m0 := pre.Cache().Stats()
@@ -230,8 +275,37 @@ func TestPropagateVariantsMissTheCache(t *testing.T) {
 	if h, m := pre.Cache().Stats(); h != h0+1 || m != m0 {
 		t.Fatalf("honest PROPAGATE: hits %d→%d, misses %d→%d; want one hit: the variants poisoned the entry", h0, h, m0, m)
 	}
-	if got.Digest != want.Digest || !slices.Equal(got.OpDigests, want.OpDigests) {
+	if got.Digest != want.Digest || !slices.Equal(got.OpDigests, want.OpDigests) || !got.OpsMatch() {
 		t.Fatal("the honest PROPAGATE's cached digests differ from those its REQUEST hashed to")
+	}
+}
+
+// TestFailedEntryVouchesForNoCopy: a faulty node's PROPAGATE of a genuine
+// bundle's header and signature over a changed operation, MAC'd over its own
+// digest, reaches the node first: it misses, fails the signature, and its
+// failed verdict is cached. The genuine copies that follow are hashed, not
+// handed the failed entry's digest, so an honest node's PROPAGATE passes its
+// MAC — it is not blamed for the forgery — and its verdict replaces the
+// failure, which the next copy then hits.
+func TestFailedEntryVouchesForNoCopy(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	genuine := signedBundle(ks, 1, 10, bundleOps(4)...)
+	forged := *genuine
+	forged.Rest = append([][]byte(nil), genuine.Rest...)
+	forged.Rest[1] = []byte("op-99")
+	if _, err := pre.PreverifyNodeFrame(propagateOf(ks, 3, &forged).Marshal(nil), 3); failKindOf(err) != FailBadSig {
+		t.Fatalf("forged first copy: got %v, want bad-sig", err)
+	}
+	v, err := pre.PreverifyNodeFrame(propagateOf(ks, 1, genuine).Marshal(nil), 1)
+	if err != nil || v.unchecked {
+		t.Fatalf("genuine PROPAGATE after the forged one: %v, unchecked %v; want a hashed certificate", err, v != nil && v.unchecked)
+	}
+	if v, err = pre.PreverifyNodeFrame(propagateOf(ks, 2, genuine).Marshal(nil), 2); err != nil || !v.unchecked || !v.OpsMatch() {
+		t.Fatalf("next genuine PROPAGATE: %v; want a hit on the genuine verdict", err)
+	}
+	if h, m := pre.Cache().Stats(); h != 1 || m != 2 {
+		t.Fatalf("hits=%d misses=%d, want 1/2", h, m)
 	}
 }
 
@@ -244,84 +318,14 @@ func ops8x4k(tag byte) [][]byte {
 	return ops
 }
 
-// opArenaBytes is what one 4 kB operation takes of a cache's arena: its
-// length and its bytes.
-const opArenaBytes = 4 + 4096
-
-// TestVerifyCacheOverwrittenCopyKeepsItsVerdict: more than the arena's worth
-// of operations arrives between a bundle's REQUEST and its PROPAGATE, so the
-// arena write reaches the bundle's copy. Its entry drops the copy and its
-// OpDigests but keeps d and the verdict: the PROPAGATE is hashed again, takes
-// the verdict without a second Ed25519 verification, and stores its copy
-// again, which the next PROPAGATE hits byte for byte. A request too large for
-// the arena keeps a verdict without a copy the same way.
-func TestVerifyCacheOverwrittenCopyKeepsItsVerdict(t *testing.T) {
-	ks := testKeys()
-	pre := newPreverifier(ks, 0)
-	cache := pre.Cache()
-	entry := func(req *Request) cacheEntry {
-		cache.mu.RLock()
-		defer cache.mu.RUnlock()
-		return cache.entries[cache.bySig[[crypto.SignatureSize]byte(req.Sig)]%uint64(len(cache.entries))]
-	}
-	a := signedBundle(ks, 1, 1, ops8x4k('a')...)
-	if _, err := pre.PreverifyClientFrame(a.Marshal(nil), 1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i*8*opArenaBytes <= verifyArenaBytes; i++ {
-		other := signedBundle(ks, 2, types.RequestID(1+8*i), ops8x4k(byte(i))...)
-		if _, err := pre.PreverifyClientFrame(other.Marshal(nil), 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e := entry(a); !e.held || e.hasCopy || e.ops != nil {
-		t.Fatalf("a's entry: held %v, copy %v, OpDigests %v; want its verdict without copy or OpDigests", e.held, e.hasCopy, e.ops != nil)
-	}
-	_, want := a.Digests()
-	for node := types.NodeID(1); node <= 2; node++ {
-		h0, m0 := cache.Stats()
-		v, err := pre.PreverifyNodeFrame(propagateOf(ks, node, a).Marshal(nil), node)
-		if err != nil {
-			t.Fatalf("PROPAGATE from node %d rejected: %v", node, err)
-		}
-		if !slices.Equal(v.OpDigests, want) {
-			t.Fatalf("PROPAGATE from node %d: OpDigests differ from the bundle's", node)
-		}
-		if h, m := cache.Stats(); h != h0+1 || m != m0 {
-			t.Fatalf("PROPAGATE from node %d: hits %d→%d, misses %d→%d; want the cached verdict, no verification", node, h0, h, m0, m)
-		}
-		if e := entry(a); !e.hasCopy {
-			t.Fatalf("PROPAGATE from node %d: a's copy not stored again", node)
-		}
-	}
-
-	huge := signedRequest(ks, 3, 1, bytes.Repeat([]byte{'h'}, verifyArenaBytes))
-	if _, err := pre.PreverifyClientFrame(huge.Marshal(nil), 3); err != nil {
-		t.Fatal(err)
-	}
-	h0, m0 := cache.Stats()
-	if _, err := pre.PreverifyNodeFrame(propagateOf(ks, 1, huge).Marshal(nil), 1); err != nil {
-		t.Fatal(err)
-	}
-	if h, m := cache.Stats(); h != h0+1 || m != m0 {
-		t.Fatalf("a request larger than the arena: hits %d→%d, misses %d→%d; want its verdict cached", h0, h, m0, m)
-	}
-	if e := entry(huge); !e.held || e.hasCopy {
-		t.Fatalf("a request larger than the arena: held %v, copy %v; want a verdict without copy", e.held, e.hasCopy)
-	}
-}
-
 // TestVerifyCacheConcurrentCopies runs a REQUEST and the PROPAGATEs of the
 // same bundles through one preverifier on two goroutines (a race-detector
-// target). The cache holds fewer entries than there are bundles and they
-// carry more operation bytes than its arena, so both evict as it goes. Every
-// copy is accepted with the digests its own bytes hash to.
+// target). The cache holds fewer entries than there are bundles, so it evicts
+// as it goes. Every copy is accepted with the digests its own bytes hash to.
 func TestVerifyCacheConcurrentCopies(t *testing.T) {
 	ks := testKeys()
 	pre := newPreverifier(ks, 8)
-	// Every bundle holds at least two operations, so one round's copies
-	// outgrow the arena.
-	const bundles = verifyArenaBytes/(2*opArenaBytes) + 8
+	const bundles = 40
 	reqs, props := make([][]byte, bundles), make([][]byte, bundles)
 	want := make([][]types.Digest, bundles)
 	for i := range reqs {
@@ -335,7 +339,7 @@ func TestVerifyCacheConcurrentCopies(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			for i, frame := range frames {
 				v, err := verify(i, frame)
-				if err == nil && !slices.Equal(v.OpDigests, want[i]) {
+				if err == nil && (!slices.Equal(v.OpDigests, want[i]) || !v.OpsMatch()) {
 					err = errors.New("accepted with another bundle's OpDigests")
 				}
 				if err != nil {

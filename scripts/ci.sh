@@ -100,8 +100,11 @@ echo "== line gate (ROADMAP items 2 and 9: non-test lines of internal/{core,sim,
 # The ceilings are what earlier changes left behind: the drivers and the node
 # may shrink, never grow back; nor may the protocol instance, since its
 # per-request state became one record per request in flight; nor the
-# transports, since they came down to moving bytes; nor the tooling.
-ceiling_lines=4766 ceiling_code=3240 pbft_ceiling_lines=1536 tooling_ceiling_lines=5062
+# transports, since they came down to moving bytes; nor the tooling; nor the
+# codec and preverify stage, since the verification cache came down to
+# digests and verdicts.
+ceiling_lines=4766 ceiling_code=3238 pbft_ceiling_lines=1536 tooling_ceiling_lines=5062
+message_ceiling_lines=1912 message_ceiling_code=1280
 transports="internal/transport internal/transport/memnet internal/transport/tcpnet internal/transport/udpnet"
 transport_ceiling_lines=1039 transport_ceiling_code=700
 for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "internal/message" "internal/crypto" "$transports"; do
@@ -114,6 +117,10 @@ for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "inter
 	fi
 	if [ "$dirs" = "internal/pbft" ] && [ "$lines" -gt "$pbft_ceiling_lines" ]; then
 		echo "internal/pbft grew past the ceiling of $pbft_ceiling_lines lines"
+		exit 1
+	fi
+	if [ "$dirs" = "internal/message" ] && { [ "$lines" -gt "$message_ceiling_lines" ] || [ "$code" -gt "$message_ceiling_code" ]; }; then
+		echo "internal/message grew past the ceiling of $message_ceiling_lines lines / $message_ceiling_code non-blank non-comment"
 		exit 1
 	fi
 	if [ "$dirs" = "$transports" ] && { [ "$lines" -gt "$transport_ceiling_lines" ] || [ "$code" -gt "$transport_ceiling_code" ]; }; then
