@@ -28,14 +28,9 @@ func putU64(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
 
 func appendU8(b []byte, v uint8) []byte { return append(b, v) }
 
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
+func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
+func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
 func appendBytes(b, p []byte) []byte {
 	b = appendU32(b, uint32(len(p)))

@@ -4,15 +4,13 @@ import "sync"
 
 // Buf is a pooled encode buffer holding one marshaled frame. The egress hot
 // path encodes every outbound message into one of these: steady-state the
-// pool hands back a buffer whose capacity already fits the message (thanks to
-// the EncodedSize hint growing it to the working set's high-water mark), so
-// Encode performs zero allocations per message.
+// pool hands back a buffer whose capacity already fits the message (the
+// EncodedSize hint grows it to the working set's high-water mark), so Encode
+// performs zero allocations per message.
 //
 // A Buf's bytes may be shared read-only across any number of concurrent
-// senders; call Release exactly once, after the last reader is done, to
-// return the buffer to the pool. Releasing while a reader still holds
-// Bytes() is a use-after-free-style race — the pool will hand the backing
-// array to the next Encode.
+// senders. Call Release exactly once, after the last reader is done, since the
+// pool hands the bytes to the next Encode — or ReleaseKept, if readers keep them.
 type Buf struct {
 	b []byte
 }
@@ -39,3 +37,10 @@ func (b *Buf) Len() int { return len(b.b) }
 // Release returns the buffer to the pool. The caller must not touch the
 // buffer (or any slice obtained from Bytes) afterwards.
 func (b *Buf) Release() { encodePool.Put(b) }
+
+// ReleaseKept returns the empty Buf to the pool and leaves its bytes, never
+// to be written again, to whoever holds them.
+func (b *Buf) ReleaseKept() {
+	b.b = nil
+	encodePool.Put(b)
+}

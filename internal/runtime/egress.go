@@ -35,8 +35,7 @@ const (
 )
 
 // egressFrame is one encoded message shared by every peer queue it was
-// fanned out to. refs counts outstanding queue references; the pooled buffer
-// returns to the encode pool when the last reference releases.
+// fanned out to. refs counts outstanding queue references (egress.release).
 type egressFrame struct {
 	buf *message.Buf
 	// lsn is the frame's durability horizon: the WAL position that must be
@@ -55,12 +54,6 @@ type egressFrame struct {
 	req     types.RequestID
 }
 
-func (f *egressFrame) release() {
-	if atomic.AddInt32(&f.refs, -1) == 0 {
-		f.buf.Release()
-	}
-}
-
 // peerQueue is one peer's bounded egress queue plus its gauges. name is the
 // peer's wire name, built when the queue is created.
 type peerQueue struct {
@@ -74,6 +67,7 @@ type peerQueue struct {
 // apply loop enqueues, so the queue map needs no lock.
 type egress struct {
 	tr    transport.Transport
+	keeps bool     // tr delivers the payloads themselves (transport.KeepsPayloads)
 	wal   *wal.Log // nil unless durability is on
 	self  string   // this node's endpoint name, for metric labels
 	reg   *obs.Registry
@@ -89,6 +83,7 @@ type egress struct {
 func newEgress(tr transport.Transport, w *wal.Log, self string, reg *obs.Registry, stop chan struct{}) *egress {
 	return &egress{
 		tr:     tr,
+		keeps:  transport.KeepsPayloads(tr),
 		wal:    w,
 		self:   self,
 		reg:    reg,
@@ -134,7 +129,7 @@ func (e *egress) enqueue(peer endpoint, f *egressFrame) {
 		// just means the retry succeeds immediately.
 		select {
 		case old := <-q.ch:
-			old.release()
+			e.release(old)
 			q.dropped.Inc()
 		default:
 		}
@@ -199,7 +194,7 @@ func (e *egress) worker(q *peerQueue) {
 					// A node that cannot persist must not speak (it could
 					// equivocate after restart); dropping is indistinguishable
 					// from crashing, which the protocol tolerates.
-					releaseAll(batch)
+					e.release(batch...)
 					continue
 				}
 				if e.spans {
@@ -216,7 +211,7 @@ func (e *egress) worker(q *peerQueue) {
 		if e.spans {
 			e.emitReplySpans(batch, walWait)
 		}
-		releaseAll(batch)
+		e.release(batch...)
 	}
 }
 
@@ -245,9 +240,18 @@ func (e *egress) emitReplySpans(batch []*egressFrame, walWait time.Duration) {
 	}
 }
 
-func releaseAll(batch []*egressFrame) {
-	for _, f := range batch {
-		f.release()
+// release drops one queue reference to each frame. The last one returns the
+// frame's buffer to the encode pool, but not the bytes a transport that keeps
+// payloads has handed its receivers: only the empty Buf then.
+func (e *egress) release(frames ...*egressFrame) {
+	for _, f := range frames {
+		switch {
+		case atomic.AddInt32(&f.refs, -1) > 0: // another queue still holds it
+		case e.keeps:
+			f.buf.ReleaseKept()
+		default:
+			f.buf.Release()
+		}
 	}
 }
 

@@ -232,10 +232,63 @@ func TestEgressSharedFrameRefcount(t *testing.T) {
 	}
 }
 
+// TestKeptFramesLeaveTheEncodePool: memnet hands the encoded bytes themselves
+// to the receivers, so a frame's bytes must never go back to the encode pool,
+// whichever queue releases it last and whether it went to nodes or a client.
+// One broadcast and one REPLY go out first, then hundreds more of one encoded
+// size, so that each Encode that drew a recycled buffer from the pool would
+// overwrite what the first receivers still hold.
+func TestKeptFramesLeaveTheEncodePool(t *testing.T) {
+	cluster := types.NewConfig(1)
+	net := memnet.NewNetwork()
+	stop := make(chan struct{})
+	nr := &NodeRuntime{cluster: cluster, tr: net.Endpoint(NodeName(0)), peers: cluster.OtherNodes(0)}
+	nr.eg = newEgress(nr.tr, nil, NodeName(0), nil, stop)
+	defer func() { close(stop); nr.eg.wait() }()
+	var rx []*memnet.Endpoint
+	for _, name := range []string{NodeName(1), NodeName(2), NodeName(3), ClientName(7)} {
+		rx = append(rx, net.Endpoint(name))
+	}
+	round := func(i int) (commit, reply message.Message) {
+		commit = &message.Commit{Instance: 0, View: 1, Seq: types.SeqNum(i), Node: 0,
+			Auth: bytes.Repeat([]byte{byte(i)}, cluster.N*crypto.MACSize)}
+		pad := commit.EncodedSize() - (&message.Reply{}).EncodedSize()
+		reply = &message.Reply{Client: 7, ID: types.RequestID(i), Result: bytes.Repeat([]byte{byte(i)}, pad), Node: 0}
+		nr.emit(core.Output{NodeMsgs: []core.NodeSend{{Msg: commit}}, ClientMsgs: []core.ClientSend{{To: 7, Msg: reply}}})
+		return commit, reply
+	}
+	deliveries := func() [][]byte {
+		got := make([][]byte, len(rx))
+		for i, ep := range rx {
+			select {
+			case p := <-ep.Packets():
+				got[i] = p.Data
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s received nothing", ep.Name())
+			}
+		}
+		return got
+	}
+
+	commit, reply := round(1)
+	held := deliveries()
+	want := [][]byte{commit.Marshal(nil), commit.Marshal(nil), commit.Marshal(nil), reply.Marshal(nil)}
+	for i := 2; i < 400; i++ {
+		round(i)
+		deliveries()
+	}
+	for i, p := range held {
+		if !bytes.Equal(p, want[i]) {
+			t.Fatalf("%s holds %q, not the frame it was sent (%q): its bytes went back to the encode pool", rx[i].Name(), p, want[i])
+		}
+	}
+}
+
 // wedgeEndpoint wraps a memnet endpoint; flushes to the wedged peer block
-// until the test releases them, like a TCP connection with full buffers.
+// until the test releases them, like a TCP connection with full buffers. It
+// embeds the endpoint itself, so it keeps payloads as memnet does.
 type wedgeEndpoint struct {
-	transport.Transport
+	*memnet.Endpoint
 	wedged  string
 	blocked atomic.Int64
 	unblock chan struct{}
@@ -247,7 +300,7 @@ func (w *wedgeEndpoint) SendBatch(to string, payloads [][]byte) error {
 		<-w.unblock
 		return nil
 	}
-	return w.Transport.SendBatch(to, payloads)
+	return w.Endpoint.SendBatch(to, payloads)
 }
 
 // TestApplyLoopSurvivesWedgedPeer is the dead-peer regression test from the
@@ -262,7 +315,7 @@ func TestApplyLoopSurvivesWedgedPeer(t *testing.T) {
 	node := core.New(core.Config{Cluster: cluster, Node: 0, BatchTimeout: time.Millisecond}, ring)
 
 	net := memnet.NewNetwork()
-	we := &wedgeEndpoint{Transport: net.Endpoint(NodeName(0)), wedged: NodeName(1), unblock: make(chan struct{})}
+	we := &wedgeEndpoint{Endpoint: net.Endpoint(NodeName(0)), wedged: NodeName(1), unblock: make(chan struct{})}
 	healthy := net.Endpoint(NodeName(2))
 	clientEp := net.Endpoint(ClientName(1))
 

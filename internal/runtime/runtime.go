@@ -134,7 +134,8 @@ type NodeRuntime struct {
 	pending chan []ingressItem    // reader -> apply loop, arrival-ordered slabs
 	calls   chan func(*core.Node) // WithNode -> apply loop
 	parked  chan *core.Node       // the node, handed back once the apply loop has exited
-	stop    chan struct{}
+	stop    chan struct{}         // closed once, by Stop
+	stopped sync.Once
 	done    chan struct{} // apply loop exited
 	wg      sync.WaitGroup
 }
@@ -193,11 +194,7 @@ func (nr *NodeRuntime) WithNode(fn func(n *core.Node) core.Output) {
 // egress workers — to exit. The transport is closed as part of shutdown;
 // frames still queued for egress are dropped (the protocol tolerates loss).
 func (nr *NodeRuntime) Stop() {
-	select {
-	case <-nr.stop:
-	default:
-		close(nr.stop)
-	}
+	nr.stopped.Do(func() { close(nr.stop) })
 	nr.tr.Close()
 	<-nr.done
 	nr.wg.Wait()
@@ -424,7 +421,8 @@ type ClientRuntime struct {
 	queued      chan struct{} // wakes the loop to flush what Submit/Invoke queued
 	completions chan client.Completed
 	completed   []client.Completed // handlePacket's working slice; the loop's own
-	stop        chan struct{}
+	stop        chan struct{}      // closed once, by Stop
+	stopped     sync.Once
 	done        chan struct{}
 }
 
@@ -463,8 +461,9 @@ func (cr *ClientRuntime) enqueue(op []byte) types.RequestID {
 	return id
 }
 
-// broadcast transmits reqs to every node. Send errors are best-effort: the
-// client retransmits until f+1 replies match.
+// broadcast transmits reqs to every node, each marshaled into a fresh buffer
+// that nothing writes again (memnet hands it to every node as it is). Send
+// errors are best-effort: the client retransmits until f+1 replies match.
 func (cr *ClientRuntime) broadcast(reqs []*message.Request) {
 	for _, req := range reqs {
 		data := req.Marshal(make([]byte, 0, req.EncodedSize()))
@@ -498,11 +497,7 @@ func (cr *ClientRuntime) Invoke(op []byte, timeout time.Duration) (client.Comple
 
 // Stop terminates the event loop.
 func (cr *ClientRuntime) Stop() {
-	select {
-	case <-cr.stop:
-	default:
-		close(cr.stop)
-	}
+	cr.stopped.Do(func() { close(cr.stop) })
 	cr.tr.Close()
 	<-cr.done
 }

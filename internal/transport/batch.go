@@ -47,15 +47,9 @@ func BatchSize(count, totalBytes int) int {
 // AppendBatch appends the batch-frame encoding of payloads to dst and
 // returns the result.
 func AppendBatch(dst []byte, payloads [][]byte) []byte {
-	dst = append(dst, BatchMagic)
-	var cnt [4]byte
-	binary.BigEndian.PutUint32(cnt[:], uint32(len(payloads)))
-	dst = append(dst, cnt[:]...)
+	dst = binary.BigEndian.AppendUint32(append(dst, BatchMagic), uint32(len(payloads)))
 	for _, p := range payloads {
-		var ln [4]byte
-		binary.BigEndian.PutUint32(ln[:], uint32(len(p)))
-		dst = append(dst, ln[:]...)
-		dst = append(dst, p...)
+		dst = append(binary.BigEndian.AppendUint32(dst, uint32(len(p))), p...)
 	}
 	return dst
 }

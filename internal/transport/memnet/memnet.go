@@ -1,11 +1,11 @@
 // Package memnet is an in-process transport: endpoints exchange frames over
 // channels inside one OS process. Used by examples and integration tests
 // that want a full RBFT cluster without sockets, and by fault-injection
-// tests (it supports per-link drop rules).
+// tests (it supports per-link drop rules). Having no wire, it copies nothing:
+// a receiver gets the sender's memory (transport.PayloadKeeper).
 package memnet
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
@@ -43,8 +43,7 @@ func (n *Network) Endpoint(name string) *Endpoint {
 	ep := &Endpoint{
 		net:  n,
 		name: name,
-		// A deep buffer so a slow receiver does not deadlock senders that
-		// hold the node lock; overflow drops (the protocol tolerates loss).
+		// Overflow drops, like a saturated NIC (the protocol tolerates loss).
 		recv: make(chan transport.Packet, 4096),
 	}
 	n.endpoints[name] = ep
@@ -66,7 +65,7 @@ type Endpoint struct {
 	mu      sync.Mutex
 }
 
-var _ transport.Transport = (*Endpoint)(nil)
+var _ transport.PayloadKeeper = (*Endpoint)(nil)
 
 // SetMetrics installs transport counters. Call before the endpoint sends.
 func (e *Endpoint) SetMetrics(m transport.Metrics) {
@@ -75,18 +74,14 @@ func (e *Endpoint) SetMetrics(m transport.Metrics) {
 	e.mu.Unlock()
 }
 
-// noteDropped counts an inbound frame a drop rule discarded.
-func (e *Endpoint) noteDropped() {
-	e.mu.Lock()
-	e.metrics.Dropped.Inc()
-	e.mu.Unlock()
-}
-
 // Name implements transport.Transport.
 func (e *Endpoint) Name() string { return e.name }
 
 // Packets implements transport.Transport.
 func (e *Endpoint) Packets() <-chan transport.Packet { return e.recv }
+
+// KeepsPayloads implements transport.PayloadKeeper.
+func (e *Endpoint) KeepsPayloads() {}
 
 // Send implements transport.Transport.
 func (e *Endpoint) Send(to string, data []byte) error {
@@ -100,22 +95,17 @@ func (e *Endpoint) Send(to string, data []byte) error {
 	return nil
 }
 
-// SendBatch implements transport.Transport. The payloads of one coalesced
-// frame arrive as individual Packets that share one receiver-owned buffer —
-// what a socket transport's read of a batch frame delivers: each Packet.Data
-// is a capacity-clipped slice of it, and whoever retains one payload retains
-// the buffer.
+// SendBatch implements transport.Transport.
 func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
 	return transport.Coalesce(payloads, transport.MaxFrame, e.metrics, func(run [][]byte, _ int) error {
 		return e.transmit(to, run)
 	})
 }
 
-// transmit carries the frame of run (transport.AppendFrame) to peer to. The
-// frame itself is only assembled for a fault-injection drop rule to look at —
-// it sees the whole frame, as it would on a real wire; the receiver gets
-// run's payloads copied into one buffer (one allocation of exactly their
-// total) the sender no longer reaches.
+// transmit carries the frame of run (transport.AppendFrame) to peer to. It
+// assembles the frame only for a fault-injection drop rule, which sees it
+// whole, as on a real wire; the receiver gets each payload itself, clipped to
+// its capacity so that an append copies.
 func (e *Endpoint) transmit(to string, run [][]byte) error {
 	e.net.mu.RLock()
 	dst, ok := e.net.endpoints[to]
@@ -125,25 +115,24 @@ func (e *Endpoint) transmit(to string, run [][]byte) error {
 		return fmt.Errorf("%w: %q", transport.ErrUnknownPeer, to)
 	}
 	if drop != nil && drop(e.name, to, transport.AppendFrame(nil, run)) {
-		dst.noteDropped()
-		return nil // silently dropped (fault injection)
+		dst.mu.Lock()
+		dst.metrics.Dropped.Inc() // silently dropped (fault injection)
+		dst.mu.Unlock()
+		return nil
 	}
-	buf := bytes.Join(run, nil)
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
 	if dst.done {
 		return transport.ErrClosed
 	}
 	for _, p := range run {
-		dst.enqueueLocked(e.name, buf[:len(p):len(p)])
-		buf = buf[len(p):]
+		dst.enqueueLocked(e.name, p[:len(p):len(p)])
 	}
 	return nil
 }
 
-// enqueueLocked hands the receiver buf, one payload from peer from in memory
-// the sender no longer reaches, dropping it on overflow. The caller holds
-// e.mu.
+// enqueueLocked hands the receiver buf, one payload from peer from, dropping
+// it on overflow. The caller holds e.mu.
 func (e *Endpoint) enqueueLocked(from string, buf []byte) {
 	select {
 	case e.recv <- transport.Packet{From: from, Data: buf}:

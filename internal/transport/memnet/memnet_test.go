@@ -38,54 +38,65 @@ func metricsOn(e *Endpoint) transport.Metrics {
 	return m
 }
 
-// TestSendBatchSharesOneBuffer pins what a coalesced flush costs the receiver:
-// one buffer, which the payloads are consecutive capacity-clipped slices of —
-// the shape a socket transport's read of a batch frame delivers — and which
-// the sender no longer reaches.
-func TestSendBatchSharesOneBuffer(t *testing.T) {
+// TestSendHandsOverThePayloads pins what memnet's having no wire means: it
+// copies nothing. Send and SendBatch allocate nothing per payload; each
+// Packet.Data is the sender's own memory, clipped to its length, so that an
+// append by whoever holds it copies instead of overwriting what follows; and a
+// drop rule still sees the whole frame, as it would on a real wire.
+func TestSendHandsOverThePayloads(t *testing.T) {
 	net := NewNetwork()
 	a, b := net.Endpoint("a"), net.Endpoint("b")
-	sent := [][]byte{[]byte("alpha"), []byte("be"), {}, []byte("gamma-delta")}
-	want := make([][]byte, len(sent))
-	for i, p := range sent {
-		want[i] = bytes.Clone(p)
+	if !transport.KeepsPayloads(a) {
+		t.Fatal("a memnet endpoint is no transport.PayloadKeeper")
 	}
+	const whole = "alphabegamma-delta"
+	buf := []byte(whole) // the payloads lie back to back in it
+	sent := [][]byte{buf[:5], buf[5:7], buf[7:7], buf[7:]}
+	var seen [][]byte
+	net.SetDropRule(func(from, to string, data []byte) bool {
+		seen = append(seen, bytes.Clone(data))
+		return false
+	})
 	if err := a.SendBatch("b", sent); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range sent {
-		for i := range p {
-			p[i] = 'X' // the sender reuses its pooled encode buffers at once
-		}
+	if len(seen) != 1 || !bytes.Equal(seen[0], transport.AppendBatch(nil, sent)) {
+		t.Fatalf("drop rule saw %q, want the one batch frame", seen)
 	}
-	got := recv(t, b, len(sent))
-	next := reflect.ValueOf(got[0].Data).Pointer() // where the following payload must start
-	for i, p := range got {
-		if p.From != "a" || !bytes.Equal(p.Data, want[i]) {
-			t.Fatalf("payload %d: got %q from %q, want %q from a", i, p.Data, p.From, want[i])
+	for i, p := range recv(t, b, len(sent)) {
+		if p.From != "a" || !bytes.Equal(p.Data, sent[i]) {
+			t.Fatalf("payload %d: got %q from %q, want %q from a", i, p.Data, p.From, sent[i])
+		}
+		if at, want := reflect.ValueOf(p.Data).Pointer(), reflect.ValueOf(sent[i]).Pointer(); at != want {
+			t.Fatalf("payload %d at %#x, want the sender's memory at %#x", i, at, want)
 		}
 		if cap(p.Data) != len(p.Data) {
 			t.Fatalf("payload %d: capacity %d reaches past its %d bytes into the next payload", i, cap(p.Data), len(p.Data))
 		}
-		if at := reflect.ValueOf(p.Data).Pointer(); at != next {
-			t.Fatalf("payload %d starts at %#x, want %#x: not back to back with payload %d in one buffer", i, at, next, i-1)
-		}
-		next += uintptr(len(p.Data))
+		_ = append(p.Data, "!!"...)
 	}
-	// An append by whoever holds one payload must copy, not overwrite the next.
-	_ = append(got[0].Data, "!!"...)
-	if !bytes.Equal(got[1].Data, want[1]) {
-		t.Fatalf("append to payload 0 changed payload 1 to %q", got[1].Data)
+	if string(buf) != whole {
+		t.Fatalf("an append to a delivered payload overwrote the sender's buffer: %q", buf)
 	}
 
-	// A single Send stays a private copy too.
-	solo := []byte("solo")
-	if err := a.Send("b", solo); err != nil {
-		t.Fatal(err)
+	net.SetDropRule(nil)
+	solo := sent[0]
+	drain := func() {
+		for len(b.Packets()) > 0 {
+			<-b.Packets()
+		}
 	}
-	solo[0] = 'X'
-	if p := recv(t, b, 1)[0]; string(p.Data) != "solo" {
-		t.Fatalf("Send delivered %q, want a private copy of \"solo\"", p.Data)
+	send := func() {
+		if err := a.SendBatch("b", sent); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Send("b", solo); err != nil {
+			t.Fatal(err)
+		}
+		drain()
+	}
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Fatalf("SendBatch of %d payloads and one Send: %v allocs, want 0", len(sent), n)
 	}
 }
 

@@ -22,32 +22,29 @@ import (
 type Packet struct {
 	// From is the sender's claimed endpoint name.
 	From string
-	// Data is the frame payload. It belongs to the receiver and is immutable:
-	// the transport never touches the bytes again after delivery, and the
-	// receiver must not modify them, because a message decoded from the
-	// payload aliases it (message.Decode copies no variable-length field).
-	// Whoever retains the message retains the payload — and, for a payload
-	// split out of a coalesced batch frame, the frame around it, of which
-	// the payload is a capacity-clipped slice: an append to it copies. A
-	// payload read from a stream (tcpnet) is likewise a clipped slice of the
-	// read chunk it arrived in, and retaining it retains that chunk, up to
-	// 64 KiB, which the transport never writes to again.
+	// Data is the frame payload, immutable: neither transport nor sender
+	// writes it again (see Send), and the receiver must not, because a
+	// message decoded from it aliases it (message.Decode copies no
+	// variable-length field). It is a capacity-clipped slice, so an append
+	// copies, of memory that whoever retains the message retains: a socket's
+	// read chunk (tcpnet, up to 64 KiB) or datagram, or on memnet the
+	// sender's own buffer, which the other receivers of a broadcast share.
 	Data []byte
 }
 
 // Transport is one endpoint's connection to the cluster.
 type Transport interface {
 	// Send transmits data to the named peer. It may block briefly but must
-	// not block indefinitely on a slow peer.
+	// not block indefinitely on a slow peer. The sender must not write data
+	// again unless it knows the transport copies it: a PayloadKeeper hands
+	// the bytes themselves to the receiver.
 	Send(to string, data []byte) error
 	// SendBatch transmits the payloads to the named peer, in order, in as few
 	// wire frames as the transport's frame limit allows (Coalesce): several
 	// payloads share one batch frame (one length-prefixed frame on TCP, one
 	// datagram on UDP), amortising the per-frame overhead. The receiving side
 	// splits batch frames back into individual Packets, so SendBatch is
-	// equivalent to calling Send once per payload, only cheaper on both
-	// sides: the Packets of one batch are slices of one receiver-owned buffer
-	// (see Packet.Data). Like Send, it must not block indefinitely.
+	// equivalent to calling Send once per payload, only cheaper.
 	SendBatch(to string, payloads [][]byte) error
 	// Packets returns the receive channel. It is closed when the transport
 	// closes.
@@ -72,6 +69,22 @@ func PayloadBudget(tr Transport) int {
 		return l.MaxPayload()
 	}
 	return MaxFrame
+}
+
+// PayloadKeeper is a transport that delivers the payloads it is sent, not
+// copies: memnet, which has no wire to copy them to. A wrapper around a keeper
+// must be one too.
+type PayloadKeeper interface {
+	Transport
+	// KeepsPayloads marks the capability; it does nothing.
+	KeepsPayloads()
+}
+
+// KeepsPayloads reports whether tr is a PayloadKeeper, so that the memory of
+// what it is sent must never be reused.
+func KeepsPayloads(tr Transport) bool {
+	_, ok := tr.(PayloadKeeper)
+	return ok
 }
 
 // Metrics bundles the per-endpoint transport counters. The zero value is
