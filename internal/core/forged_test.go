@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"rbft/internal/app"
 	"rbft/internal/crypto"
 	"rbft/internal/message"
 	"rbft/internal/types"
@@ -190,6 +193,97 @@ func TestForgedPropagateVariantsLeaveNoTrace(t *testing.T) {
 			if len(n.pending) != 0 || sendsPropagate(out) || len(out.Executions) != 0 || n.floodCounts[forger] != 1 {
 				t.Fatalf("%d records, forwarded %v, %d executions, %d flood counts; want 0, false, 0, 1",
 					len(n.pending), sendsPropagate(out), len(out.Executions), n.floodCounts[forger])
+			}
+		})
+	}
+}
+
+// readLog is a node's app.Counter that also answers every read, recording the
+// operations it read.
+type readLog struct {
+	*app.Counter
+	ops [][]byte
+}
+
+func (r *readLog) ExecuteRead(op []byte) ([]byte, bool) {
+	r.ops = append(r.ops, op)
+	return []byte("read"), true
+}
+
+// TestForgedClientRequestAfterItsGenuineCopy: the client MAC covers the signed
+// digest, not the operations, so whoever sits on a client's path can send its
+// REQUEST with forged operations under the genuine header, signature and MAC.
+// Here that copy reaches each node after the node's verifier cached the
+// genuine copy, so it takes the genuine digests unread and is accepted,
+// unchecked. For a single request, a bundle and a read alike, the node
+// neither stores, executes, reads nor forwards it; no node's flood count
+// moves and the client is not blacklisted. The genuine copy applied next is
+// processed as if it had come alone, and the writes execute once everywhere.
+func TestForgedClientRequestAfterItsGenuineCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		forge  func(nc *nodeCluster) (genuine, forged *message.Request)
+		counts uint64 // what the genuine copy adds to client 1's counter
+	}{
+		{"single", func(nc *nodeCluster) (*message.Request, *message.Request) {
+			genuine := nc.client(1).NewRequest(counterOps(1)[0], nc.now)
+			return genuine, withOp(genuine, 0, counterOps(9)[8])
+		}, 1},
+		{"bundle", func(nc *nodeCluster) (*message.Request, *message.Request) {
+			genuine := nc.queueBundle(1, counterOps(4)...)
+			return genuine, withOp(genuine, 2, counterOps(9)[8])
+		}, 1 + 2 + 3 + 4},
+		{"read-only", func(nc *nodeCluster) (*message.Request, *message.Request) {
+			genuine := nc.client(1).NewReadRequest([]byte("GET k"), nc.now)
+			return genuine, withOp(genuine, 0, []byte("GET x"))
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reads := make([]*readLog, 4)
+			nc := newNodeCluster(t, 1, func(c *Config) {
+				reads[c.Node] = &readLog{Counter: c.App.(*app.Counter)}
+				c.App = reads[c.Node]
+			})
+			genuine, forged := tc.forge(nc)
+			for i, n := range nc.nodes {
+				v, err := n.Preverifier().PreverifyClientFrame(frameOf(genuine), 1)
+				if err != nil {
+					t.Fatalf("node %d rejected the genuine copy: %v", i, err)
+				}
+				vf, err := n.Preverifier().PreverifyClientFrame(frameOf(forged), 1)
+				if err != nil {
+					t.Fatalf("node %d: forged copy %v, want an unchecked certificate", i, err)
+				}
+				out := n.OnVerified(vf, nc.now)
+				if len(n.pending) != 0 || sendsPropagate(out) || len(out.Executions) != 0 || len(out.ClientMsgs) != 0 || len(reads[i].ops) != 0 {
+					t.Fatalf("node %d, forged copy: %d records, forwarded %v, %d executions, %d replies, %d reads; want none",
+						i, len(n.pending), sendsPropagate(out), len(out.Executions), len(out.ClientMsgs), len(reads[i].ops))
+				}
+				if slices.ContainsFunc(n.floodCounts, func(c int) bool { return c != 0 }) || n.client(1, nc.now).blacklisted {
+					t.Fatalf("node %d, forged copy: flood counts %v, client blacklisted %v; want no blame", i, n.floodCounts, n.client(1, nc.now).blacklisted)
+				}
+
+				out = n.OnVerified(v, nc.now)
+				if genuine.ReadOnly {
+					if len(reads[i].ops) != 1 || !bytes.Equal(reads[i].ops[0], genuine.Op) || len(out.ClientMsgs) != 1 {
+						t.Fatalf("node %d, genuine read: read %q, %d replies; want %q once, answered", i, reads[i].ops, len(out.ClientMsgs), genuine.Op)
+					}
+				} else if len(n.pending) != genuine.Len() || !sendsPropagate(out) {
+					t.Fatalf("node %d, genuine copy: %d records, forwarded %v; want %d, true", i, len(n.pending), sendsPropagate(out), genuine.Len())
+				}
+				if r := forgedBody(n); r != nil {
+					t.Fatalf("node %d keeps request %d with an operation that does not hash to its digest", i, r.ref.ID)
+				}
+				nc.collect(types.NodeID(i), out)
+			}
+			nc.runFor(200 * time.Millisecond)
+			if !genuine.ReadOnly {
+				nc.requireExecutedOnce(1, genuine.ID, genuine.ID+types.RequestID(genuine.Len())-1)
+			}
+			for i, a := range nc.apps {
+				if got := a.Total(1); got != tc.counts {
+					t.Fatalf("node %d counts %d for client 1, want the genuine copy's %d", i, got, tc.counts)
+				}
 			}
 		})
 	}

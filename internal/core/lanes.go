@@ -144,9 +144,7 @@ func (m *laneMerge) finishRestore(stable []types.SeqNum) {
 }
 
 // multiPrimary reports whether the node runs multi-primary ordering.
-func (n *Node) multiPrimary() bool {
-	return n.cfg.OrderingMode == types.OrderingMultiPrimary
-}
+func (n *Node) multiPrimary() bool { return n.cfg.OrderingMode == types.OrderingMultiPrimary }
 
 // lanes returns the replicas a request of client c goes to, and which hold
 // its ref: its partition's lane in multi-primary mode, all of them otherwise.

@@ -105,11 +105,12 @@ func (n *Node) release(cs *clientState, key types.RequestKey) {
 // applyRequest runs the Propagation module for req, the request or bundle a
 // preverified client REQUEST (v.FromClient) or PROPAGATE from node v.From
 // carries. Each of its requests is a request of its own: one record, one
-// sender set, one dispatch once f+1 PROPAGATEs are in. The node sends its own
-// PROPAGATE — of the whole bundle, MAC'd over v.Digest — once, the first time
-// any of them is news. A vote for a ref the node holds reads no operation
-// byte; a new body is stored only if the vote's bytes hash to its digest, else
-// the vote is dropped and counted against its sender. All records are stored
+// sender set, one dispatch once f+1 PROPAGATEs are in. A copy for held refs
+// reads no operation byte. Only a copy whose bytes hash to its digest
+// (v.OpsMatch) has a read executed or new bodies stored, and only one that
+// stored a body is sent on as the node's own PROPAGATE, MAC'd over v.Digest;
+// any other is dropped, and counted against a sending node but never against
+// a client, whose operations lie outside its MAC. All records are stored
 // before the first dispatch, which can execute and release records (a released
 // one is cleared, so its turn dispatches nothing); stored ones pin the client.
 func (n *Node) applyRequest(out *Output, req *message.Request, v *message.Verified, now time.Time) {
@@ -127,7 +128,7 @@ func (n *Node) applyRequest(out *Output, req *message.Request, v *message.Verifi
 		// state or not at all — the client accepts only a read quorum (2f+1)
 		// of matching replies and otherwise re-issues through ordering.
 		if req.ReadOnly {
-			if n.reader != nil {
+			if n.reader != nil && v.OpsMatch() {
 				if result, ok := n.reader.ExecuteRead(req.Op); ok {
 					n.reply(req.Client, id, id, result)
 				}
@@ -150,18 +151,19 @@ func (n *Node) applyRequest(out *Output, req *message.Request, v *message.Verifi
 		r := n.lookup(ref)
 		if r == nil {
 			if !v.OpsMatch() {
-				n.countInvalid(out, v.From, now)
+				if !v.FromClient {
+					n.countInvalid(out, v.From, now)
+				}
 				break
 			}
-			r = n.storeBody(cs, ref, req.ID, req.OpAt(i))
-		}
-		if r == nil {
-			continue
+			if r = n.storeBody(cs, ref, req.ID, req.OpAt(i)); r == nil {
+				continue
+			}
+			news = r.addSender(n.cfg.Node) || news
 		}
 		if !v.FromClient {
 			r.addSender(v.From)
 		}
-		news = r.addSender(n.cfg.Node) || news
 		n.stored = append(n.stored, r)
 	}
 	n.sendReplies(out)

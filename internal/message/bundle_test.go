@@ -150,12 +150,13 @@ func TestBundleCaps(t *testing.T) {
 }
 
 // TestBundleTamperingRejected: every way of altering a signed bundle is
-// caught — at MAC cost when the frame is altered in flight; and when a faulty
-// node relays the altered bundle in a PROPAGATE it MACs itself, by the client
-// signature if the header changed, else by the MAC, which covers the genuine
-// digest the cache hands the copy. The cache holds the genuine bundle's
-// verdict throughout. Operations altered under the genuine header and MAC'd
-// over the genuine digest are a vote whose operations fail OpsMatch.
+// caught. The cache holds the genuine bundle's verdict throughout. Altered in
+// flight, a changed header fails the client's MAC; changed operations under
+// the genuine header take the genuine digest the client MAC'd, so they are a
+// copy whose operations fail OpsMatch. Relayed by a faulty node in a PROPAGATE
+// it MACs itself, the bundle fails the client signature if the header
+// changed, else the MAC, which covers the genuine digest the cache hands the
+// copy; MAC'd over that digest, it is again a copy that fails OpsMatch.
 func TestBundleTamperingRejected(t *testing.T) {
 	ks := testKeys()
 	genuine := signedBundle(ks, 1, 10, bundleOps(6)...)
@@ -166,26 +167,29 @@ func TestBundleTamperingRejected(t *testing.T) {
 		return &r
 	}
 	for _, tc := range []struct {
-		name    string
-		req     *Request
-		relayed FailKind // 0: an unchecked vote, MAC'd over the genuine digest
+		name              string
+		req               *Request
+		inFlight, relayed FailKind // 0: an unchecked copy, MAC'd over the genuine digest
 	}{
-		{"one op changed", tampered(func(r *Request) { r.Rest[2] = []byte("op-99") }), FailBadMAC},
-		{"two ops swapped", tampered(func(r *Request) { r.Rest[0], r.Rest[1] = r.Rest[1], r.Rest[0] }), FailBadMAC},
-		{"first two ops swapped", tampered(func(r *Request) { r.Op, r.Rest[0] = r.Rest[0], r.Op }), FailBadMAC},
-		{"op dropped", tampered(func(r *Request) { r.Rest = r.Rest[:len(r.Rest)-1] }), FailBadSig},
-		{"op appended", tampered(func(r *Request) { r.Rest = append(r.Rest, []byte("op-06")) }), FailBadSig},
-		{"wrong first id", tampered(func(r *Request) { r.ID++ }), FailBadSig},
-		{"bundle cut to one op", tampered(func(r *Request) { r.Rest = nil }), FailBadSig},
-		{"one op changed, MAC'd over the genuine digest", tampered(func(r *Request) { r.Rest[2] = []byte("op-99") }), 0},
+		{"one op changed", tampered(func(r *Request) { r.Rest[2] = []byte("op-99") }), 0, FailBadMAC},
+		{"two ops swapped", tampered(func(r *Request) { r.Rest[0], r.Rest[1] = r.Rest[1], r.Rest[0] }), 0, FailBadMAC},
+		{"first two ops swapped", tampered(func(r *Request) { r.Op, r.Rest[0] = r.Rest[0], r.Op }), 0, FailBadMAC},
+		{"op dropped", tampered(func(r *Request) { r.Rest = r.Rest[:len(r.Rest)-1] }), FailBadMAC, FailBadSig},
+		{"op appended", tampered(func(r *Request) { r.Rest = append(r.Rest, []byte("op-06")) }), FailBadMAC, FailBadSig},
+		{"wrong first id", tampered(func(r *Request) { r.ID++ }), FailBadMAC, FailBadSig},
+		{"bundle cut to one op", tampered(func(r *Request) { r.Rest = nil }), FailBadMAC, FailBadSig},
+		{"one op changed, MAC'd over the genuine digest", tampered(func(r *Request) { r.Rest[2] = []byte("op-99") }), 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pre := newPreverifier(ks, 16)
 			if _, err := pre.PreverifyClientFrame(genuine.Marshal(nil), 1); err != nil {
 				t.Fatalf("genuine bundle rejected: %v", err)
 			}
-			if _, err := pre.PreverifyClientFrame(tc.req.Marshal(nil), 1); failKindOf(err) != FailBadMAC {
-				t.Errorf("altered in flight: got %v, want bad-mac", err)
+			v, err := pre.PreverifyClientFrame(tc.req.Marshal(nil), 1)
+			if tc.inFlight == 0 {
+				requireForgedCopy(t, v, err, genuine)
+			} else if failKindOf(err) != tc.inFlight {
+				t.Errorf("altered in flight: got %v, want %s", err, tc.inFlight)
 			}
 			if tc.relayed == 0 {
 				d, _ := genuine.Digests()

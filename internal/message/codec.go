@@ -93,29 +93,21 @@ func (r *reader) take(n int) []byte {
 	return p
 }
 
-func (r *reader) u8() uint8 {
-	p := r.take(1)
-	if p == nil {
-		return 0
+var zeros [8]byte
+
+// word is take for a fixed-size field of n ≤ 8 bytes: zeros once r failed.
+func (r *reader) word(n int) []byte {
+	if p := r.take(n); p != nil {
+		return p
 	}
-	return p[0]
+	return zeros[:n]
 }
 
-func (r *reader) u32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(p)
-}
+func (r *reader) u8() uint8 { return r.word(1)[0] }
 
-func (r *reader) u64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(p)
-}
+func (r *reader) u32() uint32 { return binary.BigEndian.Uint32(r.word(4)) }
+
+func (r *reader) u64() uint64 { return binary.BigEndian.Uint64(r.word(8)) }
 
 func (r *reader) bytes() []byte {
 	n := r.u32()
@@ -131,12 +123,8 @@ func (r *reader) bytes() []byte {
 	return p[:len(p):len(p)]
 }
 
-func (r *reader) digest() types.Digest {
-	var d types.Digest
-	p := r.take(types.DigestSize)
-	if p != nil {
-		copy(d[:], p)
-	}
+func (r *reader) digest() (d types.Digest) {
+	copy(d[:], r.take(types.DigestSize)) // nothing to copy when truncated
 	return d
 }
 
@@ -356,51 +344,35 @@ func decodeNewView(r *reader) *NewView {
 		View:     types.View(r.u64()),
 		Node:     types.NodeID(r.u64()),
 	}
-	nvc := r.u32()
-	if nvc > 1<<16 {
-		r.fail(ErrOversized)
-		return nv
-	}
-	nv.ViewChanges = make([]ViewChange, 0, nvc)
-	for i := uint32(0); i < nvc && r.err == nil; i++ {
-		sub, err := decodeSub(r.bytes())
-		if err != nil {
-			r.fail(err)
-			return nv
-		}
-		vc, ok := sub.(*ViewChange)
-		if !ok {
-			r.fail(fmt.Errorf("%w: new-view embeds %T", ErrUnknownType, sub))
-			return nv
-		}
-		nv.ViewChanges = append(nv.ViewChanges, *vc)
-	}
-	npp := r.u32()
-	if npp > 1<<16 {
-		r.fail(ErrOversized)
-		return nv
-	}
-	nv.PrePrepares = make([]PrePrepare, 0, npp)
-	for i := uint32(0); i < npp && r.err == nil; i++ {
-		sub, err := decodeSub(r.bytes())
-		if err != nil {
-			r.fail(err)
-			return nv
-		}
-		pp, ok := sub.(*PrePrepare)
-		if !ok {
-			r.fail(fmt.Errorf("%w: new-view embeds %T", ErrUnknownType, sub))
-			return nv
-		}
-		nv.PrePrepares = append(nv.PrePrepares, *pp)
-	}
+	nv.ViewChanges = decodeEmbedded[ViewChange](r)
+	nv.PrePrepares = decodeEmbedded[PrePrepare](r)
 	nv.Auth = r.auth()
 	return nv
 }
 
-func decodeSub(data []byte) (Message, error) {
-	if data == nil {
-		return nil, ErrTruncated
+// decodeEmbedded reads a NEW-VIEW's count of embedded messages of type T, at
+// most 1<<16, and each of them, a frame of its own.
+func decodeEmbedded[T any, P interface {
+	*T
+	Message
+}](r *reader) []T {
+	n := r.u32()
+	if n > 1<<16 {
+		r.fail(ErrOversized)
+		return nil
 	}
-	return Decode(data)
+	out := make([]T, 0, n)
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		sub, err := Decode(r.bytes()) // nil, so ErrTruncated, when r failed
+		m, ok := sub.(P)
+		if err == nil && !ok {
+			err = fmt.Errorf("%w: new-view embeds %T", ErrUnknownType, sub)
+		}
+		if err != nil {
+			r.fail(err)
+			return out
+		}
+		out = append(out, *m)
+	}
+	return out
 }

@@ -8,8 +8,8 @@
 // with a variable-length payload entering only through a digest that binds
 // it (a REQUEST through OpDigest, a bundle of requests through BundleDigest,
 // a PRE-PREPARE through BatchDigest). A signature or MAC thus costs the same
-// whatever the payload size, and the payload is hashed once per received
-// frame (docs/PIPELINE.md has the bytes).
+// whatever the payload size, and a node hashes a request's payload once,
+// whichever of its copies arrives first (docs/PIPELINE.md has the bytes).
 //
 // Encoding is allocation-disciplined: every message knows its exact encoded
 // length (EncodedSize) and Marshal appends in place, so marshalling into a
@@ -283,9 +283,7 @@ func (m *Request) appendWire(b []byte) []byte {
 func (m *Request) EncodedSize() int { return m.wireSize() + authSize(m.Auth) }
 
 // Marshal implements Message.
-func (m *Request) Marshal(dst []byte) []byte {
-	return appendAuth(m.appendWire(dst), m.Auth)
-}
+func (m *Request) Marshal(dst []byte) []byte { return appendAuth(m.appendWire(dst), m.Auth) }
 
 // Propagate is a node's forwarding of a verified client request — or a whole
 // bundle — to all other nodes, authenticated with a MAC authenticator.
@@ -602,9 +600,7 @@ func (m *InstanceChange) Body() []byte { return m.AppendBody(make([]byte, 0, 1+8
 func (m *InstanceChange) EncodedSize() int { return 1 + 8 + 8 + authSize(m.Auth) }
 
 // Marshal implements Message.
-func (m *InstanceChange) Marshal(dst []byte) []byte {
-	return appendAuth(m.AppendBody(dst), m.Auth)
-}
+func (m *InstanceChange) Marshal(dst []byte) []byte { return appendAuth(m.AppendBody(dst), m.Auth) }
 
 // PreparedProof is one prepared-but-possibly-uncommitted entry carried in a
 // VIEW-CHANGE so the new primary can re-propose it.
@@ -664,9 +660,7 @@ func (m *ViewChange) Body() []byte { return m.appendBody(make([]byte, 0, m.bodyS
 func (m *ViewChange) EncodedSize() int { return m.bodySize() + 4 + len(m.Sig) }
 
 // Marshal implements Message.
-func (m *ViewChange) Marshal(dst []byte) []byte {
-	return appendBytes(m.appendBody(dst), m.Sig)
-}
+func (m *ViewChange) Marshal(dst []byte) []byte { return appendBytes(m.appendBody(dst), m.Sig) }
 
 // NewView is the new primary's installation message for a view: the 2f+1
 // VIEW-CHANGE proofs it collected and the PRE-PREPAREs it re-issues for
@@ -722,9 +716,7 @@ func (m *NewView) Body() []byte { return m.appendBody(make([]byte, 0, m.bodySize
 func (m *NewView) EncodedSize() int { return m.bodySize() + authSize(m.Auth) }
 
 // Marshal implements Message.
-func (m *NewView) Marshal(dst []byte) []byte {
-	return appendAuth(m.appendBody(dst), m.Auth)
-}
+func (m *NewView) Marshal(dst []byte) []byte { return appendAuth(m.appendBody(dst), m.Auth) }
 
 // Checkpoint advertises a replica's ordering-log digest at sequence Seq so
 // replicas can establish stable checkpoints and garbage-collect their logs.
@@ -761,9 +753,7 @@ func (m *Checkpoint) Body() []byte { return m.AppendBody(make([]byte, 0, checkpo
 func (m *Checkpoint) EncodedSize() int { return checkpointBodySize + authSize(m.Auth) }
 
 // Marshal implements Message.
-func (m *Checkpoint) Marshal(dst []byte) []byte {
-	return appendAuth(m.AppendBody(dst), m.Auth)
-}
+func (m *Checkpoint) Marshal(dst []byte) []byte { return appendAuth(m.AppendBody(dst), m.Auth) }
 
 // Invalid is a deliberately garbage message used by the attack harness to
 // model flooding with unverifiable traffic of a chosen size.
@@ -790,6 +780,4 @@ func (m *Invalid) Body() []byte { return m.appendBody(make([]byte, 0, m.EncodedS
 func (m *Invalid) EncodedSize() int { return 1 + 8 + 4 + len(m.Padding) }
 
 // Marshal implements Message.
-func (m *Invalid) Marshal(dst []byte) []byte {
-	return m.appendBody(dst)
-}
+func (m *Invalid) Marshal(dst []byte) []byte { return m.appendBody(dst) }

@@ -36,20 +36,14 @@ const (
 	FailBadSig
 )
 
+var failKindNames = [...]string{"unknown", "malformed", "wrong-sender", "bad-mac", "bad-sig"}
+
 // String implements fmt.Stringer.
 func (k FailKind) String() string {
-	switch k {
-	case FailMalformed:
-		return "malformed"
-	case FailWrongSender:
-		return "wrong-sender"
-	case FailBadMAC:
-		return "bad-mac"
-	case FailBadSig:
-		return "bad-sig"
-	default:
-		return "unknown"
+	if int(k) >= len(failKindNames) {
+		k = 0
 	}
+	return failKindNames[k]
 }
 
 // PreverifyError is a classified preverification failure. FromClient with
@@ -80,8 +74,8 @@ func failKind(kind FailKind, err error) error { return &PreverifyError{Kind: kin
 type Verified struct {
 	// Msg is the decoded message.
 	Msg Message
-	// unchecked marks a PROPAGATE that took Digest and OpDigests from the
-	// cache entry of the request it copies, its operations unread.
+	// unchecked marks a REQUEST or PROPAGATE that took Digest and OpDigests
+	// from the cache entry of the request it copies, its operations unread.
 	unchecked bool
 	// FromClient reports whether the frame arrived on the client NIC; Client
 	// is then the authenticated client, otherwise From is the authenticated
@@ -103,11 +97,15 @@ type Verified struct {
 
 // OpsMatch reports whether the operations of the verified REQUEST or
 // PROPAGATE hash to Digest, and so to OpDigests. Preverification hashed them
-// unless v is an unchecked PROPAGATE: then OpsMatch does, once, and a node
-// must call it before it keeps the copy's operations.
+// unless v is unchecked: then OpsMatch does, once, and a node must call it
+// before it keeps, executes or forwards the copy's operations.
 func (v *Verified) OpsMatch() bool {
 	if v.unchecked {
-		if !v.Msg.(*Propagate).Req.hashesTo(v.Digest) {
+		req, ok := v.Msg.(*Request)
+		if !ok {
+			req = &v.Msg.(*Propagate).Req
+		}
+		if !req.hashesTo(v.Digest) {
 			return false
 		}
 		v.unchecked = false
@@ -126,21 +124,18 @@ func (v *Verified) OpDigest(i int) types.Digest {
 
 // VerifyCache remembers what checking a request's or bundle's client signature
 // produced, so that the copies of it that follow cost a node no Ed25519
-// verification and, in a PROPAGATE, no pass over their operations. RBFT
-// delivers every signed request to each node n times — from the client, then
-// in a PROPAGATE from each other node — and clients retransmit.
+// verification and no pass over their operations. RBFT delivers every signed
+// request to each node n times — from the client, then in a PROPAGATE from
+// each other node — and clients retransmit.
 //
 // An entry is keyed by the client signature. It holds the request's client,
 // first id, wire tag and count, its signed digest d, its OpDigests and the
-// verdict, and nothing else. A request is known to an entry when its client,
-// first id, tag and count equal the entry's. A known client REQUEST is hashed
-// and takes the verdict only if its own d is the entry's: the read-only path
-// executes its operation. A known PROPAGATE of a verified request takes d and
-// the OpDigests from the entry without reading its operations, and comes back
-// marked unchecked: the node binds them to d (Verified.OpsMatch) at the one
-// place it keeps them. Either way the frame's MAC is checked against d before
-// the verdict is used, so a changed client, first id, tag or count never
-// rides a verdict computed for another header.
+// verdict, and nothing else. A copy whose client, first id, tag and count are
+// a verified entry's — client REQUEST or PROPAGATE — takes d and the OpDigests
+// without reading its operations and comes back marked unchecked: the node
+// binds them to d (Verified.OpsMatch) where it keeps, executes or forwards
+// them. The frame's MAC is checked against d first, so a changed header never
+// rides a verdict computed for another.
 //
 // Verdicts are deterministic for fixed bytes, so failures are cached too, but
 // a failure never replaces a verified entry under the same signature: a faulty
@@ -148,14 +143,16 @@ func (v *Verified) OpDigest(i int) types.Digest {
 // failed entry is hashed, so a forger that got its variant in first cannot
 // make the genuine copies that follow fail.
 //
-// The footprint is fixed when the cache is built: capacity entries, evicted
-// FIFO, each holding at most MaxBundleOps OpDigests.
-//
-// The cache is concurrency-safe; verifier worker goroutines share one
-// instance per node. Lookups share a read lock; only storing a verdict, once
-// per request or bundle, takes the write lock.
+// A lookup that finds no entry claims a slot for the signature (single
+// flight): a copy of it looked up meanwhile, on another verifier worker,
+// waits until the claim lands — a verdict, or the slot emptied when the
+// claimant's MAC failed — and looks again, instead of verifying the bundle a
+// second time. A claim lasts one hash, one MAC check and at most one Ed25519
+// check. The footprint is fixed: capacity entries, evicted FIFO past claimed
+// slots, each holding at most MaxBundleOps OpDigests.
 type VerifyCache struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
+	landed  sync.Cond                          // on mu; broadcast when a claim lands
 	bySig   map[[crypto.SignatureSize]byte]int // guarded by mu; signature -> slot
 	entries []cacheEntry                       // guarded by mu; written round-robin
 	next    int                                // guarded by mu; the slot the next entry takes
@@ -167,17 +164,18 @@ type VerifyCache struct {
 }
 
 // cacheEntry is one signature's verdict and the header and digests it was
-// computed for.
+// computed for, or, pending, a claim on the signature.
 type cacheEntry struct {
-	held   bool // false once the entry left
-	ok     bool // the signature verified
-	tag    Type
-	k      int
-	client types.ClientID
-	id     types.RequestID
-	d      types.Digest
-	ops    []types.Digest
-	sig    [crypto.SignatureSize]byte
+	held    bool // false once the entry left
+	pending bool // claimed: a copy is verifying the signature
+	ok      bool // the signature verified
+	tag     Type
+	k       int
+	client  types.ClientID
+	id      types.RequestID
+	d       types.Digest
+	ops     []types.Digest
+	sig     [crypto.SignatureSize]byte
 }
 
 // DefaultVerifyCacheSize bounds the per-node signature verification cache.
@@ -189,12 +187,14 @@ func NewVerifyCache(capacity int) *VerifyCache {
 	if capacity <= 0 {
 		capacity = DefaultVerifyCacheSize
 	}
-	return &VerifyCache{
+	c := &VerifyCache{
 		bySig:   make(map[[crypto.SignatureSize]byte]int, capacity),
 		entries: make([]cacheEntry, capacity),
 		hits:    &obs.Counter{},
 		misses:  &obs.Counter{},
 	}
+	c.landed.L = &c.mu
+	return c
 }
 
 // SetCounters replaces the cache's hit/miss counters, typically with
@@ -213,21 +213,21 @@ func (c *VerifyCache) SetCounters(hits, misses *obs.Counter) {
 // Stats returns the cumulative hit and miss counts: verdicts taken from the
 // cache, and signatures verified.
 func (c *VerifyCache) Stats() (hits, misses uint64) {
-	c.mu.RLock()
+	c.mu.Lock()
 	h, m := c.hits, c.misses
-	c.mu.RUnlock()
+	c.mu.Unlock()
 	return h.Value(), m.Value()
 }
 
 // count records that a verdict was taken from the cache (hit) or verified.
 func (c *VerifyCache) count(hit bool) {
-	c.mu.RLock()
+	c.mu.Lock()
 	if hit {
 		c.hits.Inc()
 	} else {
 		c.misses.Inc()
 	}
-	c.mu.RUnlock()
+	c.mu.Unlock()
 }
 
 // signedDigests is what a request's client signature covers — d, and a
@@ -238,44 +238,87 @@ type signedDigests struct {
 	ok  bool
 }
 
-// recall looks req up under its signature: known reports an entry for req's
-// client, first id, tag and count, whose d, OpDigests and verdict s holds.
-func (c *VerifyCache) recall(req *Request) (s signedDigests, known bool) {
+// recall looks req up under its signature, once no claim is on it: known
+// reports an entry for req's client, first id, tag and count, whose d,
+// OpDigests and verdict s holds. When no entry holds the signature, recall
+// claims a slot for it: claim is that slot, which the caller must end with
+// store or release, or -1.
+func (c *VerifyCache) recall(req *Request) (s signedDigests, known bool, claim int) {
 	if len(req.Sig) != crypto.SignatureSize {
-		return s, false
+		return s, false, -1
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	i, held := c.bySig[[crypto.SignatureSize]byte(req.Sig)]
+	key := [crypto.SignatureSize]byte(req.Sig)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i, held := c.bySig[key]
+	for ; held && c.entries[i].pending; i, held = c.bySig[key] {
+		c.landed.Wait()
+	}
 	if !held {
-		return s, false
+		if claim = c.slotLocked(); claim >= 0 {
+			c.entries[claim] = cacheEntry{held: true, pending: true, sig: key}
+			c.bySig[key] = claim
+		}
+		return s, false, claim
 	}
 	e := &c.entries[i]
 	if e.client != req.Client || e.id != req.ID || e.tag != req.tag() || e.k != req.Len() {
-		return s, false
+		return s, false, -1
 	}
-	return signedDigests{d: e.d, ops: e.ops, ok: e.ok}, true
+	return signedDigests{d: e.d, ops: e.ops, ok: e.ok}, true, -1
 }
 
-// store records s, the outcome of checking req's signature, under a new entry
-// — unless a verified entry holds the signature and s is a failure.
-func (c *VerifyCache) store(req *Request, s signedDigests) {
+// store records s, the outcome of checking req's signature, in claim, the
+// slot recall took for it, and wakes the copies waiting for a claim. Without
+// a claim (claim < 0) s takes a new slot, unless the signature is claimed, or
+// s is a failure and a verified entry holds it.
+func (c *VerifyCache) store(claim int, req *Request, s signedDigests) {
 	if len(req.Sig) != crypto.SignatureSize {
 		return
 	}
 	key := [crypto.SignatureSize]byte(req.Sig)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, held := c.bySig[key]; held {
-		if !s.ok && c.entries[old].ok {
+	if claim < 0 {
+		if old, held := c.bySig[key]; held {
+			if c.entries[old].pending || !s.ok && c.entries[old].ok {
+				return
+			}
+			c.dropLocked(old)
+		}
+		if claim = c.slotLocked(); claim < 0 {
 			return
 		}
-		c.dropLocked(old)
 	}
-	c.dropLocked(c.next)
-	c.entries[c.next] = cacheEntry{held: true, ok: s.ok, tag: req.tag(), k: req.Len(), client: req.Client, id: req.ID, d: s.d, ops: s.ops, sig: key}
-	c.bySig[key] = c.next
-	c.next = (c.next + 1) % len(c.entries)
+	c.entries[claim] = cacheEntry{held: true, ok: s.ok, tag: req.tag(), k: req.Len(), client: req.Client, id: req.ID, d: s.d, ops: s.ops, sig: key}
+	c.bySig[key] = claim
+	c.landed.Broadcast()
+}
+
+// release empties claim, a slot recall took, when its copy reached no
+// verdict, and wakes the copies waiting: they look again.
+func (c *VerifyCache) release(claim int) {
+	if claim < 0 {
+		return
+	}
+	c.mu.Lock()
+	c.dropLocked(claim)
+	c.landed.Broadcast()
+	c.mu.Unlock()
+}
+
+// slotLocked empties and returns the slot the next entry takes, passing over
+// claimed ones; -1 when every slot is claimed.
+func (c *VerifyCache) slotLocked() int {
+	for range c.entries {
+		i := c.next
+		c.next = (c.next + 1) % len(c.entries)
+		if !c.entries[i].pending {
+			c.dropLocked(i)
+			return i
+		}
+	}
+	return -1
 }
 
 // dropLocked empties slot i.
@@ -335,12 +378,7 @@ func (p *Preverifier) preverifyFrame(raw []byte, fromClient bool, client types.C
 }
 
 // preverifyClient preverifies a decoded client-NIC message: only REQUESTs
-// (single, read-only or bundled) arrive there, carrying a MAC authenticator
-// over the signed body and a client signature, both over the signed digest:
-// at most one pass over the operations here serves both, and a bundle costs
-// one MAC check and one signature check whatever its size. MAC first:
-// rejecting garbage at MAC cost is the Aardvark/RBFT flood defence's core
-// economics.
+// (single, read-only or bundled) arrive there.
 func (p *Preverifier) preverifyClient(msg Message, claimed types.ClientID) (*Verified, error) {
 	req, ok := msg.(*Request)
 	if !ok {
@@ -349,22 +387,18 @@ func (p *Preverifier) preverifyClient(msg Message, claimed types.ClientID) (*Ver
 	if req.Client != claimed {
 		return nil, failKind(FailWrongSender, fmt.Errorf("request claims client %d, sent by %d", req.Client, claimed))
 	}
-	s, known := p.digests(req, false)
-	var buf [MaxBodySize]byte
-	body := req.AppendBody(buf[:0], s.d)
-	if err := p.ring.VerifyClientAuthenticatorEntry(req.Client, p.self, body, req.Auth); err != nil {
-		return nil, failKind(FailBadMAC, err)
-	}
-	if err := p.requestSigOK(req, body, s, known); err != nil {
+	s, known, err := p.authRequest(req, nil, 0)
+	if err != nil {
 		return nil, err
 	}
-	return &Verified{Msg: req, FromClient: true, Client: claimed, Digest: s.d, OpDigests: s.ops}, nil
+	return &Verified{Msg: req, unchecked: known, FromClient: true, Client: claimed, Digest: s.d, OpDigests: s.ops}, nil
 }
 
 // preverifyNode preverifies a decoded node-NIC message from peer from.
 func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, error) {
 	var s signedDigests // what a propagated request's or bundle's signature covers
 	var known bool      // a PROPAGATE took s from the cache, its operations unread
+	var err error
 	// Every arm must authenticate msg before the Verified value is built.
 	//rbft:dispatch
 	switch m := msg.(type) {
@@ -380,17 +414,10 @@ func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, 
 		if m.Node != from {
 			return nil, failKind(FailWrongSender, fmt.Errorf("PROPAGATE claims node %d, sent by %d", m.Node, from))
 		}
-		s, known = p.digests(&m.Req, true)
-		var buf [MaxBodySize]byte
-		body := m.AppendBody(buf[:0], s.d)
-		if err := p.ring.VerifyAuthenticatorEntry(from, p.self, body, m.Auth); err != nil {
-			return nil, failKind(FailBadMAC, err)
-		}
 		// The embedded request's client signature is what the PROPAGATE
 		// phase exists to transfer; verify it here (cached) so the apply
-		// stage can adopt the request without any crypto. The request's
-		// own body is the PROPAGATE body minus type and node.
-		if err := p.requestSigOK(&m.Req, body[1+8:], s, known); err != nil {
+		// stage can adopt the request without any crypto.
+		if s, known, err = p.authRequest(&m.Req, m, from); err != nil {
 			return nil, err
 		}
 	case *InstanceChange:
@@ -457,37 +484,47 @@ func (p *Preverifier) checkInstanceSender(msg Message, from types.NodeID) error 
 	return nil
 }
 
-// digests returns what req's client signature covers, and its verdict if the
-// cache knows it (known). A relayed request (a PROPAGATE's) known to a
-// verified entry takes the entry's digests without a pass over its
-// operations; any other request known to an entry takes them if its
-// operations hash to the entry's d. Everything else is hashed.
-func (p *Preverifier) digests(req *Request, relayed bool) (s signedDigests, known bool) {
-	if s, known = p.cache.recall(req); known && (relayed && s.ok || req.hashesTo(s.d)) {
-		return s, true
+// authRequest authenticates req: a client REQUEST, or the request of peer
+// from's PROPAGATE prop. One MAC check and one signature check serve a bundle
+// whatever its size, both over what the signature covers, which authRequest
+// returns: the cache's, unread (known), if req is known to a verified entry or
+// hashes to a failed one's, else one pass over the operations. MAC first:
+// rejecting garbage at MAC cost is the Aardvark/RBFT flood defence's core
+// economics. Every exit ends the claim the lookup took, so a faulty peer's
+// bad-MAC copy holds it for one hash and one MAC check.
+func (p *Preverifier) authRequest(req *Request, prop *Propagate, from types.NodeID) (signedDigests, bool, error) {
+	s, known, claim := p.cache.recall(req)
+	if known = known && (s.ok || req.hashesTo(s.d)); !known {
+		s.d, s.ops = req.Digests()
 	}
-	d, ops := req.Digests()
-	return signedDigests{d: d, ops: ops}, false
-}
-
-// requestSigOK checks the client signature of req, whose MAC'd body
-// (tag‖d‖signature) has passed: the cached verdict if known, else an Ed25519
-// verification the cache then keeps.
-func (p *Preverifier) requestSigOK(req *Request, body []byte, s signedDigests, known bool) error {
+	var buf [MaxBodySize]byte
+	var body []byte // req's own body: tag, d, signature
+	var err error
+	if prop == nil {
+		body = req.AppendBody(buf[:0], s.d)
+		err = p.ring.VerifyClientAuthenticatorEntry(req.Client, p.self, body, req.Auth)
+	} else {
+		body = prop.AppendBody(buf[:0], s.d)
+		err = p.ring.VerifyAuthenticatorEntry(from, p.self, body, prop.Auth)
+		body = body[1+8:] // the PROPAGATE body minus type and node
+	}
+	if err != nil {
+		p.cache.release(claim)
+		return s, false, failKind(FailBadMAC, err)
+	}
 	p.cache.count(known)
-	if known {
-		if !s.ok {
-			return failKind(FailBadSig, crypto.ErrBadSignature)
+	if known && !s.ok {
+		return s, false, failKind(FailBadSig, crypto.ErrBadSignature)
+	}
+	if !known {
+		err = p.ring.VerifyClientSignature(req.Client, body[:signedBodySize], body[signedBodySize:])
+		s.ok = err == nil
+		p.cache.store(claim, req, s)
+		if err != nil {
+			return s, false, failKind(FailBadSig, err)
 		}
-		return nil
 	}
-	verr := p.ring.VerifyClientSignature(req.Client, body[:signedBodySize], body[signedBodySize:])
-	s.ok = verr == nil
-	p.cache.store(req, s)
-	if verr != nil {
-		return failKind(FailBadSig, verr)
-	}
-	return nil
+	return s, known, nil
 }
 
 // InstanceAndSender extracts the instance id and claimed sender of a

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"testing"
+	"time"
 
 	"rbft/internal/crypto"
 	"rbft/internal/obs"
@@ -44,10 +45,10 @@ func propagateOver(ks *crypto.KeyStore, node types.NodeID, req *Request, d types
 	return p
 }
 
-// requireForgedCopy asserts that a PROPAGATE of forged operations under
-// genuine's header, signature and MAC'd digest was accepted as a vote whose
-// operations are unchecked: it carries genuine's digests, and its own
-// operations fail OpsMatch.
+// requireForgedCopy asserts that a client REQUEST or PROPAGATE of forged
+// operations under genuine's header, signature and MAC'd digest was accepted
+// as a copy whose operations are unchecked: it carries genuine's digests, and
+// its own operations fail OpsMatch.
 func requireForgedCopy(t *testing.T, v *Verified, err error, genuine *Request) {
 	t.Helper()
 	if err != nil {
@@ -323,9 +324,30 @@ func ops8x4k(tag byte) [][]byte {
 // target). The cache holds fewer entries than there are bundles, so it evicts
 // as it goes. Every copy is accepted with the digests its own bytes hash to.
 func TestVerifyCacheConcurrentCopies(t *testing.T) {
-	ks := testKeys()
-	pre := newPreverifier(ks, 8)
 	const bundles = 40
+	if h, m := concurrentCopies(t, 8, bundles); h+m != 2*3*bundles || m < bundles {
+		t.Fatalf("hits=%d misses=%d, want %d lookups and at least one miss per bundle", h, m, 2*3*bundles)
+	}
+}
+
+// TestVerifyCacheConcurrentCopiesSingleFlight is the same race with a cache
+// that evicts nothing: a bundle's REQUEST and PROPAGATE looked up at once on
+// two goroutines cost one Ed25519 check, since the second waits for the
+// first's claim to land.
+func TestVerifyCacheConcurrentCopiesSingleFlight(t *testing.T) {
+	const bundles = 40
+	if h, m := concurrentCopies(t, 64, bundles); m != bundles || h != 2*3*bundles-bundles {
+		t.Fatalf("hits=%d misses=%d, want exactly one miss per bundle (%d)", h, m, bundles)
+	}
+}
+
+// concurrentCopies preverifies the client REQUEST and a PROPAGATE of each of
+// bundles bundles, three rounds each, on two goroutines through one
+// preverifier with a cache of cacheCap entries, and returns its hits and
+// misses.
+func concurrentCopies(t *testing.T, cacheCap, bundles int) (hits, misses uint64) {
+	ks := testKeys()
+	pre := newPreverifier(ks, cacheCap)
 	reqs, props := make([][]byte, bundles), make([][]byte, bundles)
 	want := make([][]types.Digest, bundles)
 	for i := range reqs {
@@ -361,8 +383,105 @@ func TestVerifyCacheConcurrentCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h, m := pre.Cache().Stats(); h+m != 2*3*bundles || m < bundles {
-		t.Fatalf("hits=%d misses=%d, want %d lookups and at least one miss per bundle", h, m, 2*3*bundles)
+	return pre.Cache().Stats()
+}
+
+// verifyAsync preverifies frame, from client 1, on a goroutine of its own.
+func verifyAsync(pre *Preverifier, frame []byte) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		v, err := pre.PreverifyClientFrame(frame, 1)
+		if err == nil && v.unchecked {
+			err = errors.New("took a verdict no copy of the signature reached")
+		}
+		done <- err
+	}()
+	return done
+}
+
+// requireWaits asserts that the copy behind done is still waiting after a
+// while, its signature claimed.
+func requireWaits(t *testing.T, done <-chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		t.Fatalf("a copy looked up while its signature was claimed finished at once (%v); want it to wait", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// requireVerifiedItself asserts that the copy behind done finishes without
+// error within a bound a lost wake-up would exceed, at the cost of one
+// Ed25519 check of its own.
+func requireVerifiedItself(t *testing.T, pre *Preverifier, done <-chan error, missesBefore uint64) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("genuine copy after the claim landed: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("genuine copy still waiting 10 s after the claim landed: a lost wake-up")
+	}
+	if _, m := pre.Cache().Stats(); m != missesBefore+1 {
+		t.Fatalf("misses %d→%d, want one: the genuine copy verifies itself", missesBefore, m)
+	}
+}
+
+// TestClaimLandsOnMACFailure: a copy whose MAC fails empties the slot its
+// lookup claimed, so the next copy of the signature is not kept waiting; and
+// a genuine copy waiting on a claim that lands without a verdict verifies
+// itself.
+func TestClaimLandsOnMACFailure(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	genuine := signedBundle(ks, 1, 10, bundleOps(4)...)
+	forged := *genuine
+	forged.Auth = make([]byte, len(genuine.Auth)) // a faulty peer's garbage MAC
+	if _, err := pre.PreverifyClientFrame(forged.Marshal(nil), 1); failKindOf(err) != FailBadMAC {
+		t.Fatalf("copy with a garbage MAC: got %v, want bad-mac", err)
+	}
+	requireVerifiedItself(t, pre, verifyAsync(pre, genuine.Marshal(nil)), 0)
+
+	// A copy in flight holds the claim; the genuine copy waits for it.
+	pre = newPreverifier(ks, 16)
+	_, known, claim := pre.cache.recall(&forged)
+	if known || claim < 0 {
+		t.Fatalf("first lookup: known %v, claim %d; want a claim", known, claim)
+	}
+	done := verifyAsync(pre, genuine.Marshal(nil))
+	requireWaits(t, done)
+	pre.cache.release(claim) // its MAC failed
+	requireVerifiedItself(t, pre, done, 0)
+}
+
+// TestForgedVariantInFlightNeverFailsTheGenuineCopy: a faulty peer's variant
+// of a genuine bundle, under its signature, claims it first and lands a
+// failed verdict while the genuine copy waits. Whether the variant changed
+// the header or, under the genuine header, an operation, the genuine copy
+// does not take the failure: it verifies itself, and its verdict replaces the
+// variant's.
+func TestForgedVariantInFlightNeverFailsTheGenuineCopy(t *testing.T) {
+	ks := testKeys()
+	genuine := signedBundle(ks, 1, 10, bundleOps(4)...)
+	shifted, opChanged := *genuine, *genuine
+	shifted.ID++
+	opChanged.Rest = append([][]byte{[]byte("op-99")}, genuine.Rest[1:]...)
+	for name, variant := range map[string]*Request{"first id shifted": &shifted, "one op changed": &opChanged} {
+		t.Run(name, func(t *testing.T) {
+			pre := newPreverifier(ks, 16)
+			_, _, claim := pre.cache.recall(variant)
+			done := verifyAsync(pre, genuine.Marshal(nil))
+			requireWaits(t, done)
+			// The variant passed the MAC its sender made over its own digest
+			// and failed the client signature.
+			d, ops := variant.Digests()
+			pre.cache.store(claim, variant, signedDigests{d: d, ops: ops})
+			requireVerifiedItself(t, pre, done, 0)
+			if v, err := pre.PreverifyClientFrame(genuine.Marshal(nil), 1); err != nil || !v.unchecked {
+				t.Fatalf("next genuine copy: %v; want a hit on the genuine verdict", err)
+			}
+		})
 	}
 }
 

@@ -44,6 +44,9 @@ go test -race ./internal/runtime/... ./internal/transport/... ./internal/message
 echo "== lifecycle spans under -race, 20 runs (the recorder is read after Stop joins the egress workers) =="
 go test -race -count=20 -run '^TestRuntimeEmitsLifecycleSpans$' ./internal/runtime
 
+echo "== one Ed25519 check per bundle per node under -race, 20 runs (the verification cache's single flight on the real verifier pools) =="
+go test -race -count=20 -run '^TestOneSignatureCheckPerBundlePerNode$' ./internal/runtime
+
 echo "== fuzz smoke (internal/message, internal/wal, internal/transport, internal/core, internal/exec, internal/client, internal/app) =="
 go test ./internal/message -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s
 go test ./internal/message -run '^$' -fuzz '^FuzzPreverify$' -fuzztime 5s
