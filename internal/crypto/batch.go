@@ -58,25 +58,3 @@ func (r *KeyRing) WarmPairKeys(n, maxClients int) {
 		r.macKeyFor(clientPrincipal(types.ClientID(i)))
 	}
 }
-
-// SigJob is one node-signature verification in a batch.
-type SigJob struct {
-	Node types.NodeID // claimed signer
-	Data []byte       // signed bytes
-	Sig  []byte
-}
-
-// VerifyNodeSignatureBatch verifies a batch of independent node signatures
-// and returns the first failure (nil if all verify). It is the batch entry
-// point the preverify stage uses for aggregate messages (a NEW-VIEW embeds
-// 2f+1 signed VIEW-CHANGEs); verifying them together keeps the whole batch
-// on one verifier core and leaves room for an amortised multi-signature
-// verification backend without touching callers.
-func (r *KeyRing) VerifyNodeSignatureBatch(jobs []SigJob) error {
-	for i := range jobs {
-		if err := r.VerifyNodeSignature(jobs[i].Node, jobs[i].Data, jobs[i].Sig); err != nil {
-			return err
-		}
-	}
-	return nil
-}

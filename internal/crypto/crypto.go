@@ -13,7 +13,8 @@
 // only through its digest), so this package makes those cheap: each pair's
 // HMAC key is expanded once into its two keyed SHA-256 states (batch.go), a
 // MAC restores them on a pooled Hasher and allocates nothing, and an
-// authenticator is one pass over the peer set.
+// authenticator is one pass over the peer set. A signature by a key checked
+// before is checked against a table of the key's multiples (keytable.go).
 package crypto
 
 import (
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"hash"
 	"sync"
+	"sync/atomic"
 
 	"rbft/internal/types"
 )
@@ -123,10 +125,10 @@ type KeyRing struct {
 // Public keys are derived lazily: a million-client front door must not pay a
 // million Ed25519 key derivations at startup for clients that may never
 // appear. Whether a principal is known at all is a pure range check against
-// the configured cluster size; the actual public key is derived (and cached)
-// only when a slow-path signature verification needs it. All rings of one
-// store share the cache, which carries its own lock because verifier worker
-// goroutines verify concurrently.
+// the configured cluster size; the actual public key is derived (and cached
+// under mu) only when a signature check first needs it. All rings of one
+// store share the cache and the key tables (keytable.go), which verifier
+// worker goroutines read without a lock.
 type KeyStore struct {
 	secret  []byte
 	nodes   int
@@ -135,6 +137,8 @@ type KeyStore struct {
 
 	mu   sync.Mutex
 	pubs map[principal]ed25519.PublicKey
+
+	tables [tableSlots]atomic.Pointer[keySlot]
 }
 
 // known reports whether a principal is inside the cluster's configured node
@@ -455,8 +459,7 @@ func (r *KeyRing) verifySig(from principal, data, sig []byte) error {
 		}
 		return nil
 	}
-	pub := r.store.pub(from)
-	if len(sig) != ed25519.SignatureSize || !ed25519.Verify(pub, data, sig) {
+	if len(sig) != ed25519.SignatureSize || !r.store.verify(from, data, sig) {
 		return ErrBadSignature
 	}
 	return nil

@@ -443,15 +443,13 @@ func (p *Preverifier) preverifyNode(msg Message, from types.NodeID) (*Verified, 
 			return nil, failKind(FailBadMAC, err)
 		}
 		// The embedded VIEW-CHANGE proofs are signed by their originators;
-		// batch-verify them here so the instance can install the view
-		// without re-running 2f+1 signature checks.
-		jobs := make([]crypto.SigJob, 0, len(m.ViewChanges))
+		// verify them here so the instance can install the view without
+		// re-running 2f+1 signature checks.
 		for i := range m.ViewChanges {
 			vc := &m.ViewChanges[i]
-			jobs = append(jobs, crypto.SigJob{Node: vc.Node, Data: vc.Body(), Sig: vc.Sig})
-		}
-		if err := p.ring.VerifyNodeSignatureBatch(jobs); err != nil {
-			return nil, failKind(FailBadSig, err)
+			if err := p.ring.VerifyNodeSignature(vc.Node, vc.Body(), vc.Sig); err != nil {
+				return nil, failKind(FailBadSig, err)
+			}
 		}
 	case *PrePrepare, *Prepare, *Commit, *Checkpoint, *Fetch, *FetchResp:
 		if err := p.checkInstanceSender(msg, from); err != nil {

@@ -39,7 +39,7 @@ echo "== bench/ module (nested; tier-1 only type-checks it via TestBenchModuleCo
 )
 
 echo "== go test -race (concurrent packages) =="
-go test -race ./internal/runtime/... ./internal/transport/... ./internal/message/... ./internal/client/... ./internal/obs/... ./internal/wal/... ./internal/exec/...
+go test -race ./internal/runtime/... ./internal/transport/... ./internal/message/... ./internal/crypto/... ./internal/client/... ./internal/obs/... ./internal/wal/... ./internal/exec/...
 
 echo "== lifecycle spans under -race, 20 runs (the recorder is read after Stop joins the egress workers) =="
 go test -race -count=20 -run '^TestRuntimeEmitsLifecycleSpans$' ./internal/runtime
@@ -47,9 +47,10 @@ go test -race -count=20 -run '^TestRuntimeEmitsLifecycleSpans$' ./internal/runti
 echo "== one Ed25519 check per bundle per node under -race, 20 runs (the verification cache's single flight on the real verifier pools) =="
 go test -race -count=20 -run '^TestOneSignatureCheckPerBundlePerNode$' ./internal/runtime
 
-echo "== fuzz smoke (internal/message, internal/wal, internal/transport, internal/core, internal/exec, internal/client, internal/app) =="
+echo "== fuzz smoke (internal/message, internal/crypto, internal/wal, internal/transport, internal/core, internal/exec, internal/client, internal/app) =="
 go test ./internal/message -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s
 go test ./internal/message -run '^$' -fuzz '^FuzzPreverify$' -fuzztime 5s
+go test ./internal/crypto -run '^$' -fuzz '^FuzzVerifyMatchesStdlib$' -fuzztime 5s
 go test ./internal/wal -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 5s
 go test ./internal/transport -run '^$' -fuzz '^FuzzFrameBatch$' -fuzztime 5s
 go test ./internal/transport/tcpnet -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 5s
@@ -62,9 +63,9 @@ go test ./internal/exec -run '^$' -fuzz '^FuzzWaveSchedule$' -fuzztime 5s
 go test ./internal/client -run '^$' -fuzz '^FuzzReadQuorum$' -fuzztime 5s
 go test ./internal/app -run '^$' -fuzz '^FuzzKVParse$' -fuzztime 5s
 
-echo "== allocation gate (zero-alloc steady-state encode and two-allocation emit (four over memnet, whose receivers keep the encoded bytes), docs/EGRESS.md; allocation-free MACs, alias decode, two allocations per preverified frame and per frame from wire to node, no allocation and no copy per memnet payload, docs/PIPELINE.md; one batch through four replicas, one request through four core.Nodes and a 16-request bundle at a fraction of that per request; a bundle preverifies at three allocations per cached copy, whatever its size; a TCP connection reads at one allocation per 64 KiB chunk, a KV op costs what its result and stored string need, and a steady-state exec batch one allocation per worker goroutine) =="
+echo "== allocation gate (zero-alloc steady-state encode and two-allocation emit (four over memnet, whose receivers keep the encoded bytes), docs/EGRESS.md; allocation-free MACs and warm-key signature checks, alias decode, two allocations per preverified frame and per frame from wire to node, no allocation and no copy per memnet payload, docs/PIPELINE.md; one batch through four replicas, one request through four core.Nodes and a 16-request bundle at a fraction of that per request; a bundle preverifies at three allocations per cached copy, whatever its size; a TCP connection reads at one allocation per 64 KiB chunk, a KV op costs what its result and stored string need, and a steady-state exec batch one allocation per worker goroutine) =="
 go test ./internal/message -run '^(TestEncodeZeroAlloc|TestDecodeAliasesFrame|TestPreverifyAllocationBudget)$' -count=1 -v
-go test ./internal/crypto -run '^TestMACAllocations$' -count=1 -v
+go test ./internal/crypto -run '^(TestMACAllocations|TestWarmSignatureCheckAllocatesNothing)$' -count=1 -v
 go test ./internal/pbft -run '^TestOrderBatchAllocationBudget$' -count=1 -v
 go test ./internal/core -run '^(TestNodeRequestPathAllocationBudget|TestNodeBundlePathAllocationBudget)$' -count=1 -v
 go test ./internal/runtime -run '^(TestEmitAllocatesOnlyItsFrames|TestIngressAllocatesPerSlabNotPerFrame)$' -count=1 -v
@@ -73,7 +74,7 @@ go test ./internal/transport/tcpnet -run '^TestReadAllocatesPerChunkNotPerFrame$
 go test ./internal/app -run '^TestKVAllocations$' -count=1 -v
 go test ./internal/exec -run '^TestExecuteBatchAllocationBudget$' -count=1 -v
 go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode|BenchmarkPreverifyClientFrame|BenchmarkPreverifyPropagateFrame)$' -benchtime 100x -benchmem
-go test ./internal/crypto -run '^$' -bench '^BenchmarkAuthenticator$' -benchtime 100x -benchmem
+go test ./internal/crypto -run '^$' -bench '^(BenchmarkAuthenticator|BenchmarkVerifySignature)$' -benchtime 100x -benchmem
 go test ./internal/core -run '^$' -bench '^BenchmarkNodeRequestPath$' -benchtime 100x -benchmem
 go test ./internal/runtime -run '^$' -bench '^BenchmarkEgress$' -benchtime 100x -benchmem
 go test ./internal/transport/tcpnet -run '^$' -bench '^BenchmarkTCPReceive$' -benchtime 1000x -benchmem
@@ -107,7 +108,7 @@ echo "== line gate (ROADMAP items 2 and 9: non-test lines of internal/{core,sim,
 # none; nor the tooling; nor the codec and preverify stage, since the
 # verification cache came down to digests and verdicts.
 ceiling_lines=4765 ceiling_code=3235 pbft_ceiling_lines=1536 tooling_ceiling_lines=5062
-message_ceiling_lines=1912 message_ceiling_code=1279
+message_ceiling_lines=1910 message_ceiling_code=1277
 transports="internal/transport internal/transport/memnet internal/transport/tcpnet internal/transport/udpnet"
 transport_ceiling_lines=1035 transport_ceiling_code=697
 for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "internal/message" "internal/crypto" "$transports"; do
