@@ -106,8 +106,8 @@ func (t *clientTable) evict() *clientState {
 	return nil
 }
 
-// executed is the replicas' decided hook (pbft.Instance.SetDecided): whether
-// ref's (client, id) executed here, without creating a table entry.
+// executed reports whether ref's (client, id) executed here, without
+// creating a table entry: such a ref is decided for the replicas.
 func (t *clientTable) executed(ref types.RequestRef) bool {
 	if cs := t.clients[ref.Client]; cs != nil {
 		return cs.isExecuted(ref.ID)

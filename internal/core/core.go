@@ -208,9 +208,10 @@ type Node struct {
 	view types.View
 	cpi  uint64
 
-	// pending is the Propagation and Dispatch modules' state: one record per
-	// signed request body from first sight to execution (propagation.go),
-	// drawn from free; stored and answers are working slices, empty between calls.
+	// pending is the node's one request store: a record per request ref,
+	// holding the Propagation and Dispatch modules' state and each replica's
+	// (propagation.go), drawn from free; stored and answers are working
+	// slices, empty between calls.
 	pending map[types.RequestKey]*pendingRequest
 	free    []*pendingRequest
 	stored  []*pendingRequest
@@ -271,15 +272,10 @@ func New(cfg Config, keys *crypto.KeyRing) *Node {
 	}
 	n.pre = message.NewPreverifier(keys, c.Node, c.Cluster, message.NewVerifyCache(0)) // 0: the default capacity
 	n.sched = exec.New(c.App, c.ExecWorkers)
-	if re, ok := c.App.(app.ReadExecutor); ok {
-		n.reader = re
-	}
+	n.reader, _ = c.App.(app.ReadExecutor)
 	if c.OrderingMode == types.OrderingMultiPrimary {
 		n.merge = newLaneMerge(c.Cluster.Instances())
-		n.fillerDelay = c.BatchTimeout
-		if n.fillerDelay == 0 {
-			n.fillerDelay = 5 * time.Millisecond // pbft's BatchTimeout default
-		}
+		n.fillerDelay = cmp.Or(c.BatchTimeout, 5*time.Millisecond) // pbft's BatchTimeout default
 	}
 	for i := 0; i < c.Cluster.Instances(); i++ {
 		pc := pbft.Config{
@@ -291,10 +287,9 @@ func New(cfg Config, keys *crypto.KeyRing) *Node {
 			CheckpointInterval: c.CheckpointInterval,
 			WatermarkWindow:    c.WatermarkWindow,
 			Durable:            c.Durable,
+			Store:              (*replicaStore)(n),
 		}
-		r := pbft.New(pc, keys)
-		r.SetDecided(n.table.executed)
-		n.replicas = append(n.replicas, r)
+		n.replicas = append(n.replicas, pbft.New(pc, keys))
 	}
 	return n
 }
@@ -414,10 +409,7 @@ func (n *Node) NextWake() time.Time {
 		return wake
 	}
 	consider := func(t time.Time) {
-		if t.IsZero() {
-			return
-		}
-		if wake.IsZero() || t.Before(wake) {
+		if !t.IsZero() && (wake.IsZero() || t.Before(wake)) {
 			wake = t
 		}
 	}

@@ -15,12 +15,10 @@ import (
 // goes to all f+1 local replicas for redundant ordering; in multi-primary
 // mode only to the lane owning the client's partition.
 func (n *Node) maybeDispatch(out *Output, r *pendingRequest, now time.Time) {
-	if !r.dispatchedAt.IsZero() || r.nsenders < n.cfg.Cluster.WeakQuorum() {
+	if r.executed || !r.dispatchedAt.IsZero() || r.nsenders < n.cfg.Cluster.WeakQuorum() {
 		return
 	}
 	r.dispatchedAt = now
-	// A replica's output can deliver, execute and thereby release r, so
-	// nothing below reads the record.
 	ref := r.ref
 	first, last := n.lanes(ref.Client)
 	n.mon.RequestDispatched(types.InstanceID(first), now)
@@ -30,7 +28,10 @@ func (n *Node) maybeDispatch(out *Output, r *pendingRequest, now time.Time) {
 		})
 	}
 	for i := first; i <= last; i++ {
-		n.absorb(out, types.InstanceID(i), n.replicas[i].AddRequest(ref, now), now)
+		// A replica's output can deliver and execute the request, and r go.
+		if r.Holds(ref) && !(r.executed && r.lanes[i].Idle()) {
+			n.absorb(out, types.InstanceID(i), n.replicas[i].AddRecord(ref, r, now), now)
+		}
 	}
 }
 
@@ -69,9 +70,9 @@ func (n *Node) absorb(out *Output, inst types.InstanceID, res pbft.Output, now t
 				Seq: batch.Seq, View: batch.View, Count: len(batch.Refs),
 			})
 		}
-		for _, ref := range batch.Refs {
+		for i, ref := range batch.Refs {
 			var at time.Time // zero once the request executed here
-			if r := n.lookup(ref); r != nil {
+			if r := batch.Recs[i].(*pendingRequest); r.Holds(ref) && !r.executed {
 				at = r.dispatchedAt
 			}
 			if n.spansOn && !at.IsZero() {
@@ -88,18 +89,13 @@ func (n *Node) absorb(out *Output, inst types.InstanceID, res pbft.Output, now t
 				n.voteInstanceChange(out, verdict.Reason, now)
 			}
 		}
-		var own [1]mergedBatch
-		released := own[:0]
 		if n.multiPrimary() {
-			released = n.merge.push(inst, batch.Seq, batch.Refs)
-		} else if inst == types.MasterInstance {
-			released = append(released, mergedBatch{lane: inst, seq: batch.Seq, refs: batch.Refs})
-		}
-		for _, mb := range released {
-			if n.multiPrimary() {
-				n.journal(out, wal.Record{Kind: wal.KindMerged, Instance: mb.lane, Seq: mb.seq})
+			for _, mb := range n.merge.push(batch) {
+				n.journal(out, wal.Record{Kind: wal.KindMerged, Instance: mb.Instance, Seq: mb.Seq})
+				n.executeBatch(out, mb, now)
 			}
-			n.executeBatch(out, mb.lane, mb.refs, now)
+		} else if inst == types.MasterInstance {
+			n.executeBatch(out, batch, now)
 		}
 	}
 	if n.multiPrimary() {

@@ -7,6 +7,7 @@ import (
 	"rbft/internal/exec"
 	"rbft/internal/message"
 	"rbft/internal/obs"
+	"rbft/internal/pbft"
 	"rbft/internal/types"
 	"rbft/internal/wal"
 )
@@ -19,7 +20,7 @@ type executing struct {
 
 // executeBatch runs the Execution module for one batch of requests in the
 // agreed execution order — the master's order in master-only mode, the lane
-// merge's order in multi-primary mode; lane records which ordering lane
+// merge's order in multi-primary mode; b.Instance is the ordering lane that
 // released the batch. The executed set is keyed by (client, id): if an
 // equivocating client signed several bodies under one id, only the first
 // ordered one executes — and since the execution order is identical
@@ -32,19 +33,19 @@ type executing struct {
 // waves of non-conflicting requests, so goroutine interleaving can never
 // reach the node's state, trace or WAL. restoreExecution is the replay-side
 // counterpart.
-func (n *Node) executeBatch(out *Output, lane types.InstanceID, refs []types.RequestRef, now time.Time) {
-	batch, ops := n.execBatch[:0], n.execOps[:0]
-	for _, ref := range refs {
+func (n *Node) executeBatch(out *Output, b pbft.Batch, now time.Time) {
+	batch, ops, lane := n.execBatch[:0], n.execOps[:0], b.Instance
+	for i, ref := range b.Refs {
 		cs := n.client(ref.Client, now)
 		if cs.isExecuted(ref.ID) {
 			continue
 		}
-		r := n.lookup(ref)
-		if r == nil {
-			// Cannot happen for requests dispatched by this node (dispatch
-			// requires the body, stored under the digest it was verified
-			// against); guards against divergent state.
-			continue
+		r := b.Recs[i].(*pendingRequest)
+		if !r.Holds(ref) { // gone while the lane merge held the batch
+			r, _ = n.lookup(ref)
+		}
+		if r == nil || !r.stored {
+			continue // delivered here without its body (FETCH): re-ordered if retransmitted
 		}
 		cs.markExecuted(ref.ID)
 		n.journal(out, wal.Record{
@@ -81,7 +82,7 @@ func (n *Node) executeBatch(out *Output, lane types.InstanceID, refs []types.Req
 		e.cs.cacheReply(ref.ID, result, n.cfg.ReplyCacheSize)
 		out.Executions = append(out.Executions, Execution{Ref: ref, Result: result, Wave: base + res.Wave[i]})
 		n.reply(ref.Client, e.req.bundle, ref.ID, result)
-		n.release(e.cs, ref.Key())
+		n.release(e.cs, e.req)
 	}
 	n.sendReplies(out)
 	// Hand the working slices back empty: they must not pin the executed

@@ -53,8 +53,9 @@ func faultyStep(op, inst byte, x, y uint64, d byte) []byte {
 // step the entries of the node's per-peer, per-view and per-sequence tables,
 // core's and each replica's (pbft.Instance.Footprint), must stay under a
 // bound set by N, the watermark window W and the checkpoint interval, plus
-// the genuine requests the peer can relay: what one peer makes a correct node
-// keep does not grow with what it sends. And every request body the node
+// the genuine requests the peer can relay or name, each one record of the
+// node's one request store however many replicas hold state in it: what one
+// peer makes a correct node keep does not grow with what it sends. And every request body the node
 // keeps hashes to its ref's digest, though the peer relays genuine headers
 // over operations it changed, MAC'd over the genuine digest, to a node whose
 // verifier has seen the genuine REQUEST. The seed corpus holds an
@@ -110,7 +111,7 @@ func FuzzFaultyPeer(f *testing.F) {
 		return batch
 	}
 	instances, log := cfg.Instances(), 3*window // log: pbft's ring of (retainDeliveredFactor+1)·W slots
-	bound := len(pool) + 2 + 3*cfg.N + instances*(len(pool)+log+log/interval+cfg.N)
+	bound := len(pool) + 2 + 3*cfg.N + instances*(log+log/interval+cfg.N)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := New(Config{
@@ -196,10 +197,16 @@ func FuzzFaultyPeer(f *testing.F) {
 }
 
 // faultyPeerFootprint sums the entries of the node's tables that peers'
-// messages fill: request bodies, clients, instance-change votes, flood state,
-// and each replica's Footprint.
+// messages fill: request records (the replicas' per-request state
+// included), clients, instance-change votes, flood state, and each replica's
+// Footprint.
 func faultyPeerFootprint(n *Node) int {
-	size := len(n.pending) + len(n.table.clients) + len(n.icVotes) + len(n.floodCounts) + len(n.closedUntil)
+	size := len(n.table.clients) + len(n.icVotes) + len(n.floodCounts) + len(n.closedUntil)
+	for _, r := range n.pending {
+		for ; r != nil; r = r.sibling {
+			size++
+		}
+	}
 	for _, r := range n.replicas {
 		size += r.Footprint()
 	}

@@ -30,12 +30,12 @@ func propagateOver(ring *crypto.KeyRing, n int, from types.NodeID, req *message.
 	return frameOf(p)
 }
 
-// forgedBody returns a record n holds whose operation does not hash to its
-// ref's digest, or nil.
+// forgedBody returns a record n holds whose stored operation does not hash to
+// its ref's digest, or nil.
 func forgedBody(n *Node) *pendingRequest {
 	for _, r := range n.pending {
 		for ; r != nil; r = r.sibling {
-			if (&message.Request{Client: r.ref.Client, ID: r.ref.ID, Op: r.op}).OpDigest() != r.ref.Digest {
+			if r.stored && (&message.Request{Client: r.ref.Client, ID: r.ref.ID, Op: r.op}).OpDigest() != r.ref.Digest {
 				return r
 			}
 		}

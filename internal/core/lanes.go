@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"rbft/internal/pbft"
 	"rbft/internal/types"
 )
 
@@ -24,14 +25,6 @@ import (
 // (pbft.ProposeFiller); the agreed empty batch advances every node's cursor
 // past a sequence that ordered nothing (the skip-empty-lane rule).
 
-// mergedBatch is one lane batch released to execution, in execution order:
-// by the merge, or in master-only mode the master's own batch (absorb).
-type mergedBatch struct {
-	lane types.InstanceID
-	seq  types.SeqNum
-	refs []types.RequestRef
-}
-
 // laneMerge is the deterministic round-robin merge scheduler. It buffers
 // each lane's delivered batches and releases them in strict lane rotation:
 // the batch at next[turn] on lane turn, then turn advances. Not a heap or a
@@ -45,7 +38,7 @@ type laneMerge struct {
 	// turn is the lane the round-robin waits on.
 	turn int
 	// buf holds delivered-but-unmerged batches per lane, keyed by sequence.
-	buf []map[types.SeqNum][]types.RequestRef
+	buf []map[types.SeqNum]pbft.Batch
 	// buffered counts batches across buf: non-zero means the merge is
 	// stalled waiting on lane turn.
 	buffered int
@@ -55,35 +48,35 @@ func newLaneMerge(lanes int) *laneMerge {
 	m := &laneMerge{
 		lanes: lanes,
 		next:  make([]types.SeqNum, lanes),
-		buf:   make([]map[types.SeqNum][]types.RequestRef, lanes),
+		buf:   make([]map[types.SeqNum]pbft.Batch, lanes),
 	}
 	for i := 0; i < lanes; i++ {
 		m.next[i] = 1
-		m.buf[i] = make(map[types.SeqNum][]types.RequestRef)
+		m.buf[i] = make(map[types.SeqNum]pbft.Batch)
 	}
 	return m
 }
 
-// push buffers lane's delivered batch at seq and returns the batches the
+// push buffers a lane's delivered batch b and returns the batches the
 // round-robin releases as a result, in execution order. Batches below the
 // lane's cursor are redeliveries of already-merged sequences (fetch catch-up
 // after a restart) and are discarded.
-func (m *laneMerge) push(lane types.InstanceID, seq types.SeqNum, refs []types.RequestRef) []mergedBatch {
-	if seq < m.next[lane] {
+func (m *laneMerge) push(b pbft.Batch) []pbft.Batch {
+	if b.Seq < m.next[b.Instance] {
 		return nil
 	}
-	if _, dup := m.buf[lane][seq]; dup {
+	if _, dup := m.buf[b.Instance][b.Seq]; dup {
 		return nil
 	}
-	m.buf[lane][seq] = refs
+	m.buf[b.Instance][b.Seq] = b
 	m.buffered++
-	var out []mergedBatch
+	var out []pbft.Batch
 	for {
-		refs, ok := m.buf[m.turn][m.next[m.turn]]
+		b, ok := m.buf[m.turn][m.next[m.turn]]
 		if !ok {
 			return out
 		}
-		out = append(out, mergedBatch{lane: types.InstanceID(m.turn), seq: m.next[m.turn], refs: refs})
+		out = append(out, b)
 		delete(m.buf[m.turn], m.next[m.turn])
 		m.buffered--
 		m.next[m.turn]++
@@ -100,18 +93,10 @@ func (m *laneMerge) stalled() (types.InstanceID, bool) {
 	return types.InstanceID(m.turn), true
 }
 
-// cursors returns a copy of the per-lane delivery cursors (tests and
-// harnesses).
-func (m *laneMerge) cursors() []types.SeqNum {
-	return append([]types.SeqNum(nil), m.next...)
-}
-
 // restoreCursor replays one wal.KindMerged record: the merge had consumed
 // lane's batch at seq before the crash, so the cursor resumes above it.
 func (m *laneMerge) restoreCursor(lane types.InstanceID, seq types.SeqNum) {
-	if seq+1 > m.next[lane] {
-		m.next[lane] = seq + 1
-	}
+	m.next[lane] = max(m.next[lane], seq+1)
 }
 
 // finishRestore completes a replay: cursors are clamped up to each lane's
@@ -131,9 +116,7 @@ func (m *laneMerge) restoreCursor(lane types.InstanceID, seq types.SeqNum) {
 // the first lane whose cursor is minimal.
 func (m *laneMerge) finishRestore(stable []types.SeqNum) {
 	for i := range m.next {
-		if s := stable[i] + 1; m.next[i] < s {
-			m.next[i] = s
-		}
+		m.next[i] = max(m.next[i], stable[i]+1)
 	}
 	m.turn = 0
 	for i, c := range m.next {
@@ -154,15 +137,6 @@ func (n *Node) lanes(c types.ClientID) (first, last int) {
 		return lane, lane
 	}
 	return 0, len(n.replicas) - 1
-}
-
-// MergeCursors returns the per-lane merge cursors (nil in master-only mode).
-// Tests use it to check crash recovery rebuilds the merge position.
-func (n *Node) MergeCursors() []types.SeqNum {
-	if n.merge == nil {
-		return nil
-	}
-	return n.merge.cursors()
 }
 
 // updateFiller arms (or disarms) the filler deadline: when the merge is

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
+	"rbft/internal/pbft"
 	"rbft/internal/types"
 )
 
@@ -17,29 +19,34 @@ func laneRef(l types.InstanceID, s types.SeqNum) []types.RequestRef {
 	}}
 }
 
+// lanePush pushes lane l's batch at seq s, laneRef's contents, into m.
+func lanePush(m *laneMerge, l types.InstanceID, s types.SeqNum) []pbft.Batch {
+	return m.push(pbft.Batch{Instance: l, Seq: s, Refs: laneRef(l, s)})
+}
+
 func TestLaneMergeRoundRobin(t *testing.T) {
 	m := newLaneMerge(2)
-	if out := m.push(1, 1, laneRef(1, 1)); len(out) != 0 {
+	if out := lanePush(m, 1, 1); len(out) != 0 {
 		t.Fatalf("lane 1 released %d batches while lane 0 is empty", len(out))
 	}
 	if lane, ok := m.stalled(); !ok || lane != 0 {
 		t.Fatalf("stalled() = (%d, %v), want (0, true)", lane, ok)
 	}
-	out := m.push(0, 1, laneRef(0, 1))
+	out := lanePush(m, 0, 1)
 	if len(out) != 2 {
 		t.Fatalf("released %d batches, want 2", len(out))
 	}
-	if out[0].lane != 0 || out[0].seq != 1 || out[1].lane != 1 || out[1].seq != 1 {
+	if out[0].Instance != 0 || out[0].Seq != 1 || out[1].Instance != 1 || out[1].Seq != 1 {
 		t.Fatalf("release order %v, want lane0/1 then lane1/1", out)
 	}
 	if _, ok := m.stalled(); ok {
 		t.Fatal("drained merge reports a stall")
 	}
 	// A redelivery of an already-merged sequence is discarded.
-	if out := m.push(0, 1, laneRef(0, 1)); len(out) != 0 {
+	if out := lanePush(m, 0, 1); len(out) != 0 {
 		t.Fatalf("redelivery released %d batches", len(out))
 	}
-	if got := m.cursors(); got[0] != 2 || got[1] != 2 {
+	if got := slices.Clone(m.next); got[0] != 2 || got[1] != 2 {
 		t.Fatalf("cursors = %v, want [2 2]", got)
 	}
 }
@@ -55,7 +62,7 @@ func TestLaneMergeRestore(t *testing.T) {
 	// Lane 1's stable checkpoint ran ahead to 4 while the merge waited on
 	// lane 0: the clamp must skip the unfetchable gap.
 	m.finishRestore([]types.SeqNum{3, 4})
-	if got := m.cursors(); got[0] != 4 || got[1] != 5 {
+	if got := slices.Clone(m.next); got[0] != 4 || got[1] != 5 {
 		t.Fatalf("cursors after restore = %v, want [4 5]", got)
 	}
 	// Strict rotation consumed lane 0 three times and lane 1 twice... but
@@ -64,8 +71,8 @@ func TestLaneMergeRestore(t *testing.T) {
 	if m.turn != 0 {
 		t.Fatalf("turn after restore = %d, want 0", m.turn)
 	}
-	out := m.push(0, 4, laneRef(0, 4))
-	if len(out) != 1 || out[0].lane != 0 || out[0].seq != 4 {
+	out := lanePush(m, 0, 4)
+	if len(out) != 1 || out[0].Instance != 0 || out[0].Seq != 4 {
 		t.Fatalf("post-restore release = %v, want lane 0 seq 4", out)
 	}
 }
@@ -100,10 +107,10 @@ func FuzzMergeSchedule(f *testing.F) {
 			})
 		}
 
-		apply := func(order []op) (released []mergedBatch, m *laneMerge) {
+		apply := func(order []op) (released []pbft.Batch, m *laneMerge) {
 			m = newLaneMerge(lanes)
 			for _, o := range order {
-				released = append(released, m.push(o.lane, o.seq, laneRef(o.lane, o.seq))...)
+				released = append(released, lanePush(m, o.lane, o.seq)...)
 			}
 			return released, m
 		}
@@ -123,12 +130,12 @@ func FuzzMergeSchedule(f *testing.F) {
 		}
 		for i := range fuzzOrder {
 			a, b := fuzzOrder[i], canonOrder[i]
-			if a.lane != b.lane || a.seq != b.seq || !sameRefs(a.refs, b.refs) {
+			if a.Instance != b.Instance || a.Seq != b.Seq || !sameRefs(a.Refs, b.Refs) {
 				t.Fatalf("release %d differs between interleavings: (%d,%d) vs (%d,%d)",
-					i, a.lane, a.seq, b.lane, b.seq)
+					i, a.Instance, a.Seq, b.Instance, b.Seq)
 			}
 		}
-		ca, cb := mA.cursors(), mB.cursors()
+		ca, cb := slices.Clone(mA.next), slices.Clone(mB.next)
 		for i := range ca {
 			if ca[i] != cb[i] {
 				t.Fatalf("cursors differ between interleavings: %v vs %v", ca, cb)
@@ -140,13 +147,13 @@ func FuzzMergeSchedule(f *testing.F) {
 			next[i] = 1
 		}
 		for i, mb := range fuzzOrder {
-			if int(mb.lane) != i%lanes {
-				t.Fatalf("release %d from lane %d breaks strict rotation (lanes=%d)", i, mb.lane, lanes)
+			if int(mb.Instance) != i%lanes {
+				t.Fatalf("release %d from lane %d breaks strict rotation (lanes=%d)", i, mb.Instance, lanes)
 			}
-			if mb.seq != next[mb.lane] {
-				t.Fatalf("lane %d released seq %d, want contiguous %d", mb.lane, mb.seq, next[mb.lane])
+			if mb.Seq != next[mb.Instance] {
+				t.Fatalf("lane %d released seq %d, want contiguous %d", mb.Instance, mb.Seq, next[mb.Instance])
 			}
-			next[mb.lane]++
+			next[mb.Instance]++
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -47,7 +48,7 @@ func TestMultiPrimaryEndToEnd(t *testing.T) {
 	// Both partitions were ordered by their own lane: every merge cursor
 	// advanced past genesis.
 	for i, n := range nc.nodes {
-		cursors := n.MergeCursors()
+		cursors := mergeCursors(n)
 		if len(cursors) != 2 {
 			t.Fatalf("node %d has %d merge cursors, want 2", i, len(cursors))
 		}
@@ -240,7 +241,7 @@ func TestMultiPrimaryDurableRestartRecoversCursors(t *testing.T) {
 		t.Fatal("durable multi-primary node logged no merged-cursor records")
 	}
 
-	oldCursors := nc.nodes[victim].MergeCursors()
+	oldCursors := mergeCursors(nc.nodes[victim])
 	oldFP := nc.apps[victim].Fingerprint()
 	counter := app.NewCounter()
 	restored := New(durableConfig(nc, victim, counter, func(c *Config) {
@@ -257,7 +258,7 @@ func TestMultiPrimaryDurableRestartRecoversCursors(t *testing.T) {
 	if counter.Fingerprint() != oldFP {
 		t.Fatal("restored application fingerprint differs from pre-crash state")
 	}
-	got := restored.MergeCursors()
+	got := mergeCursors(restored)
 	if len(got) != len(oldCursors) {
 		t.Fatalf("restored %d cursors, want %d", len(got), len(oldCursors))
 	}
@@ -299,7 +300,7 @@ func TestMasterOnlyHasNoMergeState(t *testing.T) {
 	nc := newNodeCluster(t, 1, func(c *Config) { c.Durable = true })
 	nc.sendRequest(1, nil)
 	nc.runFor(100 * time.Millisecond)
-	if cursors := nc.nodes[0].MergeCursors(); cursors != nil {
+	if cursors := mergeCursors(nc.nodes[0]); cursors != nil {
 		t.Fatalf("master-only node has merge cursors %v", cursors)
 	}
 	for _, rec := range nc.records[0] {
@@ -310,4 +311,13 @@ func TestMasterOnlyHasNoMergeState(t *testing.T) {
 			t.Fatalf("master-only executed record attributed to lane %d", rec.Instance)
 		}
 	}
+}
+
+// mergeCursors returns a copy of n's per-lane merge cursors, nil in
+// master-only mode.
+func mergeCursors(n *Node) []types.SeqNum {
+	if n.merge == nil {
+		return nil
+	}
+	return slices.Clone(n.merge.next)
 }

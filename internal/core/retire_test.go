@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rbft/internal/app"
+	"rbft/internal/message"
 	"rbft/internal/obs"
 	"rbft/internal/types"
 )
@@ -58,17 +59,67 @@ func TestMultiPrimaryRetireTouchesOnlyOwningLane(t *testing.T) {
 		t.Fatalf("client completed %d requests, want 1", got)
 	}
 	for i, n := range nc.nodes {
-		if got := n.replicas[owner].InFlight(); got != 0 {
-			t.Errorf("node %d owning lane holds %d records after execution", i, got)
+		if got := laneHolds(n, owner); got != 0 {
+			t.Errorf("node %d owning lane holds %d refs after execution", i, got)
 		}
 		want := 0
 		if planted[i] {
 			want = 1
 		}
-		if got := n.replicas[other].InFlight(); got != want {
-			t.Errorf("node %d other lane holds %d records, want %d", i, got, want)
+		if got, records := laneHolds(n, other), len(n.pending); got != want || records != want {
+			t.Errorf("node %d other lane holds %d refs in %d records, want %d in %d", i, got, records, want, want)
 		}
 	}
+}
+
+// laneHolds counts the records of n in which replica inst holds state.
+func laneHolds(n *Node, inst types.InstanceID) int {
+	held := 0
+	for _, r := range n.pending {
+		for ; r != nil; r = r.sibling {
+			if !r.lanes[inst].Idle() {
+				held++
+			}
+		}
+	}
+	return held
+}
+
+// TestRecordOutlivesExecutionForALaggingLane pins the one lifetime rule of a
+// request record: it lives until the request has executed on the node and
+// every replica it was dispatched to has delivered and retired it. With the
+// backup lane's COMMITs held back from one node, the request executes there
+// through the master lane, and its record stays — its body dropped — for the
+// backup replica that still holds the ref; once that replica delivers it,
+// the record goes.
+func TestRecordOutlivesExecutionForALaggingLane(t *testing.T) {
+	nc := newNodeCluster(t, 1, nil)
+	victim := (nc.cfg.PrimaryOf(0, 1) + 1) % types.NodeID(nc.cfg.N)
+	nc.hold = func(ev clusterEvent) bool {
+		if !ev.nodeDst || ev.isClient || ev.toNode != victim {
+			return false
+		}
+		msg, err := message.Decode(ev.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, ok := msg.(*message.Commit)
+		return ok && c.Instance == 1
+	}
+	req := nc.sendRequest(1, plusOne)
+	nc.runFor(100 * time.Millisecond)
+	n := nc.nodes[victim]
+	if got := len(nc.executed[victim]); got != 1 || len(nc.held) == 0 {
+		t.Fatalf("victim executed %d requests with %d frames held, want 1 and some", got, len(nc.held))
+	}
+	r := n.pending[types.RequestKey{Client: 1, ID: req.ID}]
+	if len(n.pending) != 1 || r == nil || !r.executed || r.stored || r.op != nil || !r.lanes[0].Idle() || r.lanes[1].Idle() {
+		t.Fatalf("after execution the victim holds %d keys; want one executed, body-less record held by lane 1 alone", len(n.pending))
+	}
+	nc.hold = nil
+	nc.queue, nc.held = append(nc.queue, nc.held...), nil
+	nc.runFor(100 * time.Millisecond)
+	nc.requireQuiescent()
 }
 
 // TestRestartKeepsWatermarkNotTables: a node rebuilt from its WAL starts with
@@ -96,10 +147,8 @@ func TestRestartKeepsWatermarkNotTables(t *testing.T) {
 	if _, err := restored.Restore(replayOf(nc.records[victim])); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	for i, r := range restored.replicas {
-		if got := r.InFlight(); got != 0 {
-			t.Fatalf("restored replica %d holds %d request records", i, got)
-		}
+	if got := len(restored.pending); got != 0 {
+		t.Fatalf("restored node holds records under %d request keys", got)
 	}
 	for _, ref := range executed {
 		if !restored.table.executed(ref) {

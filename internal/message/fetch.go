@@ -28,8 +28,6 @@ type Fetch struct {
 	Auth crypto.Authenticator
 }
 
-var _ Message = (*Fetch)(nil)
-
 // MsgType implements Message.
 func (m *Fetch) MsgType() Type { return TypeFetch }
 
@@ -68,8 +66,6 @@ type FetchResp struct {
 
 	Auth crypto.Authenticator
 }
-
-var _ Message = (*FetchResp)(nil)
 
 // MsgType implements Message.
 func (m *FetchResp) MsgType() Type { return TypeFetchResp }

@@ -18,6 +18,8 @@
 package message
 
 import (
+	"unsafe"
+
 	"rbft/internal/crypto"
 	"rbft/internal/types"
 )
@@ -132,8 +134,6 @@ type Request struct {
 	Sig  []byte
 	Auth crypto.Authenticator
 }
-
-var _ Message = (*Request)(nil)
 
 // tag returns the wire tag: a bundle's, or one encoding the read-only flag.
 func (m *Request) tag() Type {
@@ -294,8 +294,6 @@ type Propagate struct {
 	Auth crypto.Authenticator
 }
 
-var _ Message = (*Propagate)(nil)
-
 // MsgType implements Message.
 func (m *Propagate) MsgType() Type { return TypePropagate }
 
@@ -343,16 +341,32 @@ type PrePrepare struct {
 	Node     types.NodeID
 
 	Auth crypto.Authenticator
+
+	sum  batchKey     // what BatchDigest last hashed,
+	sumD types.Digest // and what it got
 }
 
-var _ Message = (*PrePrepare)(nil)
+// batchKey is what a BatchDigest is taken over: the header, and the Batch by
+// identity. A message is not changed in place once built.
+type batchKey struct {
+	inst  types.InstanceID
+	view  types.View
+	seq   types.SeqNum
+	batch *types.RequestRef
+	n     int
+}
 
 // MsgType implements Message.
 func (m *PrePrepare) MsgType() Type { return TypePrePrepare }
 
 // BatchDigest hashes the batch contents, binding instance, view and sequence
-// number (streamed: no concatenation buffer).
+// number (streamed: no concatenation buffer), once per header and Batch: the
+// hash the MAC was checked against is the one a replica accepts under.
 func (m *PrePrepare) BatchDigest() types.Digest {
+	key := batchKey{m.Instance, m.View, m.Seq, unsafe.SliceData(m.Batch), len(m.Batch)}
+	if key == m.sum && !m.sumD.IsZero() {
+		return m.sumD
+	}
 	var buf [refSize]byte
 	b := appendU64(buf[:0], uint64(m.Instance))
 	b = appendU64(b, uint64(m.View))
@@ -363,7 +377,8 @@ func (m *PrePrepare) BatchDigest() types.Digest {
 	for i := range m.Batch {
 		h.WriteLocal(appendRef(buf[:0], m.Batch[i]))
 	}
-	return h.Sum()
+	m.sum, m.sumD = key, h.Sum()
+	return m.sumD
 }
 
 // prePrepareBodySize is the fixed body length of PRE-PREPARE.
@@ -405,8 +420,6 @@ type Prepare struct {
 	Auth crypto.Authenticator
 }
 
-var _ Message = (*Prepare)(nil)
-
 // MsgType implements Message.
 func (m *Prepare) MsgType() Type { return TypePrepare }
 
@@ -435,8 +448,6 @@ type Commit struct {
 
 	Auth crypto.Authenticator
 }
-
-var _ Message = (*Commit)(nil)
 
 // MsgType implements Message.
 func (m *Commit) MsgType() Type { return TypeCommit }
@@ -481,8 +492,6 @@ type Reply struct {
 
 	MAC crypto.MAC
 }
-
-var _ Message = (*Reply)(nil)
 
 // tag returns the wire tag: a bundle's, or REPLY.
 func (m *Reply) tag() Type {
@@ -581,8 +590,6 @@ type InstanceChange struct {
 	Auth crypto.Authenticator
 }
 
-var _ Message = (*InstanceChange)(nil)
-
 // MsgType implements Message.
 func (m *InstanceChange) MsgType() Type { return TypeInstanceChange }
 
@@ -622,8 +629,6 @@ type ViewChange struct {
 
 	Sig []byte
 }
-
-var _ Message = (*ViewChange)(nil)
 
 // MsgType implements Message.
 func (m *ViewChange) MsgType() Type { return TypeViewChange }
@@ -674,8 +679,6 @@ type NewView struct {
 
 	Auth crypto.Authenticator
 }
-
-var _ Message = (*NewView)(nil)
 
 // MsgType implements Message.
 func (m *NewView) MsgType() Type { return TypeNewView }
@@ -729,8 +732,6 @@ type Checkpoint struct {
 	Auth crypto.Authenticator
 }
 
-var _ Message = (*Checkpoint)(nil)
-
 // MsgType implements Message.
 func (m *Checkpoint) MsgType() Type { return TypeCheckpoint }
 
@@ -761,8 +762,6 @@ type Invalid struct {
 	Node    types.NodeID
 	Padding []byte
 }
-
-var _ Message = (*Invalid)(nil)
 
 // MsgType implements Message.
 func (m *Invalid) MsgType() Type { return TypeInvalid }

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"slices"
 	"time"
 
 	"rbft/internal/message"
@@ -55,9 +56,7 @@ func (in *Instance) noteCheckpointEvidence(out *Output, seq types.SeqNum, votes 
 	if in.fetch == nil {
 		in.fetch = &fetchState{}
 	}
-	if seq > in.fetch.target {
-		in.fetch.target = seq
-	}
+	in.fetch.target = max(in.fetch.target, seq)
 	if in.fetch.deadline.IsZero() || !now.Before(in.fetch.deadline) {
 		in.sendFetch(out, now)
 	}
@@ -86,13 +85,7 @@ func (in *Instance) onFetch(out *Output, f *message.Fetch) error {
 		return nil
 	}
 	from := f.FromSeq
-	to := f.ToSeq
-	if to > in.lastDelivered {
-		to = in.lastDelivered
-	}
-	if to > from+fetchChunk {
-		to = from + fetchChunk
-	}
+	to := min(f.ToSeq, in.lastDelivered, from+fetchChunk)
 	for seq := from + 1; seq <= to; seq++ {
 		s := in.at(seq)
 		if s.seq != seq || !s.delivered || seq+retainDeliveredFactor*in.cfg.WatermarkWindow <= in.lastDelivered {
@@ -129,21 +122,13 @@ func (in *Instance) onFetchResp(out *Output, fr *message.FetchResp, now time.Tim
 		s.havePP = true
 		s.view = fr.View
 		s.digest = digest
-		s.batch = fr.Batch
+		s.batch, s.recs = fr.Batch, nil
 		in.deliverReady(out, now)
 	}
 	if in.fetch.target <= in.lastDelivered {
 		in.fetch = nil // caught up
 	}
 	return nil
-}
-
-// fetchWake exposes the retry deadline to NextWake.
-func (in *Instance) fetchWake() time.Time {
-	if in.fetch == nil {
-		return time.Time{}
-	}
-	return in.fetch.deadline
 }
 
 // fetchTick retries an overdue fetch.
@@ -156,26 +141,31 @@ func (in *Instance) fetchTick(out *Output, now time.Time) {
 
 // retainDelivered is called as seq is delivered: the batch that leaves the
 // retention window, retainDeliveredFactor × W below it, stops being served
-// to fetches, and the refs it delivered that this replica still holds leave
-// with it. The retention window is as long as a replica remembers a
-// delivered ref it was not told executed.
+// to fetches, and the replica's state for the refs it delivered that were
+// not retired at execution goes with it. The retention window is as long as
+// a replica remembers a delivered ref it was not told executed.
 func (in *Instance) retainDelivered(seq types.SeqNum) {
+	// The batch delivered before keeps no records once it has none to retire
+	// here: a node retires the entries as it executes the batch.
+	if s := in.at(seq - 1); s.seq == seq-1 && !slices.ContainsFunc(s.recs, func(rec Record) bool { r := in.entry(rec); return r != nil && r.at == seq-1 }) {
+		s.recs = nil
+	}
 	retention := retainDeliveredFactor * in.cfg.WatermarkWindow
 	if seq <= retention {
 		return
 	}
 	old := seq - retention
 	if s := in.at(old); s.seq == old {
-		for _, ref := range s.batch {
-			if r := in.reqs[ref]; r != nil && r.at == old {
+		for _, rec := range s.recs { // an entry delivered at old is a ref of this batch
+			if r := in.entry(rec); r != nil && r.at == old {
 				r.retire = true
-				in.settle(ref, r)
+				in.settle(rec, r)
 			}
 		}
 		// Free the batch now, not a window later when the slot is reused;
 		// above the stable checkpoint a prepared proof may still need it.
 		if old <= in.stableSeq {
-			s.batch = nil
+			s.batch, s.recs = nil, nil
 		}
 	}
 }

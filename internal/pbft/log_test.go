@@ -276,7 +276,7 @@ func TestReissueAtOrBelowStableTakesNoWaiters(t *testing.T) {
 	if s := in.at(5); s.seq != 5 || s.view != 1 || s.waiting != 0 {
 		t.Fatalf("re-issued seq 5: slot holds seq %d in view %d, waiting on %d refs", s.seq, s.view, s.waiting)
 	}
-	if n := in.InFlight(); n != 0 {
+	if n := records(in); n != 0 {
 		t.Fatalf("replica holds %d request records", n)
 	}
 }

@@ -5,17 +5,16 @@
 //
 // An Instance is a pure state machine: it performs no I/O, spawns no
 // goroutines and never reads the wall clock. Each of the five entry points
-// (AddRequest, OnMessage, Tick, StartViewChange, ProposeFiller) takes the
-// current time and returns the one Output of the step (messages to send,
-// batches delivered in sequence order, records to persist). It owns that
+// (AddRequest or AddRecord, OnMessage, Tick, StartViewChange, ProposeFiller)
+// takes the current time and returns the one Output of the step (messages to
+// send, batches delivered in sequence order, records to persist). It owns that
 // value: every handler below it takes the *Output and appends to it in call
 // order, and validates its input before its first append, so an entry point
 // that returns an error returns a zero Output. Drivers — the real-time
 // runtime and the discrete-event simulator — execute those effects. This is
 // what lets the same protocol code run over live TCP and inside the
-// deterministic simulator that regenerates the paper's figures. A sixth
-// input, Executed, has no effects: the node reports a ref it executed, and
-// the replica forgets it (docs/ORDERING.md, "Per-request state").
+// deterministic simulator that regenerates the paper's figures. Per-request
+// state lives in the node's request store (Store, requests.go).
 //
 // Differences from a standalone PBFT deployment, per the RBFT paper:
 //   - an instance never initiates a view change by itself; view changes are
@@ -29,8 +28,10 @@
 package pbft
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
+	"slices"
 	"time"
 
 	"rbft/internal/crypto"
@@ -63,22 +64,17 @@ type Config struct {
 	// driver must persist an output's records before transmitting its
 	// messages. Off by default: a diskless replica pays nothing.
 	Durable bool
+	// Store is the node's request store (requests.go); nil gives the replica
+	// one of its own.
+	Store Store
 }
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.BatchSize == 0 {
-		out.BatchSize = 64
-	}
-	if out.BatchTimeout == 0 {
-		out.BatchTimeout = 5 * time.Millisecond
-	}
-	if out.CheckpointInterval == 0 {
-		out.CheckpointInterval = 128
-	}
-	if out.WatermarkWindow == 0 {
-		out.WatermarkWindow = 4 * out.CheckpointInterval
-	}
+	out.BatchSize = cmp.Or(out.BatchSize, 64)
+	out.BatchTimeout = cmp.Or(out.BatchTimeout, 5*time.Millisecond)
+	out.CheckpointInterval = cmp.Or(out.CheckpointInterval, 128)
+	out.WatermarkWindow = cmp.Or(out.WatermarkWindow, 4*out.CheckpointInterval)
 	return out
 }
 
@@ -108,6 +104,8 @@ type Batch struct {
 	Seq      types.SeqNum
 	View     types.View
 	Refs     []types.RequestRef
+	// Recs holds Refs[i]'s record at i, for the node; read-only.
+	Recs []Record
 }
 
 // Outbound is a message to transmit. A nil To means every other node.
@@ -148,9 +146,14 @@ type slot struct {
 
 // phase is the three-phase state of a slot's current proposal.
 type phase struct {
-	view      types.View
-	digest    types.Digest
-	batch     []types.RequestRef
+	view   types.View
+	digest types.Digest
+	batch  []types.RequestRef
+	// recs holds, per batch ref, its record (nil: decided), resolved at accept
+	// or delivery, and goes once its entries are retired; a record kept may
+	// have gone since, so delivery checks it (Holds) and the others go by the
+	// replica's entry alone.
+	recs      []Record
 	havePP    bool
 	sentPrep  bool
 	sentComm  bool
@@ -161,8 +164,7 @@ type phase struct {
 	// ppAt/prepAt anchor the prepare-quorum and commit-quorum spans: when
 	// the PRE-PREPARE was accepted and when the prepared state was reached.
 	// Only maintained when the tracer wants spans.
-	ppAt   time.Time
-	prepAt time.Time
+	ppAt, prepAt time.Time
 }
 
 // Instance is one protocol-instance replica. Not safe for concurrent use;
@@ -180,12 +182,7 @@ type Instance struct {
 	pending       []types.RequestRef
 	batchDeadline time.Time
 
-	// Per-request state (see reqState): reqs holds a record per ref in
-	// flight, free recycles retired records, and decided — installed by the
-	// node, nil without one — reports whether a ref's (client, id) executed.
-	reqs    map[types.RequestRef]*reqState
-	free    []*reqState
-	decided func(types.RequestRef) bool
+	store Store // the per-request state (requests.go)
 
 	// Replica state. log is a ring of slots indexed by seq % len(log): the
 	// window being ordered and the delivered batches retained for FETCH.
@@ -239,7 +236,7 @@ func New(cfg Config, keys *crypto.KeyRing) *Instance {
 		cfg:         c,
 		keys:        keys,
 		nextSeq:     1,
-		reqs:        make(map[types.RequestRef]*reqState),
+		store:       cmp.Or[Store](c.Store, &ownStore{recs: make(map[types.RequestRef]*ownRecord)}),
 		log:         make([]slot, (retainDeliveredFactor+1)*c.WatermarkWindow),
 		checkpoints: make(map[types.SeqNum][]types.Digest),
 		viewChanges: make([]*message.ViewChange, c.Cluster.N),
@@ -288,8 +285,8 @@ func (in *Instance) NextWake() time.Time {
 			wake = d.at
 		}
 	}
-	if fw := in.fetchWake(); !fw.IsZero() && (wake.IsZero() || fw.Before(wake)) {
-		wake = fw
+	if f := in.fetch; f != nil && !f.deadline.IsZero() && (wake.IsZero() || f.deadline.Before(wake)) {
+		wake = f.deadline
 	}
 	return wake
 }
@@ -297,9 +294,17 @@ func (in *Instance) NextWake() time.Time {
 // AddRequest informs the replica that its node has collected f+1 PROPAGATE
 // copies of the request and it is ready for ordering.
 func (in *Instance) AddRequest(ref types.RequestRef, now time.Time) Output {
+	if rec := in.store.Request(in.cfg.Instance, ref); rec != nil {
+		return in.AddRecord(ref, rec, now)
+	}
+	return Output{}
+}
+
+// AddRecord is AddRequest for a node that holds ref's record rec.
+func (in *Instance) AddRecord(ref types.RequestRef, rec Record, now time.Time) Output {
 	var out Output
-	r := in.track(ref)
-	if r == nil || r.known {
+	r := rec.Entry(in.cfg.Instance)
+	if r.known {
 		return out
 	}
 	r.known = true
@@ -377,19 +382,14 @@ func (in *Instance) cutBatch(out *Output, now time.Time) {
 		// Burst capacity of several batches: with a single-batch cap, idle
 		// moments between dispatches leak tokens and the realised rate
 		// undershoots the configured one.
-		if max := float64(4 * in.cfg.BatchSize); in.tokens > max {
-			in.tokens = max
-		}
+		in.tokens = min(in.tokens, float64(4*in.cfg.BatchSize))
 	}
 	for len(in.pending) > 0 {
 		if in.nextSeq > in.stableSeq+in.cfg.WatermarkWindow {
 			// Out of watermark window; wait for a stable checkpoint.
 			break
 		}
-		n := len(in.pending)
-		if n > in.cfg.BatchSize {
-			n = in.cfg.BatchSize
-		}
+		n := min(len(in.pending), in.cfg.BatchSize)
 		if rate > 0 {
 			// Propose in quarter-batch chunks: the paced stream then lands
 			// smoothly inside each monitoring window instead of in coarse
@@ -397,8 +397,6 @@ func (in *Instance) cutBatch(out *Output, now time.Time) {
 			if chunk := in.cfg.BatchSize / 4; chunk >= 1 && n > chunk {
 				n = chunk
 			}
-		}
-		if rate > 0 {
 			// A hair of float tolerance, and a floor on the re-arm delay:
 			// without them the wait can truncate to zero and spin the
 			// timer without advancing time.
@@ -407,10 +405,7 @@ func (in *Instance) cutBatch(out *Output, now time.Time) {
 				// Wait until the bucket covers the whole intended batch, so
 				// pacing does not degenerate into single-request batches.
 				need := time.Duration((float64(n) - in.tokens) / rate * float64(time.Second))
-				if need < time.Microsecond {
-					need = time.Microsecond
-				}
-				in.batchDeadline = now.Add(need)
+				in.batchDeadline = now.Add(max(need, time.Microsecond))
 				return
 			}
 			in.tokens -= float64(n)
@@ -465,16 +460,9 @@ func (in *Instance) ProposeFiller(now time.Time) Output {
 
 // prePrepareDelayFor computes the attack delay applicable to a batch.
 func (in *Instance) prePrepareDelayFor(batch []types.RequestRef) time.Duration {
-	if in.behavior.PrePrepareDelay == 0 {
-		return 0
-	}
-	if len(in.behavior.DelayClients) == 0 {
-		return in.behavior.PrePrepareDelay
-	}
-	for _, ref := range batch {
-		if in.behavior.DelayClients[ref.Client] {
-			return in.behavior.PrePrepareDelay
-		}
+	b := in.behavior
+	if len(b.DelayClients) == 0 || slices.ContainsFunc(batch, func(r types.RequestRef) bool { return b.DelayClients[r.Client] }) {
+		return b.PrePrepareDelay
 	}
 	return 0
 }
@@ -489,19 +477,7 @@ func (in *Instance) emitPrePrepare(out *Output, pp *message.PrePrepare, now time
 		pp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, pp.AppendBody(buf[:0]))
 		out.send(nil, pp)
 	}
-	if in.tr.Enabled() {
-		in.tr.Trace(obs.Event{
-			At: now, Type: obs.EvPrePrepare, Instance: in.cfg.Instance,
-			Seq: pp.Seq, View: pp.View, Count: len(pp.Batch),
-		})
-	}
-	if in.spans && !since.IsZero() {
-		in.tr.Trace(obs.Event{
-			At: now, Type: obs.EvSpan, Stage: obs.StagePropose,
-			Instance: in.cfg.Instance, Seq: pp.Seq, View: pp.View,
-			Count: len(pp.Batch), Dur: now.Sub(since),
-		})
-	}
+	in.tracePhase(now, obs.EvPrePrepare, obs.StagePropose, pp.Seq, pp.View, len(pp.Batch), since)
 	in.acceptPrePrepare(out, pp, now)
 }
 
@@ -577,12 +553,7 @@ func (in *Instance) acceptPrePrepare(out *Output, pp *message.PrePrepare, now ti
 		return // conflicting proposal; keep the first
 	}
 	in.unwait(s) // the superseded proposal's waiters go with it
-	s.havePP = true
-	s.view = pp.View
-	s.digest = digest
-	s.batch = pp.Batch
-	s.sentPrep = false
-	s.sentComm = false
+	s.havePP, s.view, s.digest, s.batch, s.sentPrep, s.sentComm = true, pp.View, digest, pp.Batch, false, false
 	if in.spans {
 		s.ppAt = now
 	}
@@ -591,11 +562,13 @@ func (in *Instance) acceptPrePrepare(out *Output, pp *message.PrePrepare, now ti
 	// paper's rule: reply with PREPARE only if the node already received f+1
 	// copies of the request, preventing a malicious primary from boosting
 	// its instance with requests sent only to it. A delivered ref is not
-	// waited on, nor one the node reports executed, nor any ref of a
-	// sequence already delivered here.
+	// waited on, nor a decided one, nor any ref of a sequence already
+	// delivered here. Each ref is resolved once, and the proposal keeps it.
 	if !s.delivered && pp.Seq > in.lastDelivered {
-		for _, ref := range pp.Batch {
-			if r := in.track(ref); r != nil && r.at == 0 && !r.known {
+		s.recs = make([]Record, len(pp.Batch))
+		for i, ref := range pp.Batch {
+			s.recs[i] = in.store.Request(in.cfg.Instance, ref)
+			if r := in.entry(s.recs[i]); r != nil && r.at == 0 && !r.known {
 				s.waiting++
 				r.waiters = append(r.waiters, waiter{view: pp.View, seq: pp.Seq})
 			}
@@ -665,19 +638,9 @@ func (in *Instance) checkPrepared(out *Output, s *slot, now time.Time) {
 		return
 	}
 	s.sentComm = true
-	if in.tr.Enabled() {
-		in.tr.Trace(obs.Event{
-			At: now, Type: obs.EvPrepare, Instance: in.cfg.Instance,
-			Seq: s.seq, View: s.view,
-		})
-	}
-	if in.spans && !s.ppAt.IsZero() {
+	in.tracePhase(now, obs.EvPrepare, obs.StagePrepareQuorum, s.seq, s.view, len(s.batch), s.ppAt)
+	if !s.ppAt.IsZero() {
 		s.prepAt = now
-		in.tr.Trace(obs.Event{
-			At: now, Type: obs.EvSpan, Stage: obs.StagePrepareQuorum,
-			Instance: in.cfg.Instance, Seq: s.seq, View: s.view,
-			Count: len(s.batch), Dur: now.Sub(s.ppAt),
-		})
 	}
 	if !in.behavior.Silent {
 		in.journal(out, wal.Record{Kind: wal.KindSentCommit, View: s.view, Seq: s.seq, Digest: s.digest})
@@ -713,20 +676,24 @@ func (in *Instance) checkCommitted(out *Output, s *slot, now time.Time) {
 		return
 	}
 	s.delivered = true
-	if in.tr.Enabled() {
-		in.tr.Trace(obs.Event{
-			At: now, Type: obs.EvCommit, Instance: in.cfg.Instance,
-			Seq: s.seq, View: s.view,
-		})
-	}
-	if in.spans && !s.prepAt.IsZero() {
-		in.tr.Trace(obs.Event{
-			At: now, Type: obs.EvSpan, Stage: obs.StageCommitQuorum,
-			Instance: in.cfg.Instance, Seq: s.seq, View: s.view,
-			Count: len(s.batch), Dur: now.Sub(s.prepAt),
-		})
-	}
+	in.tracePhase(now, obs.EvCommit, obs.StageCommitQuorum, s.seq, s.view, len(s.batch), s.prepAt)
 	in.deliverReady(out, now)
+}
+
+// tracePhase traces the phase event typ of the proposal (seq, view) of n refs
+// — a PRE-PREPARE's with its count — and, with spans on and since set, the
+// span of stage from since.
+func (in *Instance) tracePhase(now time.Time, typ obs.EventType, stage obs.Stage, seq types.SeqNum, view types.View, n int, since time.Time) {
+	if in.tr.Enabled() {
+		ev := obs.Event{At: now, Type: typ, Instance: in.cfg.Instance, Seq: seq, View: view}
+		if typ == obs.EvPrePrepare {
+			ev.Count = n
+		}
+		in.tr.Trace(ev)
+	}
+	if in.spans && !since.IsZero() {
+		in.tr.Trace(obs.Event{At: now, Type: obs.EvSpan, Stage: stage, Instance: in.cfg.Instance, Seq: seq, View: view, Count: n, Dur: now.Sub(since)})
+	}
 }
 
 // deliverReady delivers committed slots in contiguous sequence order and
@@ -740,22 +707,28 @@ func (in *Instance) deliverReady(out *Output, now time.Time) {
 		}
 		in.lastDelivered = next
 		s.deliveredIn = s.view
-		refs := make([]types.RequestRef, 0, len(s.batch))
-		for _, ref := range s.batch {
-			r := in.track(ref)
-			if r == nil || r.at != 0 {
-				continue // dedupe across view-change re-proposals
-			}
-			r.at = next
-			refs = append(refs, ref)
-			in.settle(ref, r)
+		all := len(s.recs) != len(s.batch) // the proposal resolved none: fetched, or at or below a delivery
+		if all {
+			s.recs = make([]Record, len(s.batch))
 		}
-		out.Delivered = append(out.Delivered, Batch{
-			Instance: in.cfg.Instance,
-			Seq:      next,
-			View:     s.view,
-			Refs:     refs,
-		})
+		b, dropped := Batch{Instance: in.cfg.Instance, Seq: next, View: s.view, Refs: s.batch, Recs: s.recs}, false
+		for i, ref := range s.batch {
+			if all || s.recs[i] != nil && !s.recs[i].Holds(ref) {
+				s.recs[i] = in.store.Request(in.cfg.Instance, ref)
+			}
+			r := in.entry(s.recs[i])
+			if r == nil || r.at != 0 { // decided, or delivered by an earlier proposal
+				if !dropped {
+					dropped, b.Refs, b.Recs = true, slices.Clone(s.batch[:i]), slices.Clone(s.recs[:i])
+				}
+				continue
+			}
+			if r.at = next; dropped {
+				b.Refs, b.Recs = append(b.Refs, ref), append(b.Recs, s.recs[i])
+			}
+			in.settle(s.recs[i], r)
+		}
+		out.Delivered = append(out.Delivered, b)
 		in.retainDelivered(next)
 		d := s.digest // as proposed in view 0, so a view change cannot split checkpoints
 		if s.view != 0 {

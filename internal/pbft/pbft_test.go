@@ -24,10 +24,10 @@ type testCluster struct {
 	rng       *rand.Rand // if non-nil, deliveries are randomly interleaved
 	drop      func(from, to types.NodeID, m message.Message) bool
 	delivered map[types.NodeID][]Batch
-	// executed, once nodeSignal installs it, is each node's set of executed
-	// (client, id) keys; peak is the most request records a replica held.
-	executed map[types.NodeID]map[types.RequestKey]bool
-	peak     int
+	// stores, once nodeSignal installs them, are each node's request store;
+	// peak is the most request records a replica's store held.
+	stores []*nodeStore
+	peak   int
 }
 
 type netMsg struct {
@@ -64,14 +64,13 @@ func newTestCluster(t *testing.T, f int, tweak func(*Config)) *testCluster {
 func (tc *testCluster) collect(from types.NodeID, out Output) {
 	for _, b := range out.Delivered {
 		tc.delivered[from] = append(tc.delivered[from], b)
-		if done := tc.executed[from]; done != nil {
+		if tc.stores != nil {
 			for _, ref := range b.Refs {
-				done[ref.Key()] = true
-				tc.replicas[from].Executed(ref)
+				tc.stores[from].execute(ref)
 			}
 		}
 	}
-	if n := tc.replicas[from].InFlight(); n > tc.peak {
+	if n := records(tc.replicas[from]); n > tc.peak {
 		tc.peak = n
 	}
 	for _, ob := range out.Msgs {
@@ -88,17 +87,70 @@ func (tc *testCluster) collect(from types.NodeID, out Output) {
 	}
 }
 
-// nodeSignal makes every replica behave as under a core.Node whose master it
-// is: the node executes each (client, id) the replica delivers, the first
-// time, reports the ref through Executed, and answers SetDecided's question
-// from what it executed.
+// nodeSignal rebuilds every replica over a store that behaves as a
+// core.Node's whose master it is: the node executes each (client, id) the
+// replica delivers, the first time, and retires the ref's entry.
 func (tc *testCluster) nodeSignal() {
-	tc.executed = make(map[types.NodeID]map[types.RequestKey]bool)
+	tc.stores = make([]*nodeStore, len(tc.replicas))
 	for n, r := range tc.replicas {
-		done := make(map[types.RequestKey]bool)
-		tc.executed[types.NodeID(n)] = done
-		r.SetDecided(func(ref types.RequestRef) bool { return done[ref.Key()] })
+		tc.stores[n] = &nodeStore{recs: make(map[types.RequestRef]*ownRecord), executed: make(map[types.RequestKey]bool)}
+		cfg := r.cfg
+		cfg.Store = tc.stores[n]
+		tc.replicas[n] = New(cfg, tc.ks.NodeRing(types.NodeID(n)))
 	}
+}
+
+// nodeStore fakes a node's request store for one instance: ownStore's
+// records, plus the (client, id) keys the node executed, which are decided.
+type nodeStore struct {
+	recs     map[types.RequestRef]*ownRecord
+	executed map[types.RequestKey]bool
+}
+
+func (s *nodeStore) Request(_ types.InstanceID, ref types.RequestRef) Record {
+	if r := s.recs[ref]; r != nil {
+		return r
+	}
+	if s.executed[ref.Key()] {
+		return nil
+	}
+	r := &ownRecord{ref: ref}
+	s.recs[ref] = r
+	return r
+}
+
+func (s *nodeStore) Settled(rec Record) {
+	r := rec.(*ownRecord)
+	delete(s.recs, r.ref)
+	r.ref = types.RequestRef{}
+}
+
+func (s *nodeStore) Each(fn func(types.RequestRef, Record)) {
+	for ref, r := range s.recs {
+		fn(ref, r)
+	}
+}
+
+// execute is the node executing ref: its key is decided, and its entry
+// retired.
+func (s *nodeStore) execute(ref types.RequestRef) {
+	s.executed[ref.Key()] = true
+	if r := s.recs[ref]; r != nil {
+		if r.e.Retire(); r.e.Idle() {
+			s.Settled(r)
+		}
+	}
+}
+
+// records returns how many request records in's store holds.
+func records(in *Instance) int {
+	switch s := in.store.(type) {
+	case *ownStore:
+		return len(s.recs)
+	case *nodeStore:
+		return len(s.recs)
+	}
+	panic("unknown store")
 }
 
 // addRequest simulates every node's dispatch module handing the ref to its

@@ -35,7 +35,7 @@ func backupOf(tc *testCluster, views ...types.View) types.NodeID {
 func requireNoRecords(t *testing.T, tc *testCluster) {
 	t.Helper()
 	for n, r := range tc.replicas {
-		if got := r.InFlight(); got != 0 {
+		if got := records(r); got != 0 {
 			t.Errorf("node %d holds %d request records, want 0", n, got)
 		}
 	}
@@ -91,8 +91,8 @@ func TestViewChangeDropsStaleWaiters(t *testing.T) {
 		}
 	}
 	for n, r := range tc.replicas {
-		if types.NodeID(n) != p0 && r.InFlight() != 400 {
-			t.Fatalf("backup %d holds %d records before the view change, want 400", n, r.InFlight())
+		if types.NodeID(n) != p0 && records(r) != 400 {
+			t.Fatalf("backup %d holds %d records before the view change, want 400", n, records(r))
 		}
 	}
 	tc.startViewChange(1)
@@ -159,9 +159,8 @@ func TestLaggingReplicaKeepsRecordUntilDelivery(t *testing.T) {
 		t.Fatal("the lagging replica delivered without COMMITs")
 	}
 	// Its node executed x through another lane.
-	tc.executed[lag][x.Key()] = true
-	tc.replicas[lag].Executed(x)
-	if got := tc.replicas[lag].InFlight(); got != 1 {
+	tc.stores[lag].execute(x)
+	if got := records(tc.replicas[lag]); got != 1 {
 		t.Fatalf("lagging replica holds %d records before delivering, want 1", got)
 	}
 	tc.drop = nil
@@ -310,4 +309,82 @@ func TestDecidedSiblingNeitherQueuedNorDelivered(t *testing.T) {
 		}
 	}
 	requireNoRecords(t, tc)
+}
+
+// TestBatchChangedAfterPreverifyIsNotPrepared: a replica accepts a
+// PRE-PREPARE under the digest its MAC was checked against, reused rather
+// than hashed again — bound to the header and Batch that were hashed. A
+// Batch replaced after preverification is hashed afresh, so the replica
+// prepares what it holds, never the MAC-checked digest over other refs, and
+// the other backups' PREPAREs for the proposal do not prepare it.
+func TestBatchChangedAfterPreverifyIsNotPrepared(t *testing.T) {
+	tc := newTestCluster(t, 1, nil)
+	p, b := tc.cfg.PrimaryOf(0, 0), backupOf(tc, 0)
+	x, y := ref(1, 1), ref(2, 1)
+	sent := &message.PrePrepare{Instance: 0, View: 0, Seq: 1, Batch: []types.RequestRef{x}, Node: p}
+	sent.Auth = tc.ks.NodeRing(p).AuthenticatorForNodes(tc.cfg.N, sent.Body())
+	macd := sent.BatchDigest()
+	pre := message.NewPreverifier(tc.ks.NodeRing(b), b, tc.cfg, message.NewVerifyCache(0))
+	v, err := pre.PreverifyNodeFrame(sent.Marshal(nil), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp := v.Msg.(*message.PrePrepare)
+	pp.Batch = []types.RequestRef{y}
+	backup := tc.replicas[b]
+	backup.AddRequest(y, tc.now)
+	out, err := backup.OnMessage(pp, tc.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := backup.at(1)
+	for _, m := range out.Msgs {
+		if prep, ok := m.Msg.(*message.Prepare); ok && prep.Digest == macd {
+			t.Fatal("the backup vouched for the MAC-checked digest over a changed batch")
+		}
+	}
+	if s.digest == macd || s.digest != (&message.PrePrepare{Instance: 0, View: 0, Seq: 1, Batch: pp.Batch}).BatchDigest() {
+		t.Fatal("the slot does not hold the digest of the batch it holds")
+	}
+	for n := range tc.replicas {
+		if id := types.NodeID(n); id != p && id != b {
+			prep := &message.Prepare{Instance: 0, View: 0, Seq: 1, Digest: macd, Node: id}
+			if _, err := backup.OnMessage(prep, tc.now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s.sentComm {
+		t.Fatal("the changed batch was prepared on the other backups' PREPAREs for the sent one")
+	}
+}
+
+// TestExecutedBatchDropsItsRecords: a delivered batch keeps the records its
+// proposal resolved only while one of its entries waits for retention. Under
+// a node, which retires the entries as it executes the batch, the next
+// delivery drops them; without one, nothing is retired before retention and
+// they stay.
+func TestExecutedBatchDropsItsRecords(t *testing.T) {
+	for _, signal := range []bool{false, true} {
+		tc := newTestCluster(t, 1, func(c *Config) { c.BatchSize = 1 })
+		if signal {
+			tc.nodeSignal()
+		}
+		for i := 1; i <= 3; i++ {
+			tc.addRequest(ref(1, types.RequestID(i)))
+		}
+		for n, r := range tc.replicas {
+			if r.LastDelivered() != 3 {
+				t.Fatalf("signal %v: node %d delivered through %d, want 3", signal, n, r.LastDelivered())
+			}
+			for seq := types.SeqNum(1); seq <= 2; seq++ {
+				if kept := len(r.at(seq).recs); (kept == 0) != signal {
+					t.Errorf("signal %v: node %d keeps %d records at delivered seq %d", signal, n, kept, seq)
+				}
+			}
+			if len(r.at(3).recs) != 1 {
+				t.Errorf("signal %v: node %d dropped the records of its last delivery", signal, n)
+			}
+		}
+	}
 }

@@ -198,9 +198,7 @@ func (in *Instance) installNewView(out *Output, nv *message.NewView) {
 	reissued := make(map[types.RequestRef]bool)
 	for i := range nv.PrePrepares {
 		pp := nv.PrePrepares[i]
-		if pp.Seq > maxSeq {
-			maxSeq = pp.Seq
-		}
+		maxSeq = max(maxSeq, pp.Seq)
 		for _, ref := range pp.Batch {
 			reissued[ref] = true
 		}
@@ -222,20 +220,15 @@ func (in *Instance) installNewView(out *Output, nv *message.NewView) {
 	}
 
 	if in.IsPrimary() {
-		if maxSeq+1 > in.nextSeq {
-			in.nextSeq = maxSeq + 1
-		}
-		if in.nextSeq <= in.stableSeq {
-			in.nextSeq = in.stableSeq + 1
-		}
+		in.nextSeq = max(in.nextSeq, maxSeq+1, in.stableSeq+1)
 		// Deterministically re-queue the requests in flight: known here,
 		// undelivered here, and not re-issued.
 		var refs []types.RequestRef
-		for ref, r := range in.reqs {
-			if r.known && r.at == 0 && !reissued[ref] {
+		in.store.Each(func(ref types.RequestRef, rec Record) {
+			if r := rec.Entry(in.cfg.Instance); r.known && r.at == 0 && !reissued[ref] {
 				refs = append(refs, ref)
 			}
-		}
+		})
 		slices.SortFunc(refs, func(a, b types.RequestRef) int {
 			return cmp.Or(cmp.Compare(a.Client, b.Client), cmp.Compare(a.ID, b.ID), bytes.Compare(a.Digest[:], b.Digest[:]))
 		})

@@ -217,3 +217,38 @@ func TestTickIsNoopWhenNotDue(t *testing.T) {
 		t.Fatal("due tick did not cut the batch")
 	}
 }
+
+// TestFaultyStableSeqDropsPreparedProofs is a KNOWN FAILURE, pinned as it
+// stands: ROADMAP item 15 (the bug first listed as 3(f)), to be fixed by
+// 15(b)'s certified checkpoints. Nothing certifies a VIEW-CHANGE's StableSeq,
+// so of three VIEW-CHANGEs — two carrying a prepared proof at seq 5 — a third
+// that claims StableSeq 2²⁰ makes the NEW-VIEW re-issue nothing, where an
+// honest third gives 5 proposals (seqs 1–4 null, seq 5 the proof's batch).
+// A backup validating that NEW-VIEW runs the same computation, so it installs
+// the view without the prepared batch. The assertions hold today's wrong
+// result; the fix turns the faulty case around to 5.
+func TestFaultyStableSeqDropsPreparedProofs(t *testing.T) {
+	proof := message.PreparedProof{Seq: 5, View: 0, Digest: types.Digest{5}, Batch: []types.RequestRef{ref(1, 1)}}
+	reissued := func(thirdStable types.SeqNum) (int, *slot) {
+		tc := newTestCluster(t, 1, nil)
+		vcs := []message.ViewChange{
+			{Instance: 0, NewView: 1, Node: 0, Prepared: []message.PreparedProof{proof}},
+			{Instance: 0, NewView: 1, Node: 2, Prepared: []message.PreparedProof{proof}},
+			{Instance: 0, NewView: 1, Node: 3, StableSeq: thirdStable},
+		}
+		primary := tc.cfg.PrimaryOf(1, 0)
+		backup := tc.replicas[backupOf(tc, 0, 1)]
+		backup.StartViewChange(1, tc.now)
+		nv := &message.NewView{Instance: 0, View: 1, ViewChanges: vcs, PrePrepares: backup.computeNewViewPrePrepares(1, vcs), Node: primary}
+		if _, err := backup.OnMessage(nv, tc.now); err != nil || backup.inViewChange {
+			t.Fatalf("StableSeq %d: backup refused the NEW-VIEW: %v", thirdStable, err)
+		}
+		return len(nv.PrePrepares), backup.at(5)
+	}
+	if n, s := reissued(0); n != 5 || s.seq != 5 || len(s.batch) != 1 {
+		t.Fatalf("honest VIEW-CHANGEs: %d proposals re-issued, seq 5 holds %d refs; want 5 and the proof's batch", n, len(s.batch))
+	}
+	if n, s := reissued(1 << 20); n != 0 || s.seq == 5 && s.havePP {
+		t.Fatalf("known failure changed: a faulty StableSeq now leaves %d proposals re-issued (item 15(b) landed? assert 5)", n)
+	}
+}

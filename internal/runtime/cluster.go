@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -90,17 +91,11 @@ type LocalCluster struct {
 
 // StartLocalCluster boots 3f+1 nodes and returns the running cluster.
 func StartLocalCluster(opts ClusterOptions) (*LocalCluster, error) {
-	if opts.Transport == 0 {
-		opts.Transport = Mem
-	}
-	if opts.MaxClients == 0 {
-		opts.MaxClients = 64
-	}
+	opts.Transport = cmp.Or(opts.Transport, Mem)
+	opts.MaxClients = cmp.Or(opts.MaxClients, 64)
+	opts.RetransmitTimeout = cmp.Or(opts.RetransmitTimeout, 500*time.Millisecond)
 	if opts.Secret == nil {
 		opts.Secret = []byte("rbft-local-cluster")
-	}
-	if opts.RetransmitTimeout == 0 {
-		opts.RetransmitTimeout = 500 * time.Millisecond
 	}
 	cluster := types.NewConfig(opts.F)
 	lc := &LocalCluster{
@@ -174,9 +169,7 @@ func (lc *LocalCluster) startNode(id types.NodeID, tr transport.Transport) error
 	if lc.opts.Tracer != nil {
 		node.SetTracer(lc.opts.Tracer)
 	}
-	if lc.opts.Metrics != nil {
-		node.SetRegistry(lc.opts.Metrics)
-	}
+	node.SetRegistry(lc.opts.Metrics) // a nil registry wires nothing
 
 	var w *wal.Log
 	if lc.opts.DataDir != "" {

@@ -181,9 +181,7 @@ func (e *egress) worker(q *peerQueue) {
 		if e.wal != nil {
 			var horizon uint64
 			for _, f := range batch {
-				if f.lsn > horizon {
-					horizon = f.lsn
-				}
+				horizon = max(horizon, f.lsn)
 			}
 			if horizon > 0 {
 				var w0 time.Time

@@ -548,10 +548,7 @@ func (cr *ClientRuntime) handlePacket(p transport.Packet) {
 	if err != nil || from.client {
 		return
 	}
-	msg, err := message.Decode(p.Data)
-	if err != nil {
-		return
-	}
+	msg, _ := message.Decode(p.Data) // nil when undecodable
 	rep, ok := msg.(*message.Reply)
 	if !ok {
 		return

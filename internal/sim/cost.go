@@ -111,10 +111,8 @@ const orderedPayloadCostFactor = 6
 // ordered-payload ablation bytes for PRE-PREPAREs.
 func (c CostModel) wireSize(msg message.Message) int {
 	size := msg.EncodedSize()
-	if c.OrderedPayloadBytes > 0 {
-		if pp, ok := msg.(*message.PrePrepare); ok {
-			size += len(pp.Batch) * c.OrderedPayloadBytes
-		}
+	if pp, ok := msg.(*message.PrePrepare); ok {
+		size += len(pp.Batch) * c.OrderedPayloadBytes
 	}
 	return size
 }

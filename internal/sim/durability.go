@@ -149,27 +149,16 @@ func (s *Sim) crashNode(id types.NodeID) {
 	}
 	sn.crashed = true
 	sn.epoch++
-	for q := range sn.queues {
-		sn.queues[q] = cpuQueue{}
-	}
-	for i := range sn.verify {
-		sn.verify[i] = time.Time{}
-	}
-	if sn.reorder != nil {
-		sn.reorder = make(map[uint64]cpuTask)
-	}
-	sn.ingressSeq = 0
-	sn.nextApply = 0
-	sn.sigSeen = make(map[types.RequestKey]bool)
-	sn.closed = make(map[types.NodeID]time.Time)
-	sn.timerAt = time.Time{}
+	clear(sn.queues)
+	clear(sn.verify)
+	clear(sn.reorder)
+	clear(sn.sigSeen)
+	clear(sn.closed)
+	sn.ingressSeq, sn.nextApply, sn.timerAt = 0, 0, time.Time{}
 	// The un-fsynced group-commit batch is exactly what a real power cut
 	// loses; the waiting outputs were never transmitted, so losing them
 	// together keeps the node consistent.
-	sn.pendingFlush = nil
-	sn.flushWaiters = nil
-	sn.flushArmed = false
-	sn.diskBusyUntil = time.Time{}
+	sn.pendingFlush, sn.flushWaiters, sn.flushArmed, sn.diskBusyUntil = nil, nil, false, time.Time{}
 	// Payloads parked on a busy link are the node's in-memory egress queues;
 	// they die with the host. Frames already on the wire (delivery events
 	// scheduled) stay in flight. Scheduled link flushes are invalidated by

@@ -58,8 +58,6 @@ type Metrics struct {
 	monitorSamples []MonitorSample
 }
 
-var _ obs.Tracer = (*Metrics)(nil)
-
 // Enabled implements obs.Tracer.
 func (m *Metrics) Enabled() bool { return true }
 

@@ -371,9 +371,7 @@ func (s *Sim) newCoreNode(id types.NodeID) *core.Node {
 	}
 	node := core.New(nodeCfg, s.ks.NodeRing(id))
 	node.SetTracer(s.sink)
-	if b, ok := s.cfg.NodeBehavior[id]; ok {
-		node.SetBehavior(b)
-	}
+	node.SetBehavior(s.cfg.NodeBehavior[id]) // none: the zero, correct behaviour
 	return node
 }
 

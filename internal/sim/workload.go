@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -138,10 +139,7 @@ type simClient struct {
 // clients are instantiated lazily by clientAt the first time they send, so a
 // huge addressable population costs one pointer slot per client until used.
 func (s *Sim) setupClients() {
-	s.clientRT = s.cfg.Workload.RetransmitTimeout
-	if s.clientRT == 0 {
-		s.clientRT = 2 * time.Second
-	}
+	s.clientRT = cmp.Or(s.cfg.Workload.RetransmitTimeout, 2*time.Second)
 	op := make([]byte, s.cfg.Workload.RequestSize)
 	for i := range op {
 		op[i] = byte(i * 31)

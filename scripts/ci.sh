@@ -100,15 +100,16 @@ go run ./cmd/rbft-trace critical-path -top 3 TRACE_smoke.jsonl >/dev/null
 go run ./cmd/rbft-trace attribute TRACE_smoke.jsonl >/dev/null
 rm -f TRACE_smoke.jsonl
 
-echo "== line gate (ROADMAP items 2 and 9: non-test lines of internal/{core,sim,runtime}, then of internal/pbft, internal/message, internal/crypto and internal/transport with its three transports; all, then non-blank non-comment; then tools/ + cmd/) =="
+echo "== line gate (ROADMAP items 2 and 9: non-test lines of internal/{core,sim,runtime}, then of internal/pbft, internal/message, internal/crypto's own files and internal/transport with its three transports; all, then non-blank non-comment; then tools/ + cmd/) =="
 # The ceilings are what earlier changes left behind: the drivers and the node
 # may shrink, never grow back; nor may the protocol instance, since its
-# per-request state became one record per request in flight; nor the
+# per-request state moved into the node's one request store; nor the
 # transports, since they came down to moving bytes, and memnet to copying
 # none; nor the tooling; nor the codec and preverify stage, since the
-# verification cache came down to digests and verdicts.
-ceiling_lines=4765 ceiling_code=3235 pbft_ceiling_lines=1536 tooling_ceiling_lines=5062
-message_ceiling_lines=1910 message_ceiling_code=1277
+# verification cache came down to digests and verdicts; nor crypto's own
+# files beside the vendored edwards25519, which stays ungated.
+ceiling_lines=4765 ceiling_code=3234 pbft_ceiling_lines=1535 tooling_ceiling_lines=5062
+message_ceiling_lines=1902 message_ceiling_code=1268 crypto_ceiling_lines=632 crypto_ceiling_code=418
 transports="internal/transport internal/transport/memnet internal/transport/tcpnet internal/transport/udpnet"
 transport_ceiling_lines=1035 transport_ceiling_code=697
 for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "internal/message" "internal/crypto" "$transports"; do
@@ -125,6 +126,10 @@ for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "inter
 	fi
 	if [ "$dirs" = "internal/message" ] && { [ "$lines" -gt "$message_ceiling_lines" ] || [ "$code" -gt "$message_ceiling_code" ]; }; then
 		echo "internal/message grew past the ceiling of $message_ceiling_lines lines / $message_ceiling_code non-blank non-comment"
+		exit 1
+	fi
+	if [ "$dirs" = "internal/crypto" ] && { [ "$lines" -gt "$crypto_ceiling_lines" ] || [ "$code" -gt "$crypto_ceiling_code" ]; }; then
+		echo "internal/crypto grew past the ceiling of $crypto_ceiling_lines lines / $crypto_ceiling_code non-blank non-comment"
 		exit 1
 	fi
 	if [ "$dirs" = "$transports" ] && { [ "$lines" -gt "$transport_ceiling_lines" ] || [ "$code" -gt "$transport_ceiling_code" ]; }; then
