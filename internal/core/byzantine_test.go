@@ -29,10 +29,7 @@ func TestByzantineTrafficNeverBreaksSafety(t *testing.T) {
 func runByzantineFuzz(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	nc := newNodeCluster(t, 1, func(c *Config) {
-		c.BatchSize = 4
-		c.FloodThreshold = 1 << 30 // keep the byzantine node's NIC open
-	})
+	nc := newNodeCluster(t, 1, func(c *Config) { c.BatchSize = 4 })
 	attacker := types.NodeID(3)
 	attackerRing := nc.ks.NodeRing(attacker)
 
@@ -85,6 +82,14 @@ func runByzantineFuzz(t *testing.T, seed int64) {
 	for _, a := range nc.apps[:3] {
 		if a.Total(3) != 0 || a.Total(4) != 0 {
 			t.Fatalf("seed %d: forged request executed", seed)
+		}
+	}
+	// The attacker's traffic stays below the flood threshold, so every
+	// message it sent was judged on its content, none dropped at a closed
+	// NIC.
+	for _, c := range nc.nicCloses {
+		if c.Peer == attacker {
+			t.Fatalf("seed %d: the attacker's NIC was closed; its later messages went unjudged", seed)
 		}
 	}
 	// (c) all legitimate requests eventually completed.

@@ -171,14 +171,17 @@ func (cs *clientState) isExecuted(id types.RequestID) bool {
 	return id <= cs.execThrough || cs.execRecent[id]
 }
 
+// ReplyCacheSize bounds each client's reply cache.
+const ReplyCacheSize = 256
+
 // cacheReply appends a reply to the bounded per-client cache, dropping the
-// oldest entry beyond bound. Dropping a cached reply never forgets that the
-// request executed — that lives in the executed watermark — so every
-// eviction path shares this one method and the bound cannot silently
+// oldest entry beyond ReplyCacheSize. Dropping a cached reply never forgets
+// that the request executed — that lives in the executed watermark — so
+// every eviction path shares this one method and the bound cannot silently
 // diverge from the executed bookkeeping.
-func (cs *clientState) cacheReply(id types.RequestID, result []byte, bound int) {
+func (cs *clientState) cacheReply(id types.RequestID, result []byte) {
 	cs.replies = append(cs.replies, cachedReply{id: id, result: result})
-	if len(cs.replies) > bound {
+	if len(cs.replies) > ReplyCacheSize {
 		cs.replies = cs.replies[1:]
 	}
 }

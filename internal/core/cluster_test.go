@@ -29,6 +29,7 @@ type nodeCluster struct {
 	completed map[types.ClientID][]client.Completed
 	executed  map[types.NodeID][]types.RequestRef
 	icEvents  []ICEvent
+	nicCloses []NICClose
 	// records accumulates each node's durability log in emission order,
 	// playing the role of that node's WAL for restart tests.
 	records map[types.NodeID][]wal.Record
@@ -117,6 +118,7 @@ func (nc *nodeCluster) sendRequest(id types.ClientID, op []byte, onlyTo ...types
 
 func (nc *nodeCluster) collect(from types.NodeID, out Output) {
 	nc.icEvents = append(nc.icEvents, out.InstanceChanges...)
+	nc.nicCloses = append(nc.nicCloses, out.NICCloses...)
 	nc.records[from] = append(nc.records[from], out.Records...)
 	// ExecWaves always describes Executions: every execution sits in a wave
 	// of the plan, the waves hold exactly the executions, and a node that
@@ -514,14 +516,10 @@ func TestInstanceChangeCatchesUpSkippedRounds(t *testing.T) {
 }
 
 func TestFloodingPeerGetsNICClosed(t *testing.T) {
-	nc := newNodeCluster(t, 1, func(c *Config) {
-		c.FloodThreshold = 10
-		c.FloodWindow = time.Second
-		c.NICClosePeriod = time.Second
-	})
+	nc := newNodeCluster(t, 1, nil)
 	attacker := types.NodeID(3)
 	var closed bool
-	for i := 0; i < 10; i++ {
+	for i := 0; i < FloodThreshold; i++ {
 		out := onNodeMessage(nc.nodes[0], &message.Invalid{Node: attacker, Padding: make([]byte, 64)}, attacker, nc.now)
 		if len(out.NICCloses) > 0 {
 			closed = true

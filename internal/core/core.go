@@ -69,21 +69,10 @@ type Config struct {
 	// filled in from the cluster configuration; PerLane follows OrderingMode.
 	Monitoring monitor.Config
 
-	// ReplyCacheSize bounds the per-client reply cache.
-	ReplyCacheSize int
-
 	// MaxClients bounds the resident client-table entries; beyond it the
 	// least-recently-used quiescent client is evicted (docs/CLIENTS.md). 0
 	// means unbounded (the historical behaviour).
 	MaxClients int
-
-	// FloodThreshold is the number of invalid messages from one peer within
-	// FloodWindow that triggers closing that peer's NIC for NICClosePeriod.
-	FloodThreshold int
-	// FloodWindow is the flood-detection window.
-	FloodWindow time.Duration
-	// NICClosePeriod is how long a flooding peer's NIC stays closed.
-	NICClosePeriod time.Duration
 
 	// Durable makes the node (and its replicas) attach wal.Records to
 	// Outputs for crash-survivable state; the driver must persist an
@@ -96,10 +85,6 @@ func (c *Config) withDefaults() Config {
 	if out.App == nil {
 		out.App = app.Null{}
 	}
-	out.ReplyCacheSize = cmp.Or(out.ReplyCacheSize, 256)
-	out.FloodThreshold = cmp.Or(out.FloodThreshold, 64)
-	out.FloodWindow = cmp.Or(out.FloodWindow, 100*time.Millisecond)
-	out.NICClosePeriod = cmp.Or(out.NICClosePeriod, time.Second)
 	out.Monitoring.Instances = out.Cluster.Instances()
 	out.Monitoring.PerLane = out.OrderingMode == types.OrderingMultiPrimary
 	return out
@@ -270,12 +255,12 @@ func New(cfg Config, keys *crypto.KeyRing) *Node {
 		closedUntil: make([]time.Time, c.Cluster.N),
 		tr:          obs.Nop{},
 	}
-	n.pre = message.NewPreverifier(keys, c.Node, c.Cluster, message.NewVerifyCache(0)) // 0: the default capacity
+	n.pre = message.NewPreverifier(keys, c.Node, c.Cluster, message.NewVerifyCache())
 	n.sched = exec.New(c.App, c.ExecWorkers)
 	n.reader, _ = c.App.(app.ReadExecutor)
 	if c.OrderingMode == types.OrderingMultiPrimary {
 		n.merge = newLaneMerge(c.Cluster.Instances())
-		n.fillerDelay = cmp.Or(c.BatchTimeout, 5*time.Millisecond) // pbft's BatchTimeout default
+		n.fillerDelay = cmp.Or(c.BatchTimeout, types.DefaultBatchTimeout)
 	}
 	for i := 0; i < c.Cluster.Instances(); i++ {
 		pc := pbft.Config{

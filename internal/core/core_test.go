@@ -84,48 +84,56 @@ func TestMasterPrimaryTracksView(t *testing.T) {
 }
 
 // TestSpoofedInstanceMessageCounted: a message whose claimed sender differs
-// from the authenticated transport sender counts as invalid traffic.
+// from the authenticated transport sender counts as invalid traffic, so
+// FloodThreshold of them close the sender's NIC, at the last one.
 func TestSpoofedInstanceMessageCounted(t *testing.T) {
-	nc := newNodeCluster(t, 1, func(c *Config) {
-		c.FloodThreshold = 3
-		c.FloodWindow = time.Minute
-	})
+	nc := newNodeCluster(t, 1, nil)
 	n := nc.nodes[0]
-	var closed bool
-	for i := 0; i < 3; i++ {
+	var closes []NICClose
+	for i := 0; i < FloodThreshold; i++ {
 		// Claimed node 2, delivered from node 3.
 		p := &message.Prepare{Instance: 0, View: 0, Seq: 1, Node: 2}
 		p.Auth = nc.ks.NodeRing(3).AuthenticatorForNodes(nc.cfg.N, p.Body())
 		out := onNodeMessage(n, p, 3, nc.now)
-		if len(out.NICCloses) > 0 {
-			closed = true
+		if len(out.NICCloses) > 0 && i != FloodThreshold-1 {
+			t.Fatalf("NIC closed after %d spoofed messages, want %d", i+1, FloodThreshold)
 		}
+		closes = append(closes, out.NICCloses...)
 	}
-	if !closed {
-		t.Fatal("spoofed senders did not trip the flood defence")
+	if len(closes) != 1 || closes[0].Peer != 3 {
+		t.Fatalf("spoofed senders caused NIC closures %+v, want one of node 3", closes)
 	}
 }
 
 // TestReplyCacheEviction: the per-client reply cache is bounded and evicts
 // oldest entries.
 func TestReplyCacheEviction(t *testing.T) {
-	nc := newNodeCluster(t, 1, func(c *Config) { c.ReplyCacheSize = 2 })
-	for i := 1; i <= 3; i++ {
+	nc := newNodeCluster(t, 1, nil)
+	for i := 1; i <= ReplyCacheSize+1; i++ {
 		nc.sendRequest(1, []byte{0, 0, 0, 0, 0, 0, 0, 1})
 	}
 	nc.runFor(100 * time.Millisecond)
 	n := nc.nodes[0]
 	cs := n.client(1, nc.now)
-	if len(cs.replies) != 2 {
-		t.Fatalf("reply cache holds %d entries, want 2", len(cs.replies))
-	}
-	if cs.replies[0].id != 2 || cs.replies[1].id != 3 {
-		t.Fatalf("cache kept ids %d,%d, want 2,3", cs.replies[0].id, cs.replies[1].id)
-	}
+	requireCachedFrom(t, cs, 2)
 	// Evicting the cached reply must NOT forget that the request executed:
 	// the watermark is what stops a stale retransmission from re-executing.
 	if !cs.isExecuted(1) {
 		t.Fatal("executed watermark forgot the request whose reply was evicted")
+	}
+}
+
+// requireCachedFrom fails unless cs's reply cache is full and holds the
+// replies of requests first .. first+ReplyCacheSize-1, oldest first.
+func requireCachedFrom(t *testing.T, cs *clientState, first types.RequestID) {
+	t.Helper()
+	if len(cs.replies) != ReplyCacheSize {
+		t.Fatalf("reply cache holds %d entries, want %d", len(cs.replies), ReplyCacheSize)
+	}
+	for i, r := range cs.replies {
+		if want := first + types.RequestID(i); r.id != want {
+			t.Fatalf("cache entry %d is of request %d, want %d", i, r.id, want)
+		}
 	}
 }
 

@@ -113,6 +113,6 @@ func (n *Node) restoreExecution(rec wal.Record) (bool, error) {
 	}
 	cs.markExecuted(rec.Req)
 	result := n.cfg.App.Execute(rec.Client, rec.Req, rec.Op)
-	cs.cacheReply(rec.Req, result, n.cfg.ReplyCacheSize)
+	cs.cacheReply(rec.Req, result)
 	return true, nil
 }

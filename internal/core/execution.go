@@ -79,7 +79,7 @@ func (n *Node) executeBatch(out *Output, b pbft.Batch, now time.Time) {
 				At: now, Type: obs.EvExecuted, Client: ref.Client, Req: ref.ID,
 			})
 		}
-		e.cs.cacheReply(ref.ID, result, n.cfg.ReplyCacheSize)
+		e.cs.cacheReply(ref.ID, result)
 		out.Executions = append(out.Executions, Execution{Ref: ref, Result: result, Wave: base + res.Wave[i]})
 		n.reply(ref.Client, e.req.bundle, ref.ID, result)
 		n.release(e.cs, e.req)

@@ -82,16 +82,25 @@ func (n *Node) nicClosed(from types.NodeID, now time.Time) bool {
 // per-node table.
 func (n *Node) member(id types.NodeID) bool { return id >= 0 && int(id) < n.cfg.Cluster.N }
 
+// The flood defence, Aardvark's fixed policy: FloodThreshold invalid
+// messages from one peer within one FloodWindow close that peer's NIC for
+// NICClosePeriod.
+const (
+	FloodThreshold = 64
+	FloodWindow    = 100 * time.Millisecond
+	NICClosePeriod = time.Second
+)
+
 // countInvalid records an invalid message from a peer and closes its NIC if
-// it exceeds the flood threshold within the window.
+// it reaches FloodThreshold within the window.
 func (n *Node) countInvalid(out *Output, from types.NodeID, now time.Time) {
-	if now.Sub(n.floodStart) > n.cfg.FloodWindow {
+	if now.Sub(n.floodStart) > FloodWindow {
 		n.floodStart = now
 		clear(n.floodCounts)
 	}
 	n.floodCounts[from]++
-	if n.floodCounts[from] >= n.cfg.FloodThreshold {
-		until := now.Add(n.cfg.NICClosePeriod)
+	if n.floodCounts[from] >= FloodThreshold {
+		until := now.Add(NICClosePeriod)
 		n.closedUntil[from] = until
 		out.NICCloses = append(out.NICCloses, NICClose{Peer: from, Until: until})
 		n.floodCounts[from] = 0

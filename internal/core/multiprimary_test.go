@@ -119,29 +119,24 @@ func TestMultiPrimaryBackupLaneEquivocationDedup(t *testing.T) {
 func TestMultiPrimaryBackupLaneReplyCacheEviction(t *testing.T) {
 	nc := newNodeCluster(t, 1, func(c *Config) {
 		multiPrimaryTweak(c)
-		c.ReplyCacheSize = 2
 		c.Durable = true
 	})
-	for i := 1; i <= 3; i++ {
+	const requests = ReplyCacheSize + 1
+	for i := 1; i <= requests; i++ {
 		nc.sendRequest(1, []byte{0, 0, 0, 0, 0, 0, 0, 1})
 	}
 	nc.runFor(200 * time.Millisecond)
 
 	n := nc.nodes[0]
-	if got := len(nc.executed[0]); got != 3 {
-		t.Fatalf("node 0 executed %d requests, want 3", got)
+	if got := len(nc.executed[0]); got != requests {
+		t.Fatalf("node 0 executed %d requests, want %d", got, requests)
 	}
 	cs := n.client(1, nc.now)
-	if len(cs.replies) != 2 {
-		t.Fatalf("reply cache holds %d entries, want 2", len(cs.replies))
-	}
-	if cs.replies[0].id != 2 || cs.replies[1].id != 3 {
-		t.Fatalf("cache kept ids %d,%d, want 2,3", cs.replies[0].id, cs.replies[1].id)
-	}
+	requireCachedFrom(t, cs, 2)
 	if !cs.isExecuted(1) {
 		t.Fatal("executed watermark forgot the request whose reply was evicted")
 	}
-	// All three executions were released by the backup lane owning the
+	// All the executions were released by the backup lane owning the
 	// client's partition.
 	executedRecords := 0
 	for _, rec := range nc.records[0] {
@@ -152,8 +147,8 @@ func TestMultiPrimaryBackupLaneReplyCacheEviction(t *testing.T) {
 			}
 		}
 	}
-	if executedRecords != 3 {
-		t.Fatalf("logged %d executed records, want 3", executedRecords)
+	if executedRecords != requests {
+		t.Fatalf("logged %d executed records, want %d", executedRecords, requests)
 	}
 }
 

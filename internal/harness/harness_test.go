@@ -3,6 +3,10 @@ package harness
 import (
 	"testing"
 	"time"
+
+	"rbft/internal/obs"
+	"rbft/internal/sim"
+	"rbft/internal/types"
 )
 
 // quickOpts keeps harness tests tractable on CI hardware: one size, short
@@ -130,5 +134,48 @@ func TestFigure12InstanceChangeOnLambda(t *testing.T) {
 	}
 	if r.MaxAttackedLatency <= r.Lambda {
 		t.Fatalf("attack never exceeded Lambda (max %v)", r.MaxAttackedLatency)
+	}
+}
+
+// nicCloses counts the NIC closures that name one peer.
+type nicCloses struct {
+	peer types.NodeID
+	n    int
+}
+
+func (c *nicCloses) Enabled() bool { return true }
+func (c *nicCloses) Trace(ev obs.Event) {
+	if ev.Type == obs.EvNICClose && ev.Peer == c.peer {
+		c.n++
+	}
+}
+
+// TestWorstAttack2FloodStaysBelowClosure: in the quick worst-attack-2 run
+// (f = 1), node 0's stealth flood, paced from core's flood constants, never
+// closes its NIC; the same flood at twice that rate does, so the pacing is
+// what keeps the NIC open.
+func TestWorstAttack2FloodStaysBelowClosure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	o := quickOpts().withDefaults()
+	closures := func(scale float64) int {
+		size, offered := o.Sizes[0], loadFor(1, o.Sizes[0])
+		cfg := rbftConfig(1, size, offered, o)
+		attack2Config(&cfg, offered)
+		if cfg.Floods[0].From != 0 || cfg.Floods[0].FromClients {
+			t.Fatalf("the first flood is not node 0's: %+v", cfg.Floods[0])
+		}
+		cfg.Floods[0].Rate *= scale
+		c := &nicCloses{peer: 0}
+		cfg.Trace = c
+		sim.New(cfg).Run(o.RunTime)
+		return c.n
+	}
+	if n := closures(1); n != 0 {
+		t.Errorf("the stealth flood closed node 0's NIC %d times, want 0", n)
+	}
+	if n := closures(2); n == 0 {
+		t.Error("a flood at twice the stealth rate never closed node 0's NIC: the closure rate is not core's")
 	}
 }

@@ -203,7 +203,7 @@ func installAttack2WithDelta(cfg *sim.Config, offered float64, delta float64) {
 	// primary's ordering traffic and hand the master instance away at the
 	// next instance change. (A flood detector keyed on invalid-message rate
 	// is exactly the kind of threshold a smart attacker hides under.)
-	stealthRate := 0.8 * floodClosureRate(cfg)
+	stealthRate := 0.8 * (float64(core.FloodThreshold) / core.FloodWindow.Seconds())
 	cfg.Floods = append(cfg.Floods,
 		sim.Flood{From: faulty0, Targets: correct, Size: 8192, Rate: stealthRate},
 		sim.Flood{FromClients: true, Targets: correct, Size: 4096, Rate: 2000},
@@ -224,20 +224,6 @@ func installAttack2WithDelta(cfg *sim.Config, offered float64, delta float64) {
 		cfg.Floods = append(cfg.Floods,
 			sim.Flood{From: faulty, Targets: correct, Size: 8192, Rate: 5000})
 	}
-}
-
-// floodClosureRate returns the invalid-message rate at which the node flood
-// defence closes a peer's NIC.
-func floodClosureRate(cfg *sim.Config) float64 {
-	threshold := cfg.FloodThreshold
-	if threshold == 0 {
-		threshold = 64 // core.Config default
-	}
-	window := cfg.FloodWindow
-	if window == 0 {
-		window = 100 * time.Millisecond
-	}
-	return float64(threshold) / window.Seconds()
 }
 
 // worstAttackCurve runs one of the two worst attacks across the size sweep.

@@ -116,7 +116,7 @@ func FuzzPreverify(f *testing.F) {
 	}
 
 	// Few entries, so that the frames of one input also evict each other's.
-	pre := NewPreverifier(ks.NodeRing(0), 0, types.NewConfig(1), NewVerifyCache(4))
+	pre := NewPreverifier(ks.NodeRing(0), 0, types.NewConfig(1), newVerifyCache(4))
 	f.Fuzz(func(t *testing.T, first, second []byte) {
 		check := func(v *Verified, err error) {
 			if (v == nil) == (err == nil) {

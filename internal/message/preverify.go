@@ -178,15 +178,14 @@ type cacheEntry struct {
 	sig     [crypto.SignatureSize]byte
 }
 
-// DefaultVerifyCacheSize bounds the per-node signature verification cache.
-const DefaultVerifyCacheSize = 4096
+// VerifyCacheSize bounds the per-node signature verification cache.
+const VerifyCacheSize = 4096
 
-// NewVerifyCache creates a cache holding up to capacity entries (0 means
-// DefaultVerifyCacheSize).
-func NewVerifyCache(capacity int) *VerifyCache {
-	if capacity <= 0 {
-		capacity = DefaultVerifyCacheSize
-	}
+// NewVerifyCache creates a cache of VerifyCacheSize entries.
+func NewVerifyCache() *VerifyCache { return newVerifyCache(VerifyCacheSize) }
+
+// newVerifyCache creates a cache of capacity entries; tests size small ones.
+func newVerifyCache(capacity int) *VerifyCache {
 	c := &VerifyCache{
 		bySig:   make(map[[crypto.SignatureSize]byte]int, capacity),
 		entries: make([]cacheEntry, capacity),

@@ -74,7 +74,7 @@ func failKindOf(err error) FailKind {
 }
 
 func newPreverifier(ks *crypto.KeyStore, cacheCap int) *Preverifier {
-	return NewPreverifier(ks.NodeRing(0), 0, types.NewConfig(1), NewVerifyCache(cacheCap))
+	return NewPreverifier(ks.NodeRing(0), 0, types.NewConfig(1), newVerifyCache(cacheCap))
 }
 
 // TestVerifyCacheHitMissCounters pins the cache's observability contract: the

@@ -72,7 +72,7 @@ type Config struct {
 func (c *Config) withDefaults() Config {
 	out := *c
 	out.BatchSize = cmp.Or(out.BatchSize, 64)
-	out.BatchTimeout = cmp.Or(out.BatchTimeout, 5*time.Millisecond)
+	out.BatchTimeout = cmp.Or(out.BatchTimeout, types.DefaultBatchTimeout)
 	out.CheckpointInterval = cmp.Or(out.CheckpointInterval, 128)
 	out.WatermarkWindow = cmp.Or(out.WatermarkWindow, 4*out.CheckpointInterval)
 	return out

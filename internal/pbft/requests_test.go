@@ -324,7 +324,7 @@ func TestBatchChangedAfterPreverifyIsNotPrepared(t *testing.T) {
 	sent := &message.PrePrepare{Instance: 0, View: 0, Seq: 1, Batch: []types.RequestRef{x}, Node: p}
 	sent.Auth = tc.ks.NodeRing(p).AuthenticatorForNodes(tc.cfg.N, sent.Body())
 	macd := sent.BatchDigest()
-	pre := message.NewPreverifier(tc.ks.NodeRing(b), b, tc.cfg, message.NewVerifyCache(0))
+	pre := message.NewPreverifier(tc.ks.NodeRing(b), b, tc.cfg, message.NewVerifyCache())
 	v, err := pre.PreverifyNodeFrame(sent.Marshal(nil), p)
 	if err != nil {
 		t.Fatal(err)

@@ -33,6 +33,10 @@ const (
 	UDP
 )
 
+// clientRetransmitTimeout is how long a local cluster's client waits for f+1
+// matching replies before it retransmits.
+const clientRetransmitTimeout = 500 * time.Millisecond
+
 // ClusterOptions configures StartLocalCluster.
 type ClusterOptions struct {
 	// F is the number of tolerated faults; the cluster has 3f+1 nodes.
@@ -56,8 +60,6 @@ type ClusterOptions struct {
 	Secret []byte
 	// MaxClients bounds the client id space (default 64).
 	MaxClients int
-	// RetransmitTimeout configures client retransmission (default 500ms).
-	RetransmitTimeout time.Duration
 	// Metrics, when set, receives node and transport counters (message
 	// volumes, ordering latency, transport drops).
 	Metrics *obs.Registry
@@ -93,7 +95,6 @@ type LocalCluster struct {
 func StartLocalCluster(opts ClusterOptions) (*LocalCluster, error) {
 	opts.Transport = cmp.Or(opts.Transport, Mem)
 	opts.MaxClients = cmp.Or(opts.MaxClients, 64)
-	opts.RetransmitTimeout = cmp.Or(opts.RetransmitTimeout, 500*time.Millisecond)
 	if opts.Secret == nil {
 		opts.Secret = []byte("rbft-local-cluster")
 	}
@@ -306,7 +307,7 @@ func (lc *LocalCluster) NewClient(id types.ClientID) (*ClientRuntime, error) {
 	cl := client.New(client.Config{
 		Cluster:           lc.Cluster,
 		ID:                id,
-		RetransmitTimeout: lc.opts.RetransmitTimeout,
+		RetransmitTimeout: clientRetransmitTimeout,
 	}, lc.ks.ClientRing(id))
 	cr := StartClient(cl, tr, lc.Cluster)
 	lc.clients = append(lc.clients, cr)

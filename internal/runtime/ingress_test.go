@@ -66,15 +66,16 @@ func nextPropagate(t *testing.T, ep transport.Transport) types.RequestKey {
 // the five that are attributable, in arrival order; the apply loop must then
 // feed them to the node in that order, the rejected one in its place.
 //
-// Order is observed through the flood defence: with a threshold of one, the
-// garbage frame from node 1 closes node 1's NIC, so node 1's PROPAGATE ahead
-// of it is adopted (the node forwards it) and the one behind it is dropped.
+// Order is observed through the flood defence: node 1 has already sent one
+// invalid frame short of core.FloodThreshold, so its garbage frame closes node
+// 1's NIC, node 1's PROPAGATE ahead of it is adopted (the node forwards it)
+// and the one behind it is dropped.
 func TestIngressSlabKeepsArrivalOrder(t *testing.T) {
 	cluster := types.NewConfig(1)
 	ks := crypto.NewKeyStore([]byte("slab-test"), cluster.N, 3)
 	nr, node, net := idleRuntime(core.Config{
 		Cluster: cluster, Node: 3, // primary of no instance in view 0: it orders nothing
-		BatchSize: 10000, FloodThreshold: 1,
+		BatchSize: 10000,
 	}, ks)
 	peer1, peer2 := net.Endpoint(NodeName(1)), net.Endpoint(NodeName(2))
 	stranger, client2 := net.Endpoint("router/7"), net.Endpoint(ClientName(2))
@@ -122,6 +123,12 @@ func TestIngressSlabKeepsArrivalOrder(t *testing.T) {
 		}
 	}
 
+	_, invalid := node.Preverifier().PreverifyNodeFrame(garbage, 1)
+	for i := 1; i < core.FloodThreshold; i++ {
+		if out := node.OnRejected(invalid, time.Now()); len(out.NICCloses) != 0 {
+			t.Fatalf("node 1's NIC closed after %d invalid frames, want %d", i, core.FloodThreshold)
+		}
+	}
 	nr.pending <- slab
 	go nr.applyLoop(node)
 	defer nr.Stop()

@@ -26,10 +26,10 @@ func rejectedFrames(reg *obs.Registry) float64 {
 // transport: node 3 floods node 0 with invalid frames, node 0 closes its NIC
 // toward node 3, and while it is closed the runtime drops node 3's frames
 // before preverify — each drop traced as EvMsgDrop, none of them counted as a
-// rejected frame. Once NICClosePeriod lapses, node 3's frames are preverified
-// (and rejected) again.
+// rejected frame. Once core.NICClosePeriod lapses, node 3's frames are
+// preverified (and rejected) again.
 func TestNICClosureOnEveryTransport(t *testing.T) {
-	const period = 1500 * time.Millisecond
+	const period = core.NICClosePeriod
 	for name, kind := range map[string]TransportKind{"mem": Mem, "tcp": TCP, "udp": UDP} {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
@@ -37,23 +37,20 @@ func TestNICClosureOnEveryTransport(t *testing.T) {
 			lc, err := StartLocalCluster(ClusterOptions{
 				F:         1,
 				Transport: kind,
-				Tune: func(c *core.Config) {
-					c.FloodThreshold = 8
-					c.FloodWindow = 10 * time.Second
-					c.NICClosePeriod = period
-				},
-				Metrics: reg,
-				Tracer:  fr,
+				Metrics:   reg,
+				Tracer:    fr,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(lc.Stop)
 
+			// flood sends one flood threshold of invalid frames at once, well
+			// within one core.FloodWindow.
 			flood := func() {
 				lc.Node(3).WithNode(func(n *core.Node) core.Output {
 					var out core.Output
-					for i := 0; i < 16; i++ {
+					for i := 0; i < core.FloodThreshold; i++ {
 						out.NodeMsgs = append(out.NodeMsgs, core.NodeSend{
 							Msg: &message.Invalid{Node: 3, Padding: make([]byte, 32)},
 							To:  []types.NodeID{0},

@@ -54,7 +54,7 @@ func TestOneSignatureCheckPerBundlePerNode(t *testing.T) {
 	}
 	log.mu.Unlock()
 	bundles := uint64(len(signed))
-	if bundles > message.DefaultVerifyCacheSize {
+	if bundles > message.VerifyCacheSize {
 		t.Fatalf("%d bundles: the caches evict", bundles)
 	}
 	stats := func() (lookups, misses uint64) {

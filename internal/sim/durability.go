@@ -25,7 +25,7 @@ const (
 	// safe, but the disk serializes the whole node pipeline.
 	DurabilitySerialFsync
 	// DurabilityGroupCommit batches appended records and fsyncs the batch
-	// once per groupCommitInterval; every output in the batch is released
+	// once per wal.FlushInterval; every output in the batch is released
 	// together when the shared fsync completes, amortising the device
 	// latency across all of them (the internal/wal design).
 	DurabilityGroupCommit
@@ -39,10 +39,6 @@ type Crash struct {
 	At   time.Time
 	Down time.Duration
 }
-
-// groupCommitInterval is the flush interval of the modelled group-commit
-// WAL, the internal/wal default.
-const groupCommitInterval = 2 * time.Millisecond
 
 // persistThenEmit releases an output's network effects, first persisting its
 // durability records according to the configured mode. This is the simulated
@@ -74,7 +70,7 @@ func (s *Sim) persistThenEmit(sn *simNode, out core.Output) {
 		if !sn.flushArmed {
 			sn.flushArmed = true
 			ep := sn.epoch
-			s.schedule(s.now.Add(groupCommitInterval), func() {
+			s.schedule(s.now.Add(wal.FlushInterval), func() {
 				if sn.epoch != ep {
 					return
 				}

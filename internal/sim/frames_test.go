@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rbft/internal/client"
+	"rbft/internal/core"
 	"rbft/internal/crypto"
 	"rbft/internal/message"
 	"rbft/internal/obs"
@@ -61,19 +62,21 @@ func TestWrongSenderOnClientNIC(t *testing.T) {
 	}
 }
 
+// damagedCopies is how many copies of each damaged frame the scenario sends.
+const damagedCopies = core.FloodThreshold / 2
+
 // damagedFrameScenario injects, mid-run and on the node 1 → node 2 link, the
 // three things a network can do to a frame short of losing it. It waits for a
 // PREPARE parked on that link (4 kB PROPAGATEs keep it busy, and with
 // coalescing what is sent meanwhile parks behind them), then queues behind it
-// a byte-exact duplicate, a copy missing its last five bytes, and a copy with
-// one byte flipped in the receiver's own MAC. A flood threshold of two makes
-// the two damaged frames visible as one NIC closure.
+// a byte-exact duplicate, then damagedCopies copies missing their last five
+// bytes and as many with one byte flipped in the receiver's own MAC. The
+// damaged copies add up to core.FloodThreshold, so they show as one NIC
+// closure.
 func damagedFrameScenario() Config {
 	const from, to = 1, 2
 	cfg := baseConfig(1, 4096, 4, 250)
 	cfg.EgressCoalesce = 8
-	cfg.FloodThreshold = 2
-	cfg.NICClosePeriod = time.Millisecond
 	var hunt func(s *Sim)
 	hunt = func(s *Sim) {
 		for _, pf := range s.nodes[from].peerTx[to].pending {
@@ -83,8 +86,11 @@ func damagedFrameScenario() Config {
 			truncated := pf.frame[:len(pf.frame)-5]
 			flipped := bytes.Clone(pf.frame)
 			flipped[len(flipped)-(s.cluster.N-to)*crypto.MACSize] ^= 0x01
-			for _, frame := range [][]byte{pf.frame, truncated, flipped} {
-				s.sendNodeToNode(s.nodes[from], to, frame, len(frame))
+			s.sendNodeToNode(s.nodes[from], to, pf.frame, len(pf.frame))
+			for range damagedCopies {
+				for _, frame := range [][]byte{truncated, flipped} {
+					s.sendNodeToNode(s.nodes[from], to, frame, len(frame))
+				}
 			}
 			return
 		}
@@ -119,14 +125,14 @@ func TestDamagedFramesOnNodeLink(t *testing.T) {
 	for k := message.FailMalformed; k <= message.FailBadSig; k++ {
 		want := uint64(0)
 		if k == message.FailMalformed || k == message.FailBadMAC {
-			want = 1
+			want = damagedCopies
 		}
 		if got := rejected(reg, k); got != want {
 			t.Errorf("node 2 rejected %d frames as %s, want %d", got, k, want)
 		}
 	}
 	if res.NICCloses != 1 {
-		t.Errorf("%d NIC closures, want 1: the two damaged frames are node 1's flood threshold", res.NICCloses)
+		t.Errorf("%d NIC closures, want 1: the damaged frames are node 1's flood threshold", res.NICCloses)
 	}
 	if res.ViewChanged() {
 		t.Errorf("the damaged frames caused an instance change: %+v", res.InstanceChanges)

@@ -28,8 +28,9 @@ type MonitorSample struct {
 	Throughput []float64 // req/s per instance
 }
 
-// LatencyPoint is one completed request's latency (figure 12 plots these per
-// client).
+// LatencyPoint is one completed request's latency as its client measured it
+// (Config.TrackClientLatency). Figure 12 plots the monitor's ordering
+// latencies instead (monitor.Config.RecordLatencies).
 type LatencyPoint struct {
 	Client  types.ClientID
 	ID      types.RequestID

@@ -46,8 +46,8 @@ func TestMetricsLatencySeriesTracking(t *testing.T) {
 	m := newMetrics(types.NewConfig(1))
 	m.start = time.Unix(0, 0)
 	m.end = time.Unix(10, 0)
-	// Series points are recorded regardless of the window (the whole
-	// timeline matters for figure 12), but summary stats stay windowed.
+	// Series points are recorded regardless of the window (a series covers
+	// the whole run), but summary stats stay windowed.
 	m.recordCompletion(2, client.Completed{ID: 1, Latency: time.Millisecond}, time.Unix(20, 0), true)
 	res := m.result(Config{})
 	if len(res.ClientSeries) != 1 || res.ClientSeries[0].Client != 2 {

@@ -92,11 +92,6 @@ type Config struct {
 	// CheckpointInterval and WatermarkWindow tune log GC.
 	CheckpointInterval types.SeqNum
 	WatermarkWindow    types.SeqNum
-	// FloodThreshold etc. tune the node flood defence; zero uses the node
-	// defaults.
-	FloodThreshold int
-	FloodWindow    time.Duration
-	NICClosePeriod time.Duration
 
 	// Durability selects the modelled WAL mode (default none). With
 	// durability on, every node logs crash-survivable state and an output's
@@ -144,7 +139,7 @@ type Config struct {
 	// Warmup excludes the initial interval from summary metrics.
 	Warmup time.Duration
 	// TrackClientLatency records a per-request latency series per client
-	// (figure 12).
+	// (Result.ClientSeries).
 	TrackClientLatency bool
 	// MonitorSampleEvery samples every node's per-instance monitor
 	// throughput at this interval (figures 9 and 11). Zero disables.
@@ -288,8 +283,7 @@ type Sim struct {
 	// first use (clientAt), so a million-addressable-client population only
 	// ever materialises the clients that actually send.
 	clients  []*simClient
-	clientRT time.Duration // per-client retransmission timeout
-	clientOp []byte        // shared fixed payload of the opaque workload
+	clientOp []byte // shared fixed payload of the opaque workload
 	// kvOps generates KV operations when Workload.KV is configured.
 	kvOps *kvOpGen
 	// olEpoch invalidates a superseded open-loop arrival process on phase
@@ -357,9 +351,6 @@ func (s *Sim) newCoreNode(id types.NodeID) *core.Node {
 		WatermarkWindow:    s.cfg.WatermarkWindow,
 		MaxClients:         s.cfg.MaxClients,
 		Monitoring:         s.cfg.Monitoring,
-		FloodThreshold:     s.cfg.FloodThreshold,
-		FloodWindow:        s.cfg.FloodWindow,
-		NICClosePeriod:     s.cfg.NICClosePeriod,
 		Durable:            s.cfg.Durability != DurabilityNone,
 	}
 	if s.cfg.Workload.KV != nil {

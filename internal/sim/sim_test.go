@@ -115,9 +115,6 @@ func TestThrottledMasterPrimaryDetected(t *testing.T) {
 
 func TestNodeFloodTriggersNICClosureNotCollapse(t *testing.T) {
 	cfg := baseConfig(1, 8, 4, 500)
-	cfg.FloodThreshold = 32
-	cfg.FloodWindow = 100 * time.Millisecond
-	cfg.NICClosePeriod = time.Second
 	cfg.Floods = []Flood{{
 		From: 3, Targets: []types.NodeID{0, 1, 2}, Size: 4096, Rate: 5000,
 	}}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -35,8 +34,6 @@ type Workload struct {
 	// Phases execute in order; the last phase's client population persists
 	// until the run ends.
 	Phases []Phase
-	// RetransmitTimeout configures client retransmission (0 = a 2s default).
-	RetransmitTimeout time.Duration
 	// KV, when set, switches the clients from opaque fixed payloads to KV
 	// operations over a Zipfian key population, and every node runs the
 	// keyed store application (app.KV) instead of the default. This is the
@@ -135,11 +132,14 @@ type simClient struct {
 	timerAt time.Time
 }
 
+// clientRetransmitTimeout is how long a simulated client waits for f+1
+// matching replies before it retransmits.
+const clientRetransmitTimeout = 2 * time.Second
+
 // setupClients prepares the client population without materialising it:
 // clients are instantiated lazily by clientAt the first time they send, so a
 // huge addressable population costs one pointer slot per client until used.
 func (s *Sim) setupClients() {
-	s.clientRT = cmp.Or(s.cfg.Workload.RetransmitTimeout, 2*time.Second)
 	op := make([]byte, s.cfg.Workload.RequestSize)
 	for i := range op {
 		op[i] = byte(i * 31)
@@ -162,7 +162,7 @@ func (s *Sim) clientAt(i int) *simClient {
 		cl: client.New(client.Config{
 			Cluster:           s.cluster,
 			ID:                id,
-			RetransmitTimeout: s.clientRT,
+			RetransmitTimeout: clientRetransmitTimeout,
 		}, s.ks.ClientRing(id)),
 		id: id,
 		op: s.clientOp,

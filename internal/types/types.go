@@ -6,6 +6,7 @@ package types
 
 import (
 	"fmt"
+	"time"
 )
 
 // NodeID identifies one of the N physical nodes in the cluster. Node IDs are
@@ -167,6 +168,11 @@ func (c Config) OtherNodes(self NodeID) []NodeID {
 // master is fixed (instance 0); instance changes replace its primary by
 // advancing the shared view rather than by re-electing the master.
 const MasterInstance InstanceID = 0
+
+// DefaultBatchTimeout is how long a primary waits to fill a batch when its
+// configuration names no timeout. The protocol instances apply it, and the
+// multi-primary merge paces its empty-batch fillers by it.
+const DefaultBatchTimeout = 5 * time.Millisecond
 
 // OrderingMode selects which instances' orderings reach execution.
 type OrderingMode int

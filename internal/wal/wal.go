@@ -24,6 +24,10 @@ const segMagic = "RBFTWAL1"
 // segHeaderLen is the byte length of a segment header.
 const segHeaderLen = len(segMagic) + 8
 
+// FlushInterval is the default Options.FlushInterval: the group-commit
+// interval.
+const FlushInterval = 2 * time.Millisecond
+
 // Options configures a Log.
 type Options struct {
 	// Dir is the directory holding the segment files. Created if missing.
@@ -32,7 +36,8 @@ type Options struct {
 	// size. Default 16 MB.
 	SegmentBytes int64
 	// FlushInterval bounds how long an appended record can sit in the
-	// buffer before the flusher syncs it, even with no waiter. Default 2ms.
+	// buffer before the flusher syncs it, even with no waiter. Default
+	// FlushInterval, the package constant.
 	FlushInterval time.Duration
 	// FlushBytes triggers an early flush once this much is buffered.
 	// Default 256 KB.
@@ -47,7 +52,7 @@ func (o Options) withDefaults() Options {
 		o.SegmentBytes = 16 << 20
 	}
 	if o.FlushInterval <= 0 {
-		o.FlushInterval = 2 * time.Millisecond
+		o.FlushInterval = FlushInterval
 	}
 	if o.FlushBytes <= 0 {
 		o.FlushBytes = 256 << 10
