@@ -15,7 +15,7 @@ import (
 // pending record; counting the replies that complete it allocates nothing
 // (13 allocations per round when the tally was two maps per request, an inner
 // map per result and a string key per reply). The bundle row takes a flushed
-// bundle of 8 through two REPLY-BUNDLE frames. Not under the race detector,
+// bundle of 8 through two REPLY frames of 8. Not under the race detector,
 // where sync.Pool drops the pooled hashers at random.
 func TestReplyTallyAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {

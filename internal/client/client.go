@@ -167,12 +167,9 @@ func (c *Client) register(op []byte, readOnly bool, sentAt time.Time) *pending {
 // seal signs ps — consecutive ids, in order — as one request or bundle and
 // arms its retransmission deadline.
 func (c *Client) seal(ps []*pending, now time.Time) *message.Request {
-	req := &message.Request{Client: c.cfg.ID, ID: ps[0].id, Op: ps[0].op, ReadOnly: ps[0].readOnly}
-	if len(ps) > 1 {
-		req.Rest = make([][]byte, len(ps)-1)
-		for i, p := range ps[1:] {
-			req.Rest[i] = p.op
-		}
+	req := &message.Request{Client: c.cfg.ID, ID: ps[0].id, Op: ps[0].op, Rest: make([][]byte, len(ps)-1), ReadOnly: ps[0].readOnly}
+	for i, p := range ps[1:] {
+		req.Rest[i] = p.op
 	}
 	// One pass over the operations: signature and authenticator both cover
 	// them through the signed digest.
@@ -191,8 +188,8 @@ func (c *Client) seal(ps []*pending, now time.Time) *message.Request {
 
 // OnReply processes a single REPLY from a node, the k = 1 case of OnReplies.
 // It returns the completed request once f+1 valid matching replies from
-// distinct nodes have arrived. A REPLY-BUNDLE, which only a client that
-// bundles (Queue and Flush) receives, goes to OnReplies.
+// distinct nodes have arrived. A REPLY answering a bundle, which only a
+// client that bundles (Queue and Flush) receives, goes to OnReplies.
 func (c *Client) OnReply(rep *message.Reply, from types.NodeID, now time.Time) (Completed, bool) {
 	if len(rep.Rest) > 0 {
 		return Completed{}, false
@@ -204,7 +201,7 @@ func (c *Client) OnReply(rep *message.Reply, from types.NodeID, now time.Time) (
 	return Completed{}, false
 }
 
-// OnReplies processes a REPLY or REPLY-BUNDLE from a node: one MAC check for
+// OnReplies processes a REPLY from a node: one MAC check for
 // the frame, then one reply for each request it answers. It appends to done
 // every request that now has f+1 valid matching replies from distinct nodes
 // (a speculative read 2f+1), in id order, and returns the result.

@@ -25,7 +25,7 @@ func reply(ks *crypto.KeyStore, node types.NodeID, client types.ClientID, id typ
 }
 
 // replyBundle has node answer client's requests id, id+1, … with results in
-// one frame: a REPLY-BUNDLE when there is more than one.
+// one REPLY.
 func replyBundle(ks *crypto.KeyStore, node types.NodeID, client types.ClientID, id types.RequestID, results ...[]byte) *message.Reply {
 	rep := &message.Reply{Client: client, ID: id, Result: results[0], Rest: results[1:], Node: node}
 	rep.MAC = ks.NodeRing(node).MACForClient(client, rep.Body())
@@ -345,7 +345,7 @@ func TestReadsNeverBundled(t *testing.T) {
 }
 
 // TestBundledAndSingleRepliesMix: f+1 is counted per request, whatever frame
-// carried each reply — a REPLY-BUNDLE from one node and single REPLYs from
+// carried each reply — a REPLY of several from one node and REPLYs of one from
 // another complete a bundle request by request. OnReply leaves a bundle to
 // OnReplies, and a bundle that answers nothing pending costs no MAC check.
 func TestBundledAndSingleRepliesMix(t *testing.T) {
@@ -357,7 +357,7 @@ func TestBundledAndSingleRepliesMix(t *testing.T) {
 	cl.Flush(now, transport.MaxFrame)
 	results := [][]byte{[]byte("r1"), []byte("r2"), []byte("r3"), []byte("r4")}
 	if _, ok := cl.OnReply(replyBundle(ks, 0, 2, 1, results...), 0, now); ok {
-		t.Fatal("OnReply took a REPLY-BUNDLE")
+		t.Fatal("OnReply took a REPLY of several results")
 	}
 	if done := cl.OnReplies(replyBundle(ks, 0, 2, 1, results...), 0, now, nil); len(done) != 0 {
 		t.Fatalf("one node's bundle completed %d requests", len(done))

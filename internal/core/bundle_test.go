@@ -129,8 +129,8 @@ func TestRetransmittedBundleHalfExecuted(t *testing.T) {
 	if len(out.ClientMsgs) != 1 {
 		t.Fatalf("retransmitted bundle got %d reply frames, want one for its cached half", len(out.ClientMsgs))
 	}
-	if rep := out.ClientMsgs[0].Msg.(*message.Reply); rep.ID != 1 || rep.Len() != 8 || rep.MsgType() != message.TypeReplyBundle {
-		t.Fatalf("cached replies framed as a %s of %d from request %d, want a bundle of 8 from 1", rep.MsgType(), rep.Len(), rep.ID)
+	if rep := out.ClientMsgs[0].Msg.(*message.Reply); rep.ID != 1 || rep.Len() != 8 {
+		t.Fatalf("cached replies framed as a REPLY of %d from request %d, want one of 8 from 1", rep.Len(), rep.ID)
 	}
 	if ps := propagatesOf(out); len(ps) != 1 {
 		t.Fatalf("retransmitted bundle made %d PROPAGATEs, want one for its new half", len(ps))
@@ -166,7 +166,7 @@ func (nc *nodeCluster) replyFrames() map[types.NodeID][]int {
 }
 
 // TestBundleAnsweredInOneFramePerNode: a 16-request bundle ordered in one
-// batch is answered with one REPLY-BUNDLE per node.
+// batch is answered with one REPLY per node.
 func TestBundleAnsweredInOneFramePerNode(t *testing.T) {
 	nc := newNodeCluster(t, 1, func(c *Config) { c.BatchSize = 16 })
 	for node, sizes := range nc.replyFrames() {

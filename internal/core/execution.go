@@ -107,20 +107,16 @@ func (n *Node) reply(client types.ClientID, bundle, id types.RequestID, result [
 
 // sendReplies sends what reply queued, in order, as authenticated frames: a
 // run of answers to consecutive requests of one client bundle — at most
-// message.MaxBundleOps, as the bundle was — shares one REPLY-BUNDLE and one
-// MAC, any other answer is a REPLY of its own.
+// message.MaxBundleOps, as the bundle was — shares one REPLY and one MAC.
 func (n *Node) sendReplies(out *Output) {
 	for a := n.answers; len(a) > 0; {
 		k := 1
 		for k < len(a) && a[k].bundle == a[0].bundle && a[k].id == a[0].id+types.RequestID(k) {
 			k++
 		}
-		rep := &message.Reply{Client: a[0].bundle.Client, ID: a[0].id, Result: a[0].result, Node: n.cfg.Node}
-		if k > 1 {
-			rep.Rest = make([][]byte, k-1)
-			for i := range rep.Rest {
-				rep.Rest[i] = a[1+i].result
-			}
+		rep := &message.Reply{Client: a[0].bundle.Client, ID: a[0].id, Result: a[0].result, Rest: make([][]byte, k-1), Node: n.cfg.Node}
+		for i := range rep.Rest {
+			rep.Rest[i] = a[1+i].result
 		}
 		var buf [message.MaxBodySize]byte
 		rep.MAC = n.keys.MACForClient(rep.Client, rep.AppendBody(buf[:0]))

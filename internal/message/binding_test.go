@@ -17,12 +17,14 @@ import (
 // same check as before, a digest can never outlive the bytes it was computed
 // from, and the decode and verify path stays off the allocator.
 
-// Wire offsets of a REQUEST with op length n (tag, client, id, op, sig, auth).
+// Wire offsets of a single REQUEST with op length n (tag, client, id, count,
+// op, sig, auth).
 const (
 	reqOffTag    = 0
 	reqOffClient = 1
 	reqOffID     = 9
-	reqOffOp     = 21
+	reqOffCount  = 17
+	reqOffOp     = 25
 )
 
 func reqOffSig(n int) int  { return reqOffOp + n + 4 }

@@ -34,10 +34,10 @@ func bundleOps(k int) [][]byte {
 	return ops
 }
 
-// TestSingleRequestEncodingUnchanged pins a single request's REQUEST and
-// PROPAGATE frames to the bytes the encoding had before bundles existed:
-// k = 1 is the old wire format, signature and authenticators included.
-func TestSingleRequestEncodingUnchanged(t *testing.T) {
+// TestSingleRequestEncoding pins a single request's REQUEST and PROPAGATE
+// frames, signature and authenticators included: a bundle of one, its count
+// on the wire, signed over its OpDigest.
+func TestSingleRequestEncoding(t *testing.T) {
 	ks := crypto.NewKeyStore([]byte("golden"), testN, 4)
 	cl := ks.ClientRing(1)
 	req := &Request{Client: 1, ID: 7, Op: []byte("golden-op")}
@@ -46,8 +46,8 @@ func TestSingleRequestEncodingUnchanged(t *testing.T) {
 	p := &Propagate{Req: *req, Node: 2}
 	p.Auth = ks.NodeRing(2).AuthenticatorForNodes(testN, p.Body())
 	const (
-		wantReq  = "010000000000000001000000000000000700000009676f6c64656e2d6f70000000400c2f328232db28d032ac2bab26a94eaae74dca707012219e38fd18d82900581fe7f32ad7c54bc033e81239e468d3f7816805514707a6cf8ccb40d0539fa7740c00000004d8f5dc4a5225ca23af6c9c2bd89519851da945fa72bc7ed7aa665e9d852872db74b52e7070c29c61280b44e5e58650c1224256890d87c76b90cca33c924dc197"
-		wantProp = "02000000000000000200000062010000000000000001000000000000000700000009676f6c64656e2d6f70000000400c2f328232db28d032ac2bab26a94eaae74dca707012219e38fd18d82900581fe7f32ad7c54bc033e81239e468d3f7816805514707a6cf8ccb40d0539fa7740c00000004d9df3f2616c8c55f1a4fe342ec7a101105efee0bdb4def0faac15dd659c97fba0000000000000000000000000000000043d66dbbd2acce122d5324c8ab09d7d9"
+		wantReq  = "01000000000000000100000000000000070000000100000009676f6c64656e2d6f70000000400c2f328232db28d032ac2bab26a94eaae74dca707012219e38fd18d82900581fe7f32ad7c54bc033e81239e468d3f7816805514707a6cf8ccb40d0539fa7740c00000004d8f5dc4a5225ca23af6c9c2bd89519851da945fa72bc7ed7aa665e9d852872db74b52e7070c29c61280b44e5e58650c1224256890d87c76b90cca33c924dc197"
+		wantProp = "0200000000000000020000006601000000000000000100000000000000070000000100000009676f6c64656e2d6f70000000400c2f328232db28d032ac2bab26a94eaae74dca707012219e38fd18d82900581fe7f32ad7c54bc033e81239e468d3f7816805514707a6cf8ccb40d0539fa7740c00000004d9df3f2616c8c55f1a4fe342ec7a101105efee0bdb4def0faac15dd659c97fba0000000000000000000000000000000043d66dbbd2acce122d5324c8ab09d7d9"
 	)
 	if got := hex.EncodeToString(req.Marshal(nil)); got != wantReq {
 		t.Errorf("REQUEST encoding changed:\n got %s\nwant %s", got, wantReq)
@@ -57,6 +57,47 @@ func TestSingleRequestEncodingUnchanged(t *testing.T) {
 	}
 	if d, ops := req.Digests(); d != req.OpDigest() || ops != nil {
 		t.Error("a single request's signed digest is not its OpDigest")
+	}
+}
+
+// TestBundleOfOneRoundTrip: a single request decodes and preverifies as a
+// REQUEST, a READ-REQUEST and inside a PROPAGATE, and a single reply decodes
+// and passes its MAC check as a REPLY — each the k = 1 case of one encoding.
+func TestBundleOfOneRoundTrip(t *testing.T) {
+	ks := testKeys()
+	for _, readOnly := range []bool{false, true} {
+		cl := ks.ClientRing(1)
+		req := &Request{Client: 1, ID: 40, Op: []byte("one"), ReadOnly: readOnly}
+		req.Sig = cl.Sign(req.AppendSignedBody(nil, req.OpDigest()))
+		req.Auth = cl.AuthenticatorForNodes(testN, req.Body())
+		frame := req.Marshal(nil)
+		if len(frame) != req.EncodedSize() || frame[0] != byte(req.MsgType()) {
+			t.Fatalf("%s: EncodedSize %d, marshalled %d, tag %d", req.MsgType(), req.EncodedSize(), len(frame), frame[0])
+		}
+		got := roundTrip(t, req).(*Request)
+		if got.Len() != 1 || got.ReadOnly != readOnly || !bytes.Equal(got.Op, []byte("one")) || !bytes.Equal(got.Marshal(nil), frame) {
+			t.Fatalf("%s: decoded %d ops, read-only %v", req.MsgType(), got.Len(), got.ReadOnly)
+		}
+		v, err := newPreverifier(ks, 16).PreverifyClientFrame(frame, 1)
+		if err != nil || v.OpDigests != nil || v.Digest != req.OpDigest() {
+			t.Fatalf("%s: preverified to %v, %v", req.MsgType(), v, err)
+		}
+	}
+	req := signedBundle(ks, 1, 40, []byte("one"))
+	prop := propagateOf(ks, 1, req)
+	if gp := roundTrip(t, prop).(*Propagate); gp.Req.Len() != 1 || !bytes.Equal(gp.Marshal(nil), prop.Marshal(nil)) {
+		t.Fatal("PROPAGATE of a single request does not round-trip")
+	}
+	if _, err := newPreverifier(ks, 16).PreverifyNodeFrame(prop.Marshal(nil), 1); err != nil {
+		t.Fatalf("PROPAGATE of a single request rejected: %v", err)
+	}
+	rep := signedReplyBundle(ks, 3, 1, 40, []byte("result"))
+	got := roundTrip(t, rep).(*Reply)
+	if got.Len() != 1 || !bytes.Equal(got.Result, rep.Result) || !bytes.Equal(got.Marshal(nil), rep.Marshal(nil)) {
+		t.Fatalf("REPLY of one result decoded to %d results", got.Len())
+	}
+	if err := ks.ClientRing(1).VerifyNodeMAC(3, got.Body(), got.MAC); err != nil {
+		t.Fatalf("decoded REPLY fails its MAC: %v", err)
 	}
 }
 
@@ -71,8 +112,8 @@ func TestBundleRoundTrip(t *testing.T) {
 		if len(frame) != req.EncodedSize() {
 			t.Fatalf("k=%d: EncodedSize %d, marshalled %d", k, req.EncodedSize(), len(frame))
 		}
-		if frame[0] != byte(TypeBundle) || req.MsgType() != TypeBundle {
-			t.Fatalf("k=%d: bundle not tagged TypeBundle", k)
+		if frame[0] != byte(TypeRequest) || req.MsgType() != TypeRequest {
+			t.Fatalf("k=%d: bundle not tagged TypeRequest", k)
 		}
 		got := roundTrip(t, req).(*Request)
 		if got.Len() != k || got.ID != 40 || got.Client != 1 || got.ReadOnly {
@@ -123,20 +164,30 @@ func TestPropagateSize(t *testing.T) {
 	}
 }
 
-// TestBundleCaps: a node rejects a bundle of fewer than two or more than
-// MaxBundleOps operations as malformed; its bytes are the frame's to bound, so
-// MaxBundleOps operations of 4 kB decode.
+// TestBundleCaps: a node rejects a request of no or more than MaxBundleOps
+// operations as malformed, alone or inside a PROPAGATE; its bytes are the
+// frame's to bound, so MaxBundleOps operations of 4 kB decode.
 func TestBundleCaps(t *testing.T) {
 	ks := testKeys()
-	one := signedBundle(ks, 1, 1, []byte("a"), []byte("b")).Marshal(nil)
-	one[1+8+8+3] = 1 // the count field: a "bundle" of one
+	zero := signedBundle(ks, 1, 1, []byte("a")).Marshal(nil)
+	zero[reqOffCount+3] = 0
+	over := signedBundle(ks, 1, 1, bundleOps(MaxBundleOps)...).Marshal(nil)
+	over[reqOffCount+3] = MaxBundleOps + 1
 	for name, frame := range map[string][]byte{
-		"count of one":         one,
+		"count of zero":        zero,
+		"MaxBundleOps+1":       over,
 		"MaxBundleOps+1 ops":   signedBundle(ks, 1, 1, bundleOps(MaxBundleOps+1)...).Marshal(nil),
 		"read tag on a bundle": append([]byte{byte(TypeReadRequest)}, signedBundle(ks, 1, 1, bundleOps(4)...).Marshal(nil)[1:]...),
 	} {
 		if _, err := newPreverifier(ks, 16).PreverifyClientFrame(frame, 1); failKindOf(err) != FailMalformed {
 			t.Errorf("%s: got %v, want malformed", name, err)
+		}
+	}
+	for name, count := range map[string]byte{"count of zero": 0, "MaxBundleOps+1": MaxBundleOps + 1} {
+		prop := propagateOf(ks, 1, signedBundle(ks, 1, 1, []byte("a"))).Marshal(nil)
+		prop[propOffInner+reqOffCount+3] = count
+		if _, err := newPreverifier(ks, 16).PreverifyNodeFrame(prop, 1); failKindOf(err) != FailMalformed {
+			t.Errorf("PROPAGATE, %s: got %v, want malformed", name, err)
 		}
 	}
 	big := make([][]byte, MaxBundleOps)
@@ -230,20 +281,22 @@ func TestBundleCostsOneVerificationPerNode(t *testing.T) {
 }
 
 // signedReplyBundle has node answer client's requests id, id+1, … with
-// results in one frame: a REPLY-BUNDLE when there is more than one.
+// results in one REPLY.
 func signedReplyBundle(ks *crypto.KeyStore, node types.NodeID, client types.ClientID, id types.RequestID, results ...[]byte) *Reply {
-	rep := &Reply{Client: client, ID: id, Result: results[0], Rest: results[1:], Node: node}
+	rep := &Reply{Client: client, ID: id, Result: results[0], Node: node}
+	if len(results) > 1 {
+		rep.Rest = results[1:]
+	}
 	rep.MAC = ks.NodeRing(node).MACForClient(client, rep.Body())
 	return rep
 }
 
-// TestSingleReplyEncodingUnchanged pins a single reply's frame to the bytes
-// REPLY had before reply bundles existed, MAC included: k = 1 is the old wire
-// format.
-func TestSingleReplyEncodingUnchanged(t *testing.T) {
+// TestSingleReplyEncoding pins a single reply's frame, MAC included: a REPLY
+// of one result, its count on the wire, MAC'd over its ResultsDigest.
+func TestSingleReplyEncoding(t *testing.T) {
 	ks := crypto.NewKeyStore([]byte("golden"), testN, 4)
 	rep := signedReplyBundle(ks, 2, 1, 7, []byte("golden-result"))
-	const want = "060000000000000001000000000000000700000000000000020000000d676f6c64656e2d726573756c74b446824236162ef61b58c09c575fa864"
+	const want = "06000000000000000100000000000000070000000000000002000000010000000d676f6c64656e2d726573756c741e30cca375713a32ae8b78f517b1efff"
 	if got := hex.EncodeToString(rep.Marshal(nil)); got != want {
 		t.Errorf("REPLY encoding changed:\n got %s\nwant %s", got, want)
 	}
@@ -263,8 +316,8 @@ func TestReplyBundleRoundTrip(t *testing.T) {
 		if len(frame) != rep.EncodedSize() {
 			t.Fatalf("k=%d: EncodedSize %d, marshalled %d", k, rep.EncodedSize(), len(frame))
 		}
-		if frame[0] != byte(TypeReplyBundle) || rep.MsgType() != TypeReplyBundle {
-			t.Fatalf("k=%d: reply bundle not tagged TypeReplyBundle", k)
+		if frame[0] != byte(TypeReply) || rep.MsgType() != TypeReply {
+			t.Fatalf("k=%d: reply bundle not tagged TypeReply", k)
 		}
 		if n := len(rep.Body()); n > MaxBodySize {
 			t.Fatalf("k=%d: MAC body of %d bytes, over MaxBodySize", k, n)
@@ -287,18 +340,17 @@ func TestReplyBundleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplyBundleCaps: a reply bundle of fewer than two or more than
-// MaxBundleOps results does not decode.
+// TestReplyBundleCaps: a reply of no or more than MaxBundleOps results does
+// not decode.
 func TestReplyBundleCaps(t *testing.T) {
 	ks := testKeys()
-	one := signedReplyBundle(ks, 0, 1, 1, []byte("a"), []byte("b")).Marshal(nil)
-	one[1+8+8+8+3] = 1 // the count field: a "bundle" of one
+	zero := signedReplyBundle(ks, 0, 1, 1, []byte("a")).Marshal(nil)
+	zero[1+8+8+8+3] = 0 // the count field
 	over := signedReplyBundle(ks, 0, 1, 1, bundleOps(MaxBundleOps)...).Marshal(nil)
 	over[1+8+8+8+3] = MaxBundleOps + 1
 	for name, frame := range map[string][]byte{
-		"count of one":           one,
+		"count of zero":          zero,
 		"MaxBundleOps+1":         over,
-		"count of zero":          append(append([]byte{byte(TypeReplyBundle)}, make([]byte, 8+8+8+4)...), make([]byte, crypto.MACSize)...),
 		"MaxBundleOps+1 encoded": signedReplyBundle(ks, 0, 1, 1, bundleOps(MaxBundleOps+1)...).Marshal(nil),
 	} {
 		if _, err := Decode(frame); !errors.Is(err, ErrOversized) {

@@ -181,7 +181,7 @@ func Decode(data []byte) (Message, error) {
 	var m Message
 	//rbft:dispatch
 	switch t {
-	case TypeRequest, TypeReadRequest, TypeBundle:
+	case TypeRequest, TypeReadRequest:
 		req := decodeRequest(r, t)
 		req.Auth = r.auth()
 		m = &req
@@ -199,8 +199,8 @@ func Decode(data []byte) (Message, error) {
 		c.Instance, c.View, c.Seq, c.Digest, c.Node = decodePhase(r)
 		c.Auth = r.auth()
 		m = c
-	case TypeReply, TypeReplyBundle:
-		m = decodeReply(r, t)
+	case TypeReply:
+		m = decodeReply(r)
 	case TypeInstanceChange:
 		ic := &InstanceChange{CPI: r.u64(), Node: types.NodeID(r.u64())}
 		ic.Auth = r.auth()
@@ -235,21 +235,33 @@ func Decode(data []byte) (Message, error) {
 }
 
 // decodeRequest reads the fields of a request whose wire tag t was just read,
-// up to its signature: one operation, or a bundle's count and operations.
+// up to its signature: its count and operations.
 func decodeRequest(r *reader, t Type) Request {
 	req := Request{Client: types.ClientID(r.u64()), ID: types.RequestID(r.u64()), ReadOnly: t == TypeReadRequest}
-	if t != TypeBundle {
-		req.Op = r.bytes()
-	} else if k := r.u32(); k < 2 || k > MaxBundleOps {
-		r.fail(fmt.Errorf("%w: bundle of %d operations", ErrOversized, k))
-	} else {
-		req.Op, req.Rest = r.bytes(), make([][]byte, k-1)
-		for i := range req.Rest {
-			req.Rest[i] = r.bytes()
-		}
+	req.Op, req.Rest = decodeList(r, "request")
+	if req.ReadOnly && len(req.Rest) > 0 {
+		r.fail(fmt.Errorf("%w: read-only bundle", ErrOversized))
 	}
 	req.Sig = r.bytes()
 	return req
+}
+
+// decodeList reads a count of 1 … MaxBundleOps and as many length-prefixed
+// fields: the first, and the rest (nil for a count of one).
+func decodeList(r *reader, what string) (first []byte, rest [][]byte) {
+	k := r.u32()
+	if k < 1 || k > MaxBundleOps {
+		r.fail(fmt.Errorf("%w: %s of %d", ErrOversized, what, k))
+		return nil, nil
+	}
+	first = r.bytes()
+	if k > 1 {
+		rest = make([][]byte, k-1)
+		for i := range rest {
+			rest[i] = r.bytes()
+		}
+	}
+	return first, rest
 }
 
 func decodePropagate(r *reader) *Propagate {
@@ -257,15 +269,14 @@ func decodePropagate(r *reader) *Propagate {
 	inner := r.bytes()
 	if r.err == nil {
 		ir := &reader{b: inner}
-		// Only ordinary requests and bundles may be propagated: read-only
-		// requests (TypeReadRequest) never enter ordering, so an inner read
-		// tag is rejected as malformed.
-		t := Type(ir.u8())
-		if t != TypeRequest && t != TypeBundle {
+		// Only ordinary requests may be propagated: read-only requests
+		// (TypeReadRequest) never enter ordering, so an inner read tag is
+		// rejected as malformed.
+		if t := Type(ir.u8()); t != TypeRequest {
 			r.fail(fmt.Errorf("%w: propagate inner type %d", ErrUnknownType, t))
 			return p
 		}
-		p.Req = decodeRequest(ir, t)
+		p.Req = decodeRequest(ir, TypeRequest)
 		if err := ir.done(); err != nil {
 			r.fail(err)
 		}
@@ -290,24 +301,14 @@ func decodePhase(r *reader) (types.InstanceID, types.View, types.SeqNum, types.D
 	return types.InstanceID(r.u64()), types.View(r.u64()), types.SeqNum(r.u64()), r.digest(), types.NodeID(r.u64())
 }
 
-// decodeReply reads a reply whose wire tag t was just read: one result, or a
-// bundle's count and results.
-func decodeReply(r *reader, t Type) *Reply {
+// decodeReply reads a reply whose wire tag was just read.
+func decodeReply(r *reader) *Reply {
 	rep := &Reply{
 		Client: types.ClientID(r.u64()),
 		ID:     types.RequestID(r.u64()),
 		Node:   types.NodeID(r.u64()),
 	}
-	if t == TypeReply {
-		rep.Result = r.bytes()
-	} else if k := r.u32(); k < 2 || k > MaxBundleOps {
-		r.fail(fmt.Errorf("%w: reply bundle of %d results", ErrOversized, k))
-	} else {
-		rep.Result, rep.Rest = r.bytes(), make([][]byte, k-1)
-		for i := range rep.Rest {
-			rep.Rest[i] = r.bytes()
-		}
-	}
+	rep.Result, rep.Rest = decodeList(r, "reply")
 	copy(rep.MAC[:], r.take(crypto.MACSize)) // nothing to copy when truncated
 	return rep
 }

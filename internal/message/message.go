@@ -45,22 +45,8 @@ const (
 // TypeReadRequest is the wire tag of a read-only request (docs/CLIENTS.md):
 // the same Request structure, flagged for the speculative read fast path.
 // The tag is part of the signed body, so a read-only flag cannot be added or
-// stripped without invalidating the client signature — and ordinary requests
-// keep their historical byte encoding exactly.
+// stripped without invalidating the client signature.
 const TypeReadRequest Type = 12
-
-// TypeBundle is the wire tag of a signed client bundle (docs/CLIENTS.md §
-// Bundles): the same Request structure carrying the operations of k ≥ 2
-// consecutive request ids under one signature and one authenticator. Like the
-// read-only flag the tag is part of the signed body, and a single request
-// keeps its REQUEST encoding exactly.
-const TypeBundle Type = 13
-
-// TypeReplyBundle is the wire tag of a node's answer to k ≥ 2 consecutive
-// requests of one client bundle (docs/CLIENTS.md § Bundles): the same Reply
-// structure carrying k results under one MAC. A single reply keeps its REPLY
-// encoding exactly.
-const TypeReplyBundle Type = 14
 
 // MaxBundleOps caps a bundle's operations, and a reply bundle's results. A
 // node rejects a bundle past it as malformed, so one frame — one admission
@@ -73,13 +59,11 @@ const MaxBundleOps = 32
 var typeNames = map[Type]string{
 	TypeRequest:        "REQUEST",
 	TypeReadRequest:    "READ-REQUEST",
-	TypeBundle:         "REQUEST-BUNDLE",
 	TypePropagate:      "PROPAGATE",
 	TypePrePrepare:     "PRE-PREPARE",
 	TypePrepare:        "PREPARE",
 	TypeCommit:         "COMMIT",
 	TypeReply:          "REPLY",
-	TypeReplyBundle:    "REPLY-BUNDLE",
 	TypeInstanceChange: "INSTANCE-CHANGE",
 	TypeViewChange:     "VIEW-CHANGE",
 	TypeNewView:        "NEW-VIEW",
@@ -112,18 +96,18 @@ type Message interface {
 	EncodedSize() int
 }
 
-// Request is the client's signed request: operation o, request id rid, client
-// id c, signed with the client's key and wrapped in a MAC authenticator for
-// all nodes — or, with Rest, a signed bundle of such requests.
+// Request is the client's signed bundle of requests: operation o, request id
+// rid, client id c — and, with Rest, the operations of the ids that follow —
+// signed with the client's key and wrapped in a MAC authenticator for all
+// nodes. A single request is a bundle of one.
 type Request struct {
 	Client types.ClientID
 	ID     types.RequestID
 	Op     []byte
-	// Rest makes the request a bundle (wire tag TypeBundle): the operations of
-	// requests ID+1 … ID+len(Rest), in id order, which share Sig and Auth with
-	// request ID. Each is still a request of its own — ordered, executed and
-	// answered under its own id. Empty for a single request; a read-only
-	// request is never bundled.
+	// Rest holds the operations of requests ID+1 … ID+len(Rest), in id order,
+	// which share Sig and Auth with request ID. Each is still a request of its
+	// own — ordered, executed and answered under its own id. Empty for a
+	// single request; a read-only request is never bundled.
 	Rest [][]byte
 	// ReadOnly flags the request for the speculative read fast path: nodes
 	// answer it from local state without ordering, and the client accepts
@@ -135,12 +119,9 @@ type Request struct {
 	Auth crypto.Authenticator
 }
 
-// tag returns the wire tag: a bundle's, or one encoding the read-only flag.
+// tag returns the wire tag, which encodes the read-only flag.
 func (m *Request) tag() Type {
-	switch {
-	case len(m.Rest) > 0:
-		return TypeBundle
-	case m.ReadOnly:
+	if m.ReadOnly {
 		return TypeReadRequest
 	}
 	return TypeRequest
@@ -219,16 +200,16 @@ func BundleDigest(ds []types.Digest) types.Digest {
 // signedBodySize is the length of what a client signs; MaxBodySize that of
 // the largest well-formed REQUEST or PROPAGATE body, which also bounds every
 // fixed-size body (PRE-PREPARE, PREPARE, COMMIT, CHECKPOINT, FETCH,
-// INSTANCE-CHANGE), every REPLY-BUNDLE body and a REPLY body with a short
-// result, for callers that append one into a stack buffer.
+// INSTANCE-CHANGE) and every REPLY body, for callers that append one into a
+// stack buffer.
 const (
 	signedBodySize = 1 + types.DigestSize
 	MaxBodySize    = 1 + 8 + signedBodySize + crypto.SignatureSize
 )
 
 // AppendSignedBody appends what the client signature covers: the wire tag
-// (which carries the read-only flag, or marks a bundle) and d, the signed
-// digest Digests returns.
+// (which carries the read-only flag) and d, the signed digest Digests
+// returns.
 func (m *Request) AppendSignedBody(b []byte, d types.Digest) []byte {
 	return appendDigest(appendU8(b, uint8(m.tag())), d)
 }
@@ -246,8 +227,7 @@ func (m *Request) Body() []byte {
 	return m.AppendBody(make([]byte, 0, MaxBodySize), d)
 }
 
-// wireSize is the length of the request's wire fields (no authenticator): a
-// bundle adds its operation count.
+// wireSize is the length of the request's wire fields (no authenticator).
 func (m *Request) wireSize() int {
 	n := 0
 	for i := 0; i < m.Len(); i++ {
@@ -258,21 +238,12 @@ func (m *Request) wireSize() int {
 
 // requestWireSize is wireSize for k operations of opBytes in all, signed by a
 // signature of sigLen bytes.
-func requestWireSize(k, opBytes, sigLen int) int {
-	n := 1 + 8 + 8 + 4*k + opBytes + 4 + sigLen
-	if k > 1 {
-		n += 4
-	}
-	return n
-}
+func requestWireSize(k, opBytes, sigLen int) int { return 1 + 8 + 8 + 4 + 4*k + opBytes + 4 + sigLen }
 
 func (m *Request) appendWire(b []byte) []byte {
 	b = appendU8(b, uint8(m.tag()))
 	b = appendU64(b, uint64(m.Client))
-	b = appendU64(b, uint64(m.ID))
-	if len(m.Rest) > 0 {
-		b = appendU32(b, uint32(m.Len()))
-	}
+	b = appendU32(appendU64(b, uint64(m.ID)), uint32(m.Len()))
 	for i := 0; i < m.Len(); i++ {
 		b = appendBytes(b, m.OpAt(i))
 	}
@@ -478,31 +449,23 @@ func appendPhaseBody(b []byte, t Type, inst types.InstanceID, v types.View, n ty
 	return appendU64(b, uint64(node))
 }
 
-// Reply carries the execution result back to the client, authenticated with a
-// single node-to-client MAC — or, with Rest, the results of consecutive
-// requests of one client bundle under that one MAC.
+// Reply carries the execution results of consecutive requests of one client
+// bundle back to the client, under a single node-to-client MAC. A single
+// reply is a bundle of one.
 type Reply struct {
 	Client types.ClientID
 	ID     types.RequestID
 	Result []byte
-	// Rest makes the reply a bundle (wire tag TypeReplyBundle): the results of
-	// requests ID+1 … ID+len(Rest), in id order. Empty for a single reply.
+	// Rest holds the results of requests ID+1 … ID+len(Rest), in id order.
+	// Empty for a single reply.
 	Rest [][]byte
 	Node types.NodeID
 
 	MAC crypto.MAC
 }
 
-// tag returns the wire tag: a bundle's, or REPLY.
-func (m *Reply) tag() Type {
-	if len(m.Rest) > 0 {
-		return TypeReplyBundle
-	}
-	return TypeReply
-}
-
 // MsgType implements Message.
-func (m *Reply) MsgType() Type { return m.tag() }
+func (m *Reply) MsgType() Type { return TypeReply }
 
 // Len returns the number of requests m answers: 1, or k for a bundle of k.
 func (m *Reply) Len() int { return 1 + len(m.Rest) }
@@ -515,8 +478,8 @@ func (m *Reply) ResultAt(i int) []byte {
 	return m.Rest[i-1]
 }
 
-// ResultsDigest hashes a bundle's results in id order, each behind its
-// length: SHA-256(len₁‖r₁‖…‖len_k‖r_k), which binds their number, order and
+// ResultsDigest hashes the results in id order, each behind its length:
+// SHA-256(len₁‖r₁‖…‖len_k‖r_k), which binds their number, order and
 // boundaries.
 func (m *Reply) ResultsDigest() types.Digest {
 	var n [4]byte
@@ -528,53 +491,37 @@ func (m *Reply) ResultsDigest() types.Digest {
 	return h.Sum()
 }
 
-func (m *Reply) bodySize() int {
-	if len(m.Rest) > 0 {
-		return 1 + 8 + 8 + 8 + 4 + types.DigestSize
-	}
-	return 1 + 8 + 8 + 8 + 4 + len(m.Result)
-}
+// replyBodySize is the fixed body length of REPLY.
+const replyBodySize = 1 + 8 + 8 + 8 + 4 + types.DigestSize
 
-// AppendBody appends what the MAC covers: every field but it, a bundle's
-// results through ResultsDigest — so any bundle's body fits MaxBodySize. A
-// single reply's short result fits a caller's stack buffer too; a long one
-// makes append grow it.
+// AppendBody appends what the MAC covers: every field but it, the results
+// through ResultsDigest — so any reply's body fits MaxBodySize.
 func (m *Reply) AppendBody(b []byte) []byte {
-	b = m.appendHead(b)
-	if len(m.Rest) == 0 {
-		return appendBytes(b, m.Result)
-	}
-	return appendDigest(appendU32(b, uint32(m.Len())), m.ResultsDigest())
+	return appendDigest(appendU32(m.appendHead(b), uint32(m.Len())), m.ResultsDigest())
 }
 
 func (m *Reply) appendHead(b []byte) []byte {
-	b = appendU8(b, uint8(m.tag()))
+	b = appendU8(b, uint8(TypeReply))
 	b = appendU64(b, uint64(m.Client))
 	b = appendU64(b, uint64(m.ID))
 	return appendU64(b, uint64(m.Node))
 }
 
 // Body implements Message.
-func (m *Reply) Body() []byte { return m.AppendBody(make([]byte, 0, m.bodySize())) }
+func (m *Reply) Body() []byte { return m.AppendBody(make([]byte, 0, replyBodySize)) }
 
 // EncodedSize implements Message.
 func (m *Reply) EncodedSize() int {
-	n := 1 + 8 + 8 + 8 + 4*m.Len() + crypto.MACSize
-	if len(m.Rest) > 0 {
-		n += 4
-	}
+	n := 1 + 8 + 8 + 8 + 4 + 4*m.Len() + crypto.MACSize
 	for i := 0; i < m.Len(); i++ {
 		n += len(m.ResultAt(i))
 	}
 	return n
 }
 
-// Marshal implements Message: a bundle's count, then every result.
+// Marshal implements Message: the count, then every result.
 func (m *Reply) Marshal(dst []byte) []byte {
-	b := m.appendHead(dst)
-	if len(m.Rest) > 0 {
-		b = appendU32(b, uint32(m.Len()))
-	}
+	b := appendU32(m.appendHead(dst), uint32(m.Len()))
 	for i := 0; i < m.Len(); i++ {
 		b = appendBytes(b, m.ResultAt(i))
 	}

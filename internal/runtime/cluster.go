@@ -33,6 +33,9 @@ const (
 	UDP
 )
 
+// clusterSecret seeds a local cluster's key store.
+const clusterSecret = "rbft-local-cluster"
+
 // clientRetransmitTimeout is how long a local cluster's client waits for f+1
 // matching replies before it retransmits.
 const clientRetransmitTimeout = 500 * time.Millisecond
@@ -56,8 +59,6 @@ type ClusterOptions struct {
 	ExecWorkers int
 	// Tune adjusts each node's configuration before start.
 	Tune func(c *core.Config)
-	// Secret seeds the cluster key store.
-	Secret []byte
 	// MaxClients bounds the client id space (default 64).
 	MaxClients int
 	// Metrics, when set, receives node and transport counters (message
@@ -95,14 +96,11 @@ type LocalCluster struct {
 func StartLocalCluster(opts ClusterOptions) (*LocalCluster, error) {
 	opts.Transport = cmp.Or(opts.Transport, Mem)
 	opts.MaxClients = cmp.Or(opts.MaxClients, 64)
-	if opts.Secret == nil {
-		opts.Secret = []byte("rbft-local-cluster")
-	}
 	cluster := types.NewConfig(opts.F)
 	lc := &LocalCluster{
 		Cluster: cluster,
 		opts:    opts,
-		ks:      crypto.NewKeyStore(opts.Secret, cluster.N, opts.MaxClients),
+		ks:      crypto.NewKeyStore([]byte(clusterSecret), cluster.N, opts.MaxClients),
 		addrs:   make(map[string]string),
 	}
 	if opts.Transport == Mem {

@@ -56,7 +56,7 @@ type CostModel struct {
 	// an Ethernet TCP path). Every frame on a link pays it once, however
 	// many protocol payloads the frame coalesces — this is the per-packet
 	// cost that Config.EgressCoalesce amortises. Zero (the default) models
-	// header-free framing and leaves legacy traces unchanged.
+	// header-free framing; docs/EGRESS.md says why it is not yet 66.
 	PacketOverheadBytes int
 
 	// FsyncLatency is the device latency of one fsync — the dominant cost
@@ -137,17 +137,16 @@ func (c CostModel) PacketCost(payloadBytes int) time.Duration {
 // inCost models the CPU cost of receiving and verifying msg at a node. It
 // is by construction the sum of the two pipeline stages, so the serial
 // (VerifyCores=0) and pipelined charging models account the same total CPU
-// per message. firstSight reports whether this node sees the request body
-// for the first time (signature verification is charged once per request
-// per node).
-func (c CostModel) inCost(msg message.Message, firstSight bool) time.Duration {
-	return c.preverifyCost(msg, firstSight) + c.applyCost(msg)
+// per message. sigChecked reports whether preverifying msg verified its
+// client signature: the node's VerifyCache had no verdict for it.
+func (c CostModel) inCost(msg message.Message, sigChecked bool) time.Duration {
+	return c.preverifyCost(msg, sigChecked) + c.applyCost(msg)
 }
 
 // preverifyCost models the stateless verification stage: MAC/authenticator
 // checks, payload digests and signature verification. This is the portion
 // the pipelined model charges on the parallel verify cores.
-func (c CostModel) preverifyCost(msg message.Message, firstSight bool) time.Duration {
+func (c CostModel) preverifyCost(msg message.Message, sigChecked bool) time.Duration {
 	var cost time.Duration
 	// Replies are consumed by clients, which the cost model charges on the
 	// outbound side only.
@@ -155,12 +154,12 @@ func (c CostModel) preverifyCost(msg message.Message, firstSight bool) time.Dura
 	switch m := msg.(type) {
 	case *message.Request:
 		cost += c.MACVerify + c.Hash(len(m.Op))
-		if firstSight {
+		if sigChecked {
 			cost += c.SigVerify
 		}
 	case *message.Propagate:
 		cost += c.MACVerify + c.Hash(len(m.Req.Op))
-		if firstSight {
+		if sigChecked {
 			cost += c.SigVerify
 		}
 	case *message.PrePrepare:

@@ -148,7 +148,6 @@ func (s *Sim) crashNode(id types.NodeID) {
 	clear(sn.queues)
 	clear(sn.verify)
 	clear(sn.reorder)
-	clear(sn.sigSeen)
 	clear(sn.closed)
 	sn.ingressSeq, sn.nextApply, sn.timerAt = 0, 0, time.Time{}
 	// The un-fsynced group-commit batch is exactly what a real power cut

@@ -110,8 +110,8 @@ type Config struct {
 	// client's speculative read-only fast path (docs/CLIENTS.md): reads skip
 	// ordering, nodes answer them from local state at apply time, and the
 	// client accepts on a read quorum (2f+1) of matching replies, falling
-	// back to normal ordering on refutation or timeout. Off (the default)
-	// keeps every trace byte-identical to the legacy behaviour.
+	// back to normal ordering on refutation or timeout. Off (the default),
+	// every GET is ordered.
 	SpeculativeReads bool
 	// MaxClients bounds each node's client table (core.Config.MaxClients):
 	// beyond it the least-recently-active quiescent clients are evicted, and
@@ -155,12 +155,15 @@ type Action struct {
 // cpuTask is one unit of work waiting on a node CPU queue: a timer tick (msg
 // nil), or an arrived frame as the node's preverifier judged it — v its
 // certificate, or rej the rejection. msg is what the cost model charges for
-// the frame: the verified message, or whatever a rejected frame decodes to.
+// the frame: the verified message, or whatever a rejected frame decodes to;
+// sigChecked whether judging it cost the node a client signature check (its
+// VerifyCache counted a miss).
 type cpuTask struct {
 	msg        message.Message
 	fromClient bool
 	v          *message.Verified
 	rej        error
+	sigChecked bool
 
 	// arrivedAt is when the frame reached the node (ingress-span anchor).
 	arrivedAt time.Time
@@ -212,9 +215,8 @@ type simNode struct {
 	// closed[peer] drops traffic from that peer until the deadline (NIC
 	// closure on flood detection).
 	closed map[types.NodeID]time.Time
-	// sigSeen tracks request keys whose signature this node has already
-	// verified (signature cost charged once).
-	sigSeen map[types.RequestKey]bool
+	// sigChecks counts the frames charged a client signature check.
+	sigChecks int
 	// verify models the parallel preverify cores of the pipelined ingress
 	// (nil in the serial model). An arriving message is charged on the
 	// earliest-free core (lowest index on ties).
@@ -317,14 +319,13 @@ func New(cfg Config) *Sim {
 	for i := 0; i < cluster.N; i++ {
 		id := types.NodeID(i)
 		sn := &simNode{
-			node:    s.newCoreNode(id),
-			id:      id,
-			peers:   cluster.OtherNodes(id),
-			queues:  make([]cpuQueue, cluster.Instances()+1),
-			peerTx:  make([]link, cluster.N),
-			closed:  make(map[types.NodeID]time.Time),
-			sigSeen: make(map[types.RequestKey]bool),
-			trace:   obs.WithNode(s.sink, id),
+			node:   s.newCoreNode(id),
+			id:     id,
+			peers:  cluster.OtherNodes(id),
+			queues: make([]cpuQueue, cluster.Instances()+1),
+			peerTx: make([]link, cluster.N),
+			closed: make(map[types.NodeID]time.Time),
+			trace:  obs.WithNode(s.sink, id),
 		}
 		if cfg.VerifyCores > 0 {
 			sn.verify = make([]time.Time, cfg.VerifyCores)
@@ -475,10 +476,9 @@ func (s *Sim) runTask(sn *simNode, task cpuTask) (time.Duration, core.Output) {
 		// The serial model charges preverify and apply as one task on the
 		// processing core: the ingress span is the queue wait, the preverify
 		// span the verification share of the charged cost.
-		first := s.chargeFirstSight(sn, task.msg)
-		cost = s.cfg.Cost.inCost(task.msg, first)
+		cost = s.cfg.Cost.inCost(task.msg, task.sigChecked)
 		if s.spans && task.fromClient {
-			pv := s.cfg.Cost.preverifyCost(task.msg, first)
+			pv := s.cfg.Cost.preverifyCost(task.msg, task.sigChecked)
 			s.emitIngressSpans(sn, task, s.now, s.now.Add(pv), pv)
 		}
 	}
@@ -498,8 +498,7 @@ func (s *Sim) runTask(sn *simNode, task cpuTask) (time.Duration, core.Output) {
 func (s *Sim) pipeIngress(sn *simNode, task cpuTask) {
 	seq := sn.ingressSeq
 	sn.ingressSeq++
-	first := s.chargeFirstSight(sn, task.msg)
-	cost := s.cfg.Cost.preverifyCost(task.msg, first)
+	cost := s.cfg.Cost.preverifyCost(task.msg, task.sigChecked)
 
 	// Earliest-free core, lowest index on ties: deterministic and
 	// work-conserving.
@@ -575,25 +574,6 @@ func (s *Sim) emitExecuteSpans(sn *simNode, out core.Output) {
 			Trace: obs.TraceID(ex.Ref.Digest), Dur: s.waveCost(out.ExecWaves[ex.Wave]),
 		})
 	}
-}
-
-// chargeFirstSight reports whether msg carries a request body this node has
-// not yet signature-verified, and marks it.
-func (s *Sim) chargeFirstSight(sn *simNode, msg message.Message) bool {
-	var key types.RequestKey
-	switch m := msg.(type) {
-	case *message.Request:
-		key = types.RequestKey{Client: m.Client, ID: m.ID}
-	case *message.Propagate:
-		key = types.RequestKey{Client: m.Req.Client, ID: m.Req.ID}
-	default:
-		return false
-	}
-	if sn.sigSeen[key] {
-		return false
-	}
-	sn.sigSeen[key] = true
-	return true
 }
 
 // outputCost sums the authentication and execution costs of a node output.
@@ -739,8 +719,10 @@ func (s *Sim) deliverFromNode(sn *simNode, frame []byte, from types.NodeID) {
 		}
 		delete(sn.closed, from)
 	}
-	v, rej := sn.node.Preverifier().PreverifyNodeFrame(frame, from)
-	s.ingest(sn, frame, cpuTask{v: v, rej: rej})
+	pv := sn.node.Preverifier()
+	_, misses := pv.Cache().Stats()
+	v, rej := pv.PreverifyNodeFrame(frame, from)
+	s.ingest(sn, frame, misses, cpuTask{v: v, rej: rej})
 }
 
 // deliverFromClient takes a frame sent by client from off the client NIC and
@@ -749,16 +731,24 @@ func (s *Sim) deliverFromClient(sn *simNode, frame []byte, from types.ClientID) 
 	if sn.crashed {
 		return
 	}
-	v, rej := sn.node.Preverifier().PreverifyClientFrame(frame, from)
-	s.ingest(sn, frame, cpuTask{fromClient: true, v: v, rej: rej})
+	pv := sn.node.Preverifier()
+	_, misses := pv.Cache().Stats()
+	v, rej := pv.PreverifyClientFrame(frame, from)
+	s.ingest(sn, frame, misses, cpuTask{fromClient: true, v: v, rej: rej})
 }
 
 // ingest queues a judged frame for the node's CPUs. The preverification above
 // is paid in host time; what it costs in virtual time is charged here, on the
 // message the frame decodes to — a rejected frame is decoded once more, only to
-// be costed, and undecodable bytes cost what an INVALID does.
-func (s *Sim) ingest(sn *simNode, frame []byte, task cpuTask) {
+// be costed, and undecodable bytes cost what an INVALID does. A signature
+// check is charged when judging the frame took the node's VerifyCache past
+// misses: a miss is a signature verified.
+func (s *Sim) ingest(sn *simNode, frame []byte, misses uint64, task cpuTask) {
 	task.arrivedAt = s.now
+	if _, now := sn.node.Preverifier().Cache().Stats(); now > misses {
+		task.sigChecked = true
+		sn.sigChecks++
+	}
 	if task.v != nil {
 		task.msg = task.v.Msg
 	} else if msg, err := message.Decode(frame); err == nil {

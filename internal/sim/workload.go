@@ -303,19 +303,18 @@ func (s *Sim) clientReceive(sc *simClient, frame []byte, from types.NodeID) {
 	if !ok {
 		return
 	}
-	done, ok := sc.cl.OnReply(rep, from, s.now)
-	if !ok {
-		if s.cfg.SpeculativeReads {
-			// A refuted read pulls its deadline to now (client.OnReply); re-arm
-			// so the fallback to ordering fires immediately rather than at the
-			// stale retransmission wake-up. Gated: without speculative reads a
-			// reply never moves a deadline, and the extra schedule calls would
-			// perturb legacy traces.
-			s.armClientTimer(sc)
-		}
+	var one [1]client.Completed
+	done := sc.cl.OnReplies(rep, from, s.now, one[:0])
+	if len(done) == 0 {
+		// A refuted read pulls its deadline to now (client.OnReplies); re-arm
+		// so the fallback to ordering fires immediately rather than at the
+		// stale retransmission wake-up.
+		s.armClientTimer(sc)
 		return
 	}
-	s.metrics.recordCompletion(sc.id, done, s.now, s.cfg.TrackClientLatency)
+	for _, d := range done {
+		s.metrics.recordCompletion(sc.id, d, s.now, s.cfg.TrackClientLatency)
+	}
 }
 
 // armClientTimer keeps one pending retransmission wake-up per client.

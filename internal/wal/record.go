@@ -49,9 +49,8 @@ const (
 	// KindExecuted: the node executed request (Client, Req) with payload Op
 	// on the application and cached the reply. Op is kept so recovery can
 	// redo the execution and rebuild application state deterministically.
-	// Instance is the ordering lane the executed order came from; it is
-	// encoded only when non-zero (see appendRecord), so master-only logs are
-	// byte-identical to those written before multi-primary ordering existed.
+	// Instance is the ordering lane the executed order came from (0 under
+	// master-only ordering).
 	KindExecuted
 	// KindMerged: under multi-primary ordering, the node's merge scheduler
 	// consumed lane Instance's delivered batch at Seq into the execution
@@ -147,11 +146,7 @@ func appendRecord(b []byte, rec *Record) []byte {
 		b = append(b, rec.Digest[:]...)
 		b = appendU32(b, uint32(len(rec.Op)))
 		b = append(b, rec.Op...)
-		// Lane field, canonical: present iff non-zero. Master-only executions
-		// (lane 0) encode exactly as they did before the field existed.
-		if rec.Instance != 0 {
-			b = appendU32(b, uint32(rec.Instance))
-		}
+		b = appendU32(b, uint32(rec.Instance))
 	case KindMerged:
 		b = appendU32(b, uint32(rec.Instance))
 		b = binary.BigEndian.AppendUint64(b, uint64(rec.Seq))
@@ -202,15 +197,7 @@ func decodeRecord(data []byte) (Record, error) {
 		rec.Req = types.RequestID(d.u64())
 		rec.Digest = d.digest()
 		rec.Op = d.bytes()
-		// Optional trailing lane field. An explicit zero would re-encode to
-		// the field-less form and break re-encode identity, so reject it as
-		// non-canonical rather than silently accepting two spellings.
-		if d.err == nil && d.off < len(data) {
-			rec.Instance = types.InstanceID(d.u32())
-			if rec.Instance == 0 && d.err == nil {
-				return Record{}, fmt.Errorf("%w: non-canonical zero lane on %s", ErrCorrupt, rec.Kind)
-			}
-		}
+		rec.Instance = types.InstanceID(d.u32())
 	case KindMerged:
 		rec.Instance = types.InstanceID(d.u32())
 		rec.Seq = types.SeqNum(d.u64())

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,35 +36,33 @@ func sampleRecords() []Record {
 	}
 }
 
-// TestExecutedLaneEncodingCanonical pins the backward-compatibility contract
-// of the KindExecuted lane field: lane 0 encodes exactly as before the field
-// existed, and the one non-canonical spelling (an explicit trailing zero) is
-// rejected so every accepted record re-encodes to the same bytes.
+// TestExecutedLaneEncodingCanonical pins the KindExecuted lane field: it is
+// always present, so a lane-0 record is as long as any other, round-trips to
+// the same bytes, and one whose lane field is cut off (length and CRC
+// refreshed) is rejected as truncated.
 func TestExecutedLaneEncodingCanonical(t *testing.T) {
 	zeroLane := Record{Kind: KindExecuted, Client: 1, Req: 2, Digest: types.Digest{3}, Op: []byte("x")}
 	withLane := zeroLane
 	withLane.Instance = 1
 	a := EncodeRecords(nil, []Record{zeroLane})
-	b := EncodeRecords(nil, []Record{withLane})
-	if len(b) != len(a)+4 {
-		t.Fatalf("lane field size: len(with)=%d len(without)=%d, want +4", len(b), len(a))
+	if b := EncodeRecords(nil, []Record{withLane}); len(b) != len(a) {
+		t.Fatalf("lane 0 encodes to %d bytes, lane 1 to %d", len(a), len(b))
 	}
-	// Hand-build the non-canonical spelling: the zero-lane record with an
-	// explicit zero lane field appended (length and CRC refreshed).
+	got, _, err := DecodeRecords(a)
+	if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], zeroLane) {
+		t.Fatalf("lane-0 record decoded to %+v, %v", got, err)
+	}
+	if again := EncodeRecords(nil, got); !bytes.Equal(again, a) {
+		t.Fatal("lane-0 record re-encodes to different bytes")
+	}
 	payload := appendRecord(nil, &zeroLane)
-	payload = appendU32(payload, 0)
+	payload = payload[:len(payload)-4]
 	frame := make([]byte, 8, 8+len(payload))
-	putU32 := func(b []byte, v uint32) {
-		b[0] = byte(v >> 24)
-		b[1] = byte(v >> 16)
-		b[2] = byte(v >> 8)
-		b[3] = byte(v)
-	}
-	putU32(frame[0:4], uint32(len(payload)))
-	putU32(frame[4:8], crcOf(payload))
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crcOf(payload))
 	frame = append(frame, payload...)
 	if _, _, err := DecodeRecords(frame); err == nil {
-		t.Fatal("explicit zero lane decoded; must be rejected as non-canonical")
+		t.Fatal("KindExecuted record without its lane field decoded")
 	}
 }
 

@@ -108,8 +108,8 @@ echo "== line gate (ROADMAP items 2 and 9: non-test lines of internal/{core,sim,
 # none; nor the tooling; nor the codec and preverify stage, since the
 # verification cache came down to digests and verdicts; nor crypto's own
 # files beside the vendored edwards25519, which stays ungated.
-ceiling_lines=4751 ceiling_code=3221 pbft_ceiling_lines=1535 tooling_ceiling_lines=5062
-message_ceiling_lines=1901 message_ceiling_code=1266 crypto_ceiling_lines=632 crypto_ceiling_code=418
+ceiling_lines=4732 ceiling_code=3205 pbft_ceiling_lines=1535 tooling_ceiling_lines=5062
+message_ceiling_lines=1849 message_ceiling_code=1228 crypto_ceiling_lines=632 crypto_ceiling_code=418
 transports="internal/transport internal/transport/memnet internal/transport/tcpnet internal/transport/udpnet"
 transport_ceiling_lines=1035 transport_ceiling_code=697
 for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "internal/message" "internal/crypto" "$transports"; do
