@@ -78,9 +78,6 @@ func (in *Instance) Restore(rec wal.Record) {
 		if s := in.slot(rec.Seq); s != nil {
 			s.promisedCommit.keep(rec)
 		}
-	case wal.KindCheckpoint:
-		// Our own checkpoint digest; only useful again if the checkpoint
-		// becomes stable, which arrives as a KindStable record.
 	case wal.KindStable:
 		if rec.Seq > in.stableSeq {
 			in.stableSeq = rec.Seq

@@ -58,6 +58,15 @@ func TestJournalEmitsRecordsForSentMessages(t *testing.T) {
 	if len(kinds) == 0 || kinds[0] != wal.KindSentPrePrepare {
 		t.Fatalf("expected a SentPrePrepare record first, got %v", kinds)
 	}
+	// The record binds the proposal by its batch digest, as PREPARE and
+	// COMMIT records do.
+	for _, ob := range out.Msgs {
+		if pp, ok := ob.Msg.(*message.PrePrepare); ok {
+			if r := out.Records[0]; r.Seq != pp.Seq || r.View != pp.View || r.Digest != pp.BatchDigest() {
+				t.Fatalf("SentPrePrepare record %+v does not bind the PRE-PREPARE at seq %d", r, pp.Seq)
+			}
+		}
+	}
 	// Non-durable instances must attach nothing.
 	plain := New(Config{
 		Cluster: types.NewConfig(1), Instance: 0, Node: 0,
@@ -160,7 +169,8 @@ func TestRestoredCommitBlocksEquivocation(t *testing.T) {
 func TestRestorePrimaryDoesNotReuseSequences(t *testing.T) {
 	now := time.Unix(0, 0)
 	in := durableInstance(t, 0, nil)
-	in.Restore(wal.Record{Kind: wal.KindSentPrePrepare, View: 0, Seq: 5, Refs: []types.RequestRef{testRef(9)}})
+	pp := &message.PrePrepare{Instance: 0, View: 0, Seq: 5, Batch: []types.RequestRef{testRef(9)}, Node: 0}
+	in.Restore(wal.Record{Kind: wal.KindSentPrePrepare, View: 0, Seq: 5, Digest: pp.BatchDigest()})
 	in.FinishRestore(0)
 
 	out := in.AddRequest(testRef(1), now)

@@ -472,7 +472,7 @@ func (in *Instance) prePrepareDelayFor(batch []types.RequestRef) time.Duration {
 // enqueue (including any throttling or attack delay) to this emission.
 func (in *Instance) emitPrePrepare(out *Output, pp *message.PrePrepare, now time.Time, since time.Time) {
 	if !in.behavior.Silent {
-		in.journal(out, wal.Record{Kind: wal.KindSentPrePrepare, View: pp.View, Seq: pp.Seq, Refs: pp.Batch})
+		in.journal(out, wal.Record{Kind: wal.KindSentPrePrepare, View: pp.View, Seq: pp.Seq, Digest: pp.BatchDigest()})
 		var buf [message.MaxBodySize]byte
 		pp.Auth = in.keys.AuthenticatorForNodes(in.cfg.Cluster.N, pp.AppendBody(buf[:0]))
 		out.send(nil, pp)
@@ -750,7 +750,6 @@ func chainDigest(prev, batch types.Digest) types.Digest {
 }
 
 func (in *Instance) emitCheckpoint(out *Output, seq types.SeqNum, now time.Time) {
-	in.journal(out, wal.Record{Kind: wal.KindCheckpoint, Seq: seq, Digest: in.logDigest})
 	if !in.behavior.Silent {
 		cp := &message.Checkpoint{Instance: in.cfg.Instance, Seq: seq, Digest: in.logDigest, Node: in.cfg.Node}
 		var buf [message.MaxBodySize]byte

@@ -71,8 +71,8 @@ type ClusterOptions struct {
 	// DataDir/node-<i>, persists crash-survivable state before it becomes
 	// externally visible, and recovers from it on (re)start.
 	DataDir string
-	// WALTune adjusts each node's WAL options (group-commit interval and
-	// thresholds) before the log is opened. Only used with DataDir.
+	// WALTune adjusts each node's WAL options (the live benchmark turns
+	// fsync off) before the log is opened. Only used with DataDir.
 	WALTune func(o *wal.Options)
 }
 

@@ -20,12 +20,9 @@ import (
 //     is idempotent).
 func FuzzWALReplay(f *testing.F) {
 	valid := EncodeRecords(nil, []Record{
-		{Kind: KindSentPrePrepare, Instance: 1, View: 2, Seq: 3, Refs: []types.RequestRef{
-			{Client: 4, ID: 5, Digest: types.Digest{1}},
-		}},
+		{Kind: KindSentPrePrepare, Instance: 1, View: 2, Seq: 3, Digest: types.Digest{1}},
 		{Kind: KindSentPrepare, Instance: 0, View: 2, Seq: 3, Digest: types.Digest{2}},
 		{Kind: KindSentCommit, Instance: 2, View: 1, Seq: 9, Digest: types.Digest{3}},
-		{Kind: KindCheckpoint, Instance: 1, Seq: 128, Digest: types.Digest{4}},
 		{Kind: KindStable, Instance: 1, Seq: 128, Digest: types.Digest{4}},
 		{Kind: KindViewChange, Instance: 0, View: 4},
 		{Kind: KindNewView, Instance: 0, View: 4},
@@ -47,11 +44,8 @@ func FuzzWALReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dir := t.TempDir()
-		hdr := make([]byte, segHeaderLen)
-		copy(hdr, segMagic)
-		putU64(hdr[len(segMagic):], 1)
 		path := filepath.Join(dir, segName(1))
-		if err := os.WriteFile(path, append(hdr, body...), 0o644); err != nil {
+		if err := os.WriteFile(path, append(segHeader(1), body...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 

@@ -25,16 +25,14 @@ type Kind uint8
 // message leaves the node, so a restarted replica knows every promise it
 // may already have made to its peers.
 const (
-	// KindSentPrePrepare: this node's replica, as primary, assigned Seq to
-	// the batch Refs in View on Instance and sent PRE-PREPARE.
+	// KindSentPrePrepare: this node's replica, as primary, assigned Seq in
+	// View on Instance to the batch whose digest is Digest and sent
+	// PRE-PREPARE.
 	KindSentPrePrepare Kind = iota + 1
 	// KindSentPrepare: the replica sent PREPARE for (View, Seq, Digest).
 	KindSentPrepare
 	// KindSentCommit: the replica sent COMMIT for (View, Seq, Digest).
 	KindSentCommit
-	// KindCheckpoint: the replica produced a local checkpoint at Seq with
-	// chained log digest Digest and broadcast CHECKPOINT.
-	KindCheckpoint
 	// KindStable: the checkpoint at Seq (digest Digest) gathered a quorum
 	// and became stable; everything at or below Seq may be forgotten.
 	KindStable
@@ -67,8 +65,6 @@ func (k Kind) String() string {
 		return "sent-prepare"
 	case KindSentCommit:
 		return "sent-commit"
-	case KindCheckpoint:
-		return "checkpoint"
 	case KindStable:
 		return "stable"
 	case KindViewChange:
@@ -94,8 +90,6 @@ type Record struct {
 	View     types.View
 	Seq      types.SeqNum
 	Digest   types.Digest
-	// Refs is the proposed batch for KindSentPrePrepare.
-	Refs []types.RequestRef
 	// CPI is the instance-change counter for KindInstanceChange.
 	CPI uint64
 	// Client, Req, Op identify and carry the request for KindExecuted.
@@ -119,17 +113,7 @@ const maxRecordLen = 64 << 20
 func appendRecord(b []byte, rec *Record) []byte {
 	b = append(b, byte(rec.Kind))
 	switch rec.Kind {
-	case KindSentPrePrepare:
-		b = appendU32(b, uint32(rec.Instance))
-		b = binary.BigEndian.AppendUint64(b, uint64(rec.View))
-		b = binary.BigEndian.AppendUint64(b, uint64(rec.Seq))
-		b = appendU32(b, uint32(len(rec.Refs)))
-		for _, r := range rec.Refs {
-			b = binary.BigEndian.AppendUint64(b, uint64(r.Client))
-			b = binary.BigEndian.AppendUint64(b, uint64(r.ID))
-			b = append(b, r.Digest[:]...)
-		}
-	case KindSentPrepare, KindSentCommit, KindCheckpoint, KindStable:
+	case KindSentPrePrepare, KindSentPrepare, KindSentCommit, KindStable:
 		b = appendU32(b, uint32(rec.Instance))
 		b = binary.BigEndian.AppendUint64(b, uint64(rec.View))
 		b = binary.BigEndian.AppendUint64(b, uint64(rec.Seq))
@@ -165,23 +149,7 @@ func decodeRecord(data []byte) (Record, error) {
 	var rec Record
 	rec.Kind = Kind(d.u8())
 	switch rec.Kind {
-	case KindSentPrePrepare:
-		rec.Instance = types.InstanceID(d.u32())
-		rec.View = types.View(d.u64())
-		rec.Seq = types.SeqNum(d.u64())
-		n := d.u32()
-		if n > uint32(len(data)) { // cheap bound: each ref is > 1 byte
-			return Record{}, fmt.Errorf("%w: ref count %d", ErrCorrupt, n)
-		}
-		rec.Refs = make([]types.RequestRef, 0, n)
-		for i := uint32(0); i < n; i++ {
-			var r types.RequestRef
-			r.Client = types.ClientID(d.u64())
-			r.ID = types.RequestID(d.u64())
-			r.Digest = d.digest()
-			rec.Refs = append(rec.Refs, r)
-		}
-	case KindSentPrepare, KindSentCommit, KindCheckpoint, KindStable:
+	case KindSentPrePrepare, KindSentPrepare, KindSentCommit, KindStable:
 		rec.Instance = types.InstanceID(d.u32())
 		rec.View = types.View(d.u64())
 		rec.Seq = types.SeqNum(d.u64())

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -18,46 +20,31 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func crcOf(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // segMagic starts every segment file, followed by the big-endian LSN of the
-// segment's first record.
-const segMagic = "RBFTWAL1"
+// segment's first record. Its digit versions the record format, so a log in
+// an earlier format is refused, not misread.
+const segMagic = "RBFTWAL2"
 
 // segHeaderLen is the byte length of a segment header.
 const segHeaderLen = len(segMagic) + 8
 
-// FlushInterval is the default Options.FlushInterval: the group-commit
-// interval.
+// FlushInterval is the group-commit interval: the flusher's timer, re-armed
+// after each flush, syncs whatever is buffered even with no waiter.
 const FlushInterval = 2 * time.Millisecond
+
+// flushBytes is the buffered size at which Append wakes the flusher early.
+const flushBytes = 256 << 10
 
 // Options configures a Log.
 type Options struct {
 	// Dir is the directory holding the segment files. Created if missing.
 	Dir string
 	// SegmentBytes rolls to a new segment once the current one exceeds this
-	// size. Default 16 MB.
+	// size. Default 16 MB. It stays a setting because the roll, prune and
+	// corruption tests need segments of a few hundred bytes.
 	SegmentBytes int64
-	// FlushInterval bounds how long an appended record can sit in the
-	// buffer before the flusher syncs it, even with no waiter. Default
-	// FlushInterval, the package constant.
-	FlushInterval time.Duration
-	// FlushBytes triggers an early flush once this much is buffered.
-	// Default 256 KB.
-	FlushBytes int
 	// NoSync skips fsync (tests and throwaway runs only; a crash can then
 	// lose acknowledged records).
 	NoSync bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 16 << 20
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = FlushInterval
-	}
-	if o.FlushBytes <= 0 {
-		o.FlushBytes = 256 << 10
-	}
-	return o
 }
 
 // segInfo describes one on-disk segment.
@@ -69,12 +56,14 @@ type segInfo struct {
 
 // Log is an append-only segmented record log with group commit.
 //
-// Appends are cheap buffer writes; a single flusher goroutine owns all file
-// I/O and syncs the buffer to disk either when nudged by a durability
-// waiter, when FlushBytes accumulate, or after FlushInterval. Every fsync
-// covers all records appended before it started, so concurrent committers
-// share fsyncs (group commit) while a lone committer still syncs
-// immediately.
+// Append frames records straight into a buffer under the mutex; a single
+// flusher goroutine owns all file I/O and syncs the buffer to disk when
+// nudged by a durability waiter, when flushBytes accumulate, or when its
+// FlushInterval timer fires. Every fsync covers all records appended before
+// it started, so concurrent committers share fsyncs (group commit) while a
+// lone committer still syncs immediately. The flusher hands the buffer it
+// just wrote back as the next one, so a steady-state append allocates
+// nothing.
 type Log struct {
 	opts Options
 
@@ -105,18 +94,20 @@ type Log struct {
 	recsAppended *obs.Counter
 }
 
-// FsyncBuckets are histogram bounds (seconds) for fsync latency, spanning
+// fsyncBuckets are histogram bounds (seconds) for fsync latency, spanning
 // NVMe-class syncs to contended spinning disks.
-var FsyncBuckets = []float64{
+var fsyncBuckets = []float64{
 	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 }
 
 // Open opens (or creates) the log in opts.Dir, validates every segment,
-// truncates a torn tail on the last segment, and starts the flusher. Bit
-// corruption anywhere except the tail of the last segment is refused with
-// an error: that is disk damage, not a torn write.
+// removes a torn roll or truncates a torn tail on the last segment, and
+// starts the flusher. Bit corruption anywhere except the tail of the last
+// segment is refused with an error: that is disk damage, not a torn write.
 func Open(opts Options) (*Log, error) {
-	opts = opts.withDefaults()
+	if opts.SegmentBytes <= 0 {
+		opts.SegmentBytes = 16 << 20
+	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create dir: %w", err)
 	}
@@ -151,6 +142,15 @@ func (l *Log) scan() error {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("wal: read %s: %w", filepath.Base(path), err)
+		}
+		if i == len(names)-1 && len(data) < segHeaderLen && bytes.HasPrefix(segHeader(lsn+1), data) {
+			// A torn roll: the crash came before the new segment's header
+			// was synced, so it holds no record. Remove it; the next roll
+			// creates it again (and syncs the directory).
+			if err := os.Remove(path); err != nil {
+				return fmt.Errorf("wal: remove torn segment %s: %w", filepath.Base(path), err)
+			}
+			break
 		}
 		first, body, err := parseSegHeader(data)
 		if err != nil {
@@ -194,32 +194,26 @@ func (l *Log) scan() error {
 	return nil
 }
 
+// segHeader is the header of a segment whose first record has LSN first.
+func segHeader(first uint64) []byte {
+	return binary.BigEndian.AppendUint64([]byte(segMagic), first)
+}
+
 func parseSegHeader(data []byte) (firstLSN uint64, body []byte, err error) {
 	if len(data) < segHeaderLen || string(data[:len(segMagic)]) != segMagic {
 		return 0, nil, fmt.Errorf("%w: bad segment header", ErrCorrupt)
 	}
-	first := beU64(data[len(segMagic):])
+	first := binary.BigEndian.Uint64(data[len(segMagic):])
 	if first == 0 {
 		return 0, nil, fmt.Errorf("%w: segment first LSN 0", ErrCorrupt)
 	}
 	return first, data[segHeaderLen:], nil
 }
 
-func beU64(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32)
-	b[4], b[5], b[6], b[7] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
 // SetMetrics installs WAL metrics into reg. Call before traffic; the
 // handles are nil-safe so an unset registry costs nothing.
 func (l *Log) SetMetrics(reg *obs.Registry) {
-	l.fsyncSeconds = reg.Histogram("rbft_wal_fsync_seconds", FsyncBuckets)
+	l.fsyncSeconds = reg.Histogram("rbft_wal_fsync_seconds", fsyncBuckets)
 	l.fsyncs = reg.Counter("rbft_wal_fsyncs_total")
 	l.bytesWritten = reg.Counter("rbft_wal_bytes_total")
 	l.recsAppended = reg.Counter("rbft_wal_records_total")
@@ -261,14 +255,6 @@ func (l *Log) Replay(fn func(Record) error) error {
 // records ever appended). Durability is *not* implied; pair with
 // WaitDurable before acting on the records' visibility.
 func (l *Log) Append(recs ...Record) (uint64, error) {
-	if len(recs) == 0 {
-		l.mu.Lock()
-		lsn := l.next
-		err := l.ioErr
-		l.mu.Unlock()
-		return lsn, err
-	}
-	frames := EncodeRecords(nil, recs)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -278,11 +264,11 @@ func (l *Log) Append(recs ...Record) (uint64, error) {
 		l.mu.Unlock()
 		return 0, err
 	}
-	l.buf = append(l.buf, frames...)
+	l.buf = EncodeRecords(l.buf, recs)
 	l.bufRecs += uint64(len(recs))
 	l.next += uint64(len(recs))
 	lsn := l.next
-	full := len(l.buf) >= l.opts.FlushBytes
+	full := len(l.buf) >= flushBytes
 	l.mu.Unlock()
 	l.recsAppended.Add(uint64(len(recs)))
 	if full {
@@ -316,13 +302,6 @@ func (l *Log) Sync() error {
 	lsn := l.next
 	l.mu.Unlock()
 	return l.WaitDurable(lsn)
-}
-
-// AppendedLSN returns the LSN of the most recently appended record.
-func (l *Log) AppendedLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
 }
 
 // Close flushes buffered records, stops the flusher, and closes the
@@ -382,13 +361,15 @@ func (l *Log) kick() {
 	}
 }
 
-// flusher is the single goroutine owning file I/O. Each round it steals
-// the buffered frames under the lock, performs the write+fsync with no
-// locks held, then publishes the new durable LSN.
+// flusher is the single goroutine owning file I/O. Each round it swaps
+// the buffered frames for the buffer it wrote last round under the lock,
+// performs the write+fsync with no locks held, then publishes the new
+// durable LSN.
 func (l *Log) flusher() {
 	defer close(l.done)
-	timer := time.NewTimer(l.opts.FlushInterval)
+	timer := time.NewTimer(FlushInterval)
 	defer timer.Stop()
+	var spare []byte // the buffer the last round wrote; nothing else holds it
 	for {
 		quitting := false
 		select {
@@ -398,17 +379,15 @@ func (l *Log) flusher() {
 			quitting = true
 		}
 		l.mu.Lock()
-		data := l.buf
-		nrecs := l.bufRecs
-		target := l.next
-		l.buf = nil
-		l.bufRecs = 0
+		data, nrecs, target := l.buf, l.bufRecs, l.next
+		l.buf, l.bufRecs = spare[:0], 0
 		l.mu.Unlock()
 
 		var err error
 		if len(data) > 0 {
 			err = l.flushBatch(data, nrecs)
 		}
+		spare = data
 		l.mu.Lock()
 		if err != nil {
 			if l.ioErr == nil {
@@ -428,7 +407,7 @@ func (l *Log) flusher() {
 			default:
 			}
 		}
-		timer.Reset(l.opts.FlushInterval)
+		timer.Reset(FlushInterval)
 	}
 }
 
@@ -471,16 +450,13 @@ func (l *Log) roll() error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	hdr := make([]byte, segHeaderLen)
-	copy(hdr, segMagic)
-	putU64(hdr[len(segMagic):], first)
-	if err := writeAndSync(f, hdr, l.opts.NoSync); err != nil {
+	if err := writeAndSync(f, segHeader(first), l.opts.NoSync); err != nil {
 		f.Close()
 		return err
 	}
 	syncDir(l.opts.Dir)
 	l.seg = f
-	l.segSize = int64(len(hdr))
+	l.segSize = int64(segHeaderLen)
 	l.mu.Lock()
 	l.segs = append(l.segs, segInfo{path: path, firstLSN: first})
 	l.mu.Unlock()
@@ -520,15 +496,4 @@ func syncDir(dir string) {
 	}
 	_ = d.Sync()
 	_ = d.Close()
-}
-
-// SegmentPaths returns the current segment files, oldest first.
-func (l *Log) SegmentPaths() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, len(l.segs))
-	for i, s := range l.segs {
-		out[i] = s.path
-	}
-	return out
 }

@@ -3,12 +3,12 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"rbft/internal/obs"
 	"rbft/internal/types"
@@ -20,12 +20,9 @@ func sampleRecords() []Record {
 	d1 := types.Digest{1, 2, 3}
 	d2 := types.Digest{9, 8, 7}
 	return []Record{
-		{Kind: KindSentPrePrepare, Instance: 1, View: 2, Seq: 3, Refs: []types.RequestRef{
-			{Client: 4, ID: 5, Digest: d1}, {Client: 6, ID: 7, Digest: d2},
-		}},
+		{Kind: KindSentPrePrepare, Instance: 1, View: 2, Seq: 3, Digest: d2},
 		{Kind: KindSentPrepare, Instance: 0, View: 2, Seq: 3, Digest: d1},
 		{Kind: KindSentCommit, Instance: 2, View: 1, Seq: 9, Digest: d2},
-		{Kind: KindCheckpoint, Instance: 1, Seq: 128, Digest: d1},
 		{Kind: KindStable, Instance: 1, Seq: 128, Digest: d1},
 		{Kind: KindViewChange, Instance: 0, View: 4},
 		{Kind: KindNewView, Instance: 0, View: 4},
@@ -85,9 +82,6 @@ func TestRecordRoundTrip(t *testing.T) {
 func normalize(recs []Record) []Record {
 	out := append([]Record(nil), recs...)
 	for i := range out {
-		if len(out[i].Refs) == 0 {
-			out[i].Refs = nil
-		}
 		if len(out[i].Op) == 0 {
 			out[i].Op = nil
 		}
@@ -263,14 +257,21 @@ func TestSegmentRollAndPrune(t *testing.T) {
 		}
 		total = lsn
 	}
-	paths := l.SegmentPaths()
+	segments := func() []string {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths
+	}
+	paths := segments()
 	if len(paths) < 3 {
 		t.Fatalf("segments = %d, want >= 3 after roll", len(paths))
 	}
 	if err := l.Prune(total); err != nil {
 		t.Fatal(err)
 	}
-	kept := l.SegmentPaths()
+	kept := segments()
 	if len(kept) != 1 {
 		t.Fatalf("segments after prune = %d, want 1 (active)", len(kept))
 	}
@@ -290,8 +291,8 @@ func TestSegmentRollAndPrune(t *testing.T) {
 	if n == 0 || last.Req != types.RequestID(40) {
 		t.Fatalf("replay after prune: %d records, last req %d", n, last.Req)
 	}
-	if l2.AppendedLSN() != total {
-		t.Fatalf("appended LSN %d, want %d", l2.AppendedLSN(), total)
+	if lsn, err := l2.Append(last); err != nil || lsn != total+1 {
+		t.Fatalf("append after prune and reopen: lsn=%d err=%v, want %d", lsn, err, total+1)
 	}
 }
 
@@ -301,7 +302,7 @@ func TestSegmentRollAndPrune(t *testing.T) {
 // record count.
 func TestGroupCommitSharesFsyncs(t *testing.T) {
 	reg := obs.NewRegistry()
-	l := testLog(t, Options{FlushInterval: 50 * time.Millisecond})
+	l := testLog(t, Options{})
 	l.SetMetrics(reg)
 	const committers = 64
 	var wg sync.WaitGroup
@@ -362,5 +363,136 @@ func TestWaitDurableAfterIOError(t *testing.T) {
 	}
 	if _, err := l.Append(sampleRecords()[2]); err == nil {
 		t.Fatal("Append succeeded after a sticky I/O error")
+	}
+}
+
+// TestAppendAllocatesNothing pins the steady state of the group commit:
+// Append frames its records straight into the log's buffer, and the flusher
+// hands the buffer it wrote back as the next one, so an append and its wait
+// for durability allocate nothing, for one PREPARE or for the twenty
+// executed requests of a batch.
+func TestAppendAllocatesNothing(t *testing.T) {
+	executed := make([]Record, 20)
+	for i := range executed {
+		executed[i] = Record{Kind: KindExecuted, Client: 1, Req: types.RequestID(i + 1), Digest: types.Digest{byte(i)}, Op: []byte("PUT key-0001 value")}
+	}
+	for _, tc := range []struct {
+		name string
+		recs []Record
+	}{
+		{"one PREPARE", []Record{{Kind: KindSentPrepare, Instance: 1, View: 2, Seq: 3, Digest: types.Digest{4}}}},
+		{"20 executed", executed},
+	} {
+		l := testLog(t, Options{})
+		appendDurable := func() {
+			lsn, err := l.Append(tc.recs...)
+			if err == nil {
+				err = l.WaitDurable(lsn)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ { // grow both of the flusher's buffers
+			appendDurable()
+		}
+		if n := testing.AllocsPerRun(100, appendDurable); n != 0 {
+			t.Errorf("%s: %.1f allocations per Append + WaitDurable, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestTornRollRemovedOnOpen: a crash during a segment roll can leave the new
+// last segment empty or with part of its header. It holds no record, so Open
+// removes it, and the next roll creates it again.
+func TestTornRollRemovedOnOpen(t *testing.T) {
+	recs := sampleRecords()
+	for _, size := range []int{0, 5, 12} {
+		dir := t.TempDir()
+		l := testLog(t, Options{Dir: dir})
+		lsn, err := l.Append(recs...)
+		if err == nil {
+			err = l.WaitDurable(lsn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		torn := filepath.Join(dir, segName(lsn+1))
+		if err := os.WriteFile(torn, segHeader(lsn + 1)[:size], 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		l2, err := Open(Options{Dir: dir, SegmentBytes: 1}) // the next flush rolls
+		if err != nil {
+			t.Fatalf("%d-byte torn roll: Open: %v", size, err)
+		}
+		if got := l2.Replayed(); got != lsn {
+			t.Fatalf("%d-byte torn roll: recovered %d records, want %d", size, got, lsn)
+		}
+		if _, err := os.Stat(torn); !os.IsNotExist(err) {
+			t.Fatalf("%d-byte torn roll: segment still there (%v)", size, err)
+		}
+		if err := func() error {
+			if _, err := l2.Append(recs[0]); err != nil {
+				return err
+			}
+			return l2.Sync()
+		}(); err != nil {
+			t.Fatalf("%d-byte torn roll: append after reopen: %v", size, err)
+		}
+		l2.Close()
+		if data, err := os.ReadFile(torn); err != nil || !bytes.HasPrefix(data, segHeader(lsn+1)) {
+			t.Fatalf("%d-byte torn roll: the next roll did not recreate the segment (%v)", size, err)
+		}
+		l3 := testLog(t, Options{Dir: dir})
+		if got := l3.Replayed(); got != lsn+1 {
+			t.Fatalf("%d-byte torn roll: reopened log holds %d records, want %d", size, got, lsn+1)
+		}
+	}
+}
+
+// TestBadSegmentHeaderRefused: only a short last segment that a roll could
+// have left is a torn roll. A full-length last segment with a bad magic, a
+// short last one that is no prefix of its header, and a short segment
+// before the last are disk damage, which Open refuses with ErrCorrupt.
+func TestBadSegmentHeaderRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		seg    int // 0 the first of two segments, 1 the last
+		damage func([]byte) []byte
+	}{
+		{"bad magic on the last segment", 1, func(b []byte) []byte { b[0] ^= 0xff; return b }},
+		{"short last segment, not a header prefix", 1, func(b []byte) []byte { return []byte("XBFTW") }},
+		{"short segment before the last", 0, func(b []byte) []byte { return b[:5] }},
+	} {
+		dir := t.TempDir()
+		l := testLog(t, Options{Dir: dir, SegmentBytes: 1}) // every flush rolls
+		for _, r := range sampleRecords()[:2] {
+			if _, err := l.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+		segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if len(segs) != 2 {
+			t.Fatalf("segments = %d, want 2", len(segs))
+		}
+		data, err := os.ReadFile(segs[tc.seg])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(segs[tc.seg], tc.damage(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if l2, err := Open(Options{Dir: dir}); !errors.Is(err, ErrCorrupt) {
+			if l2 != nil {
+				l2.Close()
+			}
+			t.Fatalf("%s: Open returned %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }

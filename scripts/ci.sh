@@ -63,7 +63,7 @@ go test ./internal/exec -run '^$' -fuzz '^FuzzWaveSchedule$' -fuzztime 5s
 go test ./internal/client -run '^$' -fuzz '^FuzzReadQuorum$' -fuzztime 5s
 go test ./internal/app -run '^$' -fuzz '^FuzzKVParse$' -fuzztime 5s
 
-echo "== allocation gate (zero-alloc steady-state encode and two-allocation emit (four over memnet, whose receivers keep the encoded bytes), docs/EGRESS.md; allocation-free MACs and warm-key signature checks, alias decode, two allocations per preverified frame and per frame from wire to node, no allocation and no copy per memnet payload, docs/PIPELINE.md; one batch through four replicas, one request through four core.Nodes and a 16-request bundle at a fraction of that per request; a bundle preverifies at three allocations per cached copy, whatever its size; a TCP connection reads at one allocation per 64 KiB chunk, a KV op costs what its result and stored string need, and a steady-state exec batch one allocation per worker goroutine) =="
+echo "== allocation gate (zero-alloc steady-state encode and two-allocation emit (four over memnet, whose receivers keep the encoded bytes), docs/EGRESS.md; allocation-free MACs and warm-key signature checks, alias decode, two allocations per preverified frame and per frame from wire to node, no allocation and no copy per memnet payload, docs/PIPELINE.md; one batch through four replicas, one request through four core.Nodes and a 16-request bundle at a fraction of that per request; a bundle preverifies at three allocations per cached copy, whatever its size; a TCP connection reads at one allocation per 64 KiB chunk, a KV op costs what its result and stored string need, a steady-state exec batch one allocation per worker goroutine, and a steady-state WAL append with its wait for durability none) =="
 go test ./internal/message -run '^(TestEncodeZeroAlloc|TestDecodeAliasesFrame|TestPreverifyAllocationBudget)$' -count=1 -v
 go test ./internal/crypto -run '^(TestMACAllocations|TestWarmSignatureCheckAllocatesNothing)$' -count=1 -v
 go test ./internal/pbft -run '^TestOrderBatchAllocationBudget$' -count=1 -v
@@ -73,6 +73,7 @@ go test ./internal/transport/memnet -run '^TestSendHandsOverThePayloads$' -count
 go test ./internal/transport/tcpnet -run '^TestReadAllocatesPerChunkNotPerFrame$' -count=1 -v
 go test ./internal/app -run '^TestKVAllocations$' -count=1 -v
 go test ./internal/exec -run '^TestExecuteBatchAllocationBudget$' -count=1 -v
+go test ./internal/wal -run '^TestAppendAllocatesNothing$' -count=1 -v
 go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode|BenchmarkPreverifyClientFrame|BenchmarkPreverifyPropagateFrame)$' -benchtime 100x -benchmem
 go test ./internal/crypto -run '^$' -bench '^(BenchmarkAuthenticator|BenchmarkVerifySignature)$' -benchtime 100x -benchmem
 go test ./internal/core -run '^$' -bench '^BenchmarkNodeRequestPath$' -benchtime 100x -benchmem
@@ -100,19 +101,20 @@ go run ./cmd/rbft-trace critical-path -top 3 TRACE_smoke.jsonl >/dev/null
 go run ./cmd/rbft-trace attribute TRACE_smoke.jsonl >/dev/null
 rm -f TRACE_smoke.jsonl
 
-echo "== line gate (ROADMAP items 2 and 9: non-test lines of internal/{core,sim,runtime}, then of internal/pbft, internal/message, internal/crypto's own files and internal/transport with its three transports; all, then non-blank non-comment; then tools/ + cmd/) =="
+echo "== line gate (ROADMAP items 2 and 9: non-test lines of internal/{core,sim,runtime}, then of internal/pbft, internal/message, internal/crypto's own files, internal/transport with its three transports and internal/wal; all, then non-blank non-comment; then tools/ + cmd/) =="
 # The ceilings are what earlier changes left behind: the drivers and the node
 # may shrink, never grow back; nor may the protocol instance, since its
 # per-request state moved into the node's one request store; nor the
 # transports, since they came down to moving bytes, and memnet to copying
 # none; nor the tooling; nor the codec and preverify stage, since the
 # verification cache came down to digests and verdicts; nor crypto's own
-# files beside the vendored edwards25519, which stays ungated.
-ceiling_lines=4732 ceiling_code=3205 pbft_ceiling_lines=1535 tooling_ceiling_lines=5062
+# files beside the vendored edwards25519, which stays ungated; nor the WAL,
+# since it came down to the records recovery reads.
+ceiling_lines=4732 ceiling_code=3205 pbft_ceiling_lines=1531 tooling_ceiling_lines=5062
 message_ceiling_lines=1849 message_ceiling_code=1228 crypto_ceiling_lines=632 crypto_ceiling_code=418
 transports="internal/transport internal/transport/memnet internal/transport/tcpnet internal/transport/udpnet"
-transport_ceiling_lines=1035 transport_ceiling_code=697
-for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "internal/message" "internal/crypto" "$transports"; do
+transport_ceiling_lines=1035 transport_ceiling_code=697 wal_ceiling_lines=817 wal_ceiling_code=617
+for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "internal/message" "internal/crypto" "$transports" "internal/wal"; do
 	f=$(for d in $dirs; do ls $d/*.go; done | grep -v _test.go)
 	lines=$(cat $f | wc -l) code=$(cat $f | grep -vE '^\s*(//|$)' | wc -l)
 	echo "$dirs: $lines $code"
@@ -134,6 +136,10 @@ for dirs in "internal/core internal/sim internal/runtime" "internal/pbft" "inter
 	fi
 	if [ "$dirs" = "$transports" ] && { [ "$lines" -gt "$transport_ceiling_lines" ] || [ "$code" -gt "$transport_ceiling_code" ]; }; then
 		echo "internal/transport grew past the ceiling of $transport_ceiling_lines lines / $transport_ceiling_code non-blank non-comment"
+		exit 1
+	fi
+	if [ "$dirs" = "internal/wal" ] && { [ "$lines" -gt "$wal_ceiling_lines" ] || [ "$code" -gt "$wal_ceiling_code" ]; }; then
+		echo "internal/wal grew past the ceiling of $wal_ceiling_lines lines / $wal_ceiling_code non-blank non-comment"
 		exit 1
 	fi
 done
